@@ -11,7 +11,9 @@ Two schemes share the alternate-path step:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import product, starmap
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -93,19 +95,36 @@ def hungarian(problem: AssignmentProblem) -> Optional[list[int]]:
 
 
 def _solve_square(cost: np.ndarray) -> list[int]:
-    """O(n^3) Hungarian method (shortest augmenting paths over potentials).
+    """O(n^3) Hungarian method (shortest augmenting paths over potentials),
+    warm-started from the zero-reduced-cost matching.
 
-    Rows are inserted in order and column scans break ties at the lowest
-    index, so equal-cost optima resolve deterministically.
+    Duals start at u = row minima, v = 0; each row in order takes its
+    lowest-index free column at its row minimum. In a relocation problem
+    occupants sit at zero cost on their own positions and surplus sensors
+    on the zero-cost dummy columns, so only the vacancies' rows are left to
+    augment (Jonker & Volgenant 1987). Augmentations run in row order and
+    column scans break ties at the lowest index, so equal-cost optima
+    resolve deterministically.
     """
     n = cost.shape[0]
     c = np.zeros((n + 1, n + 1))
     c[1:, 1:] = cost
     u = np.zeros(n + 1)
+    u[1:] = cost.min(axis=1)
     v = np.zeros(n + 1)
     match = np.zeros(n + 1, dtype=np.int64)  # match[j] = row taken by column j
     way = np.zeros(n + 1, dtype=np.int64)
+    at_min = cost == u[1:, None]
+    taken = np.zeros(n, dtype=bool)
+    unmatched = []
     for i in range(1, n + 1):
+        cols = np.flatnonzero(at_min[i - 1] & ~taken)
+        if cols.size:
+            taken[cols[0]] = True
+            match[cols[0] + 1] = i
+        else:
+            unmatched.append(i)
+    for i in unmatched:
         match[0] = i
         j0 = 0
         minv = np.full(n + 1, np.inf)
@@ -113,20 +132,17 @@ def _solve_square(cost: np.ndarray) -> list[int]:
         while True:
             used[j0] = True
             i0 = match[j0]
-            reduced = c[i0, 1:] - u[i0] - v[1:]
-            free = ~used[1:]
-            view = minv[1:]
-            better = free & (reduced < view)
-            view[better] = reduced[better]
-            way[1:][better] = j0
-            candidates = np.where(free, view, np.inf)
-            j1 = int(np.argmin(candidates)) + 1
-            delta = candidates[j1 - 1]
-            used_cols = np.flatnonzero(used)
-            u[match[used_cols]] += delta
-            v[used_cols] -= delta
-            minv[1:][free] -= delta
-            j0 = j1
+            reduced = c[i0] - u[i0] - v
+            better = (reduced < minv) & ~used
+            minv[better] = reduced[better]
+            way[better] = j0
+            candidates = np.where(used, np.inf, minv)
+            j0 = int(np.argmin(candidates))
+            delta = candidates[j0]
+            if delta:  # steps across the zero-cost dummy columns move no dual
+                u[match[used]] += delta
+                v[used] -= delta
+                minv[~used] -= delta
             if match[j0] == 0:
                 break
         while j0:
@@ -145,21 +161,25 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     zero-cost edge to it, so immobilized occupants can still be "assigned"
     in place.
     """
-    failed = set(failed)
     barrier = world.barrier or []
-    left = [s.id for s in world.active_sensors()]
+    sensors = world.active_sensors()
+    left = [s.id for s in sensors]
     right = [world.sensor(b).pos for b in barrier]
-    cost = np.zeros((len(left), len(right)))
-    feasible = np.zeros((len(left), len(right)), dtype=bool)
-    for i, sid in enumerate(left):
-        s = world.sensor(sid)
-        cap = displacement_capacity(s, world.energy_model)
-        for j, target in enumerate(right):
-            d = s.pos.distance_to(target)
-            cost[i, j] = d
-            feasible[i, j] = d == 0.0 or (
-                s.mobile and d <= cap and d <= s.comm_radius
-            )
+    # math.dist of two points is math.hypot of their differences, bit for
+    # bit, so every cell equals Point.distance_to, which World.apply_move
+    # re-checks each move with; np.hypot differs in the last bit on a few.
+    cost = np.fromiter(
+        starmap(math.dist, product([(s.pos.x, s.pos.y) for s in sensors],
+                                   [(p.x, p.y) for p in right])),
+        dtype=float,
+        count=len(left) * len(right),
+    ).reshape(len(left), len(right))
+    cap = np.array([displacement_capacity(s, world.energy_model) for s in sensors])
+    comm = np.array([s.comm_radius for s in sensors])
+    mobile = np.array([s.mobile for s in sensors], dtype=bool)
+    feasible = (cost == 0.0) | (
+        mobile[:, None] & (cost <= cap[:, None]) & (cost <= comm[:, None])
+    )
     return AssignmentProblem(left, right, cost, feasible)
 
 

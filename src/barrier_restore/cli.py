@@ -25,6 +25,7 @@ from .graph import build_intersection_graph, find_barrier
 from .harness import (
     SCHEMES,
     ExperimentConfig,
+    InitialBarrierImpossible,
     generate_deployment,
     rows_to_csv,
     run_experiment,
@@ -203,19 +204,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
+    # The CSV is written only once every size has run, so a failed sweep
+    # leaves no partial output; a partial detail log is removed.
     detail = args.detail_log.open("w") if args.detail_log is not None else None
-    sink = sys.stdout if args.out is None else args.out.open("w")
+    rows = None
     try:
-        sink.write(rows_to_csv([]))
-        for config in configs:
-            rows = run_experiment(config, jobs=args.jobs, detail_sink=detail)
-            sink.write(rows_to_csv(rows, header=False))
-            sink.flush()
+        rows = [
+            row
+            for config in configs
+            for row in run_experiment(config, jobs=args.jobs, detail_sink=detail)
+        ]
+    except InitialBarrierImpossible as err:
+        print(f"error: {err}", file=sys.stderr)
     finally:
         if detail is not None:
             detail.close()
-        if sink is not sys.stdout:
-            sink.close()
+    if rows is None:
+        if detail is not None:
+            args.detail_log.unlink()
+        return EXIT_NO_BARRIER
+    text = rows_to_csv(rows)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        args.out.write_text(text)
     return 0
 
 

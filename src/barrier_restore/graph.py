@@ -93,12 +93,10 @@ def build_intersection_graph(
         dy = ys[:, None] - ys[None, :]
         reach = radii[:, None] + radii[None, :]
         close = (dx * dx + dy * dy) <= reach * reach
-        n = len(sensors)
-        for i in range(n):
-            row = adjacency[ids[i]]
-            for j in range(n):
-                if i != j and close[i, j]:
-                    row.append(ids[j])
+        np.fill_diagonal(close, False)
+        id_array = np.array(ids)
+        for sid, row in zip(ids, close):
+            adjacency[sid] = id_array[row].tolist()
         for s in sensors:
             if s.pos.x <= s.sensing_radius:
                 adjacency[s.id].append(PL)

@@ -61,12 +61,29 @@ class ExperimentConfig:
     max_redraws: int = 50
 
     def __post_init__(self) -> None:
+        # Comparisons are written so that NaN fails them.
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
+        if self.max_redraws < 1:
+            raise ValueError("max_redraws must be at least 1")
+        for name in ("length", "width", "rho"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.comm is not None and not self.comm > 0:
+            raise ValueError("comm must be positive")
+        if not self.sigma >= 0:
+            raise ValueError("sigma must be non-negative")
+        if not self.initial_energy >= 0:
+            raise ValueError("initial_energy must be non-negative")
+        self.energy_model()  # validates cost_per_unit and static_threshold
         if not 0 < self.failure_fraction_max <= 1:
             raise ValueError("failure_fraction_max must be in (0, 1]")
         if list(self.report_points) != sorted(self.report_points):
             raise ValueError("report_points must be ascending")
+        if not all(0 <= p <= self.failure_fraction_max for p in self.report_points):
+            raise ValueError("report_points must lie in [0, failure_fraction_max]")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")

@@ -179,6 +179,7 @@ def paper_sweep():
     return rows, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_5_paper_trends(paper_sweep):
     rows, elapsed = paper_sweep
     sizes = (140, 160, 180)

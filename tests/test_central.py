@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrier_restore.central import (
     MECH_ALTERNATE,
@@ -14,7 +16,14 @@ from barrier_restore.central import (
     restore_cmove,
     restore_nmove,
 )
-from barrier_restore.core import Point
+from barrier_restore.core import (
+    EnergyModel,
+    Point,
+    Region,
+    Sensor,
+    World,
+    displacement_capacity,
+)
 from barrier_restore.graph import verify_barrier
 from conftest import make_world, random_line_world
 from oracles import brute_force_assignment
@@ -47,9 +56,12 @@ class TestHungarian:
         assert hungarian(p) == [0]
 
     def test_forbidden_row_blocks_cover(self):
-        # Both columns need distinct rows but row 1 is fully forbidden.
-        p = problem([[1, 2], [2, 4]], feasible=[[True, True], [False, False]])
-        assert hungarian(p) is None
+        # Both columns need distinct rows but row 1 is fully forbidden. The
+        # warm start parks it on a big-M cell, even where its raw cost is
+        # the cheapest; the post-check must still report no cover.
+        for cost in ([[1, 2], [2, 4]], [[1, 2], [0, 0]]):
+            p = problem(cost, feasible=[[True, True], [False, False]])
+            assert hungarian(p) is None
 
     def test_more_rows_than_columns(self):
         p = problem([[5.0], [1.0], [3.0]])
@@ -75,6 +87,80 @@ class TestHungarian:
                 assert got is not None
                 assert assignment_total(p, got) == pytest.approx(want, abs=1e-9)
                 assert all(feasible[got[j], j] for j in range(cols))
+
+    def test_warm_start_skips_infeasible_zero_cost_cell(self):
+        # Row 0's cheapest raw cell is forbidden; pricing keeps the warm
+        # start off it.
+        p = problem([[0, 5], [1, 1]], feasible=[[False, True], [True, False]])
+        assert hungarian(p) == [1, 0]
+
+    def test_forbidden_surplus_row_takes_dummy_column(self):
+        p = problem(
+            [[0, 0], [3, 1], [1, 3]],
+            feasible=[[False, False], [True, True], [True, True]],
+        )
+        assert hungarian(p) == [2, 1]
+
+    def test_matches_brute_force_on_cmove_shaped_instances(self):
+        # Occupants at zero cost on their own positions, surplus sensors,
+        # one to three vacancies and an immobilized occupant that keeps
+        # only its self-edge: the shape the warm start is built for.
+        rng = np.random.default_rng(17)
+        feasible_seen = 0
+        for trial in range(300):
+            vacancies = int(rng.integers(1, 4))
+            cols = int(rng.integers(vacancies + 1, 7))
+            spares = int(rng.integers(vacancies, vacancies + 3))
+            slots = rng.uniform(0, 10, size=(cols, 2))
+            vacant = set(rng.choice(cols, size=vacancies, replace=False).tolist())
+            occupied = [j for j in range(cols) if j not in vacant]
+            rows = np.vstack([slots[occupied], rng.uniform(0, 10, size=(spares, 2))])
+            cost = np.array([
+                [math.hypot(*(r - c)) for c in slots] for r in rows
+            ])
+            reach = rng.uniform(2.0, 9.0, size=len(rows))
+            feasible = (cost == 0.0) | (cost <= reach[:, None])
+            if occupied and trial % 2 == 0:
+                stuck = int(rng.integers(0, len(occupied)))
+                feasible[stuck] = cost[stuck] == 0.0
+            p = problem(cost, feasible)
+            got = hungarian(p)
+            want = brute_force_assignment(cost, feasible)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None
+                assert len(set(got)) == cols
+                assert all(feasible[got[j], j] for j in range(cols))
+                assert assignment_total(p, got) == pytest.approx(want, abs=1e-9)
+                feasible_seen += 1
+        assert feasible_seen >= 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hungarian_matches_brute_force_on_integer_costs(data):
+    # Small integer costs give many exactly tied optima.
+    rows = data.draw(st.integers(1, 5))
+    cols = data.draw(st.integers(1, 5))
+    cells = rows * cols
+    cost = np.array(
+        data.draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells)),
+        dtype=float,
+    ).reshape(rows, cols)
+    feasible = np.array(
+        data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    ).reshape(rows, cols)
+    p = problem(cost, feasible)
+    got = hungarian(p)
+    want = brute_force_assignment(cost, feasible)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert len(set(got)) == cols
+        assert all(feasible[got[j], j] for j in range(cols))
+        assert assignment_total(p, got) == want
 
 
 class TestBuildAssignment:
@@ -113,6 +199,39 @@ class TestBuildAssignment:
         i = p.left.index(1)
         assert p.feasible[i, 1]
         assert not p.feasible[i, 2]
+
+    def test_feasibility_exact_at_capacity_and_comm_boundary(self):
+        # np.hypot and math.hypot differ in the last bit on a few inputs;
+        # the probe collects such pairs (on this numpy) and sets energy
+        # and comm radius to the exact distance or one ulp below it.
+        rng = np.random.default_rng(8)
+        target = Point(50.0, 30.0)
+        positions = []
+        for _ in range(200_000):
+            x, y = (float(v) for v in rng.uniform(0, 100, size=2))
+            dx, dy = x - target.x, y - target.y
+            if float(np.hypot(dx, dy)) != math.hypot(dx, dy):
+                positions.append(Point(x, y))
+                if len(positions) == 40:
+                    break
+        positions += [Point(*map(float, xy)) for xy in rng.uniform(0, 100, size=(40, 2))]
+        sensors = [Sensor(0, target, 1.0, 200.0, 0.0, 0.0, failed=True)]
+        for k, pos in enumerate(positions, start=1):
+            d = pos.distance_to(target)
+            below = math.nextafter(d, 0.0)
+            energy, comm = [(d, 200.0), (below, 200.0), (200.0, d), (200.0, below)][k % 4]
+            sensors.append(Sensor(k, pos, 1.0, comm, energy, energy))
+        w = World(Region(100.0, 100.0), sensors, EnergyModel(1.0, 0.0), barrier=[0])
+        p = build_assignment(w, {0})
+        for i, sid in enumerate(p.left):
+            s = w.sensor(sid)
+            d = s.pos.distance_to(target)
+            assert p.cost[i, 0] == d
+            cap = displacement_capacity(s, w.energy_model)
+            assert p.feasible[i, 0] == (cap >= d and d <= s.comm_radius)
+            if p.feasible[i, 0]:
+                w.apply_move(sid, target)  # raises if the edge overstated capacity
+        assert p.feasible[:, 0].sum() == len(positions) // 2
 
 
 def test_assignment_dimensions_with_spares():
@@ -248,3 +367,30 @@ def test_cmove_matches_exhaustive_minimum_on_small_worlds():
         if compared >= 60:
             break
     assert compared >= 25
+
+
+def test_fuzzed_cmove_with_tight_energy_never_exceeds_capacity():
+    # Energies set to exactly the distance to the next vacancy, or one ulp
+    # below it; a plan that overstates any capacity raises
+    # MoveExceedsCapacity from World.apply_move.
+    shifted = 0
+    for seed in range(150):
+        w = random_line_world(seed, n_min=6, n_max=14)
+        if not w.barrier:
+            continue
+        rng = np.random.default_rng(seed + 20_000)
+        for _ in range(3):
+            chain = [sid for sid in w.barrier if not w.sensor(sid).failed]
+            if not chain:
+                break
+            victim = chain[int(rng.integers(0, len(chain)))]
+            target = w.sensor(victim).pos
+            for s in w.active_sensors():
+                if rng.uniform() < 0.5:
+                    d = s.pos.distance_to(target)
+                    s.energy = d if rng.uniform() < 0.5 else math.nextafter(d, 0.0)
+            w.sensor(victim).failed = True
+            failed = [sid for sid in w.barrier if w.sensor(sid).failed]
+            out = restore_cmove(w, failed)
+            shifted += out.success and out.mechanism == MECH_SHIFTING
+    assert shifted >= 20

@@ -158,3 +158,27 @@ class TestSweep:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 6  # flag narrowed the scheme list
+
+    def test_no_initial_barrier_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        detail = tmp_path / "episodes.jsonl"
+        code = main([
+            "sweep", "--n-list", "20", "--trials", "2", "--length", "4000",
+            "--out", str(out), "--detail-log", str(detail),
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no initial barrier")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists() and not detail.exists()
+
+    def test_no_initial_barrier_on_stdout_prints_no_rows(self, capsys):
+        # N=40 forms a barrier on this belt, N=5 never does.
+        code = main(self.ARGS + ["--n-list", "40,5"])
+        assert code == 3
+        assert capsys.readouterr().out == ""
+
+    def test_invalid_config_value_is_usage_error(self, capsys):
+        assert main(self.ARGS + ["--rho", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: rho must be positive")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from barrier_restore.core import Point, Region, Sensor, World
@@ -54,6 +55,49 @@ class TestBuildGraph:
             for u, nbrs in g.adjacency.items():
                 for v in nbrs:
                     assert g.has_edge(v, u)
+
+    def test_adjacency_matches_pairwise_definition(self):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n = int(rng.integers(2, 30))
+            ids = rng.permutation(3 * n)[:n].tolist()
+            coords = rng.uniform(0, 12, size=(n, 2))
+            radii = rng.choice([0.5, 1.0, 1.5], size=n)
+            sensors = [
+                Sensor(sid, Point(float(x), float(y)), float(r), 2 * r, 10.0, 10.0)
+                for sid, (x, y), r in zip(ids, coords, radii)
+            ]
+            if trial % 2 == 0:
+                # An exactly tangent pair and two sensors at one point;
+                # coordinates on a 1/8 grid keep the sums exact.
+                a, b, c = sensors[0], sensors[1], sensors[-1]
+                a.pos = Point(round(a.pos.x * 8) / 8, round(a.pos.y * 8) / 8)
+                b.pos = Point(a.pos.x + a.sensing_radius + b.sensing_radius, a.pos.y)
+                c.pos = a.pos
+            region = Region(12.0, 12.0)
+            g = build_intersection_graph(sensors, region)
+
+            want = {PL: [], PR: []}
+            for s in sensors:
+                nbrs = [
+                    t.id for t in sensors
+                    if t is not s
+                    and (s.pos.x - t.pos.x) ** 2 + (s.pos.y - t.pos.y) ** 2
+                    <= (s.sensing_radius + t.sensing_radius) ** 2
+                ]
+                if s.pos.x <= s.sensing_radius:
+                    nbrs.append(PL)
+                    want[PL].append(s.id)
+                if s.pos.x >= region.length - s.sensing_radius:
+                    nbrs.append(PR)
+                    want[PR].append(s.id)
+                want[s.id] = sorted(nbrs)
+            want[PL].sort()
+            want[PR].sort()
+            assert g.adjacency == want
+            if trial % 2 == 0:
+                assert g.has_edge(sensors[0].id, sensors[1].id)
+                assert g.has_edge(sensors[0].id, sensors[-1].id)
 
     def test_json_dump_stable(self):
         w = make_world([(1, 0), (3, 0)])

@@ -189,6 +189,31 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(n=10, schemes=("zmove",))
 
+    @pytest.mark.parametrize("bad", [
+        dict(report_points=(0.1, 0.35)),
+        dict(report_points=(-0.05, 0.1)),
+        dict(trials=0),
+        dict(rho=0.0),
+        dict(rho=math.nan),
+        dict(sigma=-1.0),
+        dict(width=0.0),
+        dict(length=-4000.0),
+        dict(initial_energy=-1.0),
+        dict(comm=0.0),
+        dict(cost_per_unit=0.0),
+        dict(max_redraws=0),
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_config_rejects_invalid_values(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=40, **bad)
+
+    def test_report_point_at_failure_fraction_max_is_reported(self):
+        cfg = ExperimentConfig(n=40, length=400.0, rho=30.0, trials=1,
+                               failure_fraction_max=0.2,
+                               report_points=(0.1, 0.2), schemes=("nmove",))
+        rows = run_experiment(cfg)
+        assert [r.failure_fraction for r in rows] == [0.1, 0.2]
+
 
 def test_episode_log_json_lines():
     cfg = ExperimentConfig(n=40, **FAST)
