@@ -54,6 +54,7 @@ from .harness import (
     generate_deployment,
     run_experiment,
     run_trial,
+    start_scheme,
 )
 
 __all__ = [
@@ -93,6 +94,7 @@ __all__ = [
     "run_trial",
     "seeded_rng",
     "splice_barrier",
+    "start_scheme",
     "verify_barrier",
     "world_from_json",
     "world_to_json",

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .central import MECH_NONE, MECH_SHIFTING, RestoreOutcome
-from .core import Point, World, displacement_capacity
+from .core import World, displacement_capacity
 from .graph import verify_barrier
 
 
@@ -29,22 +29,16 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
     hole_idx = chain.index(failed_id)
     failed = world.sensor(failed_id)
     hole_pos, hole_radius = failed.pos, failed.sensing_radius
-    moves: list[tuple[int, Point, Point]] = []
-
-    def do_move(sid: int, dest: Point) -> None:
-        src = world.sensor(sid).pos
-        world.apply_move(sid, dest)
-        moves.append((sid, src, dest))
+    start = len(world.move_log)
 
     def finish(success: bool) -> RestoreOutcome:
-        total = sum(a.distance_to(b) for _, a, b in moves)
         if success:
             world.barrier = chain
+        moves = world.move_log[start:]
         return RestoreOutcome(
             success=success and verify_barrier(world),
             mechanism=MECH_SHIFTING if moves else MECH_NONE,
             moves=moves,
-            total_displacement=total,
             new_barrier=chain if success else None,
         )
 
@@ -67,7 +61,7 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
 
     filler = closest_filler()
     if filler is not None:
-        do_move(filler, hole_pos)
+        world.apply_move(filler, hole_pos)
         chain[hole_idx] = filler
         return finish(True)
 
@@ -99,11 +93,11 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
         ) < mover.pos.distance_to(hole_pos):
             return finish(False)
         old_pos, old_radius = mover.pos, mover.sensing_radius
-        do_move(mover.id, hole_pos)
+        world.apply_move(mover.id, hole_pos)
         chain[idx] = mover.id
         idx, hole_pos, hole_radius = src_idx, old_pos, old_radius
         filler = closest_filler()
         if filler is not None:
-            do_move(filler, hole_pos)
+            world.apply_move(filler, hole_pos)
             chain[idx] = filler
             return finish(True)

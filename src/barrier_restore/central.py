@@ -14,15 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product, starmap
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import Point, World, displacement_capacity
+from .core import Move, Point, World, displacement_capacity
 from .graph import (
-    PL,
-    PR,
     build_intersection_graph,
+    failed_span,
     find_alternate_path,
     splice_barrier,
     verify_barrier,
@@ -35,11 +34,17 @@ MECH_NONE = "none"
 
 @dataclass
 class RestoreOutcome:
+    """What one restore step did; ``moves`` is the slice of
+    ``World.move_log`` that the step appended."""
+
     success: bool
     mechanism: str = MECH_NONE
-    moves: list[tuple[int, Point, Point]] = field(default_factory=list)
-    total_displacement: float = 0.0
+    moves: list[Move] = field(default_factory=list)
     new_barrier: Optional[list[int]] = None
+
+    @property
+    def total_displacement(self) -> float:
+        return sum((m.length for m in self.moves), 0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -183,19 +188,11 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     return AssignmentProblem(left, right, cost, feasible)
 
 
-def _flanking_survivors(barrier: Sequence[int], failed: set[int]) -> tuple[int, int]:
-    first = min(i for i, v in enumerate(barrier) if v in failed)
-    last = max(i for i, v in enumerate(barrier) if v in failed)
-    left = barrier[first - 1] if first > 0 else PL
-    right = barrier[last + 1] if last + 1 < len(barrier) else PR
-    return left, right
-
-
 def _try_alternate_path(world: World, failed: set[int]) -> Optional[list[int]]:
     """Detour between the survivors flanking the failed span, spliced into
     the old chain; None when the graph offers no such path."""
     barrier = world.barrier or []
-    left, right = _flanking_survivors(barrier, failed)
+    _, _, left, right = failed_span(barrier, failed)
     graph = build_intersection_graph(world.active_sensors(), world.region)
     path = find_alternate_path(graph, left, right)
     if path is None:
@@ -237,23 +234,16 @@ def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
     if assignment is None:
         return RestoreOutcome(success=False)
 
-    moves: list[tuple[int, Point, Point]] = []
-    occupants: list[int] = []
-    for j, target in enumerate(problem.right):
-        sid = problem.left[assignment[j]]
-        occupants.append(sid)
-        src = world.sensor(sid).pos
-        if src.distance_to(target) > 0.0:
-            moves.append((sid, src, target))
-    for sid, _, target in moves:
-        world.apply_move(sid, target)
+    start = len(world.move_log)
+    occupants = [problem.left[i] for i in assignment]
+    for sid, target in zip(occupants, problem.right):
+        if world.sensor(sid).pos.distance_to(target) > 0.0:
+            world.apply_move(sid, target)
     world.barrier = occupants
-    total = sum(a.distance_to(b) for _, a, b in moves)
     ok = verify_barrier(world)
     return RestoreOutcome(
         success=ok,
         mechanism=MECH_SHIFTING,
-        moves=moves,
-        total_displacement=total,
+        moves=world.move_log[start:],
         new_barrier=occupants,
     )

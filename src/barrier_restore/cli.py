@@ -5,9 +5,9 @@ Subcommands:
   run       replay one failure scenario against a deployment (debugger)
   sweep     full experiment grid, CSV on stdout
 
-Exit codes: 2 usage error, 3 no initial barrier, 4 unsupported multi-id
-failure for the chosen scheme. Stdout carries only data; diagnostics go to
-stderr.
+Exit codes: 2 usage error (a bad deployment file included), 3 no initial
+barrier, 4 unsupported multi-id failure for the chosen scheme. Stdout
+carries only data; diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -17,10 +17,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .baselines import restore_rmove
-from .central import restore_cmove, restore_nmove
 from .core import EnergyModel, Region, World, seeded_rng, world_from_json, world_to_json
-from .distributed import MessageBus, handle_failure_dmove, init_recovery_nodes
+from .distributed import MessageBus
 from .graph import build_intersection_graph, find_barrier
 from .harness import (
     SCHEMES,
@@ -29,6 +27,7 @@ from .harness import (
     generate_deployment,
     rows_to_csv,
     run_experiment,
+    start_scheme,
 )
 
 EXIT_USAGE = 2
@@ -120,7 +119,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     model = EnergyModel(args.cost_per_unit, args.static_threshold)
-    world = world_from_json(args.deployment.read_text(), energy_model=model)
+    try:
+        world = world_from_json(args.deployment.read_text(), energy_model=model)
+    except (OSError, ValueError) as err:
+        print(f"error: deployment {args.deployment}: {err}", file=sys.stderr)
+        return EXIT_USAGE
     for sid in failed_ids:
         if sid not in world.sensors:
             print(f"error: sensor {sid} not in deployment", file=sys.stderr)
@@ -134,22 +137,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     world.barrier = barrier
 
     bus = MessageBus(keep_log=args.trace)
-    states = None
-    if args.scheme == "dmove":
-        states = init_recovery_nodes(world, bus=bus)
+    restore = start_scheme(args.scheme, world, seeded_rng(args.seed),
+                           k=args.k, bus=bus)
     for sid in failed_ids:
         world.sensor(sid).failed = True
-
-    if args.scheme == "nmove":
-        outcome = restore_nmove(world, failed_ids)
-    elif args.scheme == "cmove":
-        outcome = restore_cmove(world, failed_ids)
-    elif args.scheme == "rmove":
-        outcome = restore_rmove(world, failed_ids[0], seeded_rng(args.seed))
-    else:
-        outcome = handle_failure_dmove(
-            world, states, failed_ids[0], k=args.k, bus=bus
-        )
+    # One centralized step covers every failed chain member; the local
+    # schemes were limited to a single id above.
+    outcome = restore(failed_ids[0])
 
     doc = outcome.to_dict()
     doc["scheme"] = args.scheme

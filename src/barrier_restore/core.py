@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,10 +25,6 @@ class Point:
 
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-
-def distance(a: Point, b: Point) -> float:
-    return a.distance_to(b)
 
 
 @dataclass
@@ -94,8 +90,7 @@ def displacement_capacity(sensor: Sensor, model: EnergyModel) -> float:
     return sensor.energy / model.cost_per_unit_displacement
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     sensor_id: int
     src: Point
     dest: Point
@@ -202,19 +197,31 @@ def world_to_json(world: World) -> str:
 def world_from_json(
     text: str, energy_model: EnergyModel | None = None
 ) -> World:
+    """Parse a deployment. Raises ValueError (JSONDecodeError included) on
+    malformed JSON, a missing key, a non-finite number, negative energy or a
+    non-positive radius or region side."""
     doc = json.loads(text)
-    region = Region(float(doc["region"]["L"]), float(doc["region"]["W"]))
-    rho = float(doc["rho"])
-    comm = float(doc["comm"])
-    sensors = [
-        Sensor(
-            id=int(rec["id"]),
-            pos=Point(float(rec["x"]), float(rec["y"])),
-            sensing_radius=rho,
-            comm_radius=comm,
-            energy=float(rec["energy"]),
-            initial_energy=float(rec["energy"]),
-        )
-        for rec in doc["sensors"]
-    ]
+    try:
+        region = Region(float(doc["region"]["L"]), float(doc["region"]["W"]))
+        rho = float(doc["rho"])
+        comm = float(doc["comm"])
+        sensors = [
+            Sensor(
+                id=int(rec["id"]),
+                pos=Point(float(rec["x"]), float(rec["y"])),
+                sensing_radius=rho,
+                comm_radius=comm,
+                energy=float(rec["energy"]),
+                initial_energy=float(rec["energy"]),
+            )
+            for rec in doc["sensors"]
+        ]
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed deployment ({type(err).__name__}: {err})") from None
+    numbers = [region.length, region.width, rho, comm]
+    numbers += [v for s in sensors for v in (s.pos.x, s.pos.y, s.energy)]
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("deployment holds a non-finite number")
+    if rho <= 0 or comm <= 0 or any(s.energy < 0 for s in sensors):
+        raise ValueError("deployment needs positive rho and comm and non-negative energy")
     return World(region, sensors, energy_model=energy_model)

@@ -63,15 +63,6 @@ class SetRec:
 
 
 @dataclass(frozen=True)
-class Tok:
-    """Route-discovery token: mode is "disc" or "found", dest the search
-    target, k the remaining hop budget."""
-    route: str
-    dest: int
-    k: int
-
-
-@dataclass(frozen=True)
 class Envelope:
     seq: int
     sender: int
@@ -134,8 +125,6 @@ def _payload(msg: object) -> str:
         return f"q={msg.q};d={msg.d:.6g}"
     if isinstance(msg, SetRec):
         return f"pred={msg.pred};suc={msg.suc}"
-    if isinstance(msg, Tok):
-        return f"route={msg.route};dest={msg.dest};k={msg.k}"
     return ""
 
 
@@ -148,10 +137,8 @@ def _payload(msg: object) -> str:
 class NodeState:
     id: int
     is_on_barrier: bool = False
-    bar_neighbor: list[int] = field(default_factory=list)
     non_bar_neighbor: list[int] = field(default_factory=list)
     path_length: float = INF
-    res_energy: float = 0.0
     pre: Optional[int] = None
     suc: Optional[int] = None
     rec_node: Optional[int] = None
@@ -160,10 +147,6 @@ class NodeState:
     # sides still owe an answer to this node's own request
     side_value: dict[str, Optional[float]] = field(default_factory=lambda: {"pre": None, "suc": None})
     awaiting: set[str] = field(default_factory=set)
-
-    @property
-    def is_rec_node(self) -> bool:
-        return bool(self.rec_set)
 
 
 def _fresh_states(world: World, graph: IntersectionGraph) -> dict[int, NodeState]:
@@ -175,9 +158,7 @@ def _fresh_states(world: World, graph: IntersectionGraph) -> dict[int, NodeState
         states[s.id] = NodeState(
             id=s.id,
             is_on_barrier=s.id in on_barrier,
-            bar_neighbor=[v for v in neighbors if v in on_barrier],
             non_bar_neighbor=[v for v in neighbors if v not in on_barrier],
-            res_energy=s.energy,
         )
     for idx, sid in enumerate(barrier):
         # A stale chain may still list dead members; the living keep their
@@ -356,10 +337,6 @@ def init_recovery_nodes(
     return states
 
 
-def unresolved_barrier_nodes(world: World, states: dict[int, NodeState]) -> list[int]:
-    return [sid for sid in (world.barrier or []) if states[sid].rec_node is None]
-
-
 # ---------------------------------------------------------------------------
 # MLDFS: hop-budgeted greedy token search
 # ---------------------------------------------------------------------------
@@ -410,19 +387,20 @@ def mldfs(
                 best, best_key = q, key
         return best
 
-    def emit(sender: int, receiver: int, tok: Tok) -> None:
+    def emit(sender: int, receiver: int, route: str, k_left: int) -> None:
+        # The route-discovery token is logged, not sent: route is "disc" or
+        # "found", k_left the remaining hop budget.
         if bus is not None and bus.keep_log:
             bus.round_no += 1
-            bus.log.append(
-                (bus.round_no, sender, receiver, "Tok", _payload(tok))
-            )
+            bus.log.append((bus.round_no, sender, receiver, "Tok",
+                            f"route={route};dest={dest};k={k_left}"))
 
     first = pick(start)
     if first is None:
         return None
     used[start].add(first)
     sender, at, carried = start, first, k - 1
-    emit(sender, at, Tok("disc", dest, carried))
+    emit(sender, at, "disc", carried)
 
     while True:
         if at == dest and carried >= 0:
@@ -431,7 +409,7 @@ def mldfs(
             path = [at]
             while path[-1] != start:
                 nxt = father[path[-1]]
-                emit(path[-1], nxt, Tok("found", dest, carried))
+                emit(path[-1], nxt, "found", carried)
                 path.append(nxt)
             path.reverse()
             return path
@@ -443,13 +421,13 @@ def mldfs(
             nxt = sender if bounce else candidate
             used[at].add(nxt)
             sender, at, carried = at, nxt, carried - 1
-            emit(sender, at, Tok("disc", dest, carried))
+            emit(sender, at, "disc", carried)
             continue
         if at == start:
             return None  # initiator has nowhere left to send the token
         used[at].add(father[at])
         sender, at, carried = at, father[at], carried + 1
-        emit(sender, at, Tok("disc", dest, carried))
+        emit(sender, at, "disc", carried)
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +527,18 @@ def _cascade_shift(
     hole_idx = chain.index(failed_id)
     hole_pos = world.sensor(failed_id).pos
     mover = first_mover
-    moves: list[tuple[int, Point, Point]] = []
+    start = len(world.move_log)
     moved: set[int] = set()
 
     def give_up() -> RestoreOutcome:
-        if moves:
+        # Earlier hops already happened physically; the episode still fails.
+        if moved:
             _reelect(world, states, bus)
-        return _cascade_failed(moves)
+        return RestoreOutcome(
+            success=False,
+            mechanism=MECH_SHIFTING if moved else MECH_NONE,
+            moves=world.move_log[start:],
+        )
 
     while True:
         if mover is None or mover in moved:
@@ -570,7 +553,6 @@ def _cascade_shift(
         old_idx = chain.index(mover) if was_on_barrier else -1
         old_pos = ms.pos
         world.apply_move(mover, hole_pos)
-        moves.append((mover, old_pos, hole_pos))
         moved.add(mover)
         chain[hole_idx] = mover
         if not was_on_barrier:
@@ -580,22 +562,9 @@ def _cascade_shift(
 
     world.barrier = chain
     _reelect(world, states, bus)
-    total = sum(a.distance_to(b) for _, a, b in moves)
     return RestoreOutcome(
         success=verify_barrier(world),
         mechanism=MECH_SHIFTING,
-        moves=moves,
-        total_displacement=total,
+        moves=world.move_log[start:],
         new_barrier=chain,
-    )
-
-
-def _cascade_failed(moves: list[tuple[int, Point, Point]]) -> RestoreOutcome:
-    # Earlier hops already happened physically; the episode still fails.
-    total = sum(a.distance_to(b) for _, a, b in moves)
-    return RestoreOutcome(
-        success=False,
-        mechanism=MECH_SHIFTING if moves else MECH_NONE,
-        moves=moves,
-        total_displacement=total,
     )

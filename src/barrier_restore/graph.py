@@ -7,7 +7,6 @@ are small enough that correctness beats incremental updates.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Iterable, Optional, Sequence
 
@@ -43,10 +42,6 @@ class IntersectionGraph:
         self.positions = positions  # sensor vertices only, not PL/PR
         self.region = region
 
-    @property
-    def vertices(self) -> list[int]:
-        return sorted(self.adjacency)
-
     def neighbors(self, vertex: int) -> list[int]:
         return self.adjacency[vertex]
 
@@ -65,13 +60,6 @@ class IntersectionGraph:
         if target == PR:
             return self.region.length - p.x
         return p.distance_to(self.positions[target])
-
-    def to_json(self) -> str:
-        """Adjacency dump for diagnostics, stable ordering by id."""
-        return json.dumps(
-            {str(v): self.adjacency[v] for v in sorted(self.adjacency)},
-            indent=2,
-        )
 
 
 def build_intersection_graph(
@@ -185,6 +173,16 @@ def _simplify_walk(walk: Sequence[int]) -> Path:
     return out
 
 
+def failed_span(barrier: Sequence[int], failed: set[int]) -> tuple[int, int, int, int]:
+    """Indices of the leftmost and rightmost failed barrier nodes, and the
+    survivors just outside them (sentinels when the span touches an end)."""
+    hits = [i for i, v in enumerate(barrier) if v in failed]
+    first, last = hits[0], hits[-1]
+    left = barrier[first - 1] if first > 0 else PL
+    right = barrier[last + 1] if last + 1 < len(barrier) else PR
+    return first, last, left, right
+
+
 def splice_barrier(
     barrier: Sequence[int], failed: Iterable[int], replacement: Sequence[int]
 ) -> Path:
@@ -198,10 +196,7 @@ def splice_barrier(
     failed = set(failed)
     if not failed & set(barrier):
         return barrier
-    first = min(i for i, v in enumerate(barrier) if v in failed)
-    last = max(i for i, v in enumerate(barrier) if v in failed)
-    left = barrier[first - 1] if first > 0 else PL
-    right = barrier[last + 1] if last + 1 < len(barrier) else PR
+    first, last, left, right = failed_span(barrier, failed)
 
     if not replacement or replacement[0] != left or replacement[-1] != right:
         raise SpliceEndpointMismatch(

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .core import (
     World,
     derived_rng,
 )
-from .distributed import default_hop_budget, handle_failure_dmove, init_recovery_nodes
+from .distributed import MessageBus, default_hop_budget, handle_failure_dmove, init_recovery_nodes
 from .graph import build_intersection_graph, find_barrier
 
 SCHEMES = ("nmove", "rmove", "cmove", "dmove")
@@ -113,24 +113,14 @@ class MetricsRow:
 
 @dataclass
 class EpisodeRecord:
-    index: int
-    failed_id: int
+    """One failure episode; its fields are the detail log's first keys."""
+
+    episode: int
+    failed: int
     on_barrier: bool
     mechanism: str
     success: bool
     displacement: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "episode": self.index,
-                "failed": self.failed_id,
-                "on_barrier": self.on_barrier,
-                "mechanism": self.mechanism,
-                "success": self.success,
-                "displacement": self.displacement,
-            }
-        )
 
 
 @dataclass
@@ -217,8 +207,7 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int) -> TrialResult:
     """
     world = deploy_with_barrier(config, seed)
     fail_rng = derived_rng(seed, 1)
-    scheme_rng = derived_rng(seed, 2)
-    states = init_recovery_nodes(world) if scheme == "dmove" else None
+    restore = start_scheme(scheme, world, derived_rng(seed, 2), k=config.hop_budget)
 
     total_failures = math.floor(config.failure_fraction_max * config.n)
     targets = [math.floor(p * config.n) for p in config.report_points]
@@ -244,45 +233,48 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int) -> TrialResult:
         failed_id = active_ids[int(fail_rng.integers(0, len(active_ids)))]
         on_chain = failed_id in (world.barrier or [])
         world.sensor(failed_id).failed = True
-        outcome = _dispatch(scheme, config, world, states, failed_id, scheme_rng)
+        outcome = restore(failed_id)
         failures += 1
         recoveries += int(outcome.success)
-        cum_disp += outcome.total_displacement
+        displacement = outcome.total_displacement
+        cum_disp += displacement
         episodes.append(
-            EpisodeRecord(
-                index=failures,
-                failed_id=failed_id,
-                on_barrier=on_chain,
-                mechanism=outcome.mechanism,
-                success=outcome.success,
-                displacement=outcome.total_displacement,
-            )
+            EpisodeRecord(failures, failed_id, on_chain, outcome.mechanism,
+                          outcome.success, displacement)
         )
         snapshot()
     return TrialResult(rows, episodes, world)
 
 
-def _dispatch(
-    scheme: str,
-    config: ExperimentConfig,
-    world: World,
-    states,
-    failed_id: int,
-    scheme_rng: np.random.Generator,
-) -> RestoreOutcome:
-    # The centralized schemes see the whole world, so they retry every
-    # still-unfilled chain vacancy; the local schemes react to the new
-    # failure alone, whatever the global state of the chain.
+def start_scheme(scheme: str, world: World, rng: np.random.Generator,
+                 k: Optional[int] = None, bus: Optional[MessageBus] = None,
+                 ) -> Callable[[int], RestoreOutcome]:
+    """Prepare ``scheme`` on a world with a designated barrier and return its
+    restore step, called with each newly failed sensor id once that sensor
+    is marked failed. dmove elects its recovery nodes here (``k`` is its hop
+    budget, ``bus`` its message bus); rmove draws its coin from ``rng``.
+
+    The centralized schemes see the whole world, so each step retries every
+    still-unfilled chain vacancy; the local schemes react to the new failure
+    alone, whatever the global state of the chain. Entry points are looked
+    up in this module on every call, so a tracer that rebinds them here
+    sees every step.
+    """
     if scheme in ("nmove", "cmove"):
-        failed_on_chain = [
-            sid for sid in (world.barrier or []) if world.sensor(sid).failed
-        ]
-        restore = restore_nmove if scheme == "nmove" else restore_cmove
-        return restore(world, failed_on_chain)
+        def step(failed_id: int) -> RestoreOutcome:
+            failed_on_chain = [
+                sid for sid in (world.barrier or []) if world.sensor(sid).failed
+            ]
+            restore = restore_nmove if scheme == "nmove" else restore_cmove
+            return restore(world, failed_on_chain)
+        return step
     if scheme == "rmove":
-        return restore_rmove(world, failed_id, scheme_rng)
+        return lambda failed_id: restore_rmove(world, failed_id, rng)
     if scheme == "dmove":
-        return handle_failure_dmove(world, states, failed_id, k=config.hop_budget)
+        states = init_recovery_nodes(world, bus=bus)
+        return lambda failed_id: handle_failure_dmove(
+            world, states, failed_id, k=k, bus=bus
+        )
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -295,11 +287,10 @@ def trial_seed(config: ExperimentConfig, trial_index: int) -> int:
 
 def _trial_task(
     args: tuple[str, ExperimentConfig, int]
-) -> tuple[list[MetricsRow], list[dict]]:
+) -> tuple[list[MetricsRow], list[EpisodeRecord]]:
     scheme, config, seed = args
     result = run_trial(scheme, config, seed)
-    episodes = [json.loads(ep.to_json()) for ep in result.episodes]
-    return result.rows, episodes
+    return result.rows, result.episodes
 
 
 def run_experiment(
@@ -321,7 +312,8 @@ def run_experiment(
         results = [_trial_task(t) for t in tasks]
     if detail_sink is not None:
         for (scheme, _, seed), (_, episodes) in zip(tasks, results):
-            for doc in episodes:
+            for episode in episodes:
+                doc = asdict(episode)
                 doc.update(scheme=scheme, n=config.n, trial_seed=seed)
                 detail_sink.write(json.dumps(doc) + "\n")
     all_rows = [rows for rows, _ in results]

@@ -14,28 +14,22 @@ import time
 import numpy as np
 import pytest
 
-from barrier_restore.baselines import restore_rmove
 from barrier_restore.central import (
     MECH_SHIFTING,
     AssignmentProblem,
     build_assignment,
     hungarian,
     restore_cmove,
-    restore_nmove,
 )
 from barrier_restore.cli import main
 from barrier_restore.core import Point, seeded_rng
-from barrier_restore.distributed import (
-    MessageBus,
-    handle_failure_dmove,
-    init_recovery_nodes,
-    mldfs,
-)
+from barrier_restore.distributed import MessageBus, init_recovery_nodes, mldfs
 from barrier_restore.graph import build_intersection_graph, verify_barrier
 from barrier_restore.harness import (
     ExperimentConfig,
     run_experiment,
     run_trial,
+    start_scheme,
     trial_seed,
 )
 from conftest import random_line_world
@@ -109,18 +103,6 @@ def test_criterion_2_cmove_optimality_small_worlds():
     )
 
 
-def _dispatch_episode(scheme, world, states, failed_id, rng):
-    if scheme in ("nmove", "cmove"):
-        failed_on_chain = [
-            sid for sid in (world.barrier or []) if world.sensor(sid).failed
-        ]
-        restore = restore_nmove if scheme == "nmove" else restore_cmove
-        return restore(world, failed_on_chain)
-    if scheme == "rmove":
-        return restore_rmove(world, failed_id, rng)
-    return handle_failure_dmove(world, states, failed_id, k=4)
-
-
 def test_criterion_3_fuzz_validity_and_energy():
     episodes = violations = 0
     seed = 0
@@ -130,16 +112,14 @@ def test_criterion_3_fuzz_validity_and_energy():
             world = random_line_world(seed, n_min=6, n_max=12)
             if not world.barrier:
                 break
-            states = (
-                init_recovery_nodes(world) if scheme == "dmove" else None
-            )
             rng = seeded_rng(seed * 7 + 1)
+            restore = start_scheme(scheme, world, rng, k=4)
             kills = max(1, math.floor(0.3 * len(world.sensors)))
             for _ in range(kills):
                 alive = [s.id for s in world.active_sensors()]
                 victim = int(alive[rng.integers(0, len(alive))])
                 world.sensor(victim).failed = True
-                out = _dispatch_episode(scheme, world, states, victim, rng)
+                out = restore(victim)
                 episodes += 1
                 if out.success and not verify_barrier(world):
                     violations += 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -47,6 +48,38 @@ class TestGenerate:
         assert main(args + [str(a)]) == 0
         assert main(args + [str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+
+def _t1_text(mutate):
+    doc = json.loads(world_to_json(make_world(T1_COORDS, with_barrier=False)))
+    mutate(doc)
+    return json.dumps(doc)
+
+
+class TestRunBadDeployment:
+    @pytest.mark.parametrize("text", [
+        # NaN x and negative energy used to run and report a shifting
+        _t1_text(lambda d: d["sensors"][5].update(x=math.nan)),
+        _t1_text(lambda d: [s.update(energy=-1.0) for s in d["sensors"]]),
+        '{"region": {"L": 10, ',
+        _t1_text(lambda d: d.pop("rho")),
+    ], ids=["nan-x", "negative-energy", "malformed-json", "missing-rho"])
+    def test_exit_usage_with_one_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["run", "--deployment", str(path), "--scheme", "cmove",
+                     "--fail", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_unreadable_file(self, tmp_path, capsys):
+        code = main(["run", "--deployment", str(tmp_path / "absent.json"),
+                     "--scheme", "rmove", "--fail", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestRun:

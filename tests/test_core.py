@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -147,6 +148,28 @@ class TestWorldJson:
             assert w2.sensor(i).energy == 80.0
             assert w2.sensor(i).initial_energy == 80.0
             assert w2.sensor(i).comm_radius == 60.0
+
+    @pytest.mark.parametrize("bad", [
+        lambda d: d["sensors"][1].update(x=math.nan),
+        lambda d: d["sensors"][2].update(y=math.inf),
+        lambda d: d["sensors"][0].update(energy=-5.0),
+        lambda d: d["sensors"][3].update(energy=math.nan),
+        lambda d: d.update(rho=0.0),
+        lambda d: d.update(comm=-60.0),
+        lambda d: d["region"].update(L=math.nan),
+        lambda d: d.pop("rho"),
+        lambda d: d["sensors"][0].pop("energy"),
+        lambda d: d.update(sensors=None),
+    ], ids=["nan-x", "inf-y", "negative-energy", "nan-energy", "zero-rho",
+            "negative-comm", "nan-length", "missing-rho", "missing-energy",
+            "sensors-null"])
+    def test_bad_deployment_rejected(self, bad):
+        sensors = [Sensor(i, Point(i * 10.0, 1.5), 30.0, 60.0, 80.0, 80.0)
+                   for i in range(4)]
+        doc = json.loads(world_to_json(World(Region(100, 60), sensors)))
+        bad(doc)
+        with pytest.raises(ValueError):
+            world_from_json(json.dumps(doc))
 
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):

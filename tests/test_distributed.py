@@ -12,7 +12,6 @@ from barrier_restore.distributed import (
     handle_failure_dmove,
     init_recovery_nodes,
     mldfs,
-    unresolved_barrier_nodes,
 )
 from barrier_restore.graph import (
     PL,
@@ -58,7 +57,6 @@ class TestElection:
     def test_rec_set_registration(self, t1_world):
         states = init_recovery_nodes(t1_world)
         assert states[5].rec_set == [(2, 1, 3)]
-        assert states[5].is_rec_node
         # every client appears in exactly one recovery node's set
         owners = {}
         for sid, st in states.items():
@@ -94,7 +92,8 @@ class TestElection:
     def test_unresolvable_when_no_candidates(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
         states = init_recovery_nodes(w)
-        assert unresolved_barrier_nodes(w, states) == [0, 1, 2, 3, 4]
+        unresolved = [sid for sid in w.barrier if states[sid].rec_node is None]
+        assert unresolved == [0, 1, 2, 3, 4]
 
     def test_matches_offline_oracle(self):
         checked = 0
@@ -260,7 +259,8 @@ class TestHandleFailure:
         assert out.moves == []
         # With the only spare gone there is no candidate left anywhere.
         assert states[2].rec_node is None
-        assert unresolved_barrier_nodes(t1_world, states) == [0, 1, 2, 3, 4]
+        unresolved = [sid for sid in t1_world.barrier if states[sid].rec_node is None]
+        assert unresolved == [0, 1, 2, 3, 4]
 
     def test_reelection_finds_surviving_candidate(self, detour_world):
         # Spares 4 and 5 both guard someone; when 5 dies, node 2 falls back

@@ -99,11 +99,6 @@ class TestBuildGraph:
                 assert g.has_edge(sensors[0].id, sensors[1].id)
                 assert g.has_edge(sensors[0].id, sensors[-1].id)
 
-    def test_json_dump_stable(self):
-        w = make_world([(1, 0), (3, 0)])
-        g = build_intersection_graph(w.active_sensors(), w.region)
-        assert g.to_json() == g.to_json()
-
 
 class TestFindBarrier:
     def test_t1_chain(self, t1_world):

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from barrier_restore import harness
+from barrier_restore.cli import main
 from barrier_restore.core import seeded_rng
 from barrier_restore.graph import build_intersection_graph, find_barrier
 from barrier_restore.harness import (
@@ -215,12 +218,61 @@ class TestRunExperiment:
         assert [r.failure_fraction for r in rows] == [0.1, 0.2]
 
 
-def test_episode_log_json_lines():
+DETAIL_KEYS = ["episode", "failed", "on_barrier", "mechanism", "success",
+               "displacement", "scheme", "n", "trial_seed"]
+
+
+def test_detail_log_through_sweep(tmp_path):
+    # Energy 3 cannot pay a ~10-unit hop, so rmove has episodes that move
+    # nothing; their displacement must still be written as a float.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial_energy": 3.0}))
+    args = ["sweep", "--config", str(cfg), "--n-list", "40", "--trials", "2",
+            "--length", "400", "--rho", "30", "--seed", "1"]
+    logs = []
+    for jobs in (1, 2):
+        log = tmp_path / f"detail{jobs}.jsonl"
+        assert main(args + ["--jobs", str(jobs), "--out", str(tmp_path / "out.csv"),
+                            "--detail-log", str(log)]) == 0
+        logs.append(log.read_bytes())
+    assert logs[0] == logs[1]
+    docs = [json.loads(line) for line in logs[0].decode().splitlines()]
+    assert len(docs) == 4 * 2 * math.floor(0.3 * 40)
+    assert all(list(doc) == DETAIL_KEYS for doc in docs)
+    assert all(type(doc["displacement"]) is float for doc in docs)
+    assert any(doc["scheme"] == "rmove" and doc["mechanism"] == "none" for doc in docs)
+
+
+RESTORE_STEPS = {
+    "nmove": "restore_nmove",
+    "cmove": "restore_cmove",
+    "rmove": "restore_rmove",
+    "dmove": "handle_failure_dmove",
+}
+
+
+def test_trial_looks_up_entry_points_at_call_time(monkeypatch):
+    # A tracer rebinds these names on the harness module; a trial must call
+    # through them, not through references taken at import time.
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in (*RESTORE_STEPS.values(), "init_recovery_nodes"):
+        monkeypatch.setattr(harness, name, counting(name))
     cfg = ExperimentConfig(n=40, **FAST)
-    res = run_trial("cmove", cfg, trial_seed(cfg, 7))
-    for ep in res.episodes:
-        doc = json.loads(ep.to_json())
-        assert set(doc) == {
-            "episode", "failed", "on_barrier", "mechanism", "success",
-            "displacement",
-        }
+    for scheme, step in RESTORE_STEPS.items():
+        calls.clear()
+        res = run_trial(scheme, cfg, trial_seed(cfg, 3))
+        want = {step: len(res.episodes)}
+        if scheme == "dmove":
+            # Re-elections after a repair go through distributed's binding.
+            want["init_recovery_nodes"] = 1
+        assert dict(calls) == want
