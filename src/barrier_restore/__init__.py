@@ -29,6 +29,7 @@ from .core import (
     world_to_json,
 )
 from .distributed import (
+    Election,
     MessageBus,
     NodeState,
     handle_failure_dmove,
@@ -59,6 +60,7 @@ from .harness import (
 
 __all__ = [
     "AssignmentProblem",
+    "Election",
     "EnergyModel",
     "ExperimentConfig",
     "InitialBarrierImpossible",

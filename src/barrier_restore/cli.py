@@ -118,7 +118,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("error: rmove handles a single failure", file=sys.stderr)
         return EXIT_USAGE
 
-    model = EnergyModel(args.cost_per_unit, args.static_threshold)
+    try:
+        model = EnergyModel(args.cost_per_unit, args.static_threshold)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         world = world_from_json(args.deployment.read_text(), energy_model=model)
     except (OSError, ValueError) as err:

@@ -72,9 +72,10 @@ class EnergyModel:
     static_threshold: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.cost_per_unit_displacement <= 0:
+        # Written so that NaN fails the comparisons.
+        if not self.cost_per_unit_displacement > 0:
             raise ValueError("cost_per_unit_displacement must be positive")
-        if self.static_threshold < 0:
+        if not self.static_threshold >= 0:
             raise ValueError("static_threshold must be non-negative")
 
 

@@ -3,7 +3,9 @@
 Every barrier node pre-elects a recovery node: the closest non-barrier
 neighbor that could take its place, or (when it has none) whichever chain
 side reaches such a filler with the least cumulative movement. The election
-runs as a request/reply protocol along the chain. On a failure, the failed
+runs as a request/reply protocol along the chain; one ``Election`` per
+trial keeps the states, and each re-election runs it again only on the
+chain nodes whose answer can have changed. On a failure, the failed
 node's recovery node first hunts for a detour with a hop-budgeted,
 geographically greedy token search; if that fails it moves into the hole,
 and a vacated barrier position is handled like a fresh failure until a
@@ -17,11 +19,12 @@ from __future__ import annotations
 import logging
 import math
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .central import MECH_ALTERNATE, MECH_NONE, MECH_SHIFTING, RestoreOutcome
-from .core import Point, World, displacement_capacity
+from .core import World, displacement_capacity
 from .graph import (
     PL,
     PR,
@@ -137,7 +140,6 @@ def _payload(msg: object) -> str:
 class NodeState:
     id: int
     is_on_barrier: bool = False
-    non_bar_neighbor: list[int] = field(default_factory=list)
     path_length: float = INF
     pre: Optional[int] = None
     suc: Optional[int] = None
@@ -149,24 +151,160 @@ class NodeState:
     awaiting: set[str] = field(default_factory=set)
 
 
-def _fresh_states(world: World, graph: IntersectionGraph) -> dict[int, NodeState]:
-    barrier = world.barrier or []
-    on_barrier = set(barrier)
-    states: dict[int, NodeState] = {}
-    for s in world.active_sensors():
-        neighbors = [v for v in graph.neighbors(s.id) if v >= 0]
-        states[s.id] = NodeState(
-            id=s.id,
-            is_on_barrier=s.id in on_barrier,
-            non_bar_neighbor=[v for v in neighbors if v not in on_barrier],
-        )
-    for idx, sid in enumerate(barrier):
-        # A stale chain may still list dead members; the living keep their
-        # links (possibly to a dead neighbor, which never answers).
-        if sid in states:
-            states[sid].pre = barrier[idx - 1] if idx > 0 else PL
-            states[sid].suc = barrier[idx + 1] if idx + 1 < len(barrier) else PR
-    return states
+def _links(chain: list[int], idx: int) -> tuple[int, int]:
+    """Chain neighbors (pre, suc) of chain[idx]; sentinels at the ends."""
+    return (chain[idx - 1] if idx > 0 else PL,
+            chain[idx + 1] if idx + 1 < len(chain) else PR)
+
+
+class Election(Mapping[int, NodeState]):
+    """One world's recovery-node election, kept for a whole trial.
+
+    It reads as a mapping from each live sensor's id to its ``NodeState``.
+    It also holds the world's intersection graph, updated in place, and what
+    each live sensor and the chain looked like at the last election, so that
+    a re-election (``init_recovery_nodes`` with ``election=``) re-runs the
+    protocol only on the chain nodes whose answer can have changed.
+
+    A chain node's answer depends on its own position, capacity, chain links
+    and best eligible filler, and, when it has no filler, on the nodes its
+    requests pass on each chain side: up to the first node that owns a
+    filler, cannot afford the hop back toward it, is dead, or borders the
+    boundary. So every chain node whose own inputs changed is re-elected,
+    and so is every node whose requests would reach one of them.
+    """
+
+    def __init__(self, world: World):
+        live = world.active_sensors()
+        self.world = world
+        self.graph = build_intersection_graph(live, world.region)
+        self.states = {s.id: NodeState(s.id) for s in live}
+        self.on_barrier: set[int] = set()
+        # As of the last election: (position, energy, static) of each live
+        # sensor, and the chain. No state is on the chain yet, so the first
+        # election elects every chain node.
+        self._seen = {s.id: (s.pos, s.energy, s.static) for s in live}
+        self._chain: list[int] = []
+
+    def __getitem__(self, sid: int) -> NodeState:
+        return self.states[sid]
+
+    def __iter__(self):
+        return iter(self.states)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def best_filler(self, sid: int) -> Optional[tuple[float, int]]:
+        """(distance, id) of the closest non-barrier neighbor able to afford
+        relocating onto sid's position, or None."""
+        world = self.world
+        here = world.sensor(sid).pos
+        best = None
+        for t in self.graph.neighbors(sid):
+            if t < 0 or t in self.on_barrier:
+                continue
+            sensor = world.sensor(t)
+            d = sensor.pos.distance_to(here)
+            if displacement_capacity(sensor, world.energy_model) >= d:
+                if best is None or (d, t) < best:
+                    best = (d, t)
+        return best
+
+    def prepare(self) -> list[int]:
+        """Bring the graph and the states up to the world and return, in
+        chain order, the live chain nodes to elect, their old answers and
+        registrations cleared."""
+        world, graph, states = self.world, self.graph, self.states
+        sensors = world.sensors
+        graph.update(sensors)
+        chain = list(world.barrier or [])
+        self.on_barrier = set(chain)
+
+        # A sensor that failed, moved or changed energy touches itself and
+        # its neighbors, then and now.
+        changed = [
+            sid for sid, (pos, energy, static) in self._seen.items()
+            if not (sensors[sid].pos is pos and sensors[sid].energy == energy
+                    and sensors[sid].static == static and not sensors[sid].failed)
+        ]
+        touched: set[int] = set(changed)
+        for sid in changed:
+            s = sensors[sid]
+            touched.update(graph.near(self._seen[sid][0], s.sensing_radius, sensors))
+            if s.failed:
+                del self._seen[sid]
+                self._unregister(states.pop(sid))
+            else:
+                self._seen[sid] = (s.pos, s.energy, s.static)
+                touched.update(graph.neighbors(sid))
+
+        # Joining or leaving the chain changes a sensor's neighbors'
+        # fillers; a sensor that left keeps no chain state.
+        for sid in self.on_barrier.symmetric_difference(self._chain):
+            st = states.get(sid)
+            if st is None:
+                continue  # dead
+            touched.update(graph.neighbors(sid))
+            if st.is_on_barrier:
+                self._unregister(st)
+                states[sid] = NodeState(sid, rec_set=st.rec_set)
+
+        # Seeds: touched chain members and, when the chain was edited, those
+        # whose links changed.
+        seeds = {idx for idx, sid in enumerate(chain) if sid in touched}
+        if chain != self._chain:
+            for idx, sid in enumerate(chain):
+                st = states.get(sid)
+                if st is not None and (st.pre, st.suc) != _links(chain, idx):
+                    seeds.add(idx)
+        dirty = set(seeds)
+        for idx in seeds:
+            for step in (-1, 1):
+                self._walk(chain, idx, step, seeds, dirty)
+
+        order = []
+        for idx in sorted(dirty):
+            sid = chain[idx]
+            old = states.get(sid)
+            if old is None:
+                continue  # dead
+            self._unregister(old)
+            pre, suc = _links(chain, idx)
+            states[sid] = NodeState(sid, is_on_barrier=True, pre=pre, suc=suc,
+                                    rec_set=old.rec_set)
+            order.append(sid)
+        self._chain = chain
+        return order
+
+    def _walk(self, chain: list[int], idx: int, step: int, seeds: set[int],
+              dirty: set[int]) -> None:
+        """Add to ``dirty`` the chain indices beyond ``idx`` (in direction
+        ``step``) whose requests toward it would reach it. Another seed ends
+        the walk: its own walk goes on from there."""
+        world = self.world
+        j = idx + step
+        while 0 <= j < len(chain) and j not in seeds:
+            sid = chain[j]
+            if sid not in self.states:
+                return  # dead: requests die here
+            dirty.add(j)
+            nxt = j + step
+            if not 0 <= nxt < len(chain):
+                return  # the boundary answers next
+            me = world.sensor(sid)
+            hop = me.pos.distance_to(world.sensor(chain[nxt]).pos)
+            if displacement_capacity(me, world.energy_model) < hop:
+                return
+            if self.best_filler(sid) is not None:
+                return
+            j = nxt
+
+    def _unregister(self, st: NodeState) -> None:
+        """Drop st's registration at its recovery node."""
+        owner = self.states.get(st.rec_node) if st.rec_node is not None else None
+        if owner is not None:
+            owner.rec_set = [entry for entry in owner.rec_set if entry[0] != st.id]
 
 
 # ---------------------------------------------------------------------------
@@ -185,51 +323,29 @@ class ElectionProtocol:
     after hearing from both sides, then registers at its recovery node.
     """
 
-    def __init__(self, world: World, graph: IntersectionGraph,
-                 states: dict[int, NodeState], bus: MessageBus):
-        self.world = world
-        self.graph = graph
-        self.states = states
+    def __init__(self, election: Election, bus: MessageBus):
+        self.world = election.world
+        self.election = election
+        self.states = election.states
         self.bus = bus
 
     # -- helpers ----------------------------------------------------------
 
-    def _pos(self, sid: int) -> Point:
-        return self.world.sensor(sid).pos
-
     def _dist(self, a: int, b: int) -> float:
-        return self._pos(a).distance_to(self._pos(b))
-
-    def _eligible_fillers(self, sid: int) -> list[tuple[float, int]]:
-        """Non-barrier neighbors able to afford relocating onto sid's
-        position, sorted by (distance, id)."""
-        st = self.states[sid]
-        out = []
-        for t in st.non_bar_neighbor:
-            sensor = self.world.sensor(t)
-            d = self._dist(t, sid)
-            if displacement_capacity(sensor, self.world.energy_model) >= d:
-                out.append((d, t))
-        out.sort()
-        return out
+        return self.world.sensor(a).pos.distance_to(self.world.sensor(b).pos)
 
     def _chain_neighbor(self, st: NodeState, side: str) -> Optional[int]:
         return st.pre if side == "pre" else st.suc
 
     # -- protocol ---------------------------------------------------------
 
-    def start(self) -> None:
-        barrier = self.world.barrier or []
-        for sid in barrier:
-            if sid not in self.states:
-                continue  # dead chain member
+    def start(self, nodes: list[int]) -> None:
+        for sid in nodes:
             st = self.states[sid]
-            fillers = self._eligible_fillers(sid)
-            if fillers:
-                d, t = fillers[0]
-                st.path_length = d
-                st.rec_node = t
-                self.bus.send(sid, t, SetRec(st.pre, st.suc))
+            filler = self.election.best_filler(sid)
+            if filler is not None:
+                st.path_length, st.rec_node = filler
+                self.bus.send(sid, st.rec_node, SetRec(st.pre, st.suc))
             else:
                 st.awaiting = {"pre", "suc"}
                 self.bus.send(sid, st.pre, ReqNbRec(sid))
@@ -260,9 +376,9 @@ class ElectionProtocol:
         if displacement_capacity(me, self.world.energy_model) < hop:
             self.bus.send(st.id, sender, RepNbRec(q, INF))
             return
-        fillers = self._eligible_fillers(st.id)
-        if fillers:
-            self.bus.send(st.id, sender, RepNbRec(q, fillers[0][0] + hop))
+        filler = self.election.best_filler(st.id)
+        if filler is not None:
+            self.bus.send(st.id, sender, RepNbRec(q, filler[0] + hop))
             return
         far_value = st.side_value[far]
         if far_value is not None:
@@ -312,29 +428,34 @@ def init_recovery_nodes(
     world: World,
     bus: Optional[MessageBus] = None,
     shuffle_rng=None,
-) -> dict[int, NodeState]:
-    """Elect a recovery node for every barrier node; returns the per-node
-    protocol state at quiescence.
+    election: Optional[Election] = None,
+) -> Election:
+    """Elect a recovery node for every barrier node and return the election
+    at quiescence. Given the ``election`` this function returned earlier for
+    the same world, re-elect in place: only the chain nodes whose answer can
+    have changed since then send messages, and the states end up as a fresh
+    election would leave them.
 
     Barrier nodes whose requests die at both boundaries end up with no
     recovery node (logged); their failures are unrecoverable until the
-    topology changes.
+    topology changes. So do nodes whose requests reach a dead chain member:
+    it never answers.
     """
     if not world.barrier:
         raise ValueError("world has no barrier to protect")
-    graph = build_intersection_graph(world.active_sensors(), world.region)
-    states = _fresh_states(world, graph)
+    if election is None:
+        election = Election(world)
     if bus is None:
         bus = MessageBus(shuffle_rng=shuffle_rng)
-    protocol = ElectionProtocol(world, graph, states, bus)
-    protocol.start()
+    protocol = ElectionProtocol(election, bus)
+    protocol.start(election.prepare())
     limit = 2 * len(world.sensors) + 8
     rounds = 0
     while run_protocol_round(bus, protocol):
         rounds += 1
         if rounds > limit:
             raise RuntimeError("recovery-node election failed to quiesce")
-    return states
+    return election
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +560,16 @@ def default_hop_budget(n_sensors: int) -> int:
     return max(2, n_sensors // 20)
 
 
-def _reelect(world: World, states: dict[int, NodeState], bus: Optional[MessageBus]) -> None:
-    fresh = init_recovery_nodes(world, bus=bus)
-    states.clear()
-    states.update(fresh)
-
-
 def handle_failure_dmove(
     world: World,
-    states: dict[int, NodeState],
+    election: Election,
     failed_id: int,
     k: Optional[int] = None,
     bus: Optional[MessageBus] = None,
 ) -> RestoreOutcome:
     """React to one newly failed sensor, assuming every earlier failure was
-    fully recovered.
+    fully recovered. ``election`` is what ``init_recovery_nodes`` returned
+    for this world; it is re-elected in place.
 
     Non-barrier, non-recovery nodes need no action. A dead recovery node
     triggers re-election for its clients. A dead barrier node is repaired by
@@ -468,27 +584,26 @@ def handle_failure_dmove(
     barrier = list(world.barrier or [])
 
     if failed_id not in barrier:
-        clients = [sid for sid, st in states.items() if st.rec_node == failed_id]
-        if clients:
-            _reelect(world, states, bus)
+        if any(st.rec_node == failed_id for st in election.states.values()):
+            init_recovery_nodes(world, bus=bus, election=election)
         return RestoreOutcome(success=verify_barrier(world))
 
-    failed_state = states.get(failed_id)
+    failed_state = election.get(failed_id)
     rec = failed_state.rec_node if failed_state is not None else None
     if rec is None or not world.sensor(rec).active:
         return RestoreOutcome(success=False)
 
-    graph = build_intersection_graph(world.active_sensors(), world.region)
-    replacement = _search_detour(graph, failed_state, rec, k, bus)
+    election.graph.update(world.sensors)
+    replacement = _search_detour(election.graph, failed_state, rec, k, bus)
     if replacement is not None:
         world.barrier = splice_barrier(barrier, {failed_id}, replacement)
-        _reelect(world, states, bus)
+        init_recovery_nodes(world, bus=bus, election=election)
         return RestoreOutcome(
             success=verify_barrier(world),
             mechanism=MECH_ALTERNATE,
             new_barrier=world.barrier,
         )
-    return _cascade_shift(world, states, failed_id, rec, bus)
+    return _cascade_shift(world, election, failed_id, rec, bus)
 
 
 def _search_detour(
@@ -518,7 +633,7 @@ def _search_detour(
 
 def _cascade_shift(
     world: World,
-    states: dict[int, NodeState],
+    election: Election,
     failed_id: int,
     first_mover: int,
     bus: Optional[MessageBus],
@@ -533,7 +648,7 @@ def _cascade_shift(
     def give_up() -> RestoreOutcome:
         # Earlier hops already happened physically; the episode still fails.
         if moved:
-            _reelect(world, states, bus)
+            init_recovery_nodes(world, bus=bus, election=election)
         return RestoreOutcome(
             success=False,
             mechanism=MECH_SHIFTING if moved else MECH_NONE,
@@ -549,7 +664,7 @@ def _cascade_shift(
         d = ms.pos.distance_to(hole_pos)
         if displacement_capacity(ms, world.energy_model) < d:
             return give_up()
-        was_on_barrier = states[mover].is_on_barrier
+        was_on_barrier = election[mover].is_on_barrier
         old_idx = chain.index(mover) if was_on_barrier else -1
         old_pos = ms.pos
         world.apply_move(mover, hole_pos)
@@ -558,10 +673,10 @@ def _cascade_shift(
         if not was_on_barrier:
             break
         hole_idx, hole_pos = old_idx, old_pos
-        mover = states[mover].rec_node
+        mover = election[mover].rec_node
 
     world.barrier = chain
-    _reelect(world, states, bus)
+    init_recovery_nodes(world, bus=bus, election=election)
     return RestoreOutcome(
         success=verify_barrier(world),
         mechanism=MECH_SHIFTING,

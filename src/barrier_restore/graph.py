@@ -2,13 +2,21 @@
 sentinels, and the barrier search/splice/verify operations built on it.
 
 Adjacency uses the closed convention: tangent discs count as intersecting.
-The graph is rebuilt from scratch after any position change; deployments
-are small enough that correctness beats incremental updates.
+``build_intersection_graph`` builds a graph from scratch. A graph that lives
+across failures (dmove keeps one per trial) is brought up to date in place
+by ``IntersectionGraph.update``: a failed sensor's vertex is deleted and a
+moved sensor's row is recomputed from the sensors in an x-window around it,
+in the order a fresh build gives. ``tests/test_graph.py::TestInPlaceUpdate``
+checks the updated graph against ``build_intersection_graph`` after random
+moves and failures, and ``tests/test_distributed.py::
+TestIncrementalElection`` after every dmove failure episode.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +49,10 @@ class IntersectionGraph:
         self.adjacency = adjacency
         self.positions = positions  # sensor vertices only, not PL/PR
         self.region = region
+        # (x, id) of every sensor vertex in ascending order, and the largest
+        # sensing radius of any sensor; set up by the first in-place update.
+        self._by_x: Optional[list[tuple[float, int]]] = None
+        self._max_radius = 0.0
 
     def neighbors(self, vertex: int) -> list[int]:
         return self.adjacency[vertex]
@@ -60,6 +72,68 @@ class IntersectionGraph:
         if target == PR:
             return self.region.length - p.x
         return p.distance_to(self.positions[target])
+
+    def update(self, sensors: Mapping[int, Sensor]) -> None:
+        """Bring the graph in step with ``sensors`` after failures and
+        moves, leaving it equal to a fresh ``build_intersection_graph`` of
+        the live ones."""
+        for vertex, pos in list(self.positions.items()):
+            sensor = sensors[vertex]
+            if sensor.failed:
+                self._remove(vertex)
+            elif sensor.pos is not pos and sensor.pos != pos:
+                self._remove(vertex)
+                self._insert(sensor, sensors)
+
+    def near(self, pos: Point, radius: float, sensors: Mapping[int, Sensor]) -> list[int]:
+        """Sensor vertices, ascending, whose discs meet a disc of ``radius``
+        at ``pos``. The test is the one ``build_intersection_graph`` makes,
+        term for term, so both agree to the last bit."""
+        by_x = self._x_order(sensors)
+        # Intersecting discs lie within reach in x; the slack only widens
+        # the window against rounding, the exact test decides.
+        span = (radius + self._max_radius) * (1.0 + 1e-9)
+        lo = bisect_left(by_x, (pos.x - span,))
+        hi = bisect_right(by_x, (pos.x + span, math.inf))
+        out = []
+        for _, v in by_x[lo:hi]:
+            q = self.positions[v]
+            dx = pos.x - q.x
+            dy = pos.y - q.y
+            reach = radius + sensors[v].sensing_radius
+            if dx * dx + dy * dy <= reach * reach:
+                out.append(v)
+        out.sort()
+        return out
+
+    def _x_order(self, sensors: Mapping[int, Sensor]) -> list[tuple[float, int]]:
+        if self._by_x is None:
+            self._by_x = sorted((p.x, v) for v, p in self.positions.items())
+            self._max_radius = max(
+                (s.sensing_radius for s in sensors.values()), default=0.0
+            )
+        return self._by_x
+
+    def _remove(self, vertex: int) -> None:
+        for u in self.adjacency.pop(vertex):
+            self.adjacency[u].remove(vertex)
+        pos = self.positions.pop(vertex)
+        if self._by_x is not None:
+            del self._by_x[bisect_left(self._by_x, (pos.x, vertex))]
+
+    def _insert(self, sensor: Sensor, sensors: Mapping[int, Sensor]) -> None:
+        # Ascending with the sentinels first, as a fresh build sorts it.
+        row = []
+        if sensor.pos.x >= self.region.length - sensor.sensing_radius:
+            row.append(PR)
+        if sensor.pos.x <= sensor.sensing_radius:
+            row.append(PL)
+        row += self.near(sensor.pos, sensor.sensing_radius, sensors)
+        insort(self._by_x, (sensor.pos.x, sensor.id))
+        self.positions[sensor.id] = sensor.pos
+        for u in row:
+            insort(self.adjacency[u], sensor.id)
+        self.adjacency[sensor.id] = row
 
 
 def build_intersection_graph(

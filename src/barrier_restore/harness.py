@@ -271,9 +271,9 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
     if scheme == "rmove":
         return lambda failed_id: restore_rmove(world, failed_id, rng)
     if scheme == "dmove":
-        states = init_recovery_nodes(world, bus=bus)
+        election = init_recovery_nodes(world, bus=bus)
         return lambda failed_id: handle_failure_dmove(
-            world, states, failed_id, k=k, bus=bus
+            world, election, failed_id, k=k, bus=bus
         )
     raise ValueError(f"unknown scheme {scheme!r}")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -69,6 +70,21 @@ class TestRunBadDeployment:
         path.write_text(text)
         code = main(["run", "--deployment", str(path), "--scheme", "cmove",
                      "--fail", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--cost-per-unit", "0"],
+        ["--cost-per-unit", "nan"],
+        ["--static-threshold", "nan"],
+        ["--static-threshold", "-1"],
+    ], ids=lambda flags: "=".join(flags))
+    def test_bad_energy_option(self, t1_file, capsys, flags):
+        code = main(["run", "--deployment", str(t1_file), "--scheme", "dmove",
+                     "--fail", "2", *flags])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -211,6 +227,21 @@ class TestSweep:
         code = main(self.ARGS + ["--n-list", "40,5"])
         assert code == 3
         assert capsys.readouterr().out == ""
+
+    # sha256 of the CSV and of the detail log of
+    # `sweep --n-list 140,160 --trials 4 --seed 0`, recorded before the
+    # incremental dmove election; any --jobs gives the same bytes.
+    PINNED_CSV = "5806378018319843be4d7fc695b5f1a3836bb6a718165bbe1a080bd4d3f46ed9"
+    PINNED_DETAIL = "240f3e40926e0cb6995bc0d31c4f54424ed8d4b1113ee5b519c62e46bd514a5c"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_pinned_sweep_bytes(self, tmp_path, jobs):
+        out, detail = tmp_path / "grid.csv", tmp_path / "episodes.jsonl"
+        code = main(["sweep", "--n-list", "140,160", "--trials", "4", "--seed", "0",
+                     "--jobs", jobs, "--out", str(out), "--detail-log", str(detail)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_CSV
+        assert hashlib.sha256(detail.read_bytes()).hexdigest() == self.PINNED_DETAIL
 
     def test_invalid_config_value_is_usage_error(self, capsys):
         assert main(self.ARGS + ["--rho", "0"]) == 2

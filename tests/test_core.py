@@ -186,3 +186,11 @@ def test_region_validation():
         Region(0, 10)
     with pytest.raises(ValueError):
         EnergyModel(cost_per_unit_displacement=0)
+
+
+@pytest.mark.parametrize("cost, threshold", [
+    (math.nan, 10.0), (1.0, math.nan), (-1.0, 10.0), (1.0, -0.5),
+])
+def test_energy_model_rejects_bad_values(cost, threshold):
+    with pytest.raises(ValueError):
+        EnergyModel(cost, threshold)

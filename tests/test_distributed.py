@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
+from barrier_restore import distributed
 from barrier_restore.central import MECH_ALTERNATE, MECH_SHIFTING
-from barrier_restore.core import Point, displacement_capacity, seeded_rng
+from barrier_restore.core import Point, derived_rng, displacement_capacity, seeded_rng
 from barrier_restore.distributed import (
     MessageBus,
     handle_failure_dmove,
@@ -17,8 +20,10 @@ from barrier_restore.graph import (
     PL,
     PR,
     build_intersection_graph,
+    find_barrier,
     verify_barrier,
 )
+from barrier_restore.harness import ExperimentConfig, deploy_with_barrier, trial_seed
 from conftest import T1_COORDS, make_world, random_line_world
 from oracles import hop_distance, recovery_chain_oracle
 
@@ -316,3 +321,157 @@ class TestHandleFailure:
             assert all(s.energy >= 0 for s in w.sensors.values())
             assert len(out.moves) <= len(w.sensors)
         assert successes >= 15
+
+
+class TestIncrementalElection:
+    """The trial's one election, re-elected in place, against a fresh
+    election and a fresh graph after every failure episode."""
+
+    @staticmethod
+    def _check(world, election, counts):
+        fresh_graph = world_graph(world)
+        assert election.graph.adjacency == fresh_graph.adjacency
+        assert election.graph.positions == fresh_graph.positions
+        fresh = init_recovery_nodes(world)
+        assert set(election) == set(fresh)
+        for sid, want in fresh.items():
+            got = election[sid]
+            assert (got.rec_node, got.path_length, got.pre, got.suc, got.is_on_barrier) \
+                == (want.rec_node, want.path_length, want.pre, want.suc, want.is_on_barrier), sid
+            assert Counter(got.rec_set) == Counter(want.rec_set), sid
+        counts["checked"] += 1
+        counts["dead chain member"] += any(world.sensor(s).failed for s in world.barrier)
+
+    def _run(self, world, election, victims, counts, bus=None, drain_rng=None):
+        """Fail each victim in turn. After an episode that re-elected, check
+        the election itself; otherwise re-elect a copy, so changes that
+        pile up over several episodes are checked too. With ``drain_rng``,
+        a random live chain member loses energy before each failure without
+        moving, which leaves stale recovery chains behind until the next
+        election."""
+        for victim in victims:
+            if world.sensor(victim).failed:
+                continue
+            if drain_rng is not None:
+                live = [s for s in world.barrier if s != victim and not world.sensor(s).failed]
+                if live:
+                    drained = world.sensor(live[int(drain_rng.integers(len(live)))])
+                    drained.energy *= float(drain_rng.uniform(0.0, 0.5))
+            watched = any(st.rec_node == victim for st in election.values())
+            before = counts["elections"]
+            out = handle_failure_dmove(world, election, victim, bus=bus)
+            counts["recovery-node death"] += watched and victim not in world.barrier
+            counts["given-up cascade"] += (
+                out.mechanism == MECH_SHIFTING and out.new_barrier is None
+            )
+            if counts["elections"] > before:
+                self._check(world, election, counts)
+            else:
+                copy = deepcopy(election)
+                init_recovery_nodes(copy.world, election=copy)
+                self._check(copy.world, copy, counts)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        original = distributed.init_recovery_nodes
+
+        def counting(*args, **kwargs):
+            counts["elections"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(distributed, "init_recovery_nodes", counting)
+        yield counts
+
+    def test_seeded_trials(self, counts):
+        for n, length, trials in ((60, 1500.0, 12), (160, 4000.0, 3)):
+            config = ExperimentConfig(n=n, length=length, trials=trials)
+            for t in range(trials):
+                seed = trial_seed(config, t)
+                world = deploy_with_barrier(config, seed)
+                election = init_recovery_nodes(world)
+                fail_rng = derived_rng(seed, 1)
+                victims = []
+                for _ in range(math.floor(config.failure_fraction_max * n)):
+                    alive = [s.id for s in world.active_sensors() if s.id not in victims]
+                    victims.append(alive[int(fail_rng.integers(0, len(alive)))])
+                self._run(world, election, victims, counts,
+                          drain_rng=derived_rng(seed, 3) if t % 2 else None)
+        assert counts["checked"] >= 300
+        for case in ("given-up cascade", "dead chain member", "recovery-node death"):
+            assert counts[case] >= 1, case
+
+    def test_random_worlds_with_shuffled_bus(self, counts):
+        for seed in range(60):
+            world = random_line_world(seed, n_min=8, n_max=20)
+            if not world.barrier:
+                continue
+            bus = MessageBus(shuffle_rng=seeded_rng(seed + 700))
+            election = init_recovery_nodes(world, bus=bus)
+            rng = np.random.default_rng(seed)
+            victims = [int(v) for v in rng.permutation(sorted(world.sensors))]
+            self._run(world, election, victims[: len(victims) * 2 // 3], counts,
+                      bus=bus, drain_rng=rng if seed % 2 else None)
+        assert counts["checked"] >= 150
+        for case in ("dead chain member", "recovery-node death"):
+            assert counts[case] >= 1, case
+
+    def test_arbitrary_world_edits(self):
+        # Edits dmove never makes: a spare moves, a live node leaves or
+        # joins the chain, energy drains, the chain is found again.
+        counts = Counter()
+        rng = np.random.default_rng(4)
+        for seed in range(60):
+            world = random_line_world(seed, n_min=8, n_max=20)
+            if not world.barrier:
+                continue
+            election = init_recovery_nodes(world)
+            for _ in range(16):
+                live = world.active_sensors()
+                s = live[int(rng.integers(len(live)))]
+                chain = list(world.barrier)
+                kind = int(rng.integers(6))
+                if kind == 0 and len(live) > 2:
+                    s.failed = True
+                elif kind == 1:
+                    # Toward a random sensor, as far as the energy allows.
+                    t = live[int(rng.integers(len(live)))]
+                    dx, dy = t.pos.x - s.pos.x + rng.uniform(-1, 1), t.pos.y - s.pos.y
+                    scale = min(1.0, 0.99 * displacement_capacity(s, world.energy_model)
+                                / max(math.hypot(dx, dy), 1e-9))
+                    world.apply_move(s.id, Point(s.pos.x + scale * dx, s.pos.y + scale * dy))
+                elif kind == 2:
+                    s.energy *= float(rng.uniform(0, 1))
+                elif kind == 3 and len(chain) > 1:
+                    chain.pop(int(rng.integers(len(chain))))
+                elif kind == 4 and s.id not in chain:
+                    chain.insert(int(rng.integers(len(chain) + 1)), s.id)
+                else:
+                    chain = find_barrier(world_graph(world)) or chain
+                world.barrier = chain
+                init_recovery_nodes(world, election=election)
+                self._check(world, election, counts)
+        assert counts["checked"] >= 300
+
+    def test_spare_moving_into_reach_is_seen(self):
+        # The spare starts out of everyone's reach; after its move only its
+        # new neighbors can tell.
+        w = make_world(T1_COORDS[:5] + [(5, 3.5)], width=5)
+        election = init_recovery_nodes(w)
+        assert election[2].rec_node is None
+        w.apply_move(5, Point(5, 1.5))
+        init_recovery_nodes(w, election=election)
+        assert election[2].rec_node == 5
+        self._check(w, election, Counter())
+
+    def test_reelection_sends_fewer_messages(self):
+        world = deploy_with_barrier(ExperimentConfig(n=160), 5)
+        first = MessageBus(keep_log=True)
+        election = init_recovery_nodes(world, bus=first)
+        chain = list(world.barrier)
+        victim = chain[len(chain) // 2]
+        again = MessageBus(keep_log=True)
+        out = handle_failure_dmove(world, election, victim, bus=again)
+        assert out.success
+        elect_msgs = [row for row in again.log if row[3] != "Tok"]
+        assert 0 < len(elect_msgs) < len(first.log) // 5

@@ -100,6 +100,51 @@ class TestBuildGraph:
                 assert g.has_edge(sensors[0].id, sensors[-1].id)
 
 
+class TestInPlaceUpdate:
+    def test_update_matches_fresh_build(self):
+        # Random moves (some onto a tangent spot, some onto another sensor,
+        # some across a boundary) and failures, updated in place one batch
+        # at a time; the graph must equal a fresh build after each batch.
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            n = int(rng.integers(2, 40))
+            ids = rng.permutation(3 * n)[:n].tolist()
+            radii = rng.choice([0.5, 1.0, 1.5], size=n)
+            sensors = {
+                sid: Sensor(sid, Point(float(x), float(y)), float(r), 2 * r, 10.0, 10.0)
+                for sid, (x, y), r in zip(ids, rng.uniform(0, 12, size=(n, 2)), radii)
+            }
+            region = Region(12.0, 12.0)
+            g = build_intersection_graph(list(sensors.values()), region)
+            for _ in range(6):
+                live = [s for s in sensors.values() if not s.failed]
+                for i in rng.choice(len(live), size=min(3, len(live)), replace=False):
+                    s = live[int(i)]
+                    kind = rng.integers(4)
+                    if kind == 0:
+                        s.failed = True
+                    elif kind == 1:
+                        other = live[int(rng.integers(len(live)))]
+                        s.pos = Point(other.pos.x + other.sensing_radius + s.sensing_radius,
+                                      other.pos.y)
+                    elif kind == 2:
+                        s.pos = live[int(rng.integers(len(live)))].pos
+                    else:
+                        s.pos = Point(*(float(v) for v in rng.uniform(-1, 13, size=2)))
+                g.update(sensors)
+                fresh = build_intersection_graph(
+                    [s for s in sensors.values() if not s.failed], region)
+                assert g.adjacency == fresh.adjacency
+                assert g.positions == fresh.positions
+
+    def test_near_is_the_build_test(self):
+        w = make_world([(1, 0), (3, 0), (5, 0)])
+        g = build_intersection_graph(w.active_sensors(), w.region)
+        assert g.near(Point(4, 0), 1.0, w.sensors) == [1, 2]
+        assert g.near(Point(7, 0), 1.0, w.sensors) == [2]  # tangent
+        assert g.near(Point(7, 0), 0.999, w.sensors) == []
+
+
 class TestFindBarrier:
     def test_t1_chain(self, t1_world):
         assert t1_world.barrier == [0, 1, 2, 3, 4]

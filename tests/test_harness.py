@@ -204,6 +204,8 @@ class TestRunExperiment:
         dict(initial_energy=-1.0),
         dict(comm=0.0),
         dict(cost_per_unit=0.0),
+        dict(cost_per_unit=math.nan),
+        dict(static_threshold=math.nan),
         dict(max_redraws=0),
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_config_rejects_invalid_values(self, bad):
