@@ -47,6 +47,7 @@ from .graph import (
     find_barrier,
     splice_barrier,
     verify_barrier,
+    world_graph,
 )
 from .harness import (
     ExperimentConfig,
@@ -99,6 +100,7 @@ __all__ = [
     "start_scheme",
     "verify_barrier",
     "world_from_json",
+    "world_graph",
     "world_to_json",
 ]
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .central import MECH_NONE, MECH_SHIFTING, RestoreOutcome
 from .core import World, displacement_capacity
-from .graph import verify_barrier
+from .graph import verify_barrier, world_graph
 
 
 def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> RestoreOutcome:
@@ -46,17 +46,16 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
         """Closest non-barrier neighbor of the vacated disc that can afford
         relocating onto the hole; ties break on id."""
         best, best_key = None, None
-        for s in world.active_sensors():
-            if s.id in barrier_set:
+        for sid in world_graph(world).near(hole_pos, hole_radius, world.sensors):
+            if sid in barrier_set:
                 continue
+            s = world.sensor(sid)
             d = s.pos.distance_to(hole_pos)
-            if d > hole_radius + s.sensing_radius:
-                continue
             if displacement_capacity(s, world.energy_model) < d:
                 continue
-            key = (d, s.id)
+            key = (d, sid)
             if best_key is None or key < best_key:
-                best, best_key = s.id, key
+                best, best_key = sid, key
         return best
 
     filler = closest_filler()

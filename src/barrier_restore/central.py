@@ -20,11 +20,11 @@ import numpy as np
 
 from .core import Move, Point, World, displacement_capacity
 from .graph import (
-    build_intersection_graph,
     failed_span,
     find_alternate_path,
     splice_barrier,
     verify_barrier,
+    world_graph,
 )
 
 MECH_ALTERNATE = "alternate_path"
@@ -193,8 +193,7 @@ def _try_alternate_path(world: World, failed: set[int]) -> Optional[list[int]]:
     the old chain; None when the graph offers no such path."""
     barrier = world.barrier or []
     _, _, left, right = failed_span(barrier, failed)
-    graph = build_intersection_graph(world.active_sensors(), world.region)
-    path = find_alternate_path(graph, left, right)
+    path = find_alternate_path(world_graph(world), left, right)
     if path is None:
         return None
     return splice_barrier(barrier, failed, path)

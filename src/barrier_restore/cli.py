@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .core import EnergyModel, Region, World, seeded_rng, world_from_json, world_to_json
 from .distributed import MessageBus
-from .graph import build_intersection_graph, find_barrier
+from .graph import find_barrier, world_graph
 from .harness import (
     SCHEMES,
     ExperimentConfig,
@@ -81,17 +81,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        n=args.n,
-        length=args.length,
-        width=args.width,
-        rho=args.rho,
-        comm=args.comm,
-        sigma=args.sigma,
-        initial_energy=args.energy,
-        seed=args.seed,
-        trials=1,
-    )
+    try:
+        config = ExperimentConfig(
+            n=args.n,
+            length=args.length,
+            width=args.width,
+            rho=args.rho,
+            comm=args.comm,
+            sigma=args.sigma,
+            initial_energy=args.energy,
+            seed=args.seed,
+            trials=1,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     sensors = generate_deployment(config, seeded_rng(args.seed))
     world = World(Region(config.length, config.width), sensors)
     text = world_to_json(world)
@@ -133,8 +137,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"error: sensor {sid} not in deployment", file=sys.stderr)
             return EXIT_USAGE
 
-    graph = build_intersection_graph(world.active_sensors(), world.region)
-    barrier = find_barrier(graph)
+    barrier = find_barrier(world_graph(world))
     if barrier is None:
         print("error: deployment forms no initial barrier", file=sys.stderr)
         return EXIT_NO_BARRIER
@@ -162,6 +165,8 @@ def _sweep_config(args: argparse.Namespace, n: int) -> ExperimentConfig:
     base: dict = {}
     if args.config is not None:
         base = json.loads(args.config.read_text())
+        if not isinstance(base, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
         base.pop("n", None)
     overrides = {
         "schemes": tuple(args.schemes.split(",")) if args.schemes else None,
@@ -198,7 +203,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         configs = [_sweep_config(args, n) for n in n_values]
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,9 +9,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .graph import IntersectionGraph
 
 
 class MoveExceedsCapacity(Exception):
@@ -116,8 +119,8 @@ class World:
         barrier: Optional[list[int]] = None,
     ):
         self.region = region
-        self.sensors: dict[int, Sensor] = {}
-        for s in sensors:
+        self.sensors: dict[int, Sensor] = {}  # in id order
+        for s in sorted(sensors, key=lambda s: s.id):
             if s.id < 0:
                 raise ValueError(f"sensor ids must be non-negative, got {s.id}")
             if s.id in self.sensors:
@@ -126,12 +129,13 @@ class World:
         self.energy_model = energy_model or EnergyModel()
         self.barrier = barrier
         self.move_log: list[Move] = []
+        self.graph: Optional[IntersectionGraph] = None  # see graph.world_graph
 
     def sensor(self, sensor_id: int) -> Sensor:
         return self.sensors[sensor_id]
 
     def active_sensors(self) -> list[Sensor]:
-        return [s for _, s in sorted(self.sensors.items()) if s.active]
+        return [s for s in self.sensors.values() if s.active]
 
     def apply_move(self, sensor_id: int, dest: Point) -> None:
         """Relocate one sensor, paying energy per unit distance.

@@ -29,9 +29,9 @@ from .graph import (
     PL,
     PR,
     IntersectionGraph,
-    build_intersection_graph,
     splice_barrier,
     verify_barrier,
+    world_graph,
 )
 
 log = logging.getLogger(__name__)
@@ -161,10 +161,11 @@ class Election(Mapping[int, NodeState]):
     """One world's recovery-node election, kept for a whole trial.
 
     It reads as a mapping from each live sensor's id to its ``NodeState``.
-    It also holds the world's intersection graph, updated in place, and what
-    each live sensor and the chain looked like at the last election, so that
-    a re-election (``init_recovery_nodes`` with ``election=``) re-runs the
-    protocol only on the chain nodes whose answer can have changed.
+    It also holds what each live sensor and the chain looked like at the
+    last election, so that a re-election (``init_recovery_nodes`` with
+    ``election=``) re-runs the protocol only on the chain nodes whose answer
+    can have changed. Fillers are read from ``world.graph``, which
+    ``prepare`` brings up to date.
 
     A chain node's answer depends on its own position, capacity, chain links
     and best eligible filler, and, when it has no filler, on the nodes its
@@ -177,7 +178,6 @@ class Election(Mapping[int, NodeState]):
     def __init__(self, world: World):
         live = world.active_sensors()
         self.world = world
-        self.graph = build_intersection_graph(live, world.region)
         self.states = {s.id: NodeState(s.id) for s in live}
         self.on_barrier: set[int] = set()
         # As of the last election: (position, energy, static) of each live
@@ -201,7 +201,7 @@ class Election(Mapping[int, NodeState]):
         world = self.world
         here = world.sensor(sid).pos
         best = None
-        for t in self.graph.neighbors(sid):
+        for t in world.graph.neighbors(sid):
             if t < 0 or t in self.on_barrier:
                 continue
             sensor = world.sensor(t)
@@ -212,12 +212,12 @@ class Election(Mapping[int, NodeState]):
         return best
 
     def prepare(self) -> list[int]:
-        """Bring the graph and the states up to the world and return, in
-        chain order, the live chain nodes to elect, their old answers and
-        registrations cleared."""
-        world, graph, states = self.world, self.graph, self.states
+        """Bring the world's graph and the states up to the world and
+        return, in chain order, the live chain nodes to elect, their old
+        answers and registrations cleared."""
+        world, states = self.world, self.states
         sensors = world.sensors
-        graph.update(sensors)
+        graph = world_graph(world)
         chain = list(world.barrier or [])
         self.on_barrier = set(chain)
 
@@ -593,8 +593,7 @@ def handle_failure_dmove(
     if rec is None or not world.sensor(rec).active:
         return RestoreOutcome(success=False)
 
-    election.graph.update(world.sensors)
-    replacement = _search_detour(election.graph, failed_state, rec, k, bus)
+    replacement = _search_detour(world_graph(world), failed_state, rec, k, bus)
     if replacement is not None:
         world.barrier = splice_barrier(barrier, {failed_id}, replacement)
         init_recovery_nodes(world, bus=bus, election=election)

@@ -2,14 +2,14 @@
 sentinels, and the barrier search/splice/verify operations built on it.
 
 Adjacency uses the closed convention: tangent discs count as intersecting.
-``build_intersection_graph`` builds a graph from scratch. A graph that lives
-across failures (dmove keeps one per trial) is brought up to date in place
-by ``IntersectionGraph.update``: a failed sensor's vertex is deleted and a
-moved sensor's row is recomputed from the sensors in an x-window around it,
-in the order a fresh build gives. ``tests/test_graph.py::TestInPlaceUpdate``
-checks the updated graph against ``build_intersection_graph`` after random
-moves and failures, and ``tests/test_distributed.py::
-TestIncrementalElection`` after every dmove failure episode.
+Each world has one graph, ``world_graph(world)``: built on first use (on
+the deploy path), kept in ``World.graph`` and updated in place by every
+later call for all four schemes. ``build_intersection_graph`` is an empty
+graph plus one ``update``, so ``IntersectionGraph.near`` is the only
+adjacency test. ``tests/oracles.py::adjacency_oracle`` is the pairwise
+definition it is checked against, in ``tests/test_graph.py::
+TestInPlaceUpdate``, ``tests/test_distributed.py::TestIncrementalElection``
+and after every episode of every scheme in ``tests/test_stateful.py``.
 """
 from __future__ import annotations
 
@@ -17,8 +17,6 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .core import Point, Region, Sensor, World
 
@@ -34,24 +32,20 @@ class SpliceEndpointMismatch(Exception):
 
 
 class IntersectionGraph:
-    """Symmetric adjacency over active sensors plus the PL/PR sentinels.
+    """Symmetric adjacency over live sensors plus the PL/PR sentinels.
 
     Neighbor lists are sorted ascending (sentinels first) so every search
-    is deterministic run to run.
+    is deterministic run to run. A new graph is empty; ``update`` adds the
+    sensors.
     """
 
-    def __init__(
-        self,
-        adjacency: dict[int, list[int]],
-        positions: dict[int, Point],
-        region: Region,
-    ):
-        self.adjacency = adjacency
-        self.positions = positions  # sensor vertices only, not PL/PR
+    def __init__(self, region: Region):
+        self.adjacency: dict[int, list[int]] = {PL: [], PR: []}
+        self.positions: dict[int, Point] = {}  # sensor vertices only, not PL/PR
         self.region = region
         # (x, id) of every sensor vertex in ascending order, and the largest
-        # sensing radius of any sensor; set up by the first in-place update.
-        self._by_x: Optional[list[tuple[float, int]]] = None
+        # sensing radius of any sensor inserted so far.
+        self._by_x: list[tuple[float, int]] = []
         self._max_radius = 0.0
 
     def neighbors(self, vertex: int) -> list[int]:
@@ -74,22 +68,26 @@ class IntersectionGraph:
         return p.distance_to(self.positions[target])
 
     def update(self, sensors: Mapping[int, Sensor]) -> None:
-        """Bring the graph in step with ``sensors`` after failures and
-        moves, leaving it equal to a fresh ``build_intersection_graph`` of
-        the live ones."""
-        for vertex, pos in list(self.positions.items()):
-            sensor = sensors[vertex]
+        """Delete failed vertices, insert live sensors the graph lacks and
+        recompute the row of any that moved. An edge to a stale vertex is
+        redone when that vertex's turn comes, so the order does not matter."""
+        positions = self.positions
+        for sensor in sensors.values():
+            pos = positions.get(sensor.id)
             if sensor.failed:
-                self._remove(vertex)
+                if pos is not None:
+                    self._remove(sensor.id)
+            elif pos is None:
+                self._insert(sensor, sensors)
             elif sensor.pos is not pos and sensor.pos != pos:
-                self._remove(vertex)
+                self._remove(sensor.id)
                 self._insert(sensor, sensors)
 
     def near(self, pos: Point, radius: float, sensors: Mapping[int, Sensor]) -> list[int]:
         """Sensor vertices, ascending, whose discs meet a disc of ``radius``
-        at ``pos``. The test is the one ``build_intersection_graph`` makes,
-        term for term, so both agree to the last bit."""
-        by_x = self._x_order(sensors)
+        at ``pos`` (tangent discs meet). This is the graph's one adjacency
+        test."""
+        by_x = self._by_x
         # Intersecting discs lie within reach in x; the slack only widens
         # the window against rounding, the exact test decides.
         span = (radius + self._max_radius) * (1.0 + 1e-9)
@@ -106,23 +104,14 @@ class IntersectionGraph:
         out.sort()
         return out
 
-    def _x_order(self, sensors: Mapping[int, Sensor]) -> list[tuple[float, int]]:
-        if self._by_x is None:
-            self._by_x = sorted((p.x, v) for v, p in self.positions.items())
-            self._max_radius = max(
-                (s.sensing_radius for s in sensors.values()), default=0.0
-            )
-        return self._by_x
-
     def _remove(self, vertex: int) -> None:
         for u in self.adjacency.pop(vertex):
             self.adjacency[u].remove(vertex)
         pos = self.positions.pop(vertex)
-        if self._by_x is not None:
-            del self._by_x[bisect_left(self._by_x, (pos.x, vertex))]
+        del self._by_x[bisect_left(self._by_x, (pos.x, vertex))]
 
     def _insert(self, sensor: Sensor, sensors: Mapping[int, Sensor]) -> None:
-        # Ascending with the sentinels first, as a fresh build sorts it.
+        # Ascending with the sentinels first (PR = -2 < PL = -1).
         row = []
         if sensor.pos.x >= self.region.length - sensor.sensing_radius:
             row.append(PR)
@@ -130,6 +119,7 @@ class IntersectionGraph:
             row.append(PL)
         row += self.near(sensor.pos, sensor.sensing_radius, sensors)
         insort(self._by_x, (sensor.pos.x, sensor.id))
+        self._max_radius = max(self._max_radius, sensor.sensing_radius)
         self.positions[sensor.id] = sensor.pos
         for u in row:
             insort(self.adjacency[u], sensor.id)
@@ -139,38 +129,22 @@ class IntersectionGraph:
 def build_intersection_graph(
     sensors: Sequence[Sensor], region: Region
 ) -> IntersectionGraph:
-    """Edges join sensors whose sensing discs intersect; a sensor whose disc
-    reaches the left (right) boundary is joined to PL (PR)."""
-    sensors = sorted(sensors, key=lambda s: s.id)
-    ids = [s.id for s in sensors]
-    adjacency: dict[int, list[int]] = {PL: [], PR: []}
-    for s in sensors:
-        adjacency[s.id] = []
+    """Edges join live sensors whose sensing discs intersect; a sensor whose
+    disc reaches the left (right) boundary is joined to PL (PR)."""
+    graph = IntersectionGraph(region)
+    graph.update({s.id: s for s in sensors})
+    return graph
 
-    if sensors:
-        xs = np.array([s.pos.x for s in sensors])
-        ys = np.array([s.pos.y for s in sensors])
-        radii = np.array([s.sensing_radius for s in sensors])
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        reach = radii[:, None] + radii[None, :]
-        close = (dx * dx + dy * dy) <= reach * reach
-        np.fill_diagonal(close, False)
-        id_array = np.array(ids)
-        for sid, row in zip(ids, close):
-            adjacency[sid] = id_array[row].tolist()
-        for s in sensors:
-            if s.pos.x <= s.sensing_radius:
-                adjacency[s.id].append(PL)
-                adjacency[PL].append(s.id)
-            if s.pos.x >= region.length - s.sensing_radius:
-                adjacency[s.id].append(PR)
-                adjacency[PR].append(s.id)
 
-    for v in adjacency:
-        adjacency[v] = sorted(set(adjacency[v]))
-    positions = {s.id: s.pos for s in sensors}
-    return IntersectionGraph(adjacency, positions, region)
+def world_graph(world: World) -> IntersectionGraph:
+    """The world's one intersection graph over its live sensors: built on
+    first use and kept in ``world.graph``, then brought up to date in place
+    by every later call."""
+    if world.graph is None:
+        world.graph = build_intersection_graph(world.active_sensors(), world.region)
+    else:
+        world.graph.update(world.sensors)
+    return world.graph
 
 
 def _bfs_path(

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,7 +30,9 @@ from .core import (
     derived_rng,
 )
 from .distributed import MessageBus, default_hop_budget, handle_failure_dmove, init_recovery_nodes
-from .graph import build_intersection_graph, find_barrier
+# build_intersection_graph is not called here; perfbench/selftest.py reads it
+# on this module to check that tracing put the original back.
+from .graph import build_intersection_graph, find_barrier, world_graph  # noqa: F401
 
 SCHEMES = ("nmove", "rmove", "cmove", "dmove")
 
@@ -39,6 +42,12 @@ DEFAULT_REPORT_POINTS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 class InitialBarrierImpossible(Exception):
     """No deployment draw produced an initial barrier within the redraw
     budget."""
+
+
+# The number type each scalar field annotation asks for; None is allowed
+# where it is the default.
+_NUMBER_KINDS = {"int": Integral, "Optional[int]": Integral,
+                 "float": Real, "Optional[float]": Real}
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,16 @@ class ExperimentConfig:
     max_redraws: int = 50
 
     def __post_init__(self) -> None:
-        # Comparisons are written so that NaN fails them.
+        # Values may come from a JSON config file, so their types are
+        # checked first; comparisons are written so that NaN fails them.
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _NUMBER_KINDS.get(f.type)
+            optional = value is None and f.default is None
+            if kind and not isinstance(value, kind) and not optional:
+                what = "an integer" if kind is Integral else "a number"
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if not all(isinstance(p, Real) for p in self.report_points):
+            raise ValueError("report_points must be numbers")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.trials < 1:
@@ -160,8 +178,7 @@ def deploy_with_barrier(config: ExperimentConfig, seed: int) -> World:
     for attempt in range(config.max_redraws):
         rng = derived_rng(seed, 0, attempt)
         world = World(region, generate_deployment(config, rng), config.energy_model())
-        graph = build_intersection_graph(world.active_sensors(), world.region)
-        barrier = find_barrier(graph)
+        barrier = find_barrier(world_graph(world))
         if barrier:
             world.barrier = barrier
             return world

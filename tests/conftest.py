@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from barrier_restore.core import EnergyModel, Point, Region, Sensor, World
-from barrier_restore.graph import build_intersection_graph, find_barrier
+from barrier_restore.graph import find_barrier, world_graph
 
 
 def make_world(coords, rho=1.0, length=10.0, width=4.0, energy=100.0,
@@ -17,8 +17,7 @@ def make_world(coords, rho=1.0, length=10.0, width=4.0, energy=100.0,
     ]
     world = World(Region(length, width), sensors)
     if with_barrier:
-        graph = build_intersection_graph(world.active_sensors(), world.region)
-        world.barrier = find_barrier(graph)
+        world.barrier = find_barrier(world_graph(world))
     return world
 
 
@@ -62,6 +61,5 @@ def random_line_world(seed, n_min=6, n_max=12, rho=1.0):
     # Threshold zero: the mixed low energies here should constrain moves,
     # not freeze sensors outright.
     world = World(Region(length, width), sensors, EnergyModel(1.0, 0.0))
-    graph = build_intersection_graph(world.active_sensors(), world.region)
-    world.barrier = find_barrier(graph)
+    world.barrier = find_barrier(world_graph(world))
     return world

@@ -1,8 +1,8 @@
 """Independent reference implementations the real code is tested against.
 
-These deliberately avoid the library's own algorithms: assignment by
-exhaustive search, hop counts via networkx, recovery chains by direct
-recurrence over the chain arrays.
+These deliberately avoid the library's own algorithms: adjacency by the
+pairwise definition, assignment by exhaustive search, hop counts via
+networkx, recovery chains by direct recurrence over the chain arrays.
 """
 from __future__ import annotations
 
@@ -10,10 +10,35 @@ import math
 
 import networkx as nx
 
-from barrier_restore.core import World, displacement_capacity
+from barrier_restore.core import Region, Sensor, World, displacement_capacity
 from barrier_restore.graph import PL, PR, IntersectionGraph
 
 INF = math.inf
+
+
+def adjacency_oracle(sensors: list[Sensor], region: Region) -> dict[int, list[int]]:
+    """Intersection-graph adjacency of ``sensors`` by testing every pair:
+    discs meet when the squared centre distance is at most the squared sum
+    of the radii (tangent discs meet), and a disc reaching a boundary line
+    meets that boundary's sentinel. Rows ascend, sentinels first."""
+    want: dict[int, list[int]] = {PL: [], PR: []}
+    for s in sensors:
+        nbrs = [
+            t.id for t in sensors
+            if t is not s
+            and (s.pos.x - t.pos.x) ** 2 + (s.pos.y - t.pos.y) ** 2
+            <= (s.sensing_radius + t.sensing_radius) ** 2
+        ]
+        if s.pos.x <= s.sensing_radius:
+            nbrs.append(PL)
+            want[PL].append(s.id)
+        if s.pos.x >= region.length - s.sensing_radius:
+            nbrs.append(PR)
+            want[PR].append(s.id)
+        want[s.id] = sorted(nbrs)
+    want[PL].sort()
+    want[PR].sort()
+    return want
 
 
 def brute_force_assignment(cost, feasible):

@@ -98,6 +98,27 @@ class TestRunBadDeployment:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["generate", "--n", "1"], None),
+    (["generate", "--n", "10", "--rho", "-1"], None),
+    (["sweep", "--n-list", "40", "--config", "{absent}"], None),
+    (["sweep", "--n-list", "40", "--config", "{config}"], "[1, 2]"),
+    (["sweep", "--n-list", "40", "--config", "{config}"], '{"trials": "3"}'),
+], ids=["generate-n-1", "generate-negative-rho", "sweep-missing-config",
+        "sweep-config-list", "sweep-config-string-trials"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv, config):
+    # Each of these used to end in a traceback and exit 1.
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(config)
+    argv = [a.format(absent=tmp_path / "absent.json", config=path) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 class TestRun:
     def test_cmove_middle_failure(self, t1_file, capsys):
         code = main([

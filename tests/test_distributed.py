@@ -25,12 +25,12 @@ from barrier_restore.graph import (
 )
 from barrier_restore.harness import ExperimentConfig, deploy_with_barrier, trial_seed
 from conftest import T1_COORDS, make_world, random_line_world
-from oracles import hop_distance, recovery_chain_oracle
+from oracles import adjacency_oracle, hop_distance, recovery_chain_oracle
 
 INF = math.inf
 
 
-def world_graph(world):
+def fresh_graph(world):
     return build_intersection_graph(world.active_sensors(), world.region)
 
 
@@ -107,7 +107,7 @@ class TestElection:
             if not w.barrier:
                 continue
             states = init_recovery_nodes(w)
-            graph = world_graph(w)
+            graph = fresh_graph(w)
             expected = recovery_chain_oracle(w, graph)
             for sid, (rec, plen) in expected.items():
                 st = states[sid]
@@ -148,13 +148,13 @@ class TestElection:
 class TestMldfs:
     def test_hop_budget_bounds_path_edges(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
-        g = world_graph(w)
+        g = fresh_graph(w)
         assert mldfs(g, 0, 4, 3) is None
         assert mldfs(g, 0, 4, 4) == [0, 1, 2, 3, 4]
 
     def test_adjacent_destination_single_hop(self):
         w = make_world([(1, 0), (3, 0)])
-        g = world_graph(w)
+        g = fresh_graph(w)
         assert mldfs(g, 0, 1, 1) == [0, 1]
 
     def test_greedy_tries_closer_neighbor_first(self):
@@ -162,7 +162,7 @@ class TestMldfs:
         # token going to 1 first.
         w = make_world([(2, 0), (3.5, 1), (3.5, -1), (5, 0)], length=7,
                        with_barrier=False)
-        g = world_graph(w)
+        g = fresh_graph(w)
         bus = MessageBus(keep_log=True)
         path = mldfs(g, 0, 3, 4, bus=bus)
         assert path == [0, 1, 3]
@@ -176,7 +176,7 @@ class TestMldfs:
             [(0, 2), (1.2, 3.2), (1.2, 0.8), (2.8, 0.9), (3.4, 2.2)],
             length=5, width=6, with_barrier=False,
         )
-        g = world_graph(w)
+        g = fresh_graph(w)
         dest = 4
         assert g.adjacency[1] == [0]  # dead end
         assert g.distance_to(1, dest) < g.distance_to(2, dest)
@@ -184,7 +184,7 @@ class TestMldfs:
         assert path == [0, 2, 3, 4]
 
     def test_sentinel_destination(self, t1_world):
-        g = world_graph(t1_world)
+        g = fresh_graph(t1_world)
         path = mldfs(g, 2, PL, 5)
         assert path is not None
         assert path[-1] == PL and path[0] == 2
@@ -193,7 +193,7 @@ class TestMldfs:
     def test_soundness_and_budget_on_random_graphs(self):
         for seed in range(120):
             w = random_line_world(seed, n_min=8, n_max=20)
-            g = world_graph(w)
+            g = fresh_graph(w)
             ids = sorted(w.sensors)
             rng = np.random.default_rng(seed)
             a, b = rng.choice(ids, size=2, replace=False)
@@ -325,13 +325,14 @@ class TestHandleFailure:
 
 class TestIncrementalElection:
     """The trial's one election, re-elected in place, against a fresh
-    election and a fresh graph after every failure episode."""
+    election, and the world's graph against the pairwise definition, after
+    every failure episode."""
 
     @staticmethod
     def _check(world, election, counts):
-        fresh_graph = world_graph(world)
-        assert election.graph.adjacency == fresh_graph.adjacency
-        assert election.graph.positions == fresh_graph.positions
+        live = world.active_sensors()
+        assert world.graph.adjacency == adjacency_oracle(live, world.region)
+        assert world.graph.positions == {s.id: s.pos for s in live}
         fresh = init_recovery_nodes(world)
         assert set(election) == set(fresh)
         for sid, want in fresh.items():
@@ -447,7 +448,7 @@ class TestIncrementalElection:
                 elif kind == 4 and s.id not in chain:
                     chain.insert(int(rng.integers(len(chain) + 1)), s.id)
                 else:
-                    chain = find_barrier(world_graph(world)) or chain
+                    chain = find_barrier(fresh_graph(world)) or chain
                 world.barrier = chain
                 init_recovery_nodes(world, election=election)
                 self._check(world, election, counts)

@@ -17,7 +17,7 @@ from barrier_restore.graph import (
     verify_barrier,
 )
 from conftest import make_world, random_line_world
-from oracles import hop_distance
+from oracles import adjacency_oracle, hop_distance
 
 
 class TestBuildGraph:
@@ -76,25 +76,7 @@ class TestBuildGraph:
                 c.pos = a.pos
             region = Region(12.0, 12.0)
             g = build_intersection_graph(sensors, region)
-
-            want = {PL: [], PR: []}
-            for s in sensors:
-                nbrs = [
-                    t.id for t in sensors
-                    if t is not s
-                    and (s.pos.x - t.pos.x) ** 2 + (s.pos.y - t.pos.y) ** 2
-                    <= (s.sensing_radius + t.sensing_radius) ** 2
-                ]
-                if s.pos.x <= s.sensing_radius:
-                    nbrs.append(PL)
-                    want[PL].append(s.id)
-                if s.pos.x >= region.length - s.sensing_radius:
-                    nbrs.append(PR)
-                    want[PR].append(s.id)
-                want[s.id] = sorted(nbrs)
-            want[PL].sort()
-            want[PR].sort()
-            assert g.adjacency == want
+            assert g.adjacency == adjacency_oracle(sensors, region)
             if trial % 2 == 0:
                 assert g.has_edge(sensors[0].id, sensors[1].id)
                 assert g.has_edge(sensors[0].id, sensors[-1].id)
@@ -103,8 +85,9 @@ class TestBuildGraph:
 class TestInPlaceUpdate:
     def test_update_matches_fresh_build(self):
         # Random moves (some onto a tangent spot, some onto another sensor,
-        # some across a boundary) and failures, updated in place one batch
-        # at a time; the graph must equal a fresh build after each batch.
+        # some across a boundary), failures and new sensors, updated in place
+        # one batch at a time; the graph must equal the pairwise definition
+        # after each batch.
         rng = np.random.default_rng(17)
         for trial in range(30):
             n = int(rng.integers(2, 40))
@@ -131,11 +114,14 @@ class TestInPlaceUpdate:
                         s.pos = live[int(rng.integers(len(live)))].pos
                     else:
                         s.pos = Point(*(float(v) for v in rng.uniform(-1, 13, size=2)))
+                if rng.integers(3) == 0:
+                    sid = max(sensors) + 1
+                    sensors[sid] = Sensor(sid, Point(*(float(v) for v in rng.uniform(0, 12, size=2))),
+                                          float(rng.choice(radii)), 2.0, 10.0, 10.0)
                 g.update(sensors)
-                fresh = build_intersection_graph(
-                    [s for s in sensors.values() if not s.failed], region)
-                assert g.adjacency == fresh.adjacency
-                assert g.positions == fresh.positions
+                live = [s for s in sensors.values() if not s.failed]
+                assert g.adjacency == adjacency_oracle(live, region)
+                assert g.positions == {s.id: s.pos for s in live}
 
     def test_near_is_the_build_test(self):
         w = make_world([(1, 0), (3, 0), (5, 0)])

@@ -7,10 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from barrier_restore import harness
+from barrier_restore import graph, harness
 from barrier_restore.cli import main
 from barrier_restore.core import seeded_rng
-from barrier_restore.graph import build_intersection_graph, find_barrier
+from barrier_restore.graph import build_intersection_graph, find_barrier, world_graph
 from barrier_restore.harness import (
     ExperimentConfig,
     InitialBarrierImpossible,
@@ -207,6 +207,10 @@ class TestRunExperiment:
         dict(cost_per_unit=math.nan),
         dict(static_threshold=math.nan),
         dict(max_redraws=0),
+        dict(trials="3"),
+        dict(rho="30"),
+        dict(k_hop_budget=2.5),
+        dict(report_points=("0.1",)),
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_config_rejects_invalid_values(self, bad):
         with pytest.raises(ValueError):
@@ -278,3 +282,22 @@ def test_trial_looks_up_entry_points_at_call_time(monkeypatch):
             # Re-elections after a repair go through distributed's binding.
             want["init_recovery_nodes"] = 1
         assert dict(calls) == want
+
+
+def test_one_graph_per_world(monkeypatch):
+    # Every scheme reads the world's one graph, so a trial builds it only on
+    # the deploy path (no redraw happens on this belt).
+    builds = Counter()
+    original = graph.build_intersection_graph
+
+    def counting(*args, **kwargs):
+        builds["graph"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "build_intersection_graph", counting)
+    cfg = ExperimentConfig(n=40, **FAST)
+    for scheme in harness.SCHEMES:
+        builds.clear()
+        res = run_trial(scheme, cfg, trial_seed(cfg, 3))
+        assert builds["graph"] == 1, scheme
+        assert world_graph(res.world) is res.world.graph
