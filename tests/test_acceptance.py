@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from barrier_restore.distributed import MessageBus, init_recovery_nodes, mldfs
 from barrier_restore.graph import build_intersection_graph, verify_barrier
 from barrier_restore.harness import (
     ExperimentConfig,
+    rows_to_csv,
     run_experiment,
     run_trial,
     start_scheme,
@@ -147,21 +149,26 @@ def test_criterion_4_sweep_determinism(tmp_path):
     )
 
 
+# The paper grid's CSV, `sweep --n-list 140,160,180 --trials 100 --seed 0`.
+PAPER_GRID = Path(__file__).resolve().parent.parent / "results" / "paper_grid.csv"
+
+
 @pytest.fixture(scope="module")
 def paper_sweep():
     jobs = os.cpu_count() or 1
     t0 = time.time()
-    rows = {}
-    for n in (140, 160, 180):
-        config = ExperimentConfig(n=n, trials=100, seed=0)
-        for row in run_experiment(config, jobs=jobs):
-            rows[(row.scheme, row.n, round(row.failure_fraction, 2))] = row
-    return rows, time.time() - t0
+    ordered = [
+        row
+        for n in (140, 160, 180)
+        for row in run_experiment(ExperimentConfig(n=n, trials=100, seed=0), jobs=jobs)
+    ]
+    rows = {(row.scheme, row.n, round(row.failure_fraction, 2)): row for row in ordered}
+    return rows, rows_to_csv(ordered), time.time() - t0
 
 
 @pytest.mark.slow
 def test_criterion_5_paper_trends(paper_sweep):
-    rows, elapsed = paper_sweep
+    rows, csv_text, elapsed = paper_sweep
     sizes = (140, 160, 180)
     points = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
     mid = (0.15, 0.20, 0.25)
@@ -197,13 +204,15 @@ def test_criterion_5_paper_trends(paper_sweep):
     )
 
     ok_time = elapsed < 600.0
+    ok_pinned = csv_text == PAPER_GRID.read_text()
     report(
         5, "paper trend reproduction",
-        ok_a and ok_b and ok_c and ok_d and ok_time,
+        ok_a and ok_b and ok_c and ok_d and ok_time and ok_pinned,
         f"(a) static-vs-matching gap {gap_a:.1f}pp; "
         f"(b) mid-range edge over random move C {gap_c:.2f}pp D {gap_d:.2f}pp; "
         f"(c) displacement ordering {'ok' if ok_c else 'violated'}; "
         f"(d) monotone in N {'ok' if ok_d else 'violated'}; "
+        f"CSV {'equals' if ok_pinned else 'differs from'} {PAPER_GRID.name}; "
         f"sweep {elapsed:.0f}s",
     )
 
