@@ -9,7 +9,6 @@ baselines.
 from .baselines import restore_rmove
 from .central import (
     AssignmentProblem,
-    RestoreOutcome,
     build_assignment,
     hungarian,
     restore_cmove,
@@ -21,6 +20,7 @@ from .core import (
     MoveExceedsCapacity,
     Point,
     Region,
+    RestoreOutcome,
     Sensor,
     World,
     displacement_capacity,

@@ -12,13 +12,20 @@ Two schemes share the alternate-path step:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product, starmap
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import Move, Point, World, displacement_capacity
+from .core import (
+    MECH_ALTERNATE,
+    MECH_SHIFTING,
+    Point,
+    RestoreOutcome,
+    World,
+    displacement_capacity,
+)
 from .graph import (
     failed_span,
     find_alternate_path,
@@ -26,38 +33,6 @@ from .graph import (
     verify_barrier,
     world_graph,
 )
-
-MECH_ALTERNATE = "alternate_path"
-MECH_SHIFTING = "shifting"
-MECH_NONE = "none"
-
-
-@dataclass
-class RestoreOutcome:
-    """What one restore step did; ``moves`` is the slice of
-    ``World.move_log`` that the step appended."""
-
-    success: bool
-    mechanism: str = MECH_NONE
-    moves: list[Move] = field(default_factory=list)
-    new_barrier: Optional[list[int]] = None
-
-    @property
-    def total_displacement(self) -> float:
-        return sum((m.length for m in self.moves), 0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "mechanism": self.mechanism,
-            "moves": [
-                {"id": sid, "from": [a.x, a.y], "to": [b.x, b.y]}
-                for sid, a, b in self.moves
-            ],
-            "total_displacement": self.total_displacement,
-            "new_barrier": self.new_barrier,
-        }
-
 
 @dataclass
 class AssignmentProblem:

@@ -144,8 +144,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     world.barrier = barrier
 
     bus = MessageBus(keep_log=args.trace)
-    restore = start_scheme(args.scheme, world, seeded_rng(args.seed),
-                           k=args.k, bus=bus)
+    try:
+        restore = start_scheme(args.scheme, world, seeded_rng(args.seed),
+                               k=args.k, bus=bus)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     for sid in failed_ids:
         world.sensor(sid).failed = True
     # One centralized step covers every failed chain member; the local
@@ -201,37 +205,49 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: --n-list expects integers, got {args.n_list!r}", file=sys.stderr)
         return EXIT_USAGE
 
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         configs = [_sweep_config(args, n) for n in n_values]
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
-    # The CSV is written only once every size has run, so a failed sweep
-    # leaves no partial output; a partial detail log is removed.
-    detail = args.detail_log.open("w") if args.detail_log is not None else None
-    rows = None
+    # Both files are opened before any trial runs, so a bad path fails at
+    # once. The CSV is written only once every size has run, and a failed
+    # sweep removes both files, so it leaves no partial output.
+    files = {}
+    try:
+        for path in (args.out, args.detail_log):
+            if path is not None:
+                files[path] = path.open("w")
+    except OSError as err:
+        _close(files, keep=False)
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    ok = False
     try:
         rows = [
             row
             for config in configs
-            for row in run_experiment(config, jobs=args.jobs, detail_sink=detail)
+            for row in run_experiment(config, jobs=args.jobs,
+                                      detail_sink=files.get(args.detail_log))
         ]
+        files.get(args.out, sys.stdout).write(rows_to_csv(rows))
+        ok = True
     except InitialBarrierImpossible as err:
         print(f"error: {err}", file=sys.stderr)
     finally:
-        if detail is not None:
-            detail.close()
-    if rows is None:
-        if detail is not None:
-            args.detail_log.unlink()
-        return EXIT_NO_BARRIER
-    text = rows_to_csv(rows)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.write_text(text)
-    return 0
+        _close(files, keep=ok)
+    return 0 if ok else EXIT_NO_BARRIER
+
+
+def _close(files: dict, keep: bool) -> None:
+    for path, file in files.items():
+        file.close()
+        if not keep:
+            path.unlink()
 
 
 def main(argv: list[str] | None = None) -> int:

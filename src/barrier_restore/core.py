@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -102,6 +102,38 @@ class Move(NamedTuple):
     @property
     def length(self) -> float:
         return self.src.distance_to(self.dest)
+
+
+MECH_ALTERNATE = "alternate_path"
+MECH_SHIFTING = "shifting"
+MECH_NONE = "none"
+
+
+@dataclass
+class RestoreOutcome:
+    """What one restore step did; ``moves`` is the slice of
+    ``World.move_log`` that the step appended."""
+
+    success: bool
+    mechanism: str = MECH_NONE
+    moves: list[Move] = field(default_factory=list)
+    new_barrier: Optional[list[int]] = None
+
+    @property
+    def total_displacement(self) -> float:
+        return sum((m.length for m in self.moves), 0.0)
+
+    def to_dict(self) -> dict:
+        return {
+            "success": self.success,
+            "mechanism": self.mechanism,
+            "moves": [
+                {"id": sid, "from": [a.x, a.y], "to": [b.x, b.y]}
+                for sid, a, b in self.moves
+            ],
+            "total_displacement": self.total_displacement,
+            "new_barrier": self.new_barrier,
+        }
 
 
 class World:

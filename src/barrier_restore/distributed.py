@@ -7,8 +7,9 @@ runs as a request/reply protocol along the chain; one ``Election`` per
 trial keeps the states, and each re-election runs it again only on the
 chain nodes whose answer can have changed. On a failure, the failed
 node's recovery node first hunts for a detour with a hop-budgeted,
-geographically greedy token search; if that fails it moves into the hole,
-and a vacated barrier position is handled like a fresh failure until a
+geographically greedy token search; if that fails, the cascade shared with
+rmove (``graph.shift_cascade``) moves it into the hole and refills each
+vacated barrier position with that position's recovery node, until a
 non-barrier filler ends the cascade.
 
 The scheduler is synchronous-round and delivers in a fixed order, so runs
@@ -23,12 +24,19 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .central import MECH_ALTERNATE, MECH_NONE, MECH_SHIFTING, RestoreOutcome
-from .core import World, displacement_capacity
+from .core import (
+    MECH_ALTERNATE,
+    MECH_SHIFTING,
+    RestoreOutcome,
+    World,
+    displacement_capacity,
+)
 from .graph import (
     PL,
     PR,
     IntersectionGraph,
+    closest_filler,
+    shift_cascade,
     splice_barrier,
     verify_barrier,
     world_graph,
@@ -199,17 +207,8 @@ class Election(Mapping[int, NodeState]):
         """(distance, id) of the closest non-barrier neighbor able to afford
         relocating onto sid's position, or None."""
         world = self.world
-        here = world.sensor(sid).pos
-        best = None
-        for t in world.graph.neighbors(sid):
-            if t < 0 or t in self.on_barrier:
-                continue
-            sensor = world.sensor(t)
-            d = sensor.pos.distance_to(here)
-            if displacement_capacity(sensor, world.energy_model) >= d:
-                if best is None or (d, t) < best:
-                    best = (d, t)
-        return best
+        return closest_filler(world, world.graph.neighbors(sid),
+                              world.sensor(sid).pos, self.on_barrier)
 
     def prepare(self) -> list[int]:
         """Bring the world's graph and the states up to the world and
@@ -602,7 +601,12 @@ def handle_failure_dmove(
             mechanism=MECH_ALTERNATE,
             new_barrier=world.barrier,
         )
-    return _cascade_shift(world, election, failed_id, rec, bus)
+    outcome = shift_cascade(
+        world, failed_id, lambda vacated, idx, hole: election[vacated].rec_node
+    )
+    if outcome.mechanism == MECH_SHIFTING:
+        init_recovery_nodes(world, bus=bus, election=election)
+    return outcome
 
 
 def _search_detour(
@@ -628,57 +632,3 @@ def _search_detour(
         return mldfs(graph, rec, suc, k, bus)
     path = mldfs(graph, rec, pre, k, bus)
     return None if path is None else list(reversed(path))
-
-
-def _cascade_shift(
-    world: World,
-    election: Election,
-    failed_id: int,
-    first_mover: int,
-    bus: Optional[MessageBus],
-) -> RestoreOutcome:
-    chain = list(world.barrier or [])
-    hole_idx = chain.index(failed_id)
-    hole_pos = world.sensor(failed_id).pos
-    mover = first_mover
-    start = len(world.move_log)
-    moved: set[int] = set()
-
-    def give_up() -> RestoreOutcome:
-        # Earlier hops already happened physically; the episode still fails.
-        if moved:
-            init_recovery_nodes(world, bus=bus, election=election)
-        return RestoreOutcome(
-            success=False,
-            mechanism=MECH_SHIFTING if moved else MECH_NONE,
-            moves=world.move_log[start:],
-        )
-
-    while True:
-        if mover is None or mover in moved:
-            return give_up()
-        ms = world.sensor(mover)
-        if not ms.active:
-            return give_up()
-        d = ms.pos.distance_to(hole_pos)
-        if displacement_capacity(ms, world.energy_model) < d:
-            return give_up()
-        was_on_barrier = election[mover].is_on_barrier
-        old_idx = chain.index(mover) if was_on_barrier else -1
-        old_pos = ms.pos
-        world.apply_move(mover, hole_pos)
-        moved.add(mover)
-        chain[hole_idx] = mover
-        if not was_on_barrier:
-            break
-        hole_idx, hole_pos = old_idx, old_pos
-        mover = election[mover].rec_node
-
-    world.barrier = chain
-    init_recovery_nodes(world, bus=bus, election=election)
-    return RestoreOutcome(
-        success=verify_barrier(world),
-        mechanism=MECH_SHIFTING,
-        moves=world.move_log[start:],
-        new_barrier=chain,
-    )

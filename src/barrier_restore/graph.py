@@ -1,5 +1,7 @@
 """Intersection (unit-disk) graph over sensing regions, with two boundary
 sentinels, and the barrier search/splice/verify operations built on it.
+It also holds the one cascaded shift (``shift_cascade``) and the one
+filler rule (``closest_filler``) that rmove and dmove share.
 
 Adjacency uses the closed convention: tangent discs count as intersecting.
 Each world has one graph, ``world_graph(world)``: built on first use (on
@@ -16,9 +18,18 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
-from .core import Point, Region, Sensor, World
+from .core import (
+    MECH_NONE,
+    MECH_SHIFTING,
+    Point,
+    Region,
+    RestoreOutcome,
+    Sensor,
+    World,
+    displacement_capacity,
+)
 
 # Boundary sentinels; sensor ids are non-negative so these never collide.
 PL = -1
@@ -50,9 +61,6 @@ class IntersectionGraph:
 
     def neighbors(self, vertex: int) -> list[int]:
         return self.adjacency[vertex]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency.get(u, ())
 
     def distance_to(self, vertex: int, target: int) -> float:
         """Euclidean distance from a sensor vertex to a target vertex.
@@ -147,15 +155,8 @@ def world_graph(world: World) -> IntersectionGraph:
     return world.graph
 
 
-def _bfs_path(
-    graph: IntersectionGraph,
-    source: int,
-    target: int,
-    excluded: frozenset[int] = frozenset(),
-) -> Optional[Path]:
+def _bfs_path(graph: IntersectionGraph, source: int, target: int) -> Optional[Path]:
     """Minimum-hop path, exploring neighbors in ascending id order."""
-    if source in excluded or target in excluded:
-        return None
     if source not in graph.adjacency or target not in graph.adjacency:
         return None
     if source == target:
@@ -165,7 +166,7 @@ def _bfs_path(
     while queue:
         u = queue.popleft()
         for v in graph.neighbors(u):
-            if v in parent or v in excluded:
+            if v in parent:
                 continue
             parent[v] = u
             if v == target:
@@ -186,18 +187,13 @@ def find_barrier(graph: IntersectionGraph) -> Optional[Path]:
     return [v for v in path if v not in (PL, PR)]
 
 
-def find_alternate_path(
-    graph: IntersectionGraph,
-    start: int,
-    goal: int,
-    excluded: Iterable[int] = (),
-) -> Optional[Path]:
-    """Minimum-hop path between two vertices avoiding the excluded set.
+def find_alternate_path(graph: IntersectionGraph, start: int, goal: int) -> Optional[Path]:
+    """Minimum-hop path between two vertices.
 
     Endpoints may be the boundary sentinels (the flanking survivor of an
     end-of-chain failure is the boundary itself).
     """
-    return _bfs_path(graph, start, goal, frozenset(excluded))
+    return _bfs_path(graph, start, goal)
 
 
 def _simplify_walk(walk: Sequence[int]) -> Path:
@@ -258,6 +254,77 @@ def splice_barrier(
     )
     spliced = _simplify_walk(walk)
     return [v for v in spliced if v not in (PL, PR)]
+
+
+def closest_filler(
+    world: World, candidates: Iterable[int], pos: Point, exclude: Collection[int]
+) -> Optional[tuple[float, int]]:
+    """(distance, id) of the closest candidate sensor outside ``exclude``
+    that can afford relocating onto ``pos``, ties broken on id; None if
+    there is none. Boundary sentinels among the candidates are skipped."""
+    best = None
+    for sid in candidates:
+        if sid < 0 or sid in exclude:
+            continue
+        sensor = world.sensors[sid]
+        d = sensor.pos.distance_to(pos)
+        if displacement_capacity(sensor, world.energy_model) >= d:
+            if best is None or (d, sid) < best:
+                best = (d, sid)
+    return best
+
+
+def shift_cascade(
+    world: World,
+    failed_id: int,
+    next_mover: Callable[[int, int, Point], Optional[int]],
+) -> RestoreOutcome:
+    """Refill the chain slot of the failed barrier node by cascaded
+    shifting.
+
+    ``next_mover(vacated, idx, hole)`` names the sensor to move onto the
+    hole at chain index ``idx`` and position ``hole`` that sensor
+    ``vacated`` left. A mover from off the chain ends the cascade; a chain
+    member leaves its own slot as the next hole. The cascade gives up when
+    ``next_mover`` returns None or a sensor that already moved, or when the
+    mover is dead or cannot afford the hop. Moves made before giving up
+    stay made, but ``world.barrier`` is left as it was. The mechanism is
+    ``shifting`` iff some sensor moved onto a hole; success means the new
+    chain verifies.
+    """
+    barrier = world.barrier or []
+    chain = list(barrier)
+    idx = barrier.index(failed_id)
+    vacated, hole = failed_id, world.sensors[failed_id].pos
+    start = len(world.move_log)
+    moved: set[int] = set()
+    while True:
+        mover = next_mover(vacated, idx, hole)
+        if mover is None or mover in moved:
+            break
+        sensor = world.sensors[mover]
+        if not sensor.active or displacement_capacity(
+            sensor, world.energy_model
+        ) < sensor.pos.distance_to(hole):
+            break
+        old_pos = sensor.pos
+        world.apply_move(mover, hole)
+        moved.add(mover)
+        chain[idx] = mover
+        if mover not in barrier:
+            world.barrier = chain
+            return RestoreOutcome(
+                success=verify_barrier(world),
+                mechanism=MECH_SHIFTING,
+                moves=world.move_log[start:],
+                new_barrier=chain,
+            )
+        vacated, idx, hole = mover, barrier.index(mover), old_pos
+    return RestoreOutcome(
+        success=False,
+        mechanism=MECH_SHIFTING if moved else MECH_NONE,
+        moves=world.move_log[start:],
+    )
 
 
 def verify_barrier(world: World) -> bool:

@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.max_redraws < 1:
             raise ValueError("max_redraws must be at least 1")
+        if self.k_hop_budget is not None and self.k_hop_budget < 1:
+            raise ValueError("k_hop_budget must be at least 1")
         for name in ("length", "width", "rho"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -275,8 +277,10 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
     still-unfilled chain vacancy; the local schemes react to the new failure
     alone, whatever the global state of the chain. Entry points are looked
     up in this module on every call, so a tracer that rebinds them here
-    sees every step.
+    sees every step. A hop budget below 1 raises ``ValueError``.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"hop budget k must be at least 1, got {k}")
     if scheme in ("nmove", "cmove"):
         def step(failed_id: int) -> RestoreOutcome:
             failed_on_chain = [
@@ -322,8 +326,9 @@ def run_experiment(
         for scheme in config.schemes
         for t in range(config.trials)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_task, tasks, chunksize=4))
     else:
         results = [_trial_task(t) for t in tasks]

@@ -62,6 +62,20 @@ def brute_force_assignment(cost, feasible):
     return None if best[0] == INF else best[0]
 
 
+def has_edge(graph: IntersectionGraph, u: int, v: int) -> bool:
+    return v in graph.adjacency.get(u, ())
+
+
+def total_displacement(world: World) -> float:
+    """Summed length of every move in the world's move log."""
+    return sum(m.length for m in world.move_log)
+
+
+def total_energy_spent(world: World) -> float:
+    """Energy every sensor has spent since deployment."""
+    return sum(s.initial_energy - s.energy for s in world.sensors.values())
+
+
 def nx_graph(graph: IntersectionGraph) -> nx.Graph:
     g = nx.Graph()
     g.add_nodes_from(graph.adjacency)

@@ -35,7 +35,14 @@ from barrier_restore.harness import (
     trial_seed,
 )
 from conftest import random_line_world
-from oracles import brute_force_assignment, hop_distance, recovery_chain_oracle
+from oracles import (
+    brute_force_assignment,
+    has_edge,
+    hop_distance,
+    recovery_chain_oracle,
+    total_displacement,
+    total_energy_spent,
+)
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
@@ -235,7 +242,7 @@ def test_criterion_6_mldfs_soundness():
                 and path[-1] == b
                 and len(path) - 1 <= k
                 and len(set(path)) == len(path)
-                and all(graph.has_edge(u, v) for u, v in zip(path, path[1:]))
+                and all(has_edge(graph, u, v) for u, v in zip(path, path[1:]))
             )
             if not valid:
                 violations += 1
@@ -289,9 +296,9 @@ def test_criterion_8_energy_conservation():
             result = run_trial(scheme, config, trial_seed(config, t))
             world = result.world
             gap = abs(
-                world.total_energy_spent()
+                total_energy_spent(world)
                 - world.energy_model.cost_per_unit_displacement
-                * world.total_displacement()
+                * total_displacement(world)
             )
             worst = max(worst, gap)
             trials += 1

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from barrier_restore import cli
 from barrier_restore.cli import main
 from barrier_restore.core import world_to_json
 from conftest import T1_COORDS, make_world
@@ -104,14 +105,20 @@ class TestRunBadDeployment:
     (["sweep", "--n-list", "40", "--config", "{absent}"], None),
     (["sweep", "--n-list", "40", "--config", "{config}"], "[1, 2]"),
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"trials": "3"}'),
+    (["sweep", "--n-list", "40", "--config", "{config}"], '{"k_hop_budget": -4}'),
+    (["sweep", "--n-list", "40", "--jobs", "0"], None),
+    (["run", "--deployment", "{t1}", "--scheme", "dmove", "--fail", "2", "--k", "-3"], None),
 ], ids=["generate-n-1", "generate-negative-rho", "sweep-missing-config",
-        "sweep-config-list", "sweep-config-string-trials"])
+        "sweep-config-list", "sweep-config-string-trials", "sweep-config-negative-k",
+        "sweep-jobs-0", "run-negative-k"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, config):
-    # Each of these used to end in a traceback and exit 1.
+    # Each of these used to end in a traceback and exit 1, or to run anyway.
     path = tmp_path / "cfg.json"
     if config is not None:
         path.write_text(config)
-    argv = [a.format(absent=tmp_path / "absent.json", config=path) for a in argv]
+    t1 = tmp_path / "t1.json"
+    t1.write_text(world_to_json(make_world(T1_COORDS, with_barrier=False)))
+    argv = [a.format(absent=tmp_path / "absent.json", config=path, t1=t1) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -242,6 +249,21 @@ class TestSweep:
         assert captured.err.startswith("error: no initial barrier")
         assert len(captured.err.splitlines()) == 1
         assert not out.exists() and not detail.exists()
+
+    @pytest.mark.parametrize("bad, good", [("--out", "--detail-log"),
+                                           ("--detail-log", "--out")])
+    def test_unwritable_output_fails_before_any_trial(self, tmp_path, capsys,
+                                                      monkeypatch, bad, good):
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args, **kwargs: pytest.fail("a trial ran"))
+        other = tmp_path / "other"
+        code = main(self.ARGS + [bad, str(tmp_path / "absent" / "x"), good, str(other)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not other.exists()
 
     def test_no_initial_barrier_on_stdout_prints_no_rows(self, capsys):
         # N=40 forms a barrier on this belt, N=5 never does.

@@ -20,12 +20,14 @@ from barrier_restore.graph import (
     PL,
     PR,
     build_intersection_graph,
+    closest_filler,
     find_barrier,
     verify_barrier,
+    world_graph,
 )
 from barrier_restore.harness import ExperimentConfig, deploy_with_barrier, trial_seed
 from conftest import T1_COORDS, make_world, random_line_world
-from oracles import adjacency_oracle, hop_distance, recovery_chain_oracle
+from oracles import adjacency_oracle, has_edge, hop_distance, recovery_chain_oracle
 
 INF = math.inf
 
@@ -188,7 +190,7 @@ class TestMldfs:
         path = mldfs(g, 2, PL, 5)
         assert path is not None
         assert path[-1] == PL and path[0] == 2
-        assert g.has_edge(path[-2], PL)
+        assert has_edge(g, path[-2], PL)
 
     def test_soundness_and_budget_on_random_graphs(self):
         for seed in range(120):
@@ -205,7 +207,7 @@ class TestMldfs:
                 assert len(path) - 1 <= k
                 assert len(set(path)) == len(path)
                 for u, v in zip(path, path[1:]):
-                    assert g.has_edge(u, v)
+                    assert has_edge(g, u, v)
             if oracle > k:  # no path within budget exists at all
                 assert path is None
 
@@ -321,6 +323,32 @@ class TestHandleFailure:
             assert all(s.energy >= 0 for s in w.sensors.values())
             assert len(out.moves) <= len(w.sensors)
         assert successes >= 15
+
+
+def test_best_filler_sees_the_fillers_near_finds():
+    # Election.best_filler reads a chain node's graph row, rmove asks
+    # IntersectionGraph.near at the hole: the same rule over the same
+    # candidates, checked for every live chain node after every episode.
+    config = ExperimentConfig(n=160, trials=2)
+    checked = 0
+    for t in range(config.trials):
+        seed = trial_seed(config, t)
+        world = deploy_with_barrier(config, seed)
+        election = init_recovery_nodes(world)
+        fail_rng = derived_rng(seed, 1)
+        for _ in range(math.floor(config.failure_fraction_max * config.n)):
+            alive = [s.id for s in world.active_sensors()]
+            handle_failure_dmove(world, election, alive[int(fail_rng.integers(len(alive)))])
+            graph = world_graph(world)
+            chain = set(world.barrier)
+            for sid in chain:
+                s = world.sensor(sid)
+                if s.failed:
+                    continue
+                near = graph.near(s.pos, s.sensing_radius, world.sensors)
+                assert election.best_filler(sid) == closest_filler(world, near, s.pos, chain)
+                checked += 1
+    assert checked >= 2000
 
 
 class TestIncrementalElection:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from barrier_restore.core import Point, Region, Sensor, World
+from barrier_restore.core import MECH_NONE, MECH_SHIFTING, Point, Region, Sensor
 from barrier_restore.graph import (
     PL,
     PR,
@@ -13,11 +13,12 @@ from barrier_restore.graph import (
     build_intersection_graph,
     find_alternate_path,
     find_barrier,
+    shift_cascade,
     splice_barrier,
     verify_barrier,
 )
 from conftest import make_world, random_line_world
-from oracles import adjacency_oracle, hop_distance
+from oracles import adjacency_oracle, has_edge, hop_distance
 
 
 class TestBuildGraph:
@@ -31,17 +32,17 @@ class TestBuildGraph:
     def test_boundary_touch_counts(self):
         w = make_world([(1.0, 2)], length=10)  # x exactly rho
         g = build_intersection_graph(w.active_sensors(), w.region)
-        assert g.has_edge(PL, 0)
+        assert has_edge(g, PL, 0)
 
     def test_tangent_discs_connected(self):
         w = make_world([(3, 0), (5, 0)])  # distance exactly 2*rho
         g = build_intersection_graph(w.active_sensors(), w.region)
-        assert g.has_edge(0, 1)
+        assert has_edge(g, 0, 1)
 
     def test_just_outside_not_connected(self):
         w = make_world([(3, 0), (5 + 1e-9, 0)])
         g = build_intersection_graph(w.active_sensors(), w.region)
-        assert not g.has_edge(0, 1)
+        assert not has_edge(g, 0, 1)
 
     def test_sentinels_never_adjacent(self):
         w = make_world([], with_barrier=False)
@@ -54,7 +55,7 @@ class TestBuildGraph:
             g = build_intersection_graph(w.active_sensors(), w.region)
             for u, nbrs in g.adjacency.items():
                 for v in nbrs:
-                    assert g.has_edge(v, u)
+                    assert has_edge(g, v, u)
 
     def test_adjacency_matches_pairwise_definition(self):
         rng = np.random.default_rng(11)
@@ -78,8 +79,8 @@ class TestBuildGraph:
             g = build_intersection_graph(sensors, region)
             assert g.adjacency == adjacency_oracle(sensors, region)
             if trial % 2 == 0:
-                assert g.has_edge(sensors[0].id, sensors[1].id)
-                assert g.has_edge(sensors[0].id, sensors[-1].id)
+                assert has_edge(g, sensors[0].id, sensors[1].id)
+                assert has_edge(g, sensors[0].id, sensors[-1].id)
 
 
 class TestInPlaceUpdate:
@@ -180,18 +181,56 @@ class TestAlternatePath:
         g = build_intersection_graph(t1_world.active_sensors(), t1_world.region)
         assert find_alternate_path(g, 2, 2) == [2]
 
-    def test_excluded_nodes_avoided(self):
-        for seed in range(30):
-            w = random_line_world(seed)
-            if not w.barrier or len(w.barrier) < 3:
-                continue
-            g = build_intersection_graph(w.active_sensors(), w.region)
-            mid = w.barrier[len(w.barrier) // 2]
-            path = find_alternate_path(
-                g, w.barrier[0], w.barrier[-1], excluded={mid}
-            )
-            if path is not None:
-                assert mid not in path
+
+class TestShiftCascade:
+    """The cascade rmove and dmove share, driven by a stub that names the
+    movers in turn, on T1: chain [0, 1, 2, 3, 4] with node 1 failed."""
+
+    @pytest.mark.parametrize("movers, edit, n_moves", [
+        ([], {}, 0),                                  # next_mover says None
+        ([2, 2], {}, 1),                              # 2 is named again
+        ([3], {"failed": 3}, 0),                      # dead mover
+        ([0, 3], {"failed": 3}, 1),
+        ([2], {"drained": 2}, 0),                     # hop beyond capacity
+        ([2, 3], {"drained": 3}, 1),
+    ], ids=["none", "revisit", "dead-first", "dead-second",
+            "unaffordable-first", "unaffordable-second"])
+    def test_give_up_keeps_the_barrier(self, t1_world, movers, edit, n_moves):
+        w = t1_world
+        if "failed" in edit:
+            w.sensor(edit["failed"]).failed = True
+        if "drained" in edit:
+            w.sensor(edit["drained"]).energy = 1.0  # every hop here is 2
+        w.sensor(1).failed = True
+        barrier, start = list(w.barrier), len(w.move_log)
+        calls = []
+        queue = iter(movers)
+
+        def next_mover(vacated, idx, hole):
+            calls.append((vacated, idx, hole))
+            return next(queue, None)
+
+        out = shift_cascade(w, 1, next_mover)
+        assert not out.success and out.new_barrier is None
+        assert w.barrier == barrier
+        assert out.moves == w.move_log[start:]
+        assert len(out.moves) == n_moves
+        assert out.mechanism == (MECH_SHIFTING if n_moves else MECH_NONE)
+        assert calls[0] == (1, 1, Point(3, 0))
+        if n_moves:
+            # The mover's old slot and position are the next hole (ids
+            # equal chain indices on T1).
+            mover = out.moves[0].sensor_id
+            assert calls[1] == (mover, mover, out.moves[0].src)
+
+    def test_off_chain_mover_ends_the_cascade(self, t1_world):
+        w = t1_world
+        w.sensor(1).failed = True
+        queue = iter([2, 5])
+        out = shift_cascade(w, 1, lambda vacated, idx, hole: next(queue))
+        assert out.success and out.mechanism == MECH_SHIFTING
+        assert w.barrier == out.new_barrier == [0, 2, 5, 3, 4]
+        assert [m.sensor_id for m in out.moves] == [2, 5]
 
 
 class TestSplice:

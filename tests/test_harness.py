@@ -22,6 +22,7 @@ from barrier_restore.harness import (
     run_trial,
     trial_seed,
 )
+from oracles import total_displacement, total_energy_spent
 
 FAST = dict(length=400.0, rho=30.0, sigma=6.0, trials=2)
 
@@ -94,14 +95,14 @@ class TestRunTrial:
             cfg = ExperimentConfig(n=40, **FAST)
             res = run_trial(scheme, cfg, trial_seed(cfg, 3))
             w = res.world
-            spent = w.total_energy_spent()
+            spent = total_energy_spent(w)
             assert spent == pytest.approx(
                 w.energy_model.cost_per_unit_displacement
-                * w.total_displacement(),
+                * total_displacement(w),
                 abs=1e-6,
             )
             assert sum(ep.displacement for ep in res.episodes) == pytest.approx(
-                w.total_displacement(), abs=1e-6
+                total_displacement(w), abs=1e-6
             )
             last = res.rows[-1]
             assert last.avg_total_displacement * math.floor(
@@ -210,11 +211,36 @@ class TestRunExperiment:
         dict(trials="3"),
         dict(rho="30"),
         dict(k_hop_budget=2.5),
+        dict(k_hop_budget=-4),
         dict(report_points=("0.1",)),
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_config_rejects_invalid_values(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(n=40, **bad)
+
+    def test_pool_never_exceeds_task_count(self, monkeypatch):
+        started = []
+
+        class Pool:
+            # Records the worker count and maps in this process.
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        cfg = ExperimentConfig(n=40, **FAST, schemes=("nmove",))  # two tasks
+        serial = run_experiment(cfg, jobs=1)
+        assert started == []
+        assert run_experiment(cfg, jobs=8) == serial
+        assert started == [2]
 
     def test_report_point_at_failure_fraction_max_is_reported(self):
         cfg = ExperimentConfig(n=40, length=400.0, rho=30.0, trials=1,

@@ -21,7 +21,7 @@ from barrier_restore.distributed import MessageBus, init_recovery_nodes
 from barrier_restore.graph import verify_barrier, world_graph
 from barrier_restore.harness import SCHEMES, start_scheme
 from conftest import random_line_world
-from oracles import adjacency_oracle
+from oracles import adjacency_oracle, total_displacement
 
 
 def _state(world):
@@ -92,7 +92,7 @@ class FailureSequence(RuleBasedStateMachine):
             assert world.sensor(sid).pos == pos
 
         spent = sum(s.initial_energy - s.energy for s in world.sensors.values())
-        assert math.isclose(spent, cost * world.total_displacement(),
+        assert math.isclose(spent, cost * total_displacement(world),
                             rel_tol=1e-9, abs_tol=1e-9)
 
         # The world's one graph, brought up to date on a copy (so the
