@@ -215,15 +215,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     # Both files are opened before any trial runs, so a bad path fails at
-    # once. The CSV is written only once every size has run, and a failed
-    # sweep removes both files, so it leaves no partial output.
-    files = {}
+    # once. --out is opened for append, so an existing file keeps its bytes
+    # until every size has run and the CSV replaces them. A failed sweep
+    # removes the detail log and an --out file it created itself.
+    out = detail = None
+    out_created = False
     try:
-        for path in (args.out, args.detail_log):
-            if path is not None:
-                files[path] = path.open("w")
+        if args.out is not None:
+            out_created = not args.out.exists()
+            out = args.out.open("a")
+        if args.detail_log is not None:
+            detail = args.detail_log.open("w")
     except OSError as err:
-        _close(files, keep=False)
+        _close_outputs(args, out, out_created, detail, ok=False)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     ok = False
@@ -231,23 +235,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = [
             row
             for config in configs
-            for row in run_experiment(config, jobs=args.jobs,
-                                      detail_sink=files.get(args.detail_log))
+            for row in run_experiment(config, jobs=args.jobs, detail_sink=detail)
         ]
-        files.get(args.out, sys.stdout).write(rows_to_csv(rows))
+        text = rows_to_csv(rows)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            out.truncate(0)
+            out.write(text)
         ok = True
     except InitialBarrierImpossible as err:
         print(f"error: {err}", file=sys.stderr)
     finally:
-        _close(files, keep=ok)
+        _close_outputs(args, out, out_created, detail, ok)
     return 0 if ok else EXIT_NO_BARRIER
 
 
-def _close(files: dict, keep: bool) -> None:
-    for path, file in files.items():
-        file.close()
-        if not keep:
-            path.unlink()
+def _close_outputs(args, out, out_created: bool, detail, ok: bool) -> None:
+    if out is not None:
+        out.close()
+        if not ok and out_created:
+            args.out.unlink()
+    if detail is not None:
+        detail.close()
+        if not ok:
+            args.detail_log.unlink()
 
 
 def main(argv: list[str] | None = None) -> int:

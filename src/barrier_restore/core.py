@@ -193,12 +193,6 @@ class World:
         if s.energy < self.energy_model.static_threshold:
             s.static = True
 
-    def total_displacement(self) -> float:
-        return sum(m.length for m in self.move_log)
-
-    def total_energy_spent(self) -> float:
-        return sum(s.initial_energy - s.energy for s in self.sensors.values())
-
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """Deterministic random stream: same seed, same draws, any platform."""

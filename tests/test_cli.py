@@ -265,6 +265,25 @@ class TestSweep:
         assert len(captured.err.splitlines()) == 1
         assert not other.exists()
 
+    @pytest.mark.parametrize("extra, want", [
+        (["--detail-log", "absent/x.jsonl"], 2),  # bad detail-log path
+        (["--n-list", "40,5"], 3),                # N=5 forms no barrier
+    ])
+    def test_failed_sweep_keeps_existing_out_file(self, tmp_path, monkeypatch,
+                                                  extra, want):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "results.csv"
+        out.write_text("kept\n")
+        assert main(self.ARGS + ["--out", str(out)] + extra) == want
+        assert out.read_text() == "kept\n"
+
+    def test_successful_sweep_replaces_existing_out_file(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        out.write_text("x" * 100_000)
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        assert main(self.ARGS) == 0
+        assert out.read_text() == capsys.readouterr().out
+
     def test_no_initial_barrier_on_stdout_prints_no_rows(self, capsys):
         # N=40 forms a barrier on this belt, N=5 never does.
         code = main(self.ARGS + ["--n-list", "40,5"])
