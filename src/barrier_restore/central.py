@@ -6,17 +6,22 @@ Two schemes share the alternate-path step:
   flanking the gap (sensors never move).
 * ``restore_cmove`` falls back to relocation when no detour exists: a
   minimum-cost assignment of active sensors onto the existing barrier
-  positions (solved with the Hungarian algorithm), which realizes cascaded
-  shifting whenever the cheapest filler chain passes through barrier nodes.
+  positions, which realizes cascaded shifting whenever the cheapest filler
+  chain passes through barrier nodes.
+
+The assignment is sparse: ``build_assignment`` lists only the feasible
+(sensor, position) cells, and ``hungarian`` fills each vacancy along one
+Dijkstra shortest augmenting path over them. The tests check both against
+a dense matrix build and O(n^3) Hungarian solver (``tests/oracles.py``),
+brute force and ``scipy.optimize.linear_sum_assignment``.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import product, starmap
-from typing import Iterable, Optional
-
-import numpy as np
+from heapq import heappop, heappush
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     MECH_ALTERNATE,
@@ -34,6 +39,16 @@ from .graph import (
     world_graph,
 )
 
+
+class FeasibleCells(NamedTuple):
+    """The feasible cells of an assignment problem, column by column:
+    ``columns[j]`` lists ``(row, cost)`` for column ``j``, rows ascending.
+    A cell not listed is forbidden."""
+
+    shape: tuple[int, int]  # (rows, columns) of the full problem
+    columns: list[list[tuple[int, float]]]
+
+
 @dataclass
 class AssignmentProblem:
     """Bipartite relocation model: active sensors on the left, current
@@ -41,126 +56,123 @@ class AssignmentProblem:
 
     left: list[int]
     right: list[Point]
-    cost: np.ndarray      # euclidean distances, |left| x |right|
-    feasible: np.ndarray  # bool mask, same shape
+    cost: FeasibleCells  # euclidean distances of the feasible cells only
 
 
 def hungarian(problem: AssignmentProblem) -> Optional[list[int]]:
     """Minimum-cost assignment covering every right vertex.
 
     Returns, for each right index, the matched left index; None when no
-    feasible full cover exists. Forbidden cells are priced at a large M
-    (greater than any feasible total) and the chosen assignment is
-    post-checked, so infeasibility detection is exact.
+    feasible full cover exists. Successive shortest paths over the feasible
+    cells (Jonker & Volgenant 1987; Ahuja, Magnanti & Orlin, *Network
+    Flows*, ch. 9). Warm start: each row in order takes its lowest-index
+    free zero-cost column, so in a relocation problem the occupants keep
+    their own positions. Each column left vacant, in order, is then filled
+    along a Dijkstra shortest path that ends at any unmatched row; moving a
+    row from column k to column j costs c_ij - c_ik. Row potentials u and
+    column potentials v keep every reduced cost c_ij - u_i - v_j
+    non-negative and zero on matched cells, and unmatched rows keep u = 0,
+    so any of them may end a path. A vacancy that reaches no unmatched row
+    means no feasible cover. Ties go to the lowest row index.
     """
     n_left, n_right = problem.cost.shape
-    if n_left == 0 or n_right == 0:
+    if n_left < n_right or n_right == 0:
         return None
-    n = max(n_left, n_right)
-    finite = problem.cost[problem.feasible]
-    big = 1.0 + float(finite.sum()) if finite.size else 1.0
-    square = np.full((n, n), big)
-    square[:n_left, :n_right] = np.where(problem.feasible, problem.cost, big)
-    # Dummy columns absorb surplus sensors at zero cost.
-    if n_left > n_right:
-        square[:, n_right:] = 0.0
-    row_of_col = _solve_square(square)
-    assignment = []
-    for j in range(n_right):
-        i = row_of_col[j]
-        if i >= n_left or not problem.feasible[i, j]:
-            return None
-        assignment.append(i)
-    return assignment
-
-
-def _solve_square(cost: np.ndarray) -> list[int]:
-    """O(n^3) Hungarian method (shortest augmenting paths over potentials),
-    warm-started from the zero-reduced-cost matching.
-
-    Duals start at u = row minima, v = 0; each row in order takes its
-    lowest-index free column at its row minimum. In a relocation problem
-    occupants sit at zero cost on their own positions and surplus sensors
-    on the zero-cost dummy columns, so only the vacancies' rows are left to
-    augment (Jonker & Volgenant 1987). Augmentations run in row order and
-    column scans break ties at the lowest index, so equal-cost optima
-    resolve deterministically.
-    """
-    n = cost.shape[0]
-    c = np.zeros((n + 1, n + 1))
-    c[1:, 1:] = cost
-    u = np.zeros(n + 1)
-    u[1:] = cost.min(axis=1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=np.int64)  # match[j] = row taken by column j
-    way = np.zeros(n + 1, dtype=np.int64)
-    at_min = cost == u[1:, None]
-    taken = np.zeros(n, dtype=bool)
-    unmatched = []
-    for i in range(1, n + 1):
-        cols = np.flatnonzero(at_min[i - 1] & ~taken)
-        if cols.size:
-            taken[cols[0]] = True
-            match[cols[0] + 1] = i
-        else:
-            unmatched.append(i)
-    for i in unmatched:
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+    columns = problem.cost.columns
+    row_of = [-1] * n_right  # column -> matched row
+    col_of = [-1] * n_left   # row -> matched column
+    zero_cols: dict[int, list[int]] = {}
+    for j, cells in enumerate(columns):
+        for i, c in cells:
+            if c == 0.0:
+                zero_cols.setdefault(i, []).append(j)
+    for i in sorted(zero_cols):
+        j = next((j for j in zero_cols[i] if row_of[j] < 0), -1)
+        if j >= 0:
+            row_of[j] = i
+            col_of[i] = j
+    u = [0.0] * n_left
+    v = [0.0] * n_right
+    for j0 in range(n_right):
+        if row_of[j0] >= 0:
+            continue
+        dist: dict[int, float] = {}  # row -> reduced path length from j0
+        via: dict[int, int] = {}     # row -> column its path comes from
+        done: set[int] = set()
+        heap: list[tuple[float, int]] = []
+        j, d = j0, 0.0
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            reduced = c[i0] - u[i0] - v
-            better = (reduced < minv) & ~used
-            minv[better] = reduced[better]
-            way[better] = j0
-            candidates = np.where(used, np.inf, minv)
-            j0 = int(np.argmin(candidates))
-            delta = candidates[j0]
-            if delta:  # steps across the zero-cost dummy columns move no dual
-                u[match[used]] += delta
-                v[used] -= delta
-                minv[~used] -= delta
-            if match[j0] == 0:
+            base = d - v[j]
+            for i, c in columns[j]:
+                di = base + c - u[i]
+                if i not in done and di < dist.get(i, math.inf):
+                    dist[i] = di
+                    via[i] = j
+                    heappush(heap, (di, i))
+            while heap:
+                d, i = heappop(heap)
+                if i not in done:
+                    break
+            else:
+                return None
+            done.add(i)
+            if col_of[i] < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    return [int(match[j + 1]) - 1 for j in range(n)]
+            j = col_of[i]
+        v[j0] += d
+        for r in done:
+            delta = d - dist[r]
+            u[r] -= delta
+            if col_of[r] >= 0:
+                v[col_of[r]] += delta
+        while True:  # i is the unmatched row that ends the path
+            j = via[i]
+            row_of[j], i = i, row_of[j]
+            col_of[row_of[j]] = j
+            if j == j0:
+                break
+    return row_of
 
 
 def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     """Model refilling the barrier (vacancies included) as an assignment.
 
-    Every active sensor is a candidate; an edge is feasible when the sensor
-    can afford the distance and the target lies within its communication
-    range. A sensor standing exactly on a barrier position always keeps a
-    zero-cost edge to it, so immobilized occupants can still be "assigned"
-    in place.
+    Every active sensor is a candidate; a cell is feasible when the sensor
+    is mobile, can afford the distance and the target lies within its
+    communication range. A sensor standing exactly on a barrier position
+    always keeps a zero-cost cell there, so immobilized occupants can still
+    be "assigned" in place. Only feasible cells are listed: each position
+    scans the sensors in an x-sorted window as wide as the farthest reach
+    (slightly widened against rounding; the exact test decides).
     """
     barrier = world.barrier or []
     sensors = world.active_sensors()
-    left = [s.id for s in sensors]
     right = [world.sensor(b).pos for b in barrier]
-    # math.dist of two points is math.hypot of their differences, bit for
-    # bit, so every cell equals Point.distance_to, which World.apply_move
-    # re-checks each move with; np.hypot differs in the last bit on a few.
-    cost = np.fromiter(
-        starmap(math.dist, product([(s.pos.x, s.pos.y) for s in sensors],
-                                   [(p.x, p.y) for p in right])),
-        dtype=float,
-        count=len(left) * len(right),
-    ).reshape(len(left), len(right))
-    cap = np.array([displacement_capacity(s, world.energy_model) for s in sensors])
-    comm = np.array([s.comm_radius for s in sensors])
-    mobile = np.array([s.mobile for s in sensors], dtype=bool)
-    feasible = (cost == 0.0) | (
-        mobile[:, None] & (cost <= cap[:, None]) & (cost <= comm[:, None])
+    model = world.energy_model
+    # (x, position, row, reach) in x order. A sensor reaches what both its
+    # capacity and its comm radius allow; a static sensor's capacity is 0,
+    # so it keeps only zero-cost cells.
+    entries = sorted(
+        (s.pos.x, (s.pos.x, s.pos.y), i, min(displacement_capacity(s, model), s.comm_radius))
+        for i, s in enumerate(sensors)
     )
-    return AssignmentProblem(left, right, cost, feasible)
+    xs = [e[0] for e in entries]
+    span = max([0.0] + [e[3] for e in entries]) * (1.0 + 1e-9)
+    columns = []
+    for p in right:
+        target = (p.x, p.y)
+        cells = []
+        for _, pos, i, reach in entries[bisect_left(xs, p.x - span):bisect_right(xs, p.x + span)]:
+            # math.dist of two points is math.hypot of their differences,
+            # bit for bit, so every cost equals Point.distance_to, which
+            # World.apply_move re-checks each move with.
+            cost = math.dist(pos, target)
+            if cost == 0.0 or cost <= reach:
+                cells.append((i, cost))
+        cells.sort()
+        columns.append(cells)
+    shape = (len(sensors), len(right))
+    return AssignmentProblem([s.id for s in sensors], right, FeasibleCells(shape, columns))
 
 
 def _try_alternate_path(world: World, failed: set[int]) -> Optional[list[int]]:

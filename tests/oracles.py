@@ -1,16 +1,22 @@
 """Independent reference implementations the real code is tested against.
 
 These deliberately avoid the library's own algorithms: adjacency by the
-pairwise definition, assignment by exhaustive search, hop counts via
-networkx, recovery chains by direct recurrence over the chain arrays.
+pairwise definition, assignment by exhaustive search and by a dense
+matrix build with an O(n^3) Hungarian solver, hop counts via networkx,
+recovery chains by direct recurrence over the chain arrays.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from itertools import product, starmap
+from typing import Iterable, Optional
 
 import networkx as nx
+import numpy as np
 
-from barrier_restore.core import Region, Sensor, World, displacement_capacity
+from barrier_restore.central import AssignmentProblem, FeasibleCells
+from barrier_restore.core import Point, Region, Sensor, World, displacement_capacity
 from barrier_restore.graph import PL, PR, IntersectionGraph
 
 INF = math.inf
@@ -60,6 +66,148 @@ def brute_force_assignment(cost, feasible):
 
     rec(0, 0, 0.0)
     return None if best[0] == INF else best[0]
+
+
+def sparse_problem(cost, feasible) -> AssignmentProblem:
+    """The sparse problem ``central.hungarian`` solves, holding the feasible
+    cells of a dense (cost, feasible) pair; rows and columns keep their
+    indices, and the sensor ids and positions are placeholders."""
+    cost = np.asarray(cost, dtype=float)
+    feasible = np.asarray(feasible, dtype=bool)
+    rows, cols = cost.shape
+    columns = [
+        [(i, float(cost[i, j])) for i in range(rows) if feasible[i, j]]
+        for j in range(cols)
+    ]
+    return AssignmentProblem(
+        left=list(range(rows)),
+        right=[Point(j, 0) for j in range(cols)],
+        cost=FeasibleCells((rows, cols), columns),
+    )
+
+
+@dataclass
+class DenseProblem:
+    """The dense relocation model: active sensors on the left, current
+    barrier positions (vacant ones included) on the right."""
+
+    left: list[int]
+    right: list[Point]
+    cost: np.ndarray      # euclidean distances, |left| x |right|
+    feasible: np.ndarray  # bool mask, same shape
+
+
+def dense_build_assignment(world: World, failed: Iterable[int]) -> DenseProblem:
+    """Every (active sensor, barrier position) cell with its cost and
+    feasibility: the full-matrix form of ``central.build_assignment``."""
+    barrier = world.barrier or []
+    sensors = world.active_sensors()
+    left = [s.id for s in sensors]
+    right = [world.sensor(b).pos for b in barrier]
+    # math.dist of two points is math.hypot of their differences, bit for
+    # bit, so every cell equals Point.distance_to, which World.apply_move
+    # re-checks each move with; np.hypot differs in the last bit on a few.
+    cost = np.fromiter(
+        starmap(math.dist, product([(s.pos.x, s.pos.y) for s in sensors],
+                                   [(p.x, p.y) for p in right])),
+        dtype=float,
+        count=len(left) * len(right),
+    ).reshape(len(left), len(right))
+    cap = np.array([displacement_capacity(s, world.energy_model) for s in sensors])
+    comm = np.array([s.comm_radius for s in sensors])
+    mobile = np.array([s.mobile for s in sensors], dtype=bool)
+    feasible = (cost == 0.0) | (
+        mobile[:, None] & (cost <= cap[:, None]) & (cost <= comm[:, None])
+    )
+    return DenseProblem(left, right, cost, feasible)
+
+
+def dense_hungarian(problem: DenseProblem) -> Optional[list[int]]:
+    """Minimum-cost assignment covering every right vertex, on the dense
+    matrix.
+
+    Returns, for each right index, the matched left index; None when no
+    feasible full cover exists. Forbidden cells are priced at a large M
+    (greater than any feasible total) and the chosen assignment is
+    post-checked, so infeasibility detection is exact.
+    """
+    n_left, n_right = problem.cost.shape
+    if n_left == 0 or n_right == 0:
+        return None
+    n = max(n_left, n_right)
+    finite = problem.cost[problem.feasible]
+    big = 1.0 + float(finite.sum()) if finite.size else 1.0
+    square = np.full((n, n), big)
+    square[:n_left, :n_right] = np.where(problem.feasible, problem.cost, big)
+    # Dummy columns absorb surplus sensors at zero cost.
+    if n_left > n_right:
+        square[:, n_right:] = 0.0
+    row_of_col = _solve_square(square)
+    assignment = []
+    for j in range(n_right):
+        i = row_of_col[j]
+        if i >= n_left or not problem.feasible[i, j]:
+            return None
+        assignment.append(i)
+    return assignment
+
+
+def _solve_square(cost: np.ndarray) -> list[int]:
+    """O(n^3) Hungarian method (shortest augmenting paths over potentials),
+    warm-started from the zero-reduced-cost matching.
+
+    Duals start at u = row minima, v = 0; each row in order takes its
+    lowest-index free column at its row minimum. In a relocation problem
+    occupants sit at zero cost on their own positions and surplus sensors
+    on the zero-cost dummy columns, so only the vacancies' rows are left to
+    augment (Jonker & Volgenant 1987). Augmentations run in row order and
+    column scans break ties at the lowest index, so equal-cost optima
+    resolve deterministically.
+    """
+    n = cost.shape[0]
+    c = np.zeros((n + 1, n + 1))
+    c[1:, 1:] = cost
+    u = np.zeros(n + 1)
+    u[1:] = cost.min(axis=1)
+    v = np.zeros(n + 1)
+    match = np.zeros(n + 1, dtype=np.int64)  # match[j] = row taken by column j
+    way = np.zeros(n + 1, dtype=np.int64)
+    at_min = cost == u[1:, None]
+    taken = np.zeros(n, dtype=bool)
+    unmatched = []
+    for i in range(1, n + 1):
+        cols = np.flatnonzero(at_min[i - 1] & ~taken)
+        if cols.size:
+            taken[cols[0]] = True
+            match[cols[0] + 1] = i
+        else:
+            unmatched.append(i)
+    for i in unmatched:
+        match[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            reduced = c[i0] - u[i0] - v
+            better = (reduced < minv) & ~used
+            minv[better] = reduced[better]
+            way[better] = j0
+            candidates = np.where(used, np.inf, minv)
+            j0 = int(np.argmin(candidates))
+            delta = candidates[j0]
+            if delta:  # steps across the zero-cost dummy columns move no dual
+                u[match[used]] += delta
+                v[used] -= delta
+                minv[~used] -= delta
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    return [int(match[j + 1]) - 1 for j in range(n)]
 
 
 def has_edge(graph: IntersectionGraph, u: int, v: int) -> bool:

@@ -17,13 +17,11 @@ import pytest
 
 from barrier_restore.central import (
     MECH_SHIFTING,
-    AssignmentProblem,
-    build_assignment,
     hungarian,
     restore_cmove,
 )
 from barrier_restore.cli import main
-from barrier_restore.core import Point, seeded_rng
+from barrier_restore.core import seeded_rng
 from barrier_restore.distributed import MessageBus, init_recovery_nodes, mldfs
 from barrier_restore.graph import build_intersection_graph, verify_barrier
 from barrier_restore.harness import (
@@ -37,9 +35,11 @@ from barrier_restore.harness import (
 from conftest import random_line_world
 from oracles import (
     brute_force_assignment,
+    dense_build_assignment,
     has_edge,
     hop_distance,
     recovery_chain_oracle,
+    sparse_problem,
     total_displacement,
     total_energy_spent,
 )
@@ -60,12 +60,7 @@ def test_criterion_1_hungarian_matches_brute_force():
         cols = int(rng.integers(1, 8))
         cost = rng.uniform(0, 100, size=(rows, cols))
         feasible = rng.uniform(size=(rows, cols)) > 0.2
-        problem = AssignmentProblem(
-            left=list(range(rows)),
-            right=[Point(j, 0) for j in range(cols)],
-            cost=cost,
-            feasible=feasible,
-        )
+        problem = sparse_problem(cost, feasible)
         got = hungarian(problem)
         want = brute_force_assignment(cost, feasible)
         if want is None:
@@ -96,7 +91,7 @@ def test_criterion_2_cmove_optimality_small_worlds():
         pick = np.random.default_rng(seed)
         victim = world.barrier[int(pick.integers(0, len(world.barrier)))]
         world.sensor(victim).failed = True
-        problem = build_assignment(world, {victim})
+        problem = dense_build_assignment(world, {victim})
         want = brute_force_assignment(problem.cost, problem.feasible)
         out = restore_cmove(world, {victim})
         if out.mechanism == MECH_SHIFTING and out.success:

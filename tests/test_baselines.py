@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from barrier_restore.baselines import restore_rmove
-from barrier_restore.central import MECH_ALTERNATE, MECH_SHIFTING
+from barrier_restore.central import MECH_ALTERNATE
 from barrier_restore.core import Point, displacement_capacity, seeded_rng
 from barrier_restore.graph import verify_barrier
 from conftest import make_world, random_line_world

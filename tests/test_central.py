@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from barrier_restore import central
 from barrier_restore.central import (
     MECH_ALTERNATE,
     MECH_SHIFTING,
-    AssignmentProblem,
     build_assignment,
     hungarian,
     restore_cmove,
@@ -25,24 +27,29 @@ from barrier_restore.core import (
     displacement_capacity,
 )
 from barrier_restore.graph import verify_barrier
+from barrier_restore.harness import ExperimentConfig, run_trial, trial_seed
 from conftest import make_world, random_line_world
-from oracles import brute_force_assignment
+from oracles import (
+    brute_force_assignment,
+    dense_build_assignment,
+    dense_hungarian,
+    sparse_problem,
+)
 
 
 def problem(cost, feasible=None):
-    cost = np.asarray(cost, dtype=float)
     if feasible is None:
-        feasible = np.ones(cost.shape, dtype=bool)
-    return AssignmentProblem(
-        left=list(range(cost.shape[0])),
-        right=[Point(j, 0) for j in range(cost.shape[1])],
-        cost=cost,
-        feasible=np.asarray(feasible, dtype=bool),
-    )
+        feasible = np.ones(np.shape(cost), dtype=bool)
+    return sparse_problem(cost, feasible)
+
+
+def cells(p, j):
+    """Column ``j``'s feasible cells as {row: cost}."""
+    return dict(p.cost.columns[j])
 
 
 def assignment_total(p, assignment):
-    return sum(p.cost[assignment[j], j] for j in range(len(p.right)))
+    return sum(cells(p, j)[assignment[j]] for j in range(len(p.right)))
 
 
 class TestHungarian:
@@ -171,15 +178,15 @@ class TestBuildAssignment:
         assert p.left == [0, 1, 3, 4, 5]
         assert len(p.right) == 5
         i = p.left.index(5)
-        assert p.feasible[i, 2]  # the spare can reach the vacant position
-        assert p.cost[i, 2] == pytest.approx(2.0)
+        assert i in cells(p, 2)  # the spare can reach the vacant position
+        assert cells(p, 2)[i] == pytest.approx(2.0)
 
     def test_comm_radius_limits_edges(self, t1_world):
         w = t1_world
         w.sensor(2).failed = True
         p = build_assignment(w, {2})
         i = p.left.index(0)  # distance 4 to the vacancy, comm radius is 2
-        assert not p.feasible[i, 2]
+        assert i not in cells(p, 2)
 
     def test_drained_sensor_keeps_self_edge_only(self, t1_world):
         w = t1_world
@@ -187,9 +194,9 @@ class TestBuildAssignment:
         w.sensor(2).failed = True
         p = build_assignment(w, {2})
         i = p.left.index(1)
-        assert p.feasible[i, 1]  # zero-cost edge to its own slot
-        assert p.cost[i, 1] == 0.0
-        assert not p.feasible[i, 0] and not p.feasible[i, 2]
+        assert i in cells(p, 1)  # zero-cost edge to its own slot
+        assert cells(p, 1)[i] == 0.0
+        assert i not in cells(p, 0) and i not in cells(p, 2)
 
     def test_static_sensor_keeps_self_edge(self, t1_world):
         w = t1_world
@@ -197,41 +204,116 @@ class TestBuildAssignment:
         w.sensor(2).failed = True
         p = build_assignment(w, {2})
         i = p.left.index(1)
-        assert p.feasible[i, 1]
-        assert not p.feasible[i, 2]
+        assert i in cells(p, 1)
+        assert i not in cells(p, 2)
 
     def test_feasibility_exact_at_capacity_and_comm_boundary(self):
-        # np.hypot and math.hypot differ in the last bit on a few inputs;
-        # the probe collects such pairs (on this numpy) and sets energy
-        # and comm radius to the exact distance or one ulp below it.
-        rng = np.random.default_rng(8)
-        target = Point(50.0, 30.0)
-        positions = []
-        for _ in range(200_000):
-            x, y = (float(v) for v in rng.uniform(0, 100, size=2))
-            dx, dy = x - target.x, y - target.y
-            if float(np.hypot(dx, dy)) != math.hypot(dx, dy):
-                positions.append(Point(x, y))
-                if len(positions) == 40:
-                    break
-        positions += [Point(*map(float, xy)) for xy in rng.uniform(0, 100, size=(40, 2))]
-        sensors = [Sensor(0, target, 1.0, 200.0, 0.0, 0.0, failed=True)]
-        for k, pos in enumerate(positions, start=1):
-            d = pos.distance_to(target)
-            below = math.nextafter(d, 0.0)
-            energy, comm = [(d, 200.0), (below, 200.0), (200.0, d), (200.0, below)][k % 4]
-            sensors.append(Sensor(k, pos, 1.0, comm, energy, energy))
-        w = World(Region(100.0, 100.0), sensors, EnergyModel(1.0, 0.0), barrier=[0])
+        w = boundary_world()
+        target = w.sensor(0).pos
         p = build_assignment(w, {0})
+        col = cells(p, 0)
         for i, sid in enumerate(p.left):
             s = w.sensor(sid)
             d = s.pos.distance_to(target)
-            assert p.cost[i, 0] == d
             cap = displacement_capacity(s, w.energy_model)
-            assert p.feasible[i, 0] == (cap >= d and d <= s.comm_radius)
-            if p.feasible[i, 0]:
+            assert (i in col) == (cap >= d and d <= s.comm_radius)
+            if i in col:
+                assert col[i] == d
                 w.apply_move(sid, target)  # raises if the edge overstated capacity
-        assert p.feasible[:, 0].sum() == len(positions) // 2
+        assert len(col) == (len(w.sensors) - 1) // 2
+
+
+def boundary_world():
+    """One failed barrier sensor and 80 others whose energy or comm radius
+    is the exact distance to it or one ulp below. np.hypot and math.hypot
+    differ in the last bit on a few inputs; the probe collects 40 such
+    positions (on this numpy)."""
+    rng = np.random.default_rng(8)
+    target = Point(50.0, 30.0)
+    positions = []
+    for _ in range(200_000):
+        x, y = (float(v) for v in rng.uniform(0, 100, size=2))
+        dx, dy = x - target.x, y - target.y
+        if float(np.hypot(dx, dy)) != math.hypot(dx, dy):
+            positions.append(Point(x, y))
+            if len(positions) == 40:
+                break
+    positions += [Point(*map(float, xy)) for xy in rng.uniform(0, 100, size=(40, 2))]
+    sensors = [Sensor(0, target, 1.0, 200.0, 0.0, 0.0, failed=True)]
+    for k, pos in enumerate(positions, start=1):
+        d = pos.distance_to(target)
+        below = math.nextafter(d, 0.0)
+        energy, comm = [(d, 200.0), (below, 200.0), (200.0, d), (200.0, below)][k % 4]
+        sensors.append(Sensor(k, pos, 1.0, comm, energy, energy))
+    return World(Region(100.0, 100.0), sensors, EnergyModel(1.0, 0.0), barrier=[0])
+
+
+def assert_cells_match_dense_oracle(world, failed):
+    """The sparse build lists exactly the dense oracle's feasible cells,
+    with bit-equal costs, and returns the sparse problem."""
+    p = build_assignment(world, failed)
+    dense = dense_build_assignment(world, failed)
+    assert p.left == dense.left and p.right == dense.right
+    assert p.cost.shape == dense.cost.shape
+    for j, col in enumerate(p.cost.columns):
+        rows = np.flatnonzero(dense.feasible[:, j])
+        assert col == [(int(i), float(dense.cost[i, j])) for i in rows]
+    return p, dense
+
+
+def test_sparse_cells_equal_dense_on_boundary_instance():
+    assert_cells_match_dense_oracle(boundary_world(), {0})
+
+
+def test_sparse_solver_matches_dense_oracle_on_replayed_cmove_solves(monkeypatch):
+    # Every assignment that seeded N=140 cmove trials build is checked cell
+    # by cell against the dense build and solved by both solvers, which
+    # must agree on the assignment itself, None included.
+    seen = Counter()
+    build = central.build_assignment
+
+    def checked_build(world, failed):
+        p, dense = assert_cells_match_dense_oracle(world, failed)
+        want = dense_hungarian(dense)
+        assert hungarian(p) == want
+        seen["solves"] += 1
+        seen["multi_vacancy"] += len(set(failed)) > 1
+        seen["infeasible"] += want is None
+        return build(world, failed)
+
+    monkeypatch.setattr(central, "build_assignment", checked_build)
+    config = ExperimentConfig(n=140, trials=12, schemes=("cmove",))
+    for t in range(config.trials):
+        run_trial("cmove", config, trial_seed(config, t))
+    assert seen["multi_vacancy"] >= 50 and seen["infeasible"] >= 50, seen
+    assert seen["solves"] >= 300
+
+
+def test_optimum_matches_scipy_on_random_rectangular_instances():
+    rng = np.random.default_rng(41)
+    feasible_seen = infeasible_seen = 0
+    for _ in range(400):
+        cols = int(rng.integers(1, 25))
+        rows = int(rng.integers(max(1, cols - 2), cols + 25))
+        cost = rng.uniform(0, 50, size=(rows, cols))
+        cost[rng.uniform(size=(rows, cols)) < 0.1] = 0.0
+        feasible = rng.uniform(size=(rows, cols)) < rng.uniform(0.1, 0.6)
+        got = hungarian(problem(cost, feasible))
+        try:
+            r, c = linear_sum_assignment(np.where(feasible, cost, np.inf))
+        except ValueError:  # scipy: no assignment avoids every forbidden cell
+            want = None
+        else:
+            want = float(cost[r, c].sum()) if len(c) == cols else None
+        if want is None:
+            assert got is None
+            infeasible_seen += 1
+        else:
+            assert got is not None and len(set(got)) == cols
+            assert all(feasible[got[j], j] for j in range(cols))
+            assert sum(cost[got[j], j] for j in range(cols)) == pytest.approx(want, abs=1e-9)
+            feasible_seen += 1
+    assert feasible_seen >= 200 and infeasible_seen >= 50
 
 
 def test_assignment_dimensions_with_spares():
@@ -341,7 +423,7 @@ class TestRestoreNmove:
 
 def shifting_oracle(world, failed):
     """Exhaustive minimum displacement over feasible assignments."""
-    p = build_assignment(world, failed)
+    p = dense_build_assignment(world, failed)
     return brute_force_assignment(p.cost, p.feasible)
 
 

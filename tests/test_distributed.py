@@ -18,7 +18,6 @@ from barrier_restore.distributed import (
 )
 from barrier_restore.graph import (
     PL,
-    PR,
     build_intersection_graph,
     closest_filler,
     find_barrier,
