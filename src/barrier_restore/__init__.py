@@ -35,7 +35,6 @@ from .distributed import (
     handle_failure_dmove,
     init_recovery_nodes,
     mldfs,
-    run_protocol_round,
 )
 from .graph import (
     PL,
@@ -93,7 +92,6 @@ __all__ = [
     "restore_nmove",
     "restore_rmove",
     "run_experiment",
-    "run_protocol_round",
     "run_trial",
     "seeded_rng",
     "splice_barrier",

@@ -5,9 +5,10 @@ Subcommands:
   run       replay one failure scenario against a deployment (debugger)
   sweep     full experiment grid, CSV on stdout
 
-Exit codes: 2 usage error (a bad deployment file included), 3 no initial
-barrier, 4 unsupported multi-id failure for the chosen scheme. Stdout
-carries only data; diagnostics go to stderr.
+Exit codes: 0 ran, 2 usage error (a bad deployment file included), 3 no
+initial barrier, 4 several ``run --fail`` ids for a local scheme (rmove or
+dmove), which handles one failure at a time. Stdout carries only data;
+diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -115,12 +116,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not failed_ids:
         print("error: --fail lists no ids", file=sys.stderr)
         return EXIT_USAGE
-    if args.scheme == "dmove" and len(failed_ids) > 1:
-        print("error: dmove handles failures one at a time", file=sys.stderr)
+    if args.scheme in ("rmove", "dmove") and len(failed_ids) > 1:
+        print(f"error: {args.scheme} handles failures one at a time", file=sys.stderr)
         return EXIT_MULTI_FAILURE
-    if args.scheme == "rmove" and len(failed_ids) > 1:
-        print("error: rmove handles a single failure", file=sys.stderr)
-        return EXIT_USAGE
 
     try:
         model = EnergyModel(args.cost_per_unit, args.static_threshold)

@@ -52,10 +52,6 @@ class Sensor:
     def active(self) -> bool:
         return not self.failed
 
-    @property
-    def mobile(self) -> bool:
-        return not self.static
-
 
 @dataclass(frozen=True)
 class Region:

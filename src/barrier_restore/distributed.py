@@ -3,14 +3,16 @@
 Every barrier node pre-elects a recovery node: the closest non-barrier
 neighbor that could take its place, or (when it has none) whichever chain
 side reaches such a filler with the least cumulative movement. The election
-runs as a request/reply protocol along the chain; one ``Election`` per
-trial keeps the states, and each re-election runs it again only on the
-chain nodes whose answer can have changed. On a failure, the failed
-node's recovery node first hunts for a detour with a hop-budgeted,
-geographically greedy token search; if that fails, the cascade shared with
-rmove (``graph.shift_cascade``) moves it into the hole and refills each
-vacated barrier position with that position's recovery node, until a
-non-barrier filler ends the cascade.
+runs as a request/reply protocol along the chain. One ``Election`` object
+per trial holds the states and the message handlers, and each re-election
+runs the protocol again only on the chain nodes whose answer can have
+changed. One rule says where a request stops, for the protocol and for
+finding those nodes alike. On a failure, the failed node's recovery node
+first hunts for a detour with a hop-budgeted, geographically greedy token
+search; if that fails, the cascade shared with rmove
+(``graph.shift_cascade``) moves it into the hole and refills each vacated
+barrier position with that position's recovery node, until a non-barrier
+filler ends the cascade.
 
 The scheduler is synchronous-round and delivers in a fixed order, so runs
 are reproducible; a seeded shuffle mode exercises order independence.
@@ -99,9 +101,6 @@ class MessageBus:
         self._seq += 1
         self._pending.append(Envelope(self._seq, sender, receiver, msg))
 
-    def pending(self) -> bool:
-        return bool(self._pending)
-
     def drain_round(self) -> list[Envelope]:
         self.round_no += 1
         batch, self._pending = self._pending, []
@@ -166,21 +165,26 @@ def _links(chain: list[int], idx: int) -> tuple[int, int]:
 
 
 class Election(Mapping[int, NodeState]):
-    """One world's recovery-node election, kept for a whole trial.
+    """One world's recovery-node election, kept for a whole trial: the
+    per-node states and the protocol's message handlers in one object, which
+    reads as a mapping from each live sensor's id to its ``NodeState``.
+    ``init_recovery_nodes`` runs it over a ``MessageBus``.
 
-    It reads as a mapping from each live sensor's id to its ``NodeState``.
-    It also holds what each live sensor and the chain looked like at the
+    A node with an eligible non-barrier neighbor picks the closest one
+    outright. Anyone else asks both chain sides; requests forward along the
+    chain until they hit a node that can answer (an eligible filler, a
+    resolved side, or the boundary, which counts as "no candidate"), and
+    replies accumulate distance on the way back. Each node decides once,
+    after hearing from both sides, then registers at its recovery node.
+
+    It also remembers each live sensor and the chain as they were at the
     last election, so that a re-election (``init_recovery_nodes`` with
     ``election=``) re-runs the protocol only on the chain nodes whose answer
-    can have changed. Fillers are read from ``world.graph``, which
-    ``prepare`` brings up to date.
-
-    A chain node's answer depends on its own position, capacity, chain links
-    and best eligible filler, and, when it has no filler, on the nodes its
-    requests pass on each chain side: up to the first node that owns a
-    filler, cannot afford the hop back toward it, is dead, or borders the
-    boundary. So every chain node whose own inputs changed is re-elected,
-    and so is every node whose requests would reach one of them.
+    can have changed: those whose position, capacity, chain links or
+    fillers (read from ``world.graph``, which ``prepare`` brings up to date)
+    changed, and those whose requests would reach one of them. One rule,
+    ``_answer``, says where a request stops, for the protocol and for
+    ``prepare``'s walk alike.
     """
 
     def __init__(self, world: World):
@@ -209,6 +213,19 @@ class Election(Mapping[int, NodeState]):
         world = self.world
         return closest_filler(world, world.graph.neighbors(sid),
                               world.sensor(sid).pos, self.on_barrier)
+
+    def _answer(self, sid: int, asker: int) -> tuple[float, Optional[float]]:
+        """(hop, answer) of chain node sid to a request from its chain
+        neighbor asker: infinity if sid cannot afford the hop back to the
+        asker, its filler's distance plus the hop if it owns a filler, and
+        None when it forwards the request to its other side."""
+        world = self.world
+        me = world.sensor(sid)
+        hop = me.pos.distance_to(world.sensor(asker).pos)
+        if displacement_capacity(me, world.energy_model) < hop:
+            return hop, INF
+        filler = self.best_filler(sid)
+        return hop, None if filler is None else filler[0] + hop
 
     def prepare(self) -> list[int]:
         """Bring the world's graph and the states up to the world and
@@ -281,21 +298,15 @@ class Election(Mapping[int, NodeState]):
         """Add to ``dirty`` the chain indices beyond ``idx`` (in direction
         ``step``) whose requests toward it would reach it. Another seed ends
         the walk: its own walk goes on from there."""
-        world = self.world
         j = idx + step
         while 0 <= j < len(chain) and j not in seeds:
-            sid = chain[j]
-            if sid not in self.states:
+            if chain[j] not in self.states:
                 return  # dead: requests die here
             dirty.add(j)
             nxt = j + step
             if not 0 <= nxt < len(chain):
                 return  # the boundary answers next
-            me = world.sensor(sid)
-            hop = me.pos.distance_to(world.sensor(chain[nxt]).pos)
-            if displacement_capacity(me, world.energy_model) < hop:
-                return
-            if self.best_filler(sid) is not None:
+            if self._answer(chain[j], chain[nxt])[1] is not None:
                 return
             j = nxt
 
@@ -305,57 +316,26 @@ class Election(Mapping[int, NodeState]):
         if owner is not None:
             owner.rec_set = [entry for entry in owner.rec_set if entry[0] != st.id]
 
-
-# ---------------------------------------------------------------------------
-# Recovery-node election
-# ---------------------------------------------------------------------------
-
-
-class ElectionProtocol:
-    """Message handlers for recovery-node selection.
-
-    A node with an eligible non-barrier neighbor picks the closest one
-    outright. Anyone else asks both chain sides; requests forward along the
-    chain until they hit a node that can answer (an eligible filler, a
-    resolved side, or the boundary, which counts as "no candidate"), and
-    replies accumulate distance on the way back. Each node decides once,
-    after hearing from both sides, then registers at its recovery node.
-    """
-
-    def __init__(self, election: Election, bus: MessageBus):
-        self.world = election.world
-        self.election = election
-        self.states = election.states
-        self.bus = bus
-
-    # -- helpers ----------------------------------------------------------
-
-    def _dist(self, a: int, b: int) -> float:
-        return self.world.sensor(a).pos.distance_to(self.world.sensor(b).pos)
-
-    def _chain_neighbor(self, st: NodeState, side: str) -> Optional[int]:
-        return st.pre if side == "pre" else st.suc
-
     # -- protocol ---------------------------------------------------------
 
-    def start(self, nodes: list[int]) -> None:
+    def start(self, nodes: list[int], bus: MessageBus) -> None:
         for sid in nodes:
             st = self.states[sid]
-            filler = self.election.best_filler(sid)
+            filler = self.best_filler(sid)
             if filler is not None:
                 st.path_length, st.rec_node = filler
-                self.bus.send(sid, st.rec_node, SetRec(st.pre, st.suc))
+                bus.send(sid, st.rec_node, SetRec(st.pre, st.suc))
             else:
                 st.awaiting = {"pre", "suc"}
-                self.bus.send(sid, st.pre, ReqNbRec(sid))
-                self.bus.send(sid, st.suc, ReqNbRec(sid))
+                bus.send(sid, st.pre, ReqNbRec(sid))
+                bus.send(sid, st.suc, ReqNbRec(sid))
 
-    def handle(self, env: Envelope) -> None:
+    def handle(self, env: Envelope, bus: MessageBus) -> None:
         if env.receiver in (PL, PR):
             # The boundary is not a candidate: it answers every request
             # with an infinite path length.
             if isinstance(env.msg, ReqNbRec):
-                self.bus.send(env.receiver, env.sender, RepNbRec(env.msg.q, INF))
+                bus.send(env.receiver, env.sender, RepNbRec(env.msg.q, INF))
             return
         if env.receiver not in self.states:
             return  # dead nodes fail silently; the sender waits in vain
@@ -363,43 +343,37 @@ class ElectionProtocol:
         if isinstance(env.msg, SetRec):
             st.rec_set.append((env.sender, env.msg.pred, env.msg.suc))
         elif isinstance(env.msg, ReqNbRec):
-            self._on_request(st, env.msg.q, env.sender)
+            self._on_request(st, env.msg.q, env.sender, bus)
         elif isinstance(env.msg, RepNbRec):
-            self._on_reply(st, env.msg.q, env.msg.d, env.sender)
+            self._on_reply(st, env.msg.q, env.msg.d, env.sender, bus)
 
-    def _on_request(self, st: NodeState, q: int, sender: int) -> None:
-        # The asker is one chain side; our answer routes through the other.
+    def _on_request(self, st: NodeState, q: int, sender: int, bus: MessageBus) -> None:
+        # The asker is one chain side; a forwarded request goes to the other.
         far = "pre" if sender == st.suc else "suc"
-        hop = self._dist(st.id, sender)
-        me = self.world.sensor(st.id)
-        if displacement_capacity(me, self.world.energy_model) < hop:
-            self.bus.send(st.id, sender, RepNbRec(q, INF))
-            return
-        filler = self.election.best_filler(st.id)
-        if filler is not None:
-            self.bus.send(st.id, sender, RepNbRec(q, filler[0] + hop))
-            return
-        far_value = st.side_value[far]
-        if far_value is not None:
-            self.bus.send(st.id, sender, RepNbRec(q, far_value + hop))
-            return
-        far_neighbor = self._chain_neighbor(st, far)
-        self.bus.send(st.id, far_neighbor, ReqNbRec(q))
+        hop, answer = self._answer(st.id, sender)
+        if answer is None and st.side_value[far] is not None:
+            answer = st.side_value[far] + hop
+        if answer is None:
+            bus.send(st.id, st.pre if far == "pre" else st.suc, ReqNbRec(q))
+        else:
+            bus.send(st.id, sender, RepNbRec(q, answer))
 
-    def _on_reply(self, st: NodeState, q: int, d: float, sender: int) -> None:
+    def _on_reply(self, st: NodeState, q: int, d: float, sender: int,
+                  bus: MessageBus) -> None:
         side = "pre" if sender == st.pre else "suc"
         if st.side_value[side] is None:
             st.side_value[side] = d
         if q == st.id:
             st.awaiting.discard(side)
             if not st.awaiting and st.rec_node is None:
-                self._decide(st)
+                self._decide(st, bus)
         else:
             # Relay toward the requester, adding our hop on that side.
-            target = self._chain_neighbor(st, "suc" if side == "pre" else "pre")
-            self.bus.send(st.id, target, RepNbRec(q, d + self._dist(st.id, target)))
+            target = st.suc if side == "pre" else st.pre
+            hop = self.world.sensor(st.id).pos.distance_to(self.world.sensor(target).pos)
+            bus.send(st.id, target, RepNbRec(q, d + hop))
 
-    def _decide(self, st: NodeState) -> None:
+    def _decide(self, st: NodeState, bus: MessageBus) -> None:
         d_pre = st.side_value["pre"]
         d_suc = st.side_value["suc"]
         d_pre = INF if d_pre is None else d_pre
@@ -411,29 +385,20 @@ class ElectionProtocol:
         else:
             log.debug("barrier node %d: no reachable recovery candidate", st.id)
             return
-        self.bus.send(st.id, st.rec_node, SetRec(st.pre, st.suc))
-
-
-def run_protocol_round(bus: MessageBus, protocol: ElectionProtocol) -> bool:
-    """Deliver every queued message once, in deterministic order. Returns
-    False at a fixpoint (nothing was queued)."""
-    batch = bus.drain_round()
-    for env in batch:
-        protocol.handle(env)
-    return bool(batch)
+        bus.send(st.id, st.rec_node, SetRec(st.pre, st.suc))
 
 
 def init_recovery_nodes(
     world: World,
     bus: Optional[MessageBus] = None,
-    shuffle_rng=None,
     election: Optional[Election] = None,
 ) -> Election:
     """Elect a recovery node for every barrier node and return the election
     at quiescence. Given the ``election`` this function returned earlier for
     the same world, re-elect in place: only the chain nodes whose answer can
     have changed since then send messages, and the states end up as a fresh
-    election would leave them.
+    election would leave them. Messages go over ``bus`` (a fresh in-order
+    one by default), which delivers each round's queue in one batch.
 
     Barrier nodes whose requests die at both boundaries end up with no
     recovery node (logged); their failures are unrecoverable until the
@@ -445,12 +410,13 @@ def init_recovery_nodes(
     if election is None:
         election = Election(world)
     if bus is None:
-        bus = MessageBus(shuffle_rng=shuffle_rng)
-    protocol = ElectionProtocol(election, bus)
-    protocol.start(election.prepare())
+        bus = MessageBus()
+    election.start(election.prepare(), bus)
     limit = 2 * len(world.sensors) + 8
     rounds = 0
-    while run_protocol_round(bus, protocol):
+    while batch := bus.drain_round():
+        for env in batch:
+            election.handle(env, bus)
         rounds += 1
         if rounds > limit:
             raise RuntimeError("recovery-node election failed to quiesce")
@@ -555,10 +521,6 @@ def mldfs(
 # ---------------------------------------------------------------------------
 
 
-def default_hop_budget(n_sensors: int) -> int:
-    return max(2, n_sensors // 20)
-
-
 def handle_failure_dmove(
     world: World,
     election: Election,
@@ -570,24 +532,25 @@ def handle_failure_dmove(
     fully recovered. ``election`` is what ``init_recovery_nodes`` returned
     for this world; it is re-elected in place.
 
-    Non-barrier, non-recovery nodes need no action. A dead recovery node
-    triggers re-election for its clients. A dead barrier node is repaired by
-    its recovery node: detour search first, then a cascade of single-hop
-    relocations along the pre-elected chain. After any repair or barrier
-    change, recovery nodes are re-elected.
+    ``k`` is the detour search's hop budget, by default ``max(2, n // 20)``
+    for the world's n sensors, failed ones included. Non-barrier,
+    non-recovery nodes need no action. A dead recovery node (one that holds
+    registrations) triggers re-election for its clients. A dead barrier
+    node is repaired by its recovery node: detour search first, then a
+    cascade of single-hop relocations along the pre-elected chain. After
+    any repair or barrier change, recovery nodes are re-elected.
     """
     if k is None:
-        k = default_hop_budget(len(world.sensors))
-    sensor = world.sensor(failed_id)
-    sensor.failed = True
+        k = max(2, len(world.sensors) // 20)
+    world.sensor(failed_id).failed = True
     barrier = list(world.barrier or [])
+    failed_state = election.get(failed_id)
 
     if failed_id not in barrier:
-        if any(st.rec_node == failed_id for st in election.states.values()):
+        if failed_state is not None and failed_state.rec_set:
             init_recovery_nodes(world, bus=bus, election=election)
         return RestoreOutcome(success=verify_barrier(world))
 
-    failed_state = election.get(failed_id)
     rec = failed_state.rec_node if failed_state is not None else None
     if rec is None or not world.sensor(rec).active:
         return RestoreOutcome(success=False)

@@ -29,7 +29,7 @@ from .core import (
     World,
     derived_rng,
 )
-from .distributed import MessageBus, default_hop_budget, handle_failure_dmove, init_recovery_nodes
+from .distributed import MessageBus, handle_failure_dmove, init_recovery_nodes
 # build_intersection_graph is not called here; perfbench/selftest.py reads it
 # on this module to check that tracing put the original back.
 from .graph import build_intersection_graph, find_barrier, world_graph  # noqa: F401
@@ -111,10 +111,6 @@ class ExperimentConfig:
     @property
     def comm_radius(self) -> float:
         return self.comm if self.comm is not None else 2 * self.rho
-
-    @property
-    def hop_budget(self) -> int:
-        return self.k_hop_budget if self.k_hop_budget is not None else default_hop_budget(self.n)
 
     def energy_model(self) -> EnergyModel:
         return EnergyModel(self.cost_per_unit, self.static_threshold)
@@ -226,7 +222,7 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int) -> TrialResult:
     """
     world = deploy_with_barrier(config, seed)
     fail_rng = derived_rng(seed, 1)
-    restore = start_scheme(scheme, world, derived_rng(seed, 2), k=config.hop_budget)
+    restore = start_scheme(scheme, world, derived_rng(seed, 2), k=config.k_hop_budget)
 
     total_failures = math.floor(config.failure_fraction_max * config.n)
     targets = [math.floor(p * config.n) for p in config.report_points]

@@ -115,7 +115,7 @@ def dense_build_assignment(world: World, failed: Iterable[int]) -> DenseProblem:
     ).reshape(len(left), len(right))
     cap = np.array([displacement_capacity(s, world.energy_model) for s in sensors])
     comm = np.array([s.comm_radius for s in sensors])
-    mobile = np.array([s.mobile for s in sensors], dtype=bool)
+    mobile = np.array([not s.static for s in sensors], dtype=bool)
     feasible = (cost == 0.0) | (
         mobile[:, None] & (cost <= cap[:, None]) & (cost <= comm[:, None])
     )

@@ -154,6 +154,14 @@ class TestRun:
         ])
         assert code == 4
 
+    def test_rmove_multi_failure_rejected(self, t1_file, capsys):
+        code = main([
+            "run", "--deployment", str(t1_file), "--scheme", "rmove",
+            "--fail", "2,3",
+        ])
+        assert code == 4
+        assert capsys.readouterr().err == "error: rmove handles failures one at a time\n"
+
     def test_no_initial_barrier_exit_code(self, disconnected_file):
         code = main([
             "run", "--deployment", str(disconnected_file), "--scheme", "cmove",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 from copy import deepcopy
@@ -9,7 +10,7 @@ import pytest
 
 from barrier_restore import distributed
 from barrier_restore.central import MECH_ALTERNATE, MECH_SHIFTING
-from barrier_restore.core import Point, derived_rng, displacement_capacity, seeded_rng
+from barrier_restore.core import MECH_NONE, Point, derived_rng, displacement_capacity, seeded_rng
 from barrier_restore.distributed import (
     MessageBus,
     handle_failure_dmove,
@@ -24,7 +25,7 @@ from barrier_restore.graph import (
     verify_barrier,
     world_graph,
 )
-from barrier_restore.harness import ExperimentConfig, deploy_with_barrier, trial_seed
+from barrier_restore.harness import ExperimentConfig, deploy_with_barrier, start_scheme, trial_seed
 from conftest import T1_COORDS, make_world, random_line_world
 from oracles import adjacency_oracle, has_edge, hop_distance, recovery_chain_oracle
 
@@ -50,7 +51,7 @@ class TestElection:
             assert states[sid].rec_node == rec
             assert states[sid].path_length == pytest.approx(plen)
         assert bus.round_no <= 2 * len(t1_world.sensors)
-        assert not bus.pending()
+        assert bus.drain_round() == []
 
     def test_spare_with_filler_is_chosen_directly(self, t1_world):
         states = init_recovery_nodes(t1_world)
@@ -144,6 +145,33 @@ class TestElection:
                 assert base[sid].path_length == pytest.approx(
                     shuffled[sid].path_length
                 )
+
+
+# sha256 of the message log below. It moves with any change to the
+# election's or the token's message order, payloads or round numbers.
+TRIAL_LOG_SHA256 = "90cd1e474aa8c8c5ce1d9b0c671537459243e3472ddeb3747fefe355873c9d75"
+
+
+def test_trial_message_log_bytes_are_pinned():
+    # One seeded dmove trial at N=60, failing sensors one by one until 30%
+    # have failed: the first election, every local re-election and the
+    # token hops, byte for byte.
+    config = ExperimentConfig(n=60, length=1500.0, trials=1)
+    seed = trial_seed(config, 0)
+    world = deploy_with_barrier(config, seed)
+    bus = MessageBus(keep_log=True)
+    restore = start_scheme("dmove", world, derived_rng(seed, 2), bus=bus)
+    fail_rng = derived_rng(seed, 1)
+    mechanisms = Counter()
+    for _ in range(math.floor(config.failure_fraction_max * config.n)):
+        alive = [s.id for s in world.active_sensors()]
+        victim = alive[int(fail_rng.integers(len(alive)))]
+        world.sensor(victim).failed = True
+        mechanisms[restore(victim).mechanism] += 1
+    text = bus.log_csv()
+    assert {row[3] for row in bus.log} == {"ReqNbRec", "RepNbRec", "SetRec", "Tok"}
+    assert set(mechanisms) == {MECH_ALTERNATE, MECH_SHIFTING, MECH_NONE}
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIAL_LOG_SHA256
 
 
 class TestMldfs:

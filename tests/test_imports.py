@@ -3,6 +3,11 @@ uses. A name imported only for another module to read stays exempt when
 its line carries ``# noqa: F401``; names listed in ``__all__`` count as
 used. This stands in for a linter's unused-import check with the standard
 library's ``ast`` alone.
+
+Nor does ``src/`` define a function, method or class that only tests
+could call: every name defined there is referenced somewhere in ``src/``
+(as a name, an attribute or an import) or listed in ``__all__``. Dunder
+methods are called by Python itself and are exempt.
 """
 from __future__ import annotations
 
@@ -12,7 +17,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py")])
+SOURCES = sorted(ROOT.glob("src/**/*.py"))
+MODULES = sorted([*SOURCES, *ROOT.glob("tests/*.py")])
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return names
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -29,12 +46,7 @@ def unused_imports(path: Path) -> list[str]:
                     continue
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = alias.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported(tree)
     return [f"line {line}: {name}"
             for name, line in sorted(imported.items(), key=lambda kv: kv[1])
             if name not in used]
@@ -56,3 +68,44 @@ def test_scan_flags_an_unused_import(tmp_path):
         "print(math.pi)\n"
     )
     assert unused_imports(module) == ["line 4: dumps"]
+
+
+def unreferenced_definitions(paths: list[Path]) -> list[str]:
+    """``file:line name`` of each function, method or class defined in
+    ``paths`` whose name no module among them references or exports."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        used |= exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno} {node.name}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+    return sorted(where for name, where in defined.items()
+                  if name not in used and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_src_defines_nothing_it_never_uses():
+    assert unreferenced_definitions(SOURCES) == []
+
+
+def test_scan_flags_an_unreferenced_definition(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "import os.path as osp\n"
+        "__all__ = ['Public']\n"
+        "class Public:\n"
+        "    def __len__(self): return 0\n"
+        "    def called(self): return osp\n"
+        "    @property\n"
+        "    def unused(self): return self.called()\n"
+        "def helper(): return 1\n"
+        "def orphan(): return helper()\n"
+    )
+    assert unreferenced_definitions([module]) == ["probe.py:7 unused", "probe.py:9 orphan"]

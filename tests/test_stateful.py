@@ -114,7 +114,8 @@ class FailureSequence(RuleBasedStateMachine):
             # A fresh election on this world reaches the same fixpoint
             # whatever the delivery order.
             if any(not world.sensor(sid).failed for sid in world.barrier):
-                shuffled = init_recovery_nodes(deepcopy(world), shuffle_rng=self.shuffle_rng)
+                shuffled = init_recovery_nodes(deepcopy(world),
+                                               bus=MessageBus(shuffle_rng=self.shuffle_rng))
                 assert _fixpoint(shuffled) == _fixpoint(init_recovery_nodes(deepcopy(world)))
 
 
