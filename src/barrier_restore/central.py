@@ -175,15 +175,21 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     return AssignmentProblem([s.id for s in sensors], right, FeasibleCells(shape, columns))
 
 
-def _try_alternate_path(world: World, failed: set[int]) -> Optional[list[int]]:
-    """Detour between the survivors flanking the failed span, spliced into
-    the old chain; None when the graph offers no such path."""
+def _try_alternate_path(world: World, failed: set[int]) -> Optional[RestoreOutcome]:
+    """The alternate-path step: splice a detour between the survivors
+    flanking the failed span into the chain and verify it; None, with the
+    world untouched, when the graph offers no such path."""
     barrier = world.barrier or []
     _, _, left, right = failed_span(barrier, failed)
     path = find_alternate_path(world_graph(world), left, right)
     if path is None:
         return None
-    return splice_barrier(barrier, failed, path)
+    world.barrier = splice_barrier(barrier, failed, path)
+    return RestoreOutcome(
+        success=verify_barrier(world),
+        mechanism=MECH_ALTERNATE,
+        new_barrier=world.barrier,
+    )
 
 
 def restore_nmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
@@ -191,12 +197,7 @@ def restore_nmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
     failed = set(failed) & set(world.barrier or [])
     if not failed:
         return RestoreOutcome(success=verify_barrier(world))
-    new_barrier = _try_alternate_path(world, failed)
-    if new_barrier is None:
-        return RestoreOutcome(success=False)
-    world.barrier = new_barrier
-    ok = verify_barrier(world)
-    return RestoreOutcome(success=ok, mechanism=MECH_ALTERNATE, new_barrier=new_barrier)
+    return _try_alternate_path(world, failed) or RestoreOutcome(success=False)
 
 
 def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
@@ -206,14 +207,9 @@ def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
     failed = set(failed) & set(world.barrier or [])
     if not failed:
         return RestoreOutcome(success=verify_barrier(world))
-
-    new_barrier = _try_alternate_path(world, failed)
-    if new_barrier is not None:
-        world.barrier = new_barrier
-        ok = verify_barrier(world)
-        return RestoreOutcome(
-            success=ok, mechanism=MECH_ALTERNATE, new_barrier=new_barrier
-        )
+    detour = _try_alternate_path(world, failed)
+    if detour is not None:
+        return detour
 
     problem = build_assignment(world, failed)
     assignment = hungarian(problem)
@@ -226,9 +222,8 @@ def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
         if world.sensor(sid).pos.distance_to(target) > 0.0:
             world.apply_move(sid, target)
     world.barrier = occupants
-    ok = verify_barrier(world)
     return RestoreOutcome(
-        success=ok,
+        success=verify_barrier(world),
         mechanism=MECH_SHIFTING,
         moves=world.move_log[start:],
         new_barrier=occupants,

@@ -169,6 +169,9 @@ def _sweep_config(args: argparse.Namespace, n: int) -> ExperimentConfig:
         base = json.loads(args.config.read_text())
         if not isinstance(base, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
+        for key in ("schemes", "report_points"):
+            if key in base and not isinstance(base[key], list):
+                raise ValueError(f"config {args.config}: {key} must be a JSON list")
         base.pop("n", None)
     overrides = {
         "schemes": tuple(args.schemes.split(",")) if args.schemes else None,
@@ -201,6 +204,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         n_values = [int(tok) for tok in args.n_list.split(",") if tok != ""]
     except ValueError:
         print(f"error: --n-list expects integers, got {args.n_list!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if not n_values:
+        print("error: --n-list lists no sizes", file=sys.stderr)
         return EXIT_USAGE
 
     if args.jobs < 1:

@@ -8,10 +8,12 @@ Each world has one graph, ``world_graph(world)``: built on first use (on
 the deploy path), kept in ``World.graph`` and updated in place by every
 later call for all four schemes. ``build_intersection_graph`` is an empty
 graph plus one ``update``, so ``IntersectionGraph.near`` is the only
-adjacency test. ``tests/oracles.py::adjacency_oracle`` is the pairwise
-definition it is checked against, in ``tests/test_graph.py::
-TestInPlaceUpdate``, ``tests/test_distributed.py::TestIncrementalElection``
-and after every episode of every scheme in ``tests/test_stateful.py``.
+adjacency test. A barrier is a path of this graph from PL to PR: the
+searches find one, and ``verify_barrier`` checks the designated chain as
+one. ``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
+pairwise definitions they are checked against, in ``tests/test_graph.py``,
+``tests/test_distributed.py::TestIncrementalElection`` and after every
+episode of every scheme in ``tests/test_stateful.py``.
 """
 from __future__ import annotations
 
@@ -329,24 +331,14 @@ def shift_cascade(
 
 def verify_barrier(world: World) -> bool:
     """True iff the world's designated chain is a live left-to-right barrier
-    at the sensors' current positions."""
+    at the sensors' current positions: PL, the chain and PR, in that order,
+    form a simple path of ``world_graph(world)``. A failed or unknown id is
+    not a vertex of that graph, so a chain holding one fails."""
     chain = world.barrier
     if not chain:
         return False
-    if len(set(chain)) != len(chain):
+    path = [PL, *chain, PR]
+    if len(set(path)) != len(path):
         return False
-    sensors = []
-    for sid in chain:
-        s = world.sensors.get(sid)
-        if s is None or not s.active:
-            return False
-        sensors.append(s)
-    first, last = sensors[0], sensors[-1]
-    if first.pos.x > first.sensing_radius:
-        return False
-    if last.pos.x < world.region.length - last.sensing_radius:
-        return False
-    for a, b in zip(sensors, sensors[1:]):
-        if a.pos.distance_to(b.pos) > a.sensing_radius + b.sensing_radius:
-            return False
-    return True
+    adjacency = world_graph(world).adjacency
+    return all(v in adjacency.get(u, ()) for u, v in zip(path, path[1:]))

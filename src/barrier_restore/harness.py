@@ -80,6 +80,8 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if not all(isinstance(p, Real) for p in self.report_points):
             raise ValueError("report_points must be numbers")
+        if not all(isinstance(name, str) for name in self.schemes):
+            raise ValueError("schemes must be strings")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.trials < 1:

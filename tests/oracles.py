@@ -1,9 +1,10 @@
 """Independent reference implementations the real code is tested against.
 
 These deliberately avoid the library's own algorithms: adjacency by the
-pairwise definition, assignment by exhaustive search and by a dense
-matrix build with an O(n^3) Hungarian solver, hop counts via networkx,
-recovery chains by direct recurrence over the chain arrays.
+pairwise definition, barriers as chains of such pairs, assignment by
+exhaustive search and by a dense matrix build with an O(n^3) Hungarian
+solver, hop counts via networkx, recovery chains by direct recurrence over
+the chain arrays.
 """
 from __future__ import annotations
 
@@ -45,6 +46,22 @@ def adjacency_oracle(sensors: list[Sensor], region: Region) -> dict[int, list[in
     want[PL].sort()
     want[PR].sort()
     return want
+
+
+def barrier_oracle(world: World) -> bool:
+    """True iff the world's designated chain is a live left-to-right
+    barrier, by the pairwise definition: distinct live sensors, the first
+    disc reaches the left boundary, the last the right one, and each disc
+    meets the next (edges from ``adjacency_oracle``)."""
+    chain = world.barrier
+    if not chain or len(set(chain)) != len(chain):
+        return False
+    live = world.active_sensors()
+    if not set(chain) <= {s.id for s in live}:
+        return False
+    adjacency = adjacency_oracle(live, world.region)
+    path = [PL, *chain, PR]
+    return all(v in adjacency[u] for u, v in zip(path, path[1:]))
 
 
 def brute_force_assignment(cost, feasible):

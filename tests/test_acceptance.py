@@ -23,7 +23,7 @@ from barrier_restore.central import (
 from barrier_restore.cli import main
 from barrier_restore.core import seeded_rng
 from barrier_restore.distributed import MessageBus, init_recovery_nodes, mldfs
-from barrier_restore.graph import build_intersection_graph, verify_barrier
+from barrier_restore.graph import build_intersection_graph
 from barrier_restore.harness import (
     ExperimentConfig,
     rows_to_csv,
@@ -34,6 +34,7 @@ from barrier_restore.harness import (
 )
 from conftest import random_line_world
 from oracles import (
+    barrier_oracle,
     brute_force_assignment,
     dense_build_assignment,
     has_edge,
@@ -125,7 +126,7 @@ def test_criterion_3_fuzz_validity_and_energy():
                 world.sensor(victim).failed = True
                 out = restore(victim)
                 episodes += 1
-                if out.success and not verify_barrier(world):
+                if out.success != barrier_oracle(world):
                     violations += 1
                 if any(s.energy < 0 for s in world.sensors.values()):
                     violations += 1

@@ -16,9 +16,10 @@ from barrier_restore.graph import (
     shift_cascade,
     splice_barrier,
     verify_barrier,
+    world_graph,
 )
 from conftest import make_world, random_line_world
-from oracles import adjacency_oracle, has_edge, hop_distance
+from oracles import adjacency_oracle, barrier_oracle, has_edge, hop_distance
 
 
 class TestBuildGraph:
@@ -260,31 +261,68 @@ class TestSplice:
 
 
 class TestVerifyBarrier:
+    """Each case also asks ``barrier_oracle``, the pairwise definition."""
+
+    def check(self, world, want):
+        assert verify_barrier(world) is want
+        assert barrier_oracle(world) is want
+
     def test_t1_valid(self, t1_world):
-        assert verify_barrier(t1_world)
+        self.check(t1_world, True)
 
     def test_failed_member_invalidates(self, t1_world):
         t1_world.sensor(2).failed = True
-        assert not verify_barrier(t1_world)
+        self.check(t1_world, False)
 
     def test_repaired_by_replacement_position(self, t1_world):
         t1_world.sensor(2).failed = True
         t1_world.apply_move(5, Point(5, 0))
         t1_world.barrier = [0, 1, 5, 3, 4]
-        assert verify_barrier(t1_world)
+        self.check(t1_world, True)
 
     def test_gap_too_wide_invalidates(self, t1_world):
         t1_world.apply_move(2, Point(5, 3))  # pulls 2 out of reach of 1 and 3
-        assert not verify_barrier(t1_world)
+        self.check(t1_world, False)
 
     def test_no_barrier_designation(self, t1_world):
         t1_world.barrier = None
-        assert not verify_barrier(t1_world)
+        self.check(t1_world, False)
+        t1_world.barrier = []
+        self.check(t1_world, False)
 
     def test_duplicate_ids_invalid(self, t1_world):
-        t1_world.barrier = [0, 1, 2, 1, 4]
-        assert not verify_barrier(t1_world)
+        for chain in ([0, 1, 2, 1, 4], [0, 1, 2, 3, 4, 4], [0, 0, 1, 2, 3, 4]):
+            t1_world.barrier = chain
+            self.check(t1_world, False)
+
+    @pytest.mark.parametrize("chain", [
+        [PL, 0, 1, 2, 3, 4],
+        [0, 1, 2, 3, 4, PR],
+        [0, 1, PR, PL, 3, 4],
+        [PL, PR],
+    ], ids=["leading-PL", "trailing-PR", "inner", "sentinels-only"])
+    def test_sentinel_in_chain_invalid(self, t1_world, chain):
+        # Each sentinel is already an end of the path PL, chain, PR.
+        t1_world.barrier = chain
+        self.check(t1_world, False)
+
+    def test_unknown_id_invalid(self, t1_world):
+        t1_world.barrier = [0, 1, 99, 3, 4]
+        self.check(t1_world, False)
 
     def test_endpoint_contact_required(self, t1_world):
         t1_world.barrier = [1, 2, 3, 4]  # misses the left boundary
-        assert not verify_barrier(t1_world)
+        self.check(t1_world, False)
+        t1_world.barrier = [0, 1, 2, 3]  # misses the right boundary
+        self.check(t1_world, False)
+
+    def test_discs_meeting_by_hypot_but_not_by_squares(self):
+        # hypot(dx, dy) rounds to exactly 60 = 30 + 30 here, while
+        # dx*dx + dy*dy exceeds 3600 in the last bit. The graph's one
+        # adjacency test compares squares, so there is no 0-1 edge and no
+        # barrier, and the chain [0, 1] must not verify either.
+        w = make_world([(0, 0), (56.402957285967176, 20.4623168140209)],
+                       rho=30.0, length=80.0, width=60.0, with_barrier=False)
+        w.barrier = [0, 1]
+        assert find_barrier(world_graph(w)) is None
+        self.check(w, False)

@@ -8,10 +8,15 @@ Nor does ``src/`` define a function, method or class that only tests
 could call: every name defined there is referenced somewhere in ``src/``
 (as a name, an attribute or an import) or listed in ``__all__``. Dunder
 methods are called by Python itself and are exempt.
+
+And ``src/`` imports only the standard library, numpy (its one runtime
+dependency in ``pyproject.toml``) and itself, at any depth of the module;
+scipy, networkx and hypothesis are for the tests.
 """
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +114,43 @@ def test_scan_flags_an_unreferenced_definition(tmp_path):
         "def orphan(): return helper()\n"
     )
     assert unreferenced_definitions([module]) == ["probe.py:7 unused", "probe.py:9 orphan"]
+
+
+RUNTIME_PACKAGES = {"numpy"}
+
+
+def foreign_imports(path: Path) -> list[str]:
+    """``line: module`` of each import in ``path``, at any depth, that is
+    neither relative, in the standard library nor a runtime package."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [f"line {node.lineno}: {name}" for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | RUNTIME_PACKAGES]
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_imports_only_stdlib_numpy_and_itself(path):
+    assert foreign_imports(path) == []
+
+
+def test_scan_flags_a_foreign_import(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import json, numpy.linalg\n"
+        "from . import core\n"
+        "from .graph import PL\n"
+        "from collections.abc import Mapping\n"
+        "import networkx as nx\n"
+        "def solve():\n"
+        "    from scipy.optimize import linear_sum_assignment\n"
+        "    return linear_sum_assignment\n"
+    )
+    assert foreign_imports(module) == ["line 6: networkx", "line 8: scipy.optimize"]
