@@ -31,7 +31,7 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
         if idx < 0 or idx >= len(chain):
             return False
         s = world.sensor(chain[idx])
-        return s.active and displacement_capacity(
+        return not s.failed and displacement_capacity(
             s, world.energy_model
         ) >= s.pos.distance_to(hole)
 

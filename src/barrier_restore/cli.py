@@ -45,12 +45,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a deployment JSON")
     gen.add_argument("--n", type=int, required=True, help="number of sensors")
-    gen.add_argument("--length", type=float, default=4000.0, help="belt length (default 4000)")
-    gen.add_argument("--width", type=float, default=60.0, help="belt width (default 60)")
-    gen.add_argument("--rho", type=float, default=30.0, help="sensing radius (default 30)")
+    gen.add_argument("--length", type=float, default=ExperimentConfig.length,
+                     help="belt length (default %(default)s)")
+    gen.add_argument("--width", type=float, default=ExperimentConfig.width,
+                     help="belt width (default %(default)s)")
+    gen.add_argument("--rho", type=float, default=ExperimentConfig.rho,
+                     help="sensing radius (default %(default)s)")
     gen.add_argument("--comm", type=float, default=None, help="communication radius (default 2*rho)")
-    gen.add_argument("--sigma", type=float, default=6.0, help="placement error stddev (default 6)")
-    gen.add_argument("--energy", type=float, default=100.0, help="initial energy (default 100)")
+    gen.add_argument("--sigma", type=float, default=ExperimentConfig.sigma,
+                     help="placement error stddev (default %(default)s)")
+    gen.add_argument("--energy", type=float, default=ExperimentConfig.initial_energy,
+                     help="initial energy (default %(default)s)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
 
@@ -60,8 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fail", required=True, help="failed sensor id(s), comma separated")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--k", type=int, default=None, help="hop budget for detour search")
-    run.add_argument("--cost-per-unit", type=float, default=1.0)
-    run.add_argument("--static-threshold", type=float, default=10.0)
+    run.add_argument("--cost-per-unit", type=float, default=EnergyModel.cost_per_unit_displacement,
+                     help="energy per unit of displacement (default %(default)s)")
+    run.add_argument("--static-threshold", type=float, default=EnergyModel.static_threshold,
+                     help="energy below which a sensor stops moving (default %(default)s)")
     run.add_argument("--trace", action="store_true", help="print protocol trace to stderr")
 
     sweep = sub.add_parser("sweep", help="experiment grid, CSV output")
@@ -83,17 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
-        config = ExperimentConfig(
-            n=args.n,
-            length=args.length,
-            width=args.width,
-            rho=args.rho,
-            comm=args.comm,
-            sigma=args.sigma,
-            initial_energy=args.energy,
-            seed=args.seed,
-            trials=1,
-        )
+        config = ExperimentConfig(n=args.n, length=args.length, width=args.width, rho=args.rho,
+                                  comm=args.comm, sigma=args.sigma, initial_energy=args.energy)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -149,7 +147,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     for sid in failed_ids:
-        world.sensor(sid).failed = True
+        world.fail(sid)
     # One centralized step covers every failed chain member; the local
     # schemes were limited to a single id above.
     outcome = restore(failed_ids[0])

@@ -48,10 +48,6 @@ class Sensor:
     failed: bool = False
     static: bool = False
 
-    @property
-    def active(self) -> bool:
-        return not self.failed
-
 
 @dataclass(frozen=True)
 class Region:
@@ -135,8 +131,9 @@ class RestoreOutcome:
 class World:
     """A deployment plus its currently designated barrier.
 
-    Position and energy are mutated only through :meth:`apply_move`, which
-    appends to ``move_log`` so total displacement is auditable.
+    It changes only through :meth:`apply_move`, which appends to
+    ``move_log`` so total displacement is auditable, and :meth:`fail`; both
+    keep ``graph``, once built, the intersection graph of the live sensors.
     """
 
     def __init__(
@@ -157,13 +154,22 @@ class World:
         self.energy_model = energy_model or EnergyModel()
         self.barrier = barrier
         self.move_log: list[Move] = []
-        self.graph: Optional[IntersectionGraph] = None  # see graph.world_graph
+        self.graph: Optional[IntersectionGraph] = None  # built by graph.world_graph
 
     def sensor(self, sensor_id: int) -> Sensor:
         return self.sensors[sensor_id]
 
     def active_sensors(self) -> list[Sensor]:
-        return [s for s in self.sensors.values() if s.active]
+        return [s for s in self.sensors.values() if not s.failed]
+
+    def fail(self, sensor_id: int) -> None:
+        """Mark a sensor failed and drop its vertex from the graph; a failed
+        sensor is left as it is."""
+        s = self.sensors[sensor_id]
+        if not s.failed:
+            s.failed = True
+            if self.graph is not None:
+                self.graph.remove(sensor_id)
 
     def apply_move(self, sensor_id: int, dest: Point) -> None:
         """Relocate one sensor, paying energy per unit distance.
@@ -185,6 +191,9 @@ class World:
             )
         self.move_log.append(Move(sensor_id, s.pos, dest))
         s.pos = dest
+        if self.graph is not None:
+            self.graph.remove(sensor_id)
+            self.graph.insert(s, self.sensors)
         s.energy -= d * self.energy_model.cost_per_unit_displacement
         if s.energy < self.energy_model.static_threshold:
             s.static = True

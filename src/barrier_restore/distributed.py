@@ -181,10 +181,9 @@ class Election(Mapping[int, NodeState]):
     last election, so that a re-election (``init_recovery_nodes`` with
     ``election=``) re-runs the protocol only on the chain nodes whose answer
     can have changed: those whose position, capacity, chain links or
-    fillers (read from ``world.graph``, which ``prepare`` brings up to date)
-    changed, and those whose requests would reach one of them. One rule,
-    ``_answer``, says where a request stops, for the protocol and for
-    ``prepare``'s walk alike.
+    fillers (read from ``world.graph``) changed, and those whose requests
+    would reach one of them. One rule, ``_answer``, says where a request
+    stops, for the protocol and for ``prepare``'s walk alike.
     """
 
     def __init__(self, world: World):
@@ -228,9 +227,9 @@ class Election(Mapping[int, NodeState]):
         return hop, None if filler is None else filler[0] + hop
 
     def prepare(self) -> list[int]:
-        """Bring the world's graph and the states up to the world and
-        return, in chain order, the live chain nodes to elect, their old
-        answers and registrations cleared."""
+        """Bring the states up to the world and return, in chain order,
+        the live chain nodes to elect, their old answers and registrations
+        cleared."""
         world, states = self.world, self.states
         sensors = world.sensors
         graph = world_graph(world)
@@ -412,7 +411,10 @@ def init_recovery_nodes(
     if bus is None:
         bus = MessageBus()
     election.start(election.prepare(), bus)
-    limit = 2 * len(world.sensors) + 8
+    # A request moves one chain link away from its asker per round and is
+    # answered by the boundary at the latest; its reply retraces that path,
+    # and SetRec takes one more round: 2 * len(chain) + 1 rounds at most.
+    limit = 2 * len(world.barrier) + 3
     rounds = 0
     while batch := bus.drain_round():
         for env in batch:
@@ -542,7 +544,7 @@ def handle_failure_dmove(
     """
     if k is None:
         k = max(2, len(world.sensors) // 20)
-    world.sensor(failed_id).failed = True
+    world.fail(failed_id)
     barrier = list(world.barrier or [])
     failed_state = election.get(failed_id)
 
@@ -552,7 +554,7 @@ def handle_failure_dmove(
         return RestoreOutcome(success=verify_barrier(world))
 
     rec = failed_state.rec_node if failed_state is not None else None
-    if rec is None or not world.sensor(rec).active:
+    if rec is None or world.sensor(rec).failed:
         return RestoreOutcome(success=False)
 
     replacement = _search_detour(world_graph(world), failed_state, rec, k, bus)

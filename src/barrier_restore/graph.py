@@ -5,12 +5,13 @@ filler rule (``closest_filler``) that rmove and dmove share.
 
 Adjacency uses the closed convention: tangent discs count as intersecting.
 Each world has one graph, ``world_graph(world)``: built on first use (on
-the deploy path), kept in ``World.graph`` and updated in place by every
-later call for all four schemes. ``build_intersection_graph`` is an empty
-graph plus one ``update``, so ``IntersectionGraph.near`` is the only
-adjacency test. A barrier is a path of this graph from PL to PR: the
-searches find one, and ``verify_barrier`` checks the designated chain as
-one. ``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
+the deploy path), kept in ``World.graph`` and kept current by the only two
+ways a world changes, ``World.apply_move`` and ``World.fail``, through
+``IntersectionGraph.insert`` and ``remove``. ``insert`` also builds the
+graph, so ``IntersectionGraph.near`` is the only adjacency test. A barrier
+is a path of this graph from PL to PR: the searches find one, and
+``verify_barrier`` checks the designated chain as one.
+``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
 pairwise definitions they are checked against, in ``tests/test_graph.py``,
 ``tests/test_distributed.py::TestIncrementalElection`` and after every
 episode of every scheme in ``tests/test_stateful.py``.
@@ -48,8 +49,8 @@ class IntersectionGraph:
     """Symmetric adjacency over live sensors plus the PL/PR sentinels.
 
     Neighbor lists are sorted ascending (sentinels first) so every search
-    is deterministic run to run. A new graph is empty; ``update`` adds the
-    sensors.
+    is deterministic run to run. A new graph is empty; ``insert`` adds a
+    sensor and ``remove`` takes one out.
     """
 
     def __init__(self, region: Region):
@@ -77,22 +78,6 @@ class IntersectionGraph:
             return self.region.length - p.x
         return p.distance_to(self.positions[target])
 
-    def update(self, sensors: Mapping[int, Sensor]) -> None:
-        """Delete failed vertices, insert live sensors the graph lacks and
-        recompute the row of any that moved. An edge to a stale vertex is
-        redone when that vertex's turn comes, so the order does not matter."""
-        positions = self.positions
-        for sensor in sensors.values():
-            pos = positions.get(sensor.id)
-            if sensor.failed:
-                if pos is not None:
-                    self._remove(sensor.id)
-            elif pos is None:
-                self._insert(sensor, sensors)
-            elif sensor.pos is not pos and sensor.pos != pos:
-                self._remove(sensor.id)
-                self._insert(sensor, sensors)
-
     def near(self, pos: Point, radius: float, sensors: Mapping[int, Sensor]) -> list[int]:
         """Sensor vertices, ascending, whose discs meet a disc of ``radius``
         at ``pos`` (tangent discs meet). This is the graph's one adjacency
@@ -114,13 +99,14 @@ class IntersectionGraph:
         out.sort()
         return out
 
-    def _remove(self, vertex: int) -> None:
+    def remove(self, vertex: int) -> None:
         for u in self.adjacency.pop(vertex):
             self.adjacency[u].remove(vertex)
         pos = self.positions.pop(vertex)
         del self._by_x[bisect_left(self._by_x, (pos.x, vertex))]
 
-    def _insert(self, sensor: Sensor, sensors: Mapping[int, Sensor]) -> None:
+    def insert(self, sensor: Sensor, sensors: Mapping[int, Sensor]) -> None:
+        """Add a sensor's vertex; ``sensors`` maps each vertex id to its sensor."""
         # Ascending with the sentinels first (PR = -2 < PL = -1).
         row = []
         if sensor.pos.x >= self.region.length - sensor.sensing_radius:
@@ -142,18 +128,18 @@ def build_intersection_graph(
     """Edges join live sensors whose sensing discs intersect; a sensor whose
     disc reaches the left (right) boundary is joined to PL (PR)."""
     graph = IntersectionGraph(region)
-    graph.update({s.id: s for s in sensors})
+    live = {s.id: s for s in sensors if not s.failed}
+    for sensor in live.values():
+        graph.insert(sensor, live)
     return graph
 
 
 def world_graph(world: World) -> IntersectionGraph:
-    """The world's one intersection graph over its live sensors: built on
-    first use and kept in ``world.graph``, then brought up to date in place
-    by every later call."""
+    """The world's one intersection graph over its live sensors, built on
+    first use and kept in ``world.graph``. ``World.apply_move`` and
+    ``World.fail`` keep it current from then on."""
     if world.graph is None:
         world.graph = build_intersection_graph(world.active_sensors(), world.region)
-    else:
-        world.graph.update(world.sensors)
     return world.graph
 
 
@@ -305,7 +291,7 @@ def shift_cascade(
         if mover is None or mover in moved:
             break
         sensor = world.sensors[mover]
-        if not sensor.active or displacement_capacity(
+        if sensor.failed or displacement_capacity(
             sensor, world.energy_model
         ) < sensor.pos.distance_to(hole):
             break

@@ -59,8 +59,8 @@ class ExperimentConfig:
     comm: Optional[float] = None          # defaults to 2*rho
     sigma: float = 6.0
     initial_energy: float = 100.0
-    cost_per_unit: float = 1.0
-    static_threshold: float = 10.0
+    cost_per_unit: float = EnergyModel.cost_per_unit_displacement
+    static_threshold: float = EnergyModel.static_threshold
     k_hop_budget: Optional[int] = None    # defaults to max(2, n//20)
     failure_fraction_max: float = 0.30
     report_points: tuple[float, ...] = DEFAULT_REPORT_POINTS
@@ -78,10 +78,10 @@ class ExperimentConfig:
             if kind and not isinstance(value, kind) and not optional:
                 what = "an integer" if kind is Integral else "a number"
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
-        if not all(isinstance(p, Real) for p in self.report_points):
-            raise ValueError("report_points must be numbers")
-        if not all(isinstance(name, str) for name in self.schemes):
-            raise ValueError("schemes must be strings")
+        if not self.report_points or not all(isinstance(p, Real) for p in self.report_points):
+            raise ValueError("report_points must be one or more numbers")
+        if not self.schemes or not all(isinstance(name, str) for name in self.schemes):
+            raise ValueError("schemes must be one or more strings")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.trials < 1:
@@ -202,7 +202,7 @@ def compute_metrics(
     else:
         rate, avg_disp = 100.0, 0.0
     threshold = 0.9 * config.initial_energy
-    high = sum(1 for s in world.sensors.values() if s.active and s.energy > threshold)
+    high = sum(1 for s in world.sensors.values() if not s.failed and s.energy > threshold)
     return MetricsRow(
         scheme=scheme,
         n=config.n,
@@ -249,7 +249,7 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int) -> TrialResult:
         active_ids = [s.id for s in world.active_sensors()]
         failed_id = active_ids[int(fail_rng.integers(0, len(active_ids)))]
         on_chain = failed_id in (world.barrier or [])
-        world.sensor(failed_id).failed = True
+        world.fail(failed_id)
         outcome = restore(failed_id)
         failures += 1
         recoveries += int(outcome.success)

@@ -91,7 +91,7 @@ def test_criterion_2_cmove_optimality_small_worlds():
             continue
         pick = np.random.default_rng(seed)
         victim = world.barrier[int(pick.integers(0, len(world.barrier)))]
-        world.sensor(victim).failed = True
+        world.fail(victim)
         problem = dense_build_assignment(world, {victim})
         want = brute_force_assignment(problem.cost, problem.feasible)
         out = restore_cmove(world, {victim})
@@ -123,7 +123,7 @@ def test_criterion_3_fuzz_validity_and_energy():
             for _ in range(kills):
                 alive = [s.id for s in world.active_sensors()]
                 victim = int(alive[rng.integers(0, len(alive))])
-                world.sensor(victim).failed = True
+                world.fail(victim)
                 out = restore(victim)
                 episodes += 1
                 if out.success != barrier_oracle(world):

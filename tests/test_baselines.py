@@ -11,7 +11,7 @@ from conftest import make_world, random_line_world
 
 def test_nonbarrier_neighbor_fills_directly(t1_world):
     w = t1_world
-    w.sensor(2).failed = True
+    w.fail(2)
     out = restore_rmove(w, 2, seeded_rng(1))
     assert out.success
     assert out.moves == [(5, Point(5, 2), Point(5, 0))]
@@ -26,7 +26,7 @@ def test_random_direction_both_outcomes_reachable(t1_world):
     results = set()
     for seed in range(12):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (5, 2)])
-        w.sensor(1).failed = True
+        w.fail(1)
         out = restore_rmove(w, 1, seeded_rng(seed))
         if out.success:
             assert [m[0] for m in out.moves] == [2, 5]
@@ -44,7 +44,7 @@ def test_fixed_seed_is_deterministic(t1_world):
     outs = []
     for _ in range(2):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (5, 2)])
-        w.sensor(1).failed = True
+        w.fail(1)
         outs.append(restore_rmove(w, 1, seeded_rng(3)))
     assert outs[0].moves == outs[1].moves
     assert outs[0].success == outs[1].success
@@ -57,7 +57,7 @@ def test_single_eligible_side_needs_no_coin():
     for seed in (0, 1):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (5, 2)])
         w.sensor(0).energy = 1.0
-        w.sensor(1).failed = True
+        w.fail(1)
         outs.append(restore_rmove(w, 1, seeded_rng(seed)))
     assert outs[0].moves == outs[1].moves
     assert outs[0].success and outs[1].success
@@ -67,7 +67,7 @@ def test_neither_side_eligible_fails_without_moves(t1_world):
     w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
     w.sensor(0).energy = 1.0
     w.sensor(2).energy = 1.0
-    w.sensor(1).failed = True
+    w.fail(1)
     out = restore_rmove(w, 1, seeded_rng(0))
     assert not out.success
     assert out.moves == []
@@ -76,7 +76,7 @@ def test_neither_side_eligible_fails_without_moves(t1_world):
 def test_never_uses_alternate_path(detour_world):
     # A detour exists, but the random scheme must move sensors anyway.
     w = detour_world
-    w.sensor(1).failed = True
+    w.fail(1)
     out = restore_rmove(w, 1, seeded_rng(0))
     assert out.mechanism != MECH_ALTERNATE
     assert out.moves  # a spare is adjacent, so one move happens
@@ -96,7 +96,7 @@ def test_success_respects_energy_and_validity():
             s.id: displacement_capacity(s, w.energy_model)
             for s in w.active_sensors()
         }
-        w.sensor(victim).failed = True
+        w.fail(victim)
         out = restore_rmove(w, victim, seeded_rng(seed))
         for sid, src, dest in out.moves:
             assert src.distance_to(dest) <= caps[sid] + 1e-12

@@ -173,7 +173,7 @@ def test_hungarian_matches_brute_force_on_integer_costs(data):
 class TestBuildAssignment:
     def test_t1_failure_of_middle(self, t1_world):
         w = t1_world
-        w.sensor(2).failed = True
+        w.fail(2)
         p = build_assignment(w, {2})
         assert p.left == [0, 1, 3, 4, 5]
         assert len(p.right) == 5
@@ -183,7 +183,7 @@ class TestBuildAssignment:
 
     def test_comm_radius_limits_edges(self, t1_world):
         w = t1_world
-        w.sensor(2).failed = True
+        w.fail(2)
         p = build_assignment(w, {2})
         i = p.left.index(0)  # distance 4 to the vacancy, comm radius is 2
         assert i not in cells(p, 2)
@@ -191,7 +191,7 @@ class TestBuildAssignment:
     def test_drained_sensor_keeps_self_edge_only(self, t1_world):
         w = t1_world
         w.sensor(1).energy = 0.0
-        w.sensor(2).failed = True
+        w.fail(2)
         p = build_assignment(w, {2})
         i = p.left.index(1)
         assert i in cells(p, 1)  # zero-cost edge to its own slot
@@ -201,7 +201,7 @@ class TestBuildAssignment:
     def test_static_sensor_keeps_self_edge(self, t1_world):
         w = t1_world
         w.sensor(1).static = True
-        w.sensor(2).failed = True
+        w.fail(2)
         p = build_assignment(w, {2})
         i = p.left.index(1)
         assert i in cells(p, 1)
@@ -324,7 +324,7 @@ def test_assignment_dimensions_with_spares():
     spares = [(3, 1.5), (7, 1.5), (9, 1.5), (13, 1.5)]
     w = make_world(chain + spares, length=16.0)
     assert w.barrier == list(range(8))
-    w.sensor(3).failed = True
+    w.fail(3)
     p = build_assignment(w, {3})
     assert len(p.left) == 11
     assert len(p.right) == 8
@@ -333,7 +333,7 @@ def test_assignment_dimensions_with_spares():
 class TestRestoreCmove:
     def test_t1_middle_failure_single_move(self, t1_world):
         w = t1_world
-        w.sensor(2).failed = True
+        w.fail(2)
         out = restore_cmove(w, {2})
         assert out.success and out.mechanism == MECH_SHIFTING
         assert out.moves == [(5, Point(5, 2), Point(5, 0))]
@@ -343,7 +343,7 @@ class TestRestoreCmove:
 
     def test_t1_offcenter_failure_two_moves(self, t1_world):
         w = t1_world
-        w.sensor(1).failed = True
+        w.fail(1)
         out = restore_cmove(w, {1})
         assert out.success and out.mechanism == MECH_SHIFTING
         assert sorted(m[0] for m in out.moves) == [2, 5]
@@ -351,7 +351,7 @@ class TestRestoreCmove:
 
     def test_detour_preferred_over_free_shift(self, detour_world):
         w = detour_world
-        w.sensor(1).failed = True
+        w.fail(1)
         out = restore_cmove(w, {1})
         assert out.success and out.mechanism == MECH_ALTERNATE
         assert out.total_displacement == 0.0
@@ -360,8 +360,8 @@ class TestRestoreCmove:
 
     def test_multi_failure_joint_assignment(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (5, 2), (3, 2)])
-        w.sensor(1).failed = True
-        w.sensor(2).failed = True
+        w.fail(1)
+        w.fail(2)
         out = restore_cmove(w, {1, 2})
         assert out.success and out.mechanism == MECH_SHIFTING
         assert out.total_displacement == pytest.approx(4.0)
@@ -371,7 +371,7 @@ class TestRestoreCmove:
     def test_unrecoverable_leaves_world_unchanged(self, t1_world):
         w = t1_world
         for sid in (1, 2, 5):
-            w.sensor(sid).failed = True
+            w.fail(sid)
         positions = {s.id: s.pos for s in w.active_sensors()}
         out = restore_cmove(w, {1, 2})
         assert not out.success
@@ -392,7 +392,7 @@ class TestRestoreCmove:
                 (w.sensor(b).pos.x, w.sensor(b).pos.y) for b in w.barrier
             )
             victim = w.barrier[len(w.barrier) // 2]
-            w.sensor(victim).failed = True
+            w.fail(victim)
             out = restore_cmove(w, {victim})
             if out.success and out.mechanism == MECH_SHIFTING:
                 after = sorted(
@@ -405,14 +405,14 @@ class TestRestoreCmove:
 class TestRestoreNmove:
     def test_detour_success(self, detour_world):
         w = detour_world
-        w.sensor(1).failed = True
+        w.fail(1)
         out = restore_nmove(w, {1})
         assert out.success and out.mechanism == MECH_ALTERNATE
         assert out.total_displacement == 0.0 and out.moves == []
 
     def test_t1_failure_unrecoverable(self, t1_world):
         w = t1_world
-        w.sensor(2).failed = True
+        w.fail(2)
         out = restore_nmove(w, {2})
         assert not out.success
 
@@ -435,7 +435,7 @@ def test_cmove_matches_exhaustive_minimum_on_small_worlds():
             continue
         rng = np.random.default_rng(seed + 10_000)
         victim = w.barrier[int(rng.integers(0, len(w.barrier)))]
-        w.sensor(victim).failed = True
+        w.fail(victim)
         want = shifting_oracle(w, {victim})
         out = restore_cmove(w, {victim})
         if out.mechanism == MECH_SHIFTING and out.success:
@@ -471,7 +471,7 @@ def test_fuzzed_cmove_with_tight_energy_never_exceeds_capacity():
                 if rng.uniform() < 0.5:
                     d = s.pos.distance_to(target)
                     s.energy = d if rng.uniform() < 0.5 else math.nextafter(d, 0.0)
-            w.sensor(victim).failed = True
+            w.fail(victim)
             failed = [sid for sid in w.barrier if w.sensor(sid).failed]
             out = restore_cmove(w, failed)
             shifted += out.success and out.mechanism == MECH_SHIFTING

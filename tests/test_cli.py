@@ -109,13 +109,16 @@ class TestRunBadDeployment:
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"report_points": 0.1}'),
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"schemes": null}'),
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"schemes": ["x", 3]}'),
+    (["sweep", "--n-list", "40", "--config", "{config}"], '{"schemes": []}'),
+    (["sweep", "--n-list", "40", "--config", "{config}"], '{"report_points": []}'),
     (["sweep", "--n-list", "40", "--jobs", "0"], None),
     (["sweep", "--n-list", ","], None),
     (["run", "--deployment", "{t1}", "--scheme", "dmove", "--fail", "2", "--k", "-3"], None),
 ], ids=["generate-n-1", "generate-negative-rho", "sweep-missing-config",
         "sweep-config-list", "sweep-config-string-trials", "sweep-config-negative-k",
         "sweep-config-scalar-report-points", "sweep-config-null-schemes",
-        "sweep-config-non-string-scheme", "sweep-jobs-0", "sweep-n-list-empty",
+        "sweep-config-non-string-scheme", "sweep-config-empty-schemes",
+        "sweep-config-empty-report-points", "sweep-jobs-0", "sweep-n-list-empty",
         "run-negative-k"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, config):
     # Each of these used to end in a traceback and exit 1, or to run anyway.

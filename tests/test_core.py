@@ -83,7 +83,7 @@ class TestApplyMove:
 
     def test_failed_sensor_never_moves(self):
         w = one_sensor_world()
-        w.sensor(0).failed = True
+        w.fail(0)
         with pytest.raises(MoveExceedsCapacity):
             w.apply_move(0, Point(1, 0))
 

@@ -8,7 +8,7 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from barrier_restore import distributed
+from barrier_restore import distributed, harness
 from barrier_restore.central import MECH_ALTERNATE, MECH_SHIFTING
 from barrier_restore.core import MECH_NONE, Point, derived_rng, displacement_capacity, seeded_rng
 from barrier_restore.distributed import (
@@ -25,7 +25,13 @@ from barrier_restore.graph import (
     verify_barrier,
     world_graph,
 )
-from barrier_restore.harness import ExperimentConfig, deploy_with_barrier, start_scheme, trial_seed
+from barrier_restore.harness import (
+    ExperimentConfig,
+    deploy_with_barrier,
+    run_trial,
+    start_scheme,
+    trial_seed,
+)
 from conftest import T1_COORDS, make_world, random_line_world
 from oracles import adjacency_oracle, has_edge, hop_distance, recovery_chain_oracle
 
@@ -166,7 +172,7 @@ def test_trial_message_log_bytes_are_pinned():
     for _ in range(math.floor(config.failure_fraction_max * config.n)):
         alive = [s.id for s in world.active_sensors()]
         victim = alive[int(fail_rng.integers(len(alive)))]
-        world.sensor(victim).failed = True
+        world.fail(victim)
         mechanisms[restore(victim).mechanism] += 1
     text = bus.log_csv()
     assert {row[3] for row in bus.log} == {"ReqNbRec", "RepNbRec", "SetRec", "Tok"}
@@ -488,7 +494,7 @@ class TestIncrementalElection:
                 chain = list(world.barrier)
                 kind = int(rng.integers(6))
                 if kind == 0 and len(live) > 2:
-                    s.failed = True
+                    world.fail(s.id)
                 elif kind == 1:
                     # Toward a random sensor, as far as the energy allows.
                     t = live[int(rng.integers(len(live)))]
@@ -531,3 +537,54 @@ class TestIncrementalElection:
         assert out.success
         elect_msgs = [row for row in again.log if row[3] != "Tok"]
         assert 0 < len(elect_msgs) < len(first.log) // 5
+
+
+class TestElectionRounds:
+    """The drain rounds of every election against the limit
+    ``init_recovery_nodes`` sets: a request and its reply cross the chain
+    at most once each, and SetRec takes one more round."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        seen = []  # (drain rounds, chain length) of each election
+        original = distributed.init_recovery_nodes
+
+        def counting(world, bus=None, election=None):
+            bus = MessageBus() if bus is None else bus
+            first, chain = bus.round_no, len(world.barrier)
+            out = original(world, bus=bus, election=election)
+            seen.append((bus.round_no - first - 1, chain))  # the last drain is empty
+            return out
+
+        for module in (distributed, harness):
+            monkeypatch.setattr(module, "init_recovery_nodes", counting)
+        return seen, counting
+
+    def test_no_spare_takes_two_rounds_per_link(self, rounds):
+        # With no filler anywhere, node 0's request runs to node 4, which
+        # by then holds its boundary's answer, and the reply comes all the
+        # way back: 4 + 4 rounds. Nobody finds a recovery node, so no
+        # SetRec follows.
+        seen, counting = rounds
+        counting(make_world(T1_COORDS[:5]))
+        assert seen == [(8, 5)]
+
+    def test_seeded_trials_and_shuffled_bus_stay_within_the_limit(self, rounds):
+        seen, counting = rounds
+        for n, length in ((60, 1500.0), (100, 2500.0), (140, 4000.0), (160, 4000.0),
+                          (180, 4000.0)):
+            config = ExperimentConfig(n=n, length=length, trials=4)
+            for t in range(config.trials):
+                run_trial("dmove", config, trial_seed(config, t))
+        # TestIncrementalElection's shuffled-bus worlds.
+        for seed in range(60):
+            world = random_line_world(seed, n_min=8, n_max=20)
+            if not world.barrier:
+                continue
+            bus = MessageBus(shuffle_rng=seeded_rng(seed + 700))
+            election = counting(world, bus=bus)
+            victims = [int(v) for v in np.random.default_rng(seed).permutation(sorted(world.sensors))]
+            for victim in victims[: len(victims) * 2 // 3]:
+                handle_failure_dmove(world, election, victim, bus=bus)
+        assert len(seen) >= 700
+        assert all(r <= 2 * chain + 1 for r, chain in seen)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from barrier_restore.core import MECH_NONE, MECH_SHIFTING, Point, Region, Sensor
+from barrier_restore.core import MECH_NONE, MECH_SHIFTING, EnergyModel, Point, Region, Sensor, World
 from barrier_restore.graph import (
     PL,
     PR,
@@ -87,43 +87,39 @@ class TestBuildGraph:
 class TestInPlaceUpdate:
     def test_update_matches_fresh_build(self):
         # Random moves (some onto a tangent spot, some onto another sensor,
-        # some across a boundary), failures and new sensors, updated in place
-        # one batch at a time; the graph must equal the pairwise definition
-        # after each batch.
+        # some across a boundary) and failures, made through the world one
+        # batch at a time; the world's graph must equal the pairwise
+        # definition after each batch. Ample energy and a zero threshold let
+        # every move through.
         rng = np.random.default_rng(17)
         for trial in range(30):
             n = int(rng.integers(2, 40))
             ids = rng.permutation(3 * n)[:n].tolist()
             radii = rng.choice([0.5, 1.0, 1.5], size=n)
-            sensors = {
-                sid: Sensor(sid, Point(float(x), float(y)), float(r), 2 * r, 10.0, 10.0)
+            sensors = [
+                Sensor(sid, Point(float(x), float(y)), float(r), 2 * r, 1e9, 1e9)
                 for sid, (x, y), r in zip(ids, rng.uniform(0, 12, size=(n, 2)), radii)
-            }
-            region = Region(12.0, 12.0)
-            g = build_intersection_graph(list(sensors.values()), region)
+            ]
+            w = World(Region(12.0, 12.0), sensors, EnergyModel(1.0, 0.0))
+            world_graph(w)
             for _ in range(6):
-                live = [s for s in sensors.values() if not s.failed]
+                live = w.active_sensors()
                 for i in rng.choice(len(live), size=min(3, len(live)), replace=False):
                     s = live[int(i)]
                     kind = rng.integers(4)
                     if kind == 0:
-                        s.failed = True
+                        w.fail(s.id)
                     elif kind == 1:
                         other = live[int(rng.integers(len(live)))]
-                        s.pos = Point(other.pos.x + other.sensing_radius + s.sensing_radius,
-                                      other.pos.y)
+                        w.apply_move(s.id, Point(other.pos.x + other.sensing_radius
+                                                 + s.sensing_radius, other.pos.y))
                     elif kind == 2:
-                        s.pos = live[int(rng.integers(len(live)))].pos
+                        w.apply_move(s.id, live[int(rng.integers(len(live)))].pos)
                     else:
-                        s.pos = Point(*(float(v) for v in rng.uniform(-1, 13, size=2)))
-                if rng.integers(3) == 0:
-                    sid = max(sensors) + 1
-                    sensors[sid] = Sensor(sid, Point(*(float(v) for v in rng.uniform(0, 12, size=2))),
-                                          float(rng.choice(radii)), 2.0, 10.0, 10.0)
-                g.update(sensors)
-                live = [s for s in sensors.values() if not s.failed]
-                assert g.adjacency == adjacency_oracle(live, region)
-                assert g.positions == {s.id: s.pos for s in live}
+                        w.apply_move(s.id, Point(*(float(v) for v in rng.uniform(-1, 13, size=2))))
+                live = w.active_sensors()
+                assert w.graph.adjacency == adjacency_oracle(live, w.region)
+                assert w.graph.positions == {s.id: s.pos for s in live}
 
     def test_near_is_the_build_test(self):
         w = make_world([(1, 0), (3, 0), (5, 0)])
@@ -167,14 +163,14 @@ class TestFindBarrier:
 class TestAlternatePath:
     def test_detour_found(self, detour_world):
         w = detour_world
-        w.sensor(1).failed = True
+        w.fail(1)
         g = build_intersection_graph(w.active_sensors(), w.region)
         path = find_alternate_path(g, 0, 2)
         assert path == [0, 4, 5, 2]
 
     def test_no_detour_in_t1(self, t1_world):
         w = t1_world
-        w.sensor(2).failed = True
+        w.fail(2)
         g = build_intersection_graph(w.active_sensors(), w.region)
         assert find_alternate_path(g, 1, 3) is None
 
@@ -199,10 +195,10 @@ class TestShiftCascade:
     def test_give_up_keeps_the_barrier(self, t1_world, movers, edit, n_moves):
         w = t1_world
         if "failed" in edit:
-            w.sensor(edit["failed"]).failed = True
+            w.fail(edit["failed"])
         if "drained" in edit:
             w.sensor(edit["drained"]).energy = 1.0  # every hop here is 2
-        w.sensor(1).failed = True
+        w.fail(1)
         barrier, start = list(w.barrier), len(w.move_log)
         calls = []
         queue = iter(movers)
@@ -226,7 +222,7 @@ class TestShiftCascade:
 
     def test_off_chain_mover_ends_the_cascade(self, t1_world):
         w = t1_world
-        w.sensor(1).failed = True
+        w.fail(1)
         queue = iter([2, 5])
         out = shift_cascade(w, 1, lambda vacated, idx, hole: next(queue))
         assert out.success and out.mechanism == MECH_SHIFTING
@@ -271,11 +267,11 @@ class TestVerifyBarrier:
         self.check(t1_world, True)
 
     def test_failed_member_invalidates(self, t1_world):
-        t1_world.sensor(2).failed = True
+        t1_world.fail(2)
         self.check(t1_world, False)
 
     def test_repaired_by_replacement_position(self, t1_world):
-        t1_world.sensor(2).failed = True
+        t1_world.fail(2)
         t1_world.apply_move(5, Point(5, 0))
         t1_world.barrier = [0, 1, 5, 3, 4]
         self.check(t1_world, True)

@@ -12,6 +12,9 @@ methods are called by Python itself and are exempt.
 And ``src/`` imports only the standard library, numpy (its one runtime
 dependency in ``pyproject.toml``) and itself, at any depth of the module;
 scipy, networkx and hypothesis are for the tests.
+
+Last, only ``core.World`` writes a sensor's ``failed`` or ``pos``: its
+``fail`` and ``apply_move`` are what keep ``World.graph`` current.
 """
 from __future__ import annotations
 
@@ -154,3 +157,54 @@ def test_scan_flags_a_foreign_import(tmp_path):
         "    return linear_sum_assignment\n"
     )
     assert foreign_imports(module) == ["line 6: networkx", "line 8: scipy.optimize"]
+
+
+WORLD_STATE = {"failed", "pos"}
+
+
+def state_writes(path: Path) -> list[str]:
+    """``line: .name`` of each write to a ``failed`` or ``pos`` attribute in
+    ``path`` outside the body of a class named ``World``: assignments of
+    every form, ``del`` and ``setattr`` with a literal name."""
+    tree = ast.parse(path.read_text())
+    inside_world = {
+        id(node) for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "World"
+        for node in ast.walk(cls)
+    }
+    writes = []
+    for node in ast.walk(tree):
+        if id(node) in inside_world:
+            continue
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            name = node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            name = node.args[1].value
+        else:
+            continue
+        if name in WORLD_STATE:
+            writes.append((node.lineno, name))
+    return [f"line {line}: .{name}" for line, name in sorted(writes)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_world_writes_liveness_and_position(path):
+    assert state_writes(path) == []
+
+
+def test_scan_flags_a_state_write(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "class World:\n"
+        "    def fail(self, s): s.failed = True\n"
+        "    def move(self, s, p): s.pos = p\n"
+        "def kill(s): s.failed = True\n"
+        "def swap(a, b): a.pos, b.pos = b.pos, a.pos\n"
+        "def read(s): return s.failed, s.position, s.static\n"
+        "def sneak(s): setattr(s, 'failed', True)\n"
+        "def drain(s): s.energy -= 1\n"
+    )
+    assert state_writes(module) == [
+        "line 4: .failed", "line 5: .pos", "line 5: .pos", "line 7: .failed"]

@@ -18,7 +18,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from barrier_restore.core import EnergyModel, seeded_rng
 from barrier_restore.distributed import MessageBus, init_recovery_nodes
-from barrier_restore.graph import world_graph
 from barrier_restore.harness import SCHEMES, start_scheme
 from conftest import random_line_world
 from oracles import adjacency_oracle, barrier_oracle, total_displacement
@@ -64,7 +63,7 @@ class FailureSequence(RuleBasedStateMachine):
         victim = data.draw(st.sampled_from(alive))
         before = _state(world)
         logged = len(world.move_log)
-        world.sensor(victim).failed = True
+        world.fail(victim)
         self.failed_at[victim] = world.sensor(victim).pos
         outcome = self.restore(victim)
 
@@ -96,17 +95,14 @@ class FailureSequence(RuleBasedStateMachine):
         assert math.isclose(spent, cost * total_displacement(world),
                             rel_tol=1e-9, abs_tol=1e-9)
 
-        # The world's one graph, brought up to date on a copy (so the
-        # scheme's own update pattern is left alone), is the intersection
-        # graph of the live sensors.
-        copy = deepcopy(world)
-        live = copy.active_sensors()
-        graph = world_graph(copy)
-        assert graph.adjacency == adjacency_oracle(live, copy.region)
-        assert graph.positions == {s.id: s.pos for s in live}
+        # The world's one graph, as the episode left it, is the
+        # intersection graph of the live sensors.
+        live = world.active_sensors()
+        assert world.graph.adjacency == adjacency_oracle(live, world.region)
+        assert world.graph.positions == {s.id: s.pos for s in live}
 
         if self.twin is not None:
-            self.twin.sensor(victim).failed = True
+            self.twin.fail(victim)
             other = self.twin_restore(victim)
             assert (other.success, other.mechanism, other.moves, other.new_barrier) \
                 == (outcome.success, outcome.mechanism, outcome.moves, outcome.new_barrier)
