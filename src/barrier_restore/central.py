@@ -9,19 +9,24 @@ Two schemes share the alternate-path step:
   positions, which realizes cascaded shifting whenever the cheapest filler
   chain passes through barrier nodes.
 
-The assignment is sparse: ``build_assignment`` lists only the feasible
-(sensor, position) cells, and ``hungarian`` fills each vacancy along one
-Dijkstra shortest augmenting path over them. The tests check both against
-a dense matrix build and O(n^3) Hungarian solver (``tests/oracles.py``),
-brute force and ``scipy.optimize.linear_sum_assignment``.
+The assignment is sparse and lazy. ``build_assignment`` lists up front
+only the zero-cost cells, the sensors that stand exactly on a barrier
+position, which are all that the warm start of ``hungarian`` reads. Each
+column's feasible cells are computed from an x-window of the world graph
+the first time the solve reads that column, and then kept; a solve fills
+each vacancy along one Dijkstra shortest augmenting path and reads only the
+columns that path search reaches. The problem reads the live world, so it
+is valid only until the world next changes. The tests check the build and
+the solve against a dense matrix build and O(n^3) Hungarian solver
+(``tests/oracles.py``), brute force and ``scipy.optimize.linear_sum_assignment``.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import (
     MECH_ALTERNATE,
@@ -40,13 +45,32 @@ from .graph import (
 )
 
 
-class FeasibleCells(NamedTuple):
-    """The feasible cells of an assignment problem, column by column:
-    ``columns[j]`` lists ``(row, cost)`` for column ``j``, rows ascending.
-    A cell not listed is forbidden."""
+class FeasibleCells:
+    """The feasible cells of an assignment problem of ``shape`` (rows,
+    columns). A cell not listed is forbidden.
 
-    shape: tuple[int, int]  # (rows, columns) of the full problem
-    columns: list[list[tuple[int, float]]]
+    ``zeros`` maps each row that has zero-cost cells to their columns,
+    ascending; the warm start reads only these. ``column(j)`` lists
+    ``(row, cost)`` for column ``j``, rows ascending: ``cells_of(j)``
+    computes it the first time it is read, and ``computed`` keeps it.
+    """
+
+    def __init__(
+        self,
+        shape: tuple[int, int],
+        zeros: dict[int, list[int]],
+        cells_of: Callable[[int], list[tuple[int, float]]],
+    ):
+        self.shape = shape
+        self.zeros = zeros
+        self.computed: dict[int, list[tuple[int, float]]] = {}  # in read order
+        self._cells_of = cells_of
+
+    def column(self, j: int) -> list[tuple[int, float]]:
+        cells = self.computed.get(j)
+        if cells is None:
+            cells = self.computed[j] = self._cells_of(j)
+        return cells
 
 
 @dataclass
@@ -67,7 +91,8 @@ def hungarian(problem: AssignmentProblem) -> Optional[list[int]]:
     cells (Jonker & Volgenant 1987; Ahuja, Magnanti & Orlin, *Network
     Flows*, ch. 9). Warm start: each row in order takes its lowest-index
     free zero-cost column, so in a relocation problem the occupants keep
-    their own positions. Each column left vacant, in order, is then filled
+    their own positions; it reads only ``cost.zeros`` and computes no
+    column. Each column left vacant, in order, is then filled
     along a Dijkstra shortest path that ends at any unmatched row; moving a
     row from column k to column j costs c_ij - c_ik. Row potentials u and
     column potentials v keep every reduced cost c_ij - u_i - v_j
@@ -78,16 +103,12 @@ def hungarian(problem: AssignmentProblem) -> Optional[list[int]]:
     n_left, n_right = problem.cost.shape
     if n_left < n_right or n_right == 0:
         return None
-    columns = problem.cost.columns
+    column = problem.cost.column
+    zeros = problem.cost.zeros
     row_of = [-1] * n_right  # column -> matched row
     col_of = [-1] * n_left   # row -> matched column
-    zero_cols: dict[int, list[int]] = {}
-    for j, cells in enumerate(columns):
-        for i, c in cells:
-            if c == 0.0:
-                zero_cols.setdefault(i, []).append(j)
-    for i in sorted(zero_cols):
-        j = next((j for j in zero_cols[i] if row_of[j] < 0), -1)
+    for i in sorted(zeros):
+        j = next((j for j in zeros[i] if row_of[j] < 0), -1)
         if j >= 0:
             row_of[j] = i
             col_of[i] = j
@@ -103,7 +124,7 @@ def hungarian(problem: AssignmentProblem) -> Optional[list[int]]:
         j, d = j0, 0.0
         while True:
             base = d - v[j]
-            for i, c in columns[j]:
+            for i, c in column(j):
                 di = base + c - u[i]
                 if i not in done and di < dist.get(i, math.inf):
                     dist[i] = di
@@ -141,38 +162,47 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     is mobile, can afford the distance and the target lies within its
     communication range. A sensor standing exactly on a barrier position
     always keeps a zero-cost cell there, so immobilized occupants can still
-    be "assigned" in place. Only feasible cells are listed: each position
-    scans the sensors in an x-sorted window as wide as the farthest reach
-    (slightly widened against rounding; the exact test decides).
+    be "assigned" in place. Those zero-cost cells are found up front through
+    the positions; a column's cells are computed when the solve first reads
+    it, from the world graph's x-window as wide as the largest comm radius
+    (slightly widened against rounding; the exact test decides). So the
+    problem is valid only until the world next changes: apply no move
+    before the solve has returned.
     """
     barrier = world.barrier or []
     sensors = world.active_sensors()
-    right = [world.sensor(b).pos for b in barrier]
+    left = [s.id for s in sensors]
+    right = [world.sensors[b].pos for b in barrier]
+    columns_at: dict[tuple[float, float], list[int]] = {}  # position -> its columns
+    for j, p in enumerate(right):
+        columns_at.setdefault((p.x, p.y), []).append(j)
+    zeros: dict[int, list[int]] = {}  # row -> its zero-cost columns
+    for i, s in enumerate(sensors):
+        cols = columns_at.get((s.pos.x, s.pos.y))
+        if cols:
+            zeros[i] = cols
+    graph = world_graph(world)
     model = world.energy_model
-    # (x, position, row, reach) in x order. A sensor reaches what both its
-    # capacity and its comm radius allow; a static sensor's capacity is 0,
-    # so it keeps only zero-cost cells.
-    entries = sorted(
-        (s.pos.x, (s.pos.x, s.pos.y), i, min(displacement_capacity(s, model), s.comm_radius))
-        for i, s in enumerate(sensors)
-    )
-    xs = [e[0] for e in entries]
-    span = max([0.0] + [e[3] for e in entries]) * (1.0 + 1e-9)
-    columns = []
-    for p in right:
+    span = max((s.comm_radius for s in sensors), default=0.0) * (1.0 + 1e-9)
+
+    def cells_of(j: int) -> list[tuple[int, float]]:
+        p = right[j]
         target = (p.x, p.y)
         cells = []
-        for _, pos, i, reach in entries[bisect_left(xs, p.x - span):bisect_right(xs, p.x + span)]:
+        for sid in graph.window(p.x - span, p.x + span):
+            s = world.sensors[sid]
             # math.dist of two points is math.hypot of their differences,
             # bit for bit, so every cost equals Point.distance_to, which
-            # World.apply_move re-checks each move with.
-            cost = math.dist(pos, target)
-            if cost == 0.0 or cost <= reach:
-                cells.append((i, cost))
+            # World.apply_move re-checks each move with. A static sensor's
+            # capacity is 0, so it keeps only zero-cost cells.
+            cost = math.dist((s.pos.x, s.pos.y), target)
+            if cost == 0.0 or cost <= min(displacement_capacity(s, model), s.comm_radius):
+                cells.append((bisect_left(left, sid), cost))
         cells.sort()
-        columns.append(cells)
-    shape = (len(sensors), len(right))
-    return AssignmentProblem([s.id for s in sensors], right, FeasibleCells(shape, columns))
+        return cells
+
+    shape = (len(left), len(right))
+    return AssignmentProblem(left, right, FeasibleCells(shape, zeros, cells_of))
 
 
 def _try_alternate_path(world: World, failed: set[int]) -> Optional[RestoreOutcome]:
@@ -203,7 +233,8 @@ def restore_nmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
 def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
     """Alternate path first; otherwise relocate sensors onto the vacated
     chain positions by minimum-cost assignment, restoring the pre-failure
-    geometry with new occupants."""
+    geometry with new occupants. The assignment problem reads the live
+    world, so no sensor moves until the solve has returned."""
     failed = set(failed) & set(world.barrier or [])
     if not failed:
         return RestoreOutcome(success=verify_barrier(world))

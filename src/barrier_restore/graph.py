@@ -8,9 +8,11 @@ Each world has one graph, ``world_graph(world)``: built on first use (on
 the deploy path), kept in ``World.graph`` and kept current by the only two
 ways a world changes, ``World.apply_move`` and ``World.fail``, through
 ``IntersectionGraph.insert`` and ``remove``. ``insert`` also builds the
-graph, so ``IntersectionGraph.near`` is the only adjacency test. A barrier
-is a path of this graph from PL to PR: the searches find one, and
-``verify_barrier`` checks the designated chain as one.
+graph, so ``IntersectionGraph.near`` is the only adjacency test; it reads
+the graph's x-window, ``IntersectionGraph.window``, which the cmove
+assignment reads too. A barrier is a path of this graph from PL to PR:
+the searches find one, and ``verify_barrier`` checks the designated chain
+as one.
 ``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
 pairwise definitions they are checked against, in ``tests/test_graph.py``,
 ``tests/test_distributed.py::TestIncrementalElection`` and after every
@@ -18,7 +20,6 @@ episode of every scheme in ``tests/test_stateful.py``.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
@@ -57,9 +58,11 @@ class IntersectionGraph:
         self.adjacency: dict[int, list[int]] = {PL: [], PR: []}
         self.positions: dict[int, Point] = {}  # sensor vertices only, not PL/PR
         self.region = region
-        # (x, id) of every sensor vertex in ascending order, and the largest
-        # sensing radius of any sensor inserted so far.
-        self._by_x: list[tuple[float, int]] = []
+        # The x of every sensor vertex in ascending order and the ids in the
+        # same order (ties by id), and the largest sensing radius of any
+        # sensor inserted so far.
+        self._xs: list[float] = []
+        self._ids: list[int] = []
         self._max_radius = 0.0
 
     def neighbors(self, vertex: int) -> list[int]:
@@ -78,18 +81,26 @@ class IntersectionGraph:
             return self.region.length - p.x
         return p.distance_to(self.positions[target])
 
+    def window(self, lo: float, hi: float) -> list[int]:
+        """Sensor vertices whose x lies in ``[lo, hi]``, in x order (ties by
+        id)."""
+        xs = self._xs
+        return self._ids[bisect_left(xs, lo):bisect_right(xs, hi)]
+
+    def _slot(self, x: float, vertex: int) -> int:
+        """Index of (x, vertex) in the x order, present or not."""
+        lo = bisect_left(self._xs, x)
+        return bisect_left(self._ids, vertex, lo, bisect_right(self._xs, x, lo))
+
     def near(self, pos: Point, radius: float, sensors: Mapping[int, Sensor]) -> list[int]:
         """Sensor vertices, ascending, whose discs meet a disc of ``radius``
         at ``pos`` (tangent discs meet). This is the graph's one adjacency
         test."""
-        by_x = self._by_x
         # Intersecting discs lie within reach in x; the slack only widens
         # the window against rounding, the exact test decides.
         span = (radius + self._max_radius) * (1.0 + 1e-9)
-        lo = bisect_left(by_x, (pos.x - span,))
-        hi = bisect_right(by_x, (pos.x + span, math.inf))
         out = []
-        for _, v in by_x[lo:hi]:
+        for v in self.window(pos.x - span, pos.x + span):
             q = self.positions[v]
             dx = pos.x - q.x
             dy = pos.y - q.y
@@ -102,8 +113,8 @@ class IntersectionGraph:
     def remove(self, vertex: int) -> None:
         for u in self.adjacency.pop(vertex):
             self.adjacency[u].remove(vertex)
-        pos = self.positions.pop(vertex)
-        del self._by_x[bisect_left(self._by_x, (pos.x, vertex))]
+        k = self._slot(self.positions.pop(vertex).x, vertex)
+        del self._xs[k], self._ids[k]
 
     def insert(self, sensor: Sensor, sensors: Mapping[int, Sensor]) -> None:
         """Add a sensor's vertex; ``sensors`` maps each vertex id to its sensor."""
@@ -114,7 +125,9 @@ class IntersectionGraph:
         if sensor.pos.x <= sensor.sensing_radius:
             row.append(PL)
         row += self.near(sensor.pos, sensor.sensing_radius, sensors)
-        insort(self._by_x, (sensor.pos.x, sensor.id))
+        k = self._slot(sensor.pos.x, sensor.id)
+        self._xs.insert(k, sensor.pos.x)
+        self._ids.insert(k, sensor.id)
         self._max_radius = max(self._max_radius, sensor.sensing_radius)
         self.positions[sensor.id] = sensor.pos
         for u in row:

@@ -281,8 +281,9 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
         raise ValueError(f"hop budget k must be at least 1, got {k}")
     if scheme in ("nmove", "cmove"):
         def step(failed_id: int) -> RestoreOutcome:
+            sensors = world.sensors
             failed_on_chain = [
-                sid for sid in (world.barrier or []) if world.sensor(sid).failed
+                sid for sid in (world.barrier or []) if sensors[sid].failed
             ]
             restore = restore_nmove if scheme == "nmove" else restore_cmove
             return restore(world, failed_on_chain)

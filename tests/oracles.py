@@ -99,8 +99,15 @@ def sparse_problem(cost, feasible) -> AssignmentProblem:
     return AssignmentProblem(
         left=list(range(rows)),
         right=[Point(j, 0) for j in range(cols)],
-        cost=FeasibleCells((rows, cols), columns),
+        cost=FeasibleCells((rows, cols), zero_cells(cost, feasible), columns.__getitem__),
     )
+
+
+def zero_cells(cost, feasible) -> dict[int, list[int]]:
+    """Row -> ascending columns of its feasible zero-cost cells, for the
+    rows that have any."""
+    zero = np.asarray(feasible, dtype=bool) & (np.asarray(cost) == 0.0)
+    return {int(i): np.flatnonzero(zero[i]).tolist() for i in np.flatnonzero(zero.any(axis=1))}
 
 
 @dataclass

@@ -34,6 +34,7 @@ from oracles import (
     dense_build_assignment,
     dense_hungarian,
     sparse_problem,
+    zero_cells,
 )
 
 
@@ -45,7 +46,7 @@ def problem(cost, feasible=None):
 
 def cells(p, j):
     """Column ``j``'s feasible cells as {row: cost}."""
-    return dict(p.cost.columns[j])
+    return dict(p.cost.column(j))
 
 
 def assignment_total(p, assignment):
@@ -255,9 +256,10 @@ def assert_cells_match_dense_oracle(world, failed):
     dense = dense_build_assignment(world, failed)
     assert p.left == dense.left and p.right == dense.right
     assert p.cost.shape == dense.cost.shape
-    for j, col in enumerate(p.cost.columns):
+    assert p.cost.zeros == zero_cells(dense.cost, dense.feasible)
+    for j in range(p.cost.shape[1]):
         rows = np.flatnonzero(dense.feasible[:, j])
-        assert col == [(int(i), float(dense.cost[i, j])) for i in rows]
+        assert p.cost.column(j) == [(int(i), float(dense.cost[i, j])) for i in rows]
     return p, dense
 
 
@@ -265,10 +267,24 @@ def test_sparse_cells_equal_dense_on_boundary_instance():
     assert_cells_match_dense_oracle(boundary_world(), {0})
 
 
+def warm_start_vacancies(dense):
+    """The columns the warm start leaves free, ascending: rows in order
+    each take their lowest free feasible zero-cost column."""
+    taken = set()
+    for i in range(dense.cost.shape[0]):
+        zero = np.flatnonzero(dense.feasible[i] & (dense.cost[i] == 0.0))
+        free = [int(j) for j in zero if j not in taken]
+        taken.update(free[:1])
+    return [j for j in range(dense.cost.shape[1]) if j not in taken]
+
+
 def test_sparse_solver_matches_dense_oracle_on_replayed_cmove_solves(monkeypatch):
     # Every assignment that seeded N=140 cmove trials build is checked cell
     # by cell against the dense build and solved by both solvers, which
-    # must agree on the assignment itself, None included.
+    # must agree on the assignment itself, None included. A fresh build is
+    # solved too, counting the columns the solve computes: the warm start
+    # computes none, so the first is the first vacancy it leaves, and all
+    # solves together compute a small share of the columns.
     seen = Counter()
     build = central.build_assignment
 
@@ -276,10 +292,17 @@ def test_sparse_solver_matches_dense_oracle_on_replayed_cmove_solves(monkeypatch
         p, dense = assert_cells_match_dense_oracle(world, failed)
         want = dense_hungarian(dense)
         assert hungarian(p) == want
+        lazy = build(world, failed)
+        assert hungarian(lazy) == want
+        computed = list(lazy.cost.computed)
+        if lazy.cost.shape[0] >= lazy.cost.shape[1]:
+            assert computed[:1] == warm_start_vacancies(dense)[:1]
+        seen["computed"] += len(computed)
+        seen["columns"] += lazy.cost.shape[1]
         seen["solves"] += 1
         seen["multi_vacancy"] += len(set(failed)) > 1
         seen["infeasible"] += want is None
-        return build(world, failed)
+        return lazy
 
     monkeypatch.setattr(central, "build_assignment", checked_build)
     config = ExperimentConfig(n=140, trials=12, schemes=("cmove",))
@@ -287,6 +310,49 @@ def test_sparse_solver_matches_dense_oracle_on_replayed_cmove_solves(monkeypatch
         run_trial("cmove", config, trial_seed(config, t))
     assert seen["multi_vacancy"] >= 50 and seen["infeasible"] >= 50, seen
     assert seen["solves"] >= 300
+    # 2342 of 31639 columns (7.4%) when this bound was set.
+    assert seen["computed"] <= 0.12 * seen["columns"], seen
+
+
+def test_warm_start_computes_no_column(t1_world):
+    # Every barrier position has its occupant: the warm start covers all
+    # columns through the zero cells alone.
+    p = build_assignment(t1_world, set())
+    assert hungarian(p) == [0, 1, 2, 3, 4]
+    assert p.cost.computed == {}
+
+
+def tie_world():
+    """A chain whose positions hold ties: sensor 5 stands off the chain on
+    chain member 1's position, chain members 3 and 7 share one position,
+    member 1 is static and member 0 drained; member 2 has failed."""
+    w = make_world(
+        [(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (3, 0), (5, 1.5), (7, 0)],
+        with_barrier=False,
+    )
+    w.barrier = [0, 1, 2, 3, 7, 4]
+    w.sensor(0).energy = 0.0
+    w.sensor(1).static = True
+    w.fail(2)
+    return w
+
+
+def test_zero_cells_and_tie_rule_through_the_lazy_build():
+    w = tie_world()
+    backward = build_assignment(w, {2})
+    n = backward.cost.shape[1]
+    reversed_reads = [backward.cost.column(j) for j in reversed(range(n))][::-1]
+    p, dense = assert_cells_match_dense_oracle(w, {2})  # reads forward
+    assert reversed_reads == [p.cost.column(j) for j in range(n)]
+    row = {sid: i for i, sid in enumerate(p.left)}
+    assert p.cost.zeros == {
+        row[0]: [0], row[1]: [1], row[5]: [1], row[3]: [3, 4], row[7]: [3, 4], row[4]: [5]
+    }
+    want = dense_hungarian(dense)
+    assert hungarian(build_assignment(w, {2})) == want
+    # The occupants keep their own positions, sensor 5 (on a taken point)
+    # stays free, and the vacancy goes to the spare.
+    assert [p.left[i] for i in want] == [0, 1, 6, 3, 7, 4]
 
 
 def test_optimum_matches_scipy_on_random_rectangular_instances():

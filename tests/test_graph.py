@@ -84,42 +84,67 @@ class TestBuildGraph:
                 assert has_edge(g, sensors[0].id, sensors[-1].id)
 
 
+def edited_worlds(seed):
+    """Seeded random worlds, each yielded after every batch of failures and
+    moves made through the world: random moves, some onto a tangent spot,
+    some onto another sensor, some across a boundary. Ample energy and a
+    zero threshold let every move through. Yields (world, rng)."""
+    rng = np.random.default_rng(seed)
+    for trial in range(30):
+        n = int(rng.integers(2, 40))
+        ids = rng.permutation(3 * n)[:n].tolist()
+        radii = rng.choice([0.5, 1.0, 1.5], size=n)
+        sensors = [
+            Sensor(sid, Point(float(x), float(y)), float(r), 2 * r, 1e9, 1e9)
+            for sid, (x, y), r in zip(ids, rng.uniform(0, 12, size=(n, 2)), radii)
+        ]
+        w = World(Region(12.0, 12.0), sensors, EnergyModel(1.0, 0.0))
+        world_graph(w)
+        for _ in range(6):
+            live = w.active_sensors()
+            for i in rng.choice(len(live), size=min(3, len(live)), replace=False):
+                s = live[int(i)]
+                kind = rng.integers(4)
+                if kind == 0:
+                    w.fail(s.id)
+                elif kind == 1:
+                    other = live[int(rng.integers(len(live)))]
+                    w.apply_move(s.id, Point(other.pos.x + other.sensing_radius
+                                             + s.sensing_radius, other.pos.y))
+                elif kind == 2:
+                    w.apply_move(s.id, live[int(rng.integers(len(live)))].pos)
+                else:
+                    w.apply_move(s.id, Point(*(float(v) for v in rng.uniform(-1, 13, size=2))))
+            yield w, rng
+
+
 class TestInPlaceUpdate:
     def test_update_matches_fresh_build(self):
-        # Random moves (some onto a tangent spot, some onto another sensor,
-        # some across a boundary) and failures, made through the world one
-        # batch at a time; the world's graph must equal the pairwise
-        # definition after each batch. Ample energy and a zero threshold let
-        # every move through.
-        rng = np.random.default_rng(17)
-        for trial in range(30):
-            n = int(rng.integers(2, 40))
-            ids = rng.permutation(3 * n)[:n].tolist()
-            radii = rng.choice([0.5, 1.0, 1.5], size=n)
-            sensors = [
-                Sensor(sid, Point(float(x), float(y)), float(r), 2 * r, 1e9, 1e9)
-                for sid, (x, y), r in zip(ids, rng.uniform(0, 12, size=(n, 2)), radii)
-            ]
-            w = World(Region(12.0, 12.0), sensors, EnergyModel(1.0, 0.0))
-            world_graph(w)
-            for _ in range(6):
-                live = w.active_sensors()
-                for i in rng.choice(len(live), size=min(3, len(live)), replace=False):
-                    s = live[int(i)]
-                    kind = rng.integers(4)
-                    if kind == 0:
-                        w.fail(s.id)
-                    elif kind == 1:
-                        other = live[int(rng.integers(len(live)))]
-                        w.apply_move(s.id, Point(other.pos.x + other.sensing_radius
-                                                 + s.sensing_radius, other.pos.y))
-                    elif kind == 2:
-                        w.apply_move(s.id, live[int(rng.integers(len(live)))].pos)
-                    else:
-                        w.apply_move(s.id, Point(*(float(v) for v in rng.uniform(-1, 13, size=2))))
-                live = w.active_sensors()
-                assert w.graph.adjacency == adjacency_oracle(live, w.region)
-                assert w.graph.positions == {s.id: s.pos for s in live}
+        # The world's graph must equal the pairwise definition after each
+        # batch of edits.
+        for w, _ in edited_worlds(17):
+            live = w.active_sensors()
+            assert w.graph.adjacency == adjacency_oracle(live, w.region)
+            assert w.graph.positions == {s.id: s.pos for s in live}
+
+    def test_window_is_the_live_x_range(self):
+        # After each batch of edits, the x-window returns exactly the live
+        # ids with lo <= x <= hi, in x order with ties by id, closed ends
+        # included (some bounds are sensors' own x); and near, which reads
+        # the window, still gives the pairwise definition's rows.
+        for w, rng in edited_worlds(23):
+            live = w.active_sensors()
+            order = sorted(live, key=lambda s: (s.pos.x, s.id))
+            xs = [s.pos.x for s in live]
+            bounds = [-2.0, 14.0, *rng.uniform(-1, 13, size=3).tolist(), *xs[:4]]
+            for lo in bounds:
+                for hi in bounds:
+                    want = [s.id for s in order if lo <= s.pos.x <= hi]
+                    assert w.graph.window(lo, hi) == want
+            adjacency = adjacency_oracle(live, w.region)
+            for s in live:
+                near = w.graph.near(s.pos, s.sensing_radius, w.sensors)
+                assert [v for v in near if v != s.id] == [v for v in adjacency[s.id] if v >= 0]
 
     def test_near_is_the_build_test(self):
         w = make_world([(1, 0), (3, 0), (5, 0)])
