@@ -133,7 +133,9 @@ class World:
 
     It changes only through :meth:`apply_move`, which appends to
     ``move_log`` so total displacement is auditable, and :meth:`fail`; both
-    keep ``graph``, once built, the intersection graph of the live sensors.
+    keep ``graph``, once built, the intersection graph of the live sensors,
+    and append ``(sensor_id, position before)`` to ``changes``, the one
+    record of every failure and move, which readers follow by index.
     """
 
     def __init__(
@@ -154,6 +156,7 @@ class World:
         self.energy_model = energy_model or EnergyModel()
         self.barrier = barrier
         self.move_log: list[Move] = []
+        self.changes: list[tuple[int, Point]] = []
         self.graph: Optional[IntersectionGraph] = None  # built by graph.world_graph
 
     def sensor(self, sensor_id: int) -> Sensor:
@@ -167,6 +170,7 @@ class World:
         sensor is left as it is."""
         s = self.sensors[sensor_id]
         if not s.failed:
+            self.changes.append((sensor_id, s.pos))
             s.failed = True
             if self.graph is not None:
                 self.graph.remove(sensor_id)
@@ -190,6 +194,7 @@ class World:
                 f"{displacement_capacity(s, self.energy_model):.6g}"
             )
         self.move_log.append(Move(sensor_id, s.pos, dest))
+        self.changes.append((sensor_id, s.pos))
         s.pos = dest
         if self.graph is not None:
             self.graph.remove(sensor_id)

@@ -3,16 +3,17 @@
 Every barrier node pre-elects a recovery node: the closest non-barrier
 neighbor that could take its place, or (when it has none) whichever chain
 side reaches such a filler with the least cumulative movement. The election
-runs as a request/reply protocol along the chain. One ``Election`` object
-per trial holds the states and the message handlers, and each re-election
-runs the protocol again only on the chain nodes whose answer can have
-changed. One rule says where a request stops, for the protocol and for
-finding those nodes alike. On a failure, the failed node's recovery node
-first hunts for a detour with a hop-budgeted, geographically greedy token
-search; if that fails, the cascade shared with rmove
-(``graph.shift_cascade``) moves it into the hole and refills each vacated
-barrier position with that position's recovery node, until a non-barrier
-filler ends the cascade.
+runs as a request/reply protocol along the chain, whose messages are plain
+tuples. One ``Election`` object per trial holds the states and the message
+handlers. Each re-election reads what changed since the last one from the
+world's change record, ``World.changes``, and runs the protocol again only
+on the chain nodes whose answer can have changed. One rule says where a
+request stops, for the protocol and for finding those nodes alike. On a
+failure, the failed node's recovery node first hunts for a detour with a
+hop-budgeted, geographically greedy token search; if that fails, the
+cascade shared with rmove (``graph.shift_cascade``) moves it into the hole
+and refills each vacated barrier position with that position's recovery
+node, until a non-barrier filler ends the cascade.
 
 The scheduler is synchronous-round and delivers in a fixed order, so runs
 are reproducible; a seeded shuffle mode exercises order independence.
@@ -54,33 +55,14 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReqNbRec:
-    """Ask a chain neighbor for its side's distance to the nearest eligible
-    non-barrier filler; q identifies the originator."""
-    q: int
-
-
-@dataclass(frozen=True)
-class RepNbRec:
-    q: int
-    d: float
-
-
-@dataclass(frozen=True)
-class SetRec:
-    """Register the sender at its chosen recovery node, carrying the
-    sender's chain links."""
-    pred: Optional[int]
-    suc: Optional[int]
-
-
-@dataclass(frozen=True)
-class Envelope:
-    seq: int
-    sender: int
-    receiver: int
-    msg: object
+# A message is a tuple (sender, receiver, seq, kind, a, b); seq numbers
+# the sends. The kinds and their payloads:
+#   ReqNbRec (a = q): ask a chain neighbor for its side's distance to the
+#     nearest eligible non-barrier filler; q identifies the originator.
+#   RepNbRec (a = q, b = d): the distance d, answering q's request.
+#   SetRec (a = pred, b = suc): register the sender at its chosen recovery
+#     node, carrying the sender's chain links.
+REQ, REP, SET = "ReqNbRec", "RepNbRec", "SetRec"
 
 
 class MessageBus:
@@ -90,35 +72,33 @@ class MessageBus:
     round are delivered in the next one."""
 
     def __init__(self, keep_log: bool = False, shuffle_rng=None):
-        self._pending: list[Envelope] = []
+        self._pending: list[tuple] = []
         self._seq = 0
         self.round_no = 0
         self.keep_log = keep_log
         self.log: list[tuple[int, int, int, str, str]] = []
         self._shuffle_rng = shuffle_rng
 
-    def send(self, sender: int, receiver: int, msg: object) -> None:
+    def send(self, sender: int, receiver: int, kind: str, a, b=None) -> None:
         self._seq += 1
-        self._pending.append(Envelope(self._seq, sender, receiver, msg))
+        self._pending.append((sender, receiver, self._seq, kind, a, b))
 
-    def drain_round(self) -> list[Envelope]:
+    def drain_round(self) -> list[tuple]:
         self.round_no += 1
         batch, self._pending = self._pending, []
         if self._shuffle_rng is not None:
             # Random interleaving across sender-receiver pairs; sorting on
             # seq within a pair keeps per-pair delivery FIFO.
-            pairs = sorted({(e.sender, e.receiver) for e in batch})
+            pairs = sorted({m[:2] for m in batch})
             perm = self._shuffle_rng.permutation(len(pairs))
             rank = {pair: int(perm[i]) for i, pair in enumerate(pairs)}
-            batch.sort(key=lambda e: (rank[(e.sender, e.receiver)], e.seq))
+            batch.sort(key=lambda m: (rank[m[:2]], m[2]))
         else:
-            batch.sort(key=lambda e: (e.sender, e.receiver, e.seq))
+            batch.sort()  # seq is unique: no two messages tie before it
         if self.keep_log:
-            for e in batch:
-                self.log.append(
-                    (self.round_no, e.sender, e.receiver, type(e.msg).__name__,
-                     _payload(e.msg))
-                )
+            for sender, receiver, _, kind, a, b in batch:
+                self.log.append((self.round_no, sender, receiver, kind,
+                                 _payload(kind, a, b)))
         return batch
 
     def log_csv(self) -> str:
@@ -128,14 +108,12 @@ class MessageBus:
         return "\n".join(lines) + "\n"
 
 
-def _payload(msg: object) -> str:
-    if isinstance(msg, ReqNbRec):
-        return f"q={msg.q}"
-    if isinstance(msg, RepNbRec):
-        return f"q={msg.q};d={msg.d:.6g}"
-    if isinstance(msg, SetRec):
-        return f"pred={msg.pred};suc={msg.suc}"
-    return ""
+def _payload(kind: str, a, b) -> str:
+    if kind == REQ:
+        return f"q={a}"
+    if kind == REP:
+        return f"q={a};d={b:.6g}"
+    return f"pred={a};suc={b}"
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +142,22 @@ def _links(chain: list[int], idx: int) -> tuple[int, int]:
             chain[idx + 1] if idx + 1 < len(chain) else PR)
 
 
+def _edited_span(old: list[int], new: list[int]) -> range:
+    """Indices of ``new`` whose chain links can differ from ``old``'s: past
+    the common prefix and before the common suffix, plus one node on each
+    side. Empty when the chains are equal."""
+    if old == new:
+        return range(0)
+    most = min(len(old), len(new))
+    head = 0
+    while head < most and old[head] == new[head]:
+        head += 1
+    tail = 0
+    while tail < most - head and old[-1 - tail] == new[-1 - tail]:
+        tail += 1
+    return range(max(head - 1, 0), min(len(new) - tail + 1, len(new)))
+
+
 class Election(Mapping[int, NodeState]):
     """One world's recovery-node election, kept for a whole trial: the
     per-node states and the protocol's message handlers in one object, which
@@ -177,13 +171,15 @@ class Election(Mapping[int, NodeState]):
     replies accumulate distance on the way back. Each node decides once,
     after hearing from both sides, then registers at its recovery node.
 
-    It also remembers each live sensor and the chain as they were at the
-    last election, so that a re-election (``init_recovery_nodes`` with
-    ``election=``) re-runs the protocol only on the chain nodes whose answer
-    can have changed: those whose position, capacity, chain links or
-    fillers (read from ``world.graph``) changed, and those whose requests
-    would reach one of them. One rule, ``_answer``, says where a request
-    stops, for the protocol and for ``prepare``'s walk alike.
+    It also keeps a cursor into the world's change record
+    (``World.changes``) and the chain as it was at the last election, so
+    that a re-election (``init_recovery_nodes`` with ``election=``) reads
+    only what changed since and re-runs the protocol only on the chain
+    nodes whose answer can have changed: those whose position, capacity,
+    chain links or fillers (read from ``world.graph``) changed, and those
+    whose requests would reach one of them. One rule, ``_answer``, says
+    where a request stops, for the protocol and for ``prepare``'s walk
+    alike.
     """
 
     def __init__(self, world: World):
@@ -191,10 +187,10 @@ class Election(Mapping[int, NodeState]):
         self.world = world
         self.states = {s.id: NodeState(s.id) for s in live}
         self.on_barrier: set[int] = set()
-        # As of the last election: (position, energy, static) of each live
-        # sensor, and the chain. No state is on the chain yet, so the first
-        # election elects every chain node.
-        self._seen = {s.id: (s.pos, s.energy, s.static) for s in live}
+        # As of the last election: the length of the change record, and the
+        # chain. No state is on the chain yet, so the first election elects
+        # every chain node.
+        self._cursor = len(world.changes)
         self._chain: list[int] = []
 
     def __getitem__(self, sid: int) -> NodeState:
@@ -236,22 +232,20 @@ class Election(Mapping[int, NodeState]):
         chain = list(world.barrier or [])
         self.on_barrier = set(chain)
 
-        # A sensor that failed, moved or changed energy touches itself and
-        # its neighbors, then and now.
-        changed = [
-            sid for sid, (pos, energy, static) in self._seen.items()
-            if not (sensors[sid].pos is pos and sensors[sid].energy == energy
-                    and sensors[sid].static == static and not sensors[sid].failed)
-        ]
-        touched: set[int] = set(changed)
-        for sid in changed:
+        # A sensor that failed or moved (and so spent energy) since the last
+        # election touches itself and its neighbors, then and now. Its first
+        # record says where it stood then.
+        since = {}
+        for sid, pos in world.changes[self._cursor:]:
+            since.setdefault(sid, pos)
+        self._cursor = len(world.changes)
+        touched: set[int] = set(since)
+        for sid, pos in since.items():
             s = sensors[sid]
-            touched.update(graph.near(self._seen[sid][0], s.sensing_radius, sensors))
+            touched.update(graph.near(pos, s.sensing_radius, sensors))
             if s.failed:
-                del self._seen[sid]
                 self._unregister(states.pop(sid))
             else:
-                self._seen[sid] = (s.pos, s.energy, s.static)
                 touched.update(graph.neighbors(sid))
 
         # Joining or leaving the chain changes a sensor's neighbors'
@@ -265,14 +259,13 @@ class Election(Mapping[int, NodeState]):
                 self._unregister(st)
                 states[sid] = NodeState(sid, rec_set=st.rec_set)
 
-        # Seeds: touched chain members and, when the chain was edited, those
-        # whose links changed.
+        # Seeds: touched chain members and those whose links changed, which
+        # only the edited span of the chain can hold.
         seeds = {idx for idx, sid in enumerate(chain) if sid in touched}
-        if chain != self._chain:
-            for idx, sid in enumerate(chain):
-                st = states.get(sid)
-                if st is not None and (st.pre, st.suc) != _links(chain, idx):
-                    seeds.add(idx)
+        for idx in _edited_span(self._chain, chain):
+            st = states.get(chain[idx])
+            if st is not None and (st.pre, st.suc) != _links(chain, idx):
+                seeds.add(idx)
         dirty = set(seeds)
         for idx in seeds:
             for step in (-1, 1):
@@ -323,28 +316,29 @@ class Election(Mapping[int, NodeState]):
             filler = self.best_filler(sid)
             if filler is not None:
                 st.path_length, st.rec_node = filler
-                bus.send(sid, st.rec_node, SetRec(st.pre, st.suc))
+                bus.send(sid, st.rec_node, SET, st.pre, st.suc)
             else:
                 st.awaiting = {"pre", "suc"}
-                bus.send(sid, st.pre, ReqNbRec(sid))
-                bus.send(sid, st.suc, ReqNbRec(sid))
+                bus.send(sid, st.pre, REQ, sid)
+                bus.send(sid, st.suc, REQ, sid)
 
-    def handle(self, env: Envelope, bus: MessageBus) -> None:
-        if env.receiver in (PL, PR):
+    def handle(self, msg: tuple, bus: MessageBus) -> None:
+        sender, receiver, _, kind, a, b = msg
+        if receiver in (PL, PR):
             # The boundary is not a candidate: it answers every request
             # with an infinite path length.
-            if isinstance(env.msg, ReqNbRec):
-                bus.send(env.receiver, env.sender, RepNbRec(env.msg.q, INF))
+            if kind == REQ:
+                bus.send(receiver, sender, REP, a, INF)
             return
-        if env.receiver not in self.states:
+        st = self.states.get(receiver)
+        if st is None:
             return  # dead nodes fail silently; the sender waits in vain
-        st = self.states[env.receiver]
-        if isinstance(env.msg, SetRec):
-            st.rec_set.append((env.sender, env.msg.pred, env.msg.suc))
-        elif isinstance(env.msg, ReqNbRec):
-            self._on_request(st, env.msg.q, env.sender, bus)
-        elif isinstance(env.msg, RepNbRec):
-            self._on_reply(st, env.msg.q, env.msg.d, env.sender, bus)
+        if kind == SET:
+            st.rec_set.append((sender, a, b))
+        elif kind == REQ:
+            self._on_request(st, a, sender, bus)
+        else:
+            self._on_reply(st, a, b, sender, bus)
 
     def _on_request(self, st: NodeState, q: int, sender: int, bus: MessageBus) -> None:
         # The asker is one chain side; a forwarded request goes to the other.
@@ -353,9 +347,9 @@ class Election(Mapping[int, NodeState]):
         if answer is None and st.side_value[far] is not None:
             answer = st.side_value[far] + hop
         if answer is None:
-            bus.send(st.id, st.pre if far == "pre" else st.suc, ReqNbRec(q))
+            bus.send(st.id, st.pre if far == "pre" else st.suc, REQ, q)
         else:
-            bus.send(st.id, sender, RepNbRec(q, answer))
+            bus.send(st.id, sender, REP, q, answer)
 
     def _on_reply(self, st: NodeState, q: int, d: float, sender: int,
                   bus: MessageBus) -> None:
@@ -370,7 +364,7 @@ class Election(Mapping[int, NodeState]):
             # Relay toward the requester, adding our hop on that side.
             target = st.suc if side == "pre" else st.pre
             hop = self.world.sensor(st.id).pos.distance_to(self.world.sensor(target).pos)
-            bus.send(st.id, target, RepNbRec(q, d + hop))
+            bus.send(st.id, target, REP, q, d + hop)
 
     def _decide(self, st: NodeState, bus: MessageBus) -> None:
         d_pre = st.side_value["pre"]
@@ -384,7 +378,7 @@ class Election(Mapping[int, NodeState]):
         else:
             log.debug("barrier node %d: no reachable recovery candidate", st.id)
             return
-        bus.send(st.id, st.rec_node, SetRec(st.pre, st.suc))
+        bus.send(st.id, st.rec_node, SET, st.pre, st.suc)
 
 
 def init_recovery_nodes(
@@ -417,8 +411,8 @@ def init_recovery_nodes(
     limit = 2 * len(world.barrier) + 3
     rounds = 0
     while batch := bus.drain_round():
-        for env in batch:
-            election.handle(env, bus)
+        for msg in batch:
+            election.handle(msg, bus)
         rounds += 1
         if rounds > limit:
             raise RuntimeError("recovery-node election failed to quiesce")

@@ -21,6 +21,15 @@ def make_world(coords, rho=1.0, length=10.0, width=4.0, energy=100.0,
     return world
 
 
+def drain(world, sensor_id, energy):
+    """Set a sensor's energy without moving it, and record that in
+    ``world.changes`` as ``World.apply_move`` records a move, so that a
+    re-election sees it."""
+    sensor = world.sensor(sensor_id)
+    world.changes.append((sensor_id, sensor.pos))
+    sensor.energy = energy
+
+
 T1_COORDS = [(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (5, 2)]
 
 

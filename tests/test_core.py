@@ -100,6 +100,18 @@ class TestApplyMove:
         assert total_displacement(w) == pytest.approx(11.0)
         assert total_energy_spent(w) == pytest.approx(11.0)
 
+    def test_change_record_holds_each_move_and_failure_once(self):
+        # Position before each change; a zero or refused move and a second
+        # failure change nothing and record nothing.
+        w = one_sensor_world(energy=10.0, threshold=0.0)
+        w.apply_move(0, Point(3, 4))
+        w.apply_move(0, Point(3, 4))
+        with pytest.raises(MoveExceedsCapacity):
+            w.apply_move(0, Point(30, 4))
+        w.fail(0)
+        w.fail(0)
+        assert w.changes == [(0, Point(0, 0)), (0, Point(3, 4))]
+
 
 def test_energy_conservation_over_random_walk():
     rng = seeded_rng(99)

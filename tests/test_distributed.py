@@ -32,7 +32,7 @@ from barrier_restore.harness import (
     start_scheme,
     trial_seed,
 )
-from conftest import T1_COORDS, make_world, random_line_world
+from conftest import T1_COORDS, drain, make_world, random_line_world
 from oracles import adjacency_oracle, has_edge, hop_distance, recovery_chain_oracle
 
 INF = math.inf
@@ -151,6 +151,52 @@ class TestElection:
                 assert base[sid].path_length == pytest.approx(
                     shuffled[sid].path_length
                 )
+
+
+def test_bus_delivery_order_and_log():
+    # Interleaved sends from five sender-receiver pairs, two rounds of them.
+    # In order, a round comes sorted by (sender, receiver, seq); shuffled,
+    # the pairs come in any order but each pair's messages together and
+    # first-in first-out. Both log the same rows.
+    sends = [(3, 1, "ReqNbRec", 3, None), (1, 2, "RepNbRec", 1, 2.5),
+             (3, 1, "RepNbRec", 4, INF), (PL, 0, "RepNbRec", 0, INF),
+             (1, 2, "SetRec", 0, 2), (2, 1, "ReqNbRec", 2, None),
+             (3, 1, "SetRec", 1, PL), (0, PL, "ReqNbRec", 0, None)]
+    in_order = MessageBus(keep_log=True)
+    shuffled = [MessageBus(keep_log=True, shuffle_rng=seeded_rng(seed)) for seed in range(20)]
+    for bus in [in_order, *shuffled]:
+        for rnd in range(2):
+            for message in sends:
+                bus.send(*message)
+            batch = bus.drain_round()
+            # Each message is (sender, receiver, seq, kind, a, b).
+            assert sorted(batch, key=lambda m: m[2]) == [
+                (sender, receiver, 8 * rnd + i + 1, kind, a, b)
+                for i, (sender, receiver, kind, a, b) in enumerate(sends)]
+            if bus is in_order:
+                assert batch == sorted(batch, key=lambda m: m[:3])
+                continue
+            pairs = [m[:2] for m in batch]
+            runs = [pair for i, pair in enumerate(pairs) if i == 0 or pairs[i - 1] != pair]
+            assert len(runs) == len(set(pairs)) == 5
+            for pair in runs:
+                seqs = [m[2] for m in batch if m[:2] == pair]
+                assert seqs == sorted(seqs)
+        assert bus.drain_round() == []
+        assert sorted(bus.log) == sorted(in_order.log)
+    assert any(bus.log != in_order.log for bus in shuffled)
+    assert in_order.log_csv().splitlines()[:9] == [
+        "round,sender,receiver,type,payload",
+        "1,-1,0,RepNbRec,q=0;d=inf",
+        "1,0,-1,ReqNbRec,q=0",
+        "1,1,2,RepNbRec,q=1;d=2.5",
+        "1,1,2,SetRec,pred=0;suc=2",
+        "1,2,1,ReqNbRec,q=2",
+        "1,3,1,ReqNbRec,q=3",
+        "1,3,1,RepNbRec,q=4;d=inf",
+        "1,3,1,SetRec,pred=1;suc=-1",
+    ]
+    assert [row[0] for row in in_order.log] == [1] * 8 + [2] * 8
 
 
 # sha256 of the message log below. It moves with any change to the
@@ -334,7 +380,7 @@ class TestHandleFailure:
     def test_cascade_stops_when_mover_lacks_energy(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (1.5, 1.5)])
         states = init_recovery_nodes(w)
-        w.sensor(1).energy = 1.0  # mid-chain mover can no longer shift
+        drain(w, 1, 1.0)  # mid-chain mover can no longer shift
         out = handle_failure_dmove(w, states, 3)
         assert not out.success
         assert [m[0] for m in out.moves] == [2]  # first hop happened
@@ -418,7 +464,8 @@ class TestIncrementalElection:
                 live = [s for s in world.barrier if s != victim and not world.sensor(s).failed]
                 if live:
                     drained = world.sensor(live[int(drain_rng.integers(len(live)))])
-                    drained.energy *= float(drain_rng.uniform(0.0, 0.5))
+                    drain(world, drained.id,
+                          drained.energy * float(drain_rng.uniform(0.0, 0.5)))
             watched = any(st.rec_node == victim for st in election.values())
             before = counts["elections"]
             out = handle_failure_dmove(world, election, victim, bus=bus)
@@ -503,7 +550,7 @@ class TestIncrementalElection:
                                 / max(math.hypot(dx, dy), 1e-9))
                     world.apply_move(s.id, Point(s.pos.x + scale * dx, s.pos.y + scale * dy))
                 elif kind == 2:
-                    s.energy *= float(rng.uniform(0, 1))
+                    drain(world, s.id, s.energy * float(rng.uniform(0, 1)))
                 elif kind == 3 and len(chain) > 1:
                     chain.pop(int(rng.integers(len(chain))))
                 elif kind == 4 and s.id not in chain:

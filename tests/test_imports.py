@@ -13,8 +13,10 @@ And ``src/`` imports only the standard library, numpy (its one runtime
 dependency in ``pyproject.toml``) and itself, at any depth of the module;
 scipy, networkx and hypothesis are for the tests.
 
-Last, only ``core.World`` writes a sensor's ``failed`` or ``pos``: its
-``fail`` and ``apply_move`` are what keep ``World.graph`` current.
+Last, only ``core.World`` writes a sensor's ``failed``, ``pos``,
+``energy`` or ``static``: its ``fail`` and ``apply_move`` are what keep
+``World.graph`` current and record each change in ``World.changes``, which
+a re-election reads.
 """
 from __future__ import annotations
 
@@ -159,13 +161,13 @@ def test_scan_flags_a_foreign_import(tmp_path):
     assert foreign_imports(module) == ["line 6: networkx", "line 8: scipy.optimize"]
 
 
-WORLD_STATE = {"failed", "pos"}
+WORLD_STATE = {"failed", "pos", "energy", "static"}
 
 
 def state_writes(path: Path) -> list[str]:
-    """``line: .name`` of each write to a ``failed`` or ``pos`` attribute in
-    ``path`` outside the body of a class named ``World``: assignments of
-    every form, ``del`` and ``setattr`` with a literal name."""
+    """``line: .name`` of each write to an attribute named in
+    ``WORLD_STATE`` in ``path`` outside the body of a class named ``World``:
+    assignments of every form, ``del`` and ``setattr`` with a literal name."""
     tree = ast.parse(path.read_text())
     inside_world = {
         id(node) for cls in ast.walk(tree)
@@ -202,9 +204,11 @@ def test_scan_flags_a_state_write(tmp_path):
         "    def move(self, s, p): s.pos = p\n"
         "def kill(s): s.failed = True\n"
         "def swap(a, b): a.pos, b.pos = b.pos, a.pos\n"
-        "def read(s): return s.failed, s.position, s.static\n"
+        "def read(s): return s.failed, s.position, s.static, s.energy\n"
         "def sneak(s): setattr(s, 'failed', True)\n"
         "def drain(s): s.energy -= 1\n"
+        "def freeze(s): setattr(s, 'static', True)\n"
     )
     assert state_writes(module) == [
-        "line 4: .failed", "line 5: .pos", "line 5: .pos", "line 7: .failed"]
+        "line 4: .failed", "line 5: .pos", "line 5: .pos", "line 7: .failed",
+        "line 8: .energy", "line 9: .static"]

@@ -5,6 +5,8 @@ Each run deploys one small world, picks a scheme and an energy model, and
 kills live sensors one at a time through the scheme's restore step from
 ``harness.start_scheme``. dmove also runs on a twin world whose bus delivers
 each round in a shuffled order; it must make exactly the same repairs.
+Each world's change record must name exactly the sensors whose state an
+episode changed.
 """
 from __future__ import annotations
 
@@ -25,6 +27,16 @@ from oracles import adjacency_oracle, barrier_oracle, total_displacement
 
 def _state(world):
     return {sid: (s.pos, s.energy, s.static, s.failed) for sid, s in world.sensors.items()}
+
+
+def _recorded(world, mark, before):
+    """The ids ``world.changes`` recorded past index ``mark``, after checking
+    that each id's first record holds its position in ``before``."""
+    first = {}
+    for sid, pos in world.changes[mark:]:
+        first.setdefault(sid, pos)
+    assert all(pos == before[sid][0] for sid, pos in first.items())
+    return set(first)
 
 
 def _fixpoint(election):
@@ -62,7 +74,8 @@ class FailureSequence(RuleBasedStateMachine):
             return
         victim = data.draw(st.sampled_from(alive))
         before = _state(world)
-        logged = len(world.move_log)
+        logged, marked = len(world.move_log), len(world.changes)
+        twin_marked = None if self.twin is None else len(self.twin.changes)
         world.fail(victim)
         self.failed_at[victim] = world.sensor(victim).pos
         outcome = self.restore(victim)
@@ -88,6 +101,11 @@ class FailureSequence(RuleBasedStateMachine):
             energy -= m.length * cost
             replay[m.sensor_id] = (m.dest, energy, energy < model.static_threshold, False)
         assert _state(world) == replay
+        # The change record, which a re-election reads instead of diffing
+        # every sensor, names exactly the sensors whose state changed.
+        changed = {sid for sid, state in _state(world).items() if state != before[sid]}
+        assert victim in changed
+        assert _recorded(world, marked, before) == changed
         for sid, pos in self.failed_at.items():
             assert world.sensor(sid).pos == pos
 
@@ -108,6 +126,7 @@ class FailureSequence(RuleBasedStateMachine):
                 == (outcome.success, outcome.mechanism, outcome.moves, outcome.new_barrier)
             assert self.twin.barrier == world.barrier
             assert _state(self.twin) == _state(world)
+            assert _recorded(self.twin, twin_marked, before) == changed
             # A fresh election on this world reaches the same fixpoint
             # whatever the delivery order.
             if any(not world.sensor(sid).failed for sid in world.barrier):
