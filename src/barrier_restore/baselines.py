@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Point, RestoreOutcome, World, displacement_capacity
-from .graph import closest_filler, shift_cascade, verify_barrier, world_graph
+from .graph import closest_filler, shift_cascade, world_graph
 
 
 def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> RestoreOutcome:
@@ -23,7 +23,7 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
     """
     chain = world.barrier or []
     if failed_id not in chain:
-        return RestoreOutcome(success=verify_barrier(world))
+        return RestoreOutcome()
     barrier_set = set(chain)
     step = 0  # chain direction of the cascade, chosen at the first hole
 

@@ -9,6 +9,9 @@ Two schemes share the alternate-path step:
   positions, which realizes cascaded shifting whenever the cheapest filler
   chain passes through barrier nodes.
 
+A step only repairs and reports what it did; whether the chain holds
+afterwards is ``graph.verify_barrier(world)``, which the caller reads.
+
 The assignment is sparse and lazy. ``build_assignment`` lists up front
 only the zero-cost cells, the sensors that stand exactly on a barrier
 position, which are all that the warm start of ``hungarian`` reads. Each
@@ -40,7 +43,6 @@ from .graph import (
     failed_span,
     find_alternate_path,
     splice_barrier,
-    verify_barrier,
     world_graph,
 )
 
@@ -207,27 +209,23 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
 
 def _try_alternate_path(world: World, failed: set[int]) -> Optional[RestoreOutcome]:
     """The alternate-path step: splice a detour between the survivors
-    flanking the failed span into the chain and verify it; None, with the
-    world untouched, when the graph offers no such path."""
+    flanking the failed span into the chain; None, with the world
+    untouched, when the graph offers no such path."""
     barrier = world.barrier or []
     _, _, left, right = failed_span(barrier, failed)
     path = find_alternate_path(world_graph(world), left, right)
     if path is None:
         return None
     world.barrier = splice_barrier(barrier, failed, path)
-    return RestoreOutcome(
-        success=verify_barrier(world),
-        mechanism=MECH_ALTERNATE,
-        new_barrier=world.barrier,
-    )
+    return RestoreOutcome(MECH_ALTERNATE)
 
 
 def restore_nmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
     """Static baseline: recover only if a detour already exists."""
     failed = set(failed) & set(world.barrier or [])
     if not failed:
-        return RestoreOutcome(success=verify_barrier(world))
-    return _try_alternate_path(world, failed) or RestoreOutcome(success=False)
+        return RestoreOutcome()
+    return _try_alternate_path(world, failed) or RestoreOutcome()
 
 
 def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
@@ -237,7 +235,7 @@ def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
     world, so no sensor moves until the solve has returned."""
     failed = set(failed) & set(world.barrier or [])
     if not failed:
-        return RestoreOutcome(success=verify_barrier(world))
+        return RestoreOutcome()
     detour = _try_alternate_path(world, failed)
     if detour is not None:
         return detour
@@ -245,7 +243,7 @@ def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
     problem = build_assignment(world, failed)
     assignment = hungarian(problem)
     if assignment is None:
-        return RestoreOutcome(success=False)
+        return RestoreOutcome()
 
     start = len(world.move_log)
     occupants = [problem.left[i] for i in assignment]
@@ -253,9 +251,4 @@ def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
         if world.sensor(sid).pos.distance_to(target) > 0.0:
             world.apply_move(sid, target)
     world.barrier = occupants
-    return RestoreOutcome(
-        success=verify_barrier(world),
-        mechanism=MECH_SHIFTING,
-        moves=world.move_log[start:],
-        new_barrier=occupants,
-    )
+    return RestoreOutcome(MECH_SHIFTING, world.move_log[start:])

@@ -5,10 +5,10 @@ Subcommands:
   run       replay one failure scenario against a deployment (debugger)
   sweep     full experiment grid, CSV on stdout
 
-Exit codes: 0 ran, 2 usage error (a bad deployment file included), 3 no
-initial barrier, 4 several ``run --fail`` ids for a local scheme (rmove or
-dmove), which handles one failure at a time. Stdout carries only data;
-diagnostics go to stderr.
+Exit codes: 0 ran, 2 usage error (a bad deployment file or a repeated
+``run --fail`` id included), 3 no initial barrier, 4 several ``run --fail``
+ids for a local scheme (rmove or dmove), which handles one failure at a
+time. Stdout carries only data; diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .core import EnergyModel, Region, World, seeded_rng, world_from_json, world_to_json
 from .distributed import MessageBus
-from .graph import find_barrier, world_graph
+from .graph import find_barrier, verify_barrier, world_graph
 from .harness import (
     SCHEMES,
     ExperimentConfig,
@@ -114,6 +114,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not failed_ids:
         print("error: --fail lists no ids", file=sys.stderr)
         return EXIT_USAGE
+    if len(set(failed_ids)) < len(failed_ids):
+        print(f"error: --fail repeats an id: {args.fail!r}", file=sys.stderr)
+        return EXIT_USAGE
     if args.scheme in ("rmove", "dmove") and len(failed_ids) > 1:
         print(f"error: {args.scheme} handles failures one at a time", file=sys.stderr)
         return EXIT_MULTI_FAILURE
@@ -150,11 +153,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         world.fail(sid)
     # One centralized step covers every failed chain member; the local
     # schemes were limited to a single id above.
+    chain = world.barrier
     outcome = restore(failed_ids[0])
 
-    doc = outcome.to_dict()
-    doc["scheme"] = args.scheme
-    doc["failed"] = failed_ids
+    doc = {
+        "success": verify_barrier(world),
+        "mechanism": outcome.mechanism,
+        "moves": [
+            {"id": sid, "from": [a.x, a.y], "to": [b.x, b.y]}
+            for sid, a, b in outcome.moves
+        ],
+        "total_displacement": outcome.total_displacement,
+        "new_barrier": world.barrier if world.barrier is not chain else None,
+        "scheme": args.scheme,
+        "failed": failed_ids,
+    }
     print(json.dumps(doc, indent=2))
     if args.trace:
         sys.stderr.write(bus.log_csv())

@@ -103,29 +103,16 @@ MECH_NONE = "none"
 
 @dataclass
 class RestoreOutcome:
-    """What one restore step did; ``moves`` is the slice of
-    ``World.move_log`` that the step appended."""
+    """What one restore step did: its mechanism and its moves, the slice of
+    ``World.move_log`` that the step appended. Whether the barrier holds
+    after the step is read off the world, ``graph.verify_barrier(world)``."""
 
-    success: bool
     mechanism: str = MECH_NONE
     moves: list[Move] = field(default_factory=list)
-    new_barrier: Optional[list[int]] = None
 
     @property
     def total_displacement(self) -> float:
         return sum((m.length for m in self.moves), 0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "success": self.success,
-            "mechanism": self.mechanism,
-            "moves": [
-                {"id": sid, "from": [a.x, a.y], "to": [b.x, b.y]}
-                for sid, a, b in self.moves
-            ],
-            "total_displacement": self.total_displacement,
-            "new_barrier": self.new_barrier,
-        }
 
 
 class World:
@@ -204,14 +191,12 @@ class World:
             s.static = True
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """Deterministic random stream: same seed, same draws, any platform."""
-    return np.random.Generator(np.random.PCG64(seed))
-
-
-def derived_rng(*key: int) -> np.random.Generator:
-    """Independent deterministic stream keyed by a tuple of integers."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
+def seeded_rng(*key: int) -> np.random.Generator:
+    """Deterministic random stream keyed by one or more integers: same key,
+    same draws, any platform. ``PCG64`` seeds an int ``s`` as
+    ``SeedSequence(s)``, which equals ``SeedSequence([s])``, so a one-int
+    key gives the stream of ``PCG64(s)``."""
+    return np.random.Generator(np.random.PCG64(list(key)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .graph import (
     closest_filler,
     shift_cascade,
     splice_barrier,
-    verify_barrier,
     world_graph,
 )
 
@@ -545,21 +544,17 @@ def handle_failure_dmove(
     if failed_id not in barrier:
         if failed_state is not None and failed_state.rec_set:
             init_recovery_nodes(world, bus=bus, election=election)
-        return RestoreOutcome(success=verify_barrier(world))
+        return RestoreOutcome()
 
     rec = failed_state.rec_node if failed_state is not None else None
     if rec is None or world.sensor(rec).failed:
-        return RestoreOutcome(success=False)
+        return RestoreOutcome()
 
     replacement = _search_detour(world_graph(world), failed_state, rec, k, bus)
     if replacement is not None:
         world.barrier = splice_barrier(barrier, {failed_id}, replacement)
         init_recovery_nodes(world, bus=bus, election=election)
-        return RestoreOutcome(
-            success=verify_barrier(world),
-            mechanism=MECH_ALTERNATE,
-            new_barrier=world.barrier,
-        )
+        return RestoreOutcome(MECH_ALTERNATE)
     outcome = shift_cascade(
         world, failed_id, lambda vacated, idx, hole: election[vacated].rec_node
     )

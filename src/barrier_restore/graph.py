@@ -12,7 +12,8 @@ graph, so ``IntersectionGraph.near`` is the only adjacency test; it reads
 the graph's x-window, ``IntersectionGraph.window``, which the cmove
 assignment reads too. A barrier is a path of this graph from PL to PR:
 the searches find one, and ``verify_barrier`` checks the designated chain
-as one.
+as one. No scheme calls it: a step reports what it did, and the episode
+loop (``harness.run_trial``) reads the verdict off the world.
 ``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
 pairwise definitions they are checked against, in ``tests/test_graph.py``,
 ``tests/test_distributed.py::TestIncrementalElection`` and after every
@@ -289,9 +290,9 @@ def shift_cascade(
     member leaves its own slot as the next hole. The cascade gives up when
     ``next_mover`` returns None or a sensor that already moved, or when the
     mover is dead or cannot afford the hop. Moves made before giving up
-    stay made, but ``world.barrier`` is left as it was. The mechanism is
-    ``shifting`` iff some sensor moved onto a hole; success means the new
-    chain verifies.
+    stay made, but ``world.barrier`` is left as it was; a cascade that ends
+    puts the shifted chain in ``world.barrier``. The mechanism is
+    ``shifting`` iff some sensor moved onto a hole.
     """
     barrier = world.barrier or []
     chain = list(barrier)
@@ -314,18 +315,9 @@ def shift_cascade(
         chain[idx] = mover
         if mover not in barrier:
             world.barrier = chain
-            return RestoreOutcome(
-                success=verify_barrier(world),
-                mechanism=MECH_SHIFTING,
-                moves=world.move_log[start:],
-                new_barrier=chain,
-            )
+            break
         vacated, idx, hole = mover, barrier.index(mover), old_pos
-    return RestoreOutcome(
-        success=False,
-        mechanism=MECH_SHIFTING if moved else MECH_NONE,
-        moves=world.move_log[start:],
-    )
+    return RestoreOutcome(MECH_SHIFTING if moved else MECH_NONE, world.move_log[start:])
 
 
 def verify_barrier(world: World) -> bool:

@@ -27,12 +27,13 @@ from .core import (
     Region,
     Sensor,
     World,
-    derived_rng,
+    seeded_rng,
 )
 from .distributed import MessageBus, handle_failure_dmove, init_recovery_nodes
+from .graph import find_barrier, verify_barrier, world_graph
 # build_intersection_graph is not called here; perfbench/selftest.py reads it
 # on this module to check that tracing put the original back.
-from .graph import build_intersection_graph, find_barrier, world_graph  # noqa: F401
+from .graph import build_intersection_graph  # noqa: F401
 
 SCHEMES = ("nmove", "rmove", "cmove", "dmove")
 
@@ -176,7 +177,7 @@ def deploy_with_barrier(config: ExperimentConfig, seed: int) -> World:
     initial barrier."""
     region = Region(config.length, config.width)
     for attempt in range(config.max_redraws):
-        rng = derived_rng(seed, 0, attempt)
+        rng = seeded_rng(seed, 0, attempt)
         world = World(region, generate_deployment(config, rng), config.energy_model())
         barrier = find_barrier(world_graph(world))
         if barrier:
@@ -217,14 +218,18 @@ def compute_metrics(
 def run_trial(scheme: str, config: ExperimentConfig, seed: int) -> TrialResult:
     """One seeded trial: deploy, fail sensors one by one, restore, report.
 
-    A failed restoration does not end the trial; the centralized schemes
-    keep retrying the accumulated gap on later episodes, while the local
-    schemes need the chain whole and simply keep failing until the trial
-    ends.
+    An episode succeeds when the designated chain verifies after the step.
+    ``verify_barrier`` reads only the chain and its members' liveness and
+    positions, so the verdict is recomputed only after a step whose victim
+    was on the chain, that moved a sensor or that replaced the chain; any
+    other step keeps the last verdict. A failed restoration does not end the
+    trial; the centralized schemes keep retrying the accumulated gap on
+    later episodes, while the local schemes need the chain whole and simply
+    keep failing until the trial ends.
     """
     world = deploy_with_barrier(config, seed)
-    fail_rng = derived_rng(seed, 1)
-    restore = start_scheme(scheme, world, derived_rng(seed, 2), k=config.k_hop_budget)
+    fail_rng = seeded_rng(seed, 1)
+    restore = start_scheme(scheme, world, seeded_rng(seed, 2), k=config.k_hop_budget)
 
     total_failures = math.floor(config.failure_fraction_max * config.n)
     targets = [math.floor(p * config.n) for p in config.report_points]
@@ -245,19 +250,23 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int) -> TrialResult:
                 )
 
     snapshot()  # report points that round down to zero failures
+    holds = verify_barrier(world)
     for _ in range(total_failures):
         active_ids = [s.id for s in world.active_sensors()]
         failed_id = active_ids[int(fail_rng.integers(0, len(active_ids)))]
-        on_chain = failed_id in (world.barrier or [])
+        chain = world.barrier
+        on_chain = failed_id in (chain or [])
         world.fail(failed_id)
         outcome = restore(failed_id)
+        if on_chain or outcome.moves or world.barrier is not chain:
+            holds = verify_barrier(world)
         failures += 1
-        recoveries += int(outcome.success)
+        recoveries += int(holds)
         displacement = outcome.total_displacement
         cum_disp += displacement
         episodes.append(
             EpisodeRecord(failures, failed_id, on_chain, outcome.mechanism,
-                          outcome.success, displacement)
+                          holds, displacement)
         )
         snapshot()
     return TrialResult(rows, episodes, world)
@@ -273,9 +282,11 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
 
     The centralized schemes see the whole world, so each step retries every
     still-unfilled chain vacancy; the local schemes react to the new failure
-    alone, whatever the global state of the chain. Entry points are looked
-    up in this module on every call, so a tracer that rebinds them here
-    sees every step. A hop budget below 1 raises ``ValueError``.
+    alone, whatever the global state of the chain. A step that changes the
+    chain assigns a new list to ``world.barrier`` and never edits the old
+    one, so a caller can tell by identity. Entry points are looked up in
+    this module on every call, so a tracer that rebinds them here sees
+    every step. A hop budget below 1 raises ``ValueError``.
     """
     if k is not None and k < 1:
         raise ValueError(f"hop budget k must be at least 1, got {k}")

@@ -30,6 +30,7 @@ from barrier_restore.graph import verify_barrier
 from barrier_restore.harness import ExperimentConfig, run_trial, trial_seed
 from conftest import make_world, random_line_world
 from oracles import (
+    barrier_oracle,
     brute_force_assignment,
     dense_build_assignment,
     dense_hungarian,
@@ -401,7 +402,7 @@ class TestRestoreCmove:
         w = t1_world
         w.fail(2)
         out = restore_cmove(w, {2})
-        assert out.success and out.mechanism == MECH_SHIFTING
+        assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
         assert out.moves == [(5, Point(5, 2), Point(5, 0))]
         assert out.total_displacement == pytest.approx(2.0)
         assert w.barrier == [0, 1, 5, 3, 4]
@@ -411,7 +412,7 @@ class TestRestoreCmove:
         w = t1_world
         w.fail(1)
         out = restore_cmove(w, {1})
-        assert out.success and out.mechanism == MECH_SHIFTING
+        assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
         assert sorted(m[0] for m in out.moves) == [2, 5]
         assert out.total_displacement == pytest.approx(4.0)
 
@@ -419,7 +420,7 @@ class TestRestoreCmove:
         w = detour_world
         w.fail(1)
         out = restore_cmove(w, {1})
-        assert out.success and out.mechanism == MECH_ALTERNATE
+        assert verify_barrier(w) and out.mechanism == MECH_ALTERNATE
         assert out.total_displacement == 0.0
         assert w.barrier == [0, 4, 5, 2, 3]
         assert verify_barrier(w)
@@ -429,7 +430,7 @@ class TestRestoreCmove:
         w.fail(1)
         w.fail(2)
         out = restore_cmove(w, {1, 2})
-        assert out.success and out.mechanism == MECH_SHIFTING
+        assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
         assert out.total_displacement == pytest.approx(4.0)
         assert sorted(m[0] for m in out.moves) == [5, 6]
         assert verify_barrier(w)
@@ -440,13 +441,13 @@ class TestRestoreCmove:
             w.fail(sid)
         positions = {s.id: s.pos for s in w.active_sensors()}
         out = restore_cmove(w, {1, 2})
-        assert not out.success
+        assert not verify_barrier(w)
         assert out.moves == []
         assert {s.id: s.pos for s in w.active_sensors()} == positions
 
     def test_empty_failed_set_is_noop(self, t1_world):
         out = restore_cmove(t1_world, set())
-        assert out.success
+        assert verify_barrier(t1_world)
         assert out.moves == [] and out.total_displacement == 0.0
 
     def test_barrier_positions_preserved_after_shifting(self):
@@ -460,12 +461,12 @@ class TestRestoreCmove:
             victim = w.barrier[len(w.barrier) // 2]
             w.fail(victim)
             out = restore_cmove(w, {victim})
-            if out.success and out.mechanism == MECH_SHIFTING:
+            if verify_barrier(w) and out.mechanism == MECH_SHIFTING:
                 after = sorted(
                     (w.sensor(b).pos.x, w.sensor(b).pos.y) for b in w.barrier
                 )
                 assert after == pytest.approx(before)
-                assert verify_barrier(w)
+                assert barrier_oracle(w)
 
 
 class TestRestoreNmove:
@@ -473,18 +474,18 @@ class TestRestoreNmove:
         w = detour_world
         w.fail(1)
         out = restore_nmove(w, {1})
-        assert out.success and out.mechanism == MECH_ALTERNATE
+        assert verify_barrier(w) and out.mechanism == MECH_ALTERNATE
         assert out.total_displacement == 0.0 and out.moves == []
 
     def test_t1_failure_unrecoverable(self, t1_world):
         w = t1_world
         w.fail(2)
         out = restore_nmove(w, {2})
-        assert not out.success
+        assert not verify_barrier(w)
 
     def test_empty_failed_set(self, t1_world):
         out = restore_nmove(t1_world, set())
-        assert out.success
+        assert verify_barrier(t1_world)
 
 
 def shifting_oracle(world, failed):
@@ -504,7 +505,7 @@ def test_cmove_matches_exhaustive_minimum_on_small_worlds():
         w.fail(victim)
         want = shifting_oracle(w, {victim})
         out = restore_cmove(w, {victim})
-        if out.mechanism == MECH_SHIFTING and out.success:
+        if out.mechanism == MECH_SHIFTING and verify_barrier(w):
             assert want is not None
             assert out.total_displacement == pytest.approx(want, abs=1e-9)
             compared += 1
@@ -540,5 +541,5 @@ def test_fuzzed_cmove_with_tight_energy_never_exceeds_capacity():
             w.fail(victim)
             failed = [sid for sid in w.barrier if w.sensor(sid).failed]
             out = restore_cmove(w, failed)
-            shifted += out.success and out.mechanism == MECH_SHIFTING
+            shifted += verify_barrier(w) and out.mechanism == MECH_SHIFTING
     assert shifted >= 20

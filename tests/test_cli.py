@@ -114,12 +114,14 @@ class TestRunBadDeployment:
     (["sweep", "--n-list", "40", "--jobs", "0"], None),
     (["sweep", "--n-list", ","], None),
     (["run", "--deployment", "{t1}", "--scheme", "dmove", "--fail", "2", "--k", "-3"], None),
+    (["run", "--deployment", "{t1}", "--scheme", "rmove", "--fail", "2,2"], None),
+    (["run", "--deployment", "{t1}", "--scheme", "cmove", "--fail", "2,2"], None),
 ], ids=["generate-n-1", "generate-negative-rho", "sweep-missing-config",
         "sweep-config-list", "sweep-config-string-trials", "sweep-config-negative-k",
         "sweep-config-scalar-report-points", "sweep-config-null-schemes",
         "sweep-config-non-string-scheme", "sweep-config-empty-schemes",
         "sweep-config-empty-report-points", "sweep-jobs-0", "sweep-n-list-empty",
-        "run-negative-k"])
+        "run-negative-k", "run-repeated-id-local", "run-repeated-id-centralized"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv, config):
     # Each of these used to end in a traceback and exit 1, or to run anyway.
     path = tmp_path / "cfg.json"

@@ -10,7 +10,7 @@ import pytest
 
 from barrier_restore import distributed, harness
 from barrier_restore.central import MECH_ALTERNATE, MECH_SHIFTING
-from barrier_restore.core import MECH_NONE, Point, derived_rng, displacement_capacity, seeded_rng
+from barrier_restore.core import MECH_NONE, Point, displacement_capacity, seeded_rng
 from barrier_restore.distributed import (
     MessageBus,
     handle_failure_dmove,
@@ -33,7 +33,13 @@ from barrier_restore.harness import (
     trial_seed,
 )
 from conftest import T1_COORDS, drain, make_world, random_line_world
-from oracles import adjacency_oracle, has_edge, hop_distance, recovery_chain_oracle
+from oracles import (
+    adjacency_oracle,
+    barrier_oracle,
+    has_edge,
+    hop_distance,
+    recovery_chain_oracle,
+)
 
 INF = math.inf
 
@@ -212,8 +218,8 @@ def test_trial_message_log_bytes_are_pinned():
     seed = trial_seed(config, 0)
     world = deploy_with_barrier(config, seed)
     bus = MessageBus(keep_log=True)
-    restore = start_scheme("dmove", world, derived_rng(seed, 2), bus=bus)
-    fail_rng = derived_rng(seed, 1)
+    restore = start_scheme("dmove", world, seeded_rng(seed, 2), bus=bus)
+    fail_rng = seeded_rng(seed, 1)
     mechanisms = Counter()
     for _ in range(math.floor(config.failure_fraction_max * config.n)):
         alive = [s.id for s in world.active_sensors()]
@@ -295,7 +301,7 @@ class TestHandleFailure:
     def test_spare_fills_hole(self, t1_world):
         states = init_recovery_nodes(t1_world)
         out = handle_failure_dmove(t1_world, states, 2)
-        assert out.success and out.mechanism == MECH_SHIFTING
+        assert verify_barrier(t1_world) and out.mechanism == MECH_SHIFTING
         assert out.moves == [(5, Point(5, 2), Point(5, 0))]
         assert t1_world.barrier == [0, 1, 5, 3, 4]
         assert verify_barrier(t1_world)
@@ -303,7 +309,7 @@ class TestHandleFailure:
     def test_barrier_recovery_node_cascades(self, t1_world):
         states = init_recovery_nodes(t1_world)
         out = handle_failure_dmove(t1_world, states, 1)
-        assert out.success and out.mechanism == MECH_SHIFTING
+        assert verify_barrier(t1_world) and out.mechanism == MECH_SHIFTING
         assert [m[0] for m in out.moves] == [2, 5]
         assert out.total_displacement == pytest.approx(4.0)
         assert t1_world.barrier == [0, 2, 5, 3, 4]
@@ -313,7 +319,7 @@ class TestHandleFailure:
         states = init_recovery_nodes(w)
         assert states[1].rec_node == 4
         out = handle_failure_dmove(w, states, 1)
-        assert out.success and out.mechanism == MECH_ALTERNATE
+        assert verify_barrier(w) and out.mechanism == MECH_ALTERNATE
         assert out.total_displacement == 0.0
         assert w.barrier == [0, 4, 5, 2, 3]
         assert verify_barrier(w)
@@ -325,7 +331,7 @@ class TestHandleFailure:
         states = init_recovery_nodes(w)
         expected_cost = states[3].path_length
         out = handle_failure_dmove(w, states, 3)
-        assert out.success and out.mechanism == MECH_SHIFTING
+        assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
         assert [m[0] for m in out.moves] == [2, 1, 0, 5]
         assert out.total_displacement == pytest.approx(expected_cost)
         assert verify_barrier(w)
@@ -341,7 +347,7 @@ class TestHandleFailure:
         states = init_recovery_nodes(t1_world)
         assert states[2].rec_node == 5
         out = handle_failure_dmove(t1_world, states, 5)
-        assert out.success  # barrier untouched
+        assert verify_barrier(t1_world)  # barrier untouched
         assert out.moves == []
         # With the only spare gone there is no candidate left anywhere.
         assert states[2].rec_node is None
@@ -355,7 +361,7 @@ class TestHandleFailure:
         states = init_recovery_nodes(w)
         assert states[2].rec_node == 5
         out = handle_failure_dmove(w, states, 5)
-        assert out.success and out.moves == []
+        assert verify_barrier(w) and out.moves == []
         assert states[2].rec_node == 1
 
     def test_plain_bystander_failure_is_ignored(self):
@@ -366,7 +372,7 @@ class TestHandleFailure:
         assert all(st.rec_node != 6 for st in states.values())
         before = {sid: st.rec_node for sid, st in states.items()}
         out = handle_failure_dmove(w, states, 6)
-        assert out.success and out.moves == []
+        assert verify_barrier(w) and out.moves == []
         after = {sid: st.rec_node for sid, st in states.items() if sid != 6}
         assert {k: v for k, v in before.items() if k != 6} == after
 
@@ -374,7 +380,7 @@ class TestHandleFailure:
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
         states = init_recovery_nodes(w)
         out = handle_failure_dmove(w, states, 2)
-        assert not out.success
+        assert not verify_barrier(w)
         assert out.moves == []
 
     def test_cascade_stops_when_mover_lacks_energy(self):
@@ -382,9 +388,8 @@ class TestHandleFailure:
         states = init_recovery_nodes(w)
         drain(w, 1, 1.0)  # mid-chain mover can no longer shift
         out = handle_failure_dmove(w, states, 3)
-        assert not out.success
-        assert [m[0] for m in out.moves] == [2]  # first hop happened
         assert not verify_barrier(w)
+        assert [m[0] for m in out.moves] == [2]  # first hop happened
 
     def test_every_success_leaves_valid_barrier(self):
         successes = 0
@@ -396,9 +401,9 @@ class TestHandleFailure:
             rng = np.random.default_rng(seed + 999)
             victim = int(rng.choice(sorted(w.sensors)))
             out = handle_failure_dmove(w, states, victim)
-            if out.success:
-                assert verify_barrier(w)
-                successes += 1
+            holds = verify_barrier(w)
+            assert holds == barrier_oracle(w)
+            successes += holds
             assert all(s.energy >= 0 for s in w.sensors.values())
             assert len(out.moves) <= len(w.sensors)
         assert successes >= 15
@@ -414,7 +419,7 @@ def test_best_filler_sees_the_fillers_near_finds():
         seed = trial_seed(config, t)
         world = deploy_with_barrier(config, seed)
         election = init_recovery_nodes(world)
-        fail_rng = derived_rng(seed, 1)
+        fail_rng = seeded_rng(seed, 1)
         for _ in range(math.floor(config.failure_fraction_max * config.n)):
             alive = [s.id for s in world.active_sensors()]
             handle_failure_dmove(world, election, alive[int(fail_rng.integers(len(alive)))])
@@ -468,10 +473,11 @@ class TestIncrementalElection:
                           drained.energy * float(drain_rng.uniform(0.0, 0.5)))
             watched = any(st.rec_node == victim for st in election.values())
             before = counts["elections"]
+            chain = world.barrier
             out = handle_failure_dmove(world, election, victim, bus=bus)
             counts["recovery-node death"] += watched and victim not in world.barrier
             counts["given-up cascade"] += (
-                out.mechanism == MECH_SHIFTING and out.new_barrier is None
+                out.mechanism == MECH_SHIFTING and world.barrier is chain
             )
             if counts["elections"] > before:
                 self._check(world, election, counts)
@@ -499,13 +505,13 @@ class TestIncrementalElection:
                 seed = trial_seed(config, t)
                 world = deploy_with_barrier(config, seed)
                 election = init_recovery_nodes(world)
-                fail_rng = derived_rng(seed, 1)
+                fail_rng = seeded_rng(seed, 1)
                 victims = []
                 for _ in range(math.floor(config.failure_fraction_max * n)):
                     alive = [s.id for s in world.active_sensors() if s.id not in victims]
                     victims.append(alive[int(fail_rng.integers(0, len(alive)))])
                 self._run(world, election, victims, counts,
-                          drain_rng=derived_rng(seed, 3) if t % 2 else None)
+                          drain_rng=seeded_rng(seed, 3) if t % 2 else None)
         assert counts["checked"] >= 300
         for case in ("given-up cascade", "dead chain member", "recovery-node death"):
             assert counts[case] >= 1, case
@@ -581,7 +587,7 @@ class TestIncrementalElection:
         victim = chain[len(chain) // 2]
         again = MessageBus(keep_log=True)
         out = handle_failure_dmove(world, election, victim, bus=again)
-        assert out.success
+        assert verify_barrier(world)
         elect_msgs = [row for row in again.log if row[3] != "Tok"]
         assert 0 < len(elect_msgs) < len(first.log) // 5
 

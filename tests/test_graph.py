@@ -224,7 +224,7 @@ class TestShiftCascade:
         if "drained" in edit:
             w.sensor(edit["drained"]).energy = 1.0  # every hop here is 2
         w.fail(1)
-        barrier, start = list(w.barrier), len(w.move_log)
+        chain, barrier, start = w.barrier, list(w.barrier), len(w.move_log)
         calls = []
         queue = iter(movers)
 
@@ -233,7 +233,7 @@ class TestShiftCascade:
             return next(queue, None)
 
         out = shift_cascade(w, 1, next_mover)
-        assert not out.success and out.new_barrier is None
+        assert not verify_barrier(w) and w.barrier is chain
         assert w.barrier == barrier
         assert out.moves == w.move_log[start:]
         assert len(out.moves) == n_moves
@@ -248,10 +248,11 @@ class TestShiftCascade:
     def test_off_chain_mover_ends_the_cascade(self, t1_world):
         w = t1_world
         w.fail(1)
+        chain = w.barrier
         queue = iter([2, 5])
         out = shift_cascade(w, 1, lambda vacated, idx, hole: next(queue))
-        assert out.success and out.mechanism == MECH_SHIFTING
-        assert w.barrier == out.new_barrier == [0, 2, 5, 3, 4]
+        assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
+        assert w.barrier is not chain and w.barrier == [0, 2, 5, 3, 4]
         assert [m.sensor_id for m in out.moves] == [2, 5]
 
 

@@ -9,7 +9,13 @@ import pytest
 
 from barrier_restore import graph, harness
 from barrier_restore.cli import main
-from barrier_restore.core import seeded_rng
+from barrier_restore.core import (
+    MECH_NONE,
+    Point,
+    RestoreOutcome,
+    displacement_capacity,
+    seeded_rng,
+)
 from barrier_restore.graph import build_intersection_graph, find_barrier, world_graph
 from barrier_restore.harness import (
     ExperimentConfig,
@@ -25,6 +31,8 @@ from barrier_restore.harness import (
 from oracles import total_displacement, total_energy_spent
 
 FAST = dict(length=400.0, rho=30.0, sigma=6.0, trials=2)
+# Sparse enough that every scheme leaves some chain failures unrepaired.
+SPARSE = dict(FAST, length=1000.0)
 
 
 class TestGenerateDeployment:
@@ -121,6 +129,83 @@ class TestRunTrial:
         a = run_trial("rmove", cfg, trial_seed(cfg, 5))
         b = run_trial("rmove", cfg, trial_seed(cfg, 5))
         assert a.rows == b.rows
+
+
+def _checked_steps(monkeypatch, extra=None):
+    """Wrap the step that ``start_scheme`` returns so that each call, after
+    the step and ``extra(world, failed_id, outcome)`` (which may change the
+    world and returns the outcome to report), appends a from-scratch
+    ``verify_barrier(world)`` to the returned list."""
+    verdicts = []
+    original = harness.start_scheme
+
+    def start(scheme, world, *args, **kwargs):
+        step = original(scheme, world, *args, **kwargs)
+
+        def checked(failed_id):
+            outcome = step(failed_id)
+            if extra is not None:
+                outcome = extra(world, failed_id, outcome)
+            verdicts.append(graph.verify_barrier(world))
+            return outcome
+        return checked
+
+    monkeypatch.setattr(harness, "start_scheme", start)
+    return verdicts
+
+
+@pytest.mark.parametrize("scheme", harness.SCHEMES)
+def test_episode_success_is_the_verdict_after_the_step(monkeypatch, scheme):
+    # run_trial re-verifies only after a step that can have changed the
+    # chain; every episode must still read what a full check reads.
+    verdicts = _checked_steps(monkeypatch)
+    cfg = ExperimentConfig(n=40, **SPARSE)
+    for t in range(4):
+        verdicts.clear()
+        episodes = run_trial(scheme, cfg, trial_seed(cfg, t)).episodes
+        assert [ep.success for ep in episodes] == verdicts
+        assert len(verdicts) == math.floor(cfg.failure_fraction_max * cfg.n)
+
+
+def test_verdict_is_retaken_after_a_new_chain_or_a_move(monkeypatch):
+    # No scheme replaces the chain or moves a sensor after a failure off the
+    # chain, so this step does it itself: in turn it designates a fresh
+    # minimum-hop barrier, drags a chain member out of reach of its chain
+    # neighbors, designates a fresh barrier again and reverses the chain.
+    turns = Counter()
+
+    def meddle(world, failed_id, outcome):
+        # nmove left the chain as it was iff its mechanism is "none"; act
+        # only when the victim was not on it.
+        if outcome.mechanism != MECH_NONE or failed_id in world.barrier:
+            return outcome
+        turn = turns["off"] % 4
+        turns["off"] += 1
+        turns[turn] += 1
+        if turn in (0, 2):
+            world.barrier = find_barrier(world_graph(world)) or list(world.barrier)
+        elif turn == 3:
+            world.barrier = world.barrier[::-1]
+        else:
+            start = len(world.move_log)
+            for sid in world.barrier:
+                s = world.sensor(sid)
+                dest = Point(s.pos.x, s.pos.y + 3 * s.sensing_radius)
+                if displacement_capacity(s, world.energy_model) >= s.pos.distance_to(dest):
+                    world.apply_move(sid, dest)
+                    break
+            outcome = RestoreOutcome(outcome.mechanism, world.move_log[start:])
+        return outcome
+
+    verdicts = _checked_steps(monkeypatch, meddle)
+    cfg = ExperimentConfig(n=40, **SPARSE)
+    flips = 0
+    for t in range(4):
+        verdicts.clear()
+        episodes = run_trial("nmove", cfg, trial_seed(cfg, t)).episodes
+        assert [ep.success for ep in episodes] == verdicts
+        flips += sum(a != b for a, b in zip(verdicts, verdicts[1:]))
+    assert min(turns[k] for k in range(4)) > 0 and flips > 0
 
 
 class TestComputeMetrics:

@@ -6,7 +6,8 @@ kills live sensors one at a time through the scheme's restore step from
 ``harness.start_scheme``. dmove also runs on a twin world whose bus delivers
 each round in a shuffled order; it must make exactly the same repairs.
 Each world's change record must name exactly the sensors whose state an
-episode changed.
+episode changed. Between failures, a chain member may be nudged along x,
+so that a chain of live sensors can lose a link.
 """
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from barrier_restore.core import EnergyModel, seeded_rng
+from barrier_restore.core import EnergyModel, Point, displacement_capacity, seeded_rng
 from barrier_restore.distributed import MessageBus, init_recovery_nodes
+from barrier_restore.graph import verify_barrier
 from barrier_restore.harness import SCHEMES, start_scheme
 from conftest import random_line_world
 from oracles import adjacency_oracle, barrier_oracle, total_displacement
@@ -76,14 +78,16 @@ class FailureSequence(RuleBasedStateMachine):
         before = _state(world)
         logged, marked = len(world.move_log), len(world.changes)
         twin_marked = None if self.twin is None else len(self.twin.changes)
+        chain = world.barrier
+        twin_chain = None if self.twin is None else self.twin.barrier
         world.fail(victim)
         self.failed_at[victim] = world.sensor(victim).pos
         outcome = self.restore(victim)
 
         assert outcome.moves == world.move_log[logged:]
-        # Success means exactly that the designated chain is a barrier by
-        # the pairwise definition, not by the scheme's own graph.
-        assert outcome.success == barrier_oracle(world)
+        # Success is the world graph's verdict on the designated chain; it
+        # must equal the pairwise definition's.
+        assert verify_barrier(world) == barrier_oracle(world)
 
         # Replay the episode's moves on the state before it: each starts
         # where its sensor stood, from a live sensor that may still move,
@@ -122,8 +126,10 @@ class FailureSequence(RuleBasedStateMachine):
         if self.twin is not None:
             self.twin.fail(victim)
             other = self.twin_restore(victim)
-            assert (other.success, other.mechanism, other.moves, other.new_barrier) \
-                == (outcome.success, outcome.mechanism, outcome.moves, outcome.new_barrier)
+            assert (verify_barrier(self.twin), other.mechanism, other.moves,
+                    self.twin.barrier is twin_chain) \
+                == (verify_barrier(world), outcome.mechanism, outcome.moves,
+                    world.barrier is chain)
             assert self.twin.barrier == world.barrier
             assert _state(self.twin) == _state(world)
             assert _recorded(self.twin, twin_marked, before) == changed
@@ -133,6 +139,30 @@ class FailureSequence(RuleBasedStateMachine):
                 shuffled = init_recovery_nodes(deepcopy(world),
                                                bus=MessageBus(shuffle_rng=self.shuffle_rng))
                 assert _fixpoint(shuffled) == _fixpoint(init_recovery_nodes(deepcopy(world)))
+
+    @rule(data=st.data())
+    def nudge(self, data):
+        """Move one live, mobile chain member along x by a step it can
+        afford, outside any restore step, on the twin too. The member stays
+        live, so the move can change the verdict only through its links."""
+        world = self.world
+        model = world.energy_model
+        mobile = [sid for sid in world.barrier
+                  if displacement_capacity(world.sensor(sid), model) > 0]
+        if not mobile:
+            return
+        sid = data.draw(st.sampled_from(mobile))
+        s = world.sensor(sid)
+        # Below the full capacity, so rounding in the x sum cannot push the
+        # distance over it.
+        dx = data.draw(st.floats(-0.9, 0.9)) * displacement_capacity(s, model)
+        dest = Point(s.pos.x + dx, s.pos.y)
+        world.apply_move(sid, dest)
+        if self.twin is not None:
+            self.twin.apply_move(sid, dest)
+        assert verify_barrier(world) == barrier_oracle(world)
+        live = world.active_sensors()
+        assert world.graph.adjacency == adjacency_oracle(live, world.region)
 
 
 TestFailureSequence = FailureSequence.TestCase
