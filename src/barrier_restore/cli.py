@@ -5,10 +5,11 @@ Subcommands:
   run       replay one failure scenario against a deployment (debugger)
   sweep     full experiment grid, CSV on stdout
 
-Exit codes: 0 ran, 2 usage error (a bad deployment file or a repeated
-``run --fail`` id included), 3 no initial barrier, 4 several ``run --fail``
-ids for a local scheme (rmove or dmove), which handles one failure at a
-time. Stdout carries only data; diagnostics go to stderr.
+Exit codes: 0 ran, 2 usage error (a bad deployment file, a bad output
+path or a repeated ``run --fail`` id included), 3 no initial barrier, 4
+several ``run --fail`` ids for a local scheme (rmove or dmove), which
+handles one failure at a time. Stdout carries only data; diagnostics go to
+stderr.
 """
 from __future__ import annotations
 
@@ -100,8 +101,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     text = world_to_json(world)
     if args.out is None:
         print(text)
-    else:
+        return 0
+    try:
         args.out.write_text(text + "\n")
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     return 0
 
 

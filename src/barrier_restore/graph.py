@@ -7,13 +7,15 @@ Adjacency uses the closed convention: tangent discs count as intersecting.
 Each world has one graph, ``world_graph(world)``: built on first use (on
 the deploy path), kept in ``World.graph`` and kept current by the only two
 ways a world changes, ``World.apply_move`` and ``World.fail``, through
-``IntersectionGraph.insert`` and ``remove``. ``insert`` also builds the
-graph, so ``IntersectionGraph.near`` is the only adjacency test; it reads
-the graph's x-window, ``IntersectionGraph.window``, which the cmove
-assignment reads too. A barrier is a path of this graph from PL to PR:
-the searches find one, and ``verify_barrier`` checks the designated chain
-as one. No scheme calls it: a step reports what it did, and the episode
-loop (``harness.run_trial``) reads the verdict off the world.
+``IntersectionGraph.insert`` and ``remove``. ``build_intersection_graph``
+builds the whole graph in one sweep over the sensors in x order; it and
+``IntersectionGraph.near``, which ``insert`` calls, share one disc test,
+``discs_meet``, so the graph has one adjacency test. ``near`` reads the
+graph's x-window, ``IntersectionGraph.window``, which the cmove assignment
+reads too. A barrier is a path of this graph from PL to PR: the searches
+find one, and ``verify_barrier`` checks the designated chain as one. No
+scheme calls it: a step reports what it did, and the episode loop
+(``harness.run_trial``) reads the verdict off the world.
 ``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
 pairwise definitions they are checked against, in ``tests/test_graph.py``,
 ``tests/test_distributed.py::TestIncrementalElection`` and after every
@@ -45,6 +47,15 @@ Path = list[int]
 
 class SpliceEndpointMismatch(Exception):
     """Replacement path does not start/end at the survivors flanking the gap."""
+
+
+def discs_meet(p: Point, r: float, q: Point, s: float) -> bool:
+    """True iff the closed discs of radius ``r`` at ``p`` and ``s`` at ``q``
+    intersect (tangent discs meet): the graph's one adjacency test."""
+    dx = p.x - q.x
+    dy = p.y - q.y
+    reach = r + s
+    return dx * dx + dy * dy <= reach * reach
 
 
 class IntersectionGraph:
@@ -95,19 +106,15 @@ class IntersectionGraph:
 
     def near(self, pos: Point, radius: float, sensors: Mapping[int, Sensor]) -> list[int]:
         """Sensor vertices, ascending, whose discs meet a disc of ``radius``
-        at ``pos`` (tangent discs meet). This is the graph's one adjacency
-        test."""
+        at ``pos`` (tangent discs meet), by ``discs_meet``."""
         # Intersecting discs lie within reach in x; the slack only widens
         # the window against rounding, the exact test decides.
         span = (radius + self._max_radius) * (1.0 + 1e-9)
-        out = []
-        for v in self.window(pos.x - span, pos.x + span):
-            q = self.positions[v]
-            dx = pos.x - q.x
-            dy = pos.y - q.y
-            reach = radius + sensors[v].sensing_radius
-            if dx * dx + dy * dy <= reach * reach:
-                out.append(v)
+        positions = self.positions
+        out = [
+            v for v in self.window(pos.x - span, pos.x + span)
+            if discs_meet(pos, radius, positions[v], sensors[v].sensing_radius)
+        ]
         out.sort()
         return out
 
@@ -140,11 +147,46 @@ def build_intersection_graph(
     sensors: Sequence[Sensor], region: Region
 ) -> IntersectionGraph:
     """Edges join live sensors whose sensing discs intersect; a sensor whose
-    disc reaches the left (right) boundary is joined to PL (PR)."""
+    disc reaches the left (right) boundary is joined to PL (PR).
+
+    One sweep (fixed-radius near neighbours: Bentley, Stanat & Williams,
+    IPL 1977): the live sensors are sorted once by (x, id), and each is
+    tested against those after it in that order until their x is out of
+    reach of any two discs. The graph equals the one ``insert`` builds a
+    sensor at a time, rows sorted with the sentinels first.
+    """
     graph = IntersectionGraph(region)
     live = {s.id: s for s in sensors if not s.failed}
-    for sensor in live.values():
-        graph.insert(sensor, live)
+    order = sorted(live.values(), key=lambda s: (s.pos.x, s.id))
+    graph._xs = xs = [s.pos.x for s in order]
+    graph._ids = [s.id for s in order]
+    graph._max_radius = max((s.sensing_radius for s in order), default=0.0)
+    # Vertices in the order the sensors came, as ``insert`` adds them;
+    # every row is sorted at the end.
+    adjacency = graph.adjacency
+    for s in live.values():
+        graph.positions[s.id] = s.pos
+        row = adjacency[s.id] = []
+        if s.pos.x >= region.length - s.sensing_radius:
+            row.append(PR)
+            adjacency[PR].append(s.id)
+        if s.pos.x <= s.sensing_radius:
+            row.append(PL)
+            adjacency[PL].append(s.id)
+    # Same slack as ``near``: it only widens the scan against rounding.
+    span = 2.0 * graph._max_radius * (1.0 + 1e-9)
+    n = len(order)
+    for i, a in enumerate(order):
+        x, pos, radius, row = xs[i], a.pos, a.sensing_radius, adjacency[a.id]
+        j = i + 1
+        while j < n and xs[j] - x <= span:
+            b = order[j]
+            if discs_meet(pos, radius, b.pos, b.sensing_radius):
+                row.append(b.id)
+                adjacency[b.id].append(a.id)
+            j += 1
+    for row in adjacency.values():
+        row.sort()
     return graph
 
 

@@ -151,14 +151,16 @@ class TrialResult:
 
 def generate_deployment(config: ExperimentConfig, rng: np.random.Generator) -> list[Sensor]:
     """Uniformly spaced targets along the midline plus Gaussian offsets on
-    both axes; y is clamped to the belt."""
-    n = config.n
-    spacing = config.length / (n - 1)
-    offsets = rng.normal(0.0, config.sigma, size=(n, 2))
+    both axes; y is clamped to the belt. Coordinates are plain Python
+    floats: the offsets leave numpy as a list, so every later distance is
+    float arithmetic rather than slower numpy-scalar arithmetic on the
+    same values."""
+    spacing = config.length / (config.n - 1)
+    offsets = rng.normal(0.0, config.sigma, size=(config.n, 2)).tolist()
     sensors = []
-    for i in range(n):
-        x = i * spacing + offsets[i, 0]
-        y = min(max(config.width / 2 + offsets[i, 1], 0.0), config.width)
+    for i, (dx, dy) in enumerate(offsets):
+        x = i * spacing + dx
+        y = min(max(config.width / 2 + dy, 0.0), config.width)
         sensors.append(
             Sensor(
                 id=i,
@@ -226,6 +228,11 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int) -> TrialResult:
     trial; the centralized schemes keep retrying the accumulated gap on
     later episodes, while the local schemes need the chain whole and simply
     keep failing until the trial ends.
+
+    Victims are drawn uniformly from ``live``, the live ids in id order,
+    listed once after deploy; each draw pops its victim. Only this loop
+    fails sensors during a trial (dmove's own ``world.fail`` of the victim
+    does nothing), so the list stays the world's live ids without a rescan.
     """
     world = deploy_with_barrier(config, seed)
     fail_rng = seeded_rng(seed, 1)
@@ -251,9 +258,9 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int) -> TrialResult:
 
     snapshot()  # report points that round down to zero failures
     holds = verify_barrier(world)
+    live = [s.id for s in world.active_sensors()]
     for _ in range(total_failures):
-        active_ids = [s.id for s in world.active_sensors()]
-        failed_id = active_ids[int(fail_rng.integers(0, len(active_ids)))]
+        failed_id = live.pop(int(fail_rng.integers(0, len(live))))
         chain = world.barrier
         on_chain = failed_id in (chain or [])
         world.fail(failed_id)

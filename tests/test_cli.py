@@ -44,6 +44,14 @@ class TestGenerate:
             main(["generate", "--sigma", "0"])
         assert err.value.code == 2
 
+    def test_output_bytes_are_pinned(self, capsys):
+        # The digest of this deployment's JSON, recorded when coordinates
+        # were still numpy scalars; plain floats print the same bytes.
+        assert main(["generate", "--n", "160", "--seed", "5"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "9453fdaf569321e366664ec2492c8ad2e9a4f519ec329b523c82f8dc0a65d19f")
+
     def test_same_flags_identical_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["generate", "--n", "20", "--seed", "5", "--out"]
@@ -102,6 +110,7 @@ class TestRunBadDeployment:
 @pytest.mark.parametrize("argv, config", [
     (["generate", "--n", "1"], None),
     (["generate", "--n", "10", "--rho", "-1"], None),
+    (["generate", "--n", "10", "--out", "{absent}/x.json"], None),
     (["sweep", "--n-list", "40", "--config", "{absent}"], None),
     (["sweep", "--n-list", "40", "--config", "{config}"], "[1, 2]"),
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"trials": "3"}'),
@@ -116,8 +125,9 @@ class TestRunBadDeployment:
     (["run", "--deployment", "{t1}", "--scheme", "dmove", "--fail", "2", "--k", "-3"], None),
     (["run", "--deployment", "{t1}", "--scheme", "rmove", "--fail", "2,2"], None),
     (["run", "--deployment", "{t1}", "--scheme", "cmove", "--fail", "2,2"], None),
-], ids=["generate-n-1", "generate-negative-rho", "sweep-missing-config",
-        "sweep-config-list", "sweep-config-string-trials", "sweep-config-negative-k",
+], ids=["generate-n-1", "generate-negative-rho", "generate-bad-out",
+        "sweep-missing-config", "sweep-config-list", "sweep-config-string-trials",
+        "sweep-config-negative-k",
         "sweep-config-scalar-report-points", "sweep-config-null-schemes",
         "sweep-config-non-string-scheme", "sweep-config-empty-schemes",
         "sweep-config-empty-report-points", "sweep-jobs-0", "sweep-n-list-empty",

@@ -9,6 +9,7 @@ from barrier_restore.core import MECH_NONE, MECH_SHIFTING, EnergyModel, Point, R
 from barrier_restore.graph import (
     PL,
     PR,
+    IntersectionGraph,
     SpliceEndpointMismatch,
     build_intersection_graph,
     find_alternate_path,
@@ -82,6 +83,52 @@ class TestBuildGraph:
             if trial % 2 == 0:
                 assert has_edge(g, sensors[0].id, sensors[1].id)
                 assert has_edge(g, sensors[0].id, sensors[-1].id)
+
+
+def incremental_graph(sensors, region):
+    """The graph built one ``IntersectionGraph.insert`` at a time."""
+    graph = IntersectionGraph(region)
+    live = {s.id: s for s in sensors if not s.failed}
+    for s in live.values():
+        graph.insert(s, live)
+    return graph
+
+
+class TestSweptBuild:
+    def test_equals_incremental_build(self):
+        # Mixed radii, ids in permuted order, x ties (a 1/4 grid), exactly
+        # tangent and coincident pairs, sensors across either boundary,
+        # failed sensors in the input, and an empty list.
+        rng = np.random.default_rng(29)
+        region = Region(12.0, 6.0)
+        for trial in range(60):
+            n = 0 if trial == 0 else int(rng.integers(1, 40))
+            ids = rng.permutation(3 * n)[:n].tolist()
+            xs = rng.uniform(-2, 14, size=n)
+            if trial % 2:
+                xs = np.round(xs * 4) / 4
+            ys = rng.uniform(0, 6, size=n)
+            radii = rng.choice([0.5, 1.0, 1.5], size=n)
+            failed = rng.random(n) < 0.15
+            sensors = [
+                Sensor(sid, Point(float(x), float(y)), float(r), 2 * r, 10.0, 10.0,
+                       failed=bool(f))
+                for sid, x, y, r, f in zip(ids, xs, ys, radii, failed)
+            ]
+            if n >= 3:
+                a, b, c = sensors[0], sensors[1], sensors[2]
+                a.pos = Point(round(a.pos.x * 8) / 8, round(a.pos.y * 8) / 8)
+                b.pos = Point(a.pos.x + a.sensing_radius + b.sensing_radius, a.pos.y)
+                c.pos = a.pos
+            swept = build_intersection_graph(sensors, region)
+            built = incremental_graph(sensors, region)
+            assert swept.adjacency == built.adjacency
+            assert swept.positions == built.positions
+            assert swept.window(-math.inf, math.inf) == built.window(-math.inf, math.inf)
+            live = {s.id: s for s in sensors if not s.failed}
+            for x, y, r in zip(*rng.uniform(-3, 15, size=(2, 10)), rng.choice([0.5, 2.0], 10)):
+                probe = Point(float(x), float(y))
+                assert swept.near(probe, float(r), live) == built.near(probe, float(r), live)
 
 
 def edited_worlds(seed):

@@ -68,6 +68,15 @@ class TestGenerateDeployment:
                 formed += 1
         assert formed >= 95
 
+    def test_coordinates_are_plain_floats(self):
+        # Not numpy scalars: every distance the schemes compute is float
+        # arithmetic, on the same values.
+        cfg = ExperimentConfig(n=60, length=1500.0, sigma=9.0, trials=1)
+        deployed = deploy_with_barrier(cfg, seed=4).sensors.values()
+        for sensors in (generate_deployment(cfg, seeded_rng(3)), deployed):
+            for s in sensors:
+                assert type(s.pos.x) is float and type(s.pos.y) is float
+
     def test_redraw_exhaustion_raises(self):
         cfg = ExperimentConfig(n=3, length=4000.0, rho=30.0, trials=1,
                                max_redraws=3)
@@ -129,6 +138,26 @@ class TestRunTrial:
         a = run_trial("rmove", cfg, trial_seed(cfg, 5))
         b = run_trial("rmove", cfg, trial_seed(cfg, 5))
         assert a.rows == b.rows
+
+
+@pytest.mark.parametrize("n", [140, 180])
+def test_every_scheme_fails_the_same_sensors(n):
+    # Common random numbers: every scheme replays the same failure order,
+    # and it is the order of drawing uniformly from the live ids, in id
+    # order, of a twin world that fails the same ids and never moves.
+    cfg = ExperimentConfig(n=n)
+    for t in range(3):
+        seed = trial_seed(cfg, t)
+        runs = {s: [ep.failed for ep in run_trial(s, cfg, seed).episodes]
+                for s in harness.SCHEMES}
+        twin = deploy_with_barrier(cfg, seed)
+        rng = seeded_rng(seed, 1)
+        replay = []
+        for _ in range(math.floor(cfg.failure_fraction_max * n)):
+            active_ids = [sid for sid, s in twin.sensors.items() if not s.failed]
+            replay.append(active_ids[int(rng.integers(0, len(active_ids)))])
+            twin.fail(replay[-1])
+        assert all(failed == replay for failed in runs.values()), (n, t)
 
 
 def _checked_steps(monkeypatch, extra=None):
