@@ -5,15 +5,16 @@ neighbor that could take its place, or (when it has none) whichever chain
 side reaches such a filler with the least cumulative movement. The election
 runs as a request/reply protocol along the chain, whose messages are plain
 tuples. One ``Election`` object per trial holds the states and the message
-handlers. Each re-election reads what changed since the last one from the
-world's change record, ``World.changes``, and runs the protocol again only
-on the chain nodes whose answer can have changed. One rule says where a
-request stops, for the protocol and for finding those nodes alike. On a
-failure, the failed node's recovery node first hunts for a detour with a
-hop-budgeted, geographically greedy token search; if that fails, the
-cascade shared with rmove (``graph.shift_cascade``) moves it into the hole
-and refills each vacated barrier position with that position's recovery
-node, until a non-barrier filler ends the cascade.
+handlers. Each re-election reads only what changed since the last one, from
+the world's change record, ``World.changes``, and from the edited span of
+the chain, and runs the protocol again only on the chain nodes whose answer
+can have changed. One rule says where a request stops, for the protocol and
+for finding those nodes alike. On a failure, the failed node's recovery
+node first hunts for a detour with a hop-budgeted, geographically greedy
+token search; if that fails, the cascade shared with rmove
+(``graph.shift_cascade``) moves it into the hole and refills each vacated
+barrier position with that position's recovery node, until a non-barrier
+filler ends the cascade.
 
 The scheduler is synchronous-round and delivers in a fixed order, so runs
 are reproducible; a seeded shuffle mode exercises order independence.
@@ -120,7 +121,7 @@ def _payload(kind: str, a, b) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeState:
     id: int
     is_on_barrier: bool = False
@@ -129,10 +130,22 @@ class NodeState:
     suc: Optional[int] = None
     rec_node: Optional[int] = None
     rec_set: list[tuple[int, Optional[int], Optional[int]]] = field(default_factory=list)
-    # election bookkeeping: resolved cumulative per chain side, and which
-    # sides still owe an answer to this node's own request
-    side_value: dict[str, Optional[float]] = field(default_factory=lambda: {"pre": None, "suc": None})
+    # election bookkeeping: the resolved cumulative of each chain side, and
+    # which sides ("pre", "suc") still owe an answer to this node's own
+    # request
+    pre_value: Optional[float] = None
+    suc_value: Optional[float] = None
     awaiting: set[str] = field(default_factory=set)
+
+    def reset(self, on_barrier: bool, pre: Optional[int], suc: Optional[int]) -> None:
+        """Forget the last election's outcome in place, keeping the
+        registrations at this node: the state a new ``NodeState`` with these
+        links and ``rec_set`` would have."""
+        self.is_on_barrier = on_barrier
+        self.path_length = INF
+        self.pre, self.suc = pre, suc
+        self.rec_node = self.pre_value = self.suc_value = None
+        self.awaiting.clear()
 
 
 def _links(chain: list[int], idx: int) -> tuple[int, int]:
@@ -170,15 +183,19 @@ class Election(Mapping[int, NodeState]):
     replies accumulate distance on the way back. Each node decides once,
     after hearing from both sides, then registers at its recovery node.
 
-    It also keeps a cursor into the world's change record
-    (``World.changes``) and the chain as it was at the last election, so
-    that a re-election (``init_recovery_nodes`` with ``election=``) reads
-    only what changed since and re-runs the protocol only on the chain
-    nodes whose answer can have changed: those whose position, capacity,
-    chain links or fillers (read from ``world.graph``) changed, and those
-    whose requests would reach one of them. One rule, ``_answer``, says
-    where a request stops, for the protocol and for ``prepare``'s walk
-    alike.
+    A re-election (``init_recovery_nodes`` with ``election=``) reads only
+    what changed since the last election: the world's change record
+    (``World.changes``) past a cursor, and the span of the chain that was
+    edited since. Apart from a copy of the chain and linear scans that find
+    the touched members and the edited span, its cost follows those edits
+    and the nodes it re-elects, not the length of the chain. It re-runs the
+    protocol only on the chain nodes whose answer can have changed: those
+    whose position, capacity, chain links or fillers (read from
+    ``world.graph``) changed, and those whose requests would reach one of
+    them. One rule, ``_answer``, says where a request stops, for the
+    protocol and for ``prepare``'s walk alike. Each node's closest filler is
+    kept from one election to the next until such a change touches that
+    node.
     """
 
     def __init__(self, world: World):
@@ -191,6 +208,9 @@ class Election(Mapping[int, NodeState]):
         # every chain node.
         self._cursor = len(world.changes)
         self._chain: list[int] = []
+        # best_filler's answers, each dropped when prepare finds its node
+        # touched.
+        self._fillers: dict[int, Optional[tuple[float, int]]] = {}
 
     def __getitem__(self, sid: int) -> NodeState:
         return self.states[sid]
@@ -203,10 +223,15 @@ class Election(Mapping[int, NodeState]):
 
     def best_filler(self, sid: int) -> Optional[tuple[float, int]]:
         """(distance, id) of the closest non-barrier neighbor able to afford
-        relocating onto sid's position, or None."""
+        relocating onto sid's position, or None. The answer is kept until
+        ``prepare`` finds sid touched."""
+        fillers = self._fillers
+        if sid in fillers:
+            return fillers[sid]
         world = self.world
-        return closest_filler(world, world.graph.neighbors(sid),
-                              world.sensor(sid).pos, self.on_barrier)
+        filler = fillers[sid] = closest_filler(
+            world, world.graph.neighbors(sid), world.sensors[sid].pos, self.on_barrier)
+        return filler
 
     def _answer(self, sid: int, asker: int) -> tuple[float, Optional[float]]:
         """(hop, answer) of chain node sid to a request from its chain
@@ -214,8 +239,9 @@ class Election(Mapping[int, NodeState]):
         asker, its filler's distance plus the hop if it owns a filler, and
         None when it forwards the request to its other side."""
         world = self.world
-        me = world.sensor(sid)
-        hop = me.pos.distance_to(world.sensor(asker).pos)
+        sensors = world.sensors
+        me = sensors[sid]
+        hop = me.pos.distance_to(sensors[asker].pos)
         if displacement_capacity(me, world.energy_model) < hop:
             return hop, INF
         filler = self.best_filler(sid)
@@ -224,12 +250,14 @@ class Election(Mapping[int, NodeState]):
     def prepare(self) -> list[int]:
         """Bring the states up to the world and return, in chain order,
         the live chain nodes to elect, their old answers and registrations
-        cleared."""
+        cleared in place. Beyond scans of the chain, it reads only the change
+        record past the cursor, the chain's edited span and the nodes it
+        returns."""
         world, states = self.world, self.states
         sensors = world.sensors
         graph = world_graph(world)
         chain = list(world.barrier or [])
-        self.on_barrier = set(chain)
+        was_on_barrier, self.on_barrier = self.on_barrier, set(chain)
 
         # A sensor that failed or moved (and so spent energy) since the last
         # election touches itself and its neighbors, then and now. Its first
@@ -249,17 +277,25 @@ class Election(Mapping[int, NodeState]):
 
         # Joining or leaving the chain changes a sensor's neighbors'
         # fillers; a sensor that left keeps no chain state.
-        for sid in self.on_barrier.symmetric_difference(self._chain):
+        for sid in self.on_barrier ^ was_on_barrier:
             st = states.get(sid)
             if st is None:
                 continue  # dead
             touched.update(graph.neighbors(sid))
             if st.is_on_barrier:
                 self._unregister(st)
-                states[sid] = NodeState(sid, rec_set=st.rec_set)
+                st.reset(False, None, None)
 
-        # Seeds: touched chain members and those whose links changed, which
-        # only the edited span of the chain can hold.
+        # A node's filler reads its position and row and its neighbors'
+        # positions, capacities and chain membership: it can have changed
+        # only if the node is touched.
+        fillers = self._fillers
+        for sid in touched:
+            fillers.pop(sid, None)
+
+        # Seeds: touched chain members, at every slot they hold, and those
+        # whose links changed, which only the edited span of the chain can
+        # hold.
         seeds = {idx for idx, sid in enumerate(chain) if sid in touched}
         for idx in _edited_span(self._chain, chain):
             st = states.get(chain[idx])
@@ -273,13 +309,11 @@ class Election(Mapping[int, NodeState]):
         order = []
         for idx in sorted(dirty):
             sid = chain[idx]
-            old = states.get(sid)
-            if old is None:
+            st = states.get(sid)
+            if st is None:
                 continue  # dead
-            self._unregister(old)
-            pre, suc = _links(chain, idx)
-            states[sid] = NodeState(sid, is_on_barrier=True, pre=pre, suc=suc,
-                                    rec_set=old.rec_set)
+            self._unregister(st)
+            st.reset(True, *_links(chain, idx))
             order.append(sid)
         self._chain = chain
         return order
@@ -323,7 +357,7 @@ class Election(Mapping[int, NodeState]):
 
     def handle(self, msg: tuple, bus: MessageBus) -> None:
         sender, receiver, _, kind, a, b = msg
-        if receiver in (PL, PR):
+        if receiver < 0:
             # The boundary is not a candidate: it answers every request
             # with an infinite path length.
             if kind == REQ:
@@ -341,35 +375,41 @@ class Election(Mapping[int, NodeState]):
 
     def _on_request(self, st: NodeState, q: int, sender: int, bus: MessageBus) -> None:
         # The asker is one chain side; a forwarded request goes to the other.
-        far = "pre" if sender == st.suc else "suc"
+        if sender == st.suc:
+            far, far_value = st.pre, st.pre_value
+        else:
+            far, far_value = st.suc, st.suc_value
         hop, answer = self._answer(st.id, sender)
-        if answer is None and st.side_value[far] is not None:
-            answer = st.side_value[far] + hop
+        if answer is None and far_value is not None:
+            answer = far_value + hop
         if answer is None:
-            bus.send(st.id, st.pre if far == "pre" else st.suc, REQ, q)
+            bus.send(st.id, far, REQ, q)
         else:
             bus.send(st.id, sender, REP, q, answer)
 
     def _on_reply(self, st: NodeState, q: int, d: float, sender: int,
                   bus: MessageBus) -> None:
-        side = "pre" if sender == st.pre else "suc"
-        if st.side_value[side] is None:
-            st.side_value[side] = d
+        if sender == st.pre:
+            side, target = "pre", st.suc
+            if st.pre_value is None:
+                st.pre_value = d
+        else:
+            side, target = "suc", st.pre
+            if st.suc_value is None:
+                st.suc_value = d
         if q == st.id:
             st.awaiting.discard(side)
             if not st.awaiting and st.rec_node is None:
                 self._decide(st, bus)
         else:
             # Relay toward the requester, adding our hop on that side.
-            target = st.suc if side == "pre" else st.pre
-            hop = self.world.sensor(st.id).pos.distance_to(self.world.sensor(target).pos)
+            sensors = self.world.sensors
+            hop = sensors[st.id].pos.distance_to(sensors[target].pos)
             bus.send(st.id, target, REP, q, d + hop)
 
     def _decide(self, st: NodeState, bus: MessageBus) -> None:
-        d_pre = st.side_value["pre"]
-        d_suc = st.side_value["suc"]
-        d_pre = INF if d_pre is None else d_pre
-        d_suc = INF if d_suc is None else d_suc
+        d_pre = INF if st.pre_value is None else st.pre_value
+        d_suc = INF if st.suc_value is None else st.suc_value
         if d_pre <= d_suc and d_pre < INF:
             st.path_length, st.rec_node = d_pre, st.pre
         elif d_suc < INF:
@@ -445,28 +485,33 @@ def mldfs(
     if start == dest:
         return [start]
 
-    def neighbors(p: int) -> list[int]:
-        # Sentinels are not routable hops unless one is the target.
-        return [v for v in graph.neighbors(p) if v >= 0 or v == dest]
+    # Positions cannot change during a search, so each vertex's distance to
+    # dest, and each visited vertex's routable neighbors in greedy order
+    # (by that distance, ties on id), are computed once per search.
+    dist: dict[int, float] = {dest: 0.0}
 
     def dist_to_dest(v: int) -> float:
-        if v == dest:
-            return 0.0
-        return graph.distance_to(v, dest)
+        d = dist.get(v)
+        if d is None:
+            d = dist[v] = graph.distance_to(v, dest)
+        return d
 
+    ranked: dict[int, list[int]] = {}
     father: dict[int, int] = {start: start}
     used: dict[int, set[int]] = defaultdict(set)
 
     def pick(p: int) -> Optional[int]:
-        best = None
-        best_key = (INF, 0)
-        for q in neighbors(p):
-            if q == father[p] or q in used[p]:
-                continue
-            key = (dist_to_dest(q), q)
-            if key < best_key:
-                best, best_key = q, key
-        return best
+        order = ranked.get(p)
+        if order is None:
+            # Sentinels are not routable hops unless one is the target.
+            order = ranked[p] = sorted(
+                (v for v in graph.neighbors(p) if v >= 0 or v == dest),
+                key=lambda v: (dist_to_dest(v), v))
+        back, spent = father[p], used[p]
+        for q in order:
+            if q != back and q not in spent:
+                return q
+        return None
 
     def emit(sender: int, receiver: int, route: str, k_left: int) -> None:
         # The route-discovery token is logged, not sent: route is "disc" or
@@ -523,9 +568,14 @@ def handle_failure_dmove(
     k: Optional[int] = None,
     bus: Optional[MessageBus] = None,
 ) -> RestoreOutcome:
-    """React to one newly failed sensor, assuming every earlier failure was
-    fully recovered. ``election`` is what ``init_recovery_nodes`` returned
-    for this world; it is re-elected in place.
+    """React to one newly failed sensor. ``election`` is what
+    ``init_recovery_nodes`` returned for this world; it is re-elected in
+    place. It reacts to the new victim alone: when an earlier hole is still
+    open, the detour splice and the cascade treat only this victim as
+    failed. The earlier dead member stays in the chain, so the verdict read
+    off the world (``graph.verify_barrier``) stays false, unless the detour
+    runs through a chain node beyond that hole and the splice's loop cut
+    drops the hole with it.
 
     ``k`` is the detour search's hop budget, by default ``max(2, n // 20)``
     for the world's n sensors, failed ones included. Non-barrier,

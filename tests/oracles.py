@@ -331,3 +331,17 @@ def recovery_chain_oracle(world: World, graph: IntersectionGraph):
         else:
             expected[sid] = (None, INF)
     return expected
+
+
+def edited_span_oracle(old: list[int], new: list[int]) -> range:
+    """Indices of ``new`` whose chain links can differ from ``old``'s, by
+    comparing slices: past the longest common prefix and before the longest
+    common suffix that does not overlap it, plus one node on each side.
+    Empty when the chains are equal."""
+    if old == new:
+        return range(0)
+    most = min(len(old), len(new))
+    head = max(h for h in range(most + 1) if old[:h] == new[:h])
+    tail = max(t for t in range(most - head + 1)
+               if old[len(old) - t:] == new[len(new) - t:])
+    return range(max(head - 1, 0), min(len(new) - tail + 1, len(new)))

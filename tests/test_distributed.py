@@ -7,6 +7,8 @@ from copy import deepcopy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrier_restore import distributed, harness
 from barrier_restore.central import MECH_ALTERNATE, MECH_SHIFTING
@@ -36,6 +38,7 @@ from conftest import T1_COORDS, drain, make_world, random_line_world
 from oracles import (
     adjacency_oracle,
     barrier_oracle,
+    edited_span_oracle,
     has_edge,
     hop_distance,
     recovery_chain_oracle,
@@ -230,6 +233,101 @@ def test_trial_message_log_bytes_are_pinned():
     assert {row[3] for row in bus.log} == {"ReqNbRec", "RepNbRec", "SetRec", "Tok"}
     assert set(mechanisms) == {MECH_ALTERNATE, MECH_SHIFTING, MECH_NONE}
     assert hashlib.sha256(text.encode()).hexdigest() == TRIAL_LOG_SHA256
+
+
+# A small id alphabet, so that chains repeat ids and share runs.
+_ids = st.integers(0, 9)
+
+
+@st.composite
+def _chain_edits(draw):
+    """(old, new) chain pairs: equal chains, same-length substitutions at
+    scattered slots, splices that change the length, splices at either
+    end, and one chain a prefix or a suffix of the other."""
+    old = draw(st.lists(_ids, max_size=14))
+    kind = draw(st.sampled_from(
+        ["equal", "substitute", "splice", "head", "tail", "prefix", "suffix"]))
+    new = list(old)
+    if kind == "substitute" and old:
+        for idx in draw(st.sets(st.integers(0, len(old) - 1), min_size=1)):
+            new[idx] = draw(_ids)
+    elif kind in ("splice", "head", "tail"):
+        lo = draw(st.integers(0, len(old)))
+        hi = draw(st.integers(lo, len(old)))
+        if kind == "head":
+            lo = 0
+        elif kind == "tail":
+            hi = len(old)
+        new[lo:hi] = draw(st.lists(_ids, max_size=5))
+    elif kind == "prefix":
+        new = old[:draw(st.integers(0, len(old)))]
+    elif kind == "suffix":
+        new = old[draw(st.integers(0, len(old))):]
+    return (new, old) if draw(st.booleans()) else (old, new)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_chain_edits())
+def test_edited_span_matches_oracle(edit):
+    old, new = edit
+    span = distributed._edited_span(old, new)
+    assert span == edited_span_oracle(old, new)
+    # Outside the span, each slot holds the same id with the same links as
+    # the slot it lines up with in old: from the front before the span,
+    # from the back after it.
+    for idx in range(len(new)):
+        if idx in span:
+            continue
+        was = idx if not span or idx < span.start else idx + len(old) - len(new)
+        assert new[idx] == old[was]
+        assert distributed._links(new, idx) == distributed._links(old, was)
+
+
+def test_reelection_covers_every_slot_of_a_repeated_id():
+    # Sensor 1 holds both ends of the chain. Node 3 cannot afford a hop,
+    # so walks from the seeds near the first slot stop there; only seeding
+    # every slot of a touched id re-elects the last one.
+    w = make_world(T1_COORDS)
+    election = init_recovery_nodes(w)
+    drain(w, 3, 0.0)
+    w.barrier = [1, 0, 2, 3, 4, 1]
+    init_recovery_nodes(w, election=election)
+    drain(w, 1, 50.0)
+    assert election.prepare().count(1) == 2
+
+
+# Sends by kind, drain rounds and elections of the dmove trials below. They
+# move with any change to the protocol or to which nodes an election runs
+# on, and with none to how a re-election finds those nodes.
+ELECTION_TRAFFIC = {"ReqNbRec": 7283, "RepNbRec": 7161, "SetRec": 3156,
+                    "rounds": 2569, "elections": 379}
+
+
+def test_election_traffic_over_eight_trials_is_pinned(monkeypatch):
+    counts = Counter()
+    send, drain_round = MessageBus.send, MessageBus.drain_round
+    elect = distributed.init_recovery_nodes
+
+    def counting_send(bus, sender, receiver, kind, a, b=None):
+        counts[kind] += 1
+        send(bus, sender, receiver, kind, a, b)
+
+    def counting_drain(bus):
+        counts["rounds"] += 1
+        return drain_round(bus)
+
+    def counting_elect(*args, **kwargs):
+        counts["elections"] += 1
+        return elect(*args, **kwargs)
+
+    monkeypatch.setattr(MessageBus, "send", counting_send)
+    monkeypatch.setattr(MessageBus, "drain_round", counting_drain)
+    for module in (distributed, harness):
+        monkeypatch.setattr(module, "init_recovery_nodes", counting_elect)
+    config = ExperimentConfig(n=160, seed=0)
+    for t in range(8):
+        run_trial("dmove", config, trial_seed(config, t))
+    assert dict(counts) == ELECTION_TRAFFIC
 
 
 class TestMldfs:
@@ -445,6 +543,12 @@ class TestIncrementalElection:
         live = world.active_sensors()
         assert world.graph.adjacency == adjacency_oracle(live, world.region)
         assert world.graph.positions == {s.id: s.pos for s in live}
+        # Every filler kept from earlier elections is the one a fresh
+        # search would find.
+        chain = set(world.barrier)
+        for sid, filler in election._fillers.items():
+            assert filler == closest_filler(world, world.graph.neighbors(sid),
+                                            world.sensors[sid].pos, chain), sid
         fresh = init_recovery_nodes(world)
         assert set(election) == set(fresh)
         for sid, want in fresh.items():
