@@ -6,7 +6,8 @@ Subcommands:
   sweep     full experiment grid, CSV on stdout
 
 Exit codes: 0 ran, 2 usage error (a bad deployment file, a bad output
-path or a repeated ``run --fail`` id included), 3 no initial barrier, 4
+path, a repeated ``run --fail`` id, a negative seed and a non-finite
+number of ``generate`` or ``sweep`` included), 3 no initial barrier, 4
 several ``run --fail`` ids for a local scheme (rmove or dmove), which
 handles one failure at a time. Stdout carries only data; diagnostics go to
 stderr.
@@ -92,11 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args: argparse.Namespace) -> int:
     try:
         config = ExperimentConfig(n=args.n, length=args.length, width=args.width, rho=args.rho,
-                                  comm=args.comm, sigma=args.sigma, initial_energy=args.energy)
+                                  comm=args.comm, sigma=args.sigma, initial_energy=args.energy,
+                                  seed=args.seed)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    sensors = generate_deployment(config, seeded_rng(args.seed))
+    sensors = generate_deployment(config, seeded_rng(config.seed))
     world = World(Region(config.length, config.width), sensors)
     text = world_to_json(world)
     if args.out is None:

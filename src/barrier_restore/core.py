@@ -146,6 +146,24 @@ class World:
         self.changes: list[tuple[int, Point]] = []
         self.graph: Optional[IntersectionGraph] = None  # built by graph.world_graph
 
+    def copy(self) -> World:
+        """An exact copy that shares nothing a step can change: new
+        ``Sensor`` objects (the frozen ``Point``, ``Region`` and
+        ``EnergyModel`` are shared), a copied chain and a copy of the graph
+        if it is built. Its ``move_log`` and ``changes`` start empty, as a
+        fresh deploy's do. Cheaper than a deploy or a pickle round trip, so
+        several schemes can each run on their own copy of one deployment."""
+        twin = World(self.region, (), self.energy_model,
+                     None if self.barrier is None else list(self.barrier))
+        twin.sensors = {
+            sid: Sensor(s.id, s.pos, s.sensing_radius, s.comm_radius, s.energy,
+                        s.initial_energy, s.failed, s.static)
+            for sid, s in self.sensors.items()
+        }
+        if self.graph is not None:
+            twin.graph = self.graph.copy()
+        return twin
+
     def sensor(self, sensor_id: int) -> Sensor:
         return self.sensors[sensor_id]
 

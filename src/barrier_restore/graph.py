@@ -77,6 +77,17 @@ class IntersectionGraph:
         self._ids: list[int] = []
         self._max_radius = 0.0
 
+    def copy(self) -> IntersectionGraph:
+        """The same graph with its own rows and x order; the frozen
+        positions and region are shared."""
+        twin = IntersectionGraph(self.region)
+        twin.adjacency = {v: row[:] for v, row in self.adjacency.items()}
+        twin.positions = dict(self.positions)
+        twin._xs = self._xs[:]
+        twin._ids = self._ids[:]
+        twin._max_radius = self._max_radius
+        return twin
+
     def neighbors(self, vertex: int) -> list[int]:
         return self.adjacency[vertex]
 

@@ -7,6 +7,12 @@ time, uniformly at random among the survivors, invoking the scheme's
 restore step after every kill; trials aggregate into per-report-point mean
 metrics. Everything is keyed off one master seed: identical configs produce
 byte-identical CSV output regardless of worker count.
+
+A trial's seed does not depend on the scheme, so every scheme replays the
+same deployment and failure order (common random numbers). An experiment
+therefore deploys each trial once, in one task that runs every configured
+scheme on its own exact copy of that world (``World.copy``); the last
+scheme takes the deployed world itself.
 """
 from __future__ import annotations
 
@@ -91,6 +97,13 @@ class ExperimentConfig:
             raise ValueError("max_redraws must be at least 1")
         if self.k_hop_budget is not None and self.k_hop_budget < 1:
             raise ValueError("k_hop_budget must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("length", "width", "rho", "comm", "sigma", "initial_energy",
+                     "cost_per_unit", "static_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("length", "width", "rho"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -217,8 +230,13 @@ def compute_metrics(
     )
 
 
-def run_trial(scheme: str, config: ExperimentConfig, seed: int) -> TrialResult:
+def run_trial(scheme: str, config: ExperimentConfig, seed: int,
+              world: Optional[World] = None) -> TrialResult:
     """One seeded trial: deploy, fail sensors one by one, restore, report.
+
+    The trial deploys ``deploy_with_barrier(config, seed)`` itself unless it
+    is given ``world``, which must be that deployment or an exact copy of it
+    (``World.copy``) that nothing has changed yet; the trial changes it.
 
     An episode succeeds when the designated chain verifies after the step.
     ``verify_barrier`` reads only the chain and its members' liveness and
@@ -234,7 +252,8 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int) -> TrialResult:
     fails sensors during a trial (dmove's own ``world.fail`` of the victim
     does nothing), so the list stays the world's live ids without a rescan.
     """
-    world = deploy_with_barrier(config, seed)
+    if world is None:
+        world = deploy_with_barrier(config, seed)
     fail_rng = seeded_rng(seed, 1)
     restore = start_scheme(scheme, world, seeded_rng(seed, 2), k=config.k_hop_budget)
 
@@ -324,47 +343,58 @@ def trial_seed(config: ExperimentConfig, trial_index: int) -> int:
 
 
 def _trial_task(
-    args: tuple[str, ExperimentConfig, int]
-) -> tuple[list[MetricsRow], list[EpisodeRecord]]:
-    scheme, config, seed = args
-    result = run_trial(scheme, config, seed)
-    return result.rows, result.episodes
+    args: tuple[ExperimentConfig, int, bool]
+) -> list[tuple[list[MetricsRow], list[EpisodeRecord]]]:
+    """Every configured scheme on one trial, in ``config.schemes`` order.
+
+    The trial deploys once; each scheme but the last runs on its own copy of
+    the deployed world and the last on the world itself, so a one-scheme
+    experiment makes no copy. Episodes come back only when ``keep_episodes``
+    is set, so a run without a detail log sends none through the pool. The
+    deploy and the trials go through this module's names at call time, so a
+    tracer that rebinds them here sees them."""
+    config, seed, keep_episodes = args
+    world = deploy_with_barrier(config, seed)
+    last = len(config.schemes) - 1
+    out = []
+    for i, scheme in enumerate(config.schemes):
+        result = run_trial(scheme, config, seed, world if i == last else world.copy())
+        out.append((result.rows, result.episodes if keep_episodes else []))
+    return out
 
 
 def run_experiment(
     config: ExperimentConfig, jobs: int = 1, detail_sink=None
 ) -> list[MetricsRow]:
-    """Mean metrics per (scheme, report point) over seeded trials. Results
-    are merged in (scheme, trial) order, so output never depends on the
-    worker count. ``detail_sink``, when given, receives one JSON line per
-    failure episode."""
-    tasks = [
-        (scheme, config, trial_seed(config, t))
-        for scheme in config.schemes
-        for t in range(config.trials)
-    ]
+    """Mean metrics per (scheme, report point) over seeded trials.
+
+    One task per trial deploys once and runs every configured scheme on it
+    (see ``_trial_task``); ``jobs`` above 1 spreads the tasks over at most
+    one worker process per trial. Results are merged in (scheme, trial)
+    order, so output never depends on the worker count. ``detail_sink``,
+    when given, receives one JSON line per failure episode."""
+    seeds = [trial_seed(config, t) for t in range(config.trials)]
+    tasks = [(config, seed, detail_sink is not None) for seed in seeds]
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_task, tasks, chunksize=4))
+            per_trial = list(pool.map(_trial_task, tasks, chunksize=1))
     else:
-        results = [_trial_task(t) for t in tasks]
-    if detail_sink is not None:
-        for (scheme, _, seed), (_, episodes) in zip(tasks, results):
-            for episode in episodes:
-                doc = asdict(episode)
-                doc.update(scheme=scheme, n=config.n, trial_seed=seed)
-                detail_sink.write(json.dumps(doc) + "\n")
-    all_rows = [rows for rows, _ in results]
+        per_trial = [_trial_task(t) for t in tasks]
 
     out: list[MetricsRow] = []
-    per_scheme = config.trials
     for i, scheme in enumerate(config.schemes):
-        chunk = all_rows[i * per_scheme : (i + 1) * per_scheme]
+        results = [trial[i] for trial in per_trial]
+        if detail_sink is not None:
+            for seed, (_, episodes) in zip(seeds, results):
+                for episode in episodes:
+                    doc = asdict(episode)
+                    doc.update(scheme=scheme, n=config.n, trial_seed=seed)
+                    detail_sink.write(json.dumps(doc) + "\n")
         for p_idx, point in enumerate(config.report_points):
-            rates = [rows[p_idx].recovery_rate for rows in chunk]
-            disps = [rows[p_idx].avg_total_displacement for rows in chunk]
-            highs = [rows[p_idx].high_energy_pct for rows in chunk]
+            rates = [rows[p_idx].recovery_rate for rows, _ in results]
+            disps = [rows[p_idx].avg_total_displacement for rows, _ in results]
+            highs = [rows[p_idx].high_energy_pct for rows, _ in results]
             out.append(
                 MetricsRow(
                     scheme=scheme,

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from barrier_restore import cli
+from barrier_restore import cli, harness
 from barrier_restore.cli import main
 from barrier_restore.core import world_to_json
 from conftest import T1_COORDS, make_world
@@ -125,15 +125,28 @@ class TestRunBadDeployment:
     (["run", "--deployment", "{t1}", "--scheme", "dmove", "--fail", "2", "--k", "-3"], None),
     (["run", "--deployment", "{t1}", "--scheme", "rmove", "--fail", "2,2"], None),
     (["run", "--deployment", "{t1}", "--scheme", "cmove", "--fail", "2,2"], None),
+    (["generate", "--n", "10", "--seed", "-3"], None),
+    (["generate", "--n", "10", "--length", "inf"], None),
+    (["generate", "--n", "10", "--energy", "inf"], None),
+    (["sweep", "--n-list", "40", "--seed", "-1"], None),
+    (["sweep", "--n-list", "40", "--length", "inf"], None),
+    (["sweep", "--n-list", "40", "--config", "{config}"], '{"seed": -1}'),
 ], ids=["generate-n-1", "generate-negative-rho", "generate-bad-out",
         "sweep-missing-config", "sweep-config-list", "sweep-config-string-trials",
         "sweep-config-negative-k",
         "sweep-config-scalar-report-points", "sweep-config-null-schemes",
         "sweep-config-non-string-scheme", "sweep-config-empty-schemes",
         "sweep-config-empty-report-points", "sweep-jobs-0", "sweep-n-list-empty",
-        "run-negative-k", "run-repeated-id-local", "run-repeated-id-centralized"])
-def test_bad_input_is_one_error_line(tmp_path, capsys, argv, config):
+        "run-negative-k", "run-repeated-id-local", "run-repeated-id-centralized",
+        "generate-negative-seed", "generate-infinite-length", "generate-infinite-energy",
+        "sweep-negative-seed", "sweep-infinite-length", "sweep-config-negative-seed"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
     # Each of these used to end in a traceback and exit 1, or to run anyway.
+    # A bad sweep must stop before its first deployment draw.
+    def no_draw(*args):
+        raise AssertionError("a deployment was drawn")
+
+    monkeypatch.setattr(harness, "generate_deployment", no_draw)
     path = tmp_path / "cfg.json"
     if config is not None:
         path.write_text(config)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections import Counter
@@ -18,6 +19,7 @@ from barrier_restore.core import (
 )
 from barrier_restore.graph import build_intersection_graph, find_barrier, world_graph
 from barrier_restore.harness import (
+    EpisodeRecord,
     ExperimentConfig,
     InitialBarrierImpossible,
     compute_metrics,
@@ -237,6 +239,58 @@ def test_verdict_is_retaken_after_a_new_chain_or_a_move(monkeypatch):
     assert min(turns[k] for k in range(4)) > 0 and flips > 0
 
 
+def _world_state(world):
+    """Everything a step can change or read, as comparable values."""
+    g = world.graph
+    return dict(
+        sensors=list(world.sensors.values()),
+        chain=world.barrier,
+        move_log=world.move_log,
+        changes=world.changes,
+        adjacency=g.adjacency,
+        positions=g.positions,
+        xs=g._xs,
+        ids=g._ids,
+    )
+
+
+COPY_CONFIGS = [ExperimentConfig(n=40, **FAST), ExperimentConfig(n=160, trials=2)]
+
+
+@pytest.mark.parametrize("cfg", COPY_CONFIGS, ids=lambda cfg: f"n{cfg.n}")
+class TestWorldCopy:
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_trial_on_a_copy_equals_a_fresh_trial(self, cfg, scheme):
+        for t in range(cfg.trials):
+            seed = trial_seed(cfg, t)
+            source = deploy_with_barrier(cfg, seed)
+            copy = source.copy()
+            assert not set(map(id, copy.sensors.values())) & set(
+                map(id, source.sensors.values()))
+            on_copy = run_trial(scheme, cfg, seed, copy)
+            fresh = run_trial(scheme, cfg, seed)
+            assert on_copy.world is copy
+            assert on_copy.rows == fresh.rows
+            assert on_copy.episodes == fresh.episodes
+            assert _world_state(copy) == _world_state(fresh.world)
+            # The source is still the deployment, as a second deploy draws it.
+            assert _world_state(source) == _world_state(deploy_with_barrier(cfg, seed))
+
+    def test_graph_copy_equals_a_fresh_build(self, cfg):
+        # On the deployed world and on one that failures and moves changed.
+        seed = trial_seed(cfg, 0)
+        for world in (deploy_with_barrier(cfg, seed),
+                      run_trial("cmove", cfg, seed).world):
+            copy = world.graph.copy()
+            built = build_intersection_graph(world.active_sensors(), world.region)
+            assert copy.adjacency == built.adjacency
+            assert copy.positions == built.positions
+            assert copy.window(-math.inf, math.inf) == built.window(-math.inf, math.inf)
+            assert copy.adjacency is not world.graph.adjacency
+            assert all(copy.adjacency[v] is not row
+                       for v, row in world.graph.adjacency.items())
+
+
 class TestComputeMetrics:
     def _world(self):
         cfg = ExperimentConfig(n=10, length=100.0, rho=30.0, sigma=0.0, trials=1)
@@ -260,6 +314,30 @@ class TestComputeMetrics:
         row = compute_metrics("cmove", cfg, world, 1, 1, 15.0, 0.10)
         assert row.high_energy_pct == pytest.approx(100.0 * 9 / 10)
         assert row.avg_total_displacement == pytest.approx(15.0)
+
+
+def _stub_pool(monkeypatch):
+    """Swap the process pool for one that maps in this process; returns the
+    worker count of every pool started and every task result it mapped."""
+    started, returned = [], []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            results = [fn(task) for task in tasks]
+            returned.extend(results)
+            return results
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    return started, returned
 
 
 class TestRunExperiment:
@@ -327,34 +405,55 @@ class TestRunExperiment:
         dict(k_hop_budget=2.5),
         dict(k_hop_budget=-4),
         dict(report_points=("0.1",)),
+        dict(seed=-1),
+        *(dict([(name, math.inf)]) for name in (
+            "length", "width", "rho", "comm", "sigma", "initial_energy",
+            "cost_per_unit", "static_threshold")),
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_config_rejects_invalid_values(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(n=40, **bad)
 
     def test_pool_never_exceeds_task_count(self, monkeypatch):
-        started = []
-
-        class Pool:
-            # Records the worker count and maps in this process.
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        started, _ = _stub_pool(monkeypatch)
         cfg = ExperimentConfig(n=40, **FAST, schemes=("nmove",))  # two tasks
         serial = run_experiment(cfg, jobs=1)
         assert started == []
         assert run_experiment(cfg, jobs=8) == serial
         assert started == [2]
+
+    def test_one_deploy_per_trial(self, monkeypatch):
+        # Every scheme of a trial runs on a copy of the one deployed world.
+        _stub_pool(monkeypatch)
+        deploys = Counter()
+        original = harness.deploy_with_barrier
+
+        def counting(config, seed):
+            deploys[seed] += 1
+            return original(config, seed)
+
+        monkeypatch.setattr(harness, "deploy_with_barrier", counting)
+        cfg = ExperimentConfig(n=40, **FAST)
+        for jobs in (1, 2):
+            deploys.clear()
+            run_experiment(cfg, jobs=jobs)
+            assert deploys == {trial_seed(cfg, t): 1 for t in range(cfg.trials)}
+
+    def test_episodes_cross_the_pool_only_for_a_detail_sink(self, monkeypatch):
+        _, returned = _stub_pool(monkeypatch)
+        cfg = ExperimentConfig(n=40, **FAST)
+
+        def episodes_returned():
+            return sum(isinstance(ep, EpisodeRecord)
+                       for trial in returned for _, episodes in trial
+                       for ep in episodes)
+
+        run_experiment(cfg, jobs=2)
+        assert len(returned) == cfg.trials and episodes_returned() == 0
+        returned.clear()
+        run_experiment(cfg, jobs=2, detail_sink=io.StringIO())
+        assert episodes_returned() == (len(cfg.schemes) * cfg.trials
+                                       * math.floor(cfg.failure_fraction_max * cfg.n))
 
     def test_report_point_at_failure_fraction_max_is_reported(self):
         cfg = ExperimentConfig(n=40, length=400.0, rho=30.0, trials=1,
