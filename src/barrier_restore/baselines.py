@@ -21,7 +21,7 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
     Fully deterministic for a fixed rng stream; the coin is consumed only
     when both chain sides are eligible movers.
     """
-    chain = world.barrier or []
+    chain = world.barrier
     if failed_id not in chain:
         return RestoreOutcome()
     barrier_set = set(chain)

@@ -9,8 +9,8 @@ Two schemes share the alternate-path step:
   positions, which realizes cascaded shifting whenever the cheapest filler
   chain passes through barrier nodes.
 
-A step only repairs and reports what it did; whether the chain holds
-afterwards is ``graph.verify_barrier(world)``, which the caller reads.
+A step finds the failed chain members itself, repairs and reports what it
+did; whether the chain holds afterwards is ``graph.verify_barrier(world)``.
 
 The assignment is sparse and lazy. ``build_assignment`` lists up front
 only the zero-cost cells, the sensors that stand exactly on a barrier
@@ -171,7 +171,7 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     problem is valid only until the world next changes: apply no move
     before the solve has returned.
     """
-    barrier = world.barrier or []
+    barrier = world.barrier
     sensors = world.active_sensors()
     left = [s.id for s in sensors]
     right = [world.sensors[b].pos for b in barrier]
@@ -207,11 +207,17 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     return AssignmentProblem(left, right, FeasibleCells(shape, zeros, cells_of))
 
 
+def _failed_members(world: World) -> set[int]:
+    """The failed chain members: the vacancies a centralized step retries."""
+    sensors = world.sensors
+    return {sid for sid in world.barrier if sensors[sid].failed}
+
+
 def _try_alternate_path(world: World, failed: set[int]) -> Optional[RestoreOutcome]:
     """The alternate-path step: splice a detour between the survivors
     flanking the failed span into the chain; None, with the world
     untouched, when the graph offers no such path."""
-    barrier = world.barrier or []
+    barrier = world.barrier
     _, _, left, right = failed_span(barrier, failed)
     path = find_alternate_path(world_graph(world), left, right)
     if path is None:
@@ -220,20 +226,21 @@ def _try_alternate_path(world: World, failed: set[int]) -> Optional[RestoreOutco
     return RestoreOutcome(MECH_ALTERNATE)
 
 
-def restore_nmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
+def restore_nmove(world: World) -> RestoreOutcome:
     """Static baseline: recover only if a detour already exists."""
-    failed = set(failed) & set(world.barrier or [])
+    failed = _failed_members(world)
     if not failed:
         return RestoreOutcome()
     return _try_alternate_path(world, failed) or RestoreOutcome()
 
 
-def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
-    """Alternate path first; otherwise relocate sensors onto the vacated
-    chain positions by minimum-cost assignment, restoring the pre-failure
-    geometry with new occupants. The assignment problem reads the live
-    world, so no sensor moves until the solve has returned."""
-    failed = set(failed) & set(world.barrier or [])
+def restore_cmove(world: World) -> RestoreOutcome:
+    """Alternate path around the failed chain members first; otherwise
+    relocate sensors onto the vacated chain positions by minimum-cost
+    assignment, restoring the pre-failure geometry with new occupants. The
+    assignment problem reads the live world, so no sensor moves until the
+    solve has returned; an occupant assigned its own position stays put."""
+    failed = _failed_members(world)
     if not failed:
         return RestoreOutcome()
     detour = _try_alternate_path(world, failed)
@@ -245,10 +252,9 @@ def restore_cmove(world: World, failed: Iterable[int]) -> RestoreOutcome:
     if assignment is None:
         return RestoreOutcome()
 
-    start = len(world.move_log)
+    start = len(world.changes)
     occupants = [problem.left[i] for i in assignment]
     for sid, target in zip(occupants, problem.right):
-        if world.sensor(sid).pos.distance_to(target) > 0.0:
-            world.apply_move(sid, target)
+        world.apply_move(sid, target)
     world.barrier = occupants
-    return RestoreOutcome(MECH_SHIFTING, world.move_log[start:])
+    return RestoreOutcome(MECH_SHIFTING, world.changes[start:])

@@ -7,7 +7,7 @@ Subcommands:
 
 Exit codes: 0 ran, 2 usage error (a bad deployment file, a bad output
 path, a repeated ``run --fail`` id, a negative seed and a non-finite
-number of ``generate`` or ``sweep`` included), 3 no initial barrier, 4
+number of any subcommand included), 3 no initial barrier, 4
 several ``run --fail`` ids for a local scheme (rmove or dmove), which
 handles one failure at a time. Stdout carries only data; diagnostics go to
 stderr.
@@ -128,6 +128,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {args.scheme} handles failures one at a time", file=sys.stderr)
         return EXIT_MULTI_FAILURE
 
+    if args.seed < 0:
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         model = EnergyModel(args.cost_per_unit, args.static_threshold)
     except ValueError as err:

@@ -68,10 +68,10 @@ class EnergyModel:
 
     def __post_init__(self) -> None:
         # Written so that NaN fails the comparisons.
-        if not self.cost_per_unit_displacement > 0:
-            raise ValueError("cost_per_unit_displacement must be positive")
-        if not self.static_threshold >= 0:
-            raise ValueError("static_threshold must be non-negative")
+        if not 0 < self.cost_per_unit_displacement < math.inf:
+            raise ValueError("cost_per_unit_displacement must be positive and finite")
+        if not 0 <= self.static_threshold < math.inf:
+            raise ValueError("static_threshold must be non-negative and finite")
 
 
 def displacement_capacity(sensor: Sensor, model: EnergyModel) -> float:
@@ -104,7 +104,7 @@ MECH_NONE = "none"
 @dataclass
 class RestoreOutcome:
     """What one restore step did: its mechanism and its moves, the slice of
-    ``World.move_log`` that the step appended. Whether the barrier holds
+    ``World.changes`` that the step appended. Whether the barrier holds
     after the step is read off the world, ``graph.verify_barrier(world)``."""
 
     mechanism: str = MECH_NONE
@@ -116,13 +116,13 @@ class RestoreOutcome:
 
 
 class World:
-    """A deployment plus its currently designated barrier.
+    """A deployment plus its designated barrier, a list of ids (``[]``: none).
 
-    It changes only through :meth:`apply_move`, which appends to
-    ``move_log`` so total displacement is auditable, and :meth:`fail`; both
-    keep ``graph``, once built, the intersection graph of the live sensors,
-    and append ``(sensor_id, position before)`` to ``changes``, the one
-    record of every failure and move, which readers follow by index.
+    It changes only through :meth:`apply_move` and :meth:`fail`. Both keep
+    ``graph``, once built, the intersection graph of the live sensors, and
+    append a ``Move(sensor_id, src, dest)`` to ``changes``, the one record
+    of what happened to each sensor, which readers follow by index. A
+    failure, recorded where the sensor stands, is its only zero-length kind.
     """
 
     def __init__(
@@ -130,7 +130,7 @@ class World:
         region: Region,
         sensors: Iterable[Sensor],
         energy_model: EnergyModel | None = None,
-        barrier: Optional[list[int]] = None,
+        barrier: Iterable[int] = (),
     ):
         self.region = region
         self.sensors: dict[int, Sensor] = {}  # in id order
@@ -141,20 +141,17 @@ class World:
                 raise ValueError(f"duplicate sensor id {s.id}")
             self.sensors[s.id] = s
         self.energy_model = energy_model or EnergyModel()
-        self.barrier = barrier
-        self.move_log: list[Move] = []
-        self.changes: list[tuple[int, Point]] = []
+        self.barrier = list(barrier)
+        self.changes: list[Move] = []
         self.graph: Optional[IntersectionGraph] = None  # built by graph.world_graph
 
     def copy(self) -> World:
         """An exact copy that shares nothing a step can change: new
         ``Sensor`` objects (the frozen ``Point``, ``Region`` and
         ``EnergyModel`` are shared), a copied chain and a copy of the graph
-        if it is built. Its ``move_log`` and ``changes`` start empty, as a
-        fresh deploy's do. Cheaper than a deploy or a pickle round trip, so
-        several schemes can each run on their own copy of one deployment."""
-        twin = World(self.region, (), self.energy_model,
-                     None if self.barrier is None else list(self.barrier))
+        if it is built; its ``changes`` start empty. Cheaper than a deploy or
+        a pickle round trip, so each scheme can run on its own copy."""
+        twin = World(self.region, (), self.energy_model, self.barrier)
         twin.sensors = {
             sid: Sensor(s.id, s.pos, s.sensing_radius, s.comm_radius, s.energy,
                         s.initial_energy, s.failed, s.static)
@@ -175,7 +172,7 @@ class World:
         sensor is left as it is."""
         s = self.sensors[sensor_id]
         if not s.failed:
-            self.changes.append((sensor_id, s.pos))
+            self.changes.append(Move(sensor_id, s.pos, s.pos))
             s.failed = True
             if self.graph is not None:
                 self.graph.remove(sensor_id)
@@ -185,8 +182,8 @@ class World:
 
         Raises :class:`MoveExceedsCapacity` if the sensor is failed or the
         distance exceeds its remaining capacity; callers must treat that as
-        an infeasible plan and apply nothing further.
-        """
+        an infeasible plan and apply nothing further. A zero-length move
+        changes and records nothing."""
         s = self.sensors[sensor_id]
         if s.failed:
             raise MoveExceedsCapacity(f"sensor {sensor_id} has failed")
@@ -198,8 +195,7 @@ class World:
                 f"sensor {sensor_id}: move of {d:.6g} exceeds capacity "
                 f"{displacement_capacity(s, self.energy_model):.6g}"
             )
-        self.move_log.append(Move(sensor_id, s.pos, dest))
-        self.changes.append((sensor_id, s.pos))
+        self.changes.append(Move(sensor_id, s.pos, dest))
         s.pos = dest
         if self.graph is not None:
             self.graph.remove(sensor_id)

@@ -256,14 +256,14 @@ class Election(Mapping[int, NodeState]):
         world, states = self.world, self.states
         sensors = world.sensors
         graph = world_graph(world)
-        chain = list(world.barrier or [])
+        chain = list(world.barrier)
         was_on_barrier, self.on_barrier = self.on_barrier, set(chain)
 
         # A sensor that failed or moved (and so spent energy) since the last
         # election touches itself and its neighbors, then and now. Its first
         # record says where it stood then.
         since = {}
-        for sid, pos in world.changes[self._cursor:]:
+        for sid, pos, _ in world.changes[self._cursor:]:
             since.setdefault(sid, pos)
         self._cursor = len(world.changes)
         touched: set[int] = set(since)
@@ -568,9 +568,9 @@ def handle_failure_dmove(
     k: Optional[int] = None,
     bus: Optional[MessageBus] = None,
 ) -> RestoreOutcome:
-    """React to one newly failed sensor. ``election`` is what
-    ``init_recovery_nodes`` returned for this world; it is re-elected in
-    place. It reacts to the new victim alone: when an earlier hole is still
+    """React to one sensor that the caller has just failed (``World.fail``).
+    ``election`` is what ``init_recovery_nodes`` returned for this world; it
+    is re-elected in place. It reacts to the new victim alone: when an earlier hole is still
     open, the detour splice and the cascade treat only this victim as
     failed. The earlier dead member stays in the chain, so the verdict read
     off the world (``graph.verify_barrier``) stays false, unless the detour
@@ -587,8 +587,7 @@ def handle_failure_dmove(
     """
     if k is None:
         k = max(2, len(world.sensors) // 20)
-    world.fail(failed_id)
-    barrier = list(world.barrier or [])
+    barrier = world.barrier
     failed_state = election.get(failed_id)
 
     if failed_id not in barrier:

@@ -347,11 +347,11 @@ def shift_cascade(
     puts the shifted chain in ``world.barrier``. The mechanism is
     ``shifting`` iff some sensor moved onto a hole.
     """
-    barrier = world.barrier or []
+    barrier = world.barrier
     chain = list(barrier)
     idx = barrier.index(failed_id)
     vacated, hole = failed_id, world.sensors[failed_id].pos
-    start = len(world.move_log)
+    start = len(world.changes)
     moved: set[int] = set()
     while True:
         mover = next_mover(vacated, idx, hole)
@@ -370,18 +370,16 @@ def shift_cascade(
             world.barrier = chain
             break
         vacated, idx, hole = mover, barrier.index(mover), old_pos
-    return RestoreOutcome(MECH_SHIFTING if moved else MECH_NONE, world.move_log[start:])
+    return RestoreOutcome(MECH_SHIFTING if moved else MECH_NONE, world.changes[start:])
 
 
 def verify_barrier(world: World) -> bool:
     """True iff the world's designated chain is a live left-to-right barrier
     at the sensors' current positions: PL, the chain and PR, in that order,
     form a simple path of ``world_graph(world)``. A failed or unknown id is
-    not a vertex of that graph, so a chain holding one fails."""
-    chain = world.barrier
-    if not chain:
-        return False
-    path = [PL, *chain, PR]
+    not a vertex of that graph, and PL never meets PR, so a chain holding
+    one fails, and so does the empty chain."""
+    path = [PL, *world.barrier, PR]
     if len(set(path)) != len(path):
         return False
     adjacency = world_graph(world).adjacency

@@ -99,8 +99,7 @@ class ExperimentConfig:
             raise ValueError("k_hop_budget must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        for name in ("length", "width", "rho", "comm", "sigma", "initial_energy",
-                     "cost_per_unit", "static_threshold"):
+        for name in ("length", "width", "rho", "comm", "sigma", "initial_energy"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -249,8 +248,8 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
 
     Victims are drawn uniformly from ``live``, the live ids in id order,
     listed once after deploy; each draw pops its victim. Only this loop
-    fails sensors during a trial (dmove's own ``world.fail`` of the victim
-    does nothing), so the list stays the world's live ids without a rescan.
+    fails sensors during a trial, so the list stays the world's live ids
+    without a rescan.
     """
     if world is None:
         world = deploy_with_barrier(config, seed)
@@ -281,7 +280,7 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     for _ in range(total_failures):
         failed_id = live.pop(int(fail_rng.integers(0, len(live))))
         chain = world.barrier
-        on_chain = failed_id in (chain or [])
+        on_chain = failed_id in chain
         world.fail(failed_id)
         outcome = restore(failed_id)
         if on_chain or outcome.moves or world.barrier is not chain:
@@ -302,29 +301,24 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
                  k: Optional[int] = None, bus: Optional[MessageBus] = None,
                  ) -> Callable[[int], RestoreOutcome]:
     """Prepare ``scheme`` on a world with a designated barrier and return its
-    restore step, called with each newly failed sensor id once that sensor
-    is marked failed. dmove elects its recovery nodes here (``k`` is its hop
+    restore step, called with each sensor id that the caller has just failed
+    (``World.fail``). dmove elects its recovery nodes here (``k`` is its hop
     budget, ``bus`` its message bus); rmove draws its coin from ``rng``.
 
-    The centralized schemes see the whole world, so each step retries every
-    still-unfilled chain vacancy; the local schemes react to the new failure
-    alone, whatever the global state of the chain. A step that changes the
-    chain assigns a new list to ``world.barrier`` and never edits the old
-    one, so a caller can tell by identity. Entry points are looked up in
-    this module on every call, so a tracer that rebinds them here sees
-    every step. A hop budget below 1 raises ``ValueError``.
+    The centralized schemes see the whole world, so each step finds and
+    retries every failed chain member itself; the local schemes react to
+    the new failure alone, whatever the global state of the chain. A step
+    that changes the chain assigns a new list to ``world.barrier`` and never
+    edits the old one, so a caller can tell by identity. Entry points are
+    looked up in this module on every call, so a tracer that rebinds them
+    here sees every step. A hop budget below 1 raises ``ValueError``.
     """
     if k is not None and k < 1:
         raise ValueError(f"hop budget k must be at least 1, got {k}")
-    if scheme in ("nmove", "cmove"):
-        def step(failed_id: int) -> RestoreOutcome:
-            sensors = world.sensors
-            failed_on_chain = [
-                sid for sid in (world.barrier or []) if sensors[sid].failed
-            ]
-            restore = restore_nmove if scheme == "nmove" else restore_cmove
-            return restore(world, failed_on_chain)
-        return step
+    if scheme == "nmove":
+        return lambda failed_id: restore_nmove(world)
+    if scheme == "cmove":
+        return lambda failed_id: restore_cmove(world)
     if scheme == "rmove":
         return lambda failed_id: restore_rmove(world, failed_id, rng)
     if scheme == "dmove":

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from barrier_restore.core import EnergyModel, Point, Region, Sensor, World
+from barrier_restore.core import EnergyModel, Move, Point, Region, Sensor, World
 from barrier_restore.graph import find_barrier, world_graph
 
 
@@ -17,16 +17,16 @@ def make_world(coords, rho=1.0, length=10.0, width=4.0, energy=100.0,
     ]
     world = World(Region(length, width), sensors)
     if with_barrier:
-        world.barrier = find_barrier(world_graph(world))
+        world.barrier = find_barrier(world_graph(world)) or []
     return world
 
 
 def drain(world, sensor_id, energy):
     """Set a sensor's energy without moving it, and record that in
-    ``world.changes`` as ``World.apply_move`` records a move, so that a
+    ``world.changes`` as a move that ends where it starts, so that a
     re-election sees it."""
     sensor = world.sensor(sensor_id)
-    world.changes.append((sensor_id, sensor.pos))
+    world.changes.append(Move(sensor_id, sensor.pos, sensor.pos))
     sensor.energy = energy
 
 
@@ -70,5 +70,5 @@ def random_line_world(seed, n_min=6, n_max=12, rho=1.0):
     # Threshold zero: the mixed low energies here should constrain moves,
     # not freeze sensors outright.
     world = World(Region(length, width), sensors, EnergyModel(1.0, 0.0))
-    world.barrier = find_barrier(world_graph(world))
+    world.barrier = find_barrier(world_graph(world)) or []
     return world

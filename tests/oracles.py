@@ -124,7 +124,7 @@ class DenseProblem:
 def dense_build_assignment(world: World, failed: Iterable[int]) -> DenseProblem:
     """Every (active sensor, barrier position) cell with its cost and
     feasibility: the full-matrix form of ``central.build_assignment``."""
-    barrier = world.barrier or []
+    barrier = world.barrier
     sensors = world.active_sensors()
     left = [s.id for s in sensors]
     right = [world.sensor(b).pos for b in barrier]
@@ -239,8 +239,9 @@ def has_edge(graph: IntersectionGraph, u: int, v: int) -> bool:
 
 
 def total_displacement(world: World) -> float:
-    """Summed length of every move in the world's move log."""
-    return sum(m.length for m in world.move_log)
+    """Summed length of every record in the world's change record; a
+    failure's record has length zero."""
+    return sum(m.length for m in world.changes)
 
 
 def total_energy_spent(world: World) -> float:
@@ -278,7 +279,7 @@ def recovery_chain_oracle(world: World, graph: IntersectionGraph):
     node owning an eligible filler; ties between the two sides go to the
     predecessor side.
     """
-    chain = list(world.barrier or [])
+    chain = list(world.barrier)
     on_barrier = set(chain)
     model = world.energy_model
 

@@ -94,7 +94,7 @@ def test_criterion_2_cmove_optimality_small_worlds():
         world.fail(victim)
         problem = dense_build_assignment(world, {victim})
         want = brute_force_assignment(problem.cost, problem.feasible)
-        out = restore_cmove(world, {victim})
+        out = restore_cmove(world)
         holds = verify_barrier(world)
         if out.mechanism == MECH_SHIFTING and holds:
             assert want is not None

@@ -401,7 +401,7 @@ class TestRestoreCmove:
     def test_t1_middle_failure_single_move(self, t1_world):
         w = t1_world
         w.fail(2)
-        out = restore_cmove(w, {2})
+        out = restore_cmove(w)
         assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
         assert out.moves == [(5, Point(5, 2), Point(5, 0))]
         assert out.total_displacement == pytest.approx(2.0)
@@ -411,7 +411,7 @@ class TestRestoreCmove:
     def test_t1_offcenter_failure_two_moves(self, t1_world):
         w = t1_world
         w.fail(1)
-        out = restore_cmove(w, {1})
+        out = restore_cmove(w)
         assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
         assert sorted(m[0] for m in out.moves) == [2, 5]
         assert out.total_displacement == pytest.approx(4.0)
@@ -419,7 +419,7 @@ class TestRestoreCmove:
     def test_detour_preferred_over_free_shift(self, detour_world):
         w = detour_world
         w.fail(1)
-        out = restore_cmove(w, {1})
+        out = restore_cmove(w)
         assert verify_barrier(w) and out.mechanism == MECH_ALTERNATE
         assert out.total_displacement == 0.0
         assert w.barrier == [0, 4, 5, 2, 3]
@@ -429,7 +429,7 @@ class TestRestoreCmove:
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (5, 2), (3, 2)])
         w.fail(1)
         w.fail(2)
-        out = restore_cmove(w, {1, 2})
+        out = restore_cmove(w)
         assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
         assert out.total_displacement == pytest.approx(4.0)
         assert sorted(m[0] for m in out.moves) == [5, 6]
@@ -440,13 +440,13 @@ class TestRestoreCmove:
         for sid in (1, 2, 5):
             w.fail(sid)
         positions = {s.id: s.pos for s in w.active_sensors()}
-        out = restore_cmove(w, {1, 2})
+        out = restore_cmove(w)
         assert not verify_barrier(w)
         assert out.moves == []
         assert {s.id: s.pos for s in w.active_sensors()} == positions
 
     def test_empty_failed_set_is_noop(self, t1_world):
-        out = restore_cmove(t1_world, set())
+        out = restore_cmove(t1_world)
         assert verify_barrier(t1_world)
         assert out.moves == [] and out.total_displacement == 0.0
 
@@ -460,7 +460,7 @@ class TestRestoreCmove:
             )
             victim = w.barrier[len(w.barrier) // 2]
             w.fail(victim)
-            out = restore_cmove(w, {victim})
+            out = restore_cmove(w)
             if verify_barrier(w) and out.mechanism == MECH_SHIFTING:
                 after = sorted(
                     (w.sensor(b).pos.x, w.sensor(b).pos.y) for b in w.barrier
@@ -473,18 +473,18 @@ class TestRestoreNmove:
     def test_detour_success(self, detour_world):
         w = detour_world
         w.fail(1)
-        out = restore_nmove(w, {1})
+        out = restore_nmove(w)
         assert verify_barrier(w) and out.mechanism == MECH_ALTERNATE
         assert out.total_displacement == 0.0 and out.moves == []
 
     def test_t1_failure_unrecoverable(self, t1_world):
         w = t1_world
         w.fail(2)
-        out = restore_nmove(w, {2})
+        out = restore_nmove(w)
         assert not verify_barrier(w)
 
     def test_empty_failed_set(self, t1_world):
-        out = restore_nmove(t1_world, set())
+        out = restore_nmove(t1_world)
         assert verify_barrier(t1_world)
 
 
@@ -504,7 +504,7 @@ def test_cmove_matches_exhaustive_minimum_on_small_worlds():
         victim = w.barrier[int(rng.integers(0, len(w.barrier)))]
         w.fail(victim)
         want = shifting_oracle(w, {victim})
-        out = restore_cmove(w, {victim})
+        out = restore_cmove(w)
         if out.mechanism == MECH_SHIFTING and verify_barrier(w):
             assert want is not None
             assert out.total_displacement == pytest.approx(want, abs=1e-9)
@@ -539,7 +539,6 @@ def test_fuzzed_cmove_with_tight_energy_never_exceeds_capacity():
                     d = s.pos.distance_to(target)
                     s.energy = d if rng.uniform() < 0.5 else math.nextafter(d, 0.0)
             w.fail(victim)
-            failed = [sid for sid in w.barrier if w.sensor(sid).failed]
-            out = restore_cmove(w, failed)
+            out = restore_cmove(w)
             shifted += verify_barrier(w) and out.mechanism == MECH_SHIFTING
     assert shifted >= 20

@@ -131,6 +131,11 @@ class TestRunBadDeployment:
     (["sweep", "--n-list", "40", "--seed", "-1"], None),
     (["sweep", "--n-list", "40", "--length", "inf"], None),
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"seed": -1}'),
+    (["run", "--deployment", "{t1}", "--scheme", "dmove", "--fail", "2",
+      "--cost-per-unit", "inf"], None),
+    (["run", "--deployment", "{t1}", "--scheme", "dmove", "--fail", "2",
+      "--static-threshold", "inf"], None),
+    (["run", "--deployment", "{t1}", "--scheme", "dmove", "--fail", "2", "--seed", "-1"], None),
 ], ids=["generate-n-1", "generate-negative-rho", "generate-bad-out",
         "sweep-missing-config", "sweep-config-list", "sweep-config-string-trials",
         "sweep-config-negative-k",
@@ -139,7 +144,8 @@ class TestRunBadDeployment:
         "sweep-config-empty-report-points", "sweep-jobs-0", "sweep-n-list-empty",
         "run-negative-k", "run-repeated-id-local", "run-repeated-id-centralized",
         "generate-negative-seed", "generate-infinite-length", "generate-infinite-energy",
-        "sweep-negative-seed", "sweep-infinite-length", "sweep-config-negative-seed"])
+        "sweep-negative-seed", "sweep-infinite-length", "sweep-config-negative-seed",
+        "run-infinite-cost", "run-infinite-threshold", "run-negative-seed"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
     # Each of these used to end in a traceback and exit 1, or to run anyway.
     # A bad sweep must stop before its first deployment draw.
@@ -158,6 +164,9 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
+    if "--seed" in argv:
+        # The line names the flag; numpy's own message does not.
+        assert "seed" in captured.err
 
 
 class TestRun:

@@ -8,6 +8,7 @@ import pytest
 
 from barrier_restore.core import (
     EnergyModel,
+    Move,
     MoveExceedsCapacity,
     Point,
     Region,
@@ -67,7 +68,7 @@ class TestApplyMove:
         w = one_sensor_world()
         w.apply_move(0, Point(0, 0))
         assert w.sensor(0).energy == 100.0
-        assert w.move_log == []
+        assert w.changes == []
 
     def test_move_beyond_capacity_rejected(self):
         w = one_sensor_world(energy=10.0, threshold=0.0)
@@ -93,16 +94,19 @@ class TestApplyMove:
         with pytest.raises(MoveExceedsCapacity):
             w.apply_move(0, Point(1, 0))
 
-    def test_move_log_audits_displacement(self):
+    def test_change_record_audits_displacement(self):
+        # A failure's record has length zero, so it adds no displacement.
         w = one_sensor_world()
         w.apply_move(0, Point(3, 4))
         w.apply_move(0, Point(3, 10))
+        w.fail(0)
         assert total_displacement(w) == pytest.approx(11.0)
         assert total_energy_spent(w) == pytest.approx(11.0)
 
     def test_change_record_holds_each_move_and_failure_once(self):
-        # Position before each change; a zero or refused move and a second
-        # failure change nothing and record nothing.
+        # One Move per change, from the position before it; a failure ends
+        # where it starts. A zero or refused move and a second failure change
+        # nothing and record nothing.
         w = one_sensor_world(energy=10.0, threshold=0.0)
         w.apply_move(0, Point(3, 4))
         w.apply_move(0, Point(3, 4))
@@ -110,7 +114,8 @@ class TestApplyMove:
             w.apply_move(0, Point(30, 4))
         w.fail(0)
         w.fail(0)
-        assert w.changes == [(0, Point(0, 0)), (0, Point(3, 4))]
+        assert w.changes == [Move(0, Point(0, 0), Point(3, 4)),
+                             Move(0, Point(3, 4), Point(3, 4))]
 
 
 def test_energy_conservation_over_random_walk():
@@ -203,6 +208,7 @@ def test_region_validation():
 
 @pytest.mark.parametrize("cost, threshold", [
     (math.nan, 10.0), (1.0, math.nan), (-1.0, 10.0), (1.0, -0.5),
+    (math.inf, 10.0), (1.0, math.inf),
 ])
 def test_energy_model_rejects_bad_values(cost, threshold):
     with pytest.raises(ValueError):

@@ -398,6 +398,7 @@ class TestMldfs:
 class TestHandleFailure:
     def test_spare_fills_hole(self, t1_world):
         states = init_recovery_nodes(t1_world)
+        t1_world.fail(2)
         out = handle_failure_dmove(t1_world, states, 2)
         assert verify_barrier(t1_world) and out.mechanism == MECH_SHIFTING
         assert out.moves == [(5, Point(5, 2), Point(5, 0))]
@@ -406,6 +407,7 @@ class TestHandleFailure:
 
     def test_barrier_recovery_node_cascades(self, t1_world):
         states = init_recovery_nodes(t1_world)
+        t1_world.fail(1)
         out = handle_failure_dmove(t1_world, states, 1)
         assert verify_barrier(t1_world) and out.mechanism == MECH_SHIFTING
         assert [m[0] for m in out.moves] == [2, 5]
@@ -416,6 +418,7 @@ class TestHandleFailure:
         w = detour_world
         states = init_recovery_nodes(w)
         assert states[1].rec_node == 4
+        w.fail(1)
         out = handle_failure_dmove(w, states, 1)
         assert verify_barrier(w) and out.mechanism == MECH_ALTERNATE
         assert out.total_displacement == 0.0
@@ -428,6 +431,7 @@ class TestHandleFailure:
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (1.5, 1.5)])
         states = init_recovery_nodes(w)
         expected_cost = states[3].path_length
+        w.fail(3)
         out = handle_failure_dmove(w, states, 3)
         assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
         assert [m[0] for m in out.moves] == [2, 1, 0, 5]
@@ -436,6 +440,7 @@ class TestHandleFailure:
 
     def test_states_reelected_after_recovery(self, t1_world):
         states = init_recovery_nodes(t1_world)
+        t1_world.fail(2)
         handle_failure_dmove(t1_world, states, 2)
         assert set(t1_world.barrier) == {0, 1, 5, 3, 4}
         for sid in t1_world.barrier:
@@ -444,6 +449,7 @@ class TestHandleFailure:
     def test_recovery_node_death_triggers_reelection(self, t1_world):
         states = init_recovery_nodes(t1_world)
         assert states[2].rec_node == 5
+        t1_world.fail(5)
         out = handle_failure_dmove(t1_world, states, 5)
         assert verify_barrier(t1_world)  # barrier untouched
         assert out.moves == []
@@ -458,6 +464,7 @@ class TestHandleFailure:
         w = detour_world
         states = init_recovery_nodes(w)
         assert states[2].rec_node == 5
+        w.fail(5)
         out = handle_failure_dmove(w, states, 5)
         assert verify_barrier(w) and out.moves == []
         assert states[2].rec_node == 1
@@ -469,6 +476,7 @@ class TestHandleFailure:
         states = init_recovery_nodes(w)
         assert all(st.rec_node != 6 for st in states.values())
         before = {sid: st.rec_node for sid, st in states.items()}
+        w.fail(6)
         out = handle_failure_dmove(w, states, 6)
         assert verify_barrier(w) and out.moves == []
         after = {sid: st.rec_node for sid, st in states.items() if sid != 6}
@@ -477,6 +485,7 @@ class TestHandleFailure:
     def test_unwatched_failure_is_unrecoverable(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
         states = init_recovery_nodes(w)
+        w.fail(2)
         out = handle_failure_dmove(w, states, 2)
         assert not verify_barrier(w)
         assert out.moves == []
@@ -485,6 +494,7 @@ class TestHandleFailure:
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (1.5, 1.5)])
         states = init_recovery_nodes(w)
         drain(w, 1, 1.0)  # mid-chain mover can no longer shift
+        w.fail(3)
         out = handle_failure_dmove(w, states, 3)
         assert not verify_barrier(w)
         assert [m[0] for m in out.moves] == [2]  # first hop happened
@@ -498,6 +508,7 @@ class TestHandleFailure:
             states = init_recovery_nodes(w)
             rng = np.random.default_rng(seed + 999)
             victim = int(rng.choice(sorted(w.sensors)))
+            w.fail(victim)
             out = handle_failure_dmove(w, states, victim)
             holds = verify_barrier(w)
             assert holds == barrier_oracle(w)
@@ -520,7 +531,9 @@ def test_best_filler_sees_the_fillers_near_finds():
         fail_rng = seeded_rng(seed, 1)
         for _ in range(math.floor(config.failure_fraction_max * config.n)):
             alive = [s.id for s in world.active_sensors()]
-            handle_failure_dmove(world, election, alive[int(fail_rng.integers(len(alive)))])
+            victim = alive[int(fail_rng.integers(len(alive)))]
+            world.fail(victim)
+            handle_failure_dmove(world, election, victim)
             graph = world_graph(world)
             chain = set(world.barrier)
             for sid in chain:
@@ -578,6 +591,7 @@ class TestIncrementalElection:
             watched = any(st.rec_node == victim for st in election.values())
             before = counts["elections"]
             chain = world.barrier
+            world.fail(victim)
             out = handle_failure_dmove(world, election, victim, bus=bus)
             counts["recovery-node death"] += watched and victim not in world.barrier
             counts["given-up cascade"] += (
@@ -690,6 +704,7 @@ class TestIncrementalElection:
         chain = list(world.barrier)
         victim = chain[len(chain) // 2]
         again = MessageBus(keep_log=True)
+        world.fail(victim)
         out = handle_failure_dmove(world, election, victim, bus=again)
         assert verify_barrier(world)
         elect_msgs = [row for row in again.log if row[3] != "Tok"]
@@ -742,6 +757,7 @@ class TestElectionRounds:
             election = counting(world, bus=bus)
             victims = [int(v) for v in np.random.default_rng(seed).permutation(sorted(world.sensors))]
             for victim in victims[: len(victims) * 2 // 3]:
+                world.fail(victim)
                 handle_failure_dmove(world, election, victim, bus=bus)
         assert len(seen) >= 700
         assert all(r <= 2 * chain + 1 for r, chain in seen)

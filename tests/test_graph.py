@@ -19,7 +19,7 @@ from barrier_restore.graph import (
     verify_barrier,
     world_graph,
 )
-from conftest import make_world, random_line_world
+from conftest import T1_COORDS, make_world, random_line_world
 from oracles import adjacency_oracle, barrier_oracle, has_edge, hop_distance
 
 
@@ -271,7 +271,7 @@ class TestShiftCascade:
         if "drained" in edit:
             w.sensor(edit["drained"]).energy = 1.0  # every hop here is 2
         w.fail(1)
-        chain, barrier, start = w.barrier, list(w.barrier), len(w.move_log)
+        chain, barrier, start = w.barrier, list(w.barrier), len(w.changes)
         calls = []
         queue = iter(movers)
 
@@ -282,7 +282,7 @@ class TestShiftCascade:
         out = shift_cascade(w, 1, next_mover)
         assert not verify_barrier(w) and w.barrier is chain
         assert w.barrier == barrier
-        assert out.moves == w.move_log[start:]
+        assert out.moves == w.changes[start:]
         assert len(out.moves) == n_moves
         assert out.mechanism == (MECH_SHIFTING if n_moves else MECH_NONE)
         assert calls[0] == (1, 1, Point(3, 0))
@@ -354,8 +354,10 @@ class TestVerifyBarrier:
         self.check(t1_world, False)
 
     def test_no_barrier_designation(self, t1_world):
-        t1_world.barrier = None
-        self.check(t1_world, False)
+        # A world holds [] when no chain is designated.
+        bare = make_world(T1_COORDS, with_barrier=False)
+        assert bare.barrier == []
+        self.check(bare, False)
         t1_world.barrier = []
         self.check(t1_world, False)
 

@@ -218,14 +218,14 @@ def test_verdict_is_retaken_after_a_new_chain_or_a_move(monkeypatch):
         elif turn == 3:
             world.barrier = world.barrier[::-1]
         else:
-            start = len(world.move_log)
+            start = len(world.changes)
             for sid in world.barrier:
                 s = world.sensor(sid)
                 dest = Point(s.pos.x, s.pos.y + 3 * s.sensing_radius)
                 if displacement_capacity(s, world.energy_model) >= s.pos.distance_to(dest):
                     world.apply_move(sid, dest)
                     break
-            outcome = RestoreOutcome(outcome.mechanism, world.move_log[start:])
+            outcome = RestoreOutcome(outcome.mechanism, world.changes[start:])
         return outcome
 
     verdicts = _checked_steps(monkeypatch, meddle)
@@ -245,7 +245,6 @@ def _world_state(world):
     return dict(
         sensors=list(world.sensors.values()),
         chain=world.barrier,
-        move_log=world.move_log,
         changes=world.changes,
         adjacency=g.adjacency,
         positions=g.positions,

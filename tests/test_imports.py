@@ -14,9 +14,10 @@ dependency in ``pyproject.toml``) and itself, at any depth of the module;
 scipy, networkx and hypothesis are for the tests.
 
 Last, only ``core.World`` writes a sensor's ``failed``, ``pos``,
-``energy`` or ``static``: its ``fail`` and ``apply_move`` are what keep
-``World.graph`` current and record each change in ``World.changes``, which
-a re-election reads.
+``energy`` or ``static``, or adds to ``World.changes``: its ``fail`` and
+``apply_move`` are what keep ``World.graph`` current and record each change
+in ``World.changes``, the one record that a re-election and every step's
+outcome read.
 """
 from __future__ import annotations
 
@@ -161,13 +162,16 @@ def test_scan_flags_a_foreign_import(tmp_path):
     assert foreign_imports(module) == ["line 6: networkx", "line 8: scipy.optimize"]
 
 
-WORLD_STATE = {"failed", "pos", "energy", "static"}
+WORLD_STATE = {"failed", "pos", "energy", "static", "changes"}
+# Methods that edit a list in place, such as the change record.
+LIST_EDITS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
 
 
 def state_writes(path: Path) -> list[str]:
     """``line: .name`` of each write to an attribute named in
     ``WORLD_STATE`` in ``path`` outside the body of a class named ``World``:
-    assignments of every form, ``del`` and ``setattr`` with a literal name."""
+    assignments of every form, ``del``, ``setattr`` with a literal name, an
+    item assignment and a call of a ``LIST_EDITS`` method on it."""
     tree = ast.parse(path.read_text())
     inside_world = {
         id(node) for cls in ast.walk(tree)
@@ -180,6 +184,12 @@ def state_writes(path: Path) -> list[str]:
             continue
         if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
             name = node.attr
+        elif (isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Attribute)):
+            name = node.value.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in LIST_EDITS and isinstance(node.func.value, ast.Attribute)):
+            name = node.func.value.attr
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "setattr" and len(node.args) > 1
               and isinstance(node.args[1], ast.Constant)):
@@ -201,14 +211,18 @@ def test_scan_flags_a_state_write(tmp_path):
     module.write_text(
         "class World:\n"
         "    def fail(self, s): s.failed = True\n"
-        "    def move(self, s, p): s.pos = p\n"
+        "    def move(self, s, p): s.pos = p; self.changes.append(p)\n"
         "def kill(s): s.failed = True\n"
         "def swap(a, b): a.pos, b.pos = b.pos, a.pos\n"
         "def read(s): return s.failed, s.position, s.static, s.energy\n"
         "def sneak(s): setattr(s, 'failed', True)\n"
         "def drain(s): s.energy -= 1\n"
         "def freeze(s): setattr(s, 'static', True)\n"
+        "def log(w, m): w.changes.append(m); w.moves.append(m)\n"
+        "def since(w, k): return w.changes[k:], w.changes.count(k)\n"
+        "def forge(w, m): w.changes[0] = m; w.changes += [m]\n"
     )
     assert state_writes(module) == [
         "line 4: .failed", "line 5: .pos", "line 5: .pos", "line 7: .failed",
-        "line 8: .energy", "line 9: .static"]
+        "line 8: .energy", "line 9: .static", "line 10: .changes",
+        "line 12: .changes", "line 12: .changes"]

@@ -1,6 +1,9 @@
 """The README's paper-grid table is rendered from ``results/paper_grid.csv``
 and must equal that rendering, so the two cannot drift apart. After the CSV
 changes, ``python tests/test_readme.py`` rewrites the README block.
+
+The README's Library import block is run against the package, so an export
+it names that is dropped or renamed fails here.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 PAPER_GRID = ROOT / "results" / "paper_grid.csv"
+LIBRARY = "## Library"
 BEGIN = "<!-- paper-grid table: rendered from results/paper_grid.csv -->"
 END = "<!-- end paper-grid table -->"
 
@@ -45,6 +49,19 @@ def readme_block(text: str) -> str:
 
 def test_readme_table_equals_rendering_of_paper_grid():
     assert readme_block(README.read_text()) == render_table(PAPER_GRID.read_text())
+
+
+def library_block(text: str) -> str:
+    """The first ``python`` code block under the Library heading."""
+    fence = "```python\n"
+    start = text.index(fence, text.index(LIBRARY)) + len(fence)
+    return text[start:text.index("```", start)]
+
+
+def test_readme_library_imports_run():
+    block = library_block(README.read_text())
+    assert "from barrier_restore import" in block
+    exec(compile(block, str(README), "exec"), {})
 
 
 if __name__ == "__main__":

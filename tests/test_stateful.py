@@ -6,20 +6,23 @@ kills live sensors one at a time through the scheme's restore step from
 ``harness.start_scheme``. dmove also runs on a twin world whose bus delivers
 each round in a shuffled order; it must make exactly the same repairs.
 Each world's change record must name exactly the sensors whose state an
-episode changed. Between failures, a chain member may be nudged along x,
+episode changed: past the mark taken before a failure it holds the
+victim's one zero-length record and then exactly the step's moves, and
+each sensor's spent energy is the cost of its records' summed length.
+Between failures, a chain member may be nudged along x,
 so that a chain of live sensors can lose a link.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from copy import deepcopy
 
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from barrier_restore.core import EnergyModel, Point, displacement_capacity, seeded_rng
+from barrier_restore.core import EnergyModel, Move, Point, displacement_capacity, seeded_rng
 from barrier_restore.distributed import MessageBus, init_recovery_nodes
 from barrier_restore.graph import verify_barrier
 from barrier_restore.harness import SCHEMES, start_scheme
@@ -35,10 +38,29 @@ def _recorded(world, mark, before):
     """The ids ``world.changes`` recorded past index ``mark``, after checking
     that each id's first record holds its position in ``before``."""
     first = {}
-    for sid, pos in world.changes[mark:]:
+    for sid, pos, _ in world.changes[mark:]:
         first.setdefault(sid, pos)
     assert all(pos == before[sid][0] for sid, pos in first.items())
     return set(first)
+
+
+def _check_records(world, mark, victim, outcome):
+    """The one record of the episode that failed ``victim`` at ``mark``: the
+    failure, recorded where the victim stands, then exactly the step's
+    moves, none of zero length. And each sensor's spent energy is the cost
+    of the summed length of all its records."""
+    at = world.sensor(victim).pos
+    records = world.changes[mark:]
+    assert records[:1] == [Move(victim, at, at)]
+    assert records[1:] == outcome.moves
+    assert all(m.src != m.dest for m in outcome.moves)
+    moved = defaultdict(float)
+    for m in world.changes:
+        moved[m.sensor_id] += m.length
+    cost = world.energy_model.cost_per_unit_displacement
+    for sid, s in world.sensors.items():
+        assert math.isclose(s.initial_energy - s.energy, cost * moved[sid],
+                            rel_tol=1e-9, abs_tol=1e-9)
 
 
 def _fixpoint(election):
@@ -76,7 +98,7 @@ class FailureSequence(RuleBasedStateMachine):
             return
         victim = data.draw(st.sampled_from(alive))
         before = _state(world)
-        logged, marked = len(world.move_log), len(world.changes)
+        marked = len(world.changes)
         twin_marked = None if self.twin is None else len(self.twin.changes)
         chain = world.barrier
         twin_chain = None if self.twin is None else self.twin.barrier
@@ -84,7 +106,7 @@ class FailureSequence(RuleBasedStateMachine):
         self.failed_at[victim] = world.sensor(victim).pos
         outcome = self.restore(victim)
 
-        assert outcome.moves == world.move_log[logged:]
+        _check_records(world, marked, victim, outcome)
         # Success is the world graph's verdict on the designated chain; it
         # must equal the pairwise definition's.
         assert verify_barrier(world) == barrier_oracle(world)
@@ -133,6 +155,7 @@ class FailureSequence(RuleBasedStateMachine):
             assert self.twin.barrier == world.barrier
             assert _state(self.twin) == _state(world)
             assert _recorded(self.twin, twin_marked, before) == changed
+            _check_records(self.twin, twin_marked, victim, other)
             # A fresh election on this world reaches the same fixpoint
             # whatever the delivery order.
             if any(not world.sensor(sid).failed for sid in world.barrier):
