@@ -21,10 +21,9 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
     Fully deterministic for a fixed rng stream; the coin is consumed only
     when both chain sides are eligible movers.
     """
-    chain = world.barrier
-    if failed_id not in chain:
+    chain, slots = world.barrier, world.slots
+    if failed_id not in slots:
         return RestoreOutcome()
-    barrier_set = set(chain)
     step = 0  # chain direction of the cascade, chosen at the first hole
 
     def eligible(idx: int, hole: Point) -> bool:
@@ -39,7 +38,7 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
         nonlocal step
         radius = world.sensor(vacated).sensing_radius
         candidates = world_graph(world).near(hole, radius, world.sensors)
-        filler = closest_filler(world, candidates, hole, barrier_set)
+        filler = closest_filler(world, candidates, hole, slots)
         if filler is not None:
             return filler[1]
         if not step:

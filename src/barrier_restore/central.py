@@ -42,7 +42,7 @@ from .core import (
 from .graph import (
     failed_span,
     find_alternate_path,
-    splice_barrier,
+    splice_into,
     world_graph,
 )
 
@@ -217,12 +217,11 @@ def _try_alternate_path(world: World, failed: set[int]) -> Optional[RestoreOutco
     """The alternate-path step: splice a detour between the survivors
     flanking the failed span into the chain; None, with the world
     untouched, when the graph offers no such path."""
-    barrier = world.barrier
-    _, _, left, right = failed_span(barrier, failed)
+    _, _, left, right = failed_span(world.barrier, failed)
     path = find_alternate_path(world_graph(world), left, right)
     if path is None:
         return None
-    world.barrier = splice_barrier(barrier, failed, path)
+    splice_into(world, failed, path)
     return RestoreOutcome(MECH_ALTERNATE)
 
 
@@ -239,7 +238,9 @@ def restore_cmove(world: World) -> RestoreOutcome:
     relocate sensors onto the vacated chain positions by minimum-cost
     assignment, restoring the pre-failure geometry with new occupants. The
     assignment problem reads the live world, so no sensor moves until the
-    solve has returned; an occupant assigned its own position stays put."""
+    solve has returned. Only the columns whose occupant changed move a
+    sensor, and the chain edit spans only them: an occupant assigned its own
+    position stays put."""
     failed = _failed_members(world)
     if not failed:
         return RestoreOutcome()
@@ -254,7 +255,10 @@ def restore_cmove(world: World) -> RestoreOutcome:
 
     start = len(world.changes)
     occupants = [problem.left[i] for i in assignment]
-    for sid, target in zip(occupants, problem.right):
-        world.apply_move(sid, target)
-    world.barrier = occupants
+    chain = world.barrier
+    changed = [j for j, sid in enumerate(occupants) if sid != chain[j]]
+    for j in changed:
+        world.apply_move(occupants[j], problem.right[j])
+    lo, hi = changed[0], changed[-1] + 1  # a failed member's column always changes
+    world.edit_chain(lo, hi, occupants[lo:hi])
     return RestoreOutcome(MECH_SHIFTING, world.changes[start:])

@@ -150,7 +150,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if barrier is None:
         print("error: deployment forms no initial barrier", file=sys.stderr)
         return EXIT_NO_BARRIER
-    world.barrier = barrier
+    world.edit_chain(0, len(world.barrier), barrier)
 
     bus = MessageBus(keep_log=args.trace)
     try:

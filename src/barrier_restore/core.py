@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 import numpy as np
 
 if TYPE_CHECKING:
-    from .graph import IntersectionGraph
+    from .graph import BarrierCheck, IntersectionGraph
 
 
 class MoveExceedsCapacity(Exception):
@@ -115,14 +115,35 @@ class RestoreOutcome:
         return sum((m.length for m in self.moves), 0.0)
 
 
-class World:
-    """A deployment plus its designated barrier, a list of ids (``[]``: none).
+# One write of the designated chain, ``(start, old, new)``: from slot
+# ``start`` on, the ids ``old`` were replaced by ``new``. Plain tuples all
+# through: cheaper to make than a named one, and the garbage collector stops
+# tracking a tuple of ints, where a record of lists that lives as long as
+# its world made a trial set off several times as many collections.
+ChainEdit = tuple[int, tuple[int, ...], tuple[int, ...]]
 
-    It changes only through :meth:`apply_move` and :meth:`fail`. Both keep
-    ``graph``, once built, the intersection graph of the live sensors, and
-    append a ``Move(sensor_id, src, dest)`` to ``changes``, the one record
-    of what happened to each sensor, which readers follow by index. A
-    failure, recorded where the sensor stands, is its only zero-length kind.
+
+class World:
+    """A deployment plus its designated barrier, a list of ids, ``[]`` until
+    :meth:`edit_chain` designates one.
+
+    Its sensors change only through :meth:`apply_move` and :meth:`fail`.
+    Both keep ``graph``, once built, the intersection graph of the live
+    sensors, and append a ``Move(sensor_id, src, dest)`` to ``changes``, the
+    one record of what happened to each sensor, which readers follow by
+    index. A failure, recorded where the sensor stands, is its only
+    zero-length kind.
+
+    Its chain, ``barrier``, changes only through :meth:`edit_chain`, a slice
+    replacement that assigns a new list (so a reader can tell a replaced
+    chain by identity), keeps ``slots`` (each chain id's slot, the first one
+    of an id that holds several) and ``doubled`` (the ids that hold several)
+    current, and appends a ``ChainEdit`` to ``chain_edits``. Readers of
+    the chain follow that record by index too: :meth:`edited_slots` says
+    which slots were written since a mark, so ``graph.verify_barrier`` and
+    a dmove re-election re-read only those and their neighbours.
+    ``checked`` holds ``verify_barrier``'s state for this world once it has
+    run.
     """
 
     def __init__(
@@ -130,7 +151,6 @@ class World:
         region: Region,
         sensors: Iterable[Sensor],
         energy_model: EnergyModel | None = None,
-        barrier: Iterable[int] = (),
     ):
         self.region = region
         self.sensors: dict[int, Sensor] = {}  # in id order
@@ -141,25 +161,89 @@ class World:
                 raise ValueError(f"duplicate sensor id {s.id}")
             self.sensors[s.id] = s
         self.energy_model = energy_model or EnergyModel()
-        self.barrier = list(barrier)
         self.changes: list[Move] = []
         self.graph: Optional[IntersectionGraph] = None  # built by graph.world_graph
+        self._barrier: list[int] = []
+        self.slots: dict[int, int] = {}
+        self.doubled: set[int] = set()
+        self.chain_edits: list[ChainEdit] = []
+        self.checked: Optional[BarrierCheck] = None  # kept by graph.verify_barrier
+
+    @property
+    def barrier(self) -> list[int]:
+        return self._barrier
 
     def copy(self) -> World:
         """An exact copy that shares nothing a step can change: new
         ``Sensor`` objects (the frozen ``Point``, ``Region`` and
-        ``EnergyModel`` are shared), a copied chain and a copy of the graph
-        if it is built; its ``changes`` start empty. Cheaper than a deploy or
-        a pickle round trip, so each scheme can run on its own copy."""
-        twin = World(self.region, (), self.energy_model, self.barrier)
+        ``EnergyModel`` are shared), a copied chain, slot map and graph if
+        it is built. Its ``changes`` and ``chain_edits`` start empty, so its
+        readers, the verdict's state included, start from a full read.
+        Cheaper than a deploy or a pickle round trip, so each scheme can run
+        on its own copy."""
+        twin = World(self.region, (), self.energy_model)
         twin.sensors = {
             sid: Sensor(s.id, s.pos, s.sensing_radius, s.comm_radius, s.energy,
                         s.initial_energy, s.failed, s.static)
             for sid, s in self.sensors.items()
         }
+        twin._barrier = list(self._barrier)
+        twin.slots = dict(self.slots)
+        twin.doubled = set(self.doubled)
         if self.graph is not None:
             twin.graph = self.graph.copy()
         return twin
+
+    def edit_chain(self, start: int, stop: int, ids: Iterable[int]) -> None:
+        """Replace the chain's slots ``start`` to ``stop`` (exclusive) with
+        ``ids``: ``edit_chain(0, len(world.barrier), ids)`` replaces the
+        whole chain. The one way the chain changes."""
+        chain = self._barrier
+        if not 0 <= start <= stop <= len(chain):
+            raise IndexError(f"chain slice {start}:{stop} out of 0:{len(chain)}")
+        old = tuple(chain[start:stop])
+        new = tuple(ids)
+        chain = self._barrier = chain.copy()
+        chain[start:stop] = new
+        self.chain_edits.append((start, old, new))
+        slots, doubled = self.slots, self.doubled
+        if not doubled:
+            for sid in old:
+                del slots[sid]
+            for idx, sid in enumerate(new, start):
+                if sid in slots:
+                    doubled.add(sid)
+                slots[sid] = idx
+            if len(new) != len(old):
+                for idx in range(start + len(new), len(chain)):
+                    slots[chain[idx]] = idx
+        if doubled:
+            # A chain that holds an id twice is rare (only a broken one
+            # does): recount it whole.
+            slots.clear()
+            doubled.clear()
+            for idx, sid in enumerate(chain):
+                if slots.setdefault(sid, idx) != idx:
+                    doubled.add(sid)
+
+    def edited_slots(self, mark: int) -> Optional[range]:
+        """The slots of the chain that the edits made since ``chain_edits``
+        held ``mark`` records wrote, in the chain as it is now: one range
+        from the first to the last, which is empty, but still says where,
+        when the edits only cut. None when no edit followed the mark. Slots
+        past an edit shift by its change of length, so outside the range
+        the chain holds the ids it held at the mark, and a slot's links can
+        have changed only within one slot of it. Its cost follows the number
+        of edits."""
+        edits = self.chain_edits
+        if mark >= len(edits):
+            return None
+        start, old, new = edits[mark]
+        lo, hi = start, start + len(new)
+        for start, old, new in edits[mark + 1:]:
+            lo = min(lo, start)
+            hi = start + len(new) if hi <= start + len(old) else hi + len(new) - len(old)
+        return range(lo, hi)
 
     def sensor(self, sensor_id: int) -> Sensor:
         return self.sensors[sensor_id]
@@ -238,8 +322,9 @@ def world_from_json(
     text: str, energy_model: EnergyModel | None = None
 ) -> World:
     """Parse a deployment. Raises ValueError (JSONDecodeError included) on
-    malformed JSON, a missing key, a non-finite number, negative energy or a
-    non-positive radius or region side."""
+    malformed JSON, a missing key, a non-finite number (an id included) or
+    an integer too large for a float, negative energy or a non-positive
+    radius or region side."""
     doc = json.loads(text)
     try:
         region = Region(float(doc["region"]["L"]), float(doc["region"]["W"]))
@@ -256,7 +341,7 @@ def world_from_json(
             )
             for rec in doc["sensors"]
         ]
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, OverflowError) as err:
         raise ValueError(f"malformed deployment ({type(err).__name__}: {err})") from None
     numbers = [region.length, region.width, rho, comm]
     numbers += [v for s in sensors for v in (s.pos.x, s.pos.y, s.energy)]

@@ -6,10 +6,10 @@ side reaches such a filler with the least cumulative movement. The election
 runs as a request/reply protocol along the chain, whose messages are plain
 tuples. One ``Election`` object per trial holds the states and the message
 handlers. Each re-election reads only what changed since the last one, from
-the world's change record, ``World.changes``, and from the edited span of
-the chain, and runs the protocol again only on the chain nodes whose answer
-can have changed. One rule says where a request stops, for the protocol and
-for finding those nodes alike. On a failure, the failed node's recovery
+the world's change record, ``World.changes``, and from its chain-edit
+record, ``World.chain_edits``, and runs the protocol again only on the chain
+nodes whose answer can have changed. One rule says where a request stops,
+for the protocol and for finding those nodes alike. On a failure, the failed node's recovery
 node first hunts for a detour with a hop-budgeted, geographically greedy
 token search; if that fails, the cascade shared with rmove
 (``graph.shift_cascade``) moves it into the hole and refills each vacated
@@ -41,7 +41,7 @@ from .graph import (
     IntersectionGraph,
     closest_filler,
     shift_cascade,
-    splice_barrier,
+    splice_into,
     world_graph,
 )
 
@@ -154,22 +154,6 @@ def _links(chain: list[int], idx: int) -> tuple[int, int]:
             chain[idx + 1] if idx + 1 < len(chain) else PR)
 
 
-def _edited_span(old: list[int], new: list[int]) -> range:
-    """Indices of ``new`` whose chain links can differ from ``old``'s: past
-    the common prefix and before the common suffix, plus one node on each
-    side. Empty when the chains are equal."""
-    if old == new:
-        return range(0)
-    most = min(len(old), len(new))
-    head = 0
-    while head < most and old[head] == new[head]:
-        head += 1
-    tail = 0
-    while tail < most - head and old[-1 - tail] == new[-1 - tail]:
-        tail += 1
-    return range(max(head - 1, 0), min(len(new) - tail + 1, len(new)))
-
-
 class Election(Mapping[int, NodeState]):
     """One world's recovery-node election, kept for a whole trial: the
     per-node states and the protocol's message handlers in one object, which
@@ -185,9 +169,9 @@ class Election(Mapping[int, NodeState]):
 
     A re-election (``init_recovery_nodes`` with ``election=``) reads only
     what changed since the last election: the world's change record
-    (``World.changes``) past a cursor, and the span of the chain that was
-    edited since. Apart from a copy of the chain and linear scans that find
-    the touched members and the edited span, its cost follows those edits
+    (``World.changes``) and its chain-edit record (``World.chain_edits``)
+    past two cursors. It finds chain slots and membership in the world's
+    slot map (``World.slots``), so its cost follows those changes and edits
     and the nodes it re-elects, not the length of the chain. It re-runs the
     protocol only on the chain nodes whose answer can have changed: those
     whose position, capacity, chain links or fillers (read from
@@ -202,12 +186,11 @@ class Election(Mapping[int, NodeState]):
         live = world.active_sensors()
         self.world = world
         self.states = {s.id: NodeState(s.id) for s in live}
-        self.on_barrier: set[int] = set()
-        # As of the last election: the length of the change record, and the
-        # chain. No state is on the chain yet, so the first election elects
-        # every chain node.
+        # As of the last election: the lengths of the change record and of
+        # the chain-edit record; None before the first election, which
+        # elects every chain node.
         self._cursor = len(world.changes)
-        self._chain: list[int] = []
+        self._edits: Optional[int] = None
         # best_filler's answers, each dropped when prepare finds its node
         # touched.
         self._fillers: dict[int, Optional[tuple[float, int]]] = {}
@@ -230,7 +213,7 @@ class Election(Mapping[int, NodeState]):
             return fillers[sid]
         world = self.world
         filler = fillers[sid] = closest_filler(
-            world, world.graph.neighbors(sid), world.sensors[sid].pos, self.on_barrier)
+            world, world.graph.neighbors(sid), world.sensors[sid].pos, world.slots)
         return filler
 
     def _answer(self, sid: int, asker: int) -> tuple[float, Optional[float]]:
@@ -250,14 +233,14 @@ class Election(Mapping[int, NodeState]):
     def prepare(self) -> list[int]:
         """Bring the states up to the world and return, in chain order,
         the live chain nodes to elect, their old answers and registrations
-        cleared in place. Beyond scans of the chain, it reads only the change
-        record past the cursor, the chain's edited span and the nodes it
-        returns."""
+        cleared in place. It reads only the change record and the chain-edit
+        record past its cursors, the slots those edits wrote
+        (``World.edited_slots``) and one on each side, the slots of the
+        touched nodes (``World.slots``) and the nodes it returns."""
         world, states = self.world, self.states
         sensors = world.sensors
         graph = world_graph(world)
-        chain = list(world.barrier)
-        was_on_barrier, self.on_barrier = self.on_barrier, set(chain)
+        chain, slots = world.barrier, world.slots
 
         # A sensor that failed or moved (and so spent energy) since the last
         # election touches itself and its neighbors, then and now. Its first
@@ -275,12 +258,26 @@ class Election(Mapping[int, NodeState]):
             else:
                 touched.update(graph.neighbors(sid))
 
+        # The chain edits since the last election: the slots whose links can
+        # have changed, and the ids that can have joined or left the chain.
+        if self._edits is None:
+            span, edited = range(len(chain)), chain
+        else:
+            written = world.edited_slots(self._edits)
+            span = range(0) if written is None else range(
+                max(written.start - 1, 0), min(written.stop + 1, len(chain)))
+            edited = [sid for _, old, new in world.chain_edits[self._edits:]
+                      for sid in (*old, *new)]
+        self._edits = len(world.chain_edits)
+
         # Joining or leaving the chain changes a sensor's neighbors'
-        # fillers; a sensor that left keeps no chain state.
-        for sid in self.on_barrier ^ was_on_barrier:
+        # fillers; a sensor that left keeps no chain state. A live state is
+        # on the chain (``is_on_barrier``) iff its node was at the last
+        # election.
+        for sid in set(edited):
             st = states.get(sid)
-            if st is None:
-                continue  # dead
+            if st is None or st.is_on_barrier == (sid in slots):
+                continue  # dead, or neither joined nor left
             touched.update(graph.neighbors(sid))
             if st.is_on_barrier:
                 self._unregister(st)
@@ -294,10 +291,12 @@ class Election(Mapping[int, NodeState]):
             fillers.pop(sid, None)
 
         # Seeds: touched chain members, at every slot they hold, and those
-        # whose links changed, which only the edited span of the chain can
-        # hold.
-        seeds = {idx for idx, sid in enumerate(chain) if sid in touched}
-        for idx in _edited_span(self._chain, chain):
+        # whose links changed, which only the written slots and their
+        # neighbours can hold.
+        seeds = {slots[sid] for sid in touched if sid in slots}
+        for sid in touched & world.doubled:
+            seeds.update(idx for idx, other in enumerate(chain) if other == sid)
+        for idx in span:
             st = states.get(chain[idx])
             if st is not None and (st.pre, st.suc) != _links(chain, idx):
                 seeds.add(idx)
@@ -315,7 +314,6 @@ class Election(Mapping[int, NodeState]):
             self._unregister(st)
             st.reset(True, *_links(chain, idx))
             order.append(sid)
-        self._chain = chain
         return order
 
     def _walk(self, chain: list[int], idx: int, step: int, seeds: set[int],
@@ -587,10 +585,9 @@ def handle_failure_dmove(
     """
     if k is None:
         k = max(2, len(world.sensors) // 20)
-    barrier = world.barrier
     failed_state = election.get(failed_id)
 
-    if failed_id not in barrier:
+    if failed_id not in world.slots:
         if failed_state is not None and failed_state.rec_set:
             init_recovery_nodes(world, bus=bus, election=election)
         return RestoreOutcome()
@@ -601,7 +598,7 @@ def handle_failure_dmove(
 
     replacement = _search_detour(world_graph(world), failed_state, rec, k, bus)
     if replacement is not None:
-        world.barrier = splice_barrier(barrier, {failed_id}, replacement)
+        splice_into(world, {failed_id}, replacement)
         init_recovery_nodes(world, bus=bus, election=election)
         return RestoreOutcome(MECH_ALTERNATE)
     outcome = shift_cascade(

@@ -16,10 +16,20 @@ reads too. A barrier is a path of this graph from PL to PR: the searches
 find one, and ``verify_barrier`` checks the designated chain as one. No
 scheme calls it: a step reports what it did, and the episode loop
 (``harness.run_trial``) reads the verdict off the world.
+
+The designated chain changes only through ``World.edit_chain``, a slice
+replacement that the world records. The cascade writes only the slots it
+shifted, and a splice (``splice_into``) only the span it cut, and both find
+slots and chain membership in ``World.slots`` rather than by scanning the
+chain. ``verify_barrier`` keeps its state per world (``BarrierCheck``) and
+re-checks only the links that the chain edits and the sensor changes since
+its last call can have changed.
+
 ``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
 pairwise definitions they are checked against, in ``tests/test_graph.py``,
-``tests/test_distributed.py::TestIncrementalElection`` and after every
-episode of every scheme in ``tests/test_stateful.py``.
+``tests/test_distributed.py::TestIncrementalElection``, on every verdict of
+full-size trials in ``tests/test_harness.py`` and after every episode of
+every scheme in ``tests/test_stateful.py``.
 """
 from __future__ import annotations
 
@@ -272,30 +282,55 @@ def _simplify_walk(walk: Sequence[int]) -> Path:
     return out
 
 
-def failed_span(barrier: Sequence[int], failed: set[int]) -> tuple[int, int, int, int]:
+def failed_span(
+    barrier: Sequence[int], failed: set[int], slots: Optional[Mapping[int, int]] = None
+) -> tuple[int, int, int, int]:
     """Indices of the leftmost and rightmost failed barrier nodes, and the
-    survivors just outside them (sentinels when the span touches an end)."""
-    hits = [i for i, v in enumerate(barrier) if v in failed]
-    first, last = hits[0], hits[-1]
+    survivors just outside them (sentinels when the span touches an end).
+    ``slots``, each id's index in a barrier that holds no id twice, finds
+    them without a scan of the barrier."""
+    if slots is None:
+        hits = [i for i, v in enumerate(barrier) if v in failed]
+    else:
+        hits = [slots[v] for v in failed if v in slots]
+    first, last = min(hits), max(hits)
     left = barrier[first - 1] if first > 0 else PL
     right = barrier[last + 1] if last + 1 < len(barrier) else PR
     return first, last, left, right
 
 
-def splice_barrier(
-    barrier: Sequence[int], failed: Iterable[int], replacement: Sequence[int]
-) -> Path:
-    """Replace the failed span of a barrier with a discovered path.
+def splice_span(
+    barrier: Sequence[int],
+    failed: Iterable[int],
+    replacement: Sequence[int],
+    slots: Optional[Mapping[int, int]] = None,
+) -> tuple[int, int, Path]:
+    """The edit that replaces the failed span of a barrier with a
+    discovered path: ``(start, stop, ids)`` such that ``barrier[:start] +
+    ids + barrier[stop:]`` is the spliced chain, which ``splice_barrier``
+    returns. ``World.edit_chain(*splice_span(...))`` applies it.
 
     ``replacement`` must run from the survivor just left of the leftmost
     failed barrier node to the survivor just right of the rightmost one
-    (sentinels when the span touches an end of the chain).
+    (sentinels when the span touches an end of the chain). Where the path
+    revisits a chain node, the loop through it is cut (``_simplify_walk``).
+    ``slots`` maps each id of a barrier that holds no id twice to its
+    index; with it the edit spans only the failed span and the chain nodes
+    the path revisits, found without a scan of the chain. Without it the
+    edit spans the whole chain.
     """
-    barrier = list(barrier)
     failed = set(failed)
-    if not failed & set(barrier):
-        return barrier
-    first, last, left, right = failed_span(barrier, failed)
+    members = set(barrier) if slots is None else slots
+    if not any(v in members for v in failed):
+        return 0, 0, []
+    first, last, left, right = failed_span(barrier, failed, slots)
+    if slots is None:
+        lo, hi = 0, len(barrier)
+    else:
+        # Loops can only close at chain nodes on the path.
+        on_path = [slots[v] for v in replacement if v in slots]
+        lo = min([first, *on_path])
+        hi = max([last, *on_path]) + 1
 
     if not replacement or replacement[0] != left or replacement[-1] != right:
         raise SpliceEndpointMismatch(
@@ -303,12 +338,35 @@ def splice_barrier(
             f"expected {left}..{right}"
         )
     walk = (
-        barrier[:first]
+        list(barrier[lo:first])
         + [v for v in replacement if v not in (PL, PR)]
-        + barrier[last + 1 :]
+        + list(barrier[last + 1:hi])
     )
-    spliced = _simplify_walk(walk)
-    return [v for v in spliced if v not in (PL, PR)]
+    return lo, hi, [v for v in _simplify_walk(walk) if v not in (PL, PR)]
+
+
+def splice_barrier(
+    barrier: Sequence[int], failed: Iterable[int], replacement: Sequence[int]
+) -> Path:
+    """Replace the failed span of a barrier with a discovered path (see
+    ``splice_span``); the barrier as it is when no node of it failed."""
+    start, stop, ids = splice_span(barrier, failed, replacement)
+    return [*barrier[:start], *ids, *barrier[stop:]]
+
+
+def splice_into(world: World, failed: Iterable[int], replacement: Sequence[int]) -> None:
+    """Splice ``replacement`` into the world's chain in place of its failed
+    span, as one chain edit that spans only what the splice changed (see
+    ``splice_span``)."""
+    slots = world.slots if _simple_chain(world) else None
+    world.edit_chain(*splice_span(world.barrier, failed, replacement, slots))
+
+
+def _simple_chain(world: World) -> bool:
+    """True iff the chain holds no id twice and no sentinel, so that
+    ``world.slots`` names each chain id's only slot."""
+    slots = world.slots
+    return not world.doubled and PL not in slots and PR not in slots
 
 
 def closest_filler(
@@ -344,18 +402,19 @@ def shift_cascade(
     ``next_mover`` returns None or a sensor that already moved, or when the
     mover is dead or cannot afford the hop. Moves made before giving up
     stay made, but ``world.barrier`` is left as it was; a cascade that ends
-    puts the shifted chain in ``world.barrier``. The mechanism is
+    writes the slots it shifted to the chain, as one edit of the span they
+    lie in. Slots and membership come from ``world.slots``, so the cascade
+    costs what it shifts, not the length of the chain. The mechanism is
     ``shifting`` iff some sensor moved onto a hole.
     """
-    barrier = world.barrier
-    chain = list(barrier)
-    idx = barrier.index(failed_id)
+    slots = world.slots
+    idx = slots[failed_id]
     vacated, hole = failed_id, world.sensors[failed_id].pos
     start = len(world.changes)
-    moved: set[int] = set()
+    shifted: dict[int, int] = {}  # slot -> its new occupant
     while True:
         mover = next_mover(vacated, idx, hole)
-        if mover is None or mover in moved:
+        if mover is None or mover in shifted.values():
             break
         sensor = world.sensors[mover]
         if sensor.failed or displacement_capacity(
@@ -364,13 +423,70 @@ def shift_cascade(
             break
         old_pos = sensor.pos
         world.apply_move(mover, hole)
-        moved.add(mover)
-        chain[idx] = mover
-        if mover not in barrier:
-            world.barrier = chain
+        shifted[idx] = mover
+        if mover not in slots:
+            lo, hi = min(shifted), max(shifted) + 1
+            chain = world.barrier
+            world.edit_chain(lo, hi, [shifted.get(i, chain[i]) for i in range(lo, hi)])
             break
-        vacated, idx, hole = mover, barrier.index(mover), old_pos
-    return RestoreOutcome(MECH_SHIFTING if moved else MECH_NONE, world.changes[start:])
+        vacated, idx, hole = mover, slots[mover], old_pos
+    return RestoreOutcome(MECH_SHIFTING if shifted else MECH_NONE, world.changes[start:])
+
+
+class BarrierCheck:
+    """``verify_barrier``'s state for one world, kept in ``World.checked``:
+    the links of the path ``[PL, *chain, PR]`` that are not edges of the
+    world graph, ``broken``, which maps each such link's left end to its
+    right end, as of the first ``edit_mark`` records of
+    ``World.chain_edits`` and the first ``change_mark`` of
+    ``World.changes``."""
+
+    __slots__ = ("broken", "edit_mark", "change_mark")
+
+    def __init__(self, world: World, adjacency: Mapping[int, list[int]]):
+        path = [PL, *world.barrier, PR]
+        self.broken = {u: v for u, v in zip(path, path[1:])
+                       if v not in adjacency.get(u, ())}
+        self.edit_mark = len(world.chain_edits)
+        self.change_mark = len(world.changes)
+
+    def update(self, world: World, adjacency: Mapping[int, list[int]]) -> None:
+        """Re-check the links that can have changed since the last call:
+        those at the slots the chain edits past ``edit_mark`` wrote and those
+        of the chain members named in the change records past
+        ``change_mark``. Needs a chain that holds no id twice and no
+        sentinel."""
+        chain, slots, broken = world.barrier, world.slots, self.broken
+        # Link k joins path[k] and path[k + 1]: slot k - 1 (PL at k = 0) to
+        # slot k (PR at k = len(chain)). Those of the written slots, and of
+        # the slots of chain members that moved or failed, can have changed.
+        edits = world.chain_edits
+        written = world.edited_slots(self.edit_mark)
+        if written is None:
+            links: set[int] = set()
+        else:
+            links = set(range(written.start, written.stop + 1))
+            # An id still on the chain is either outside the written slots,
+            # with the link it had, or inside them and re-checked below.
+            for _, old, _ in edits[self.edit_mark:]:
+                for sid in old:
+                    if sid not in slots:
+                        broken.pop(sid, None)
+            self.edit_mark = len(edits)
+        for sid, _, _ in world.changes[self.change_mark:]:
+            k = slots.get(sid)
+            if k is not None:
+                links.add(k)
+                links.add(k + 1)
+        self.change_mark = len(world.changes)
+        end = len(chain)
+        for k in links:
+            u = chain[k - 1] if k else PL
+            v = chain[k] if k < end else PR
+            if v in adjacency.get(u, ()):
+                broken.pop(u, None)
+            else:
+                broken[u] = v
 
 
 def verify_barrier(world: World) -> bool:
@@ -378,9 +494,23 @@ def verify_barrier(world: World) -> bool:
     at the sensors' current positions: PL, the chain and PR, in that order,
     form a simple path of ``world_graph(world)``. A failed or unknown id is
     not a vertex of that graph, and PL never meets PR, so a chain holding
-    one fails, and so does the empty chain."""
-    path = [PL, *world.barrier, PR]
-    if len(set(path)) != len(path):
+    one fails, and so does the empty chain.
+
+    The verdict keeps its state in ``world.checked`` (``BarrierCheck``):
+    the broken links of the path, keyed by their left ends. The first call
+    checks every link; a later one re-checks only the links at slots
+    written since (``World.edited_slots``) and at the slots of chain
+    members that moved or failed since (``World.changes``), so it costs
+    what changed, not the length of the chain. A chain that holds an id
+    twice (``World.doubled``) or a sentinel fails without a check, and the
+    next verdict starts over."""
+    if not _simple_chain(world):
+        world.checked = None
         return False
     adjacency = world_graph(world).adjacency
-    return all(v in adjacency.get(u, ()) for u, v in zip(path, path[1:]))
+    check = world.checked
+    if check is None:
+        check = world.checked = BarrierCheck(world, adjacency)
+    else:
+        check.update(world, adjacency)
+    return bool(world.barrier) and not check.broken

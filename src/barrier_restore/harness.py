@@ -85,6 +85,12 @@ class ExperimentConfig:
             if kind and not isinstance(value, kind) and not optional:
                 what = "an integer" if kind is Integral else "a number"
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if kind is Real and value is not None:
+                try:
+                    float(value)
+                except OverflowError:
+                    raise ValueError(f"{f.name} must be finite, got an integer too "
+                                     "large for a float") from None
         if not self.report_points or not all(isinstance(p, Real) for p in self.report_points):
             raise ValueError("report_points must be one or more numbers")
         if not self.schemes or not all(isinstance(name, str) for name in self.schemes):
@@ -168,7 +174,8 @@ def generate_deployment(config: ExperimentConfig, rng: np.random.Generator) -> l
     float arithmetic rather than slower numpy-scalar arithmetic on the
     same values."""
     spacing = config.length / (config.n - 1)
-    offsets = rng.normal(0.0, config.sigma, size=(config.n, 2)).tolist()
+    # abs: numpy rejects a scale of -0.0, which the config accepts as zero.
+    offsets = rng.normal(0.0, abs(config.sigma), size=(config.n, 2)).tolist()
     sensors = []
     for i, (dx, dy) in enumerate(offsets):
         x = i * spacing + dx
@@ -195,7 +202,7 @@ def deploy_with_barrier(config: ExperimentConfig, seed: int) -> World:
         world = World(region, generate_deployment(config, rng), config.energy_model())
         barrier = find_barrier(world_graph(world))
         if barrier:
-            world.barrier = barrier
+            world.edit_chain(0, len(world.barrier), barrier)
             return world
     raise InitialBarrierImpossible(
         f"no initial barrier after {config.max_redraws} draws (seed {seed})"
@@ -240,11 +247,11 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     An episode succeeds when the designated chain verifies after the step.
     ``verify_barrier`` reads only the chain and its members' liveness and
     positions, so the verdict is recomputed only after a step whose victim
-    was on the chain, that moved a sensor or that replaced the chain; any
-    other step keeps the last verdict. A failed restoration does not end the
-    trial; the centralized schemes keep retrying the accumulated gap on
-    later episodes, while the local schemes need the chain whole and simply
-    keep failing until the trial ends.
+    was on the chain (``World.slots``), that moved a sensor or that replaced
+    the chain; any other step keeps the last verdict. A failed restoration
+    does not end the trial; the centralized schemes keep retrying the
+    accumulated gap on later episodes, while the local schemes need the
+    chain whole and simply keep failing until the trial ends.
 
     Victims are drawn uniformly from ``live``, the live ids in id order,
     listed once after deploy; each draw pops its victim. Only this loop
@@ -280,7 +287,7 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     for _ in range(total_failures):
         failed_id = live.pop(int(fail_rng.integers(0, len(live))))
         chain = world.barrier
-        on_chain = failed_id in chain
+        on_chain = failed_id in world.slots
         world.fail(failed_id)
         outcome = restore(failed_id)
         if on_chain or outcome.moves or world.barrier is not chain:
@@ -308,8 +315,9 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
     The centralized schemes see the whole world, so each step finds and
     retries every failed chain member itself; the local schemes react to
     the new failure alone, whatever the global state of the chain. A step
-    that changes the chain assigns a new list to ``world.barrier`` and never
-    edits the old one, so a caller can tell by identity. Entry points are
+    changes the chain only through ``World.edit_chain``, which records the
+    slots it wrote and assigns a new list to ``world.barrier``, never
+    editing the old one, so a caller can tell by identity. Entry points are
     looked up in this module on every call, so a tracer that rebinds them
     here sees every step. A hop budget below 1 raises ``ValueError``.
     """

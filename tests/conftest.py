@@ -17,7 +17,7 @@ def make_world(coords, rho=1.0, length=10.0, width=4.0, energy=100.0,
     ]
     world = World(Region(length, width), sensors)
     if with_barrier:
-        world.barrier = find_barrier(world_graph(world)) or []
+        world.edit_chain(0, 0, find_barrier(world_graph(world)) or [])
     return world
 
 
@@ -70,5 +70,5 @@ def random_line_world(seed, n_min=6, n_max=12, rho=1.0):
     # Threshold zero: the mixed low energies here should constrain moves,
     # not freeze sensors outright.
     world = World(Region(length, width), sensors, EnergyModel(1.0, 0.0))
-    world.barrier = find_barrier(world_graph(world)) or []
+    world.edit_chain(0, 0, find_barrier(world_graph(world)) or [])
     return world

@@ -23,19 +23,21 @@ from barrier_restore.graph import PL, PR, IntersectionGraph
 INF = math.inf
 
 
+def _discs_meet(s: Sensor, t: Sensor) -> bool:
+    """The pairwise definition of an edge: the discs meet when the squared
+    centre distance is at most the squared sum of the radii (tangent discs
+    meet)."""
+    return ((s.pos.x - t.pos.x) ** 2 + (s.pos.y - t.pos.y) ** 2
+            <= (s.sensing_radius + t.sensing_radius) ** 2)
+
+
 def adjacency_oracle(sensors: list[Sensor], region: Region) -> dict[int, list[int]]:
-    """Intersection-graph adjacency of ``sensors`` by testing every pair:
-    discs meet when the squared centre distance is at most the squared sum
-    of the radii (tangent discs meet), and a disc reaching a boundary line
-    meets that boundary's sentinel. Rows ascend, sentinels first."""
+    """Intersection-graph adjacency of ``sensors`` by testing every pair
+    with ``_discs_meet``; a disc reaching a boundary line meets that
+    boundary's sentinel. Rows ascend, sentinels first."""
     want: dict[int, list[int]] = {PL: [], PR: []}
     for s in sensors:
-        nbrs = [
-            t.id for t in sensors
-            if t is not s
-            and (s.pos.x - t.pos.x) ** 2 + (s.pos.y - t.pos.y) ** 2
-            <= (s.sensing_radius + t.sensing_radius) ** 2
-        ]
+        nbrs = [t.id for t in sensors if t is not s and _discs_meet(s, t)]
         if s.pos.x <= s.sensing_radius:
             nbrs.append(PL)
             want[PL].append(s.id)
@@ -52,16 +54,29 @@ def barrier_oracle(world: World) -> bool:
     """True iff the world's designated chain is a live left-to-right
     barrier, by the pairwise definition: distinct live sensors, the first
     disc reaches the left boundary, the last the right one, and each disc
-    meets the next (edges from ``adjacency_oracle``)."""
+    meets the next (``_discs_meet``, the edges of ``adjacency_oracle``).
+    It tests only the chain's own pairs, so it is cheap enough to ask after
+    every episode of a full-size trial."""
     chain = world.barrier
     if not chain or len(set(chain)) != len(chain):
         return False
-    live = world.active_sensors()
-    if not set(chain) <= {s.id for s in live}:
+    if not all(sid in world.sensors and not world.sensors[sid].failed for sid in chain):
         return False
-    adjacency = adjacency_oracle(live, world.region)
-    path = [PL, *chain, PR]
-    return all(v in adjacency[u] for u, v in zip(path, path[1:]))
+    sensors = [world.sensors[sid] for sid in chain]
+    first, last = sensors[0], sensors[-1]
+    return (first.pos.x <= first.sensing_radius
+            and last.pos.x >= world.region.length - last.sensing_radius
+            and all(_discs_meet(s, t) for s, t in zip(sensors, sensors[1:])))
+
+
+def replayed_chain(chain: list[int], edits) -> list[int]:
+    """``chain`` after the chain edits (``core.ChainEdit`` records) in turn,
+    each checked to replace what the chain held at its slots then."""
+    out = list(chain)
+    for start, old, new in edits:
+        assert tuple(out[start:start + len(old)]) == old
+        out[start:start + len(old)] = new
+    return out
 
 
 def brute_force_assignment(cost, feasible):

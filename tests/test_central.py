@@ -247,7 +247,9 @@ def boundary_world():
         below = math.nextafter(d, 0.0)
         energy, comm = [(d, 200.0), (below, 200.0), (200.0, d), (200.0, below)][k % 4]
         sensors.append(Sensor(k, pos, 1.0, comm, energy, energy))
-    return World(Region(100.0, 100.0), sensors, EnergyModel(1.0, 0.0), barrier=[0])
+    world = World(Region(100.0, 100.0), sensors, EnergyModel(1.0, 0.0))
+    world.edit_chain(0, 0, [0])
+    return world
 
 
 def assert_cells_match_dense_oracle(world, failed):
@@ -331,7 +333,7 @@ def tie_world():
         [(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (3, 0), (5, 1.5), (7, 0)],
         with_barrier=False,
     )
-    w.barrier = [0, 1, 2, 3, 7, 4]
+    w.edit_chain(0, len(w.barrier), [0, 1, 2, 3, 7, 4])
     w.sensor(0).energy = 0.0
     w.sensor(1).static = True
     w.fail(2)

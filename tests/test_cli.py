@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from barrier_restore import cli, harness
 from barrier_restore.cli import main
@@ -359,3 +366,188 @@ class TestSweep:
     def test_invalid_config_value_is_usage_error(self, capsys):
         assert main(self.ARGS + ["--rho", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: rho must be positive")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def documented_exit_codes() -> set[int]:
+    """The codes of the README's exit-code table."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| code | meaning |") + 2
+    codes = set()
+    for line in lines[start:]:
+        if not line.startswith("| "):
+            break
+        codes.add(int(line.split("|")[1]))
+    return codes
+
+
+# Flag values: good ones, and zero, negative, non-finite, huge and malformed
+# ones. Sizes, trial counts and redraw budgets stay small, and --jobs stays
+# at one worker, so that every command line ends quickly.
+_FLOAT = st.sampled_from(["30", "60", "100", "400", "0.5", "0", "-0.0", "-1", "nan", "inf",
+                          "-inf", "1e308", "1e400", "1e-300", "x", ""])
+_SEED = st.sampled_from(["7", "-1", "-12", "99999999999999999999", "x"])
+_FLAGS = {
+    "generate": {
+        "--n": st.sampled_from(["3", "10", "2", "1", "0", "-4", "x"]),
+        "--length": _FLOAT, "--width": _FLOAT, "--rho": _FLOAT, "--comm": _FLOAT,
+        "--sigma": _FLOAT, "--energy": _FLOAT, "--seed": _SEED,
+    },
+    "run": {
+        "--scheme": st.sampled_from([*harness.SCHEMES, "x"]),
+        "--fail": st.sampled_from(["2", "1,3", "2,2", "99", "-1", "x", "", ","]),
+        "--seed": _SEED, "--k": st.sampled_from(["1", "3", "0", "-3", "x"]),
+        "--cost-per-unit": _FLOAT, "--static-threshold": _FLOAT,
+    },
+    "sweep": {
+        "--schemes": st.sampled_from(["nmove", "rmove,dmove", "cmove,nmove",
+                                      "nmove,rmove,cmove,dmove", "x", ",", ""]),
+        "--n-list": st.sampled_from(["3", "5", "4,3", "2", "1", "0", "-3", "x", ",", "3,,4", ""]),
+        "--trials": st.sampled_from(["1", "2", "0", "-1", "1.5", "x"]),
+        "--seed": _SEED, "--length": _FLOAT, "--width": _FLOAT, "--rho": _FLOAT,
+        "--sigma": _FLOAT, "--jobs": st.sampled_from(["1", "0", "-2", "x"]),
+    },
+}
+# JSON values of every kind, NaN, infinities and numbers too large for a
+# float included; _SMALL has no large integers, for the keys that count work.
+_SCALAR = st.sampled_from([
+    None, True, False, 0, 1, 2, -1, -7, 10**30, 10**400, 0.0, -0.0, 0.05, 0.3, 1.0,
+    30.0, 100.0, -1.0, 1e308, 1e-300, math.nan, math.inf, -math.inf, "", "3", "nmove"])
+_VALUE = st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3),
+                   st.dictionaries(st.sampled_from(["a", "n"]), _SCALAR, max_size=2))
+_SMALL = st.sampled_from([None, 0, 1, 2, -1, 1.5, math.nan, "2", [1]])
+# A config that runs a few small trials, which the fuzz then edits: it
+# drops some keys and sets others, known or not, to random values.
+_BASE_CONFIG = {"length": 100.0, "rho": 30.0, "trials": 1, "max_redraws": 3,
+                "schemes": ["nmove", "cmove", "dmove"], "report_points": [0.1, 0.3]}
+_CONFIG_KEYS = sorted({f.name for f in fields(harness.ExperimentConfig)} | {"bogus"})
+
+
+@st.composite
+def _config_doc(draw):
+    if not draw(st.integers(0, 9)):
+        return draw(_VALUE)  # not an object
+    doc = dict(_BASE_CONFIG)
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
+        del doc[key]
+    for key in draw(st.lists(st.sampled_from(_CONFIG_KEYS), max_size=2, unique=True)):
+        doc[key] = draw(_SMALL if key in ("trials", "max_redraws") else _VALUE)
+    return doc
+
+
+# A deployment key to drop or to set to a random value.
+_DEPLOYMENT_KEYS = [("region",), ("region", "L"), ("rho",), ("comm",), ("sensors",),
+                    ("sensors", 0), ("sensors", 0, "id"), ("sensors", 0, "x"),
+                    ("sensors", 1, "energy")]
+
+
+# Flags that run quickly; the fuzz drops some of them and gives others,
+# or ones not listed here, random values. A sweep with a config file starts
+# from the sizes alone, so the file's keys are not overridden.
+_GOOD_FLAGS = {
+    "generate": {"--n": "10", "--length": "100", "--seed": "0"},
+    "run": {"--scheme": "cmove", "--fail": "2", "--seed": "0"},
+    "sweep": {"--n-list": "3", "--trials": "1", "--length": "100", "--seed": "0",
+              "--schemes": "nmove,rmove,cmove,dmove"},
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """(argv, config text or None, deployment text or None): a subcommand
+    with good flags, some of them dropped, and some flags given random
+    values; for sweep maybe a config file, for run a deployment file."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    config = deployment = None
+    good = dict(_GOOD_FLAGS[command])
+    if command == "sweep" and draw(st.booleans()):
+        good = {"--n-list": good["--n-list"]}
+        config = json.dumps(draw(_config_doc())) if draw(st.integers(0, 9)) else "{not json"
+        good["--config"] = "{config}"
+    for flag in draw(st.lists(st.sampled_from(sorted(good)), max_size=1)):
+        del good[flag]
+    flags = _FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        good[flag] = draw(flags[flag])
+    argv = [command, *(f"{flag}={value}" for flag, value in good.items())]
+    if command == "run":
+        which = draw(st.sampled_from(["t1", "gap", "fuzzed", "absent"]))
+        coords = [(1, 0), (9, 0)] if which == "gap" else T1_COORDS
+        doc = json.loads(world_to_json(make_world(coords, with_barrier=False)))
+        if which == "fuzzed":
+            *path, key = draw(st.sampled_from(_DEPLOYMENT_KEYS))
+            holder = doc
+            for step in path:
+                holder = holder[step]
+            if draw(st.booleans()):
+                del holder[key]
+            else:
+                holder[key] = draw(_VALUE)
+        deployment = None if which == "absent" else json.dumps(doc)
+        argv.append("--deployment={deployment}")
+        if draw(st.booleans()):
+            argv.append("--trace")
+    if command != "run" and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--out={tmp}/out.txt", "--out={tmp}/absent/out.txt"])))
+    if command == "sweep" and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--detail-log={tmp}/detail.jsonl",
+                                          "--detail-log={tmp}/absent/detail.jsonl"])))
+    return argv, config, deployment
+
+
+def _t1_deployment(**first_sensor) -> str:
+    doc = json.loads(world_to_json(make_world(T1_COORDS, with_barrier=False)))
+    doc["sensors"][0].update(first_sensor)
+    return json.dumps(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_command_lines())
+# Each of the first three ended in a traceback before this test found it.
+@example((["generate", "--n=3", "--length=30", "--sigma=-0.0"], None, None))
+@example((["sweep", "--n-list=3", "--config={config}"], json.dumps({"length": 10**400}), None))
+@example((["run", "--scheme=cmove", "--fail=2", "--deployment={deployment}"], None,
+          _t1_deployment(id=math.inf)))
+@example((["run", "--scheme=rmove", "--fail=1,3", "--deployment={deployment}"], None,
+          _t1_deployment()))
+def test_fuzzed_command_lines(case):
+    # Every command line ends with exit 0, or with a code of the README's
+    # table and one error line; never with a traceback, and a failed one
+    # leaves no output file behind.
+    argv, config, deployment = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "config.json").write_text(config or "")
+        if deployment is not None:
+            (tmp / "deployment.json").write_text(deployment)
+        argv = [a.format(tmp=tmp, config=tmp / "config.json",
+                         deployment=tmp / "deployment.json") for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        parsed = True
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exit:  # argparse rejected a flag
+                code, parsed = exit.code, False
+        outputs = [tmp / "out.txt", tmp / "detail.jsonl"]
+        assert code in documented_exit_codes()
+        lines = stderr.getvalue().splitlines()
+        if code == 0:
+            assert not any("error:" in line for line in lines)
+            if argv[0] == "sweep":
+                out = outputs[0] if outputs[0].exists() else None
+                text = out.read_text() if out else stdout.getvalue()
+                rows = text.splitlines()
+                assert text.endswith("\n") and rows[0] == harness.CSV_HEADER and rows[1:]
+                assert all(len(row.split(",")) == 7 for row in rows)
+                if outputs[1].exists():
+                    for line in outputs[1].read_text().splitlines():
+                        assert json.loads(line)["scheme"] in harness.SCHEMES
+        else:
+            assert stdout.getvalue() == ""
+            assert sum("error:" in line for line in lines) == 1
+            if parsed:
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not any(path.exists() for path in outputs)

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from barrier_restore import distributed, harness
 from barrier_restore.central import MECH_ALTERNATE, MECH_SHIFTING
-from barrier_restore.core import MECH_NONE, Point, displacement_capacity, seeded_rng
+from barrier_restore.core import (
+    MECH_NONE,
+    Point,
+    Region,
+    World,
+    displacement_capacity,
+    seeded_rng,
+)
 from barrier_restore.distributed import (
     MessageBus,
     handle_failure_dmove,
@@ -240,47 +247,82 @@ _ids = st.integers(0, 9)
 
 
 @st.composite
-def _chain_edits(draw):
-    """(old, new) chain pairs: equal chains, same-length substitutions at
-    scattered slots, splices that change the length, splices at either
-    end, and one chain a prefix or a suffix of the other."""
+def _edited_chains(draw):
+    """A chain and up to three slice replacements of it, applied in turn:
+    a span written back unchanged, a single slot substituted, splices that
+    change the length, anywhere or at either end, and cuts to a prefix or
+    a suffix."""
     old = draw(st.lists(_ids, max_size=14))
-    kind = draw(st.sampled_from(
-        ["equal", "substitute", "splice", "head", "tail", "prefix", "suffix"]))
-    new = list(old)
-    if kind == "substitute" and old:
-        for idx in draw(st.sets(st.integers(0, len(old) - 1), min_size=1)):
-            new[idx] = draw(_ids)
-    elif kind in ("splice", "head", "tail"):
-        lo = draw(st.integers(0, len(old)))
-        hi = draw(st.integers(lo, len(old)))
+    chain, edits = list(old), []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(
+            ["same", "substitute", "splice", "head", "tail", "prefix", "suffix"]))
+        lo = draw(st.integers(0, len(chain)))
+        hi = draw(st.integers(lo, len(chain)))
         if kind == "head":
             lo = 0
-        elif kind == "tail":
-            hi = len(old)
-        new[lo:hi] = draw(st.lists(_ids, max_size=5))
-    elif kind == "prefix":
-        new = old[:draw(st.integers(0, len(old)))]
-    elif kind == "suffix":
-        new = old[draw(st.integers(0, len(old))):]
-    return (new, old) if draw(st.booleans()) else (old, new)
+        elif kind in ("tail", "prefix"):
+            hi = len(chain)
+        elif kind == "suffix":
+            lo = 0
+        elif kind == "substitute":
+            hi = min(lo + 1, len(chain))
+        if kind == "same":
+            ids = chain[lo:hi]
+        elif kind == "substitute":
+            ids = [draw(_ids) for _ in range(hi - lo)]
+        elif kind in ("prefix", "suffix"):
+            ids = []
+        else:
+            ids = draw(st.lists(_ids, max_size=5))
+        chain[lo:hi] = ids
+        edits.append((lo, hi, ids))
+    return old, edits
 
 
-@settings(max_examples=500, deadline=None)
-@given(_chain_edits())
-def test_edited_span_matches_oracle(edit):
-    old, new = edit
-    span = distributed._edited_span(old, new)
-    assert span == edited_span_oracle(old, new)
-    # Outside the span, each slot holds the same id with the same links as
-    # the slot it lines up with in old: from the front before the span,
-    # from the back after it.
+def _same_outside(old: list[int], new: list[int], span: range) -> bool:
+    """Whether each slot of ``new`` outside ``span`` holds the same id with
+    the same links as the slot it lines up with in ``old``: from the front
+    before the span, from the back after it."""
     for idx in range(len(new)):
         if idx in span:
             continue
         was = idx if not span or idx < span.start else idx + len(old) - len(new)
-        assert new[idx] == old[was]
-        assert distributed._links(new, idx) == distributed._links(old, was)
+        if new[idx] != old[was]:
+            return False
+        if distributed._links(new, idx) != distributed._links(old, was):
+            return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edited_chains())
+def test_edit_record_covers_every_changed_link(case):
+    old, edits = case
+    world = World(Region(1.0, 1.0), ())
+    world.edit_chain(0, 0, old)
+    mark = len(world.chain_edits)
+    for lo, hi, ids in edits:
+        world.edit_chain(lo, hi, ids)
+    new = world.barrier
+    # The written slots and one on each side.
+    written = world.edited_slots(mark)
+    span = range(0) if written is None else range(
+        max(written.start - 1, 0), min(written.stop + 1, len(new)))
+    # The record's span covers every slot whose links changed: outside it
+    # the chains line up. Where neither chain repeats an id they line up
+    # one way only, and the span holds the oracle's, which compares the
+    # chains from both ends; where one does, the edit can line up more than
+    # one way, and the two spans may sit apart.
+    assert _same_outside(old, new, span)
+    oracle = edited_span_oracle(old, new)
+    if len(set(old)) == len(old) and len(set(new)) == len(new):
+        assert set(oracle) <= set(span)
+    if not edits:
+        assert span == oracle == range(0)
+    # The slot map holds each id's first slot, and doubled the repeated ids.
+    assert world.slots == {sid: new.index(sid) for sid in new}
+    assert world.doubled == {sid for sid in new if new.count(sid) > 1}
 
 
 def test_reelection_covers_every_slot_of_a_repeated_id():
@@ -290,7 +332,7 @@ def test_reelection_covers_every_slot_of_a_repeated_id():
     w = make_world(T1_COORDS)
     election = init_recovery_nodes(w)
     drain(w, 3, 0.0)
-    w.barrier = [1, 0, 2, 3, 4, 1]
+    w.edit_chain(0, len(w.barrier), [1, 0, 2, 3, 4, 1])
     init_recovery_nodes(w, election=election)
     drain(w, 1, 50.0)
     assert election.prepare().count(1) == 2
@@ -662,7 +704,7 @@ class TestIncrementalElection:
             for _ in range(16):
                 live = world.active_sensors()
                 s = live[int(rng.integers(len(live)))]
-                chain = list(world.barrier)
+                chain = world.barrier
                 kind = int(rng.integers(6))
                 if kind == 0 and len(live) > 2:
                     world.fail(s.id)
@@ -676,12 +718,13 @@ class TestIncrementalElection:
                 elif kind == 2:
                     drain(world, s.id, s.energy * float(rng.uniform(0, 1)))
                 elif kind == 3 and len(chain) > 1:
-                    chain.pop(int(rng.integers(len(chain))))
+                    at = int(rng.integers(len(chain)))
+                    world.edit_chain(at, at + 1, [])
                 elif kind == 4 and s.id not in chain:
-                    chain.insert(int(rng.integers(len(chain) + 1)), s.id)
+                    at = int(rng.integers(len(chain) + 1))
+                    world.edit_chain(at, at, [s.id])
                 else:
-                    chain = find_barrier(fresh_graph(world)) or chain
-                world.barrier = chain
+                    world.edit_chain(0, len(chain), find_barrier(fresh_graph(world)) or chain)
                 init_recovery_nodes(world, election=election)
                 self._check(world, election, counts)
         assert counts["checked"] >= 300

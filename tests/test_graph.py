@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrier_restore.core import MECH_NONE, MECH_SHIFTING, EnergyModel, Point, Region, Sensor, World
 from barrier_restore.graph import (
@@ -14,8 +16,10 @@ from barrier_restore.graph import (
     build_intersection_graph,
     find_alternate_path,
     find_barrier,
+    failed_span,
     shift_cascade,
     splice_barrier,
+    splice_span,
     verify_barrier,
     world_graph,
 )
@@ -226,7 +230,7 @@ class TestFindBarrier:
                 assert math.isinf(oracle)
             else:
                 assert len(found) + 1 == oracle
-                w.barrier = found
+                w.edit_chain(0, len(w.barrier), found)
                 assert verify_barrier(w)
                 checked += 1
         assert checked >= 20  # the generator must exercise real barriers
@@ -328,6 +332,26 @@ class TestSplice:
         out = splice_barrier([0, 1, 2, 3, 4, 5], {2, 3}, [1, 8, 1, 9, 4])
         assert out == [0, 1, 9, 4, 5]
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_edit_of_a_splice_spans_only_what_it_changes(self, data):
+        # With the slot map, the edit spans the failed span and the chain
+        # nodes the path runs through; applied, it gives what the whole walk
+        # gives, loops through far chain nodes and repeated path nodes cut.
+        barrier = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=12,
+                                     unique=True))
+        failed = set(data.draw(st.lists(st.sampled_from(barrier), min_size=1, max_size=3)))
+        first, last, left, right = failed_span(barrier, failed)
+        inner = data.draw(st.lists(st.one_of(st.integers(40, 45), st.sampled_from(
+            [v for v in barrier if v not in failed] or [40])), max_size=5))
+        replacement = [left, *inner, right]
+        slots = {v: i for i, v in enumerate(barrier)}
+        start, stop, ids = splice_span(barrier, failed, replacement, slots)
+        spliced = splice_barrier(barrier, failed, replacement)
+        assert barrier[:start] + ids + barrier[stop:] == spliced
+        on_path = [slots[v] for v in replacement if v in slots]
+        assert start == min([first, *on_path]) and stop == max([last, *on_path]) + 1
+
 
 class TestVerifyBarrier:
     """Each case also asks ``barrier_oracle``, the pairwise definition."""
@@ -346,7 +370,7 @@ class TestVerifyBarrier:
     def test_repaired_by_replacement_position(self, t1_world):
         t1_world.fail(2)
         t1_world.apply_move(5, Point(5, 0))
-        t1_world.barrier = [0, 1, 5, 3, 4]
+        t1_world.edit_chain(0, len(t1_world.barrier), [0, 1, 5, 3, 4])
         self.check(t1_world, True)
 
     def test_gap_too_wide_invalidates(self, t1_world):
@@ -358,12 +382,12 @@ class TestVerifyBarrier:
         bare = make_world(T1_COORDS, with_barrier=False)
         assert bare.barrier == []
         self.check(bare, False)
-        t1_world.barrier = []
+        t1_world.edit_chain(0, len(t1_world.barrier), [])
         self.check(t1_world, False)
 
     def test_duplicate_ids_invalid(self, t1_world):
         for chain in ([0, 1, 2, 1, 4], [0, 1, 2, 3, 4, 4], [0, 0, 1, 2, 3, 4]):
-            t1_world.barrier = chain
+            t1_world.edit_chain(0, len(t1_world.barrier), chain)
             self.check(t1_world, False)
 
     @pytest.mark.parametrize("chain", [
@@ -374,17 +398,18 @@ class TestVerifyBarrier:
     ], ids=["leading-PL", "trailing-PR", "inner", "sentinels-only"])
     def test_sentinel_in_chain_invalid(self, t1_world, chain):
         # Each sentinel is already an end of the path PL, chain, PR.
-        t1_world.barrier = chain
+        t1_world.edit_chain(0, len(t1_world.barrier), chain)
         self.check(t1_world, False)
 
     def test_unknown_id_invalid(self, t1_world):
-        t1_world.barrier = [0, 1, 99, 3, 4]
+        t1_world.edit_chain(0, len(t1_world.barrier), [0, 1, 99, 3, 4])
         self.check(t1_world, False)
 
     def test_endpoint_contact_required(self, t1_world):
-        t1_world.barrier = [1, 2, 3, 4]  # misses the left boundary
+        # Misses the left boundary, then the right one.
+        t1_world.edit_chain(0, len(t1_world.barrier), [1, 2, 3, 4])
         self.check(t1_world, False)
-        t1_world.barrier = [0, 1, 2, 3]  # misses the right boundary
+        t1_world.edit_chain(0, len(t1_world.barrier), [0, 1, 2, 3])
         self.check(t1_world, False)
 
     def test_discs_meeting_by_hypot_but_not_by_squares(self):
@@ -394,6 +419,6 @@ class TestVerifyBarrier:
         # barrier, and the chain [0, 1] must not verify either.
         w = make_world([(0, 0), (56.402957285967176, 20.4623168140209)],
                        rho=30.0, length=80.0, width=60.0, with_barrier=False)
-        w.barrier = [0, 1]
+        w.edit_chain(0, len(w.barrier), [0, 1])
         assert find_barrier(world_graph(w)) is None
         self.check(w, False)

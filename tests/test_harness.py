@@ -30,7 +30,7 @@ from barrier_restore.harness import (
     run_trial,
     trial_seed,
 )
-from oracles import total_displacement, total_energy_spent
+from oracles import barrier_oracle, replayed_chain, total_displacement, total_energy_spent
 
 FAST = dict(length=400.0, rho=30.0, sigma=6.0, trials=2)
 # Sparse enough that every scheme leaves some chain failures unrepaired.
@@ -165,8 +165,8 @@ def test_every_scheme_fails_the_same_sensors(n):
 def _checked_steps(monkeypatch, extra=None):
     """Wrap the step that ``start_scheme`` returns so that each call, after
     the step and ``extra(world, failed_id, outcome)`` (which may change the
-    world and returns the outcome to report), appends a from-scratch
-    ``verify_barrier(world)`` to the returned list."""
+    world and returns the outcome to report), appends the pairwise verdict,
+    ``barrier_oracle(world)``, to the returned list."""
     verdicts = []
     original = harness.start_scheme
 
@@ -177,7 +177,7 @@ def _checked_steps(monkeypatch, extra=None):
             outcome = step(failed_id)
             if extra is not None:
                 outcome = extra(world, failed_id, outcome)
-            verdicts.append(graph.verify_barrier(world))
+            verdicts.append(barrier_oracle(world))
             return outcome
         return checked
 
@@ -214,9 +214,10 @@ def test_verdict_is_retaken_after_a_new_chain_or_a_move(monkeypatch):
         turns["off"] += 1
         turns[turn] += 1
         if turn in (0, 2):
-            world.barrier = find_barrier(world_graph(world)) or list(world.barrier)
+            chain = find_barrier(world_graph(world)) or world.barrier
+            world.edit_chain(0, len(world.barrier), chain)
         elif turn == 3:
-            world.barrier = world.barrier[::-1]
+            world.edit_chain(0, len(world.barrier), world.barrier[::-1])
         else:
             start = len(world.changes)
             for sid in world.barrier:
@@ -239,12 +240,38 @@ def test_verdict_is_retaken_after_a_new_chain_or_a_move(monkeypatch):
     assert min(turns[k] for k in range(4)) > 0 and flips > 0
 
 
+@pytest.mark.parametrize("n", [140, 160, 180])
+def test_every_verdict_matches_the_oracle_at_full_size(monkeypatch, n):
+    # The hypothesis state machine reaches 6-14 sensors; here every verdict
+    # that a trial takes on the paper's sizes, on the deployed world and on
+    # its copies, is asked of the pairwise definition too. And the chain
+    # edits recorded since the world's last verdict turn the chain it had
+    # then into the chain it has now.
+    verdicts = Counter()
+    last = {}  # world -> (its chain, len(world.chain_edits)) at its last verdict
+
+    def checked(world):
+        if world in last:
+            chain, mark = last[world]
+            assert replayed_chain(chain, world.chain_edits[mark:]) == world.barrier
+        last[world] = list(world.barrier), len(world.chain_edits)
+        holds = graph.verify_barrier(world)
+        assert holds == barrier_oracle(world)
+        verdicts[holds] += 1
+        return holds
+
+    monkeypatch.setattr(harness, "verify_barrier", checked)
+    run_experiment(ExperimentConfig(n, seed=0, trials=3))
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
 def _world_state(world):
     """Everything a step can change or read, as comparable values."""
     g = world.graph
     return dict(
         sensors=list(world.sensors.values()),
         chain=world.barrier,
+        slots=world.slots,
         changes=world.changes,
         adjacency=g.adjacency,
         positions=g.positions,

@@ -17,7 +17,10 @@ Last, only ``core.World`` writes a sensor's ``failed``, ``pos``,
 ``energy`` or ``static``, or adds to ``World.changes``: its ``fail`` and
 ``apply_move`` are what keep ``World.graph`` current and record each change
 in ``World.changes``, the one record that a re-election and every step's
-outcome read.
+outcome read. Nor does anything but ``World`` write its chain,
+``barrier``, or the slot map, repeated ids and edit record that
+``World.edit_chain`` keeps with it, which the verdict and a re-election
+read instead of the whole chain.
 """
 from __future__ import annotations
 
@@ -162,9 +165,12 @@ def test_scan_flags_a_foreign_import(tmp_path):
     assert foreign_imports(module) == ["line 6: networkx", "line 8: scipy.optimize"]
 
 
-WORLD_STATE = {"failed", "pos", "energy", "static", "changes"}
-# Methods that edit a list in place, such as the change record.
-LIST_EDITS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+WORLD_STATE = {"failed", "pos", "energy", "static", "changes",
+               "barrier", "_barrier", "slots", "doubled", "chain_edits"}
+# Methods that edit a list, a set or a dict in place, such as the change
+# record, the chain or its slot map.
+LIST_EDITS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
+              "add", "discard", "update", "setdefault", "popitem"}
 
 
 def state_writes(path: Path) -> list[str]:
@@ -221,8 +227,17 @@ def test_scan_flags_a_state_write(tmp_path):
         "def log(w, m): w.changes.append(m); w.moves.append(m)\n"
         "def since(w, k): return w.changes[k:], w.changes.count(k)\n"
         "def forge(w, m): w.changes[0] = m; w.changes += [m]\n"
+        "def chain(w, ids): w.barrier = ids; w.edit_chain(0, len(w.barrier), ids)\n"
+        "def cut(w): w.barrier[1:3] = []; del w.barrier[0]; w.barrier[0] = 7\n"
+        "def grow(w, s): w.barrier.append(s); w.barrier.insert(0, s); w.barrier += [s]\n"
+        "def remap(w, s): w.slots[s] = 0; w.slots.pop(s); w.doubled.add(s)\n"
+        "def unlog(w): w.chain_edits.clear(); w._barrier = []; return w.barrier[::-1]\n"
     )
     assert state_writes(module) == [
         "line 4: .failed", "line 5: .pos", "line 5: .pos", "line 7: .failed",
         "line 8: .energy", "line 9: .static", "line 10: .changes",
-        "line 12: .changes", "line 12: .changes"]
+        "line 12: .changes", "line 12: .changes", "line 13: .barrier",
+        "line 14: .barrier", "line 14: .barrier", "line 14: .barrier",
+        "line 15: .barrier", "line 15: .barrier", "line 15: .barrier",
+        "line 16: .doubled", "line 16: .slots", "line 16: .slots",
+        "line 17: ._barrier", "line 17: .chain_edits"]

@@ -9,6 +9,8 @@ Each world's change record must name exactly the sensors whose state an
 episode changed: past the mark taken before a failure it holds the
 victim's one zero-length record and then exactly the step's moves, and
 each sensor's spent energy is the cost of its records' summed length.
+Likewise its chain-edit record, replayed on the chain before the episode,
+must give the chain after it.
 Between failures, a chain member may be nudged along x,
 so that a chain of live sensors can lose a link.
 """
@@ -27,7 +29,7 @@ from barrier_restore.distributed import MessageBus, init_recovery_nodes
 from barrier_restore.graph import verify_barrier
 from barrier_restore.harness import SCHEMES, start_scheme
 from conftest import random_line_world
-from oracles import adjacency_oracle, barrier_oracle, total_displacement
+from oracles import adjacency_oracle, barrier_oracle, replayed_chain, total_displacement
 
 
 def _state(world):
@@ -99,6 +101,7 @@ class FailureSequence(RuleBasedStateMachine):
         victim = data.draw(st.sampled_from(alive))
         before = _state(world)
         marked = len(world.changes)
+        chain_before, edit_mark = list(world.barrier), len(world.chain_edits)
         twin_marked = None if self.twin is None else len(self.twin.changes)
         chain = world.barrier
         twin_chain = None if self.twin is None else self.twin.barrier
@@ -107,6 +110,9 @@ class FailureSequence(RuleBasedStateMachine):
         outcome = self.restore(victim)
 
         _check_records(world, marked, victim, outcome)
+        # The chain reports its own edits: those recorded past the mark turn
+        # the chain before the episode into the chain after it.
+        assert replayed_chain(chain_before, world.chain_edits[edit_mark:]) == world.barrier
         # Success is the world graph's verdict on the designated chain; it
         # must equal the pairwise definition's.
         assert verify_barrier(world) == barrier_oracle(world)
