@@ -44,7 +44,6 @@ from .graph import (
     build_intersection_graph,
     find_alternate_path,
     find_barrier,
-    splice_barrier,
     verify_barrier,
     world_graph,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "run_experiment",
     "run_trial",
     "seeded_rng",
-    "splice_barrier",
     "start_scheme",
     "verify_barrier",
     "world_from_json",

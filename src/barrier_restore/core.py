@@ -134,14 +134,15 @@ class World:
     index. A failure, recorded where the sensor stands, is its only
     zero-length kind.
 
-    Its chain, ``barrier``, changes only through :meth:`edit_chain`, a slice
-    replacement that assigns a new list (so a reader can tell a replaced
-    chain by identity), keeps ``slots`` (each chain id's slot, the first one
-    of an id that holds several) and ``doubled`` (the ids that hold several)
-    current, and appends a ``ChainEdit`` to ``chain_edits``. Readers of
-    the chain follow that record by index too: :meth:`edited_slots` says
-    which slots were written since a mark, so ``graph.verify_barrier`` and
-    a dmove re-election re-read only those and their neighbours.
+    Its chain, ``barrier``, names each sensor at most once and holds no
+    other id (so no sentinel). It changes only through :meth:`edit_chain`,
+    a slice replacement that rejects an edit breaking that rule, assigns a
+    new list (so a reader can tell a replaced chain by identity), keeps
+    ``slots`` (each chain id's slot) current, and appends a ``ChainEdit``
+    to ``chain_edits``. Readers of the chain follow that record by index
+    too: :meth:`edited_slots` says which slots were written since a mark,
+    so ``graph.verify_barrier`` and a dmove re-election re-read only those
+    and their neighbours.
     ``checked`` holds ``verify_barrier``'s state for this world once it has
     run.
     """
@@ -165,7 +166,6 @@ class World:
         self.graph: Optional[IntersectionGraph] = None  # built by graph.world_graph
         self._barrier: list[int] = []
         self.slots: dict[int, int] = {}
-        self.doubled: set[int] = set()
         self.chain_edits: list[ChainEdit] = []
         self.checked: Optional[BarrierCheck] = None  # kept by graph.verify_barrier
 
@@ -189,7 +189,6 @@ class World:
         }
         twin._barrier = list(self._barrier)
         twin.slots = dict(self.slots)
-        twin.doubled = set(self.doubled)
         if self.graph is not None:
             twin.graph = self.graph.copy()
         return twin
@@ -197,34 +196,34 @@ class World:
     def edit_chain(self, start: int, stop: int, ids: Iterable[int]) -> None:
         """Replace the chain's slots ``start`` to ``stop`` (exclusive) with
         ``ids``: ``edit_chain(0, len(world.barrier), ids)`` replaces the
-        whole chain. The one way the chain changes."""
-        chain = self._barrier
+        whole chain. The one way the chain changes.
+
+        Raises ``ValueError``, and changes nothing, unless ``ids`` are
+        distinct sensors of this world none of which holds a slot outside
+        ``start:stop``; the check costs what ``ids`` hold."""
+        chain, slots, sensors = self._barrier, self.slots, self.sensors
         if not 0 <= start <= stop <= len(chain):
             raise IndexError(f"chain slice {start}:{stop} out of 0:{len(chain)}")
-        old = tuple(chain[start:stop])
         new = tuple(ids)
+        if len(set(new)) != len(new):
+            raise ValueError(f"chain edit {new} repeats an id")
+        for sid in new:
+            if sid not in sensors:
+                raise ValueError(f"chain id {sid} names no sensor")
+            idx = slots.get(sid)
+            if idx is not None and not start <= idx < stop:
+                raise ValueError(f"sensor {sid} already holds chain slot {idx}")
+        old = tuple(chain[start:stop])
         chain = self._barrier = chain.copy()
         chain[start:stop] = new
         self.chain_edits.append((start, old, new))
-        slots, doubled = self.slots, self.doubled
-        if not doubled:
-            for sid in old:
-                del slots[sid]
-            for idx, sid in enumerate(new, start):
-                if sid in slots:
-                    doubled.add(sid)
-                slots[sid] = idx
-            if len(new) != len(old):
-                for idx in range(start + len(new), len(chain)):
-                    slots[chain[idx]] = idx
-        if doubled:
-            # A chain that holds an id twice is rare (only a broken one
-            # does): recount it whole.
-            slots.clear()
-            doubled.clear()
-            for idx, sid in enumerate(chain):
-                if slots.setdefault(sid, idx) != idx:
-                    doubled.add(sid)
+        for sid in old:
+            del slots[sid]
+        for idx, sid in enumerate(new, start):
+            slots[sid] = idx
+        if len(new) != len(old):
+            for idx in range(start + len(new), len(chain)):
+                slots[chain[idx]] = idx
 
     def edited_slots(self, mark: int) -> Optional[range]:
         """The slots of the chain that the edits made since ``chain_edits``

@@ -290,12 +290,9 @@ class Election(Mapping[int, NodeState]):
         for sid in touched:
             fillers.pop(sid, None)
 
-        # Seeds: touched chain members, at every slot they hold, and those
-        # whose links changed, which only the written slots and their
-        # neighbours can hold.
+        # Seeds: touched chain members and those whose links changed, which
+        # only the written slots and their neighbours can hold.
         seeds = {slots[sid] for sid in touched if sid in slots}
-        for sid in touched & world.doubled:
-            seeds.update(idx for idx, other in enumerate(chain) if other == sid)
         for idx in span:
             st = states.get(chain[idx])
             if st is not None and (st.pre, st.suc) != _links(chain, idx):

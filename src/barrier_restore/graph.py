@@ -283,16 +283,13 @@ def _simplify_walk(walk: Sequence[int]) -> Path:
 
 
 def failed_span(
-    barrier: Sequence[int], failed: set[int], slots: Optional[Mapping[int, int]] = None
+    barrier: Sequence[int], failed: set[int], slots: Mapping[int, int]
 ) -> tuple[int, int, int, int]:
     """Indices of the leftmost and rightmost failed barrier nodes, and the
     survivors just outside them (sentinels when the span touches an end).
-    ``slots``, each id's index in a barrier that holds no id twice, finds
-    them without a scan of the barrier."""
-    if slots is None:
-        hits = [i for i, v in enumerate(barrier) if v in failed]
-    else:
-        hits = [slots[v] for v in failed if v in slots]
+    ``slots`` maps each barrier id to its index, so the barrier is not
+    scanned."""
+    hits = [slots[v] for v in failed if v in slots]
     first, last = min(hits), max(hits)
     left = barrier[first - 1] if first > 0 else PL
     right = barrier[last + 1] if last + 1 < len(barrier) else PR
@@ -303,34 +300,30 @@ def splice_span(
     barrier: Sequence[int],
     failed: Iterable[int],
     replacement: Sequence[int],
-    slots: Optional[Mapping[int, int]] = None,
+    slots: Mapping[int, int],
 ) -> tuple[int, int, Path]:
     """The edit that replaces the failed span of a barrier with a
     discovered path: ``(start, stop, ids)`` such that ``barrier[:start] +
-    ids + barrier[stop:]`` is the spliced chain, which ``splice_barrier``
-    returns. ``World.edit_chain(*splice_span(...))`` applies it.
+    ids + barrier[stop:]`` is the spliced chain, and ``(0, 0, [])`` when no
+    node of the barrier failed. ``World.edit_chain(*splice_span(...))``
+    applies it.
 
     ``replacement`` must run from the survivor just left of the leftmost
     failed barrier node to the survivor just right of the rightmost one
     (sentinels when the span touches an end of the chain). Where the path
     revisits a chain node, the loop through it is cut (``_simplify_walk``).
-    ``slots`` maps each id of a barrier that holds no id twice to its
-    index; with it the edit spans only the failed span and the chain nodes
-    the path revisits, found without a scan of the chain. Without it the
-    edit spans the whole chain.
+    ``slots`` maps each barrier id to its index; the edit spans only the
+    failed span and the chain nodes the path revisits, found without a scan
+    of the chain.
     """
     failed = set(failed)
-    members = set(barrier) if slots is None else slots
-    if not any(v in members for v in failed):
+    if not any(v in slots for v in failed):
         return 0, 0, []
     first, last, left, right = failed_span(barrier, failed, slots)
-    if slots is None:
-        lo, hi = 0, len(barrier)
-    else:
-        # Loops can only close at chain nodes on the path.
-        on_path = [slots[v] for v in replacement if v in slots]
-        lo = min([first, *on_path])
-        hi = max([last, *on_path]) + 1
+    # Loops can only close at chain nodes on the path.
+    on_path = [slots[v] for v in replacement if v in slots]
+    lo = min([first, *on_path])
+    hi = max([last, *on_path]) + 1
 
     if not replacement or replacement[0] != left or replacement[-1] != right:
         raise SpliceEndpointMismatch(
@@ -345,28 +338,11 @@ def splice_span(
     return lo, hi, [v for v in _simplify_walk(walk) if v not in (PL, PR)]
 
 
-def splice_barrier(
-    barrier: Sequence[int], failed: Iterable[int], replacement: Sequence[int]
-) -> Path:
-    """Replace the failed span of a barrier with a discovered path (see
-    ``splice_span``); the barrier as it is when no node of it failed."""
-    start, stop, ids = splice_span(barrier, failed, replacement)
-    return [*barrier[:start], *ids, *barrier[stop:]]
-
-
 def splice_into(world: World, failed: Iterable[int], replacement: Sequence[int]) -> None:
     """Splice ``replacement`` into the world's chain in place of its failed
     span, as one chain edit that spans only what the splice changed (see
     ``splice_span``)."""
-    slots = world.slots if _simple_chain(world) else None
-    world.edit_chain(*splice_span(world.barrier, failed, replacement, slots))
-
-
-def _simple_chain(world: World) -> bool:
-    """True iff the chain holds no id twice and no sentinel, so that
-    ``world.slots`` names each chain id's only slot."""
-    slots = world.slots
-    return not world.doubled and PL not in slots and PR not in slots
+    world.edit_chain(*splice_span(world.barrier, failed, replacement, world.slots))
 
 
 def closest_filler(
@@ -454,8 +430,7 @@ class BarrierCheck:
         """Re-check the links that can have changed since the last call:
         those at the slots the chain edits past ``edit_mark`` wrote and those
         of the chain members named in the change records past
-        ``change_mark``. Needs a chain that holds no id twice and no
-        sentinel."""
+        ``change_mark``. A member's one slot is read off ``World.slots``."""
         chain, slots, broken = world.barrier, world.slots, self.broken
         # Link k joins path[k] and path[k + 1]: slot k - 1 (PL at k = 0) to
         # slot k (PR at k = len(chain)). Those of the written slots, and of
@@ -492,21 +467,17 @@ class BarrierCheck:
 def verify_barrier(world: World) -> bool:
     """True iff the world's designated chain is a live left-to-right barrier
     at the sensors' current positions: PL, the chain and PR, in that order,
-    form a simple path of ``world_graph(world)``. A failed or unknown id is
-    not a vertex of that graph, and PL never meets PR, so a chain holding
-    one fails, and so does the empty chain.
+    form a path of ``world_graph(world)``, a simple one since the chain
+    names each sensor once (``World.edit_chain``). A failed sensor is not a
+    vertex of that graph, and PL never meets PR, so a chain holding one
+    fails, and so does the empty chain.
 
     The verdict keeps its state in ``world.checked`` (``BarrierCheck``):
     the broken links of the path, keyed by their left ends. The first call
     checks every link; a later one re-checks only the links at slots
     written since (``World.edited_slots``) and at the slots of chain
     members that moved or failed since (``World.changes``), so it costs
-    what changed, not the length of the chain. A chain that holds an id
-    twice (``World.doubled``) or a sentinel fails without a check, and the
-    next verdict starts over."""
-    if not _simple_chain(world):
-        world.checked = None
-        return False
+    what changed, not the length of the chain."""
     adjacency = world_graph(world).adjacency
     check = world.checked
     if check is None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
@@ -97,6 +98,9 @@ class ExperimentConfig:
             raise ValueError("schemes must be one or more strings")
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        # Numpy cannot even size the (n, 2) float64 offsets beyond this.
+        if 16 * self.n > np.iinfo(np.intp).max:
+            raise ValueError(f"n must be at most {np.iinfo(np.intp).max // 16}, got {self.n}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.max_redraws < 1:
@@ -371,13 +375,14 @@ def run_experiment(
     """Mean metrics per (scheme, report point) over seeded trials.
 
     One task per trial deploys once and runs every configured scheme on it
-    (see ``_trial_task``); ``jobs`` above 1 spreads the tasks over at most
-    one worker process per trial. Results are merged in (scheme, trial)
-    order, so output never depends on the worker count. ``detail_sink``,
-    when given, receives one JSON line per failure episode."""
+    (see ``_trial_task``); ``jobs`` above 1 spreads the tasks over worker
+    processes, at most one per trial and one per CPU, since the pool starts
+    every worker at once. Results are merged in (scheme, trial) order, so
+    output never depends on the worker count. ``detail_sink``, when given,
+    receives one JSON line per failure episode."""
     seeds = [trial_seed(config, t) for t in range(config.trials)]
     tasks = [(config, seed, detail_sink is not None) for seed in seeds]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_trial_task, tasks, chunksize=1))

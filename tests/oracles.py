@@ -361,3 +361,30 @@ def edited_span_oracle(old: list[int], new: list[int]) -> range:
     tail = max(t for t in range(most - head + 1)
                if old[len(old) - t:] == new[len(new) - t:])
     return range(max(head - 1, 0), min(len(new) - tail + 1, len(new)))
+
+
+def splice_oracle(barrier: list[int], failed: set[int], replacement: list[int]) -> list[int]:
+    """The whole chain with its failed span, from the leftmost to the
+    rightmost failed node, replaced by ``replacement`` less its sentinels,
+    loops cut so that each vertex keeps its first visit: walk the chain
+    and, at each vertex, jump past its last visit. The barrier as it is
+    when no node of it failed."""
+    hits = [i for i, v in enumerate(barrier) if v in failed]
+    if not hits:
+        return list(barrier)
+    walk = [*barrier[:min(hits)], *(v for v in replacement if v not in (PL, PR)),
+            *barrier[max(hits) + 1:]]
+    out = []
+    while walk:
+        v = walk[0]
+        out.append(v)
+        walk = walk[len(walk) - walk[::-1].index(v):]
+    return out
+
+
+def keeps_chain_simple(chain: list[int], lo: int, hi: int, ids: list[int],
+                       sensors) -> bool:
+    """Whether ``chain[lo:hi] = ids`` leaves a chain that names only ids in
+    ``sensors``, each once."""
+    new = [*chain[:lo], *ids, *chain[hi:]]
+    return len(set(new)) == len(new) and all(sid in sensors for sid in new)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrier_restore.core import (
     EnergyModel,
@@ -19,7 +21,9 @@ from barrier_restore.core import (
     world_from_json,
     world_to_json,
 )
-from oracles import total_displacement, total_energy_spent
+from barrier_restore.graph import PL, PR, verify_barrier
+from conftest import T1_COORDS, make_world
+from oracles import keeps_chain_simple, total_displacement, total_energy_spent
 
 MODEL = EnergyModel()
 
@@ -213,3 +217,34 @@ def test_region_validation():
 def test_energy_model_rejects_bad_values(cost, threshold):
     with pytest.raises(ValueError):
         EnergyModel(cost, threshold)
+
+
+# Ids of the world's sensors (0 to 5), of no sensor, and the sentinels.
+_chain_ids = st.sampled_from([PL, PR, 0, 1, 2, 3, 4, 5, 6, 99])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_rejected_chain_edit_changes_nothing(data):
+    # The chain names each sensor at most once: an edit applies iff it
+    # keeps that so, and one that does not raises and leaves the chain, its
+    # slot map, its edit record and the verdict's state as they were.
+    world = make_world(T1_COORDS)
+    for _ in range(data.draw(st.integers(1, 5))):
+        verify_barrier(world)
+        chain, check = world.barrier, world.checked
+        lo = data.draw(st.integers(0, len(chain)))
+        hi = data.draw(st.integers(lo, len(chain)))
+        ids = data.draw(st.lists(_chain_ids, max_size=4))
+        was = (dict(world.slots), list(world.chain_edits), dict(check.broken),
+               check.edit_mark, check.change_mark)
+        if keeps_chain_simple(chain, lo, hi, ids, world.sensors):
+            world.edit_chain(lo, hi, ids)
+            assert world.barrier == [*chain[:lo], *ids, *chain[hi:]]
+        else:
+            with pytest.raises(ValueError):
+                world.edit_chain(lo, hi, ids)
+            assert world.barrier is chain and world.checked is check
+            assert (world.slots, world.chain_edits, check.broken, check.edit_mark,
+                    check.change_mark) == was
+        assert world.slots == {sid: idx for idx, sid in enumerate(world.barrier)}

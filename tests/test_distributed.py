@@ -15,8 +15,6 @@ from barrier_restore.central import MECH_ALTERNATE, MECH_SHIFTING
 from barrier_restore.core import (
     MECH_NONE,
     Point,
-    Region,
-    World,
     displacement_capacity,
     seeded_rng,
 )
@@ -48,6 +46,7 @@ from oracles import (
     edited_span_oracle,
     has_edge,
     hop_distance,
+    keeps_chain_simple,
     recovery_chain_oracle,
 )
 
@@ -242,17 +241,18 @@ def test_trial_message_log_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == TRIAL_LOG_SHA256
 
 
-# A small id alphabet, so that chains repeat ids and share runs.
+# A small id alphabet, so that edits often name ids the chain holds.
 _ids = st.integers(0, 9)
 
 
 @st.composite
 def _edited_chains(draw):
-    """A chain and up to three slice replacements of it, applied in turn:
-    a span written back unchanged, a single slot substituted, splices that
-    change the length, anywhere or at either end, and cuts to a prefix or
-    a suffix."""
-    old = draw(st.lists(_ids, max_size=14))
+    """A chain of distinct ids and up to three slice replacements of it,
+    applied in turn: a span written back unchanged, a single slot
+    substituted, splices that change the length, anywhere or at either end,
+    and cuts to a prefix or a suffix. An edit that would hold an id twice
+    is drawn too; the world rejects it, so the chain stays as it was."""
+    old = draw(st.lists(_ids, max_size=10, unique=True))
     chain, edits = list(old), []
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(
@@ -275,7 +275,8 @@ def _edited_chains(draw):
             ids = []
         else:
             ids = draw(st.lists(_ids, max_size=5))
-        chain[lo:hi] = ids
+        if keeps_chain_simple(chain, lo, hi, ids, range(10)):
+            chain[lo:hi] = ids
         edits.append((lo, hi, ids))
     return old, edits
 
@@ -299,43 +300,45 @@ def _same_outside(old: list[int], new: list[int], span: range) -> bool:
 @given(_edited_chains())
 def test_edit_record_covers_every_changed_link(case):
     old, edits = case
-    world = World(Region(1.0, 1.0), ())
+    world = make_world([(x, 0) for x in range(10)], with_barrier=False)
     world.edit_chain(0, 0, old)
     mark = len(world.chain_edits)
     for lo, hi, ids in edits:
-        world.edit_chain(lo, hi, ids)
+        chain = world.barrier
+        if keeps_chain_simple(chain, lo, hi, ids, world.sensors):
+            world.edit_chain(lo, hi, ids)
+        else:
+            with pytest.raises(ValueError):
+                world.edit_chain(lo, hi, ids)
+            assert world.barrier is chain
     new = world.barrier
     # The written slots and one on each side.
     written = world.edited_slots(mark)
     span = range(0) if written is None else range(
         max(written.start - 1, 0), min(written.stop + 1, len(new)))
     # The record's span covers every slot whose links changed: outside it
-    # the chains line up. Where neither chain repeats an id they line up
-    # one way only, and the span holds the oracle's, which compares the
-    # chains from both ends; where one does, the edit can line up more than
-    # one way, and the two spans may sit apart.
+    # the chains line up, and it holds the oracle's span, which compares
+    # the chains from both ends.
     assert _same_outside(old, new, span)
     oracle = edited_span_oracle(old, new)
-    if len(set(old)) == len(old) and len(set(new)) == len(new):
-        assert set(oracle) <= set(span)
-    if not edits:
+    assert set(oracle) <= set(span)
+    if len(world.chain_edits) == mark:
         assert span == oracle == range(0)
-    # The slot map holds each id's first slot, and doubled the repeated ids.
-    assert world.slots == {sid: new.index(sid) for sid in new}
-    assert world.doubled == {sid for sid in new if new.count(sid) > 1}
+    # The slot map holds each id's one slot.
+    assert world.slots == {sid: idx for idx, sid in enumerate(new)}
 
 
-def test_reelection_covers_every_slot_of_a_repeated_id():
-    # Sensor 1 holds both ends of the chain. Node 3 cannot afford a hop,
-    # so walks from the seeds near the first slot stop there; only seeding
-    # every slot of a touched id re-elects the last one.
+def test_reelection_sees_nothing_of_a_rejected_edit():
+    # An edit that would put sensor 1 at both ends of the chain is rejected
+    # before anything changes, so a re-election finds no edit to read and,
+    # with no sensor changed either, nothing to elect.
     w = make_world(T1_COORDS)
     election = init_recovery_nodes(w)
-    drain(w, 3, 0.0)
-    w.edit_chain(0, len(w.barrier), [1, 0, 2, 3, 4, 1])
-    init_recovery_nodes(w, election=election)
-    drain(w, 1, 50.0)
-    assert election.prepare().count(1) == 2
+    chain, edits = w.barrier, len(w.chain_edits)
+    with pytest.raises(ValueError):
+        w.edit_chain(0, len(w.barrier), [1, 0, 2, 3, 4, 1])
+    assert w.barrier is chain and len(w.chain_edits) == edits
+    assert election.prepare() == []
 
 
 # Sends by kind, drain rounds and elections of the dmove trials below. They

@@ -18,13 +18,12 @@ from barrier_restore.graph import (
     find_barrier,
     failed_span,
     shift_cascade,
-    splice_barrier,
     splice_span,
     verify_barrier,
     world_graph,
 )
 from conftest import T1_COORDS, make_world, random_line_world
-from oracles import adjacency_oracle, barrier_oracle, has_edge, hop_distance
+from oracles import adjacency_oracle, barrier_oracle, has_edge, hop_distance, splice_oracle
 
 
 class TestBuildGraph:
@@ -307,48 +306,57 @@ class TestShiftCascade:
         assert [m.sensor_id for m in out.moves] == [2, 5]
 
 
+def splice(barrier, failed, replacement):
+    """``barrier`` with the edit of ``splice_span`` applied."""
+    slots = {v: i for i, v in enumerate(barrier)}
+    start, stop, ids = splice_span(barrier, failed, replacement, slots)
+    return [*barrier[:start], *ids, *barrier[stop:]]
+
+
 class TestSplice:
     def test_single_gap(self):
-        assert splice_barrier([0, 1, 2, 3, 4], {2}, [1, 9, 3]) == [0, 1, 9, 3, 4]
+        assert splice([0, 1, 2, 3, 4], {2}, [1, 9, 3]) == [0, 1, 9, 3, 4]
 
     def test_empty_failed_is_noop(self):
-        assert splice_barrier([0, 1, 2], set(), [7, 8]) == [0, 1, 2]
+        assert splice([0, 1, 2], set(), [7, 8]) == [0, 1, 2]
+        assert splice([0, 1, 2], {5}, [7, 8]) == [0, 1, 2]  # 5 is off the chain
 
     def test_two_node_gap(self):
-        assert splice_barrier([0, 1, 2, 3, 4], {1, 2}, [0, 9, 3]) == [0, 9, 3, 4]
+        assert splice([0, 1, 2, 3, 4], {1, 2}, [0, 9, 3]) == [0, 9, 3, 4]
 
     def test_gap_at_left_end_uses_sentinel(self):
-        assert splice_barrier([0, 1, 2], {0}, [PL, 9, 1]) == [9, 1, 2]
+        assert splice([0, 1, 2], {0}, [PL, 9, 1]) == [9, 1, 2]
 
     def test_gap_at_right_end_uses_sentinel(self):
-        assert splice_barrier([0, 1, 2], {2}, [1, 9, PR]) == [0, 1, 9]
+        assert splice([0, 1, 2], {2}, [1, 9, PR]) == [0, 1, 9]
 
     def test_mismatched_endpoints_raise(self):
         with pytest.raises(SpliceEndpointMismatch):
-            splice_barrier([0, 1, 2, 3], {2}, [0, 9, 3])
+            splice([0, 1, 2, 3], {2}, [0, 9, 3])
 
     def test_loops_cut_when_path_revisits_chain(self):
         # Replacement wanders back through 1 before reaching 4.
-        out = splice_barrier([0, 1, 2, 3, 4, 5], {2, 3}, [1, 8, 1, 9, 4])
+        out = splice([0, 1, 2, 3, 4, 5], {2, 3}, [1, 8, 1, 9, 4])
         assert out == [0, 1, 9, 4, 5]
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_edit_of_a_splice_spans_only_what_it_changes(self, data):
-        # With the slot map, the edit spans the failed span and the chain
-        # nodes the path runs through; applied, it gives what the whole walk
-        # gives, loops through far chain nodes and repeated path nodes cut.
+        # The edit spans the failed span and the chain nodes the path runs
+        # through; applied, it gives what the whole walk gives, loops
+        # through far chain nodes and repeated path nodes cut.
         barrier = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=12,
                                      unique=True))
         failed = set(data.draw(st.lists(st.sampled_from(barrier), min_size=1, max_size=3)))
-        first, last, left, right = failed_span(barrier, failed)
+        slots = {v: i for i, v in enumerate(barrier)}
+        first, last, left, right = failed_span(barrier, failed, slots)
         inner = data.draw(st.lists(st.one_of(st.integers(40, 45), st.sampled_from(
             [v for v in barrier if v not in failed] or [40])), max_size=5))
         replacement = [left, *inner, right]
-        slots = {v: i for i, v in enumerate(barrier)}
         start, stop, ids = splice_span(barrier, failed, replacement, slots)
-        spliced = splice_barrier(barrier, failed, replacement)
-        assert barrier[:start] + ids + barrier[stop:] == spliced
+        spliced = barrier[:start] + ids + barrier[stop:]
+        assert spliced == splice_oracle(barrier, failed, replacement)
+        assert len(set(spliced)) == len(spliced)
         on_path = [slots[v] for v in replacement if v in slots]
         assert start == min([first, *on_path]) and stop == max([last, *on_path]) + 1
 
@@ -385,10 +393,21 @@ class TestVerifyBarrier:
         t1_world.edit_chain(0, len(t1_world.barrier), [])
         self.check(t1_world, False)
 
+    def check_rejected(self, world, chain):
+        # The chain names each sensor at most once: an edit that would break
+        # that raises and leaves the chain, its record and the verdict as
+        # they were.
+        was = (world.barrier, dict(world.slots), list(world.chain_edits))
+        with pytest.raises(ValueError):
+            world.edit_chain(0, len(world.barrier), chain)
+        assert (world.barrier, world.slots, world.chain_edits) == was
+        assert world.barrier is was[0]
+        self.check(world, True)
+
     def test_duplicate_ids_invalid(self, t1_world):
+        self.check(t1_world, True)
         for chain in ([0, 1, 2, 1, 4], [0, 1, 2, 3, 4, 4], [0, 0, 1, 2, 3, 4]):
-            t1_world.edit_chain(0, len(t1_world.barrier), chain)
-            self.check(t1_world, False)
+            self.check_rejected(t1_world, chain)
 
     @pytest.mark.parametrize("chain", [
         [PL, 0, 1, 2, 3, 4],
@@ -398,12 +417,20 @@ class TestVerifyBarrier:
     ], ids=["leading-PL", "trailing-PR", "inner", "sentinels-only"])
     def test_sentinel_in_chain_invalid(self, t1_world, chain):
         # Each sentinel is already an end of the path PL, chain, PR.
-        t1_world.edit_chain(0, len(t1_world.barrier), chain)
-        self.check(t1_world, False)
+        self.check(t1_world, True)
+        self.check_rejected(t1_world, chain)
 
     def test_unknown_id_invalid(self, t1_world):
-        t1_world.edit_chain(0, len(t1_world.barrier), [0, 1, 99, 3, 4])
-        self.check(t1_world, False)
+        self.check(t1_world, True)
+        self.check_rejected(t1_world, [0, 1, 99, 3, 4])
+
+    def test_id_held_outside_the_edit_invalid(self, t1_world):
+        # Slot 1 rewritten to 3, which still holds slot 3.
+        with pytest.raises(ValueError):
+            t1_world.edit_chain(1, 2, [3])
+        t1_world.edit_chain(1, 4, [3, 2, 1])  # held inside the edit: allowed
+        assert t1_world.barrier == [0, 3, 2, 1, 4]
+        assert t1_world.slots == {0: 0, 3: 1, 2: 2, 1: 3, 4: 4}
 
     def test_endpoint_contact_required(self, t1_world):
         # Misses the left boundary, then the right one.

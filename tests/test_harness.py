@@ -442,11 +442,23 @@ class TestRunExperiment:
 
     def test_pool_never_exceeds_task_count(self, monkeypatch):
         started, _ = _stub_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         cfg = ExperimentConfig(n=40, **FAST, schemes=("nmove",))  # two tasks
         serial = run_experiment(cfg, jobs=1)
         assert started == []
         assert run_experiment(cfg, jobs=8) == serial
         assert started == [2]
+
+    @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, pools):
+        # The pool starts every worker at once, so jobs beyond the CPUs
+        # (one CPU when the count is unknown) only add processes.
+        started, _ = _stub_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        cfg = ExperimentConfig(n=40, **dict(FAST, trials=5), schemes=("nmove",))
+        serial = run_experiment(cfg, jobs=1)
+        assert run_experiment(cfg, jobs=5000) == serial
+        assert started == pools
 
     def test_one_deploy_per_trial(self, monkeypatch):
         # Every scheme of a trial runs on a copy of the one deployed world.

@@ -18,9 +18,10 @@ Last, only ``core.World`` writes a sensor's ``failed``, ``pos``,
 ``apply_move`` are what keep ``World.graph`` current and record each change
 in ``World.changes``, the one record that a re-election and every step's
 outcome read. Nor does anything but ``World`` write its chain,
-``barrier``, or the slot map, repeated ids and edit record that
-``World.edit_chain`` keeps with it, which the verdict and a re-election
-read instead of the whole chain.
+``barrier``, or the slot map and edit record that ``World.edit_chain``
+keeps with it, which the verdict and a re-election read instead of the
+whole chain; so no chain escapes the check of ``edit_chain``, that it
+names each sensor at most once.
 """
 from __future__ import annotations
 
@@ -166,7 +167,7 @@ def test_scan_flags_a_foreign_import(tmp_path):
 
 
 WORLD_STATE = {"failed", "pos", "energy", "static", "changes",
-               "barrier", "_barrier", "slots", "doubled", "chain_edits"}
+               "barrier", "_barrier", "slots", "chain_edits"}
 # Methods that edit a list, a set or a dict in place, such as the change
 # record, the chain or its slot map.
 LIST_EDITS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
@@ -230,7 +231,7 @@ def test_scan_flags_a_state_write(tmp_path):
         "def chain(w, ids): w.barrier = ids; w.edit_chain(0, len(w.barrier), ids)\n"
         "def cut(w): w.barrier[1:3] = []; del w.barrier[0]; w.barrier[0] = 7\n"
         "def grow(w, s): w.barrier.append(s); w.barrier.insert(0, s); w.barrier += [s]\n"
-        "def remap(w, s): w.slots[s] = 0; w.slots.pop(s); w.doubled.add(s)\n"
+        "def remap(w, s): w.slots[s] = 0; w.slots.pop(s); w.slots.update({s: 1})\n"
         "def unlog(w): w.chain_edits.clear(); w._barrier = []; return w.barrier[::-1]\n"
     )
     assert state_writes(module) == [
@@ -239,5 +240,5 @@ def test_scan_flags_a_state_write(tmp_path):
         "line 12: .changes", "line 12: .changes", "line 13: .barrier",
         "line 14: .barrier", "line 14: .barrier", "line 14: .barrier",
         "line 15: .barrier", "line 15: .barrier", "line 15: .barrier",
-        "line 16: .doubled", "line 16: .slots", "line 16: .slots",
+        "line 16: .slots", "line 16: .slots", "line 16: .slots",
         "line 17: ._barrier", "line 17: .chain_edits"]
