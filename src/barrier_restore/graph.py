@@ -73,7 +73,8 @@ class IntersectionGraph:
 
     Neighbor lists are sorted ascending (sentinels first) so every search
     is deterministic run to run. A new graph is empty; ``insert`` adds a
-    sensor and ``remove`` takes one out.
+    sensor and ``remove`` takes one out. ``max_comm_radius``, the largest
+    comm radius ever inserted, bounds the cmove assignment's x-window.
     """
 
     def __init__(self, region: Region):
@@ -86,6 +87,7 @@ class IntersectionGraph:
         self._xs: list[float] = []
         self._ids: list[int] = []
         self._max_radius = 0.0
+        self.max_comm_radius = 0.0
 
     def copy(self) -> IntersectionGraph:
         """The same graph with its own rows and x order; the frozen
@@ -96,6 +98,7 @@ class IntersectionGraph:
         twin._xs = self._xs[:]
         twin._ids = self._ids[:]
         twin._max_radius = self._max_radius
+        twin.max_comm_radius = self.max_comm_radius
         return twin
 
     def neighbors(self, vertex: int) -> list[int]:
@@ -158,6 +161,7 @@ class IntersectionGraph:
         self._xs.insert(k, sensor.pos.x)
         self._ids.insert(k, sensor.id)
         self._max_radius = max(self._max_radius, sensor.sensing_radius)
+        self.max_comm_radius = max(self.max_comm_radius, sensor.comm_radius)
         self.positions[sensor.id] = sensor.pos
         for u in row:
             insort(self.adjacency[u], sensor.id)
@@ -182,6 +186,7 @@ def build_intersection_graph(
     graph._xs = xs = [s.pos.x for s in order]
     graph._ids = [s.id for s in order]
     graph._max_radius = max((s.sensing_radius for s in order), default=0.0)
+    graph.max_comm_radius = max((s.comm_radius for s in order), default=0.0)
     # Vertices in the order the sensors came, as ``insert`` adds them;
     # every row is sorted at the end.
     adjacency = graph.adjacency

@@ -103,7 +103,9 @@ def brute_force_assignment(cost, feasible):
 def sparse_problem(cost, feasible) -> AssignmentProblem:
     """The sparse problem ``central.hungarian`` solves, holding the feasible
     cells of a dense (cost, feasible) pair; rows and columns keep their
-    indices, and the sensor ids and positions are placeholders."""
+    indices. Its warm start matches rows in order, each to its
+    lowest-index free feasible zero-cost column; the columns left free are
+    the vacancies, whose occupant is -1."""
     cost = np.asarray(cost, dtype=float)
     feasible = np.asarray(feasible, dtype=bool)
     rows, cols = cost.shape
@@ -111,18 +113,30 @@ def sparse_problem(cost, feasible) -> AssignmentProblem:
         [(i, float(cost[i, j])) for i in range(rows) if feasible[i, j]]
         for j in range(cols)
     ]
+    occupants = [-1] * cols
+    held = {}
+    zero = feasible & (cost == 0.0)
+    for i in range(rows):
+        free = [j for j in np.flatnonzero(zero[i]).tolist() if occupants[j] < 0]
+        if free:
+            occupants[free[0]] = i
+            held[i] = free[0]
     return AssignmentProblem(
-        left=list(range(rows)),
-        right=[Point(j, 0) for j in range(cols)],
-        cost=FeasibleCells((rows, cols), zero_cells(cost, feasible), columns.__getitem__),
+        occupants=occupants,
+        held=held,
+        vacancies=[j for j in range(cols) if occupants[j] < 0],
+        cost=FeasibleCells((rows, cols), columns.__getitem__),
     )
 
 
-def zero_cells(cost, feasible) -> dict[int, list[int]]:
-    """Row -> ascending columns of its feasible zero-cost cells, for the
-    rows that have any."""
-    zero = np.asarray(feasible, dtype=bool) & (np.asarray(cost) == 0.0)
-    return {int(i): np.flatnonzero(zero[i]).tolist() for i in np.flatnonzero(zero.any(axis=1))}
+def full_assignment(problem: AssignmentProblem,
+                    changed: Optional[dict[int, int]]) -> Optional[list[int]]:
+    """The row of every column after a solve of ``problem`` that returned
+    ``changed`` (the columns whose row changed): the warm start's row
+    elsewhere. None for no cover."""
+    if changed is None:
+        return None
+    return [changed.get(j, row) for j, row in enumerate(problem.occupants)]
 
 
 @dataclass
@@ -140,7 +154,7 @@ def dense_build_assignment(world: World, failed: Iterable[int]) -> DenseProblem:
     """Every (active sensor, barrier position) cell with its cost and
     feasibility: the full-matrix form of ``central.build_assignment``."""
     barrier = world.barrier
-    sensors = world.active_sensors()
+    sensors = [s for s in world.sensors.values() if not s.failed]
     left = [s.id for s in sensors]
     right = [world.sensor(b).pos for b in barrier]
     # math.dist of two points is math.hypot of their differences, bit for

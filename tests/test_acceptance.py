@@ -37,6 +37,7 @@ from oracles import (
     barrier_oracle,
     brute_force_assignment,
     dense_build_assignment,
+    full_assignment,
     has_edge,
     hop_distance,
     recovery_chain_oracle,
@@ -62,7 +63,7 @@ def test_criterion_1_hungarian_matches_brute_force():
         cost = rng.uniform(0, 100, size=(rows, cols))
         feasible = rng.uniform(size=(rows, cols)) > 0.2
         problem = sparse_problem(cost, feasible)
-        got = hungarian(problem)
+        got = full_assignment(problem, hungarian(problem))
         want = brute_force_assignment(cost, feasible)
         if want is None:
             assert got is None, "solver found a cover brute force rules out"

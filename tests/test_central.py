@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from barrier_restore import central
+from barrier_restore import central, harness
 from barrier_restore.central import (
     MECH_ALTERNATE,
     MECH_SHIFTING,
@@ -34,8 +34,8 @@ from oracles import (
     brute_force_assignment,
     dense_build_assignment,
     dense_hungarian,
+    full_assignment,
     sparse_problem,
-    zero_cells,
 )
 
 
@@ -50,19 +50,26 @@ def cells(p, j):
     return dict(p.cost.column(j))
 
 
+def solve(p):
+    """The row of every column in ``hungarian``'s assignment; None for no
+    cover."""
+    return full_assignment(p, hungarian(p))
+
+
 def assignment_total(p, assignment):
-    return sum(cells(p, j)[assignment[j]] for j in range(len(p.right)))
+    return sum(cells(p, j)[assignment[j]] for j in range(p.cost.shape[1]))
 
 
 class TestHungarian:
     def test_prefers_cross_pairing(self):
         p = problem([[1, 2], [2, 4]])
-        a = hungarian(p)
+        a = solve(p)
         assert assignment_total(p, a) == pytest.approx(4.0)  # 2+2 beats 1+4
 
     def test_identity_one_by_one(self):
         p = problem([[0.0]])
-        assert hungarian(p) == [0]
+        assert hungarian(p) == {}  # the warm start covers the column
+        assert solve(p) == [0]
 
     def test_forbidden_row_blocks_cover(self):
         # Both columns need distinct rows but row 1 is fully forbidden. The
@@ -70,15 +77,15 @@ class TestHungarian:
         # the cheapest; the post-check must still report no cover.
         for cost in ([[1, 2], [2, 4]], [[1, 2], [0, 0]]):
             p = problem(cost, feasible=[[True, True], [False, False]])
-            assert hungarian(p) is None
+            assert solve(p) is None
 
     def test_more_rows_than_columns(self):
         p = problem([[5.0], [1.0], [3.0]])
-        assert hungarian(p) == [1]
+        assert solve(p) == [1]
 
     def test_more_columns_than_rows_is_infeasible(self):
         p = problem([[1.0, 2.0]])
-        assert hungarian(p) is None
+        assert solve(p) is None
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(3)
@@ -88,7 +95,7 @@ class TestHungarian:
             cost = rng.uniform(0, 10, size=(rows, cols))
             feasible = rng.uniform(size=(rows, cols)) > 0.25
             p = problem(cost, feasible)
-            got = hungarian(p)
+            got = solve(p)
             want = brute_force_assignment(cost, feasible)
             if want is None:
                 assert got is None
@@ -101,14 +108,14 @@ class TestHungarian:
         # Row 0's cheapest raw cell is forbidden; pricing keeps the warm
         # start off it.
         p = problem([[0, 5], [1, 1]], feasible=[[False, True], [True, False]])
-        assert hungarian(p) == [1, 0]
+        assert solve(p) == [1, 0]
 
     def test_forbidden_surplus_row_takes_dummy_column(self):
         p = problem(
             [[0, 0], [3, 1], [1, 3]],
             feasible=[[False, False], [True, True], [True, True]],
         )
-        assert hungarian(p) == [2, 1]
+        assert solve(p) == [2, 1]
 
     def test_matches_brute_force_on_cmove_shaped_instances(self):
         # Occupants at zero cost on their own positions, surplus sensors,
@@ -133,7 +140,7 @@ class TestHungarian:
                 stuck = int(rng.integers(0, len(occupied)))
                 feasible[stuck] = cost[stuck] == 0.0
             p = problem(cost, feasible)
-            got = hungarian(p)
+            got = solve(p)
             want = brute_force_assignment(cost, feasible)
             if want is None:
                 assert got is None
@@ -161,7 +168,7 @@ def test_hungarian_matches_brute_force_on_integer_costs(data):
         data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
     ).reshape(rows, cols)
     p = problem(cost, feasible)
-    got = hungarian(p)
+    got = solve(p)
     want = brute_force_assignment(cost, feasible)
     if want is None:
         assert got is None
@@ -177,51 +184,45 @@ class TestBuildAssignment:
         w = t1_world
         w.fail(2)
         p = build_assignment(w, {2})
-        assert p.left == [0, 1, 3, 4, 5]
-        assert len(p.right) == 5
-        i = p.left.index(5)
-        assert i in cells(p, 2)  # the spare can reach the vacant position
-        assert cells(p, 2)[i] == pytest.approx(2.0)
+        assert p.cost.shape == (5, 5)  # sensors 0, 1, 3, 4, 5 by 5 slots
+        assert p.vacancies == [2]
+        assert 5 in cells(p, 2)  # the spare can reach the vacant position
+        assert cells(p, 2)[5] == pytest.approx(2.0)
 
     def test_comm_radius_limits_edges(self, t1_world):
         w = t1_world
         w.fail(2)
         p = build_assignment(w, {2})
-        i = p.left.index(0)  # distance 4 to the vacancy, comm radius is 2
-        assert i not in cells(p, 2)
+        assert 0 not in cells(p, 2)  # distance 4 to the vacancy, comm radius is 2
 
     def test_drained_sensor_keeps_self_edge_only(self, t1_world):
         w = t1_world
         w.sensor(1).energy = 0.0
         w.fail(2)
         p = build_assignment(w, {2})
-        i = p.left.index(1)
-        assert i in cells(p, 1)  # zero-cost edge to its own slot
-        assert cells(p, 1)[i] == 0.0
-        assert i not in cells(p, 0) and i not in cells(p, 2)
+        assert cells(p, 1)[1] == 0.0  # zero-cost edge to its own slot
+        assert 1 not in cells(p, 0) and 1 not in cells(p, 2)
 
     def test_static_sensor_keeps_self_edge(self, t1_world):
         w = t1_world
         w.sensor(1).static = True
         w.fail(2)
         p = build_assignment(w, {2})
-        i = p.left.index(1)
-        assert i in cells(p, 1)
-        assert i not in cells(p, 2)
+        assert 1 in cells(p, 1)
+        assert 1 not in cells(p, 2)
 
     def test_feasibility_exact_at_capacity_and_comm_boundary(self):
         w = boundary_world()
         target = w.sensor(0).pos
         p = build_assignment(w, {0})
         col = cells(p, 0)
-        for i, sid in enumerate(p.left):
-            s = w.sensor(sid)
+        for s in w.active_sensors():
             d = s.pos.distance_to(target)
             cap = displacement_capacity(s, w.energy_model)
-            assert (i in col) == (cap >= d and d <= s.comm_radius)
-            if i in col:
-                assert col[i] == d
-                w.apply_move(sid, target)  # raises if the edge overstated capacity
+            assert (s.id in col) == (cap >= d and d <= s.comm_radius)
+            if s.id in col:
+                assert col[s.id] == d
+                w.apply_move(s.id, target)  # raises if the edge overstated capacity
         assert len(col) == (len(w.sensors) - 1) // 2
 
 
@@ -253,16 +254,16 @@ def boundary_world():
 
 
 def assert_cells_match_dense_oracle(world, failed):
-    """The sparse build lists exactly the dense oracle's feasible cells,
-    with bit-equal costs, and returns the sparse problem."""
+    """The sparse build has the dense oracle's shape and lists exactly its
+    feasible cells, with bit-equal costs, and its warm start leaves free
+    the columns ``warm_start_vacancies`` names. Returns both problems."""
     p = build_assignment(world, failed)
     dense = dense_build_assignment(world, failed)
-    assert p.left == dense.left and p.right == dense.right
     assert p.cost.shape == dense.cost.shape
-    assert p.cost.zeros == zero_cells(dense.cost, dense.feasible)
+    assert p.vacancies == warm_start_vacancies(world, dense)
     for j in range(p.cost.shape[1]):
         rows = np.flatnonzero(dense.feasible[:, j])
-        assert p.cost.column(j) == [(int(i), float(dense.cost[i, j])) for i in rows]
+        assert p.cost.column(j) == [(dense.left[i], float(dense.cost[i, j])) for i in rows]
     return p, dense
 
 
@@ -270,15 +271,26 @@ def test_sparse_cells_equal_dense_on_boundary_instance():
     assert_cells_match_dense_oracle(boundary_world(), {0})
 
 
-def warm_start_vacancies(dense):
-    """The columns the warm start leaves free, ascending: rows in order
-    each take their lowest free feasible zero-cost column."""
-    taken = set()
-    for i in range(dense.cost.shape[0]):
-        zero = np.flatnonzero(dense.feasible[i] & (dense.cost[i] == 0.0))
-        free = [int(j) for j in zero if j not in taken]
-        taken.update(free[:1])
-    return [j for j in range(dense.cost.shape[1]) if j not in taken]
+def warm_start_vacancies(world, dense):
+    """The columns the warm start leaves free, ascending: each live chain
+    member holds its own slot, a cell the dense build lists as feasible at
+    zero cost, whatever else stands on its point, and the failed members'
+    slots stay free."""
+    row = {sid: i for i, sid in enumerate(dense.left)}
+    free = []
+    for j, sid in enumerate(world.barrier):
+        if world.sensor(sid).failed:
+            free.append(j)
+        else:
+            assert dense.feasible[row[sid], j] and dense.cost[row[sid], j] == 0.0
+    return free
+
+
+def dense_solution(dense):
+    """The dense solver's occupant of every column, by sensor id; None for
+    no cover."""
+    want = dense_hungarian(dense)
+    return None if want is None else [dense.left[i] for i in want]
 
 
 def test_sparse_solver_matches_dense_oracle_on_replayed_cmove_solves(monkeypatch):
@@ -286,20 +298,22 @@ def test_sparse_solver_matches_dense_oracle_on_replayed_cmove_solves(monkeypatch
     # by cell against the dense build and solved by both solvers, which
     # must agree on the assignment itself, None included. A fresh build is
     # solved too, counting the columns the solve computes: the warm start
-    # computes none, so the first is the first vacancy it leaves, and all
-    # solves together compute a small share of the columns.
+    # computes none, so the first is the first vacancy, and all solves
+    # together compute a small share of the columns. No cmove step lists
+    # the live sensors: while one runs, World.active_sensors raises.
     seen = Counter()
     build = central.build_assignment
+    restore = harness.restore_cmove
 
     def checked_build(world, failed):
         p, dense = assert_cells_match_dense_oracle(world, failed)
-        want = dense_hungarian(dense)
-        assert hungarian(p) == want
+        want = dense_solution(dense)
+        assert solve(p) == want
         lazy = build(world, failed)
-        assert hungarian(lazy) == want
+        assert solve(lazy) == want
         computed = list(lazy.cost.computed)
         if lazy.cost.shape[0] >= lazy.cost.shape[1]:
-            assert computed[:1] == warm_start_vacancies(dense)[:1]
+            assert computed[:1] == lazy.vacancies[:1]
         seen["computed"] += len(computed)
         seen["columns"] += lazy.cost.shape[1]
         seen["solves"] += 1
@@ -307,28 +321,41 @@ def test_sparse_solver_matches_dense_oracle_on_replayed_cmove_solves(monkeypatch
         seen["infeasible"] += want is None
         return lazy
 
+    def lists_live_sensors(world):
+        raise AssertionError("a cmove step listed every live sensor")
+
+    def guarded_restore(world):
+        seen["steps"] += 1
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(World, "active_sensors", lists_live_sensors)
+            return restore(world)
+
     monkeypatch.setattr(central, "build_assignment", checked_build)
+    monkeypatch.setattr(harness, "restore_cmove", guarded_restore)
     config = ExperimentConfig(n=140, trials=12, schemes=("cmove",))
     for t in range(config.trials):
         run_trial("cmove", config, trial_seed(config, t))
     assert seen["multi_vacancy"] >= 50 and seen["infeasible"] >= 50, seen
-    assert seen["solves"] >= 300
+    assert seen["solves"] >= 300 and seen["steps"] >= seen["solves"]
     # 2342 of 31639 columns (7.4%) when this bound was set.
     assert seen["computed"] <= 0.12 * seen["columns"], seen
 
 
 def test_warm_start_computes_no_column(t1_world):
     # Every barrier position has its occupant: the warm start covers all
-    # columns through the zero cells alone.
+    # columns, and the solve changes none.
     p = build_assignment(t1_world, set())
-    assert hungarian(p) == [0, 1, 2, 3, 4]
+    assert hungarian(p) == {}
+    assert full_assignment(p, {}) == [0, 1, 2, 3, 4]
     assert p.cost.computed == {}
 
 
 def tie_world():
     """A chain whose positions hold ties: sensor 5 stands off the chain on
     chain member 1's position, chain members 3 and 7 share one position,
-    member 1 is static and member 0 drained; member 2 has failed."""
+    member 1 is static and member 0 drained; member 2 has failed. The warm
+    start keeps each live member on its own slot, whatever else stands on
+    its point."""
     w = make_world(
         [(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (3, 0), (5, 1.5), (7, 0)],
         with_barrier=False,
@@ -347,15 +374,34 @@ def test_zero_cells_and_tie_rule_through_the_lazy_build():
     reversed_reads = [backward.cost.column(j) for j in reversed(range(n))][::-1]
     p, dense = assert_cells_match_dense_oracle(w, {2})  # reads forward
     assert reversed_reads == [p.cost.column(j) for j in range(n)]
-    row = {sid: i for i, sid in enumerate(p.left)}
-    assert p.cost.zeros == {
-        row[0]: [0], row[1]: [1], row[5]: [1], row[3]: [3, 4], row[7]: [3, 4], row[4]: [5]
-    }
-    want = dense_hungarian(dense)
-    assert hungarian(build_assignment(w, {2})) == want
+    # Sensor 5's zero-cost cell on member 1's slot is listed, but the warm
+    # start is the chain's: the only vacancy is member 2's slot.
+    assert cells(p, 1)[5] == 0.0 and p.vacancies == [2]
     # The occupants keep their own positions, sensor 5 (on a taken point)
-    # stays free, and the vacancy goes to the spare.
-    assert [p.left[i] for i in want] == [0, 1, 6, 3, 7, 4]
+    # stays free, and the vacancy goes to the spare, as in the dense solve.
+    assert hungarian(build_assignment(w, {2})) == {2: 6}
+    assert solve(p) == dense_solution(dense) == [0, 1, 6, 3, 7, 4]
+
+
+def test_member_keeps_its_slot_when_a_lower_id_shares_its_point():
+    # Sensor 0 stands off the chain on member 2's point and has the lower
+    # id. The warm start reads the chain, so member 2 keeps its slot: the
+    # edit writes only the vacancy's slot, and only the spare moves, at the
+    # dense optimum's displacement.
+    w = make_world(
+        [(3, 0), (1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (5, 1.5)],
+        with_barrier=False,
+    )
+    w.edit_chain(0, 0, [1, 2, 3, 4, 5])
+    w.fail(3)
+    want = shifting_oracle(w, {3})
+    mark = len(w.chain_edits)
+    out = restore_cmove(w)
+    assert out.mechanism == MECH_SHIFTING and verify_barrier(w)
+    assert w.chain_edits[mark:] == [(2, (3,), (6,))]
+    assert out.moves == [(6, Point(5, 1.5), Point(5, 0))]
+    assert out.total_displacement == pytest.approx(want)
+    assert w.barrier == [1, 2, 6, 4, 5]
 
 
 def test_optimum_matches_scipy_on_random_rectangular_instances():
@@ -367,7 +413,7 @@ def test_optimum_matches_scipy_on_random_rectangular_instances():
         cost = rng.uniform(0, 50, size=(rows, cols))
         cost[rng.uniform(size=(rows, cols)) < 0.1] = 0.0
         feasible = rng.uniform(size=(rows, cols)) < rng.uniform(0.1, 0.6)
-        got = hungarian(problem(cost, feasible))
+        got = solve(problem(cost, feasible))
         try:
             r, c = linear_sum_assignment(np.where(feasible, cost, np.inf))
         except ValueError:  # scipy: no assignment avoids every forbidden cell
@@ -395,8 +441,7 @@ def test_assignment_dimensions_with_spares():
     assert w.barrier == list(range(8))
     w.fail(3)
     p = build_assignment(w, {3})
-    assert len(p.left) == 11
-    assert len(p.right) == 8
+    assert p.cost.shape == (11, 8)
 
 
 class TestRestoreCmove:

@@ -129,6 +129,8 @@ class TestSweptBuild:
             assert swept.positions == built.positions
             assert swept.window(-math.inf, math.inf) == built.window(-math.inf, math.inf)
             live = {s.id: s for s in sensors if not s.failed}
+            assert swept.max_comm_radius == built.max_comm_radius == max(
+                (s.comm_radius for s in live.values()), default=0.0)
             for x, y, r in zip(*rng.uniform(-3, 15, size=(2, 10)), rng.choice([0.5, 2.0], 10)):
                 probe = Point(float(x), float(y))
                 assert swept.near(probe, float(r), live) == built.near(probe, float(r), live)
@@ -171,11 +173,12 @@ def edited_worlds(seed):
 class TestInPlaceUpdate:
     def test_update_matches_fresh_build(self):
         # The world's graph must equal the pairwise definition after each
-        # batch of edits.
+        # batch of edits, and its comm reach still cover every live sensor.
         for w, _ in edited_worlds(17):
             live = w.active_sensors()
             assert w.graph.adjacency == adjacency_oracle(live, w.region)
             assert w.graph.positions == {s.id: s.pos for s in live}
+            assert w.graph.max_comm_radius >= max((s.comm_radius for s in live), default=0.0)
 
     def test_window_is_the_live_x_range(self):
         # After each batch of edits, the x-window returns exactly the live

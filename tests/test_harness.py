@@ -312,6 +312,7 @@ class TestWorldCopy:
             assert copy.adjacency == built.adjacency
             assert copy.positions == built.positions
             assert copy.window(-math.inf, math.inf) == built.window(-math.inf, math.inf)
+            assert copy.max_comm_radius == built.max_comm_radius
             assert copy.adjacency is not world.graph.adjacency
             assert all(copy.adjacency[v] is not row
                        for v, row in world.graph.adjacency.items())
