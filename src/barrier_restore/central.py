@@ -9,8 +9,8 @@ Two schemes share the alternate-path step:
   positions, which realizes cascaded shifting whenever the cheapest filler
   chain passes through barrier nodes.
 
-A step finds the failed chain members itself, repairs and reports what it
-did; whether the chain holds afterwards is ``graph.verify_barrier(world)``.
+A step repairs the failed chain members, ``World.holes``, and reports what
+it did; whether the chain holds afterwards is ``graph.verify_barrier(world)``.
 
 The assignment costs what its search reaches. Rows are sensor ids and
 columns chain slots; the warm start is the chain, each live member on its
@@ -188,15 +188,9 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
         cells.sort()
         return cells
 
-    vacancies = sorted(slots[sid] for sid in set(failed))
+    vacancies = sorted(slots[sid] for sid in failed)
     shape = (len(graph.positions), len(chain))
     return AssignmentProblem(chain, slots, vacancies, FeasibleCells(shape, cells_of))
-
-
-def _failed_members(world: World) -> set[int]:
-    """The failed chain members: the vacancies a centralized step retries."""
-    sensors = world.sensors
-    return {sid for sid in world.barrier if sensors[sid].failed}
 
 
 def _try_alternate_path(world: World, failed: set[int]) -> Optional[RestoreOutcome]:
@@ -213,7 +207,7 @@ def _try_alternate_path(world: World, failed: set[int]) -> Optional[RestoreOutco
 
 def restore_nmove(world: World) -> RestoreOutcome:
     """Static baseline: recover only if a detour already exists."""
-    failed = _failed_members(world)
+    failed = world.holes
     if not failed:
         return RestoreOutcome()
     return _try_alternate_path(world, failed) or RestoreOutcome()
@@ -228,7 +222,7 @@ def restore_cmove(world: World) -> RestoreOutcome:
     sensor, all their targets read first, and the chain edit spans only
     them: a member left on its own slot stays put, even where another
     sensor stands on its point."""
-    failed = _failed_members(world)
+    failed = world.holes
     if not failed:
         return RestoreOutcome()
     detour = _try_alternate_path(world, failed)

@@ -138,11 +138,12 @@ class World:
     other id (so no sentinel). It changes only through :meth:`edit_chain`,
     a slice replacement that rejects an edit breaking that rule, assigns a
     new list (so a reader can tell a replaced chain by identity), keeps
-    ``slots`` (each chain id's slot) current, and appends a ``ChainEdit``
-    to ``chain_edits``. Readers of the chain follow that record by index
-    too: :meth:`edited_slots` says which slots were written since a mark,
-    so ``graph.verify_barrier`` and a dmove re-election re-read only those
-    and their neighbours.
+    ``slots`` (each chain id's slot) and, with :meth:`fail`, ``holes`` (the
+    failed chain ids) current, and appends a ``ChainEdit`` to
+    ``chain_edits``. Readers follow both records by index, from 0: they run
+    from the world's construction. :meth:`edited_slots` says which slots
+    were written since a mark, so ``graph.verify_barrier`` and a dmove
+    re-election re-read only those and their neighbours.
     ``checked`` holds ``verify_barrier``'s state for this world once it has
     run.
     """
@@ -166,6 +167,7 @@ class World:
         self.graph: Optional[IntersectionGraph] = None  # built by graph.world_graph
         self._barrier: list[int] = []
         self.slots: dict[int, int] = {}
+        self.holes: set[int] = set()
         self.chain_edits: list[ChainEdit] = []
         self.checked: Optional[BarrierCheck] = None  # kept by graph.verify_barrier
 
@@ -177,10 +179,9 @@ class World:
         """An exact copy that shares nothing a step can change: new
         ``Sensor`` objects (the frozen ``Point``, ``Region`` and
         ``EnergyModel`` are shared), a copied chain, slot map and graph if
-        it is built. Its ``changes`` and ``chain_edits`` start empty, so its
-        readers, the verdict's state included, start from a full read.
-        Cheaper than a deploy or a pickle round trip, so each scheme can run
-        on its own copy."""
+        it is built, ``holes`` and both records; only the verdict's state
+        starts afresh. Cheaper than a deploy or a pickle round trip, so each
+        scheme can run on its own copy."""
         twin = World(self.region, (), self.energy_model)
         twin.sensors = {
             sid: Sensor(s.id, s.pos, s.sensing_radius, s.comm_radius, s.energy,
@@ -189,6 +190,9 @@ class World:
         }
         twin._barrier = list(self._barrier)
         twin.slots = dict(self.slots)
+        twin.holes = set(self.holes)
+        twin.changes = list(self.changes)
+        twin.chain_edits = list(self.chain_edits)
         if self.graph is not None:
             twin.graph = self.graph.copy()
         return twin
@@ -219,8 +223,11 @@ class World:
         self.chain_edits.append((start, old, new))
         for sid in old:
             del slots[sid]
+            self.holes.discard(sid)
         for idx, sid in enumerate(new, start):
             slots[sid] = idx
+            if sensors[sid].failed:
+                self.holes.add(sid)
         if len(new) != len(old):
             for idx in range(start + len(new), len(chain)):
                 slots[chain[idx]] = idx
@@ -251,12 +258,14 @@ class World:
         return [s for s in self.sensors.values() if not s.failed]
 
     def fail(self, sensor_id: int) -> None:
-        """Mark a sensor failed and drop its vertex from the graph; a failed
-        sensor is left as it is."""
+        """Mark a sensor failed, drop its vertex from the graph and, on the
+        chain, add it to ``holes``; a failed sensor is left as it is."""
         s = self.sensors[sensor_id]
         if not s.failed:
             self.changes.append(Move(sensor_id, s.pos, s.pos))
             s.failed = True
+            if sensor_id in self.slots:
+                self.holes.add(sensor_id)
             if self.graph is not None:
                 self.graph.remove(sensor_id)
 
@@ -321,9 +330,10 @@ def world_from_json(
     text: str, energy_model: EnergyModel | None = None
 ) -> World:
     """Parse a deployment. Raises ValueError (JSONDecodeError included) on
-    malformed JSON, a missing key, a non-finite number (an id included) or
-    an integer too large for a float, negative energy or a non-positive
-    radius or region side."""
+    malformed JSON, a missing key, an id that is not an integer (a float
+    with no fractional part counts as one), a non-finite number or an
+    integer too large for a float, negative energy or a non-positive radius
+    or region side."""
     doc = json.loads(text)
     try:
         region = Region(float(doc["region"]["L"]), float(doc["region"]["W"]))
@@ -342,6 +352,10 @@ def world_from_json(
         ]
     except (KeyError, TypeError, OverflowError) as err:
         raise ValueError(f"malformed deployment ({type(err).__name__}: {err})") from None
+    # int() truncates 3.7 to 3 and reads true as 1.
+    if any(isinstance(rec["id"], bool) or rec["id"] != s.id
+           for rec, s in zip(doc["sensors"], sensors)):
+        raise ValueError("deployment holds a sensor id that is not an integer")
     numbers = [region.length, region.width, rho, comm]
     numbers += [v for s in sensors for v in (s.pos.x, s.pos.y, s.energy)]
     if not all(map(math.isfinite, numbers)):

@@ -129,7 +129,7 @@ class NodeState:
     pre: Optional[int] = None
     suc: Optional[int] = None
     rec_node: Optional[int] = None
-    rec_set: list[tuple[int, Optional[int], Optional[int]]] = field(default_factory=list)
+    rec_set: set[int] = field(default_factory=set)  # ids registered here
     # election bookkeeping: the resolved cumulative of each chain side, and
     # which sides ("pre", "suc") still owe an answer to this node's own
     # request
@@ -167,19 +167,20 @@ class Election(Mapping[int, NodeState]):
     replies accumulate distance on the way back. Each node decides once,
     after hearing from both sides, then registers at its recovery node.
 
-    A re-election (``init_recovery_nodes`` with ``election=``) reads only
-    what changed since the last election: the world's change record
-    (``World.changes``) and its chain-edit record (``World.chain_edits``)
-    past two cursors. It finds chain slots and membership in the world's
-    slot map (``World.slots``), so its cost follows those changes and edits
-    and the nodes it re-elects, not the length of the chain. It re-runs the
-    protocol only on the chain nodes whose answer can have changed: those
-    whose position, capacity, chain links or fillers (read from
-    ``world.graph``) changed, and those whose requests would reach one of
-    them. One rule, ``_answer``, says where a request stops, for the
-    protocol and for ``prepare``'s walk alike. Each node's closest filler is
-    kept from one election to the next until such a change touches that
-    node.
+    Every election reads only what changed since the last one: the world's
+    change record (``World.changes``) and its chain-edit record
+    (``World.chain_edits``, from 0 for the first, whose edits wrote every
+    slot) past two cursors, so the first election and a re-election
+    (``init_recovery_nodes`` with ``election=``) take one path. It finds
+    chain slots and membership in the world's slot map (``World.slots``), so
+    its cost follows those changes and edits and the nodes it re-elects, not
+    the length of the chain. It re-runs the protocol only on the chain
+    nodes whose answer can have changed: those whose position, capacity,
+    chain links or fillers (read from ``world.graph``) changed, and those
+    whose requests would reach one of them. One rule, ``_answer``, says
+    where a request stops, for the protocol and for ``prepare``'s walk
+    alike. Each node's closest filler is kept from one election to the next
+    until such a change touches that node.
     """
 
     def __init__(self, world: World):
@@ -187,10 +188,9 @@ class Election(Mapping[int, NodeState]):
         self.world = world
         self.states = {s.id: NodeState(s.id) for s in live}
         # As of the last election: the lengths of the change record and of
-        # the chain-edit record; None before the first election, which
-        # elects every chain node.
+        # the chain-edit record.
         self._cursor = len(world.changes)
-        self._edits: Optional[int] = None
+        self._edits = 0
         # best_filler's answers, each dropped when prepare finds its node
         # touched.
         self._fillers: dict[int, Optional[tuple[float, int]]] = {}
@@ -260,14 +260,11 @@ class Election(Mapping[int, NodeState]):
 
         # The chain edits since the last election: the slots whose links can
         # have changed, and the ids that can have joined or left the chain.
-        if self._edits is None:
-            span, edited = range(len(chain)), chain
-        else:
-            written = world.edited_slots(self._edits)
-            span = range(0) if written is None else range(
-                max(written.start - 1, 0), min(written.stop + 1, len(chain)))
-            edited = [sid for _, old, new in world.chain_edits[self._edits:]
-                      for sid in (*old, *new)]
+        written = world.edited_slots(self._edits)
+        span = range(0) if written is None else range(
+            max(written.start - 1, 0), min(written.stop + 1, len(chain)))
+        edited = [sid for _, old, new in world.chain_edits[self._edits:]
+                  for sid in (*old, *new)]
         self._edits = len(world.chain_edits)
 
         # Joining or leaving the chain changes a sensor's neighbors'
@@ -332,9 +329,9 @@ class Election(Mapping[int, NodeState]):
 
     def _unregister(self, st: NodeState) -> None:
         """Drop st's registration at its recovery node."""
-        owner = self.states.get(st.rec_node) if st.rec_node is not None else None
+        owner = self.states.get(st.rec_node)
         if owner is not None:
-            owner.rec_set = [entry for entry in owner.rec_set if entry[0] != st.id]
+            owner.rec_set.discard(st.id)
 
     # -- protocol ---------------------------------------------------------
 
@@ -362,7 +359,7 @@ class Election(Mapping[int, NodeState]):
         if st is None:
             return  # dead nodes fail silently; the sender waits in vain
         if kind == SET:
-            st.rec_set.append((sender, a, b))
+            st.rec_set.add(sender)
         elif kind == REQ:
             self._on_request(st, a, sender, bus)
         else:

@@ -288,13 +288,13 @@ def _simplify_walk(walk: Sequence[int]) -> Path:
 
 
 def failed_span(
-    barrier: Sequence[int], failed: set[int], slots: Mapping[int, int]
+    barrier: Sequence[int], failed: Iterable[int], slots: Mapping[int, int]
 ) -> tuple[int, int, int, int]:
-    """Indices of the leftmost and rightmost failed barrier nodes, and the
-    survivors just outside them (sentinels when the span touches an end).
-    ``slots`` maps each barrier id to its index, so the barrier is not
-    scanned."""
-    hits = [slots[v] for v in failed if v in slots]
+    """Indices of the leftmost and rightmost ``failed`` barrier nodes (one
+    or more chain ids, such as ``World.holes``), and the survivors just
+    outside them (sentinels when the span touches an end). ``slots`` maps
+    each barrier id to its index, so the barrier is not scanned."""
+    hits = [slots[v] for v in failed]
     first, last = min(hits), max(hits)
     left = barrier[first - 1] if first > 0 else PL
     right = barrier[last + 1] if last + 1 < len(barrier) else PR
@@ -307,11 +307,10 @@ def splice_span(
     replacement: Sequence[int],
     slots: Mapping[int, int],
 ) -> tuple[int, int, Path]:
-    """The edit that replaces the failed span of a barrier with a
-    discovered path: ``(start, stop, ids)`` such that ``barrier[:start] +
-    ids + barrier[stop:]`` is the spliced chain, and ``(0, 0, [])`` when no
-    node of the barrier failed. ``World.edit_chain(*splice_span(...))``
-    applies it.
+    """The edit that replaces the failed span of a barrier (see
+    ``failed_span``) with a discovered path: ``(start, stop, ids)`` such
+    that ``barrier[:start] + ids + barrier[stop:]`` is the spliced chain.
+    ``World.edit_chain(*splice_span(...))`` applies it.
 
     ``replacement`` must run from the survivor just left of the leftmost
     failed barrier node to the survivor just right of the rightmost one
@@ -321,9 +320,6 @@ def splice_span(
     failed span and the chain nodes the path revisits, found without a scan
     of the chain.
     """
-    failed = set(failed)
-    if not any(v in slots for v in failed):
-        return 0, 0, []
     first, last, left, right = failed_span(barrier, failed, slots)
     # Loops can only close at chain nodes on the path.
     on_path = [slots[v] for v in replacement if v in slots]
@@ -420,16 +416,14 @@ class BarrierCheck:
     world graph, ``broken``, which maps each such link's left end to its
     right end, as of the first ``edit_mark`` records of
     ``World.chain_edits`` and the first ``change_mark`` of
-    ``World.changes``."""
+    ``World.changes``. Both marks start at 0, so the first ``update`` reads
+    the records from the world's construction, which wrote every slot."""
 
     __slots__ = ("broken", "edit_mark", "change_mark")
 
-    def __init__(self, world: World, adjacency: Mapping[int, list[int]]):
-        path = [PL, *world.barrier, PR]
-        self.broken = {u: v for u, v in zip(path, path[1:])
-                       if v not in adjacency.get(u, ())}
-        self.edit_mark = len(world.chain_edits)
-        self.change_mark = len(world.changes)
+    def __init__(self) -> None:
+        self.broken: dict[int, int] = {}
+        self.edit_mark = self.change_mark = 0
 
     def update(self, world: World, adjacency: Mapping[int, list[int]]) -> None:
         """Re-check the links that can have changed since the last call:
@@ -478,15 +472,11 @@ def verify_barrier(world: World) -> bool:
     fails, and so does the empty chain.
 
     The verdict keeps its state in ``world.checked`` (``BarrierCheck``):
-    the broken links of the path, keyed by their left ends. The first call
-    checks every link; a later one re-checks only the links at slots
-    written since (``World.edited_slots``) and at the slots of chain
-    members that moved or failed since (``World.changes``), so it costs
-    what changed, not the length of the chain."""
-    adjacency = world_graph(world).adjacency
-    check = world.checked
-    if check is None:
-        check = world.checked = BarrierCheck(world, adjacency)
-    else:
-        check.update(world, adjacency)
+    the broken links of the path, keyed by their left ends. Each call
+    re-checks only the links at slots written since the last, the first
+    call's since the world's construction (``World.edited_slots``), and at
+    the slots of chain members that moved or failed since
+    (``World.changes``), so it costs what changed, not the chain's length."""
+    check = world.checked = world.checked or BarrierCheck()
+    check.update(world, world_graph(world).adjacency)
     return bool(world.barrier) and not check.broken

@@ -53,7 +53,8 @@ class InitialBarrierImpossible(Exception):
 
 
 # The number type each scalar field annotation asks for; None is allowed
-# where it is the default.
+# where it is the default. A bool is no number here, though Python counts
+# it as an Integral.
 _NUMBER_KINDS = {"int": Integral, "Optional[int]": Integral,
                  "float": Real, "Optional[float]": Real}
 
@@ -83,7 +84,8 @@ class ExperimentConfig:
         for f in fields(self):
             value, kind = getattr(self, f.name), _NUMBER_KINDS.get(f.type)
             optional = value is None and f.default is None
-            if kind and not isinstance(value, kind) and not optional:
+            if kind and not optional and (
+                    isinstance(value, bool) or not isinstance(value, kind)):
                 what = "an integer" if kind is Integral else "a number"
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
             if kind is Real and value is not None:
@@ -92,7 +94,8 @@ class ExperimentConfig:
                 except OverflowError:
                     raise ValueError(f"{f.name} must be finite, got an integer too "
                                      "large for a float") from None
-        if not self.report_points or not all(isinstance(p, Real) for p in self.report_points):
+        if not self.report_points or not all(
+                isinstance(p, Real) and not isinstance(p, bool) for p in self.report_points):
             raise ValueError("report_points must be one or more numbers")
         if not self.schemes or not all(isinstance(name, str) for name in self.schemes):
             raise ValueError("schemes must be one or more strings")
@@ -316,8 +319,8 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
     (``World.fail``). dmove elects its recovery nodes here (``k`` is its hop
     budget, ``bus`` its message bus); rmove draws its coin from ``rng``.
 
-    The centralized schemes see the whole world, so each step finds and
-    retries every failed chain member itself; the local schemes react to
+    The centralized schemes see the whole world, so each step retries
+    every failed chain member, ``World.holes``; the local schemes react to
     the new failure alone, whatever the global state of the chain. A step
     changes the chain only through ``World.edit_chain``, which records the
     slots it wrote and assigns a new list to ``world.barrier``, never

@@ -80,7 +80,9 @@ class TestRunBadDeployment:
         _t1_text(lambda d: [s.update(energy=-1.0) for s in d["sensors"]]),
         '{"region": {"L": 10, ',
         _t1_text(lambda d: d.pop("rho")),
-    ], ids=["nan-x", "negative-energy", "malformed-json", "missing-rho"])
+        # int() alone would read id 2.5 as 2, so --fail 2 would fail it
+        _t1_text(lambda d: d["sensors"][2].update(id=2.5)),
+    ], ids=["nan-x", "negative-energy", "malformed-json", "missing-rho", "fractional-id"])
     def test_exit_usage_with_one_error_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -143,6 +145,9 @@ class TestRunBadDeployment:
     (["run", "--deployment", "{t1}", "--scheme", "dmove", "--fail", "2",
       "--static-threshold", "inf"], None),
     (["run", "--deployment", "{t1}", "--scheme", "dmove", "--fail", "2", "--seed", "-1"], None),
+    (["sweep", "--n-list", "40", "--config", "{config}"], '{"trials": true}'),
+    (["sweep", "--n-list", "40", "--config", "{config}"], '{"rho": true}'),
+    (["sweep", "--n-list", "40", "--config", "{config}"], '{"report_points": [false, 0.1]}'),
 ], ids=["generate-n-1", "generate-negative-rho", "generate-bad-out",
         "sweep-missing-config", "sweep-config-list", "sweep-config-string-trials",
         "sweep-config-negative-k",
@@ -152,7 +157,9 @@ class TestRunBadDeployment:
         "run-negative-k", "run-repeated-id-local", "run-repeated-id-centralized",
         "generate-negative-seed", "generate-infinite-length", "generate-infinite-energy",
         "sweep-negative-seed", "sweep-infinite-length", "sweep-config-negative-seed",
-        "run-infinite-cost", "run-infinite-threshold", "run-negative-seed"])
+        "run-infinite-cost", "run-infinite-threshold", "run-negative-seed",
+        "sweep-config-bool-trials", "sweep-config-bool-rho",
+        "sweep-config-bool-report-point"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
     # Each of these used to end in a traceback and exit 1, or to run anyway.
     # A bad sweep must stop before its first deployment draw.

@@ -182,9 +182,12 @@ class TestWorldJson:
         lambda d: d.pop("rho"),
         lambda d: d["sensors"][0].pop("energy"),
         lambda d: d.update(sensors=None),
+        # int() alone would read these as ids 3 and 1.
+        lambda d: d["sensors"][3].update(id=3.7),
+        lambda d: d["sensors"][1].update(id=True),
     ], ids=["nan-x", "inf-y", "negative-energy", "nan-energy", "zero-rho",
             "negative-comm", "nan-length", "missing-rho", "missing-energy",
-            "sensors-null"])
+            "sensors-null", "fractional-id", "bool-id"])
     def test_bad_deployment_rejected(self, bad):
         sensors = [Sensor(i, Point(i * 10.0, 1.5), 30.0, 60.0, 80.0, 80.0)
                    for i in range(4)]
@@ -196,6 +199,12 @@ class TestWorldJson:
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):
             World(Region(10, 10), [Sensor(-3, Point(0, 0), 1, 2, 1, 1)])
+
+    def test_integral_float_id_is_an_id(self):
+        doc = json.loads(world_to_json(World(Region(100, 60), [
+            Sensor(i, Point(i * 10.0, 1.5), 30.0, 60.0, 80.0, 80.0) for i in range(2)])))
+        doc["sensors"][1]["id"] = 7.0
+        assert sorted(world_from_json(json.dumps(doc)).sensors) == [0, 7]
 
     def test_duplicate_id_rejected(self):
         s = [Sensor(1, Point(0, 0), 1, 2, 1, 1), Sensor(1, Point(1, 0), 1, 2, 1, 1)]
@@ -228,16 +237,20 @@ _chain_ids = st.sampled_from([PL, PR, 0, 1, 2, 3, 4, 5, 6, 99])
 def test_a_rejected_chain_edit_changes_nothing(data):
     # The chain names each sensor at most once: an edit applies iff it
     # keeps that so, and one that does not raises and leaves the chain, its
-    # slot map, its edit record and the verdict's state as they were.
+    # slot map, its holes, its edit record and the verdict's state as they
+    # were. Sensors fail on and off the chain in between, and an edit may
+    # put a failed one on it, so the holes must follow both.
     world = make_world(T1_COORDS)
     for _ in range(data.draw(st.integers(1, 5))):
+        if data.draw(st.booleans()):
+            world.fail(data.draw(st.sampled_from(sorted(world.sensors))))
         verify_barrier(world)
         chain, check = world.barrier, world.checked
         lo = data.draw(st.integers(0, len(chain)))
         hi = data.draw(st.integers(lo, len(chain)))
         ids = data.draw(st.lists(_chain_ids, max_size=4))
-        was = (dict(world.slots), list(world.chain_edits), dict(check.broken),
-               check.edit_mark, check.change_mark)
+        was = (dict(world.slots), set(world.holes), list(world.chain_edits),
+               dict(check.broken), check.edit_mark, check.change_mark)
         if keeps_chain_simple(chain, lo, hi, ids, world.sensors):
             world.edit_chain(lo, hi, ids)
             assert world.barrier == [*chain[:lo], *ids, *chain[hi:]]
@@ -245,6 +258,7 @@ def test_a_rejected_chain_edit_changes_nothing(data):
             with pytest.raises(ValueError):
                 world.edit_chain(lo, hi, ids)
             assert world.barrier is chain and world.checked is check
-            assert (world.slots, world.chain_edits, check.broken, check.edit_mark,
-                    check.change_mark) == was
+            assert (world.slots, world.holes, world.chain_edits, check.broken,
+                    check.edit_mark, check.change_mark) == was
         assert world.slots == {sid: idx for idx, sid in enumerate(world.barrier)}
+        assert world.holes == {sid for sid in world.barrier if world.sensor(sid).failed}

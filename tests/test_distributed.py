@@ -84,11 +84,11 @@ class TestElection:
 
     def test_rec_set_registration(self, t1_world):
         states = init_recovery_nodes(t1_world)
-        assert states[5].rec_set == [(2, 1, 3)]
+        assert states[5].rec_set == {2}
         # every client appears in exactly one recovery node's set
         owners = {}
         for sid, st in states.items():
-            for q, _, _ in st.rec_set:
+            for q in st.rec_set:
                 assert q not in owners
                 owners[q] = sid
         for sid in t1_world.barrier:
@@ -613,7 +613,7 @@ class TestIncrementalElection:
             got = election[sid]
             assert (got.rec_node, got.path_length, got.pre, got.suc, got.is_on_barrier) \
                 == (want.rec_node, want.path_length, want.pre, want.suc, want.is_on_barrier), sid
-            assert Counter(got.rec_set) == Counter(want.rec_set), sid
+            assert got.rec_set == want.rec_set, sid
         counts["checked"] += 1
         counts["dead chain member"] += any(world.sensor(s).failed for s in world.barrier)
 

@@ -320,10 +320,6 @@ class TestSplice:
     def test_single_gap(self):
         assert splice([0, 1, 2, 3, 4], {2}, [1, 9, 3]) == [0, 1, 9, 3, 4]
 
-    def test_empty_failed_is_noop(self):
-        assert splice([0, 1, 2], set(), [7, 8]) == [0, 1, 2]
-        assert splice([0, 1, 2], {5}, [7, 8]) == [0, 1, 2]  # 5 is off the chain
-
     def test_two_node_gap(self):
         assert splice([0, 1, 2, 3, 4], {1, 2}, [0, 9, 3]) == [0, 9, 3, 4]
 

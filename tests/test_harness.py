@@ -272,7 +272,9 @@ def _world_state(world):
         sensors=list(world.sensors.values()),
         chain=world.barrier,
         slots=world.slots,
+        holes=world.holes,
         changes=world.changes,
+        chain_edits=world.chain_edits,
         adjacency=g.adjacency,
         positions=g.positions,
         xs=g._xs,
@@ -316,6 +318,20 @@ class TestWorldCopy:
             assert copy.adjacency is not world.graph.adjacency
             assert all(copy.adjacency[v] is not row
                        for v, row in world.graph.adjacency.items())
+
+
+@pytest.mark.parametrize("scheme", ["nmove", "rmove"])
+def test_copy_of_a_changed_world_equals_it(scheme):
+    # After a trial that left failed members on the chain: the copy keeps
+    # the holes and both records, and its first verdict, read from those
+    # records, is its source's.
+    cfg = ExperimentConfig(n=160, trials=1)
+    world = run_trial(scheme, cfg, trial_seed(cfg, 0)).world
+    assert world.holes and len(world.chain_edits) > 1
+    copy = world.copy()
+    assert _world_state(copy) == _world_state(world)
+    assert copy.holes is not world.holes and copy.changes is not world.changes
+    assert graph.verify_barrier(copy) == graph.verify_barrier(world)
 
 
 class TestComputeMetrics:
@@ -433,6 +449,10 @@ class TestRunExperiment:
         dict(k_hop_budget=-4),
         dict(report_points=("0.1",)),
         dict(seed=-1),
+        dict(trials=True),
+        dict(rho=True),
+        dict(k_hop_budget=True),
+        dict(report_points=(False, 0.1)),
         *(dict([(name, math.inf)]) for name in (
             "length", "width", "rho", "comm", "sigma", "initial_energy",
             "cost_per_unit", "static_threshold")),

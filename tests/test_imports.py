@@ -167,7 +167,7 @@ def test_scan_flags_a_foreign_import(tmp_path):
 
 
 WORLD_STATE = {"failed", "pos", "energy", "static", "changes",
-               "barrier", "_barrier", "slots", "chain_edits"}
+               "barrier", "_barrier", "slots", "holes", "chain_edits"}
 # Methods that edit a list, a set or a dict in place, such as the change
 # record, the chain or its slot map.
 LIST_EDITS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",

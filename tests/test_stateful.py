@@ -10,14 +10,15 @@ episode changed: past the mark taken before a failure it holds the
 victim's one zero-length record and then exactly the step's moves, and
 each sensor's spent energy is the cost of its records' summed length.
 Likewise its chain-edit record, replayed on the chain before the episode,
-must give the chain after it.
+must give the chain after it, and its hole set must name exactly the
+failed chain members.
 Between failures, a chain member may be nudged along x,
 so that a chain of live sensors can lose a link.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from copy import deepcopy
 
 from hypothesis import assume, settings
@@ -67,7 +68,12 @@ def _check_records(world, mark, victim, outcome):
 
 def _fixpoint(election):
     return {sid: (st.rec_node, st.path_length, st.pre, st.suc, st.is_on_barrier,
-                  Counter(st.rec_set)) for sid, st in election.items()}
+                  st.rec_set) for sid, st in election.items()}
+
+
+def _check_holes(world):
+    """The world's hole set is a scan of its chain for failed members."""
+    assert world.holes == {s for s in world.barrier if world.sensor(s).failed}
 
 
 class FailureSequence(RuleBasedStateMachine):
@@ -113,6 +119,7 @@ class FailureSequence(RuleBasedStateMachine):
         # The chain reports its own edits: those recorded past the mark turn
         # the chain before the episode into the chain after it.
         assert replayed_chain(chain_before, world.chain_edits[edit_mark:]) == world.barrier
+        _check_holes(world)
         # Success is the world graph's verdict on the designated chain; it
         # must equal the pairwise definition's.
         assert verify_barrier(world) == barrier_oracle(world)
@@ -159,6 +166,7 @@ class FailureSequence(RuleBasedStateMachine):
                 == (verify_barrier(world), outcome.mechanism, outcome.moves,
                     world.barrier is chain)
             assert self.twin.barrier == world.barrier
+            _check_holes(self.twin)
             assert _state(self.twin) == _state(world)
             assert _recorded(self.twin, twin_marked, before) == changed
             _check_records(self.twin, twin_marked, victim, other)
@@ -190,8 +198,11 @@ class FailureSequence(RuleBasedStateMachine):
         if self.twin is not None:
             self.twin.apply_move(sid, dest)
         assert verify_barrier(world) == barrier_oracle(world)
+        _check_holes(world)
         live = world.active_sensors()
         assert world.graph.adjacency == adjacency_oracle(live, world.region)
+        if self.twin is not None:
+            _check_holes(self.twin)
 
 
 TestFailureSequence = FailureSequence.TestCase
