@@ -41,6 +41,7 @@ from .graph import (
     find_alternate_path,
     splice_into,
     world_graph,
+    write_slots,
 )
 
 
@@ -239,6 +240,5 @@ def restore_cmove(world: World) -> RestoreOutcome:
     targets = [sensors[chain[j]].pos for j in columns]
     for j, target in zip(columns, targets):
         world.apply_move(changed[j], target)
-    lo, hi = columns[0], columns[-1] + 1  # a vacancy's column always changes
-    world.edit_chain(lo, hi, [changed.get(j, chain[j]) for j in range(lo, hi)])
+    write_slots(world, changed)  # a vacancy's column always changes
     return RestoreOutcome(MECH_SHIFTING, world.changes[start:])

@@ -6,11 +6,12 @@ Subcommands:
   sweep     full experiment grid, CSV on stdout
 
 Exit codes: 0 ran, 2 usage error (a bad deployment file, a bad output
-path, a repeated ``run --fail`` id, a negative seed and a non-finite
-number of any subcommand included), 3 no initial barrier, 4
-several ``run --fail`` ids for a local scheme (rmove or dmove), which
-handles one failure at a time. Stdout carries only data; diagnostics go to
-stderr.
+path, two of ``sweep --config``, ``--out`` and ``--detail-log`` naming one
+file, a repeated ``run --fail`` id, a negative seed, a non-finite number of
+any subcommand and a ``generate`` draw that overflows to one included), 3
+no initial barrier, 4 several ``run --fail`` ids for a local scheme (rmove
+or dmove), which handles one failure at a time. Stdout carries only data;
+diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -95,12 +96,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         config = ExperimentConfig(n=args.n, length=args.length, width=args.width, rho=args.rho,
                                   comm=args.comm, sigma=args.sigma, initial_energy=args.energy,
                                   seed=args.seed)
+        sensors = generate_deployment(config, seeded_rng(config.seed))
+        text = world_to_json(World(Region(config.length, config.width), sensors))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    sensors = generate_deployment(config, seeded_rng(config.seed))
-    world = World(Region(config.length, config.width), sensors)
-    text = world_to_json(world)
     if args.out is None:
         print(text)
         return 0
@@ -163,7 +163,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         world.fail(sid)
     # One centralized step covers every failed chain member; the local
     # schemes were limited to a single id above.
-    chain = world.barrier
+    edits = len(world.chain_edits)
     outcome = restore(failed_ids[0])
 
     doc = {
@@ -174,7 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             for sid, a, b in outcome.moves
         ],
         "total_displacement": outcome.total_displacement,
-        "new_barrier": world.barrier if world.barrier is not chain else None,
+        "new_barrier": world.barrier if len(world.chain_edits) > edits else None,
         "scheme": args.scheme,
         "failed": failed_ids,
     }
@@ -232,6 +232,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_USAGE
+    named = [path.resolve() for path in (args.config, args.out, args.detail_log)
+             if path is not None]
+    if len(set(named)) < len(named):
+        print("error: --config, --out and --detail-log must name different files",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         configs = [_sweep_config(args, n) for n in n_values]

@@ -136,16 +136,15 @@ class World:
 
     Its chain, ``barrier``, names each sensor at most once and holds no
     other id (so no sentinel). It changes only through :meth:`edit_chain`,
-    a slice replacement that rejects an edit breaking that rule, assigns a
-    new list (so a reader can tell a replaced chain by identity), keeps
-    ``slots`` (each chain id's slot) and, with :meth:`fail`, ``holes`` (the
-    failed chain ids) current, and appends a ``ChainEdit`` to
-    ``chain_edits``. Readers follow both records by index, from 0: they run
-    from the world's construction. :meth:`edited_slots` says which slots
-    were written since a mark, so ``graph.verify_barrier`` and a dmove
-    re-election re-read only those and their neighbours.
-    ``checked`` holds ``verify_barrier``'s state for this world once it has
-    run.
+    a slice replacement in place that rejects an edit breaking that rule,
+    keeps ``slots`` (each chain id's slot) and, with :meth:`fail`, ``holes``
+    (the failed chain ids) current, and appends a ``ChainEdit`` to
+    ``chain_edits``, the one record of chain changes. Readers follow both
+    records by index, from 0: they run from the world's construction.
+    :meth:`edited_slots` says which slots were written since a mark, so
+    ``graph.verify_barrier`` and a dmove re-election re-read only those and
+    their neighbours. ``checked`` holds ``verify_barrier``'s state for this
+    world once it has run.
     """
 
     def __init__(
@@ -204,7 +203,7 @@ class World:
 
         Raises ``ValueError``, and changes nothing, unless ``ids`` are
         distinct sensors of this world none of which holds a slot outside
-        ``start:stop``; the check costs what ``ids`` hold."""
+        ``start:stop``; the check costs what ``ids`` hold. Edits in place."""
         chain, slots, sensors = self._barrier, self.slots, self.sensors
         if not 0 <= start <= stop <= len(chain):
             raise IndexError(f"chain slice {start}:{stop} out of 0:{len(chain)}")
@@ -218,7 +217,6 @@ class World:
             if idx is not None and not start <= idx < stop:
                 raise ValueError(f"sensor {sid} already holds chain slot {idx}")
         old = tuple(chain[start:stop])
-        chain = self._barrier = chain.copy()
         chain[start:stop] = new
         self.chain_edits.append((start, old, new))
         for sid in old:
@@ -310,7 +308,8 @@ def seeded_rng(*key: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 def world_to_json(world: World) -> str:
-    """Serialize a deployment: region, shared radii, and per-sensor state."""
+    """Serialize a deployment: region, shared radii, and per-sensor state.
+    Raises ValueError, as ``world_from_json`` does, on a non-finite number."""
     sensors = [world.sensors[i] for i in sorted(world.sensors)]
     rho = sensors[0].sensing_radius if sensors else 0.0
     comm = sensors[0].comm_radius if sensors else 0.0
@@ -323,7 +322,10 @@ def world_to_json(world: World) -> str:
             for s in sensors
         ],
     }
-    return json.dumps(doc, indent=2)
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError("deployment holds a non-finite number") from None
 
 
 def world_from_json(

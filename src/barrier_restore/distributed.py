@@ -590,9 +590,15 @@ def handle_failure_dmove(
     if rec is None or world.sensor(rec).failed:
         return RestoreOutcome()
 
-    replacement = _search_detour(world_graph(world), failed_state, rec, k, bus)
-    if replacement is not None:
-        splice_into(world, {failed_id}, replacement)
+    # The detour runs from pre through the recovery node to suc. A dead
+    # flank is not in the graph, so that side cannot be reconnected; a
+    # flank that is the recovery node reaches itself at once and sends no
+    # token.
+    graph = world_graph(world)
+    to_pre = mldfs(graph, rec, failed_state.pre, k, bus)
+    to_suc = None if to_pre is None else mldfs(graph, rec, failed_state.suc, k, bus)
+    if to_suc is not None:
+        splice_into(world, {failed_id}, [*reversed(to_pre), *to_suc[1:]])
         init_recovery_nodes(world, bus=bus, election=election)
         return RestoreOutcome(MECH_ALTERNATE)
     outcome = shift_cascade(
@@ -601,28 +607,3 @@ def handle_failure_dmove(
     if outcome.mechanism == MECH_SHIFTING:
         init_recovery_nodes(world, bus=bus, election=election)
     return outcome
-
-
-def _search_detour(
-    graph: IntersectionGraph,
-    failed_state: NodeState,
-    rec: int,
-    k: int,
-    bus: Optional[MessageBus],
-) -> Optional[list[int]]:
-    """Detour from the failed node's flanks, routed through its recovery
-    node when that node is off the chain. Returns a pre-to-suc path."""
-    pre, suc = failed_state.pre, failed_state.suc
-    # A dead flank is not in the graph; that side cannot be reconnected.
-    if rec != pre and rec != suc:
-        to_pre = mldfs(graph, rec, pre, k, bus)
-        if to_pre is None:
-            return None
-        to_suc = mldfs(graph, rec, suc, k, bus)
-        if to_suc is None:
-            return None
-        return list(reversed(to_pre)) + to_suc[1:]
-    if rec == pre:
-        return mldfs(graph, rec, suc, k, bus)
-    path = mldfs(graph, rec, pre, k, bus)
-    return None if path is None else list(reversed(path))

@@ -18,12 +18,13 @@ scheme calls it: a step reports what it did, and the episode loop
 (``harness.run_trial``) reads the verdict off the world.
 
 The designated chain changes only through ``World.edit_chain``, a slice
-replacement that the world records. The cascade writes only the slots it
-shifted, and a splice (``splice_into``) only the span it cut, and both find
-slots and chain membership in ``World.slots`` rather than by scanning the
-chain. ``verify_barrier`` keeps its state per world (``BarrierCheck``) and
-re-checks only the links that the chain edits and the sensor changes since
-its last call can have changed.
+replacement in place that the world records. ``write_slots`` (the cascade's
+and cmove's) writes only the slots it is given, and a splice
+(``splice_into``) only the span it cut; both find slots and membership in
+``World.slots`` rather than by scanning the chain. ``verify_barrier`` keeps
+its state per world (``BarrierCheck``) and re-checks only the links that
+the recorded chain edits and sensor changes since its last call can have
+changed.
 
 ``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
 pairwise definitions they are checked against, in ``tests/test_graph.py``,
@@ -346,6 +347,15 @@ def splice_into(world: World, failed: Iterable[int], replacement: Sequence[int])
     world.edit_chain(*splice_span(world.barrier, failed, replacement, world.slots))
 
 
+def write_slots(world: World, occupants: Mapping[int, int]) -> None:
+    """Put each id of ``occupants`` (slot -> id) on its slot of the world's
+    chain, as one chain edit of the span from the lowest of those slots to
+    the highest; the slots between keep their ids."""
+    chain = world.barrier
+    lo, hi = min(occupants), max(occupants) + 1
+    world.edit_chain(lo, hi, [occupants.get(i, chain[i]) for i in range(lo, hi)])
+
+
 def closest_filler(
     world: World, candidates: Iterable[int], pos: Point, exclude: Collection[int]
 ) -> Optional[tuple[float, int]]:
@@ -378,11 +388,11 @@ def shift_cascade(
     member leaves its own slot as the next hole. The cascade gives up when
     ``next_mover`` returns None or a sensor that already moved, or when the
     mover is dead or cannot afford the hop. Moves made before giving up
-    stay made, but ``world.barrier`` is left as it was; a cascade that ends
-    writes the slots it shifted to the chain, as one edit of the span they
-    lie in. Slots and membership come from ``world.slots``, so the cascade
-    costs what it shifts, not the length of the chain. The mechanism is
-    ``shifting`` iff some sensor moved onto a hole.
+    stay made, but the chain is left as it was and no edit is recorded; a
+    cascade that ends writes the slots it shifted (``write_slots``). Slots
+    and membership come from ``world.slots``, so the cascade costs what it
+    shifts, not the length of the chain. The mechanism is ``shifting`` iff
+    some sensor moved onto a hole.
     """
     slots = world.slots
     idx = slots[failed_id]
@@ -402,9 +412,7 @@ def shift_cascade(
         world.apply_move(mover, hole)
         shifted[idx] = mover
         if mover not in slots:
-            lo, hi = min(shifted), max(shifted) + 1
-            chain = world.barrier
-            world.edit_chain(lo, hi, [shifted.get(i, chain[i]) for i in range(lo, hi)])
+            write_slots(world, shifted)
             break
         vacated, idx, hole = mover, slots[mover], old_pos
     return RestoreOutcome(MECH_SHIFTING if shifted else MECH_NONE, world.changes[start:])

@@ -251,14 +251,12 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     is given ``world``, which must be that deployment or an exact copy of it
     (``World.copy``) that nothing has changed yet; the trial changes it.
 
-    An episode succeeds when the designated chain verifies after the step.
-    ``verify_barrier`` reads only the chain and its members' liveness and
-    positions, so the verdict is recomputed only after a step whose victim
-    was on the chain (``World.slots``), that moved a sensor or that replaced
-    the chain; any other step keeps the last verdict. A failed restoration
-    does not end the trial; the centralized schemes keep retrying the
-    accumulated gap on later episodes, while the local schemes need the
-    chain whole and simply keep failing until the trial ends.
+    An episode succeeds when the designated chain verifies after the step:
+    ``verify_barrier`` runs once after every step and costs what the world's
+    records say changed since its last call. A failed restoration does not
+    end the trial; the centralized schemes keep retrying the accumulated gap
+    on later episodes, while the local schemes need the chain whole and
+    simply keep failing until the trial ends.
 
     Victims are drawn uniformly from ``live``, the live ids in id order,
     listed once after deploy; each draw pops its victim. Only this loop
@@ -289,16 +287,13 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
                 )
 
     snapshot()  # report points that round down to zero failures
-    holds = verify_barrier(world)
     live = [s.id for s in world.active_sensors()]
     for _ in range(total_failures):
         failed_id = live.pop(int(fail_rng.integers(0, len(live))))
-        chain = world.barrier
         on_chain = failed_id in world.slots
         world.fail(failed_id)
         outcome = restore(failed_id)
-        if on_chain or outcome.moves or world.barrier is not chain:
-            holds = verify_barrier(world)
+        holds = verify_barrier(world)
         failures += 1
         recoveries += int(holds)
         displacement = outcome.total_displacement
@@ -322,9 +317,8 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
     The centralized schemes see the whole world, so each step retries
     every failed chain member, ``World.holes``; the local schemes react to
     the new failure alone, whatever the global state of the chain. A step
-    changes the chain only through ``World.edit_chain``, which records the
-    slots it wrote and assigns a new list to ``world.barrier``, never
-    editing the old one, so a caller can tell by identity. Entry points are
+    changes the chain only through ``World.edit_chain``, which edits it in
+    place and records the edit in ``World.chain_edits``. Entry points are
     looked up in this module on every call, so a tracer that rebinds them
     here sees every step. A hop budget below 1 raises ``ValueError``.
     """

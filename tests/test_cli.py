@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from barrier_restore import cli, harness
 from barrier_restore.cli import main
-from barrier_restore.core import world_to_json
+from barrier_restore.core import world_from_json, world_to_json
 from conftest import T1_COORDS, make_world
 
 
@@ -58,6 +58,17 @@ class TestGenerate:
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == (
             "9453fdaf569321e366664ec2492c8ad2e9a4f519ec329b523c82f8dc0a65d19f")
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_overflowing_draw_is_usage_error(self, tmp_path, capsys, to_file):
+        # A placement error this wide draws coordinates that overflow to
+        # infinity, which no deployment file may hold: run rejects them.
+        out = tmp_path / "dep.json"
+        argv = ["generate", "--n", "50", "--sigma", "1.7e308", "--seed", "0"]
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: deployment holds a non-finite number\n"
 
     def test_same_flags_identical_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -330,6 +341,31 @@ class TestSweep:
         assert len(captured.err.splitlines()) == 1
         assert not other.exists()
 
+    @pytest.mark.parametrize("first, second", [("--out", "--detail-log"),
+                                               ("--config", "--out"),
+                                               ("--config", "--detail-log")])
+    @pytest.mark.parametrize("spelling", ["cfg.json", "sub/../cfg.json", "{tmp}/cfg.json",
+                                          "link.json"])
+    def test_two_flags_naming_one_file(self, tmp_path, capsys, monkeypatch,
+                                       first, second, spelling):
+        # --out and --detail-log once wrote to the one file, which ended up as
+        # the CSV, a run of NUL bytes and the detail log's tail; an output
+        # that names the config overwrote it. Each sweep exited 0.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda *args, **kwargs: pytest.fail("a trial ran"))
+        path = tmp_path / "cfg.json"
+        path.write_text("{}\n")
+        (tmp_path / "link.json").symlink_to(path)
+        (tmp_path / "sub").mkdir()
+        code = main(self.ARGS + [first, "cfg.json", second, spelling.format(tmp=tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert path.read_text() == "{}\n"
+
     @pytest.mark.parametrize("extra, want", [
         (["--detail-log", "absent/x.jsonl"], 2),  # bad detail-log path
         (["--n-list", "40,5"], 3),                # N=5 forms no barrier
@@ -522,6 +558,11 @@ def _t1_deployment(**first_sensor) -> str:
 @example((["sweep", "--n-list=99999999999999999999"], None, None))
 @example((["run", "--scheme=rmove", "--fail=1,3", "--deployment={deployment}"], None,
           _t1_deployment()))
+# Each of these exited 0: the first with a corrupt CSV, the second with a
+# deployment that run rejects.
+@example((["sweep", "--n-list=10", "--trials=1", "--length=100", "--seed=0",
+           "--out={tmp}/out.txt", "--detail-log={tmp}/out.txt"], None, None))
+@example((["generate", "--n=50", "--sigma=1.7e308", "--seed=0"], None, None))
 def test_fuzzed_command_lines(case):
     # Every command line ends with exit 0, or with a code of the README's
     # table and one error line; never with a traceback, and a failed one
@@ -555,6 +596,10 @@ def test_fuzzed_command_lines(case):
                 if outputs[1].exists():
                     for line in outputs[1].read_text().splitlines():
                         assert json.loads(line)["scheme"] in harness.SCHEMES
+            if argv[0] == "generate":
+                # What generate writes, run reads.
+                world_from_json(outputs[0].read_text() if outputs[0].exists()
+                                else stdout.getvalue())
         else:
             assert stdout.getvalue() == ""
             assert sum("error:" in line for line in lines) == 1

@@ -245,7 +245,7 @@ def test_a_rejected_chain_edit_changes_nothing(data):
         if data.draw(st.booleans()):
             world.fail(data.draw(st.sampled_from(sorted(world.sensors))))
         verify_barrier(world)
-        chain, check = world.barrier, world.checked
+        chain, check = list(world.barrier), world.checked
         lo = data.draw(st.integers(0, len(chain)))
         hi = data.draw(st.integers(lo, len(chain)))
         ids = data.draw(st.lists(_chain_ids, max_size=4))
@@ -254,10 +254,11 @@ def test_a_rejected_chain_edit_changes_nothing(data):
         if keeps_chain_simple(chain, lo, hi, ids, world.sensors):
             world.edit_chain(lo, hi, ids)
             assert world.barrier == [*chain[:lo], *ids, *chain[hi:]]
+            assert world.chain_edits == [*was[2], (lo, tuple(chain[lo:hi]), tuple(ids))]
         else:
             with pytest.raises(ValueError):
                 world.edit_chain(lo, hi, ids)
-            assert world.barrier is chain and world.checked is check
+            assert world.barrier == chain and world.checked is check
             assert (world.slots, world.holes, world.chain_edits, check.broken,
                     check.edit_mark, check.change_mark) == was
         assert world.slots == {sid: idx for idx, sid in enumerate(world.barrier)}

@@ -277,7 +277,7 @@ class TestShiftCascade:
         if "drained" in edit:
             w.sensor(edit["drained"]).energy = 1.0  # every hop here is 2
         w.fail(1)
-        chain, barrier, start = w.barrier, list(w.barrier), len(w.changes)
+        barrier, edits, start = list(w.barrier), len(w.chain_edits), len(w.changes)
         calls = []
         queue = iter(movers)
 
@@ -286,7 +286,7 @@ class TestShiftCascade:
             return next(queue, None)
 
         out = shift_cascade(w, 1, next_mover)
-        assert not verify_barrier(w) and w.barrier is chain
+        assert not verify_barrier(w) and len(w.chain_edits) == edits
         assert w.barrier == barrier
         assert out.moves == w.changes[start:]
         assert len(out.moves) == n_moves
@@ -301,11 +301,13 @@ class TestShiftCascade:
     def test_off_chain_mover_ends_the_cascade(self, t1_world):
         w = t1_world
         w.fail(1)
-        chain = w.barrier
+        edits = len(w.chain_edits)
         queue = iter([2, 5])
         out = shift_cascade(w, 1, lambda vacated, idx, hole: next(queue))
         assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
-        assert w.barrier is not chain and w.barrier == [0, 2, 5, 3, 4]
+        # One edit writes the two shifted slots.
+        assert w.chain_edits[edits:] == [(1, (1, 2), (2, 5))]
+        assert w.barrier == [0, 2, 5, 3, 4]
         assert [m.sensor_id for m in out.moves] == [2, 5]
 
 
@@ -396,11 +398,10 @@ class TestVerifyBarrier:
         # The chain names each sensor at most once: an edit that would break
         # that raises and leaves the chain, its record and the verdict as
         # they were.
-        was = (world.barrier, dict(world.slots), list(world.chain_edits))
+        was = (list(world.barrier), dict(world.slots), list(world.chain_edits))
         with pytest.raises(ValueError):
             world.edit_chain(0, len(world.barrier), chain)
         assert (world.barrier, world.slots, world.chain_edits) == was
-        assert world.barrier is was[0]
         self.check(world, True)
 
     def test_duplicate_ids_invalid(self, t1_world):

@@ -187,15 +187,24 @@ def _checked_steps(monkeypatch, extra=None):
 
 @pytest.mark.parametrize("scheme", harness.SCHEMES)
 def test_episode_success_is_the_verdict_after_the_step(monkeypatch, scheme):
-    # run_trial re-verifies only after a step that can have changed the
-    # chain; every episode must still read what a full check reads.
+    # run_trial verifies once after every step, and each verdict reads what
+    # a full check reads.
     verdicts = _checked_steps(monkeypatch)
+    calls = Counter()
+
+    def counted(world):
+        calls["verify"] += 1
+        return graph.verify_barrier(world)
+
+    monkeypatch.setattr(harness, "verify_barrier", counted)
     cfg = ExperimentConfig(n=40, **SPARSE)
     for t in range(4):
         verdicts.clear()
+        calls.clear()
         episodes = run_trial(scheme, cfg, trial_seed(cfg, t)).episodes
         assert [ep.success for ep in episodes] == verdicts
         assert len(verdicts) == math.floor(cfg.failure_fraction_max * cfg.n)
+        assert calls["verify"] == len(episodes)
 
 
 def test_verdict_is_retaken_after_a_new_chain_or_a_move(monkeypatch):

@@ -109,8 +109,7 @@ class FailureSequence(RuleBasedStateMachine):
         marked = len(world.changes)
         chain_before, edit_mark = list(world.barrier), len(world.chain_edits)
         twin_marked = None if self.twin is None else len(self.twin.changes)
-        chain = world.barrier
-        twin_chain = None if self.twin is None else self.twin.barrier
+        twin_edit_mark = None if self.twin is None else len(self.twin.chain_edits)
         world.fail(victim)
         self.failed_at[victim] = world.sensor(victim).pos
         outcome = self.restore(victim)
@@ -162,9 +161,9 @@ class FailureSequence(RuleBasedStateMachine):
             self.twin.fail(victim)
             other = self.twin_restore(victim)
             assert (verify_barrier(self.twin), other.mechanism, other.moves,
-                    self.twin.barrier is twin_chain) \
+                    self.twin.chain_edits[twin_edit_mark:]) \
                 == (verify_barrier(world), outcome.mechanism, outcome.moves,
-                    world.barrier is chain)
+                    world.chain_edits[edit_mark:])
             assert self.twin.barrier == world.barrier
             _check_holes(self.twin)
             assert _state(self.twin) == _state(world)
