@@ -7,8 +7,10 @@ Subcommands:
 
 Exit codes: 0 ran, 2 usage error (a bad deployment file, a bad output
 path, two of ``sweep --config``, ``--out`` and ``--detail-log`` naming one
-file, a repeated ``run --fail`` id, a negative seed, a non-finite number of
-any subcommand and a ``generate`` draw that overflows to one included), 3
+file, a repeated ``run --fail`` id, a repeated ``sweep`` scheme, size or
+report point, an empty ``sweep --schemes``, a negative seed, a non-finite
+number of any subcommand and a ``generate`` draw that overflows to one
+included), 3
 no initial barrier, 4 several ``run --fail`` ids for a local scheme (rmove
 or dmove), which handles one failure at a time. Stdout carries only data;
 diagnostics go to stderr.
@@ -195,7 +197,7 @@ def _sweep_config(args: argparse.Namespace, n: int) -> ExperimentConfig:
                 raise ValueError(f"config {args.config}: {key} must be a JSON list")
         base.pop("n", None)
     overrides = {
-        "schemes": tuple(args.schemes.split(",")) if args.schemes else None,
+        "schemes": tuple(args.schemes.split(",")) if args.schemes is not None else None,
         "trials": args.trials,
         "seed": args.seed,
         "length": args.length,
@@ -228,6 +230,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if not n_values:
         print("error: --n-list lists no sizes", file=sys.stderr)
+        return EXIT_USAGE
+    if len(set(n_values)) < len(n_values):
+        print(f"error: --n-list repeats a size: {args.n_list!r}", file=sys.stderr)
         return EXIT_USAGE
 
     if args.jobs < 1:

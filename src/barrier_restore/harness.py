@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("report_points must be one or more numbers")
         if not self.schemes or not all(isinstance(name, str) for name in self.schemes):
             raise ValueError("schemes must be one or more strings")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ValueError(f"schemes must name each scheme once, got {list(self.schemes)}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         # Numpy cannot even size the (n, 2) float64 offsets beyond this.
@@ -128,8 +130,8 @@ class ExperimentConfig:
         self.energy_model()  # validates cost_per_unit and static_threshold
         if not 0 < self.failure_fraction_max <= 1:
             raise ValueError("failure_fraction_max must be in (0, 1]")
-        if list(self.report_points) != sorted(self.report_points):
-            raise ValueError("report_points must be ascending")
+        if not all(a < b for a, b in zip(self.report_points, self.report_points[1:])):
+            raise ValueError("report_points must be strictly ascending, each point once")
         if not all(0 <= p <= self.failure_fraction_max for p in self.report_points):
             raise ValueError("report_points must lie in [0, failure_fraction_max]")
         unknown = set(self.schemes) - set(SCHEMES)
@@ -180,24 +182,14 @@ def generate_deployment(config: ExperimentConfig, rng: np.random.Generator) -> l
     floats: the offsets leave numpy as a list, so every later distance is
     float arithmetic rather than slower numpy-scalar arithmetic on the
     same values."""
-    spacing = config.length / (config.n - 1)
+    n, width, rho, energy = config.n, config.width, config.rho, config.initial_energy
+    comm, half = config.comm_radius, width / 2
+    spacing = config.length / (n - 1)
     # abs: numpy rejects a scale of -0.0, which the config accepts as zero.
-    offsets = rng.normal(0.0, abs(config.sigma), size=(config.n, 2)).tolist()
-    sensors = []
-    for i, (dx, dy) in enumerate(offsets):
-        x = i * spacing + dx
-        y = min(max(config.width / 2 + dy, 0.0), config.width)
-        sensors.append(
-            Sensor(
-                id=i,
-                pos=Point(x, y),
-                sensing_radius=config.rho,
-                comm_radius=config.comm_radius,
-                energy=config.initial_energy,
-                initial_energy=config.initial_energy,
-            )
-        )
-    return sensors
+    offsets = rng.normal(0.0, abs(config.sigma), size=(n, 2)).tolist()
+    return [Sensor(i, Point(i * spacing + dx, min(max(half + dy, 0.0), width)),
+                   rho, comm, energy, energy)
+            for i, (dx, dy) in enumerate(offsets)]
 
 
 def deploy_with_barrier(config: ExperimentConfig, seed: int) -> World:
@@ -231,7 +223,7 @@ def compute_metrics(
     else:
         rate, avg_disp = 100.0, 0.0
     threshold = 0.9 * config.initial_energy
-    high = sum(1 for s in world.sensors.values() if not s.failed and s.energy > threshold)
+    high = len([s for s in world.sensors.values() if not s.failed and s.energy > threshold])
     return MetricsRow(
         scheme=scheme,
         n=config.n,
@@ -258,10 +250,13 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     on later episodes, while the local schemes need the chain whole and
     simply keep failing until the trial ends.
 
-    Victims are drawn uniformly from ``live``, the live ids in id order,
-    listed once after deploy; each draw pops its victim. Only this loop
-    fails sensors during a trial, so the list stays the world's live ids
-    without a rescan.
+    The failure order is drawn once, before the first failure, from the
+    trial's seed alone, so every scheme replays it. Each victim is uniform
+    among the survivors: ``live`` is the live ids in id order after deploy,
+    and one ``integers`` call draws every episode's index into what is left
+    of it. Numpy bounds each element of that call on its own, so the order
+    equals one scalar draw per episode. Only this loop fails sensors during
+    a trial.
     """
     if world is None:
         world = deploy_with_barrier(config, seed)
@@ -269,7 +264,9 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     restore = start_scheme(scheme, world, seeded_rng(seed, 2), k=config.k_hop_budget)
 
     total_failures = math.floor(config.failure_fraction_max * config.n)
-    targets = [math.floor(p * config.n) for p in config.report_points]
+    due: dict[int, list[float]] = {}  # failure count -> report points due then
+    for point in config.report_points:
+        due.setdefault(math.floor(point * config.n), []).append(point)
 
     failures = 0
     recoveries = 0
@@ -278,18 +275,17 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     episodes: list[EpisodeRecord] = []
 
     def snapshot() -> None:
-        for point, target in zip(config.report_points, targets):
-            if target == failures:
-                rows.append(
-                    compute_metrics(
-                        scheme, config, world, failures, recoveries, cum_disp, point
-                    )
+        for point in due.get(failures, ()):
+            rows.append(
+                compute_metrics(
+                    scheme, config, world, failures, recoveries, cum_disp, point
                 )
+            )
 
     snapshot()  # report points that round down to zero failures
     live = [s.id for s in world.active_sensors()]
-    for _ in range(total_failures):
-        failed_id = live.pop(int(fail_rng.integers(0, len(live))))
+    draws = fail_rng.integers(0, list(range(len(live), len(live) - total_failures, -1)))
+    for failed_id in [live.pop(i) for i in draws.tolist()]:
         on_chain = failed_id in world.slots
         world.fail(failed_id)
         outcome = restore(failed_id)

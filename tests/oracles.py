@@ -17,7 +17,14 @@ import networkx as nx
 import numpy as np
 
 from barrier_restore.central import AssignmentProblem, FeasibleCells
-from barrier_restore.core import Point, Region, Sensor, World, displacement_capacity
+from barrier_restore.core import (
+    Point,
+    Region,
+    Sensor,
+    World,
+    displacement_capacity,
+    seeded_rng,
+)
 from barrier_restore.graph import PL, PR, IntersectionGraph
 
 INF = math.inf
@@ -261,6 +268,44 @@ def _solve_square(cost: np.ndarray) -> list[int]:
             match[j0] = match[j1]
             j0 = j1
     return [int(match[j + 1]) - 1 for j in range(n)]
+
+
+def deployment_oracle(config, rng: np.random.Generator) -> list[Sensor]:
+    """``harness.generate_deployment`` as a per-sensor loop with keyword
+    fields, reading the config afresh for every sensor. It does the same
+    float operations in the same order, so its coordinates must be the same
+    bits."""
+    spacing = config.length / (config.n - 1)
+    offsets = rng.normal(0.0, abs(config.sigma), size=(config.n, 2)).tolist()
+    sensors = []
+    for i, (dx, dy) in enumerate(offsets):
+        x = i * spacing + dx
+        y = min(max(config.width / 2 + dy, 0.0), config.width)
+        sensors.append(
+            Sensor(
+                id=i,
+                pos=Point(x, y),
+                sensing_radius=config.rho,
+                comm_radius=config.comm_radius,
+                energy=config.initial_energy,
+                initial_energy=config.initial_energy,
+            )
+        )
+    return sensors
+
+
+def failure_order_replay(world: World, seed: int, count: int) -> list[int]:
+    """The ids that a trial of ``seed`` fails, replayed on ``world``, its
+    deployment, which this fails in turn: each of the ``count`` victims is
+    one scalar draw from the trial's failure stream ``seeded_rng(seed, 1)``,
+    uniform over the live ids in id order, rescanned before every draw."""
+    rng = seeded_rng(seed, 1)
+    order = []
+    for _ in range(count):
+        live = [sid for sid, s in world.sensors.items() if not s.failed]
+        order.append(live[int(rng.integers(0, len(live)))])
+        world.fail(order[-1])
+    return order
 
 
 def has_edge(graph: IntersectionGraph, u: int, v: int) -> bool:

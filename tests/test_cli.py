@@ -159,6 +159,10 @@ class TestRunBadDeployment:
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"trials": true}'),
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"rho": true}'),
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"report_points": [false, 0.1]}'),
+    (["sweep", "--n-list", "40", "--schemes", "dmove,dmove"], None),
+    (["sweep", "--n-list", "40,40"], None),
+    (["sweep", "--n-list", "40", "--config", "{config}"], '{"report_points": [0.1, 0.1]}'),
+    (["sweep", "--n-list", "40", "--schemes", ""], None),
 ], ids=["generate-n-1", "generate-negative-rho", "generate-bad-out",
         "sweep-missing-config", "sweep-config-list", "sweep-config-string-trials",
         "sweep-config-negative-k",
@@ -170,7 +174,8 @@ class TestRunBadDeployment:
         "sweep-negative-seed", "sweep-infinite-length", "sweep-config-negative-seed",
         "run-infinite-cost", "run-infinite-threshold", "run-negative-seed",
         "sweep-config-bool-trials", "sweep-config-bool-rho",
-        "sweep-config-bool-report-point"])
+        "sweep-config-bool-report-point", "sweep-repeated-scheme", "sweep-repeated-size",
+        "sweep-config-repeated-report-point", "sweep-empty-schemes"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
     # Each of these used to end in a traceback and exit 1, or to run anyway.
     # A bad sweep must stop before its first deployment draw.

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from barrier_restore import graph, harness
 from barrier_restore.cli import main
@@ -30,7 +32,14 @@ from barrier_restore.harness import (
     run_trial,
     trial_seed,
 )
-from oracles import barrier_oracle, replayed_chain, total_displacement, total_energy_spent
+from oracles import (
+    barrier_oracle,
+    deployment_oracle,
+    failure_order_replay,
+    replayed_chain,
+    total_displacement,
+    total_energy_spent,
+)
 
 FAST = dict(length=400.0, rho=30.0, sigma=6.0, trials=2)
 # Sparse enough that every scheme leaves some chain failures unrepaired.
@@ -78,6 +87,27 @@ class TestGenerateDeployment:
         for sensors in (generate_deployment(cfg, seeded_rng(3)), deployed):
             for s in sensors:
                 assert type(s.pos.x) is float and type(s.pos.y) is float
+
+    @settings(max_examples=200, deadline=None)
+    @example(seed=0, n=2, sigma=0.0, width=60.0, rho=30.0, comm=None, energy=100.0)
+    @example(seed=1, n=50, sigma=1e4, width=7.5, rho=12.5, comm=3.25, energy=0.0)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(2, 200),
+           sigma=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+           width=st.floats(1e-3, 1e4), rho=st.floats(1e-3, 1e4),
+           comm=st.one_of(st.none(), st.floats(1e-3, 1e4)),
+           energy=st.floats(0.0, 1e6))
+    def test_deployment_is_the_per_sensor_loop_bit_for_bit(
+            self, seed, n, sigma, width, rho, comm, energy):
+        # repr writes each float's shortest round-trip form, so equal reprs
+        # mean equal bits (the sign of zero included) and equal types.
+        cfg = ExperimentConfig(n=n, length=1500.0, width=width, rho=rho, comm=comm,
+                               sigma=sigma, initial_energy=energy, trials=1)
+        sensors = generate_deployment(cfg, seeded_rng(seed))
+        assert repr(sensors) == repr(deployment_oracle(cfg, seeded_rng(seed)))
+        for s in sensors:
+            assert all(type(v) is float for v in (
+                s.pos.x, s.pos.y, s.sensing_radius, s.comm_radius, s.energy,
+                s.initial_energy))
 
     def test_redraw_exhaustion_raises(self):
         cfg = ExperimentConfig(n=3, length=4000.0, rho=30.0, trials=1,
@@ -152,14 +182,27 @@ def test_every_scheme_fails_the_same_sensors(n):
         seed = trial_seed(cfg, t)
         runs = {s: [ep.failed for ep in run_trial(s, cfg, seed).episodes]
                 for s in harness.SCHEMES}
-        twin = deploy_with_barrier(cfg, seed)
-        rng = seeded_rng(seed, 1)
-        replay = []
-        for _ in range(math.floor(cfg.failure_fraction_max * n)):
-            active_ids = [sid for sid, s in twin.sensors.items() if not s.failed]
-            replay.append(active_ids[int(rng.integers(0, len(active_ids)))])
-            twin.fail(replay[-1])
+        replay = failure_order_replay(deploy_with_barrier(cfg, seed), seed,
+                                      math.floor(cfg.failure_fraction_max * n))
         assert all(failed == replay for failed in runs.values()), (n, t)
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, n=300, fraction=0.003)  # no failure at all
+@example(seed=1, n=300, fraction=1.0)  # every sensor fails
+@example(seed=2**64 - 1, n=2, fraction=1.0)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(2, 300),
+       fraction=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+def test_failure_order_is_the_scalar_replay(seed, n, fraction):
+    # The trial draws its whole failure order in one numpy call; that it
+    # equals one scalar draw per episode rests on how numpy bounds each
+    # element of an array of bounds, which this pins for any numpy version.
+    # Sensors one radius apart with no noise always form a barrier.
+    cfg = ExperimentConfig(n=n, length=30.0 * (n - 1), rho=30.0, sigma=0.0,
+                           failure_fraction_max=fraction, report_points=(fraction,))
+    world = deploy_with_barrier(cfg, seed)
+    replay = failure_order_replay(world.copy(), seed, math.floor(fraction * n))
+    assert [ep.failed for ep in run_trial("nmove", cfg, seed, world).episodes] == replay
 
 
 def _checked_steps(monkeypatch, extra=None):
@@ -462,6 +505,8 @@ class TestRunExperiment:
         dict(rho=True),
         dict(k_hop_budget=True),
         dict(report_points=(False, 0.1)),
+        dict(report_points=(0.1, 0.1)),
+        dict(schemes=("dmove", "dmove")),
         *(dict([(name, math.inf)]) for name in (
             "length", "width", "rho", "comm", "sigma", "initial_energy",
             "cost_per_unit", "static_threshold")),
