@@ -36,8 +36,7 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
 
     def next_mover(vacated: int, idx: int, hole: Point) -> Optional[int]:
         nonlocal step
-        radius = world.sensor(vacated).sensing_radius
-        candidates = world_graph(world).near(hole, radius, world.sensors)
+        candidates = world_graph(world).near(hole)
         filler = closest_filler(world, candidates, hole, slots)
         if filler is not None:
             return filler[1]

@@ -163,15 +163,15 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     exactly on a barrier position always keeps a zero-cost cell there, so
     immobilized occupants can still be "assigned" in place. A column's
     cells are computed when the solve first reads it, from the world
-    graph's x-window as wide as its largest comm radius (slightly widened
-    against rounding; the exact test decides). So the problem is valid
+    graph's x-window as wide as the comm radius, ``Region.comm`` (slightly
+    widened against rounding; the exact test decides). So the problem is valid
     only until the world next changes: apply no move before the solve has
     returned.
     """
     chain, slots, sensors = world.barrier, world.slots, world.sensors
     graph = world_graph(world)
-    model = world.energy_model
-    span = graph.max_comm_radius * (1.0 + 1e-9)
+    model, comm = world.energy_model, world.region.comm
+    span = comm * (1.0 + 1e-9)
 
     def cells_of(j: int) -> list[tuple[int, float]]:
         p = sensors[chain[j]].pos
@@ -184,7 +184,7 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
             # World.apply_move re-checks each move with. A static sensor's
             # capacity is 0, so it keeps only zero-cost cells.
             cost = math.dist((s.pos.x, s.pos.y), target)
-            if cost == 0.0 or cost <= min(displacement_capacity(s, model), s.comm_radius):
+            if cost == 0.0 or cost <= min(displacement_capacity(s, model), comm):
                 cells.append((sid, cost))
         cells.sort()
         return cells

@@ -8,9 +8,9 @@ Subcommands:
 Exit codes: 0 ran, 2 usage error (a bad deployment file, a bad output
 path, two of ``sweep --config``, ``--out`` and ``--detail-log`` naming one
 file, a repeated ``run --fail`` id, a repeated ``sweep`` scheme, size or
-report point, an empty ``sweep --schemes``, a negative seed, a non-finite
-number of any subcommand and a ``generate`` draw that overflows to one
-included), 3
+report point (two points whose percentages print alike included), an
+empty ``sweep --schemes``, a negative seed, a non-finite number of any
+subcommand and a ``generate`` draw that overflows to one included), 3
 no initial barrier, 4 several ``run --fail`` ids for a local scheme (rmove
 or dmove), which handles one failure at a time. Stdout carries only data;
 diagnostics go to stderr.
@@ -23,7 +23,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .core import EnergyModel, Region, World, seeded_rng, world_from_json, world_to_json
+from .core import EnergyModel, World, seeded_rng, world_from_json, world_to_json
 from .distributed import MessageBus
 from .graph import find_barrier, verify_barrier, world_graph
 from .harness import (
@@ -99,7 +99,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                                   comm=args.comm, sigma=args.sigma, initial_energy=args.energy,
                                   seed=args.seed)
         sensors = generate_deployment(config, seeded_rng(config.seed))
-        text = world_to_json(World(Region(config.length, config.width), sensors))
+        text = world_to_json(World(config.region(), sensors))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,6 @@
 """Domain types shared by every recovery scheme: sensors, the deployment
-region, energy bookkeeping, and the seeded random-number contract.
+region with its one sensing and one comm radius, energy bookkeeping, and
+the seeded random-number contract.
 
 All distances are Euclidean in the plane and all comparisons are exact
 (64-bit floats, no epsilon): inputs are generated, not measured.
@@ -32,7 +33,8 @@ class Point:
 
 @dataclass
 class Sensor:
-    """One sensor node.
+    """One sensor node; its radii are the deployment's, ``Region.rho`` and
+    ``Region.comm``.
 
     ``failed`` sensors never move and never appear in any graph; ``static``
     sensors are alive but have lost the right to relocate (energy drained
@@ -41,8 +43,6 @@ class Sensor:
 
     id: int
     pos: Point
-    sensing_radius: float
-    comm_radius: float
     energy: float
     initial_energy: float
     failed: bool = False
@@ -51,14 +51,21 @@ class Sensor:
 
 @dataclass(frozen=True)
 class Region:
-    """Rectangular belt; left boundary at x=0, right boundary at x=length."""
+    """Rectangular belt, left boundary at x=0 and right boundary at
+    x=length, and the deployment's radii: every sensor senses within
+    ``rho`` and talks within ``comm``."""
 
     length: float
     width: float
+    rho: float
+    comm: float
 
     def __post_init__(self) -> None:
-        if self.length <= 0 or self.width <= 0:
-            raise ValueError("region dimensions must be positive")
+        for name in ("length", "width", "rho", "comm"):
+            value = getattr(self, name)
+            # Written so that NaN fails the comparison.
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -183,8 +190,7 @@ class World:
         scheme can run on its own copy."""
         twin = World(self.region, (), self.energy_model)
         twin.sensors = {
-            sid: Sensor(s.id, s.pos, s.sensing_radius, s.comm_radius, s.energy,
-                        s.initial_energy, s.failed, s.static)
+            sid: Sensor(s.id, s.pos, s.energy, s.initial_energy, s.failed, s.static)
             for sid, s in self.sensors.items()
         }
         twin._barrier = list(self._barrier)
@@ -289,7 +295,7 @@ class World:
         s.pos = dest
         if self.graph is not None:
             self.graph.remove(sensor_id)
-            self.graph.insert(s, self.sensors)
+            self.graph.insert(sensor_id, dest)
         s.energy -= d * self.energy_model.cost_per_unit_displacement
         if s.energy < self.energy_model.static_threshold:
             s.static = True
@@ -308,18 +314,16 @@ def seeded_rng(*key: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 def world_to_json(world: World) -> str:
-    """Serialize a deployment: region, shared radii, and per-sensor state.
+    """Serialize a deployment: region, its radii, and per-sensor state.
     Raises ValueError, as ``world_from_json`` does, on a non-finite number."""
-    sensors = [world.sensors[i] for i in sorted(world.sensors)]
-    rho = sensors[0].sensing_radius if sensors else 0.0
-    comm = sensors[0].comm_radius if sensors else 0.0
+    region = world.region
     doc = {
-        "region": {"L": world.region.length, "W": world.region.width},
-        "rho": rho,
-        "comm": comm,
+        "region": {"L": region.length, "W": region.width},
+        "rho": region.rho,
+        "comm": region.comm,
         "sensors": [
             {"id": s.id, "x": s.pos.x, "y": s.pos.y, "energy": s.energy}
-            for s in sensors
+            for s in world.sensors.values()
         ],
     }
     try:
@@ -328,28 +332,29 @@ def world_to_json(world: World) -> str:
         raise ValueError("deployment holds a non-finite number") from None
 
 
+def _number(value: object) -> float:
+    """A JSON number as a float; a bool or a string is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"deployment holds {value!r} where a number belongs")
+    return float(value)
+
+
 def world_from_json(
     text: str, energy_model: EnergyModel | None = None
 ) -> World:
     """Parse a deployment. Raises ValueError (JSONDecodeError included) on
     malformed JSON, a missing key, an id that is not an integer (a float
-    with no fractional part counts as one), a non-finite number or an
-    integer too large for a float, negative energy or a non-positive radius
-    or region side."""
+    with no fractional part counts as one), a number that is not a JSON
+    number (a bool or a string), a non-finite number or an integer too
+    large for a float, negative energy, or a region side or radius that
+    ``Region`` rejects."""
     doc = json.loads(text)
     try:
-        region = Region(float(doc["region"]["L"]), float(doc["region"]["W"]))
-        rho = float(doc["rho"])
-        comm = float(doc["comm"])
+        region = Region(_number(doc["region"]["L"]), _number(doc["region"]["W"]),
+                        _number(doc["rho"]), _number(doc["comm"]))
         sensors = [
-            Sensor(
-                id=int(rec["id"]),
-                pos=Point(float(rec["x"]), float(rec["y"])),
-                sensing_radius=rho,
-                comm_radius=comm,
-                energy=float(rec["energy"]),
-                initial_energy=float(rec["energy"]),
-            )
+            Sensor(int(rec["id"]), Point(_number(rec["x"]), _number(rec["y"])),
+                   _number(rec["energy"]), _number(rec["energy"]))
             for rec in doc["sensors"]
         ]
     except (KeyError, TypeError, OverflowError) as err:
@@ -358,10 +363,9 @@ def world_from_json(
     if any(isinstance(rec["id"], bool) or rec["id"] != s.id
            for rec, s in zip(doc["sensors"], sensors)):
         raise ValueError("deployment holds a sensor id that is not an integer")
-    numbers = [region.length, region.width, rho, comm]
-    numbers += [v for s in sensors for v in (s.pos.x, s.pos.y, s.energy)]
+    numbers = [v for s in sensors for v in (s.pos.x, s.pos.y, s.energy)]
     if not all(map(math.isfinite, numbers)):
         raise ValueError("deployment holds a non-finite number")
-    if rho <= 0 or comm <= 0 or any(s.energy < 0 for s in sensors):
-        raise ValueError("deployment needs positive rho and comm and non-negative energy")
+    if any(s.energy < 0 for s in sensors):
+        raise ValueError("deployment needs non-negative energy")
     return World(region, sensors, energy_model=energy_model)

@@ -251,9 +251,8 @@ class Election(Mapping[int, NodeState]):
         self._cursor = len(world.changes)
         touched: set[int] = set(since)
         for sid, pos in since.items():
-            s = sensors[sid]
-            touched.update(graph.near(pos, s.sensing_radius, sensors))
-            if s.failed:
+            touched.update(graph.near(pos))
+            if sensors[sid].failed:
                 self._unregister(states.pop(sid))
             else:
                 touched.update(graph.neighbors(sid))

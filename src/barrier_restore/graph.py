@@ -60,12 +60,12 @@ class SpliceEndpointMismatch(Exception):
     """Replacement path does not start/end at the survivors flanking the gap."""
 
 
-def discs_meet(p: Point, r: float, q: Point, s: float) -> bool:
-    """True iff the closed discs of radius ``r`` at ``p`` and ``s`` at ``q``
-    intersect (tangent discs meet): the graph's one adjacency test."""
+def discs_meet(p: Point, q: Point, reach: float) -> bool:
+    """True iff the closed discs of radius ``rho`` at ``p`` and ``q``
+    intersect, where ``reach`` is ``rho + rho`` (tangent discs meet): the
+    graph's one adjacency test."""
     dx = p.x - q.x
     dy = p.y - q.y
-    reach = r + s
     return dx * dx + dy * dy <= reach * reach
 
 
@@ -74,8 +74,8 @@ class IntersectionGraph:
 
     Neighbor lists are sorted ascending (sentinels first) so every search
     is deterministic run to run. A new graph is empty; ``insert`` adds a
-    sensor and ``remove`` takes one out. ``max_comm_radius``, the largest
-    comm radius ever inserted, bounds the cmove assignment's x-window.
+    sensor's vertex and ``remove`` takes one out. Every disc has the
+    region's radius, ``region.rho``.
     """
 
     def __init__(self, region: Region):
@@ -83,12 +83,9 @@ class IntersectionGraph:
         self.positions: dict[int, Point] = {}  # sensor vertices only, not PL/PR
         self.region = region
         # The x of every sensor vertex in ascending order and the ids in the
-        # same order (ties by id), and the largest sensing radius of any
-        # sensor inserted so far.
+        # same order (ties by id).
         self._xs: list[float] = []
         self._ids: list[int] = []
-        self._max_radius = 0.0
-        self.max_comm_radius = 0.0
 
     def copy(self) -> IntersectionGraph:
         """The same graph with its own rows and x order; the frozen
@@ -98,8 +95,6 @@ class IntersectionGraph:
         twin.positions = dict(self.positions)
         twin._xs = self._xs[:]
         twin._ids = self._ids[:]
-        twin._max_radius = self._max_radius
-        twin.max_comm_radius = self.max_comm_radius
         return twin
 
     def neighbors(self, vertex: int) -> list[int]:
@@ -129,16 +124,17 @@ class IntersectionGraph:
         lo = bisect_left(self._xs, x)
         return bisect_left(self._ids, vertex, lo, bisect_right(self._xs, x, lo))
 
-    def near(self, pos: Point, radius: float, sensors: Mapping[int, Sensor]) -> list[int]:
-        """Sensor vertices, ascending, whose discs meet a disc of ``radius``
-        at ``pos`` (tangent discs meet), by ``discs_meet``."""
+    def near(self, pos: Point) -> list[int]:
+        """Sensor vertices, ascending, whose discs meet a sensor's disc at
+        ``pos`` (tangent discs meet), by ``discs_meet``."""
+        reach = self.region.rho + self.region.rho
         # Intersecting discs lie within reach in x; the slack only widens
         # the window against rounding, the exact test decides.
-        span = (radius + self._max_radius) * (1.0 + 1e-9)
+        span = reach * (1.0 + 1e-9)
         positions = self.positions
         out = [
             v for v in self.window(pos.x - span, pos.x + span)
-            if discs_meet(pos, radius, positions[v], sensors[v].sensing_radius)
+            if discs_meet(pos, positions[v], reach)
         ]
         out.sort()
         return out
@@ -149,24 +145,23 @@ class IntersectionGraph:
         k = self._slot(self.positions.pop(vertex).x, vertex)
         del self._xs[k], self._ids[k]
 
-    def insert(self, sensor: Sensor, sensors: Mapping[int, Sensor]) -> None:
-        """Add a sensor's vertex; ``sensors`` maps each vertex id to its sensor."""
+    def insert(self, vertex: int, pos: Point) -> None:
+        """Add the vertex of a sensor standing at ``pos``."""
         # Ascending with the sentinels first (PR = -2 < PL = -1).
         row = []
-        if sensor.pos.x >= self.region.length - sensor.sensing_radius:
+        rho = self.region.rho
+        if pos.x >= self.region.length - rho:
             row.append(PR)
-        if sensor.pos.x <= sensor.sensing_radius:
+        if pos.x <= rho:
             row.append(PL)
-        row += self.near(sensor.pos, sensor.sensing_radius, sensors)
-        k = self._slot(sensor.pos.x, sensor.id)
-        self._xs.insert(k, sensor.pos.x)
-        self._ids.insert(k, sensor.id)
-        self._max_radius = max(self._max_radius, sensor.sensing_radius)
-        self.max_comm_radius = max(self.max_comm_radius, sensor.comm_radius)
-        self.positions[sensor.id] = sensor.pos
+        row += self.near(pos)
+        k = self._slot(pos.x, vertex)
+        self._xs.insert(k, pos.x)
+        self._ids.insert(k, vertex)
+        self.positions[vertex] = pos
         for u in row:
-            insort(self.adjacency[u], sensor.id)
-        self.adjacency[sensor.id] = row
+            insort(self.adjacency[u], vertex)
+        self.adjacency[vertex] = row
 
 
 def build_intersection_graph(
@@ -178,7 +173,7 @@ def build_intersection_graph(
     One sweep (fixed-radius near neighbours: Bentley, Stanat & Williams,
     IPL 1977): the live sensors are sorted once by (x, id), and each is
     tested against those after it in that order until their x is out of
-    reach of any two discs. The graph equals the one ``insert`` builds a
+    reach of two discs. The graph equals the one ``insert`` builds a
     sensor at a time, rows sorted with the sentinels first.
     """
     graph = IntersectionGraph(region)
@@ -186,29 +181,28 @@ def build_intersection_graph(
     order = sorted(live.values(), key=lambda s: (s.pos.x, s.id))
     graph._xs = xs = [s.pos.x for s in order]
     graph._ids = [s.id for s in order]
-    graph._max_radius = max((s.sensing_radius for s in order), default=0.0)
-    graph.max_comm_radius = max((s.comm_radius for s in order), default=0.0)
+    rho, reach = region.rho, region.rho + region.rho
     # Vertices in the order the sensors came, as ``insert`` adds them;
     # every row is sorted at the end.
     adjacency = graph.adjacency
     for s in live.values():
         graph.positions[s.id] = s.pos
         row = adjacency[s.id] = []
-        if s.pos.x >= region.length - s.sensing_radius:
+        if s.pos.x >= region.length - rho:
             row.append(PR)
             adjacency[PR].append(s.id)
-        if s.pos.x <= s.sensing_radius:
+        if s.pos.x <= rho:
             row.append(PL)
             adjacency[PL].append(s.id)
     # Same slack as ``near``: it only widens the scan against rounding.
-    span = 2.0 * graph._max_radius * (1.0 + 1e-9)
+    span = reach * (1.0 + 1e-9)
     n = len(order)
     for i, a in enumerate(order):
-        x, pos, radius, row = xs[i], a.pos, a.sensing_radius, adjacency[a.id]
+        x, pos, row = xs[i], a.pos, adjacency[a.id]
         j = i + 1
         while j < n and xs[j] - x <= span:
             b = order[j]
-            if discs_meet(pos, radius, b.pos, b.sensing_radius):
+            if discs_meet(pos, b.pos, reach):
                 row.append(b.id)
                 adjacency[b.id].append(a.id)
             j += 1

@@ -114,19 +114,11 @@ class ExperimentConfig:
             raise ValueError("k_hop_budget must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        for name in ("length", "width", "rho", "comm", "sigma", "initial_energy"):
+        self.region()  # validates length, width, rho and comm
+        for name in ("sigma", "initial_energy"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("length", "width", "rho"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.comm is not None and not self.comm > 0:
-            raise ValueError("comm must be positive")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be non-negative")
-        if not self.initial_energy >= 0:
-            raise ValueError("initial_energy must be non-negative")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
         self.energy_model()  # validates cost_per_unit and static_threshold
         if not 0 < self.failure_fraction_max <= 1:
             raise ValueError("failure_fraction_max must be in (0, 1]")
@@ -134,13 +126,18 @@ class ExperimentConfig:
             raise ValueError("report_points must be strictly ascending, each point once")
         if not all(0 <= p <= self.failure_fraction_max for p in self.report_points):
             raise ValueError("report_points must lie in [0, failure_fraction_max]")
+        # The CSV keys each row by the point's percentage as rows_to_csv
+        # prints it.
+        printed = [f"{p * 100:g}" for p in self.report_points]
+        if len(set(printed)) < len(printed):
+            raise ValueError(f"report_points must print as distinct percentages, got {printed}")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
 
-    @property
-    def comm_radius(self) -> float:
-        return self.comm if self.comm is not None else 2 * self.rho
+    def region(self) -> Region:
+        comm = self.comm if self.comm is not None else 2 * self.rho
+        return Region(self.length, self.width, self.rho, comm)
 
     def energy_model(self) -> EnergyModel:
         return EnergyModel(self.cost_per_unit, self.static_threshold)
@@ -182,20 +179,20 @@ def generate_deployment(config: ExperimentConfig, rng: np.random.Generator) -> l
     floats: the offsets leave numpy as a list, so every later distance is
     float arithmetic rather than slower numpy-scalar arithmetic on the
     same values."""
-    n, width, rho, energy = config.n, config.width, config.rho, config.initial_energy
-    comm, half = config.comm_radius, width / 2
+    n, width, energy = config.n, config.width, config.initial_energy
+    half = width / 2
     spacing = config.length / (n - 1)
     # abs: numpy rejects a scale of -0.0, which the config accepts as zero.
     offsets = rng.normal(0.0, abs(config.sigma), size=(n, 2)).tolist()
     return [Sensor(i, Point(i * spacing + dx, min(max(half + dy, 0.0), width)),
-                   rho, comm, energy, energy)
+                   energy, energy)
             for i, (dx, dy) in enumerate(offsets)]
 
 
 def deploy_with_barrier(config: ExperimentConfig, seed: int) -> World:
     """Draw deployments (fresh sub-seed each attempt) until one forms an
     initial barrier."""
-    region = Region(config.length, config.width)
+    region = config.region()
     for attempt in range(config.max_redraws):
         rng = seeded_rng(seed, 0, attempt)
         world = World(region, generate_deployment(config, rng), config.energy_model())

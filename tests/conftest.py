@@ -12,10 +12,10 @@ def make_world(coords, rho=1.0, length=10.0, width=4.0, energy=100.0,
     """World from a coordinate list; ids follow list order."""
     comm = 2 * rho if comm is None else comm
     sensors = [
-        Sensor(i, Point(float(x), float(y)), rho, comm, energy, energy)
+        Sensor(i, Point(float(x), float(y)), energy, energy)
         for i, (x, y) in enumerate(coords)
     ]
-    world = World(Region(length, width), sensors)
+    world = World(Region(length, width, rho, comm), sensors)
     if with_barrier:
         world.edit_chain(0, 0, find_barrier(world_graph(world)) or [])
     return world
@@ -65,10 +65,10 @@ def random_line_world(seed, n_min=6, n_max=12, rho=1.0):
         y = width / 2 + float(rng.normal(0, 0.5 * rho))
         e = float(rng.uniform(0.5, 4.0)) * rho
         sensors.append(
-            Sensor(i, Point(x, max(0.0, min(width, y))), rho, 2 * rho, e, e)
+            Sensor(i, Point(x, max(0.0, min(width, y))), e, e)
         )
     # Threshold zero: the mixed low energies here should constrain moves,
     # not freeze sensors outright.
-    world = World(Region(length, width), sensors, EnergyModel(1.0, 0.0))
+    world = World(Region(length, width, rho, 2 * rho), sensors, EnergyModel(1.0, 0.0))
     world.edit_chain(0, 0, find_barrier(world_graph(world)) or [])
     return world

@@ -30,25 +30,27 @@ from barrier_restore.graph import PL, PR, IntersectionGraph
 INF = math.inf
 
 
-def _discs_meet(s: Sensor, t: Sensor) -> bool:
-    """The pairwise definition of an edge: the discs meet when the squared
-    centre distance is at most the squared sum of the radii (tangent discs
-    meet)."""
+def _discs_meet(s: Sensor, t: Sensor, rho: float) -> bool:
+    """The pairwise definition of an edge: two discs of radius ``rho`` meet
+    when the squared centre distance is at most the squared sum of the
+    radii (tangent discs meet)."""
     return ((s.pos.x - t.pos.x) ** 2 + (s.pos.y - t.pos.y) ** 2
-            <= (s.sensing_radius + t.sensing_radius) ** 2)
+            <= (rho + rho) ** 2)
 
 
 def adjacency_oracle(sensors: list[Sensor], region: Region) -> dict[int, list[int]]:
     """Intersection-graph adjacency of ``sensors`` by testing every pair
-    with ``_discs_meet``; a disc reaching a boundary line meets that
-    boundary's sentinel. Rows ascend, sentinels first."""
+    with ``_discs_meet`` at the region's radius; a disc reaching a
+    boundary line meets that boundary's sentinel. Rows ascend, sentinels
+    first."""
+    rho = region.rho
     want: dict[int, list[int]] = {PL: [], PR: []}
     for s in sensors:
-        nbrs = [t.id for t in sensors if t is not s and _discs_meet(s, t)]
-        if s.pos.x <= s.sensing_radius:
+        nbrs = [t.id for t in sensors if t is not s and _discs_meet(s, t, rho)]
+        if s.pos.x <= rho:
             nbrs.append(PL)
             want[PL].append(s.id)
-        if s.pos.x >= region.length - s.sensing_radius:
+        if s.pos.x >= region.length - rho:
             nbrs.append(PR)
             want[PR].append(s.id)
         want[s.id] = sorted(nbrs)
@@ -70,10 +72,10 @@ def barrier_oracle(world: World) -> bool:
     if not all(sid in world.sensors and not world.sensors[sid].failed for sid in chain):
         return False
     sensors = [world.sensors[sid] for sid in chain]
-    first, last = sensors[0], sensors[-1]
-    return (first.pos.x <= first.sensing_radius
-            and last.pos.x >= world.region.length - last.sensing_radius
-            and all(_discs_meet(s, t) for s, t in zip(sensors, sensors[1:])))
+    first, last, rho = sensors[0], sensors[-1], world.region.rho
+    return (first.pos.x <= rho
+            and last.pos.x >= world.region.length - rho
+            and all(_discs_meet(s, t, rho) for s, t in zip(sensors, sensors[1:])))
 
 
 def replayed_chain(chain: list[int], edits) -> list[int]:
@@ -174,10 +176,9 @@ def dense_build_assignment(world: World, failed: Iterable[int]) -> DenseProblem:
         count=len(left) * len(right),
     ).reshape(len(left), len(right))
     cap = np.array([displacement_capacity(s, world.energy_model) for s in sensors])
-    comm = np.array([s.comm_radius for s in sensors])
     mobile = np.array([not s.static for s in sensors], dtype=bool)
     feasible = (cost == 0.0) | (
-        mobile[:, None] & (cost <= cap[:, None]) & (cost <= comm[:, None])
+        mobile[:, None] & (cost <= cap[:, None]) & (cost <= world.region.comm)
     )
     return DenseProblem(left, right, cost, feasible)
 
@@ -285,8 +286,6 @@ def deployment_oracle(config, rng: np.random.Generator) -> list[Sensor]:
             Sensor(
                 id=i,
                 pos=Point(x, y),
-                sensing_radius=config.rho,
-                comm_radius=config.comm_radius,
                 energy=config.initial_energy,
                 initial_energy=config.initial_energy,
             )

@@ -212,25 +212,31 @@ class TestBuildAssignment:
         assert 1 not in cells(p, 2)
 
     def test_feasibility_exact_at_capacity_and_comm_boundary(self):
-        w = boundary_world()
-        target = w.sensor(0).pos
-        p = build_assignment(w, {0})
-        col = cells(p, 0)
-        for s in w.active_sensors():
-            d = s.pos.distance_to(target)
-            cap = displacement_capacity(s, w.energy_model)
-            assert (s.id in col) == (cap >= d and d <= s.comm_radius)
-            if s.id in col:
-                assert col[s.id] == d
-                w.apply_move(s.id, target)  # raises if the edge overstated capacity
-        assert len(col) == (len(w.sensors) - 1) // 2
+        for w, k in boundary_worlds():
+            target = w.sensor(0).pos
+            p = build_assignment(w, {0})
+            col = cells(p, 0)
+            for s in w.active_sensors():
+                d = s.pos.distance_to(target)
+                cap = displacement_capacity(s, w.energy_model)
+                assert (s.id in col) == (cap >= d and d <= w.region.comm)
+                if s.id in col:
+                    assert col[s.id] == d
+                    w.apply_move(s.id, target)  # raises if the edge overstated capacity
+            if k:
+                assert (k in col) == (k % 4 == 2)
+            else:
+                assert sorted(col) == [k for k in range(1, len(w.sensors)) if k % 4 != 1]
 
 
-def boundary_world():
-    """One failed barrier sensor and 80 others whose energy or comm radius
-    is the exact distance to it or one ulp below. np.hypot and math.hypot
-    differ in the last bit on a few inputs; the probe collects 40 such
-    positions (on this numpy)."""
+def boundary_worlds():
+    """Yields (world, k): one failed barrier sensor and 80 others, where
+    the energy of sensor k with k % 4 == 0 is the exact distance to it and
+    with k % 4 == 1 one ulp below. A world has one comm radius: 200 when
+    k is 0, else sensor k's distance (k % 4 == 2) or one ulp below it
+    (k % 4 == 3), once for each such k. np.hypot and math.hypot differ in
+    the last bit on a few inputs; the probe collects 40 such positions (on
+    this numpy)."""
     rng = np.random.default_rng(8)
     target = Point(50.0, 30.0)
     positions = []
@@ -242,15 +248,19 @@ def boundary_world():
             if len(positions) == 40:
                 break
     positions += [Point(*map(float, xy)) for xy in rng.uniform(0, 100, size=(40, 2))]
-    sensors = [Sensor(0, target, 1.0, 200.0, 0.0, 0.0, failed=True)]
+    energies, comms = {}, {0: 200.0}
     for k, pos in enumerate(positions, start=1):
         d = pos.distance_to(target)
-        below = math.nextafter(d, 0.0)
-        energy, comm = [(d, 200.0), (below, 200.0), (200.0, d), (200.0, below)][k % 4]
-        sensors.append(Sensor(k, pos, 1.0, comm, energy, energy))
-    world = World(Region(100.0, 100.0), sensors, EnergyModel(1.0, 0.0))
-    world.edit_chain(0, 0, [0])
-    return world
+        bound = math.nextafter(d, 0.0) if k % 2 else d
+        energies[k] = bound if k % 4 < 2 else 200.0
+        if k % 4 >= 2:
+            comms[k] = bound
+    for k, comm in comms.items():
+        sensors = [Sensor(0, target, 0.0, 0.0, failed=True)]
+        sensors += [Sensor(i, positions[i - 1], e, e) for i, e in energies.items()]
+        world = World(Region(100.0, 100.0, 1.0, comm), sensors, EnergyModel(1.0, 0.0))
+        world.edit_chain(0, 0, [0])
+        yield world, k
 
 
 def assert_cells_match_dense_oracle(world, failed):
@@ -268,7 +278,8 @@ def assert_cells_match_dense_oracle(world, failed):
 
 
 def test_sparse_cells_equal_dense_on_boundary_instance():
-    assert_cells_match_dense_oracle(boundary_world(), {0})
+    for world, _ in boundary_worlds():
+        assert_cells_match_dense_oracle(world, {0})
 
 
 def warm_start_vacancies(world, dense):

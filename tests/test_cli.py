@@ -93,7 +93,13 @@ class TestRunBadDeployment:
         _t1_text(lambda d: d.pop("rho")),
         # int() alone would read id 2.5 as 2, so --fail 2 would fail it
         _t1_text(lambda d: d["sensors"][2].update(id=2.5)),
-    ], ids=["nan-x", "negative-energy", "malformed-json", "missing-rho", "fractional-id"])
+        # float() alone would read these as the numbers the file holds
+        _t1_text(lambda d: d.update(rho=True)),
+        _t1_text(lambda d: d.update(rho="1.5")),
+        _t1_text(lambda d: d["region"].update(L="10")),
+        _t1_text(lambda d: d["sensors"][0].update(x=True)),
+    ], ids=["nan-x", "negative-energy", "malformed-json", "missing-rho", "fractional-id",
+            "bool-rho", "string-rho", "string-length", "bool-x"])
     def test_exit_usage_with_one_error_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -163,6 +169,7 @@ class TestRunBadDeployment:
     (["sweep", "--n-list", "40,40"], None),
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"report_points": [0.1, 0.1]}'),
     (["sweep", "--n-list", "40", "--schemes", ""], None),
+    (["sweep", "--n-list", "40", "--config", "{config}"], '{"report_points": [0.1, 0.1000001]}'),
 ], ids=["generate-n-1", "generate-negative-rho", "generate-bad-out",
         "sweep-missing-config", "sweep-config-list", "sweep-config-string-trials",
         "sweep-config-negative-k",
@@ -175,7 +182,8 @@ class TestRunBadDeployment:
         "run-infinite-cost", "run-infinite-threshold", "run-negative-seed",
         "sweep-config-bool-trials", "sweep-config-bool-rho",
         "sweep-config-bool-report-point", "sweep-repeated-scheme", "sweep-repeated-size",
-        "sweep-config-repeated-report-point", "sweep-empty-schemes"])
+        "sweep-config-repeated-report-point", "sweep-empty-schemes",
+        "sweep-config-report-points-print-alike"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
     # Each of these used to end in a traceback and exit 1, or to run anyway.
     # A bad sweep must stop before its first deployment draw.

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barrier_restore.core import (
@@ -26,16 +26,17 @@ from conftest import T1_COORDS, make_world
 from oracles import keeps_chain_simple, total_displacement, total_energy_spent
 
 MODEL = EnergyModel()
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def sensor(energy=100.0, static=False, failed=False):
-    return Sensor(0, Point(0, 0), 30.0, 60.0, energy, 100.0,
+    return Sensor(0, Point(0, 0), energy, 100.0,
                   failed=failed, static=static)
 
 
 def one_sensor_world(energy=100.0, threshold=10.0):
-    s = Sensor(0, Point(0, 0), 30.0, 60.0, energy, energy)
-    return World(Region(200, 60), [s], EnergyModel(1.0, threshold))
+    s = Sensor(0, Point(0, 0), energy, energy)
+    return World(Region(200, 60, 30.0, 60.0), [s], EnergyModel(1.0, threshold))
 
 
 class TestDisplacementCapacity:
@@ -125,10 +126,10 @@ class TestApplyMove:
 def test_energy_conservation_over_random_walk():
     rng = seeded_rng(99)
     sensors = [
-        Sensor(i, Point(float(10 * i), 0.0), 30.0, 60.0, 100.0, 100.0)
+        Sensor(i, Point(float(10 * i), 0.0), 100.0, 100.0)
         for i in range(8)
     ]
-    w = World(Region(200, 60), sensors, EnergyModel(1.0, 0.0))
+    w = World(Region(200, 60, 30.0, 60.0), sensors, EnergyModel(1.0, 0.0))
     for _ in range(200):
         sid = int(rng.integers(0, 8))
         s = w.sensor(sid)
@@ -159,17 +160,34 @@ class TestSeededRng:
 class TestWorldJson:
     def test_round_trip(self):
         sensors = [
-            Sensor(i, Point(i * 10.0, 1.5), 30.0, 60.0, 80.0, 80.0)
+            Sensor(i, Point(i * 10.0, 1.5), 80.0, 80.0)
             for i in range(4)
         ]
-        w = World(Region(100, 60), sensors)
+        w = World(Region(100, 60, 30.0, 60.0), sensors)
         w2 = world_from_json(world_to_json(w))
         assert sorted(w2.sensors) == [0, 1, 2, 3]
         for i in range(4):
             assert w2.sensor(i).pos == w.sensor(i).pos
             assert w2.sensor(i).energy == 80.0
             assert w2.sensor(i).initial_energy == 80.0
-            assert w2.sensor(i).comm_radius == 60.0
+        assert w2.region == w.region
+
+    @settings(max_examples=300, deadline=None)
+    @example(region=Region(100.0, 60.0, 30.0, 60.0), sensors=[])
+    @example(region=Region(5e-324, 1.7976931348623157e308, 5e-324, 1e-300),
+             sensors=[(0, -0.0, 5e-324, 0.0)])
+    @given(region=st.builds(Region, *[st.floats(0.0, exclude_min=True, allow_infinity=False)] * 4),
+           sensors=st.lists(st.tuples(st.integers(0, 2**63), _FINITE, _FINITE,
+                                      st.floats(0.0, allow_infinity=False)),
+                            max_size=8, unique_by=lambda rec: rec[0]))
+    def test_round_trip_keeps_every_bit(self, region, sensors):
+        # repr writes each float's shortest round-trip form, so equal reprs
+        # mean equal bits, the sign of zero included.
+        w = World(region, [Sensor(i, Point(x, y), e, e) for i, x, y, e in sensors])
+        w2 = world_from_json(world_to_json(w))
+        assert repr(w2.region) == repr(region)
+        assert repr([(s.id, s.pos, s.energy) for s in w2.sensors.values()]) == repr(
+            [(s.id, s.pos, s.energy) for s in w.sensors.values()])
 
     @pytest.mark.parametrize("bad", [
         lambda d: d["sensors"][1].update(x=math.nan),
@@ -185,36 +203,49 @@ class TestWorldJson:
         # int() alone would read these as ids 3 and 1.
         lambda d: d["sensors"][3].update(id=3.7),
         lambda d: d["sensors"][1].update(id=True),
+        # float() alone would read these as numbers.
+        lambda d: d.update(rho=True),
+        lambda d: d.update(rho="1.5"),
+        lambda d: d.update(comm="60"),
+        lambda d: d["region"].update(L="10"),
+        lambda d: d["region"].update(W=True),
+        lambda d: d["sensors"][0].update(x=True),
+        lambda d: d["sensors"][1].update(y="1.5"),
+        lambda d: d["sensors"][2].update(energy="80"),
     ], ids=["nan-x", "inf-y", "negative-energy", "nan-energy", "zero-rho",
             "negative-comm", "nan-length", "missing-rho", "missing-energy",
-            "sensors-null", "fractional-id", "bool-id"])
+            "sensors-null", "fractional-id", "bool-id", "bool-rho", "string-rho",
+            "string-comm", "string-length", "bool-width", "bool-x", "string-y",
+            "string-energy"])
     def test_bad_deployment_rejected(self, bad):
-        sensors = [Sensor(i, Point(i * 10.0, 1.5), 30.0, 60.0, 80.0, 80.0)
+        sensors = [Sensor(i, Point(i * 10.0, 1.5), 80.0, 80.0)
                    for i in range(4)]
-        doc = json.loads(world_to_json(World(Region(100, 60), sensors)))
+        doc = json.loads(world_to_json(World(Region(100, 60, 30.0, 60.0), sensors)))
         bad(doc)
         with pytest.raises(ValueError):
             world_from_json(json.dumps(doc))
 
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):
-            World(Region(10, 10), [Sensor(-3, Point(0, 0), 1, 2, 1, 1)])
+            World(Region(10, 10, 1, 2), [Sensor(-3, Point(0, 0), 1, 1)])
 
     def test_integral_float_id_is_an_id(self):
-        doc = json.loads(world_to_json(World(Region(100, 60), [
-            Sensor(i, Point(i * 10.0, 1.5), 30.0, 60.0, 80.0, 80.0) for i in range(2)])))
+        doc = json.loads(world_to_json(World(Region(100, 60, 30.0, 60.0), [
+            Sensor(i, Point(i * 10.0, 1.5), 80.0, 80.0) for i in range(2)])))
         doc["sensors"][1]["id"] = 7.0
         assert sorted(world_from_json(json.dumps(doc)).sensors) == [0, 7]
 
     def test_duplicate_id_rejected(self):
-        s = [Sensor(1, Point(0, 0), 1, 2, 1, 1), Sensor(1, Point(1, 0), 1, 2, 1, 1)]
+        s = [Sensor(1, Point(0, 0), 1, 1), Sensor(1, Point(1, 0), 1, 1)]
         with pytest.raises(ValueError):
-            World(Region(10, 10), s)
+            World(Region(10, 10, 1, 2), s)
 
 
 def test_region_validation():
-    with pytest.raises(ValueError):
-        Region(0, 10)
+    for bad in [(0, 10, 1, 2), (10, -1, 1, 2), (10, 10, 0.0, 2), (10, 10, 1, math.nan),
+                (math.inf, 10, 1, 2), (10, 10, math.inf, 2)]:
+        with pytest.raises(ValueError):
+            Region(*bad)
     with pytest.raises(ValueError):
         EnergyModel(cost_per_unit_displacement=0)
 

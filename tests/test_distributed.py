@@ -585,7 +585,7 @@ def test_best_filler_sees_the_fillers_near_finds():
                 s = world.sensor(sid)
                 if s.failed:
                     continue
-                near = graph.near(s.pos, s.sensing_radius, world.sensors)
+                near = graph.near(s.pos)
                 assert election.best_filler(sid) == closest_filler(world, near, s.pos, chain)
                 checked += 1
     assert checked >= 2000

@@ -68,19 +68,19 @@ class TestBuildGraph:
             n = int(rng.integers(2, 30))
             ids = rng.permutation(3 * n)[:n].tolist()
             coords = rng.uniform(0, 12, size=(n, 2))
-            radii = rng.choice([0.5, 1.0, 1.5], size=n)
+            rho = float(rng.choice([0.5, 1.0, 1.5]))
             sensors = [
-                Sensor(sid, Point(float(x), float(y)), float(r), 2 * r, 10.0, 10.0)
-                for sid, (x, y), r in zip(ids, coords, radii)
+                Sensor(sid, Point(float(x), float(y)), 10.0, 10.0)
+                for sid, (x, y) in zip(ids, coords)
             ]
             if trial % 2 == 0:
                 # An exactly tangent pair and two sensors at one point;
                 # coordinates on a 1/8 grid keep the sums exact.
                 a, b, c = sensors[0], sensors[1], sensors[-1]
                 a.pos = Point(round(a.pos.x * 8) / 8, round(a.pos.y * 8) / 8)
-                b.pos = Point(a.pos.x + a.sensing_radius + b.sensing_radius, a.pos.y)
+                b.pos = Point(a.pos.x + rho + rho, a.pos.y)
                 c.pos = a.pos
-            region = Region(12.0, 12.0)
+            region = Region(12.0, 12.0, rho, 2 * rho)
             g = build_intersection_graph(sensors, region)
             assert g.adjacency == adjacency_oracle(sensors, region)
             if trial % 2 == 0:
@@ -91,19 +91,18 @@ class TestBuildGraph:
 def incremental_graph(sensors, region):
     """The graph built one ``IntersectionGraph.insert`` at a time."""
     graph = IntersectionGraph(region)
-    live = {s.id: s for s in sensors if not s.failed}
-    for s in live.values():
-        graph.insert(s, live)
+    for s in sensors:
+        if not s.failed:
+            graph.insert(s.id, s.pos)
     return graph
 
 
 class TestSweptBuild:
     def test_equals_incremental_build(self):
-        # Mixed radii, ids in permuted order, x ties (a 1/4 grid), exactly
-        # tangent and coincident pairs, sensors across either boundary,
-        # failed sensors in the input, and an empty list.
+        # Radii of each world's size, ids in permuted order, x ties (a 1/4
+        # grid), exactly tangent and coincident pairs, sensors across either
+        # boundary, failed sensors in the input, and an empty list.
         rng = np.random.default_rng(29)
-        region = Region(12.0, 6.0)
         for trial in range(60):
             n = 0 if trial == 0 else int(rng.integers(1, 40))
             ids = rng.permutation(3 * n)[:n].tolist()
@@ -111,29 +110,26 @@ class TestSweptBuild:
             if trial % 2:
                 xs = np.round(xs * 4) / 4
             ys = rng.uniform(0, 6, size=n)
-            radii = rng.choice([0.5, 1.0, 1.5], size=n)
+            rho = float(rng.choice([0.5, 1.0, 1.5]))
+            region = Region(12.0, 6.0, rho, 2 * rho)
             failed = rng.random(n) < 0.15
             sensors = [
-                Sensor(sid, Point(float(x), float(y)), float(r), 2 * r, 10.0, 10.0,
-                       failed=bool(f))
-                for sid, x, y, r, f in zip(ids, xs, ys, radii, failed)
+                Sensor(sid, Point(float(x), float(y)), 10.0, 10.0, failed=bool(f))
+                for sid, x, y, f in zip(ids, xs, ys, failed)
             ]
             if n >= 3:
                 a, b, c = sensors[0], sensors[1], sensors[2]
                 a.pos = Point(round(a.pos.x * 8) / 8, round(a.pos.y * 8) / 8)
-                b.pos = Point(a.pos.x + a.sensing_radius + b.sensing_radius, a.pos.y)
+                b.pos = Point(a.pos.x + rho + rho, a.pos.y)
                 c.pos = a.pos
             swept = build_intersection_graph(sensors, region)
             built = incremental_graph(sensors, region)
             assert swept.adjacency == built.adjacency
             assert swept.positions == built.positions
             assert swept.window(-math.inf, math.inf) == built.window(-math.inf, math.inf)
-            live = {s.id: s for s in sensors if not s.failed}
-            assert swept.max_comm_radius == built.max_comm_radius == max(
-                (s.comm_radius for s in live.values()), default=0.0)
-            for x, y, r in zip(*rng.uniform(-3, 15, size=(2, 10)), rng.choice([0.5, 2.0], 10)):
+            for x, y in zip(*rng.uniform(-3, 15, size=(2, 10))):
                 probe = Point(float(x), float(y))
-                assert swept.near(probe, float(r), live) == built.near(probe, float(r), live)
+                assert swept.near(probe) == built.near(probe)
 
 
 def edited_worlds(seed):
@@ -145,12 +141,12 @@ def edited_worlds(seed):
     for trial in range(30):
         n = int(rng.integers(2, 40))
         ids = rng.permutation(3 * n)[:n].tolist()
-        radii = rng.choice([0.5, 1.0, 1.5], size=n)
+        rho = float(rng.choice([0.5, 1.0, 1.5]))
         sensors = [
-            Sensor(sid, Point(float(x), float(y)), float(r), 2 * r, 1e9, 1e9)
-            for sid, (x, y), r in zip(ids, rng.uniform(0, 12, size=(n, 2)), radii)
+            Sensor(sid, Point(float(x), float(y)), 1e9, 1e9)
+            for sid, (x, y) in zip(ids, rng.uniform(0, 12, size=(n, 2)))
         ]
-        w = World(Region(12.0, 12.0), sensors, EnergyModel(1.0, 0.0))
+        w = World(Region(12.0, 12.0, rho, 2 * rho), sensors, EnergyModel(1.0, 0.0))
         world_graph(w)
         for _ in range(6):
             live = w.active_sensors()
@@ -161,8 +157,7 @@ def edited_worlds(seed):
                     w.fail(s.id)
                 elif kind == 1:
                     other = live[int(rng.integers(len(live)))]
-                    w.apply_move(s.id, Point(other.pos.x + other.sensing_radius
-                                             + s.sensing_radius, other.pos.y))
+                    w.apply_move(s.id, Point(other.pos.x + rho + rho, other.pos.y))
                 elif kind == 2:
                     w.apply_move(s.id, live[int(rng.integers(len(live)))].pos)
                 else:
@@ -173,12 +168,11 @@ def edited_worlds(seed):
 class TestInPlaceUpdate:
     def test_update_matches_fresh_build(self):
         # The world's graph must equal the pairwise definition after each
-        # batch of edits, and its comm reach still cover every live sensor.
+        # batch of edits.
         for w, _ in edited_worlds(17):
             live = w.active_sensors()
             assert w.graph.adjacency == adjacency_oracle(live, w.region)
             assert w.graph.positions == {s.id: s.pos for s in live}
-            assert w.graph.max_comm_radius >= max((s.comm_radius for s in live), default=0.0)
 
     def test_window_is_the_live_x_range(self):
         # After each batch of edits, the x-window returns exactly the live
@@ -196,15 +190,15 @@ class TestInPlaceUpdate:
                     assert w.graph.window(lo, hi) == want
             adjacency = adjacency_oracle(live, w.region)
             for s in live:
-                near = w.graph.near(s.pos, s.sensing_radius, w.sensors)
+                near = w.graph.near(s.pos)
                 assert [v for v in near if v != s.id] == [v for v in adjacency[s.id] if v >= 0]
 
     def test_near_is_the_build_test(self):
         w = make_world([(1, 0), (3, 0), (5, 0)])
         g = build_intersection_graph(w.active_sensors(), w.region)
-        assert g.near(Point(4, 0), 1.0, w.sensors) == [1, 2]
-        assert g.near(Point(7, 0), 1.0, w.sensors) == [2]  # tangent
-        assert g.near(Point(7, 0), 0.999, w.sensors) == []
+        assert g.near(Point(4, 0)) == [1, 2]
+        assert g.near(Point(7, 0)) == [2]  # tangent
+        assert g.near(Point(7 + 1e-9, 0)) == []  # just outside
 
 
 class TestFindBarrier:

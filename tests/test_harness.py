@@ -71,9 +71,9 @@ class TestGenerateDeployment:
         formed = 0
         for seed in range(100):
             sensors = generate_deployment(cfg, seeded_rng(seed))
-            from barrier_restore.core import Region, World
+            from barrier_restore.core import World
 
-            w = World(Region(cfg.length, cfg.width), sensors)
+            w = World(cfg.region(), sensors)
             g = build_intersection_graph(w.active_sensors(), w.region)
             if find_barrier(g) is not None:
                 formed += 1
@@ -106,8 +106,7 @@ class TestGenerateDeployment:
         assert repr(sensors) == repr(deployment_oracle(cfg, seeded_rng(seed)))
         for s in sensors:
             assert all(type(v) is float for v in (
-                s.pos.x, s.pos.y, s.sensing_radius, s.comm_radius, s.energy,
-                s.initial_energy))
+                s.pos.x, s.pos.y, s.energy, s.initial_energy))
 
     def test_redraw_exhaustion_raises(self):
         cfg = ExperimentConfig(n=3, length=4000.0, rho=30.0, trials=1,
@@ -274,7 +273,7 @@ def test_verdict_is_retaken_after_a_new_chain_or_a_move(monkeypatch):
             start = len(world.changes)
             for sid in world.barrier:
                 s = world.sensor(sid)
-                dest = Point(s.pos.x, s.pos.y + 3 * s.sensing_radius)
+                dest = Point(s.pos.x, s.pos.y + 3 * world.region.rho)
                 if displacement_capacity(s, world.energy_model) >= s.pos.distance_to(dest):
                     world.apply_move(sid, dest)
                     break
@@ -366,7 +365,6 @@ class TestWorldCopy:
             assert copy.adjacency == built.adjacency
             assert copy.positions == built.positions
             assert copy.window(-math.inf, math.inf) == built.window(-math.inf, math.inf)
-            assert copy.max_comm_radius == built.max_comm_radius
             assert copy.adjacency is not world.graph.adjacency
             assert all(copy.adjacency[v] is not row
                        for v, row in world.graph.adjacency.items())
@@ -506,6 +504,9 @@ class TestRunExperiment:
         dict(k_hop_budget=True),
         dict(report_points=(False, 0.1)),
         dict(report_points=(0.1, 0.1)),
+        # Distinct points whose percentages print alike in the CSV.
+        dict(report_points=(0.1, 0.1000001)),
+        dict(report_points=(0.05, 0.2999999, 0.3)),
         dict(schemes=("dmove", "dmove")),
         *(dict([(name, math.inf)]) for name in (
             "length", "width", "rho", "comm", "sigma", "initial_energy",
