@@ -23,7 +23,6 @@ from .core import (
     RestoreOutcome,
     Sensor,
     World,
-    displacement_capacity,
     seeded_rng,
     world_from_json,
     world_to_json,
@@ -79,7 +78,6 @@ __all__ = [
     "World",
     "build_assignment",
     "build_intersection_graph",
-    "displacement_capacity",
     "find_alternate_path",
     "find_barrier",
     "generate_deployment",

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Point, RestoreOutcome, World, displacement_capacity
+from .core import Point, RestoreOutcome, World
 from .graph import closest_filler, shift_cascade, world_graph
 
 
@@ -30,9 +30,7 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
         if idx < 0 or idx >= len(chain):
             return False
         s = world.sensor(chain[idx])
-        return not s.failed and displacement_capacity(
-            s, world.energy_model
-        ) >= s.pos.distance_to(hole)
+        return world.affords(s, s.pos.distance_to(hole))
 
     def next_mover(vacated: int, idx: int, hole: Point) -> Optional[int]:
         nonlocal step

@@ -34,7 +34,6 @@ from .core import (
     MECH_SHIFTING,
     RestoreOutcome,
     World,
-    displacement_capacity,
 )
 from .graph import (
     failed_span,
@@ -158,19 +157,19 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     members, are its vacancies, and the chain and its slot map its warm
     start.
 
-    A cell is feasible when the sensor is mobile, can afford the distance
-    and the target lies within its communication range. A sensor standing
-    exactly on a barrier position always keeps a zero-cost cell there, so
-    immobilized occupants can still be "assigned" in place. A column's
-    cells are computed when the solve first reads it, from the world
-    graph's x-window as wide as the comm radius, ``Region.comm`` (slightly
-    widened against rounding; the exact test decides). So the problem is valid
-    only until the world next changes: apply no move before the solve has
-    returned.
+    A cell is feasible when the target lies within the sensor's
+    communication range and the world affords the sensor the distance
+    (``World.affords``). So a sensor standing exactly on a barrier position
+    always keeps a zero-cost cell there, and immobile occupants can still
+    be "assigned" in place. A column's cells are computed when the solve
+    first reads it, from the world graph's x-window as wide as the comm
+    radius, ``Region.comm`` (slightly widened against rounding; the exact
+    test decides). So the problem is valid only until the world next
+    changes: apply no move before the solve has returned.
     """
     chain, slots, sensors = world.barrier, world.slots, world.sensors
     graph = world_graph(world)
-    model, comm = world.energy_model, world.region.comm
+    affords, comm = world.affords, world.region.comm
     span = comm * (1.0 + 1e-9)
 
     def cells_of(j: int) -> list[tuple[int, float]]:
@@ -181,10 +180,10 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
             s = sensors[sid]
             # math.dist of two points is math.hypot of their differences,
             # bit for bit, so every cost equals Point.distance_to, which
-            # World.apply_move re-checks each move with. A static sensor's
-            # capacity is 0, so it keeps only zero-cost cells.
+            # World.apply_move re-checks each move with. A sensor that may
+            # not move keeps only zero-cost cells.
             cost = math.dist((s.pos.x, s.pos.y), target)
-            if cost == 0.0 or cost <= min(displacement_capacity(s, model), comm):
+            if cost <= comm and affords(s, cost):
                 cells.append((sid, cost))
         cells.sort()
         return cells

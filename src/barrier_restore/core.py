@@ -19,7 +19,7 @@ if TYPE_CHECKING:
 
 
 class MoveExceedsCapacity(Exception):
-    """Requested relocation is farther than the sensor can travel."""
+    """A move that the world does not afford (``World.affords``)."""
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,8 @@ class Sensor:
     """One sensor node; its radii are the deployment's, ``Region.rho`` and
     ``Region.comm``.
 
-    ``failed`` sensors never move and never appear in any graph; ``static``
-    sensors are alive but have lost the right to relocate (energy drained
-    below the configured threshold).
+    ``failed`` sensors never move and never appear in any graph. Whether a
+    live one may move is read off its energy, ``World.affords``.
     """
 
     id: int
@@ -46,7 +45,6 @@ class Sensor:
     energy: float
     initial_energy: float
     failed: bool = False
-    static: bool = False
 
 
 @dataclass(frozen=True)
@@ -79,18 +77,6 @@ class EnergyModel:
             raise ValueError("cost_per_unit_displacement must be positive and finite")
         if not 0 <= self.static_threshold < math.inf:
             raise ValueError("static_threshold must be non-negative and finite")
-
-
-def displacement_capacity(sensor: Sensor, model: EnergyModel) -> float:
-    """Maximum distance the sensor may still travel.
-
-    Feasibility tests compare distances against the full remaining energy
-    budget; a move is allowed to land the sensor below the static threshold
-    (it then becomes static).
-    """
-    if sensor.static or sensor.failed:
-        return 0.0
-    return sensor.energy / model.cost_per_unit_displacement
 
 
 class Move(NamedTuple):
@@ -190,7 +176,7 @@ class World:
         scheme can run on its own copy."""
         twin = World(self.region, (), self.energy_model)
         twin.sensors = {
-            sid: Sensor(s.id, s.pos, s.energy, s.initial_energy, s.failed, s.static)
+            sid: Sensor(s.id, s.pos, s.energy, s.initial_energy, s.failed)
             for sid, s in self.sensors.items()
         }
         twin._barrier = list(self._barrier)
@@ -273,32 +259,38 @@ class World:
             if self.graph is not None:
                 self.graph.remove(sensor_id)
 
+    def affords(self, sensor: Sensor, distance: float) -> bool:
+        """Whether ``sensor`` may travel ``distance``: the one move rule.
+        A failed sensor may not move, and a live one may always stay put.
+        To go farther, its energy, however it got there, must be at least
+        the static threshold and pay for the whole distance. So a move may
+        leave it below the threshold, and then it moves no more."""
+        if sensor.failed:
+            return False
+        if distance == 0.0:
+            return True
+        model = self.energy_model
+        return (sensor.energy >= model.static_threshold
+                and sensor.energy / model.cost_per_unit_displacement >= distance)
+
     def apply_move(self, sensor_id: int, dest: Point) -> None:
         """Relocate one sensor, paying energy per unit distance.
 
-        Raises :class:`MoveExceedsCapacity` if the sensor is failed or the
-        distance exceeds its remaining capacity; callers must treat that as
-        an infeasible plan and apply nothing further. A zero-length move
-        changes and records nothing."""
+        Raises :class:`MoveExceedsCapacity` unless the world ``affords``
+        the move; callers must treat that as an infeasible plan and apply
+        nothing further. A zero-length move changes and records nothing."""
         s = self.sensors[sensor_id]
-        if s.failed:
-            raise MoveExceedsCapacity(f"sensor {sensor_id} has failed")
         d = s.pos.distance_to(dest)
+        if not self.affords(s, d):
+            raise MoveExceedsCapacity(f"sensor {sensor_id} cannot afford a move of {d:.6g}")
         if d == 0.0:
             return
-        if d > displacement_capacity(s, self.energy_model):
-            raise MoveExceedsCapacity(
-                f"sensor {sensor_id}: move of {d:.6g} exceeds capacity "
-                f"{displacement_capacity(s, self.energy_model):.6g}"
-            )
         self.changes.append(Move(sensor_id, s.pos, dest))
         s.pos = dest
         if self.graph is not None:
             self.graph.remove(sensor_id)
             self.graph.insert(sensor_id, dest)
         s.energy -= d * self.energy_model.cost_per_unit_displacement
-        if s.energy < self.energy_model.static_threshold:
-            s.static = True
 
 
 def seeded_rng(*key: int) -> np.random.Generator:

@@ -33,7 +33,6 @@ from .core import (
     MECH_SHIFTING,
     RestoreOutcome,
     World,
-    displacement_capacity,
 )
 from .graph import (
     PL,
@@ -225,7 +224,7 @@ class Election(Mapping[int, NodeState]):
         sensors = world.sensors
         me = sensors[sid]
         hop = me.pos.distance_to(sensors[asker].pos)
-        if displacement_capacity(me, world.energy_model) < hop:
+        if not world.affords(me, hop):
             return hop, INF
         filler = self.best_filler(sid)
         return hop, None if filler is None else filler[0] + hop

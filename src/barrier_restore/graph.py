@@ -46,7 +46,6 @@ from .core import (
     RestoreOutcome,
     Sensor,
     World,
-    displacement_capacity,
 )
 
 # Boundary sentinels; sensor ids are non-negative so these never collide.
@@ -357,14 +356,14 @@ def closest_filler(
     that can afford relocating onto ``pos``, ties broken on id; None if
     there is none. Boundary sentinels among the candidates are skipped."""
     best = None
+    sensors, affords = world.sensors, world.affords
     for sid in candidates:
         if sid < 0 or sid in exclude:
             continue
-        sensor = world.sensors[sid]
+        sensor = sensors[sid]
         d = sensor.pos.distance_to(pos)
-        if displacement_capacity(sensor, world.energy_model) >= d:
-            if best is None or (d, sid) < best:
-                best = (d, sid)
+        if (best is None or (d, sid) < best) and affords(sensor, d):
+            best = (d, sid)
     return best
 
 
@@ -398,9 +397,7 @@ def shift_cascade(
         if mover is None or mover in shifted.values():
             break
         sensor = world.sensors[mover]
-        if sensor.failed or displacement_capacity(
-            sensor, world.energy_model
-        ) < sensor.pos.distance_to(hole):
+        if not world.affords(sensor, sensor.pos.distance_to(hole)):
             break
         old_pos = sensor.pos
         world.apply_move(mover, hole)

@@ -17,17 +17,19 @@ import networkx as nx
 import numpy as np
 
 from barrier_restore.central import AssignmentProblem, FeasibleCells
-from barrier_restore.core import (
-    Point,
-    Region,
-    Sensor,
-    World,
-    displacement_capacity,
-    seeded_rng,
-)
+from barrier_restore.core import EnergyModel, Point, Region, Sensor, World, seeded_rng
 from barrier_restore.graph import PL, PR, IntersectionGraph
 
 INF = math.inf
+
+
+def capacity(sensor: Sensor, model: EnergyModel) -> float:
+    """How far a sensor may still travel, by the energy model's definition
+    rather than ``World.affords``: nowhere once failed or below the static
+    threshold, else as far as its whole energy pays for."""
+    if sensor.failed or sensor.energy < model.static_threshold:
+        return 0.0
+    return sensor.energy / model.cost_per_unit_displacement
 
 
 def _discs_meet(s: Sensor, t: Sensor, rho: float) -> bool:
@@ -175,11 +177,8 @@ def dense_build_assignment(world: World, failed: Iterable[int]) -> DenseProblem:
         dtype=float,
         count=len(left) * len(right),
     ).reshape(len(left), len(right))
-    cap = np.array([displacement_capacity(s, world.energy_model) for s in sensors])
-    mobile = np.array([not s.static for s in sensors], dtype=bool)
-    feasible = (cost == 0.0) | (
-        mobile[:, None] & (cost <= cap[:, None]) & (cost <= world.region.comm)
-    )
+    cap = np.array([capacity(s, world.energy_model) for s in sensors])
+    feasible = (cost <= cap[:, None]) & (cost <= world.region.comm)
     return DenseProblem(left, right, cost, feasible)
 
 
@@ -367,7 +366,7 @@ def recovery_chain_oracle(world: World, graph: IntersectionGraph):
                 continue
             s = world.sensor(t)
             d = s.pos.distance_to(pos(sid))
-            if displacement_capacity(s, model) < d:
+            if capacity(s, model) < d:
                 continue
             key = (d, t)
             if best_key is None or key < best_key:
@@ -380,7 +379,7 @@ def recovery_chain_oracle(world: World, graph: IntersectionGraph):
     for i in range(1, m):
         prev, cur = chain[i - 1], chain[i]
         hop = pos(prev).distance_to(pos(cur))
-        if displacement_capacity(world.sensor(prev), model) < hop:
+        if capacity(world.sensor(prev), model) < hop:
             continue
         base = nbv[i - 1][0] if nbv[i - 1][0] < INF else left[i - 1]
         left[i] = hop + base
@@ -388,7 +387,7 @@ def recovery_chain_oracle(world: World, graph: IntersectionGraph):
     for i in range(m - 2, -1, -1):
         nxt, cur = chain[i + 1], chain[i]
         hop = pos(nxt).distance_to(pos(cur))
-        if displacement_capacity(world.sensor(nxt), model) < hop:
+        if capacity(world.sensor(nxt), model) < hop:
             continue
         base = nbv[i + 1][0] if nbv[i + 1][0] < INF else right[i + 1]
         right[i] = hop + base

@@ -4,10 +4,10 @@ import pytest
 
 from barrier_restore.baselines import restore_rmove
 from barrier_restore.central import MECH_ALTERNATE
-from barrier_restore.core import Point, displacement_capacity, seeded_rng
+from barrier_restore.core import Point, seeded_rng
 from barrier_restore.graph import verify_barrier
 from conftest import make_world, random_line_world
-from oracles import barrier_oracle
+from oracles import barrier_oracle, capacity
 
 
 def test_nonbarrier_neighbor_fills_directly(t1_world):
@@ -95,7 +95,7 @@ def test_success_respects_energy_and_validity():
         rng = np.random.default_rng(seed + 1)
         victim = w.barrier[int(rng.integers(0, len(w.barrier)))]
         caps = {
-            s.id: displacement_capacity(s, w.energy_model)
+            s.id: capacity(s, w.energy_model)
             for s in w.active_sensors()
         }
         w.fail(victim)

@@ -24,7 +24,6 @@ from barrier_restore.core import (
     Region,
     Sensor,
     World,
-    displacement_capacity,
 )
 from barrier_restore.graph import verify_barrier
 from barrier_restore.harness import ExperimentConfig, run_trial, trial_seed
@@ -32,6 +31,7 @@ from conftest import make_world, random_line_world
 from oracles import (
     barrier_oracle,
     brute_force_assignment,
+    capacity,
     dense_build_assignment,
     dense_hungarian,
     full_assignment,
@@ -205,7 +205,7 @@ class TestBuildAssignment:
 
     def test_static_sensor_keeps_self_edge(self, t1_world):
         w = t1_world
-        w.sensor(1).static = True
+        w.sensor(1).energy = 9.0  # below the threshold, though it pays for a hop
         w.fail(2)
         p = build_assignment(w, {2})
         assert 1 in cells(p, 1)
@@ -218,7 +218,7 @@ class TestBuildAssignment:
             col = cells(p, 0)
             for s in w.active_sensors():
                 d = s.pos.distance_to(target)
-                cap = displacement_capacity(s, w.energy_model)
+                cap = capacity(s, w.energy_model)
                 assert (s.id in col) == (cap >= d and d <= w.region.comm)
                 if s.id in col:
                     assert col[s.id] == d
@@ -364,16 +364,16 @@ def test_warm_start_computes_no_column(t1_world):
 def tie_world():
     """A chain whose positions hold ties: sensor 5 stands off the chain on
     chain member 1's position, chain members 3 and 7 share one position,
-    member 1 is static and member 0 drained; member 2 has failed. The warm
-    start keeps each live member on its own slot, whatever else stands on
-    its point."""
+    member 1 is below the static threshold and member 0 drained; member 2
+    has failed. The warm start keeps each live member on its own slot,
+    whatever else stands on its point."""
     w = make_world(
         [(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (3, 0), (5, 1.5), (7, 0)],
         with_barrier=False,
     )
     w.edit_chain(0, len(w.barrier), [0, 1, 2, 3, 7, 4])
     w.sensor(0).energy = 0.0
-    w.sensor(1).static = True
+    w.sensor(1).energy = 9.0
     w.fail(2)
     return w
 

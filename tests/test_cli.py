@@ -279,6 +279,22 @@ class TestRun:
         doc = json.loads(capsys.readouterr().out)
         assert doc["failed"] == [1, 2]
 
+    @pytest.mark.parametrize("scheme, fail", [("cmove", "30,31,32"), ("rmove", "31")])
+    def test_sensors_loaded_below_the_threshold_stay_put(self, tmp_path, capsys,
+                                                         scheme, fail):
+        # Every sensor of this deployment holds energy 100. The scheme
+        # restores the barrier by shifting at the default threshold, and
+        # moves nothing when the threshold is 150.
+        dep = tmp_path / "d.json"
+        assert main(["generate", "--n", "60", "--length", "1500", "--seed", "1",
+                     "--out", str(dep)]) == 0
+        run = ["run", "--deployment", str(dep), "--scheme", scheme, "--fail", fail]
+        assert main(run) == 0
+        assert json.loads(capsys.readouterr().out)["mechanism"] == "shifting"
+        assert main([*run, "--static-threshold", "150"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["success"], doc["mechanism"], doc["moves"]) == (False, "none", [])
+
 
 class TestSweep:
     ARGS = [

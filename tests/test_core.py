@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from barrier_restore.core import (
@@ -16,44 +16,98 @@ from barrier_restore.core import (
     Region,
     Sensor,
     World,
-    displacement_capacity,
     seeded_rng,
     world_from_json,
     world_to_json,
 )
 from barrier_restore.graph import PL, PR, verify_barrier
 from conftest import T1_COORDS, make_world
-from oracles import keeps_chain_simple, total_displacement, total_energy_spent
+from oracles import capacity, keeps_chain_simple, total_displacement, total_energy_spent
 
-MODEL = EnergyModel()
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def sensor(energy=100.0, static=False, failed=False):
-    return Sensor(0, Point(0, 0), energy, 100.0,
-                  failed=failed, static=static)
-
-
-def one_sensor_world(energy=100.0, threshold=10.0):
+def one_sensor_world(energy=100.0, threshold=10.0, cost=1.0):
     s = Sensor(0, Point(0, 0), energy, energy)
-    return World(Region(200, 60, 30.0, 60.0), [s], EnergyModel(1.0, threshold))
+    return World(Region(200, 60, 30.0, 60.0), [s], EnergyModel(cost, threshold))
 
 
-class TestDisplacementCapacity:
+def reach(world, sensor):
+    """The distances ``world.affords`` ``sensor`` that a caller tests most:
+    none, one ulp and its whole energy's worth, and one ulp past that."""
+    budget = sensor.energy / world.energy_model.cost_per_unit_displacement
+    return [0.0, math.ulp(0.0), budget, math.nextafter(budget, math.inf)]
+
+
+class TestAffords:
     def test_full_energy_unit_cost(self):
-        assert displacement_capacity(sensor(100.0), MODEL) == 100.0
+        w = one_sensor_world(100.0)
+        assert [w.affords(w.sensor(0), d) for d in reach(w, w.sensor(0))] == [
+            True, True, True, False]
 
     def test_exhausted(self):
-        assert displacement_capacity(sensor(0.0), MODEL) == 0.0
+        w = one_sensor_world(0.0)
+        assert [w.affords(w.sensor(0), d) for d in (0.0, math.ulp(0.0), 1.0)] == [
+            True, False, False]
 
     def test_linear(self):
-        assert displacement_capacity(sensor(25.0), MODEL) == 25.0
+        w = one_sensor_world(25.0)
+        assert w.affords(w.sensor(0), 25.0)
+        assert not w.affords(w.sensor(0), math.nextafter(25.0, math.inf))
 
     def test_static_cannot_move(self):
-        assert displacement_capacity(sensor(100.0, static=True), MODEL) == 0.0
+        # Loaded below the threshold, not drained there by a move: energy
+        # that would pay for the distance does not make it mobile.
+        w = one_sensor_world(9.5)
+        assert [w.affords(w.sensor(0), d) for d in (0.0, math.ulp(0.0), 1.0)] == [
+            True, False, False]
 
     def test_cost_scaling(self):
-        assert displacement_capacity(sensor(100.0), EnergyModel(2.0, 0.0)) == 50.0
+        w = one_sensor_world(100.0, threshold=0.0, cost=2.0)
+        assert w.affords(w.sensor(0), 50.0)
+        assert not w.affords(w.sensor(0), math.nextafter(50.0, math.inf))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cost=st.sampled_from([0.5, 1.0, 2.0]),
+       threshold=st.sampled_from([0.0, 5e-324, 1e-300, 10.0]),
+       energy=st.one_of(st.sampled_from(["at", "below", 0.0]), st.floats(0.0, 1e6)),
+       failed=st.booleans(),
+       distance=st.one_of(st.sampled_from([0.0, 5e-324, "budget"]), st.floats(0.0, 1e6)),
+       again=st.floats(0.0, 1e6, exclude_min=True))
+def test_apply_move_raises_exactly_when_not_afforded(
+        cost, threshold, energy, failed, distance, again):
+    # Energy at the threshold, one ulp below it or any; the distance none,
+    # one ulp, the whole budget or any, along x, so that Point.distance_to
+    # returns it exactly.
+    if energy == "at":
+        energy = threshold
+    elif energy == "below":
+        energy = math.nextafter(threshold, -math.inf)
+        assume(energy >= 0.0)
+    if distance == "budget":
+        distance = energy / cost
+    w = one_sensor_world(energy, threshold, cost)
+    if failed:
+        w.fail(0)
+    s = w.sensor(0)
+    afforded = w.affords(s, distance)
+    assert afforded == (not failed and (distance == 0.0
+                                        or capacity(s, w.energy_model) >= distance))
+    try:
+        w.apply_move(0, Point(distance, 0.0))
+    except MoveExceedsCapacity:
+        assert not afforded
+        assert (s.pos, s.energy, len(w.changes)) == (Point(0, 0), energy, int(failed))
+        return
+    assert afforded
+    # A move that leaves the sensor below the threshold is its last one:
+    # it may stay put, and go nowhere else.
+    if s.energy < threshold:
+        assert not w.affords(s, again)
+        with pytest.raises(MoveExceedsCapacity):
+            w.apply_move(0, Point(0.0, again))
+        w.apply_move(0, s.pos)
 
 
 class TestApplyMove:
@@ -61,13 +115,15 @@ class TestApplyMove:
         w = one_sensor_world()
         w.apply_move(0, Point(30, 0))
         assert w.sensor(0).energy == 70.0
-        assert not w.sensor(0).static
+        assert w.affords(w.sensor(0), 70.0)
 
     def test_threshold_crossing_makes_static(self):
         w = one_sensor_world()
         w.apply_move(0, Point(95, 0))
         assert w.sensor(0).energy == 5.0
-        assert w.sensor(0).static
+        assert not w.affords(w.sensor(0), 1.0)
+        with pytest.raises(MoveExceedsCapacity):
+            w.apply_move(0, Point(96, 0))
 
     def test_zero_move_is_identity(self):
         w = one_sensor_world()
@@ -94,10 +150,10 @@ class TestApplyMove:
             w.apply_move(0, Point(1, 0))
 
     def test_static_sensor_cannot_move(self):
-        w = one_sensor_world()
-        w.sensor(0).static = True
+        w = one_sensor_world(energy=9.0)
         with pytest.raises(MoveExceedsCapacity):
             w.apply_move(0, Point(1, 0))
+        assert w.sensor(0).energy == 9.0
 
     def test_change_record_audits_displacement(self):
         # A failure's record has length zero, so it adds no displacement.
@@ -135,7 +191,7 @@ def test_energy_conservation_over_random_walk():
         s = w.sensor(sid)
         step = rng.uniform(-1, 1, size=2)
         dest = Point(s.pos.x + step[0], s.pos.y + step[1])
-        if s.pos.distance_to(dest) <= displacement_capacity(s, w.energy_model):
+        if w.affords(s, s.pos.distance_to(dest)):
             w.apply_move(sid, dest)
     assert total_energy_spent(w) == pytest.approx(total_displacement(w), abs=1e-9)
     assert all(s.energy >= 0 for s in w.sensors.values())
@@ -173,21 +229,40 @@ class TestWorldJson:
         assert w2.region == w.region
 
     @settings(max_examples=300, deadline=None)
-    @example(region=Region(100.0, 60.0, 30.0, 60.0), sensors=[])
+    @example(region=Region(100.0, 60.0, 30.0, 60.0), sensors=[], threshold=10.0, moves=[])
     @example(region=Region(5e-324, 1.7976931348623157e308, 5e-324, 1e-300),
-             sensors=[(0, -0.0, 5e-324, 0.0)])
+             sensors=[(0, -0.0, 5e-324, 0.0)], threshold=10.0, moves=[])
+    # A move that leaves the sensor below the threshold.
+    @example(region=Region(100.0, 60.0, 30.0, 60.0), sensors=[(0, 0.0, 0.0, 100.0)],
+             threshold=10.0, moves=[(0, 0.95)])
     @given(region=st.builds(Region, *[st.floats(0.0, exclude_min=True, allow_infinity=False)] * 4),
            sensors=st.lists(st.tuples(st.integers(0, 2**63), _FINITE, _FINITE,
                                       st.floats(0.0, allow_infinity=False)),
-                            max_size=8, unique_by=lambda rec: rec[0]))
-    def test_round_trip_keeps_every_bit(self, region, sensors):
+                            max_size=8, unique_by=lambda rec: rec[0]),
+           threshold=st.one_of(st.just(10.0), st.floats(0.0, allow_infinity=False)),
+           moves=st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 1.0)), max_size=8))
+    def test_round_trip_keeps_every_bit(self, region, sensors, threshold, moves):
         # repr writes each float's shortest round-trip form, so equal reprs
-        # mean equal bits, the sign of zero included.
-        w = World(region, [Sensor(i, Point(x, y), e, e) for i, x, y, e in sensors])
-        w2 = world_from_json(world_to_json(w))
+        # mean equal bits, the sign of zero included. Each move goes along
+        # x by a share of the sensor's energy, if the world affords it; at
+        # unit cost no move leaves negative energy, which a load rejects.
+        model = EnergyModel(1.0, threshold)
+        w = World(region, [Sensor(i, Point(x, y), e, e) for i, x, y, e in sensors], model)
+        ids = list(w.sensors)
+        for k, share in moves:
+            if k < len(ids):
+                s = w.sensor(ids[k])
+                dest = Point(s.pos.x + share * s.energy, s.pos.y)
+                if math.isfinite(dest.x) and w.affords(s, s.pos.distance_to(dest)):
+                    w.apply_move(s.id, dest)
+        w2 = world_from_json(world_to_json(w), model)
         assert repr(w2.region) == repr(region)
         assert repr([(s.id, s.pos, s.energy) for s in w2.sensors.values()]) == repr(
             [(s.id, s.pos, s.energy) for s in w.sensors.values()])
+        # A sensor that a move left immobile is immobile when reloaded.
+        for s in w.sensors.values():
+            assert [w2.affords(w2.sensor(s.id), d) for d in reach(w, s)] == [
+                w.affords(s, d) for d in reach(w, s)]
 
     @pytest.mark.parametrize("bad", [
         lambda d: d["sensors"][1].update(x=math.nan),

@@ -15,7 +15,6 @@ from barrier_restore.central import MECH_ALTERNATE, MECH_SHIFTING
 from barrier_restore.core import (
     MECH_NONE,
     Point,
-    displacement_capacity,
     seeded_rng,
 )
 from barrier_restore.distributed import (
@@ -43,6 +42,7 @@ from conftest import T1_COORDS, drain, make_world, random_line_world
 from oracles import (
     adjacency_oracle,
     barrier_oracle,
+    capacity,
     edited_span_oracle,
     has_edge,
     hop_distance,
@@ -715,7 +715,7 @@ class TestIncrementalElection:
                     # Toward a random sensor, as far as the energy allows.
                     t = live[int(rng.integers(len(live)))]
                     dx, dy = t.pos.x - s.pos.x + rng.uniform(-1, 1), t.pos.y - s.pos.y
-                    scale = min(1.0, 0.99 * displacement_capacity(s, world.energy_model)
+                    scale = min(1.0, 0.99 * capacity(s, world.energy_model)
                                 / max(math.hypot(dx, dy), 1e-9))
                     world.apply_move(s.id, Point(s.pos.x + scale * dx, s.pos.y + scale * dy))
                 elif kind == 2:

@@ -16,7 +16,6 @@ from barrier_restore.core import (
     MECH_NONE,
     Point,
     RestoreOutcome,
-    displacement_capacity,
     seeded_rng,
 )
 from barrier_restore.graph import build_intersection_graph, find_barrier, world_graph
@@ -170,6 +169,16 @@ class TestRunTrial:
         b = run_trial("rmove", cfg, trial_seed(cfg, 5))
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_sensors_loaded_below_the_threshold_never_move(self, scheme):
+        # Energy 5 is below the default static threshold of 10, though it
+        # pays for short moves: on this trial rmove and dmove would each
+        # move a sensor if only the budget counted.
+        cfg = ExperimentConfig(n=160, initial_energy=5.0)
+        res = run_trial(scheme, cfg, trial_seed(cfg, 0))
+        assert all(m.length == 0.0 for m in res.world.changes)
+        assert all(ep.displacement == 0.0 for ep in res.episodes)
+
 
 @pytest.mark.parametrize("n", [140, 180])
 def test_every_scheme_fails_the_same_sensors(n):
@@ -274,7 +283,7 @@ def test_verdict_is_retaken_after_a_new_chain_or_a_move(monkeypatch):
             for sid in world.barrier:
                 s = world.sensor(sid)
                 dest = Point(s.pos.x, s.pos.y + 3 * world.region.rho)
-                if displacement_capacity(s, world.energy_model) >= s.pos.distance_to(dest):
+                if world.affords(s, s.pos.distance_to(dest)):
                     world.apply_move(sid, dest)
                     break
             outcome = RestoreOutcome(outcome.mechanism, world.changes[start:])

@@ -13,11 +13,13 @@ And ``src/`` imports only the standard library, numpy (its one runtime
 dependency in ``pyproject.toml``) and itself, at any depth of the module;
 scipy, networkx and hypothesis are for the tests.
 
-Last, only ``core.World`` writes a sensor's ``failed``, ``pos``,
-``energy`` or ``static``, or adds to ``World.changes``: its ``fail`` and
-``apply_move`` are what keep ``World.graph`` current and record each change
-in ``World.changes``, the one record that a re-election and every step's
-outcome read. Nor does anything but ``World`` write its chain,
+Last, only ``core.World`` writes a sensor's ``failed``, ``pos`` or
+``energy``, or adds to ``World.changes``: its ``fail`` and ``apply_move``
+are what keep ``World.graph`` current and record each change in
+``World.changes``, the one record that a re-election and every step's
+outcome read. Whether a sensor may move is read off its energy
+(``World.affords``), so a write of a stored ``static`` flag, which would
+be a second copy of that fact, is rejected too. Nor does anything but ``World`` write its chain,
 ``barrier``, or the slot map and edit record that ``World.edit_chain``
 keeps with it, which the verdict and a re-election read instead of the
 whole chain; so no chain escapes the check of ``edit_chain``, that it

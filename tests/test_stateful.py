@@ -25,16 +25,16 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
-from barrier_restore.core import EnergyModel, Move, Point, displacement_capacity, seeded_rng
+from barrier_restore.core import EnergyModel, Move, Point, seeded_rng
 from barrier_restore.distributed import MessageBus, init_recovery_nodes
 from barrier_restore.graph import verify_barrier
 from barrier_restore.harness import SCHEMES, start_scheme
 from conftest import random_line_world
-from oracles import adjacency_oracle, barrier_oracle, replayed_chain, total_displacement
+from oracles import adjacency_oracle, barrier_oracle, capacity, replayed_chain, total_displacement
 
 
 def _state(world):
-    return {sid: (s.pos, s.energy, s.static, s.failed) for sid, s in world.sensors.items()}
+    return {sid: (s.pos, s.energy, s.failed) for sid, s in world.sensors.items()}
 
 
 def _recorded(world, mark, before):
@@ -129,15 +129,15 @@ class FailureSequence(RuleBasedStateMachine):
         model = world.energy_model
         cost = model.cost_per_unit_displacement
         replay = dict(before)
-        replay[victim] = (*before[victim][:3], True)
+        replay[victim] = (*before[victim][:2], True)
         for m in outcome.moves:
-            pos, energy, static, failed = replay[m.sensor_id]
+            pos, energy, failed = replay[m.sensor_id]
             assert not failed and m.sensor_id not in self.failed_at
-            assert not static
+            assert energy >= model.static_threshold
             assert m.src == pos
             assert m.length <= energy / cost
             energy -= m.length * cost
-            replay[m.sensor_id] = (m.dest, energy, energy < model.static_threshold, False)
+            replay[m.sensor_id] = (m.dest, energy, False)
         assert _state(world) == replay
         # The change record, which a re-election reads instead of diffing
         # every sensor, names exactly the sensors whose state changed.
@@ -184,14 +184,14 @@ class FailureSequence(RuleBasedStateMachine):
         world = self.world
         model = world.energy_model
         mobile = [sid for sid in world.barrier
-                  if displacement_capacity(world.sensor(sid), model) > 0]
+                  if capacity(world.sensor(sid), model) > 0]
         if not mobile:
             return
         sid = data.draw(st.sampled_from(mobile))
         s = world.sensor(sid)
         # Below the full capacity, so rounding in the x sum cannot push the
         # distance over it.
-        dx = data.draw(st.floats(-0.9, 0.9)) * displacement_capacity(s, model)
+        dx = data.draw(st.floats(-0.9, 0.9)) * capacity(s, model)
         dest = Point(s.pos.x + dx, s.pos.y)
         world.apply_move(sid, dest)
         if self.twin is not None:
