@@ -29,7 +29,7 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
     def eligible(idx: int, hole: Point) -> bool:
         if idx < 0 or idx >= len(chain):
             return False
-        s = world.sensor(chain[idx])
+        s = world.sensors[chain[idx]]
         return world.affords(s, s.pos.distance_to(hole))
 
     def next_mover(vacated: int, idx: int, hole: Point) -> Optional[int]:

@@ -197,7 +197,7 @@ def _try_alternate_path(world: World, failed: set[int]) -> Optional[RestoreOutco
     """The alternate-path step: splice a detour between the survivors
     flanking the failed span into the chain; None, with the world
     untouched, when the graph offers no such path."""
-    _, _, left, right = failed_span(world.barrier, failed, world.slots)
+    _, _, left, right = failed_span(world, failed)
     path = find_alternate_path(world_graph(world), left, right)
     if path is None:
         return None

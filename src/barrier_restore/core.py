@@ -241,9 +241,6 @@ class World:
             hi = start + len(new) if hi <= start + len(old) else hi + len(new) - len(old)
         return range(lo, hi)
 
-    def sensor(self, sensor_id: int) -> Sensor:
-        return self.sensors[sensor_id]
-
     def active_sensors(self) -> list[Sensor]:
         return [s for s in self.sensors.values() if not s.failed]
 
@@ -263,15 +260,17 @@ class World:
         """Whether ``sensor`` may travel ``distance``: the one move rule.
         A failed sensor may not move, and a live one may always stay put.
         To go farther, its energy, however it got there, must be at least
-        the static threshold and pay for the whole distance. So a move may
-        leave it below the threshold, and then it moves no more."""
+        the static threshold and pay for the whole distance: the product
+        ``distance * cost``, which ``apply_move`` debits, is at most the
+        energy, so no move leaves energy below 0. A move may leave it below
+        the threshold, and then it moves no more."""
         if sensor.failed:
             return False
         if distance == 0.0:
             return True
         model = self.energy_model
         return (sensor.energy >= model.static_threshold
-                and sensor.energy / model.cost_per_unit_displacement >= distance)
+                and distance * model.cost_per_unit_displacement <= sensor.energy)
 
     def apply_move(self, sensor_id: int, dest: Point) -> None:
         """Relocate one sensor, paying energy per unit distance.
@@ -306,17 +305,24 @@ def seeded_rng(*key: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 def world_to_json(world: World) -> str:
-    """Serialize a deployment: region, its radii, and per-sensor state.
-    Raises ValueError, as ``world_from_json`` does, on a non-finite number."""
+    """Serialize a deployment: region, its radii, and per-sensor state. A
+    sensor's ``initial_energy`` is written only where it differs from its
+    ``energy``, and ``failed`` only where it is true. Raises ValueError, as
+    ``world_from_json`` does, on a non-finite number."""
     region = world.region
+    records = []
+    for s in world.sensors.values():
+        rec = {"id": s.id, "x": s.pos.x, "y": s.pos.y, "energy": s.energy}
+        if s.initial_energy != s.energy:
+            rec["initial_energy"] = s.initial_energy
+        if s.failed:
+            rec["failed"] = True
+        records.append(rec)
     doc = {
         "region": {"L": region.length, "W": region.width},
         "rho": region.rho,
         "comm": region.comm,
-        "sensors": [
-            {"id": s.id, "x": s.pos.x, "y": s.pos.y, "energy": s.energy}
-            for s in world.sensors.values()
-        ],
+        "sensors": records,
     }
     try:
         return json.dumps(doc, indent=2, allow_nan=False)
@@ -338,15 +344,18 @@ def world_from_json(
     malformed JSON, a missing key, an id that is not an integer (a float
     with no fractional part counts as one), a number that is not a JSON
     number (a bool or a string), a non-finite number or an integer too
-    large for a float, negative energy, or a region side or radius that
-    ``Region`` rejects."""
+    large for a float, negative energy, a ``failed`` that is not a bool, or
+    a region side or radius that ``Region`` rejects. A sensor's
+    ``initial_energy`` defaults to its ``energy`` and ``failed`` to false."""
     doc = json.loads(text)
     try:
         region = Region(_number(doc["region"]["L"]), _number(doc["region"]["W"]),
                         _number(doc["rho"]), _number(doc["comm"]))
         sensors = [
             Sensor(int(rec["id"]), Point(_number(rec["x"]), _number(rec["y"])),
-                   _number(rec["energy"]), _number(rec["energy"]))
+                   _number(rec["energy"]),
+                   _number(rec.get("initial_energy", rec["energy"])),
+                   rec.get("failed", False))
             for rec in doc["sensors"]
         ]
     except (KeyError, TypeError, OverflowError) as err:
@@ -355,9 +364,11 @@ def world_from_json(
     if any(isinstance(rec["id"], bool) or rec["id"] != s.id
            for rec, s in zip(doc["sensors"], sensors)):
         raise ValueError("deployment holds a sensor id that is not an integer")
-    numbers = [v for s in sensors for v in (s.pos.x, s.pos.y, s.energy)]
+    if not all(isinstance(s.failed, bool) for s in sensors):
+        raise ValueError("deployment holds a 'failed' that is not true or false")
+    numbers = [v for s in sensors for v in (s.pos.x, s.pos.y, s.energy, s.initial_energy)]
     if not all(map(math.isfinite, numbers)):
         raise ValueError("deployment holds a non-finite number")
-    if any(s.energy < 0 for s in sensors):
+    if any(s.energy < 0 or s.initial_energy < 0 for s in sensors):
         raise ValueError("deployment needs non-negative energy")
     return World(region, sensors, energy_model=energy_model)

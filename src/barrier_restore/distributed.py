@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -153,10 +152,10 @@ def _links(chain: list[int], idx: int) -> tuple[int, int]:
             chain[idx + 1] if idx + 1 < len(chain) else PR)
 
 
-class Election(Mapping[int, NodeState]):
+class Election:
     """One world's recovery-node election, kept for a whole trial: the
-    per-node states and the protocol's message handlers in one object, which
-    reads as a mapping from each live sensor's id to its ``NodeState``.
+    per-node states, ``states``, which maps each live sensor's id to its
+    ``NodeState``, and the protocol's message handlers in one object.
     ``init_recovery_nodes`` runs it over a ``MessageBus``.
 
     A node with an eligible non-barrier neighbor picks the closest one
@@ -194,15 +193,6 @@ class Election(Mapping[int, NodeState]):
         # touched.
         self._fillers: dict[int, Optional[tuple[float, int]]] = {}
 
-    def __getitem__(self, sid: int) -> NodeState:
-        return self.states[sid]
-
-    def __iter__(self):
-        return iter(self.states)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
     def best_filler(self, sid: int) -> Optional[tuple[float, int]]:
         """(distance, id) of the closest non-barrier neighbor able to afford
         relocating onto sid's position, or None. The answer is kept until
@@ -212,7 +202,7 @@ class Election(Mapping[int, NodeState]):
             return fillers[sid]
         world = self.world
         filler = fillers[sid] = closest_filler(
-            world, world.graph.neighbors(sid), world.sensors[sid].pos, world.slots)
+            world, world.graph.adjacency[sid], world.sensors[sid].pos, world.slots)
         return filler
 
     def _answer(self, sid: int, asker: int) -> tuple[float, Optional[float]]:
@@ -239,6 +229,7 @@ class Election(Mapping[int, NodeState]):
         world, states = self.world, self.states
         sensors = world.sensors
         graph = world_graph(world)
+        adjacency = graph.adjacency
         chain, slots = world.barrier, world.slots
 
         # A sensor that failed or moved (and so spent energy) since the last
@@ -254,7 +245,7 @@ class Election(Mapping[int, NodeState]):
             if sensors[sid].failed:
                 self._unregister(states.pop(sid))
             else:
-                touched.update(graph.neighbors(sid))
+                touched.update(adjacency[sid])
 
         # The chain edits since the last election: the slots whose links can
         # have changed, and the ids that can have joined or left the chain.
@@ -273,7 +264,7 @@ class Election(Mapping[int, NodeState]):
             st = states.get(sid)
             if st is None or st.is_on_barrier == (sid in slots):
                 continue  # dead, or neither joined nor left
-            touched.update(graph.neighbors(sid))
+            touched.update(adjacency[sid])
             if st.is_on_barrier:
                 self._unregister(st)
                 st.reset(False, None, None)
@@ -470,7 +461,8 @@ def mldfs(
     """
     if k < 1:
         return None
-    if start not in graph.adjacency or dest not in graph.adjacency:
+    adjacency = graph.adjacency
+    if start not in adjacency or dest not in adjacency:
         return None
     if start == dest:
         return [start]
@@ -495,7 +487,7 @@ def mldfs(
         if order is None:
             # Sentinels are not routable hops unless one is the target.
             order = ranked[p] = sorted(
-                (v for v in graph.neighbors(p) if v >= 0 or v == dest),
+                (v for v in adjacency[p] if v >= 0 or v == dest),
                 key=lambda v: (dist_to_dest(v), v))
         back, spent = father[p], used[p]
         for q in order:
@@ -577,7 +569,7 @@ def handle_failure_dmove(
     """
     if k is None:
         k = max(2, len(world.sensors) // 20)
-    failed_state = election.get(failed_id)
+    failed_state = election.states.get(failed_id)
 
     if failed_id not in world.slots:
         if failed_state is not None and failed_state.rec_set:
@@ -585,7 +577,7 @@ def handle_failure_dmove(
         return RestoreOutcome()
 
     rec = failed_state.rec_node if failed_state is not None else None
-    if rec is None or world.sensor(rec).failed:
+    if rec is None or world.sensors[rec].failed:
         return RestoreOutcome()
 
     # The detour runs from pre through the recovery node to suc. A dead
@@ -600,7 +592,7 @@ def handle_failure_dmove(
         init_recovery_nodes(world, bus=bus, election=election)
         return RestoreOutcome(MECH_ALTERNATE)
     outcome = shift_cascade(
-        world, failed_id, lambda vacated, idx, hole: election[vacated].rec_node
+        world, failed_id, lambda vacated, idx, hole: election.states[vacated].rec_node
     )
     if outcome.mechanism == MECH_SHIFTING:
         init_recovery_nodes(world, bus=bus, election=election)

@@ -10,21 +10,23 @@ ways a world changes, ``World.apply_move`` and ``World.fail``, through
 ``IntersectionGraph.insert`` and ``remove``. ``build_intersection_graph``
 builds the whole graph in one sweep over the sensors in x order; it and
 ``IntersectionGraph.near``, which ``insert`` calls, share one disc test,
-``discs_meet``, so the graph has one adjacency test. ``near`` reads the
-graph's x-window, ``IntersectionGraph.window``, which the cmove assignment
-reads too. A barrier is a path of this graph from PL to PR: the searches
-find one, and ``verify_barrier`` checks the designated chain as one. No
-scheme calls it: a step reports what it did, and the episode loop
-(``harness.run_trial``) reads the verdict off the world.
+``discs_meet``, so the graph has one adjacency test. A vertex's
+neighbours are its row, ``IntersectionGraph.adjacency[v]``, which every
+search reads directly. ``near`` reads the graph's x-window,
+``IntersectionGraph.window``, which the cmove assignment reads too. A
+barrier is a path of this graph from PL to PR: the searches find one, and
+``verify_barrier`` checks the designated chain as one. No scheme calls it:
+a step reports what it did, and the episode loop (``harness.run_trial``)
+reads the verdict off the world.
 
 The designated chain changes only through ``World.edit_chain``, a slice
 replacement in place that the world records. ``write_slots`` (the cascade's
 and cmove's) writes only the slots it is given, and a splice
-(``splice_into``) only the span it cut; both find slots and membership in
-``World.slots`` rather than by scanning the chain. ``verify_barrier`` keeps
-its state per world (``BarrierCheck``) and re-checks only the links that
-the recorded chain edits and sensor changes since its last call can have
-changed.
+(``splice_into``) only the span it cut; both take the world, as
+``failed_span`` does, and find slots and membership in ``World.slots``
+rather than by scanning the chain. ``verify_barrier`` keeps its state per
+world (``BarrierCheck``) and re-checks only the links that the recorded
+chain edits and sensor changes since its last call can have changed.
 
 ``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
 pairwise definitions they are checked against, in ``tests/test_graph.py``,
@@ -95,9 +97,6 @@ class IntersectionGraph:
         twin._xs = self._xs[:]
         twin._ids = self._ids[:]
         return twin
-
-    def neighbors(self, vertex: int) -> list[int]:
-        return self.adjacency[vertex]
 
     def distance_to(self, vertex: int, target: int) -> float:
         """Euclidean distance from a sensor vertex to a target vertex.
@@ -221,7 +220,8 @@ def world_graph(world: World) -> IntersectionGraph:
 
 def _bfs_path(graph: IntersectionGraph, source: int, target: int) -> Optional[Path]:
     """Minimum-hop path, exploring neighbors in ascending id order."""
-    if source not in graph.adjacency or target not in graph.adjacency:
+    adjacency = graph.adjacency
+    if source not in adjacency or target not in adjacency:
         return None
     if source == target:
         return [source]
@@ -229,7 +229,7 @@ def _bfs_path(graph: IntersectionGraph, source: int, target: int) -> Optional[Pa
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in graph.neighbors(u):
+        for v in adjacency[u]:
             if v in parent:
                 continue
             parent[v] = u
@@ -281,63 +281,49 @@ def _simplify_walk(walk: Sequence[int]) -> Path:
     return out
 
 
-def failed_span(
-    barrier: Sequence[int], failed: Iterable[int], slots: Mapping[int, int]
-) -> tuple[int, int, int, int]:
-    """Indices of the leftmost and rightmost ``failed`` barrier nodes (one
-    or more chain ids, such as ``World.holes``), and the survivors just
-    outside them (sentinels when the span touches an end). ``slots`` maps
-    each barrier id to its index, so the barrier is not scanned."""
+def failed_span(world: World, failed: Iterable[int]) -> tuple[int, int, int, int]:
+    """Slots of the leftmost and rightmost ``failed`` members of the world's
+    chain (one or more chain ids, such as ``World.holes``), and the
+    survivors just outside them (sentinels when the span touches an end).
+    Slots come from ``World.slots``, so the chain is not scanned."""
+    chain, slots = world.barrier, world.slots
     hits = [slots[v] for v in failed]
     first, last = min(hits), max(hits)
-    left = barrier[first - 1] if first > 0 else PL
-    right = barrier[last + 1] if last + 1 < len(barrier) else PR
+    left = chain[first - 1] if first > 0 else PL
+    right = chain[last + 1] if last + 1 < len(chain) else PR
     return first, last, left, right
 
 
-def splice_span(
-    barrier: Sequence[int],
-    failed: Iterable[int],
-    replacement: Sequence[int],
-    slots: Mapping[int, int],
-) -> tuple[int, int, Path]:
-    """The edit that replaces the failed span of a barrier (see
-    ``failed_span``) with a discovered path: ``(start, stop, ids)`` such
-    that ``barrier[:start] + ids + barrier[stop:]`` is the spliced chain.
-    ``World.edit_chain(*splice_span(...))`` applies it.
+def splice_into(world: World, failed: Iterable[int], replacement: Sequence[int]) -> None:
+    """Replace the failed span of the world's chain (see ``failed_span``)
+    with a discovered path, as one chain edit that spans only what the
+    splice changed.
 
     ``replacement`` must run from the survivor just left of the leftmost
-    failed barrier node to the survivor just right of the rightmost one
-    (sentinels when the span touches an end of the chain). Where the path
-    revisits a chain node, the loop through it is cut (``_simplify_walk``).
-    ``slots`` maps each barrier id to its index; the edit spans only the
-    failed span and the chain nodes the path revisits, found without a scan
-    of the chain.
+    failed chain node to the survivor just right of the rightmost one
+    (sentinels when the span touches an end of the chain); otherwise
+    ``SpliceEndpointMismatch`` is raised and the chain is left as it was.
+    Where the path revisits a chain node, the loop through it is cut
+    (``_simplify_walk``). The edit spans the failed span and the chain nodes
+    the path revisits, found in ``World.slots`` without a scan of the chain.
     """
-    first, last, left, right = failed_span(barrier, failed, slots)
-    # Loops can only close at chain nodes on the path.
-    on_path = [slots[v] for v in replacement if v in slots]
-    lo = min([first, *on_path])
-    hi = max([last, *on_path]) + 1
-
+    chain, slots = world.barrier, world.slots
+    first, last, left, right = failed_span(world, failed)
     if not replacement or replacement[0] != left or replacement[-1] != right:
         raise SpliceEndpointMismatch(
             f"replacement path runs {replacement[:1]}..{replacement[-1:]}, "
             f"expected {left}..{right}"
         )
+    # Loops can only close at chain nodes on the path.
+    on_path = [slots[v] for v in replacement if v in slots]
+    lo = min([first, *on_path])
+    hi = max([last, *on_path]) + 1
     walk = (
-        list(barrier[lo:first])
+        chain[lo:first]
         + [v for v in replacement if v not in (PL, PR)]
-        + list(barrier[last + 1:hi])
+        + chain[last + 1:hi]
     )
-    return lo, hi, [v for v in _simplify_walk(walk) if v not in (PL, PR)]
-
-
-def splice_into(world: World, failed: Iterable[int], replacement: Sequence[int]) -> None:
-    """Splice ``replacement`` into the world's chain in place of its failed
-    span, as one chain edit that spans only what the splice changed (see
-    ``splice_span``)."""
-    world.edit_chain(*splice_span(world.barrier, failed, replacement, world.slots))
+    world.edit_chain(lo, hi, [v for v in _simplify_walk(walk) if v not in (PL, PR)])
 
 
 def write_slots(world: World, occupants: Mapping[int, int]) -> None:

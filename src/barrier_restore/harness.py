@@ -170,7 +170,6 @@ class EpisodeRecord:
 class TrialResult:
     rows: list[MetricsRow]
     episodes: list[EpisodeRecord] = field(default_factory=list)
-    world: Optional[World] = None  # end-of-trial state, for audits
 
 
 def generate_deployment(config: ExperimentConfig, rng: np.random.Generator) -> list[Sensor]:
@@ -296,7 +295,7 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
                           holds, displacement)
         )
         snapshot()
-    return TrialResult(rows, episodes, world)
+    return TrialResult(rows, episodes)
 
 
 def start_scheme(scheme: str, world: World, rng: np.random.Generator,

@@ -25,7 +25,7 @@ def drain(world, sensor_id, energy):
     """Set a sensor's energy without moving it, and record that in
     ``world.changes`` as a move that ends where it starts, so that a
     re-election sees it."""
-    sensor = world.sensor(sensor_id)
+    sensor = world.sensors[sensor_id]
     world.changes.append(Move(sensor_id, sensor.pos, sensor.pos))
     sensor.energy = energy
 

@@ -23,13 +23,16 @@ from barrier_restore.graph import PL, PR, IntersectionGraph
 INF = math.inf
 
 
-def capacity(sensor: Sensor, model: EnergyModel) -> float:
-    """How far a sensor may still travel, by the energy model's definition
-    rather than ``World.affords``: nowhere once failed or below the static
-    threshold, else as far as its whole energy pays for."""
-    if sensor.failed or sensor.energy < model.static_threshold:
-        return 0.0
-    return sensor.energy / model.cost_per_unit_displacement
+def pays_for(sensor: Sensor, model: EnergyModel, distance: float) -> bool:
+    """Whether a sensor may travel ``distance``, by the energy model's
+    definition rather than ``World.affords``: nowhere once failed; a live
+    sensor may stay put, and go farther only at or above the static
+    threshold and only where the cost, ``distance * cost`` (the product a
+    move debits), is at most its energy."""
+    if sensor.failed:
+        return False
+    return distance == 0.0 or (sensor.energy >= model.static_threshold and
+                               distance * model.cost_per_unit_displacement <= sensor.energy)
 
 
 def _discs_meet(s: Sensor, t: Sensor, rho: float) -> bool:
@@ -167,7 +170,7 @@ def dense_build_assignment(world: World, failed: Iterable[int]) -> DenseProblem:
     barrier = world.barrier
     sensors = [s for s in world.sensors.values() if not s.failed]
     left = [s.id for s in sensors]
-    right = [world.sensor(b).pos for b in barrier]
+    right = [world.sensors[b].pos for b in barrier]
     # math.dist of two points is math.hypot of their differences, bit for
     # bit, so every cell equals Point.distance_to, which World.apply_move
     # re-checks each move with; np.hypot differs in the last bit on a few.
@@ -177,8 +180,12 @@ def dense_build_assignment(world: World, failed: Iterable[int]) -> DenseProblem:
         dtype=float,
         count=len(left) * len(right),
     ).reshape(len(left), len(right))
-    cap = np.array([capacity(s, world.energy_model) for s in sensors])
-    feasible = (cost <= cap[:, None]) & (cost <= world.region.comm)
+    # pays_for, cell by cell: numpy multiplies floats as Python does.
+    model = world.energy_model
+    energy = np.array([s.energy for s in sensors], dtype=float)[:, None]
+    pays = (cost == 0.0) | ((energy >= model.static_threshold)
+                            & (cost * model.cost_per_unit_displacement <= energy))
+    feasible = pays & (cost <= world.region.comm)
     return DenseProblem(left, right, cost, feasible)
 
 
@@ -356,17 +363,17 @@ def recovery_chain_oracle(world: World, graph: IntersectionGraph):
     model = world.energy_model
 
     def pos(sid):
-        return world.sensor(sid).pos
+        return world.sensors[sid].pos
 
     def nb(sid):
         best = None
         best_key = None
-        for t in graph.neighbors(sid):
+        for t in graph.adjacency[sid]:
             if t < 0 or t in on_barrier:
                 continue
-            s = world.sensor(t)
+            s = world.sensors[t]
             d = s.pos.distance_to(pos(sid))
-            if capacity(s, model) < d:
+            if not pays_for(s, model, d):
                 continue
             key = (d, t)
             if best_key is None or key < best_key:
@@ -379,7 +386,7 @@ def recovery_chain_oracle(world: World, graph: IntersectionGraph):
     for i in range(1, m):
         prev, cur = chain[i - 1], chain[i]
         hop = pos(prev).distance_to(pos(cur))
-        if capacity(world.sensor(prev), model) < hop:
+        if not pays_for(world.sensors[prev], model, hop):
             continue
         base = nbv[i - 1][0] if nbv[i - 1][0] < INF else left[i - 1]
         left[i] = hop + base
@@ -387,7 +394,7 @@ def recovery_chain_oracle(world: World, graph: IntersectionGraph):
     for i in range(m - 2, -1, -1):
         nxt, cur = chain[i + 1], chain[i]
         hop = pos(nxt).distance_to(pos(cur))
-        if capacity(world.sensor(nxt), model) < hop:
+        if not pays_for(world.sensors[nxt], model, hop):
             continue
         base = nbv[i + 1][0] if nbv[i + 1][0] < INF else right[i + 1]
         right[i] = hop + base

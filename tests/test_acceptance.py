@@ -26,6 +26,7 @@ from barrier_restore.distributed import MessageBus, init_recovery_nodes, mldfs
 from barrier_restore.graph import build_intersection_graph, verify_barrier
 from barrier_restore.harness import (
     ExperimentConfig,
+    deploy_with_barrier,
     rows_to_csv,
     run_experiment,
     run_trial,
@@ -264,7 +265,7 @@ def test_criterion_7_election_fixpoint_matches_oracle():
         if not world.barrier:
             continue
         bus = MessageBus()
-        states = init_recovery_nodes(world, bus=bus)
+        states = init_recovery_nodes(world, bus=bus).states
         assert bus.drain_round() == [], "election did not quiesce"
         graph = build_intersection_graph(world.active_sensors(), world.region)
         expected = recovery_chain_oracle(world, graph)
@@ -291,8 +292,9 @@ def test_criterion_8_energy_conservation():
             config = ExperimentConfig(
                 n=60, length=1200.0, rho=30.0, trials=1, seed=23
             )
-            result = run_trial(scheme, config, trial_seed(config, t))
-            world = result.world
+            seed = trial_seed(config, t)
+            world = deploy_with_barrier(config, seed)
+            run_trial(scheme, config, seed, world)
             gap = abs(
                 total_energy_spent(world)
                 - world.energy_model.cost_per_unit_displacement

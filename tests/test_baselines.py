@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from barrier_restore.baselines import restore_rmove
@@ -7,7 +9,7 @@ from barrier_restore.central import MECH_ALTERNATE
 from barrier_restore.core import Point, seeded_rng
 from barrier_restore.graph import verify_barrier
 from conftest import make_world, random_line_world
-from oracles import barrier_oracle, capacity
+from oracles import barrier_oracle, pays_for
 
 
 def test_nonbarrier_neighbor_fills_directly(t1_world):
@@ -57,7 +59,7 @@ def test_single_eligible_side_needs_no_coin():
     outs, holds = [], []
     for seed in (0, 1):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (5, 2)])
-        w.sensor(0).energy = 1.0
+        w.sensors[0].energy = 1.0
         w.fail(1)
         outs.append(restore_rmove(w, 1, seeded_rng(seed)))
         holds.append(verify_barrier(w))
@@ -67,8 +69,8 @@ def test_single_eligible_side_needs_no_coin():
 
 def test_neither_side_eligible_fails_without_moves(t1_world):
     w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
-    w.sensor(0).energy = 1.0
-    w.sensor(2).energy = 1.0
+    w.sensors[0].energy = 1.0
+    w.sensors[2].energy = 1.0
     w.fail(1)
     out = restore_rmove(w, 1, seeded_rng(0))
     assert not verify_barrier(w)
@@ -94,13 +96,11 @@ def test_success_respects_energy_and_validity():
             continue
         rng = np.random.default_rng(seed + 1)
         victim = w.barrier[int(rng.integers(0, len(w.barrier)))]
-        caps = {
-            s.id: capacity(s, w.energy_model)
-            for s in w.active_sensors()
-        }
+        # Each sensor as it was before the step; rmove moves each at most once.
+        before = {s.id: replace(s) for s in w.active_sensors()}
         w.fail(victim)
         out = restore_rmove(w, victim, seeded_rng(seed))
         for sid, src, dest in out.moves:
-            assert src.distance_to(dest) <= caps[sid] + 1e-12
+            assert pays_for(before[sid], w.energy_model, src.distance_to(dest))
         assert verify_barrier(w) == barrier_oracle(w)
         assert all(s.energy >= 0 for s in w.sensors.values())

@@ -31,10 +31,10 @@ from conftest import make_world, random_line_world
 from oracles import (
     barrier_oracle,
     brute_force_assignment,
-    capacity,
     dense_build_assignment,
     dense_hungarian,
     full_assignment,
+    pays_for,
     sparse_problem,
 )
 
@@ -197,7 +197,7 @@ class TestBuildAssignment:
 
     def test_drained_sensor_keeps_self_edge_only(self, t1_world):
         w = t1_world
-        w.sensor(1).energy = 0.0
+        w.sensors[1].energy = 0.0
         w.fail(2)
         p = build_assignment(w, {2})
         assert cells(p, 1)[1] == 0.0  # zero-cost edge to its own slot
@@ -205,7 +205,7 @@ class TestBuildAssignment:
 
     def test_static_sensor_keeps_self_edge(self, t1_world):
         w = t1_world
-        w.sensor(1).energy = 9.0  # below the threshold, though it pays for a hop
+        w.sensors[1].energy = 9.0  # below the threshold, though it pays for a hop
         w.fail(2)
         p = build_assignment(w, {2})
         assert 1 in cells(p, 1)
@@ -213,13 +213,12 @@ class TestBuildAssignment:
 
     def test_feasibility_exact_at_capacity_and_comm_boundary(self):
         for w, k in boundary_worlds():
-            target = w.sensor(0).pos
+            target = w.sensors[0].pos
             p = build_assignment(w, {0})
             col = cells(p, 0)
             for s in w.active_sensors():
                 d = s.pos.distance_to(target)
-                cap = capacity(s, w.energy_model)
-                assert (s.id in col) == (cap >= d and d <= w.region.comm)
+                assert (s.id in col) == (pays_for(s, w.energy_model, d) and d <= w.region.comm)
                 if s.id in col:
                     assert col[s.id] == d
                     w.apply_move(s.id, target)  # raises if the edge overstated capacity
@@ -290,7 +289,7 @@ def warm_start_vacancies(world, dense):
     row = {sid: i for i, sid in enumerate(dense.left)}
     free = []
     for j, sid in enumerate(world.barrier):
-        if world.sensor(sid).failed:
+        if world.sensors[sid].failed:
             free.append(j)
         else:
             assert dense.feasible[row[sid], j] and dense.cost[row[sid], j] == 0.0
@@ -372,8 +371,8 @@ def tie_world():
         with_barrier=False,
     )
     w.edit_chain(0, len(w.barrier), [0, 1, 2, 3, 7, 4])
-    w.sensor(0).energy = 0.0
-    w.sensor(1).energy = 9.0
+    w.sensors[0].energy = 0.0
+    w.sensors[1].energy = 9.0
     w.fail(2)
     return w
 
@@ -514,14 +513,14 @@ class TestRestoreCmove:
             if not w.barrier or len(w.barrier) < 3:
                 continue
             before = sorted(
-                (w.sensor(b).pos.x, w.sensor(b).pos.y) for b in w.barrier
+                (w.sensors[b].pos.x, w.sensors[b].pos.y) for b in w.barrier
             )
             victim = w.barrier[len(w.barrier) // 2]
             w.fail(victim)
             out = restore_cmove(w)
             if verify_barrier(w) and out.mechanism == MECH_SHIFTING:
                 after = sorted(
-                    (w.sensor(b).pos.x, w.sensor(b).pos.y) for b in w.barrier
+                    (w.sensors[b].pos.x, w.sensors[b].pos.y) for b in w.barrier
                 )
                 assert after == pytest.approx(before)
                 assert barrier_oracle(w)
@@ -587,11 +586,11 @@ def test_fuzzed_cmove_with_tight_energy_never_exceeds_capacity():
             continue
         rng = np.random.default_rng(seed + 20_000)
         for _ in range(3):
-            chain = [sid for sid in w.barrier if not w.sensor(sid).failed]
+            chain = [sid for sid in w.barrier if not w.sensors[sid].failed]
             if not chain:
                 break
             victim = chain[int(rng.integers(0, len(chain)))]
-            target = w.sensor(victim).pos
+            target = w.sensors[victim].pos
             for s in w.active_sensors():
                 if rng.uniform() < 0.5:
                     d = s.pos.distance_to(target)

@@ -22,7 +22,7 @@ from barrier_restore.core import (
 )
 from barrier_restore.graph import PL, PR, verify_barrier
 from conftest import T1_COORDS, make_world
-from oracles import capacity, keeps_chain_simple, total_displacement, total_energy_spent
+from oracles import keeps_chain_simple, pays_for, total_displacement, total_energy_spent
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -42,30 +42,30 @@ def reach(world, sensor):
 class TestAffords:
     def test_full_energy_unit_cost(self):
         w = one_sensor_world(100.0)
-        assert [w.affords(w.sensor(0), d) for d in reach(w, w.sensor(0))] == [
+        assert [w.affords(w.sensors[0], d) for d in reach(w, w.sensors[0])] == [
             True, True, True, False]
 
     def test_exhausted(self):
         w = one_sensor_world(0.0)
-        assert [w.affords(w.sensor(0), d) for d in (0.0, math.ulp(0.0), 1.0)] == [
+        assert [w.affords(w.sensors[0], d) for d in (0.0, math.ulp(0.0), 1.0)] == [
             True, False, False]
 
     def test_linear(self):
         w = one_sensor_world(25.0)
-        assert w.affords(w.sensor(0), 25.0)
-        assert not w.affords(w.sensor(0), math.nextafter(25.0, math.inf))
+        assert w.affords(w.sensors[0], 25.0)
+        assert not w.affords(w.sensors[0], math.nextafter(25.0, math.inf))
 
     def test_static_cannot_move(self):
         # Loaded below the threshold, not drained there by a move: energy
         # that would pay for the distance does not make it mobile.
         w = one_sensor_world(9.5)
-        assert [w.affords(w.sensor(0), d) for d in (0.0, math.ulp(0.0), 1.0)] == [
+        assert [w.affords(w.sensors[0], d) for d in (0.0, math.ulp(0.0), 1.0)] == [
             True, False, False]
 
     def test_cost_scaling(self):
         w = one_sensor_world(100.0, threshold=0.0, cost=2.0)
-        assert w.affords(w.sensor(0), 50.0)
-        assert not w.affords(w.sensor(0), math.nextafter(50.0, math.inf))
+        assert w.affords(w.sensors[0], 50.0)
+        assert not w.affords(w.sensors[0], math.nextafter(50.0, math.inf))
 
 
 @settings(max_examples=400, deadline=None)
@@ -90,10 +90,9 @@ def test_apply_move_raises_exactly_when_not_afforded(
     w = one_sensor_world(energy, threshold, cost)
     if failed:
         w.fail(0)
-    s = w.sensor(0)
+    s = w.sensors[0]
     afforded = w.affords(s, distance)
-    assert afforded == (not failed and (distance == 0.0
-                                        or capacity(s, w.energy_model) >= distance))
+    assert afforded == pays_for(s, w.energy_model, distance)
     try:
         w.apply_move(0, Point(distance, 0.0))
     except MoveExceedsCapacity:
@@ -110,38 +109,58 @@ def test_apply_move_raises_exactly_when_not_afforded(
         w.apply_move(0, s.pos)
 
 
+@settings(max_examples=400, deadline=None)
+# Energy 99.9 at cost 0.3: energy / cost, times cost, exceeds 99.9 by an ulp.
+@example(cost=0.3, energy=99.9)
+@given(cost=st.sampled_from([0.3, 0.7, 1.1, 3.0]),
+       energy=st.floats(0.0, 1e6, exclude_min=True))
+def test_full_budget_move_never_overdraws(cost, energy):
+    # The whole budget, energy / cost, or where its rounding overshoots, one
+    # ulp less, moved along x so that Point.distance_to returns it exactly.
+    # Energy stays non-negative, so the world still saves and loads.
+    w = one_sensor_world(energy, threshold=0.0, cost=cost)
+    s = w.sensors[0]
+    distance = energy / cost
+    if not w.affords(s, distance):
+        distance = math.nextafter(distance, 0.0)
+        assert w.affords(s, distance)
+    w.apply_move(0, Point(distance, 0.0))
+    assert s.energy >= 0.0
+    assert world_from_json(world_to_json(w)).sensors[0] == s
+
+
 class TestApplyMove:
     def test_energy_drops_by_distance(self):
         w = one_sensor_world()
         w.apply_move(0, Point(30, 0))
-        assert w.sensor(0).energy == 70.0
-        assert w.affords(w.sensor(0), 70.0)
+        assert w.sensors[0].energy == 70.0
+        assert w.affords(w.sensors[0], 70.0)
 
     def test_threshold_crossing_makes_static(self):
         w = one_sensor_world()
         w.apply_move(0, Point(95, 0))
-        assert w.sensor(0).energy == 5.0
-        assert not w.affords(w.sensor(0), 1.0)
+        assert w.sensors[0].energy == 5.0
+        assert not w.affords(w.sensors[0], 1.0)
         with pytest.raises(MoveExceedsCapacity):
             w.apply_move(0, Point(96, 0))
 
     def test_zero_move_is_identity(self):
         w = one_sensor_world()
         w.apply_move(0, Point(0, 0))
-        assert w.sensor(0).energy == 100.0
+        assert w.sensors[0].energy == 100.0
         assert w.changes == []
 
     def test_move_beyond_capacity_rejected(self):
         w = one_sensor_world(energy=10.0, threshold=0.0)
         with pytest.raises(MoveExceedsCapacity):
             w.apply_move(0, Point(10.0 + 1e-9, 0))
-        assert w.sensor(0).pos == Point(0, 0)
-        assert w.sensor(0).energy == 10.0
+        assert w.sensors[0].pos == Point(0, 0)
+        assert w.sensors[0].energy == 10.0
 
     def test_exact_capacity_allowed(self):
         w = one_sensor_world(energy=10.0, threshold=0.0)
         w.apply_move(0, Point(10.0, 0))
-        assert w.sensor(0).energy == 0.0
+        assert w.sensors[0].energy == 0.0
 
     def test_failed_sensor_never_moves(self):
         w = one_sensor_world()
@@ -153,7 +172,7 @@ class TestApplyMove:
         w = one_sensor_world(energy=9.0)
         with pytest.raises(MoveExceedsCapacity):
             w.apply_move(0, Point(1, 0))
-        assert w.sensor(0).energy == 9.0
+        assert w.sensors[0].energy == 9.0
 
     def test_change_record_audits_displacement(self):
         # A failure's record has length zero, so it adds no displacement.
@@ -188,7 +207,7 @@ def test_energy_conservation_over_random_walk():
     w = World(Region(200, 60, 30.0, 60.0), sensors, EnergyModel(1.0, 0.0))
     for _ in range(200):
         sid = int(rng.integers(0, 8))
-        s = w.sensor(sid)
+        s = w.sensors[sid]
         step = rng.uniform(-1, 1, size=2)
         dest = Point(s.pos.x + step[0], s.pos.y + step[1])
         if w.affords(s, s.pos.distance_to(dest)):
@@ -223,45 +242,57 @@ class TestWorldJson:
         w2 = world_from_json(world_to_json(w))
         assert sorted(w2.sensors) == [0, 1, 2, 3]
         for i in range(4):
-            assert w2.sensor(i).pos == w.sensor(i).pos
-            assert w2.sensor(i).energy == 80.0
-            assert w2.sensor(i).initial_energy == 80.0
+            assert w2.sensors[i].pos == w.sensors[i].pos
+            assert w2.sensors[i].energy == 80.0
+            assert w2.sensors[i].initial_energy == 80.0
         assert w2.region == w.region
 
     @settings(max_examples=300, deadline=None)
-    @example(region=Region(100.0, 60.0, 30.0, 60.0), sensors=[], threshold=10.0, moves=[])
+    @example(region=Region(100.0, 60.0, 30.0, 60.0), sensors=[], cost=1.0, threshold=10.0,
+             moves=[], failures=[])
     @example(region=Region(5e-324, 1.7976931348623157e308, 5e-324, 1e-300),
-             sensors=[(0, -0.0, 5e-324, 0.0)], threshold=10.0, moves=[])
+             sensors=[(0, -0.0, 5e-324, 0.0)], cost=1.0, threshold=10.0, moves=[],
+             failures=[])
     # A move that leaves the sensor below the threshold.
     @example(region=Region(100.0, 60.0, 30.0, 60.0), sensors=[(0, 0.0, 0.0, 100.0)],
-             threshold=10.0, moves=[(0, 0.95)])
+             cost=1.0, threshold=10.0, moves=[(0, 0.95)], failures=[])
+    # A move of the whole budget at a cost whose quotient rounds up, which
+    # the world does not afford, then a failure.
+    @example(region=Region(100.0, 60.0, 30.0, 60.0), sensors=[(0, 0.0, 0.0, 99.9)],
+             cost=0.3, threshold=0.0, moves=[(0, 1.0)], failures=[0])
     @given(region=st.builds(Region, *[st.floats(0.0, exclude_min=True, allow_infinity=False)] * 4),
            sensors=st.lists(st.tuples(st.integers(0, 2**63), _FINITE, _FINITE,
                                       st.floats(0.0, allow_infinity=False)),
                             max_size=8, unique_by=lambda rec: rec[0]),
+           cost=st.sampled_from([0.3, 0.7, 1.0, 1.1, 3.0]),
            threshold=st.one_of(st.just(10.0), st.floats(0.0, allow_infinity=False)),
-           moves=st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 1.0)), max_size=8))
-    def test_round_trip_keeps_every_bit(self, region, sensors, threshold, moves):
+           moves=st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 1.0)), max_size=8),
+           failures=st.lists(st.integers(0, 7), max_size=4))
+    def test_round_trip_keeps_every_bit(self, region, sensors, cost, threshold, moves,
+                                        failures):
         # repr writes each float's shortest round-trip form, so equal reprs
-        # mean equal bits, the sign of zero included. Each move goes along
-        # x by a share of the sensor's energy, if the world affords it; at
-        # unit cost no move leaves negative energy, which a load rejects.
-        model = EnergyModel(1.0, threshold)
+        # mean equal bits, the sign of zero included, and a Sensor's repr
+        # holds every field. Each move goes along x by a share of the
+        # sensor's budget, if the world affords it; no move leaves negative
+        # energy, which a load rejects. Then some sensors fail.
+        model = EnergyModel(cost, threshold)
         w = World(region, [Sensor(i, Point(x, y), e, e) for i, x, y, e in sensors], model)
         ids = list(w.sensors)
         for k, share in moves:
             if k < len(ids):
-                s = w.sensor(ids[k])
-                dest = Point(s.pos.x + share * s.energy, s.pos.y)
+                s = w.sensors[ids[k]]
+                dest = Point(s.pos.x + share * s.energy / cost, s.pos.y)
                 if math.isfinite(dest.x) and w.affords(s, s.pos.distance_to(dest)):
                     w.apply_move(s.id, dest)
+        for k in failures:
+            if k < len(ids):
+                w.fail(ids[k])
         w2 = world_from_json(world_to_json(w), model)
         assert repr(w2.region) == repr(region)
-        assert repr([(s.id, s.pos, s.energy) for s in w2.sensors.values()]) == repr(
-            [(s.id, s.pos, s.energy) for s in w.sensors.values()])
+        assert repr(list(w2.sensors.values())) == repr(list(w.sensors.values()))
         # A sensor that a move left immobile is immobile when reloaded.
         for s in w.sensors.values():
-            assert [w2.affords(w2.sensor(s.id), d) for d in reach(w, s)] == [
+            assert [w2.affords(w2.sensors[s.id], d) for d in reach(w, s)] == [
                 w.affords(s, d) for d in reach(w, s)]
 
     @pytest.mark.parametrize("bad", [
@@ -287,11 +318,17 @@ class TestWorldJson:
         lambda d: d["sensors"][0].update(x=True),
         lambda d: d["sensors"][1].update(y="1.5"),
         lambda d: d["sensors"][2].update(energy="80"),
+        lambda d: d["sensors"][0].update(initial_energy=-1.0),
+        lambda d: d["sensors"][1].update(initial_energy=math.inf),
+        lambda d: d["sensors"][2].update(initial_energy=None),
+        lambda d: d["sensors"][3].update(failed=1),
+        lambda d: d["sensors"][0].update(failed="true"),
     ], ids=["nan-x", "inf-y", "negative-energy", "nan-energy", "zero-rho",
             "negative-comm", "nan-length", "missing-rho", "missing-energy",
             "sensors-null", "fractional-id", "bool-id", "bool-rho", "string-rho",
             "string-comm", "string-length", "bool-width", "bool-x", "string-y",
-            "string-energy"])
+            "string-energy", "negative-initial-energy", "inf-initial-energy",
+            "null-initial-energy", "int-failed", "string-failed"])
     def test_bad_deployment_rejected(self, bad):
         sensors = [Sensor(i, Point(i * 10.0, 1.5), 80.0, 80.0)
                    for i in range(4)]
@@ -368,4 +405,4 @@ def test_a_rejected_chain_edit_changes_nothing(data):
             assert (world.slots, world.holes, world.chain_edits, check.broken,
                     check.edit_mark, check.change_mark) == was
         assert world.slots == {sid: idx for idx, sid in enumerate(world.barrier)}
-        assert world.holes == {sid for sid in world.barrier if world.sensor(sid).failed}
+        assert world.holes == {sid for sid in world.barrier if world.sensors[sid].failed}

@@ -42,11 +42,11 @@ from conftest import T1_COORDS, drain, make_world, random_line_world
 from oracles import (
     adjacency_oracle,
     barrier_oracle,
-    capacity,
     edited_span_oracle,
     has_edge,
     hop_distance,
     keeps_chain_simple,
+    pays_for,
     recovery_chain_oracle,
 )
 
@@ -60,7 +60,7 @@ def fresh_graph(world):
 class TestElection:
     def test_t1_fixpoint_values(self, t1_world):
         bus = MessageBus()
-        states = init_recovery_nodes(t1_world, bus=bus)
+        states = init_recovery_nodes(t1_world, bus=bus).states
         expected = {
             0: (1, 6.0),
             1: (2, 4.0),
@@ -75,15 +75,15 @@ class TestElection:
         assert bus.drain_round() == []
 
     def test_spare_with_filler_is_chosen_directly(self, t1_world):
-        states = init_recovery_nodes(t1_world)
+        states = init_recovery_nodes(t1_world).states
         st = states[2]
         assert st.rec_node == 5
         assert st.path_length == pytest.approx(
-            t1_world.sensor(2).pos.distance_to(t1_world.sensor(5).pos)
+            t1_world.sensors[2].pos.distance_to(t1_world.sensors[5].pos)
         )
 
     def test_rec_set_registration(self, t1_world):
-        states = init_recovery_nodes(t1_world)
+        states = init_recovery_nodes(t1_world).states
         assert states[5].rec_set == {2}
         # every client appears in exactly one recovery node's set
         owners = {}
@@ -98,28 +98,28 @@ class TestElection:
         # No fillers anywhere near the middle; the only spare hangs by the
         # right end, so the successor side is the shorter chain.
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (8.4, 1.2)])
-        states = init_recovery_nodes(w)
+        states = init_recovery_nodes(w).states
         assert states[2].rec_node == 3
         assert states[1].rec_node == 2
 
     def test_tie_prefers_predecessor_side(self):
         # Perfect mirror symmetry: both chain sides cost the same.
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (1, 2), (9, 2)])
-        states = init_recovery_nodes(w)
+        states = init_recovery_nodes(w).states
         assert states[2].rec_node == 1
 
     def test_single_node_barrier_with_filler(self):
         w = make_world([(1, 1), (1.5, 2)], rho=1.0, length=2.0)
         assert w.barrier == [0]
-        states = init_recovery_nodes(w)
+        states = init_recovery_nodes(w).states
         assert states[0].rec_node == 1
         assert states[0].path_length == pytest.approx(
-            w.sensor(0).pos.distance_to(w.sensor(1).pos)
+            w.sensors[0].pos.distance_to(w.sensors[1].pos)
         )
 
     def test_unresolvable_when_no_candidates(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
-        states = init_recovery_nodes(w)
+        states = init_recovery_nodes(w).states
         unresolved = [sid for sid in w.barrier if states[sid].rec_node is None]
         assert unresolved == [0, 1, 2, 3, 4]
 
@@ -129,7 +129,7 @@ class TestElection:
             w = random_line_world(seed)
             if not w.barrier:
                 continue
-            states = init_recovery_nodes(w)
+            states = init_recovery_nodes(w).states
             graph = fresh_graph(w)
             expected = recovery_chain_oracle(w, graph)
             for sid, (rec, plen) in expected.items():
@@ -157,10 +157,10 @@ class TestElection:
             w = random_line_world(seed)
             if not w.barrier:
                 continue
-            base = init_recovery_nodes(w)
+            base = init_recovery_nodes(w).states
             shuffled = init_recovery_nodes(
                 w, bus=MessageBus(shuffle_rng=seeded_rng(seed + 500))
-            )
+            ).states
             for sid in w.barrier:
                 assert base[sid].rec_node == shuffled[sid].rec_node
                 assert base[sid].path_length == pytest.approx(
@@ -442,18 +442,18 @@ class TestMldfs:
 
 class TestHandleFailure:
     def test_spare_fills_hole(self, t1_world):
-        states = init_recovery_nodes(t1_world)
+        election = init_recovery_nodes(t1_world)
         t1_world.fail(2)
-        out = handle_failure_dmove(t1_world, states, 2)
+        out = handle_failure_dmove(t1_world, election, 2)
         assert verify_barrier(t1_world) and out.mechanism == MECH_SHIFTING
         assert out.moves == [(5, Point(5, 2), Point(5, 0))]
         assert t1_world.barrier == [0, 1, 5, 3, 4]
         assert verify_barrier(t1_world)
 
     def test_barrier_recovery_node_cascades(self, t1_world):
-        states = init_recovery_nodes(t1_world)
+        election = init_recovery_nodes(t1_world)
         t1_world.fail(1)
-        out = handle_failure_dmove(t1_world, states, 1)
+        out = handle_failure_dmove(t1_world, election, 1)
         assert verify_barrier(t1_world) and out.mechanism == MECH_SHIFTING
         assert [m[0] for m in out.moves] == [2, 5]
         assert out.total_displacement == pytest.approx(4.0)
@@ -461,10 +461,10 @@ class TestHandleFailure:
 
     def test_detour_found_by_nonbarrier_recovery_node(self, detour_world):
         w = detour_world
-        states = init_recovery_nodes(w)
-        assert states[1].rec_node == 4
+        election = init_recovery_nodes(w)
+        assert election.states[1].rec_node == 4
         w.fail(1)
-        out = handle_failure_dmove(w, states, 1)
+        out = handle_failure_dmove(w, election, 1)
         assert verify_barrier(w) and out.mechanism == MECH_ALTERNATE
         assert out.total_displacement == 0.0
         assert w.barrier == [0, 4, 5, 2, 3]
@@ -474,73 +474,73 @@ class TestHandleFailure:
         # Spare reachable only from the left end: failing the fourth node
         # drags the whole prefix one slot right, filler last.
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (1.5, 1.5)])
-        states = init_recovery_nodes(w)
-        expected_cost = states[3].path_length
+        election = init_recovery_nodes(w)
+        expected_cost = election.states[3].path_length
         w.fail(3)
-        out = handle_failure_dmove(w, states, 3)
+        out = handle_failure_dmove(w, election, 3)
         assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
         assert [m[0] for m in out.moves] == [2, 1, 0, 5]
         assert out.total_displacement == pytest.approx(expected_cost)
         assert verify_barrier(w)
 
     def test_states_reelected_after_recovery(self, t1_world):
-        states = init_recovery_nodes(t1_world)
+        election = init_recovery_nodes(t1_world)
         t1_world.fail(2)
-        handle_failure_dmove(t1_world, states, 2)
+        handle_failure_dmove(t1_world, election, 2)
         assert set(t1_world.barrier) == {0, 1, 5, 3, 4}
         for sid in t1_world.barrier:
-            assert states[sid].is_on_barrier
+            assert election.states[sid].is_on_barrier
 
     def test_recovery_node_death_triggers_reelection(self, t1_world):
-        states = init_recovery_nodes(t1_world)
-        assert states[2].rec_node == 5
+        election = init_recovery_nodes(t1_world)
+        assert election.states[2].rec_node == 5
         t1_world.fail(5)
-        out = handle_failure_dmove(t1_world, states, 5)
+        out = handle_failure_dmove(t1_world, election, 5)
         assert verify_barrier(t1_world)  # barrier untouched
         assert out.moves == []
         # With the only spare gone there is no candidate left anywhere.
-        assert states[2].rec_node is None
-        unresolved = [sid for sid in t1_world.barrier if states[sid].rec_node is None]
+        assert election.states[2].rec_node is None
+        unresolved = [sid for sid in t1_world.barrier if election.states[sid].rec_node is None]
         assert unresolved == [0, 1, 2, 3, 4]
 
     def test_reelection_finds_surviving_candidate(self, detour_world):
         # Spares 4 and 5 both guard someone; when 5 dies, node 2 falls back
         # to the chain side that leads to the surviving spare.
         w = detour_world
-        states = init_recovery_nodes(w)
-        assert states[2].rec_node == 5
+        election = init_recovery_nodes(w)
+        assert election.states[2].rec_node == 5
         w.fail(5)
-        out = handle_failure_dmove(w, states, 5)
+        out = handle_failure_dmove(w, election, 5)
         assert verify_barrier(w) and out.moves == []
-        assert states[2].rec_node == 1
+        assert election.states[2].rec_node == 1
 
     def test_plain_bystander_failure_is_ignored(self):
         # An extra spare adjacent only to the other spare: nobody's
         # recovery node, off the barrier.
         w = make_world(T1_COORDS + [(5, 3.5)], width=5)
-        states = init_recovery_nodes(w)
-        assert all(st.rec_node != 6 for st in states.values())
-        before = {sid: st.rec_node for sid, st in states.items()}
+        election = init_recovery_nodes(w)
+        assert all(st.rec_node != 6 for st in election.states.values())
+        before = {sid: st.rec_node for sid, st in election.states.items()}
         w.fail(6)
-        out = handle_failure_dmove(w, states, 6)
+        out = handle_failure_dmove(w, election, 6)
         assert verify_barrier(w) and out.moves == []
-        after = {sid: st.rec_node for sid, st in states.items() if sid != 6}
+        after = {sid: st.rec_node for sid, st in election.states.items() if sid != 6}
         assert {k: v for k, v in before.items() if k != 6} == after
 
     def test_unwatched_failure_is_unrecoverable(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
-        states = init_recovery_nodes(w)
+        election = init_recovery_nodes(w)
         w.fail(2)
-        out = handle_failure_dmove(w, states, 2)
+        out = handle_failure_dmove(w, election, 2)
         assert not verify_barrier(w)
         assert out.moves == []
 
     def test_cascade_stops_when_mover_lacks_energy(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (1.5, 1.5)])
-        states = init_recovery_nodes(w)
+        election = init_recovery_nodes(w)
         drain(w, 1, 1.0)  # mid-chain mover can no longer shift
         w.fail(3)
-        out = handle_failure_dmove(w, states, 3)
+        out = handle_failure_dmove(w, election, 3)
         assert not verify_barrier(w)
         assert [m[0] for m in out.moves] == [2]  # first hop happened
 
@@ -550,11 +550,11 @@ class TestHandleFailure:
             w = random_line_world(seed)
             if not w.barrier:
                 continue
-            states = init_recovery_nodes(w)
+            election = init_recovery_nodes(w)
             rng = np.random.default_rng(seed + 999)
             victim = int(rng.choice(sorted(w.sensors)))
             w.fail(victim)
-            out = handle_failure_dmove(w, states, victim)
+            out = handle_failure_dmove(w, election, victim)
             holds = verify_barrier(w)
             assert holds == barrier_oracle(w)
             successes += holds
@@ -582,7 +582,7 @@ def test_best_filler_sees_the_fillers_near_finds():
             graph = world_graph(world)
             chain = set(world.barrier)
             for sid in chain:
-                s = world.sensor(sid)
+                s = world.sensors[sid]
                 if s.failed:
                     continue
                 near = graph.near(s.pos)
@@ -605,17 +605,17 @@ class TestIncrementalElection:
         # search would find.
         chain = set(world.barrier)
         for sid, filler in election._fillers.items():
-            assert filler == closest_filler(world, world.graph.neighbors(sid),
+            assert filler == closest_filler(world, world.graph.adjacency[sid],
                                             world.sensors[sid].pos, chain), sid
-        fresh = init_recovery_nodes(world)
-        assert set(election) == set(fresh)
+        fresh = init_recovery_nodes(world).states
+        assert election.states.keys() == fresh.keys()
         for sid, want in fresh.items():
-            got = election[sid]
+            got = election.states[sid]
             assert (got.rec_node, got.path_length, got.pre, got.suc, got.is_on_barrier) \
                 == (want.rec_node, want.path_length, want.pre, want.suc, want.is_on_barrier), sid
             assert got.rec_set == want.rec_set, sid
         counts["checked"] += 1
-        counts["dead chain member"] += any(world.sensor(s).failed for s in world.barrier)
+        counts["dead chain member"] += any(world.sensors[s].failed for s in world.barrier)
 
     def _run(self, world, election, victims, counts, bus=None, drain_rng=None):
         """Fail each victim in turn. After an episode that re-elected, check
@@ -625,15 +625,15 @@ class TestIncrementalElection:
         moving, which leaves stale recovery chains behind until the next
         election."""
         for victim in victims:
-            if world.sensor(victim).failed:
+            if world.sensors[victim].failed:
                 continue
             if drain_rng is not None:
-                live = [s for s in world.barrier if s != victim and not world.sensor(s).failed]
+                live = [s for s in world.barrier if s != victim and not world.sensors[s].failed]
                 if live:
-                    drained = world.sensor(live[int(drain_rng.integers(len(live)))])
+                    drained = world.sensors[live[int(drain_rng.integers(len(live)))]]
                     drain(world, drained.id,
                           drained.energy * float(drain_rng.uniform(0.0, 0.5)))
-            watched = any(st.rec_node == victim for st in election.values())
+            watched = any(st.rec_node == victim for st in election.states.values())
             before = counts["elections"]
             edits = len(world.chain_edits)
             world.fail(victim)
@@ -715,9 +715,12 @@ class TestIncrementalElection:
                     # Toward a random sensor, as far as the energy allows.
                     t = live[int(rng.integers(len(live)))]
                     dx, dy = t.pos.x - s.pos.x + rng.uniform(-1, 1), t.pos.y - s.pos.y
-                    scale = min(1.0, 0.99 * capacity(s, world.energy_model)
+                    model = world.energy_model
+                    scale = min(1.0, 0.99 * s.energy / model.cost_per_unit_displacement
                                 / max(math.hypot(dx, dy), 1e-9))
-                    world.apply_move(s.id, Point(s.pos.x + scale * dx, s.pos.y + scale * dy))
+                    dest = Point(s.pos.x + scale * dx, s.pos.y + scale * dy)
+                    if pays_for(s, model, s.pos.distance_to(dest)):
+                        world.apply_move(s.id, dest)
                 elif kind == 2:
                     drain(world, s.id, s.energy * float(rng.uniform(0, 1)))
                 elif kind == 3 and len(chain) > 1:
@@ -737,10 +740,10 @@ class TestIncrementalElection:
         # new neighbors can tell.
         w = make_world(T1_COORDS[:5] + [(5, 3.5)], width=5)
         election = init_recovery_nodes(w)
-        assert election[2].rec_node is None
+        assert election.states[2].rec_node is None
         w.apply_move(5, Point(5, 1.5))
         init_recovery_nodes(w, election=election)
-        assert election[2].rec_node == 5
+        assert election.states[2].rec_node == 5
         self._check(w, election, Counter())
 
     def test_reelection_sends_fewer_messages(self):

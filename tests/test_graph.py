@@ -18,7 +18,7 @@ from barrier_restore.graph import (
     find_barrier,
     failed_span,
     shift_cascade,
-    splice_span,
+    splice_into,
     verify_barrier,
     world_graph,
 )
@@ -269,7 +269,7 @@ class TestShiftCascade:
         if "failed" in edit:
             w.fail(edit["failed"])
         if "drained" in edit:
-            w.sensor(edit["drained"]).energy = 1.0  # every hop here is 2
+            w.sensors[edit["drained"]].energy = 1.0  # every hop here is 2
         w.fail(1)
         barrier, edits, start = list(w.barrier), len(w.chain_edits), len(w.changes)
         calls = []
@@ -305,11 +305,20 @@ class TestShiftCascade:
         assert [m.sensor_id for m in out.moves] == [2, 5]
 
 
+def chain_world(barrier, others=()):
+    """A world of point sensors, one for each id of ``barrier`` and of
+    ``others`` but the sentinels, whose chain is ``barrier``."""
+    ids = {*barrier, *others} - {PL, PR}
+    world = World(Region(100, 10, 1.0, 2.0), [Sensor(i, Point(0, 0), 1.0, 1.0) for i in ids])
+    world.edit_chain(0, 0, barrier)
+    return world
+
+
 def splice(barrier, failed, replacement):
-    """``barrier`` with the edit of ``splice_span`` applied."""
-    slots = {v: i for i, v in enumerate(barrier)}
-    start, stop, ids = splice_span(barrier, failed, replacement, slots)
-    return [*barrier[:start], *ids, *barrier[stop:]]
+    """``barrier`` after ``splice_into`` on a world whose chain it is."""
+    world = chain_world(barrier, replacement)
+    splice_into(world, failed, replacement)
+    return world.barrier
 
 
 class TestSplice:
@@ -326,8 +335,11 @@ class TestSplice:
         assert splice([0, 1, 2], {2}, [1, 9, PR]) == [0, 1, 9]
 
     def test_mismatched_endpoints_raise(self):
+        # The chain and its record stay as they were.
+        world = chain_world([0, 1, 2, 3], [9])
         with pytest.raises(SpliceEndpointMismatch):
-            splice([0, 1, 2, 3], {2}, [0, 9, 3])
+            splice_into(world, {2}, [0, 9, 3])
+        assert world.barrier == [0, 1, 2, 3] and len(world.chain_edits) == 1
 
     def test_loops_cut_when_path_revisits_chain(self):
         # Replacement wanders back through 1 before reaching 4.
@@ -343,17 +355,19 @@ class TestSplice:
         barrier = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=12,
                                      unique=True))
         failed = set(data.draw(st.lists(st.sampled_from(barrier), min_size=1, max_size=3)))
-        slots = {v: i for i, v in enumerate(barrier)}
-        first, last, left, right = failed_span(barrier, failed, slots)
+        world = chain_world(barrier, range(40, 46))
+        slots = dict(world.slots)
+        first, last, left, right = failed_span(world, failed)
         inner = data.draw(st.lists(st.one_of(st.integers(40, 45), st.sampled_from(
             [v for v in barrier if v not in failed] or [40])), max_size=5))
         replacement = [left, *inner, right]
-        start, stop, ids = splice_span(barrier, failed, replacement, slots)
-        spliced = barrier[:start] + ids + barrier[stop:]
-        assert spliced == splice_oracle(barrier, failed, replacement)
-        assert len(set(spliced)) == len(spliced)
+        splice_into(world, failed, replacement)
+        assert world.barrier == splice_oracle(barrier, failed, replacement)
+        assert len(set(world.barrier)) == len(world.barrier)
+        start, old, _ = world.chain_edits[-1]
         on_path = [slots[v] for v in replacement if v in slots]
-        assert start == min([first, *on_path]) and stop == max([last, *on_path]) + 1
+        assert start == min([first, *on_path])
+        assert start + len(old) == max([last, *on_path]) + 1
 
 
 class TestVerifyBarrier:

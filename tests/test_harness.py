@@ -45,6 +45,14 @@ FAST = dict(length=400.0, rho=30.0, sigma=6.0, trials=2)
 SPARSE = dict(FAST, length=1000.0)
 
 
+def trial_world(scheme, cfg, seed):
+    """The world a trial of ``scheme`` leaves: deployed here and handed to
+    ``run_trial``, which changes it in place."""
+    world = deploy_with_barrier(cfg, seed)
+    run_trial(scheme, cfg, seed, world)
+    return world
+
+
 class TestGenerateDeployment:
     def test_zero_noise_exact_grid(self):
         cfg = ExperimentConfig(n=5, length=4000.0, sigma=0.0, trials=1)
@@ -140,8 +148,9 @@ class TestRunTrial:
     def test_conservation_energy_equals_displacement(self):
         for scheme in ("rmove", "cmove", "dmove"):
             cfg = ExperimentConfig(n=40, **FAST)
-            res = run_trial(scheme, cfg, trial_seed(cfg, 3))
-            w = res.world
+            seed = trial_seed(cfg, 3)
+            w = deploy_with_barrier(cfg, seed)
+            res = run_trial(scheme, cfg, seed, w)
             spent = total_energy_spent(w)
             assert spent == pytest.approx(
                 w.energy_model.cost_per_unit_displacement
@@ -175,8 +184,10 @@ class TestRunTrial:
         # pays for short moves: on this trial rmove and dmove would each
         # move a sensor if only the budget counted.
         cfg = ExperimentConfig(n=160, initial_energy=5.0)
-        res = run_trial(scheme, cfg, trial_seed(cfg, 0))
-        assert all(m.length == 0.0 for m in res.world.changes)
+        seed = trial_seed(cfg, 0)
+        world = deploy_with_barrier(cfg, seed)
+        res = run_trial(scheme, cfg, seed, world)
+        assert all(m.length == 0.0 for m in world.changes)
         assert all(ep.displacement == 0.0 for ep in res.episodes)
 
 
@@ -281,7 +292,7 @@ def test_verdict_is_retaken_after_a_new_chain_or_a_move(monkeypatch):
         else:
             start = len(world.changes)
             for sid in world.barrier:
-                s = world.sensor(sid)
+                s = world.sensors[sid]
                 dest = Point(s.pos.x, s.pos.y + 3 * world.region.rho)
                 if world.affords(s, s.pos.distance_to(dest)):
                     world.apply_move(sid, dest)
@@ -356,11 +367,11 @@ class TestWorldCopy:
             assert not set(map(id, copy.sensors.values())) & set(
                 map(id, source.sensors.values()))
             on_copy = run_trial(scheme, cfg, seed, copy)
-            fresh = run_trial(scheme, cfg, seed)
-            assert on_copy.world is copy
+            fresh_world = deploy_with_barrier(cfg, seed)
+            fresh = run_trial(scheme, cfg, seed, fresh_world)
             assert on_copy.rows == fresh.rows
             assert on_copy.episodes == fresh.episodes
-            assert _world_state(copy) == _world_state(fresh.world)
+            assert _world_state(copy) == _world_state(fresh_world)
             # The source is still the deployment, as a second deploy draws it.
             assert _world_state(source) == _world_state(deploy_with_barrier(cfg, seed))
 
@@ -368,7 +379,7 @@ class TestWorldCopy:
         # On the deployed world and on one that failures and moves changed.
         seed = trial_seed(cfg, 0)
         for world in (deploy_with_barrier(cfg, seed),
-                      run_trial("cmove", cfg, seed).world):
+                      trial_world("cmove", cfg, seed)):
             copy = world.graph.copy()
             built = build_intersection_graph(world.active_sensors(), world.region)
             assert copy.adjacency == built.adjacency
@@ -385,7 +396,7 @@ def test_copy_of_a_changed_world_equals_it(scheme):
     # the holes and both records, and its first verdict, read from those
     # records, is its source's.
     cfg = ExperimentConfig(n=160, trials=1)
-    world = run_trial(scheme, cfg, trial_seed(cfg, 0)).world
+    world = trial_world(scheme, cfg, trial_seed(cfg, 0))
     assert world.holes and len(world.chain_edits) > 1
     copy = world.copy()
     assert _world_state(copy) == _world_state(world)
@@ -412,7 +423,7 @@ class TestComputeMetrics:
     def test_high_energy_threshold_is_strict(self):
         cfg, world = self._world()
         sid = world.barrier[0]
-        world.sensor(sid).energy = 85.0  # moved 15 of 100
+        world.sensors[sid].energy = 85.0  # moved 15 of 100
         row = compute_metrics("cmove", cfg, world, 1, 1, 15.0, 0.10)
         assert row.high_energy_pct == pytest.approx(100.0 * 9 / 10)
         assert row.avg_total_displacement == pytest.approx(15.0)
@@ -660,6 +671,6 @@ def test_one_graph_per_world(monkeypatch):
     cfg = ExperimentConfig(n=40, **FAST)
     for scheme in harness.SCHEMES:
         builds.clear()
-        res = run_trial(scheme, cfg, trial_seed(cfg, 3))
+        world = trial_world(scheme, cfg, trial_seed(cfg, 3))
         assert builds["graph"] == 1, scheme
-        assert world_graph(res.world) is res.world.graph
+        assert world_graph(world) is world.graph

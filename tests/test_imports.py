@@ -7,7 +7,10 @@ library's ``ast`` alone.
 Nor does ``src/`` define a function, method or class that only tests
 could call: every name defined there is referenced somewhere in ``src/``
 (as a name, an attribute or an import) or listed in ``__all__``. Dunder
-methods are called by Python itself and are exempt.
+methods are called by Python itself and are exempt. Nor does it define a
+method that only restates a field: one, not a property, whose whole body
+returns a field of ``self`` or a subscript of one, a second way to read
+what the field itself gives.
 
 And ``src/`` imports only the standard library, numpy (its one runtime
 dependency in ``pyproject.toml``) and itself, at any depth of the module;
@@ -126,6 +129,60 @@ def test_scan_flags_an_unreferenced_definition(tmp_path):
         "def orphan(): return helper()\n"
     )
     assert unreferenced_definitions([module]) == ["probe.py:7 unused", "probe.py:9 orphan"]
+
+
+def _self_field(node: ast.expr) -> bool:
+    """Whether ``node`` is ``self.name`` or a subscript of it."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self")
+
+
+def field_accessors(paths: list[Path]) -> list[str]:
+    """``file:line Class.method`` of each method in ``paths``, not a
+    property, whose whole body, a docstring aside, returns a field of
+    ``self`` or a subscript of one."""
+    out = []
+    for path in paths:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in fn.decorator_list):
+                    continue
+                body = fn.body
+                if ast.get_docstring(fn) is not None:
+                    body = body[1:]
+                if (len(body) == 1 and isinstance(body[0], ast.Return)
+                        and body[0].value is not None and _self_field(body[0].value)):
+                    out.append(f"{path.name}:{fn.lineno} {cls.name}.{fn.name}")
+    return out
+
+
+def test_src_defines_no_method_that_restates_a_field():
+    assert field_accessors(SOURCES) == []
+
+
+def test_scan_flags_a_field_accessor(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "class Graph:\n"
+        "    def row(self, v): return self.adjacency[v]\n"
+        "    def get(self):\n"
+        "        \"The rows.\"\n"
+        "        return self.rows\n"
+        "    @property\n"
+        "    def barrier(self): return self._barrier\n"
+        "    def __len__(self): return len(self.rows)\n"
+        "    def first(self): return self.rows[0].x\n"
+        "    def copy(self): return Graph()\n"
+        "    def nothing(self): return\n"
+        "def free(self): return self.rows\n"
+    )
+    assert field_accessors([module]) == ["probe.py:2 Graph.row", "probe.py:3 Graph.get"]
 
 
 RUNTIME_PACKAGES = {"numpy"}
