@@ -16,10 +16,10 @@ scheme takes the deployed world itself.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
@@ -365,15 +365,20 @@ def run_experiment(
 
     One task per trial deploys once and runs every configured scheme on it
     (see ``_trial_task``); ``jobs`` above 1 spreads the tasks over worker
-    processes, at most one per trial and one per CPU, since the pool starts
-    every worker at once. Results are merged in (scheme, trial) order, so
-    output never depends on the worker count. ``detail_sink``, when given,
-    receives one JSON line per failure episode."""
+    processes, at most one per trial and one per CPU this process may run
+    on, since the pool starts every worker at once. The pool's modules
+    (``concurrent.futures.process`` and ``multiprocessing``) load on a
+    process's first run with more than one worker, never on a serial one.
+    Results are merged in (scheme, trial) order, so output never depends on
+    the worker count. ``detail_sink``, when given, receives one JSON line
+    per failure episode."""
     seeds = [trial_seed(config, t) for t in range(config.trials)]
     tasks = [(config, seed, detail_sink is not None) for seed in seeds]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), cpus)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_trial_task, tasks, chunksize=1))
     else:
         per_trial = [_trial_task(t) for t in tasks]

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import concurrent.futures
 import io
 import json
 import math
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,7 +453,7 @@ def _stub_pool(monkeypatch):
             returned.extend(results)
             return results
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return started, returned
 
 
@@ -538,6 +542,8 @@ class TestRunExperiment:
 
     def test_pool_never_exceeds_task_count(self, monkeypatch):
         started, _ = _stub_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         cfg = ExperimentConfig(n=40, **FAST, schemes=("nmove",))  # two tasks
         serial = run_experiment(cfg, jobs=1)
@@ -548,12 +554,28 @@ class TestRunExperiment:
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
     def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, pools):
         # The pool starts every worker at once, so jobs beyond the CPUs
-        # (one CPU when the count is unknown) only add processes.
+        # (one CPU when the count is unknown) only add processes. This is
+        # the count where the platform reports no CPU affinity.
         started, _ = _stub_pool(monkeypatch)
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         cfg = ExperimentConfig(n=40, **dict(FAST, trials=5), schemes=("nmove",))
         serial = run_experiment(cfg, jobs=1)
         assert run_experiment(cfg, jobs=5000) == serial
+        assert started == pools
+
+    @pytest.mark.parametrize("allowed, pools", [(1, []), (2, [2])])
+    def test_pool_never_exceeds_the_cpus_this_process_may_run_on(
+            self, monkeypatch, allowed, pools):
+        # Under taskset or a container cpuset the machine has more CPUs
+        # than the process may use; the affinity mask is the cap.
+        started, _ = _stub_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(allowed)),
+                            raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        cfg = ExperimentConfig(n=40, **dict(FAST, trials=5), schemes=("nmove",))
+        serial = run_experiment(cfg, jobs=1)
+        assert run_experiment(cfg, jobs=8) == serial
         assert started == pools
 
     def test_one_deploy_per_trial(self, monkeypatch):
@@ -674,3 +696,43 @@ def test_one_graph_per_world(monkeypatch):
         world = trial_world(scheme, cfg, trial_seed(cfg, 3))
         assert builds["graph"] == 1, scheme
         assert world_graph(world) is world.graph
+
+
+# Which of the process pool's modules a fresh interpreter holds after each
+# step: importing the package, a generate, a serial trial, then a parallel
+# experiment (on two CPUs, whatever the machine has).
+POOL_PROBE = r"""
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m.startswith("multiprocessing") or m == "concurrent.futures.process")
+
+loaded = {}
+from barrier_restore import cli, harness
+loaded["import"] = pool_modules()
+assert cli.main(["generate", "--n", "40", "--length", "400", "--seed", "1",
+                 "--out", sys.argv[2]]) == 0
+loaded["generate"] = pool_modules()
+config = harness.ExperimentConfig(n=40, length=400.0, trials=2, schemes=("nmove",))
+harness.run_trial("dmove", config, harness.trial_seed(config, 0))
+loaded["serial trial"] = pool_modules()
+os.sched_getaffinity = lambda pid: {0, 1}
+harness.run_experiment(config, jobs=2)
+loaded["parallel experiment"] = pool_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_parallel_run_loads_the_process_pool(tmp_path):
+    src = Path(harness.__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE, str(src), str(tmp_path / "d.json")],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout)
+    for step in ("import", "generate", "serial trial"):
+        assert loaded[step] == [], step
+    assert "concurrent.futures.process" in loaded["parallel experiment"]
+    assert "multiprocessing" in loaded["parallel experiment"]
