@@ -365,18 +365,15 @@ def run_experiment(
 
     One task per trial deploys once and runs every configured scheme on it
     (see ``_trial_task``); ``jobs`` above 1 spreads the tasks over worker
-    processes, at most one per trial and one per CPU this process may run
-    on, since the pool starts every worker at once. The pool's modules
-    (``concurrent.futures.process`` and ``multiprocessing``) load on a
-    process's first run with more than one worker, never on a serial one.
-    Results are merged in (scheme, trial) order, so output never depends on
-    the worker count. ``detail_sink``, when given, receives one JSON line
-    per failure episode."""
+    processes, at most one per trial and one per CPU, since the pool starts
+    every worker at once. The pool's modules (``concurrent.futures.process``
+    and ``multiprocessing``) load on a process's first run with more than
+    one worker, never on a serial one. Results are merged in (scheme, trial)
+    order, so output never depends on the worker count. ``detail_sink``,
+    when given, receives one JSON line per failure episode."""
     seeds = [trial_seed(config, t) for t in range(config.trials)]
     tasks = [(config, seed, detail_sink is not None) for seed in seeds]
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(jobs, len(tasks), cpus)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_trial_task, tasks, chunksize=1))

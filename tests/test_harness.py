@@ -542,8 +542,6 @@ class TestRunExperiment:
 
     def test_pool_never_exceeds_task_count(self, monkeypatch):
         started, _ = _stub_pool(monkeypatch)
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)),
-                            raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         cfg = ExperimentConfig(n=40, **FAST, schemes=("nmove",))  # two tasks
         serial = run_experiment(cfg, jobs=1)
@@ -554,28 +552,12 @@ class TestRunExperiment:
     @pytest.mark.parametrize("cpus, pools", [(3, [3]), (None, [])])
     def test_pool_never_exceeds_cpu_count(self, monkeypatch, cpus, pools):
         # The pool starts every worker at once, so jobs beyond the CPUs
-        # (one CPU when the count is unknown) only add processes. This is
-        # the count where the platform reports no CPU affinity.
+        # (one CPU when the count is unknown) only add processes.
         started, _ = _stub_pool(monkeypatch)
-        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         cfg = ExperimentConfig(n=40, **dict(FAST, trials=5), schemes=("nmove",))
         serial = run_experiment(cfg, jobs=1)
         assert run_experiment(cfg, jobs=5000) == serial
-        assert started == pools
-
-    @pytest.mark.parametrize("allowed, pools", [(1, []), (2, [2])])
-    def test_pool_never_exceeds_the_cpus_this_process_may_run_on(
-            self, monkeypatch, allowed, pools):
-        # Under taskset or a container cpuset the machine has more CPUs
-        # than the process may use; the affinity mask is the cap.
-        started, _ = _stub_pool(monkeypatch)
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(allowed)),
-                            raising=False)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        cfg = ExperimentConfig(n=40, **dict(FAST, trials=5), schemes=("nmove",))
-        serial = run_experiment(cfg, jobs=1)
-        assert run_experiment(cfg, jobs=8) == serial
         assert started == pools
 
     def test_one_deploy_per_trial(self, monkeypatch):
@@ -718,7 +700,7 @@ loaded["generate"] = pool_modules()
 config = harness.ExperimentConfig(n=40, length=400.0, trials=2, schemes=("nmove",))
 harness.run_trial("dmove", config, harness.trial_seed(config, 0))
 loaded["serial trial"] = pool_modules()
-os.sched_getaffinity = lambda pid: {0, 1}
+os.cpu_count = lambda: 2
 harness.run_experiment(config, jobs=2)
 loaded["parallel experiment"] = pool_modules()
 print(json.dumps(loaded))
