@@ -12,14 +12,25 @@ report point (two points whose percentages print alike included), an
 empty ``sweep --schemes``, a negative seed, a non-finite number of any
 subcommand and a ``generate`` draw that overflows to one included), 3
 no initial barrier, 4 several ``run --fail`` ids for a local scheme (rmove
-or dmove), which handles one failure at a time. Stdout carries only data;
-diagnostics go to stderr.
+or dmove), which handles one failure at a time. A command raises every
+error as a ``CliError``; ``main`` alone prints it, as one ``error:`` line
+on stderr, and returns its code. Stdout carries only data.
+
+``sweep --out`` and ``--detail-log`` follow one rule: each file is opened
+for append before any trial, so a bad path fails at once, and written only
+after every size has run (the detail log waits in an anonymous temporary
+file until then). Only a regular file is truncated before it is written,
+and a failed sweep removes only a file that it created itself.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
+import stat
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -39,6 +50,15 @@ from .harness import (
 EXIT_USAGE = 2
 EXIT_NO_BARRIER = 3
 EXIT_MULTI_FAILURE = 4
+
+
+class CliError(Exception):
+    """An error for ``main`` to print as one ``error:`` line, with the
+    exit code it returns."""
+
+    def __init__(self, message, code: int = EXIT_USAGE) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,65 +113,56 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace) -> None:
     try:
         config = ExperimentConfig(n=args.n, length=args.length, width=args.width, rho=args.rho,
                                   comm=args.comm, sigma=args.sigma, initial_energy=args.energy,
                                   seed=args.seed)
         sensors = generate_deployment(config, seeded_rng(config.seed))
         text = world_to_json(World(config.region(), sensors))
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        if args.out is not None:
+            args.out.write_text(text + "\n")
+    except (OSError, ValueError) as err:
+        raise CliError(err) from None
     if args.out is None:
         print(text)
-        return 0
-    try:
-        args.out.write_text(text + "\n")
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    return 0
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _distinct_ints(text: str, flag: str, many: str, one: str) -> list[int]:
+    """The integers of a comma list, which must name at least one and none
+    twice; empty items are skipped."""
     try:
-        failed_ids = [int(tok) for tok in args.fail.split(",") if tok != ""]
+        values = [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        print(f"error: --fail expects integer ids, got {args.fail!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if not failed_ids:
-        print("error: --fail lists no ids", file=sys.stderr)
-        return EXIT_USAGE
-    if len(set(failed_ids)) < len(failed_ids):
-        print(f"error: --fail repeats an id: {args.fail!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.scheme in ("rmove", "dmove") and len(failed_ids) > 1:
-        print(f"error: {args.scheme} handles failures one at a time", file=sys.stderr)
-        return EXIT_MULTI_FAILURE
+        raise CliError(f"{flag} expects integer {many}, got {text!r}") from None
+    if not values:
+        raise CliError(f"{flag} lists no {many}")
+    if len(set(values)) < len(values):
+        raise CliError(f"{flag} repeats {one}: {text!r}")
+    return values
 
+
+def cmd_run(args: argparse.Namespace) -> None:
+    failed_ids = _distinct_ints(args.fail, "--fail", "ids", "an id")
+    if args.scheme in ("rmove", "dmove") and len(failed_ids) > 1:
+        raise CliError(f"{args.scheme} handles failures one at a time", EXIT_MULTI_FAILURE)
     if args.seed < 0:
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     try:
         model = EnergyModel(args.cost_per_unit, args.static_threshold)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(err) from None
     try:
         world = world_from_json(args.deployment.read_text(), energy_model=model)
     except (OSError, ValueError) as err:
-        print(f"error: deployment {args.deployment}: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(f"deployment {args.deployment}: {err}") from None
     for sid in failed_ids:
         if sid not in world.sensors:
-            print(f"error: sensor {sid} not in deployment", file=sys.stderr)
-            return EXIT_USAGE
+            raise CliError(f"sensor {sid} not in deployment")
 
     barrier = find_barrier(world_graph(world))
     if barrier is None:
-        print("error: deployment forms no initial barrier", file=sys.stderr)
-        return EXIT_NO_BARRIER
+        raise CliError("deployment forms no initial barrier", EXIT_NO_BARRIER)
     world.edit_chain(0, len(world.barrier), barrier)
 
     bus = MessageBus(keep_log=args.trace)
@@ -159,8 +170,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         restore = start_scheme(args.scheme, world, seeded_rng(args.seed),
                                k=args.k, bus=bus)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(err) from None
     for sid in failed_ids:
         world.fail(sid)
     # One centralized step covers every failed chain member; the local
@@ -183,13 +193,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(json.dumps(doc, indent=2))
     if args.trace:
         sys.stderr.write(bus.log_csv())
-    return 0
 
 
 def _sweep_config(args: argparse.Namespace, n: int) -> ExperimentConfig:
     base: dict = {}
     if args.config is not None:
-        base = json.loads(args.config.read_text())
+        try:
+            base = json.loads(args.config.read_text())
+        except RecursionError:
+            raise ValueError(f"config {args.config} nests too deeply") from None
         if not isinstance(base, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
         for key in ("schemes", "report_points"):
@@ -219,93 +231,76 @@ def _sweep_config(args: argparse.Namespace, n: int) -> ExperimentConfig:
     return ExperimentConfig(n=n, **base)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     if not args.n_list:
-        print("error: --n-list is required", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        n_values = [int(tok) for tok in args.n_list.split(",") if tok != ""]
-    except ValueError:
-        print(f"error: --n-list expects integers, got {args.n_list!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if not n_values:
-        print("error: --n-list lists no sizes", file=sys.stderr)
-        return EXIT_USAGE
-    if len(set(n_values)) < len(n_values):
-        print(f"error: --n-list repeats a size: {args.n_list!r}", file=sys.stderr)
-        return EXIT_USAGE
-
+        raise CliError("--n-list is required")
+    n_values = _distinct_ints(args.n_list, "--n-list", "sizes", "a size")
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     named = [path.resolve() for path in (args.config, args.out, args.detail_log)
              if path is not None]
     if len(set(named)) < len(named):
-        print("error: --config, --out and --detail-log must name different files",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError("--config, --out and --detail-log must name different files")
     try:
         configs = [_sweep_config(args, n) for n in n_values]
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise CliError(err) from None
 
-    # Both files are opened before any trial runs, so a bad path fails at
-    # once. --out is opened for append, so an existing file keeps its bytes
-    # until every size has run and the CSV replaces them. A failed sweep
-    # removes the detail log and an --out file it created itself.
-    out = detail = None
-    out_created = False
-    try:
-        if args.out is not None:
-            out_created = not args.out.exists()
-            out = args.out.open("a")
-        if args.detail_log is not None:
-            detail = args.detail_log.open("w")
-    except OSError as err:
-        _close_outputs(args, out, out_created, detail, ok=False)
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    # The output rule of the module docstring: files maps each output path
+    # to whether this sweep creates it and to the file opened for append.
+    files = {}
+    detail = None
     ok = False
     try:
-        rows = [
-            row
-            for config in configs
-            for row in run_experiment(config, jobs=args.jobs, detail_sink=detail)
-        ]
+        try:
+            for path in (args.out, args.detail_log):
+                if path is not None:
+                    files[path] = (not path.exists(), path.open("a"))
+            if args.detail_log is not None:
+                detail = tempfile.TemporaryFile("w+")
+        except OSError as err:
+            raise CliError(err) from None
+        try:
+            rows = [row for config in configs
+                    for row in run_experiment(config, jobs=args.jobs, detail_sink=detail)]
+        except InitialBarrierImpossible as err:
+            raise CliError(err, EXIT_NO_BARRIER) from None
         text = rows_to_csv(rows)
-        if out is None:
+        if args.out is None:
             sys.stdout.write(text)
-        else:
-            out.truncate(0)
-            out.write(text)
+        try:
+            for path, (_, file) in files.items():
+                if stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+                    file.truncate(0)
+                if path == args.out:
+                    file.write(text)
+                else:
+                    detail.seek(0)
+                    shutil.copyfileobj(detail, file)
+                file.close()
+        except OSError as err:
+            raise CliError(err) from None
         ok = True
-    except InitialBarrierImpossible as err:
-        print(f"error: {err}", file=sys.stderr)
     finally:
-        _close_outputs(args, out, out_created, detail, ok)
-    return 0 if ok else EXIT_NO_BARRIER
+        if detail is not None:
+            detail.close()
+        for path, (created, file) in files.items():
+            file.close()
+            if not ok and created:
+                path.unlink()
 
 
-def _close_outputs(args, out, out_created: bool, detail, ok: bool) -> None:
-    if out is not None:
-        out.close()
-        if not ok and out_created:
-            args.out.unlink()
-    if detail is not None:
-        detail.close()
-        if not ok:
-            args.detail_log.unlink()
+COMMANDS = {"generate": cmd_generate, "run": cmd_run, "sweep": cmd_sweep}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_sweep(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        COMMANDS[args.command](args)
+    except CliError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return err.code
+    return 0
 
 
 if __name__ == "__main__":

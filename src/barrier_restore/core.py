@@ -346,8 +346,12 @@ def world_from_json(
     number (a bool or a string), a non-finite number or an integer too
     large for a float, negative energy, a ``failed`` that is not a bool, or
     a region side or radius that ``Region`` rejects. A sensor's
-    ``initial_energy`` defaults to its ``energy`` and ``failed`` to false."""
-    doc = json.loads(text)
+    ``initial_energy`` defaults to its ``energy`` and ``failed`` to false.
+    JSON nested too deeply for the parser is malformed too."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("deployment nests too deeply") from None
     try:
         region = Region(_number(doc["region"]["L"]), _number(doc["region"]["W"]),
                         _number(doc["rho"]), _number(doc["comm"]))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -84,6 +85,12 @@ def _t1_text(mutate):
     return json.dumps(doc)
 
 
+# JSON nested deeper than the parser's recursion limit, which ended in a
+# RecursionError traceback with exit 1.
+_DEEP = "[" * 100_000 + "]" * 100_000
+_DEEP_DEPLOYMENT = '{"region": ' + _DEEP + ', "rho": 30, "comm": 60, "sensors": []}'
+
+
 class TestRunBadDeployment:
     @pytest.mark.parametrize("text", [
         # NaN x and negative energy used to run and report a shifting
@@ -98,8 +105,9 @@ class TestRunBadDeployment:
         _t1_text(lambda d: d.update(rho="1.5")),
         _t1_text(lambda d: d["region"].update(L="10")),
         _t1_text(lambda d: d["sensors"][0].update(x=True)),
+        _DEEP_DEPLOYMENT,
     ], ids=["nan-x", "negative-energy", "malformed-json", "missing-rho", "fractional-id",
-            "bool-rho", "string-rho", "string-length", "bool-x"])
+            "bool-rho", "string-rho", "string-length", "bool-x", "deeply-nested-region"])
     def test_exit_usage_with_one_error_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -170,6 +178,7 @@ class TestRunBadDeployment:
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"report_points": [0.1, 0.1]}'),
     (["sweep", "--n-list", "40", "--schemes", ""], None),
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"report_points": [0.1, 0.1000001]}'),
+    (["sweep", "--n-list", "40", "--config", "{config}"], _DEEP),
 ], ids=["generate-n-1", "generate-negative-rho", "generate-bad-out",
         "sweep-missing-config", "sweep-config-list", "sweep-config-string-trials",
         "sweep-config-negative-k",
@@ -183,7 +192,7 @@ class TestRunBadDeployment:
         "sweep-config-bool-trials", "sweep-config-bool-rho",
         "sweep-config-bool-report-point", "sweep-repeated-scheme", "sweep-repeated-size",
         "sweep-config-repeated-report-point", "sweep-empty-schemes",
-        "sweep-config-report-points-print-alike"])
+        "sweep-config-report-points-print-alike", "sweep-config-deeply-nested"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
     # Each of these used to end in a traceback and exit 1, or to run anyway.
     # A bad sweep must stop before its first deployment draw.
@@ -395,17 +404,23 @@ class TestSweep:
         assert len(captured.err.splitlines()) == 1
         assert path.read_text() == "{}\n"
 
+    # A failed sweep once removed an existing --detail-log; through a
+    # symlink, it removed the link and overwrote the link's target.
     @pytest.mark.parametrize("extra, want", [
-        (["--detail-log", "absent/x.jsonl"], 2),  # bad detail-log path
-        (["--n-list", "40,5"], 3),                # N=5 forms no barrier
+        (["--out", "{kept}", "--detail-log", "absent/x.jsonl"], 2),  # bad path
+        (["--out", "{kept}", "--n-list", "40,5"], 3),  # N=5 forms no barrier
+        (["--detail-log", "{kept}", "--out", "absent/x.csv"], 2),
+        (["--detail-log", "{kept}", "--n-list", "40,5"], 3),
+        (["--detail-log", "{link}", "--n-list", "40,5"], 3),
     ])
     def test_failed_sweep_keeps_existing_out_file(self, tmp_path, monkeypatch,
                                                   extra, want):
         monkeypatch.chdir(tmp_path)
-        out = tmp_path / "results.csv"
-        out.write_text("kept\n")
-        assert main(self.ARGS + ["--out", str(out)] + extra) == want
-        assert out.read_text() == "kept\n"
+        kept, link = tmp_path / "kept.txt", tmp_path / "link.txt"
+        kept.write_text("kept\n")
+        link.symlink_to(kept)
+        assert main(self.ARGS + [a.format(kept=kept, link=link) for a in extra]) == want
+        assert kept.read_text() == "kept\n" and link.is_symlink()
 
     def test_successful_sweep_replaces_existing_out_file(self, tmp_path, capsys):
         out = tmp_path / "results.csv"
@@ -413,6 +428,17 @@ class TestSweep:
         assert main(self.ARGS + ["--out", str(out)]) == 0
         assert main(self.ARGS) == 0
         assert out.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("device, want", [(os.devnull, 0), ("/dev/full", 2)])
+    def test_sweep_to_a_device_file(self, capsys, device, want):
+        # Truncating a device raised EINVAL with a traceback. A device is
+        # written without it, and a write that fails is one error line.
+        if not Path(device).exists():
+            pytest.skip(f"no {device} here")
+        assert main(self.ARGS + ["--out", device]) == want
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == (want != 0)
 
     def test_no_initial_barrier_on_stdout_prints_no_rows(self, capsys):
         # N=40 forms a barrier on this belt, N=5 never does.
@@ -592,6 +618,9 @@ def _t1_deployment(**first_sensor) -> str:
 @example((["sweep", "--n-list=10", "--trials=1", "--length=100", "--seed=0",
            "--out={tmp}/out.txt", "--detail-log={tmp}/out.txt"], None, None))
 @example((["generate", "--n=50", "--sigma=1.7e308", "--seed=0"], None, None))
+# This one ended in a traceback once.
+@example((["run", "--scheme=cmove", "--fail=2", "--deployment={deployment}"], None,
+          _DEEP_DEPLOYMENT))
 def test_fuzzed_command_lines(case):
     # Every command line ends with exit 0, or with a code of the README's
     # table and one error line; never with a traceback, and a failed one
