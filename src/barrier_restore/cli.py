@@ -195,7 +195,9 @@ def cmd_run(args: argparse.Namespace) -> None:
         sys.stderr.write(bus.log_csv())
 
 
-def _sweep_config(args: argparse.Namespace, n: int) -> ExperimentConfig:
+def _sweep_config(args: argparse.Namespace) -> dict:
+    """The sweep's ``ExperimentConfig`` fields but n: the ``--config`` file,
+    read once, under the command-line overrides."""
     base: dict = {}
     if args.config is not None:
         try:
@@ -228,7 +230,7 @@ def _sweep_config(args: argparse.Namespace, n: int) -> ExperimentConfig:
     unknown = set(base) - known
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    return ExperimentConfig(n=n, **base)
+    return base
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
@@ -242,7 +244,8 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     if len(set(named)) < len(named):
         raise CliError("--config, --out and --detail-log must name different files")
     try:
-        configs = [_sweep_config(args, n) for n in n_values]
+        base = _sweep_config(args)
+        configs = [ExperimentConfig(n=n, **base) for n in n_values]
     except (OSError, ValueError) as err:
         raise CliError(err) from None
 

@@ -128,12 +128,11 @@ class NodeState:
     suc: Optional[int] = None
     rec_node: Optional[int] = None
     rec_set: set[int] = field(default_factory=set)  # ids registered here
-    # election bookkeeping: the resolved cumulative of each chain side, and
-    # which sides ("pre", "suc") still owe an answer to this node's own
-    # request
-    pre_value: Optional[float] = None
-    suc_value: Optional[float] = None
-    awaiting: set[str] = field(default_factory=set)
+    # election bookkeeping, keyed by chain neighbor id: each side's first
+    # answer (its resolved cumulative), and the sides that still owe an
+    # answer to this node's own request
+    values: dict[int, float] = field(default_factory=dict)
+    awaiting: set[int] = field(default_factory=set)
 
     def reset(self, on_barrier: bool, pre: Optional[int], suc: Optional[int]) -> None:
         """Forget the last election's outcome in place, keeping the
@@ -142,7 +141,8 @@ class NodeState:
         self.is_on_barrier = on_barrier
         self.path_length = INF
         self.pre, self.suc = pre, suc
-        self.rec_node = self.pre_value = self.suc_value = None
+        self.rec_node = None
+        self.values.clear()
         self.awaiting.clear()
 
 
@@ -160,9 +160,10 @@ class Election:
 
     A node with an eligible non-barrier neighbor picks the closest one
     outright. Anyone else asks both chain sides; requests forward along the
-    chain until they hit a node that can answer (an eligible filler, a
-    resolved side, or the boundary, which counts as "no candidate"), and
-    replies accumulate distance on the way back. Each node decides once,
+    chain until they hit a node that can answer (an eligible filler, a node
+    holding its far side's answer, or the boundary, which counts as "no
+    candidate"), and replies accumulate distance on the way back. A node
+    keeps each answer under the neighbor that sent it and decides once,
     after hearing from both sides, then registers at its recovery node.
 
     Every election reads only what changed since the last one: the world's
@@ -332,7 +333,7 @@ class Election:
                 st.path_length, st.rec_node = filler
                 bus.send(sid, st.rec_node, SET, st.pre, st.suc)
             else:
-                st.awaiting = {"pre", "suc"}
+                st.awaiting = {st.pre, st.suc}
                 bus.send(sid, st.pre, REQ, sid)
                 bus.send(sid, st.suc, REQ, sid)
 
@@ -356,13 +357,10 @@ class Election:
 
     def _on_request(self, st: NodeState, q: int, sender: int, bus: MessageBus) -> None:
         # The asker is one chain side; a forwarded request goes to the other.
-        if sender == st.suc:
-            far, far_value = st.pre, st.pre_value
-        else:
-            far, far_value = st.suc, st.suc_value
+        far = st.pre if sender == st.suc else st.suc
         hop, answer = self._answer(st.id, sender)
-        if answer is None and far_value is not None:
-            answer = far_value + hop
+        if answer is None and far in st.values:
+            answer = st.values[far] + hop
         if answer is None:
             bus.send(st.id, far, REQ, q)
         else:
@@ -370,27 +368,21 @@ class Election:
 
     def _on_reply(self, st: NodeState, q: int, d: float, sender: int,
                   bus: MessageBus) -> None:
-        if sender == st.pre:
-            side, target = "pre", st.suc
-            if st.pre_value is None:
-                st.pre_value = d
-        else:
-            side, target = "suc", st.pre
-            if st.suc_value is None:
-                st.suc_value = d
+        st.values.setdefault(sender, d)  # a side's first answer wins
         if q == st.id:
-            st.awaiting.discard(side)
+            st.awaiting.discard(sender)
             if not st.awaiting and st.rec_node is None:
                 self._decide(st, bus)
         else:
             # Relay toward the requester, adding our hop on that side.
+            target = st.suc if sender == st.pre else st.pre
             sensors = self.world.sensors
             hop = sensors[st.id].pos.distance_to(sensors[target].pos)
             bus.send(st.id, target, REP, q, d + hop)
 
     def _decide(self, st: NodeState, bus: MessageBus) -> None:
-        d_pre = INF if st.pre_value is None else st.pre_value
-        d_suc = INF if st.suc_value is None else st.suc_value
+        d_pre = st.values.get(st.pre, INF)
+        d_suc = st.values.get(st.suc, INF)
         if d_pre <= d_suc and d_pre < INF:
             st.path_length, st.rec_node = d_pre, st.pre
         elif d_suc < INF:
@@ -511,9 +503,9 @@ def mldfs(
     emit(sender, at, "disc", carried)
 
     while True:
-        if at == dest and carried >= 0:
-            if at not in father:
-                father[at] = sender
+        if at not in father:
+            father[at] = sender
+        if at == dest:
             path = [at]
             while path[-1] != start:
                 nxt = father[path[-1]]
@@ -521,8 +513,6 @@ def mldfs(
                 path.append(nxt)
             path.reverse()
             return path
-        if at not in father:
-            father[at] = sender
         candidate = pick(at)
         bounce = sender != father[at] and sender not in used[at]
         if carried > 0 and (candidate is not None or bounce):

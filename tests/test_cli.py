@@ -350,6 +350,22 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 1 + 6  # flag narrowed the scheme list
 
+    def test_config_file_is_read_once_per_sweep(self, tmp_path, capsys, monkeypatch):
+        # Every size of one sweep runs under the one config that was read.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"length": 400.0, "trials": 1, "schemes": ["nmove"]}))
+        reads = []
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        assert main(["sweep", "--config", str(cfg), "--n-list", "30,40,50"]) == 0
+        assert reads.count(cfg) == 1
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 3 * 6
+
     def test_no_initial_barrier_exit_code(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         detail = tmp_path / "episodes.jsonl"

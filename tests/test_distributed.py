@@ -43,6 +43,7 @@ from oracles import (
     adjacency_oracle,
     barrier_oracle,
     edited_span_oracle,
+    failure_order_replay,
     has_edge,
     hop_distance,
     keeps_chain_simple,
@@ -228,11 +229,9 @@ def test_trial_message_log_bytes_are_pinned():
     world = deploy_with_barrier(config, seed)
     bus = MessageBus(keep_log=True)
     restore = start_scheme("dmove", world, seeded_rng(seed, 2), bus=bus)
-    fail_rng = seeded_rng(seed, 1)
     mechanisms = Counter()
-    for _ in range(math.floor(config.failure_fraction_max * config.n)):
-        alive = [s.id for s in world.active_sensors()]
-        victim = alive[int(fail_rng.integers(len(alive)))]
+    count = math.floor(config.failure_fraction_max * config.n)
+    for victim in failure_order_replay(world.copy(), seed, count):
         world.fail(victim)
         mechanisms[restore(victim).mechanism] += 1
     text = bus.log_csv()
@@ -573,10 +572,8 @@ def test_best_filler_sees_the_fillers_near_finds():
         seed = trial_seed(config, t)
         world = deploy_with_barrier(config, seed)
         election = init_recovery_nodes(world)
-        fail_rng = seeded_rng(seed, 1)
-        for _ in range(math.floor(config.failure_fraction_max * config.n)):
-            alive = [s.id for s in world.active_sensors()]
-            victim = alive[int(fail_rng.integers(len(alive)))]
+        count = math.floor(config.failure_fraction_max * config.n)
+        for victim in failure_order_replay(world.copy(), seed, count):
             world.fail(victim)
             handle_failure_dmove(world, election, victim)
             graph = world_graph(world)
@@ -668,11 +665,8 @@ class TestIncrementalElection:
                 seed = trial_seed(config, t)
                 world = deploy_with_barrier(config, seed)
                 election = init_recovery_nodes(world)
-                fail_rng = seeded_rng(seed, 1)
-                victims = []
-                for _ in range(math.floor(config.failure_fraction_max * n)):
-                    alive = [s.id for s in world.active_sensors() if s.id not in victims]
-                    victims.append(alive[int(fail_rng.integers(0, len(alive)))])
+                victims = failure_order_replay(
+                    world.copy(), seed, math.floor(config.failure_fraction_max * n))
                 self._run(world, election, victims, counts,
                           drain_rng=seeded_rng(seed, 3) if t % 2 else None)
         assert counts["checked"] >= 300
