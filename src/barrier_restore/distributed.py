@@ -9,12 +9,12 @@ handlers. Each re-election reads only what changed since the last one, from
 the world's change record, ``World.changes``, and from its chain-edit
 record, ``World.chain_edits``, and runs the protocol again only on the chain
 nodes whose answer can have changed. One rule says where a request stops,
-for the protocol and for finding those nodes alike. On a failure, the failed node's recovery
-node first hunts for a detour with a hop-budgeted, geographically greedy
-token search; if that fails, the cascade shared with rmove
-(``graph.shift_cascade``) moves it into the hole and refills each vacated
-barrier position with that position's recovery node, until a non-barrier
-filler ends the cascade.
+for the protocol and for finding those nodes alike. On a failure, the
+failed node's recovery node first hunts for a detour with a hop-budgeted,
+geographically greedy token search; if that fails, the cascade shared with
+rmove (``graph.shift_cascade``) moves it into the hole and refills each
+vacated barrier position with that position's recovery node, until a
+non-barrier filler ends the cascade.
 
 The scheduler is synchronous-round and delivers in a fixed order, so runs
 are reproducible; a seeded shuffle mode exercises order independence.
@@ -58,8 +58,7 @@ INF = math.inf
 #   ReqNbRec (a = q): ask a chain neighbor for its side's distance to the
 #     nearest eligible non-barrier filler; q identifies the originator.
 #   RepNbRec (a = q, b = d): the distance d, answering q's request.
-#   SetRec (a = pred, b = suc): register the sender at its chosen recovery
-#     node, carrying the sender's chain links.
+#   SetRec (no payload): register the sender at its chosen recovery node.
 REQ, REP, SET = "ReqNbRec", "RepNbRec", "SetRec"
 
 
@@ -111,7 +110,7 @@ def _payload(kind: str, a, b) -> str:
         return f"q={a}"
     if kind == REP:
         return f"q={a};d={b:.6g}"
-    return f"pred={a};suc={b}"
+    return ""  # SetRec
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +121,8 @@ def _payload(kind: str, a, b) -> str:
 @dataclass(slots=True)
 class NodeState:
     id: int
-    is_on_barrier: bool = False
     path_length: float = INF
+    # chain links (a neighbor id or a sentinel), both None off the chain
     pre: Optional[int] = None
     suc: Optional[int] = None
     rec_node: Optional[int] = None
@@ -134,11 +133,10 @@ class NodeState:
     values: dict[int, float] = field(default_factory=dict)
     awaiting: set[int] = field(default_factory=set)
 
-    def reset(self, on_barrier: bool, pre: Optional[int], suc: Optional[int]) -> None:
+    def reset(self, pre: Optional[int], suc: Optional[int]) -> None:
         """Forget the last election's outcome in place, keeping the
         registrations at this node: the state a new ``NodeState`` with these
         links and ``rec_set`` would have."""
-        self.is_on_barrier = on_barrier
         self.path_length = INF
         self.pre, self.suc = pre, suc
         self.rec_node = None
@@ -258,17 +256,16 @@ class Election:
         self._edits = len(world.chain_edits)
 
         # Joining or leaving the chain changes a sensor's neighbors'
-        # fillers; a sensor that left keeps no chain state. A live state is
-        # on the chain (``is_on_barrier``) iff its node was at the last
-        # election.
+        # fillers; a sensor that left keeps no chain state. A live state
+        # has chain links iff its node was on the chain at the last election.
         for sid in set(edited):
             st = states.get(sid)
-            if st is None or st.is_on_barrier == (sid in slots):
+            if st is None or (st.pre is not None) == (sid in slots):
                 continue  # dead, or neither joined nor left
             touched.update(adjacency[sid])
-            if st.is_on_barrier:
+            if st.pre is not None:
                 self._unregister(st)
-                st.reset(False, None, None)
+                st.reset(None, None)
 
         # A node's filler reads its position and row and its neighbors'
         # positions, capacities and chain membership: it can have changed
@@ -296,7 +293,7 @@ class Election:
             if st is None:
                 continue  # dead
             self._unregister(st)
-            st.reset(True, *_links(chain, idx))
+            st.reset(*_links(chain, idx))
             order.append(sid)
         return order
 
@@ -331,7 +328,7 @@ class Election:
             filler = self.best_filler(sid)
             if filler is not None:
                 st.path_length, st.rec_node = filler
-                bus.send(sid, st.rec_node, SET, st.pre, st.suc)
+                bus.send(sid, st.rec_node, SET, None)
             else:
                 st.awaiting = {st.pre, st.suc}
                 bus.send(sid, st.pre, REQ, sid)
@@ -390,7 +387,7 @@ class Election:
         else:
             log.debug("barrier node %d: no reachable recovery candidate", st.id)
             return
-        bus.send(st.id, st.rec_node, SET, st.pre, st.suc)
+        bus.send(st.id, st.rec_node, SET, None)
 
 
 def init_recovery_nodes(
@@ -449,15 +446,14 @@ def mldfs(
 
     ``dest`` may be a boundary sentinel: the token then aims at that
     boundary line and arrives when a boundary-adjacent node hands it over.
-    Returns the discovered path (including a sentinel endpoint) or None.
+    Returns the discovered path (including a sentinel endpoint) or None;
+    a search from ``dest`` itself returns ``[dest]`` and sends no token.
     """
     if k < 1:
         return None
     adjacency = graph.adjacency
     if start not in adjacency or dest not in adjacency:
         return None
-    if start == dest:
-        return [start]
 
     # Positions cannot change during a search, so each vertex's distance to
     # dest, and each visited vertex's routable neighbors in greedy order
@@ -495,13 +491,7 @@ def mldfs(
             bus.log.append((bus.round_no, sender, receiver, "Tok",
                             f"route={route};dest={dest};k={k_left}"))
 
-    first = pick(start)
-    if first is None:
-        return None
-    used[start].add(first)
-    sender, at, carried = start, first, k - 1
-    emit(sender, at, "disc", carried)
-
+    sender, at, carried = start, start, k
     while True:
         if at not in father:
             father[at] = sender
@@ -523,7 +513,6 @@ def mldfs(
             continue
         if at == start:
             return None  # initiator has nowhere left to send the token
-        used[at].add(father[at])
         sender, at, carried = at, father[at], carried + 1
         emit(sender, at, "disc", carried)
 
@@ -534,20 +523,20 @@ def mldfs(
 
 
 def handle_failure_dmove(
-    world: World,
     election: Election,
     failed_id: int,
     k: Optional[int] = None,
     bus: Optional[MessageBus] = None,
 ) -> RestoreOutcome:
-    """React to one sensor that the caller has just failed (``World.fail``).
-    ``election`` is what ``init_recovery_nodes`` returned for this world; it
-    is re-elected in place. It reacts to the new victim alone: when an earlier hole is still
-    open, the detour splice and the cascade treat only this victim as
-    failed. The earlier dead member stays in the chain, so the verdict read
-    off the world (``graph.verify_barrier``) stays false, unless the detour
-    runs through a chain node beyond that hole and the splice's loop cut
-    drops the hole with it.
+    """React to one sensor that the caller has just failed (``World.fail``)
+    in ``election.world``. ``election`` is what ``init_recovery_nodes``
+    returned for that world; it is re-elected in place, and the world is
+    read from it alone. The step reacts to the new victim alone: when an
+    earlier hole is still open, the detour splice and the cascade treat only
+    this victim as failed. The earlier dead member stays in the chain, so
+    the verdict read off the world (``graph.verify_barrier``) stays false,
+    unless the detour runs through a chain node beyond that hole and the
+    splice's loop cut drops the hole with it.
 
     ``k`` is the detour search's hop budget, by default ``max(2, n // 20)``
     for the world's n sensors, failed ones included. Non-barrier,
@@ -557,6 +546,7 @@ def handle_failure_dmove(
     cascade of single-hop relocations along the pre-elected chain. After
     any repair or barrier change, recovery nodes are re-elected.
     """
+    world = election.world
     if k is None:
         k = max(2, len(world.sensors) // 20)
     failed_state = election.states.get(failed_id)

@@ -324,9 +324,7 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
         return lambda failed_id: restore_rmove(world, failed_id, rng)
     if scheme == "dmove":
         election = init_recovery_nodes(world, bus=bus)
-        return lambda failed_id: handle_failure_dmove(
-            world, election, failed_id, k=k, bus=bus
-        )
+        return lambda failed_id: handle_failure_dmove(election, failed_id, k=k, bus=bus)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

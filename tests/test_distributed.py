@@ -206,18 +206,18 @@ def test_bus_delivery_order_and_log():
         "1,-1,0,RepNbRec,q=0;d=inf",
         "1,0,-1,ReqNbRec,q=0",
         "1,1,2,RepNbRec,q=1;d=2.5",
-        "1,1,2,SetRec,pred=0;suc=2",
+        "1,1,2,SetRec,",
         "1,2,1,ReqNbRec,q=2",
         "1,3,1,ReqNbRec,q=3",
         "1,3,1,RepNbRec,q=4;d=inf",
-        "1,3,1,SetRec,pred=1;suc=-1",
+        "1,3,1,SetRec,",
     ]
     assert [row[0] for row in in_order.log] == [1] * 8 + [2] * 8
 
 
 # sha256 of the message log below. It moves with any change to the
 # election's or the token's message order, payloads or round numbers.
-TRIAL_LOG_SHA256 = "90cd1e474aa8c8c5ce1d9b0c671537459243e3472ddeb3747fefe355873c9d75"
+TRIAL_LOG_SHA256 = "f5493ccac2305a52e8ec29a0195962e75c6399040677a86c302957bb921243b3"
 
 
 def test_trial_message_log_bytes_are_pinned():
@@ -354,6 +354,8 @@ def test_election_traffic_over_eight_trials_is_pinned(monkeypatch):
 
     def counting_send(bus, sender, receiver, kind, a, b=None):
         counts[kind] += 1
+        if kind == "SetRec":
+            assert (a, b) == (None, None)  # SetRec registers its sender alone
         send(bus, sender, receiver, kind, a, b)
 
     def counting_drain(bus):
@@ -419,6 +421,33 @@ class TestMldfs:
         assert path[-1] == PL and path[0] == 2
         assert has_edge(g, path[-2], PL)
 
+    def test_start_at_destination_sends_no_token(self):
+        g = fresh_graph(make_world([(1, 0), (3, 0)]))
+        for k in (1, 2, 5):
+            bus = MessageBus(keep_log=True)
+            assert mldfs(g, 0, 0, k, bus=bus) == [0]
+            assert bus.log == []
+
+    def test_zero_budget_finds_nothing(self):
+        # Also from the destination itself: no budget, no search.
+        g = fresh_graph(make_world([(1, 0), (3, 0)]))
+        for dest in (0, 1):
+            bus = MessageBus(keep_log=True)
+            assert mldfs(g, 0, dest, 0, bus=bus) is None
+            assert bus.log == []
+
+    def test_failed_endpoint_is_not_a_vertex(self):
+        w = make_world([(1, 0), (3, 0), (5, 0)], with_barrier=False)
+        w.fail(1)
+        g = fresh_graph(w)
+        assert 1 not in g.adjacency
+        bus = MessageBus(keep_log=True)
+        assert mldfs(g, 1, 0, 3, bus=bus) is None
+        assert mldfs(g, 0, 1, 3, bus=bus) is None
+        # Sensor 2 is now isolated: the token has nowhere to go.
+        assert mldfs(g, 2, 0, 3, bus=bus) is None
+        assert bus.log == []
+
     def test_soundness_and_budget_on_random_graphs(self):
         for seed in range(120):
             w = random_line_world(seed, n_min=8, n_max=20)
@@ -443,7 +472,7 @@ class TestHandleFailure:
     def test_spare_fills_hole(self, t1_world):
         election = init_recovery_nodes(t1_world)
         t1_world.fail(2)
-        out = handle_failure_dmove(t1_world, election, 2)
+        out = handle_failure_dmove(election, 2)
         assert verify_barrier(t1_world) and out.mechanism == MECH_SHIFTING
         assert out.moves == [(5, Point(5, 2), Point(5, 0))]
         assert t1_world.barrier == [0, 1, 5, 3, 4]
@@ -452,7 +481,7 @@ class TestHandleFailure:
     def test_barrier_recovery_node_cascades(self, t1_world):
         election = init_recovery_nodes(t1_world)
         t1_world.fail(1)
-        out = handle_failure_dmove(t1_world, election, 1)
+        out = handle_failure_dmove(election, 1)
         assert verify_barrier(t1_world) and out.mechanism == MECH_SHIFTING
         assert [m[0] for m in out.moves] == [2, 5]
         assert out.total_displacement == pytest.approx(4.0)
@@ -463,7 +492,7 @@ class TestHandleFailure:
         election = init_recovery_nodes(w)
         assert election.states[1].rec_node == 4
         w.fail(1)
-        out = handle_failure_dmove(w, election, 1)
+        out = handle_failure_dmove(election, 1)
         assert verify_barrier(w) and out.mechanism == MECH_ALTERNATE
         assert out.total_displacement == 0.0
         assert w.barrier == [0, 4, 5, 2, 3]
@@ -476,7 +505,7 @@ class TestHandleFailure:
         election = init_recovery_nodes(w)
         expected_cost = election.states[3].path_length
         w.fail(3)
-        out = handle_failure_dmove(w, election, 3)
+        out = handle_failure_dmove(election, 3)
         assert verify_barrier(w) and out.mechanism == MECH_SHIFTING
         assert [m[0] for m in out.moves] == [2, 1, 0, 5]
         assert out.total_displacement == pytest.approx(expected_cost)
@@ -485,16 +514,16 @@ class TestHandleFailure:
     def test_states_reelected_after_recovery(self, t1_world):
         election = init_recovery_nodes(t1_world)
         t1_world.fail(2)
-        handle_failure_dmove(t1_world, election, 2)
+        handle_failure_dmove(election, 2)
         assert set(t1_world.barrier) == {0, 1, 5, 3, 4}
         for sid in t1_world.barrier:
-            assert election.states[sid].is_on_barrier
+            assert election.states[sid].pre is not None
 
     def test_recovery_node_death_triggers_reelection(self, t1_world):
         election = init_recovery_nodes(t1_world)
         assert election.states[2].rec_node == 5
         t1_world.fail(5)
-        out = handle_failure_dmove(t1_world, election, 5)
+        out = handle_failure_dmove(election, 5)
         assert verify_barrier(t1_world)  # barrier untouched
         assert out.moves == []
         # With the only spare gone there is no candidate left anywhere.
@@ -509,7 +538,7 @@ class TestHandleFailure:
         election = init_recovery_nodes(w)
         assert election.states[2].rec_node == 5
         w.fail(5)
-        out = handle_failure_dmove(w, election, 5)
+        out = handle_failure_dmove(election, 5)
         assert verify_barrier(w) and out.moves == []
         assert election.states[2].rec_node == 1
 
@@ -521,7 +550,7 @@ class TestHandleFailure:
         assert all(st.rec_node != 6 for st in election.states.values())
         before = {sid: st.rec_node for sid, st in election.states.items()}
         w.fail(6)
-        out = handle_failure_dmove(w, election, 6)
+        out = handle_failure_dmove(election, 6)
         assert verify_barrier(w) and out.moves == []
         after = {sid: st.rec_node for sid, st in election.states.items() if sid != 6}
         assert {k: v for k, v in before.items() if k != 6} == after
@@ -530,7 +559,7 @@ class TestHandleFailure:
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
         election = init_recovery_nodes(w)
         w.fail(2)
-        out = handle_failure_dmove(w, election, 2)
+        out = handle_failure_dmove(election, 2)
         assert not verify_barrier(w)
         assert out.moves == []
 
@@ -539,7 +568,7 @@ class TestHandleFailure:
         election = init_recovery_nodes(w)
         drain(w, 1, 1.0)  # mid-chain mover can no longer shift
         w.fail(3)
-        out = handle_failure_dmove(w, election, 3)
+        out = handle_failure_dmove(election, 3)
         assert not verify_barrier(w)
         assert [m[0] for m in out.moves] == [2]  # first hop happened
 
@@ -553,7 +582,7 @@ class TestHandleFailure:
             rng = np.random.default_rng(seed + 999)
             victim = int(rng.choice(sorted(w.sensors)))
             w.fail(victim)
-            out = handle_failure_dmove(w, election, victim)
+            out = handle_failure_dmove(election, victim)
             holds = verify_barrier(w)
             assert holds == barrier_oracle(w)
             successes += holds
@@ -575,7 +604,7 @@ def test_best_filler_sees_the_fillers_near_finds():
         count = math.floor(config.failure_fraction_max * config.n)
         for victim in failure_order_replay(world.copy(), seed, count):
             world.fail(victim)
-            handle_failure_dmove(world, election, victim)
+            handle_failure_dmove(election, victim)
             graph = world_graph(world)
             chain = set(world.barrier)
             for sid in chain:
@@ -608,8 +637,8 @@ class TestIncrementalElection:
         assert election.states.keys() == fresh.keys()
         for sid, want in fresh.items():
             got = election.states[sid]
-            assert (got.rec_node, got.path_length, got.pre, got.suc, got.is_on_barrier) \
-                == (want.rec_node, want.path_length, want.pre, want.suc, want.is_on_barrier), sid
+            assert (got.rec_node, got.path_length, got.pre, got.suc) \
+                == (want.rec_node, want.path_length, want.pre, want.suc), sid
             assert got.rec_set == want.rec_set, sid
         counts["checked"] += 1
         counts["dead chain member"] += any(world.sensors[s].failed for s in world.barrier)
@@ -634,7 +663,7 @@ class TestIncrementalElection:
             before = counts["elections"]
             edits = len(world.chain_edits)
             world.fail(victim)
-            out = handle_failure_dmove(world, election, victim, bus=bus)
+            out = handle_failure_dmove(election, victim, bus=bus)
             counts["recovery-node death"] += watched and victim not in world.barrier
             counts["given-up cascade"] += (
                 out.mechanism == MECH_SHIFTING and len(world.chain_edits) == edits
@@ -748,7 +777,7 @@ class TestIncrementalElection:
         victim = chain[len(chain) // 2]
         again = MessageBus(keep_log=True)
         world.fail(victim)
-        out = handle_failure_dmove(world, election, victim, bus=again)
+        out = handle_failure_dmove(election, victim, bus=again)
         assert verify_barrier(world)
         elect_msgs = [row for row in again.log if row[3] != "Tok"]
         assert 0 < len(elect_msgs) < len(first.log) // 5
@@ -801,6 +830,6 @@ class TestElectionRounds:
             victims = [int(v) for v in np.random.default_rng(seed).permutation(sorted(world.sensors))]
             for victim in victims[: len(victims) * 2 // 3]:
                 world.fail(victim)
-                handle_failure_dmove(world, election, victim, bus=bus)
+                handle_failure_dmove(election, victim, bus=bus)
         assert len(seen) >= 700
         assert all(r <= 2 * chain + 1 for r, chain in seen)

@@ -67,8 +67,8 @@ def _check_records(world, mark, victim, outcome):
 
 
 def _fixpoint(election):
-    return {sid: (st.rec_node, st.path_length, st.pre, st.suc, st.is_on_barrier,
-                  st.rec_set) for sid, st in election.states.items()}
+    return {sid: (st.rec_node, st.path_length, st.pre, st.suc, st.rec_set)
+            for sid, st in election.states.items()}
 
 
 def _check_holes(world):
