@@ -20,8 +20,10 @@ import concurrent.futures
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from functools import reduce
 from numbers import Integral, Real
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -168,8 +170,11 @@ class EpisodeRecord:
 
 @dataclass
 class TrialResult:
+    """A trial's ``MetricsRow(trials=1)`` per report point, folded from its
+    episodes (see ``run_trial``), and the episodes in failure order."""
+
     rows: list[MetricsRow]
-    episodes: list[EpisodeRecord] = field(default_factory=list)
+    episodes: list[EpisodeRecord]
 
 
 def generate_deployment(config: ExperimentConfig, rng: np.random.Generator) -> list[Sensor]:
@@ -204,33 +209,6 @@ def deploy_with_barrier(config: ExperimentConfig, seed: int) -> World:
     )
 
 
-def compute_metrics(
-    scheme: str,
-    config: ExperimentConfig,
-    world: World,
-    failures: int,
-    recoveries: int,
-    cumulative_displacement: float,
-    point: float,
-) -> MetricsRow:
-    if failures > 0:
-        rate = 100.0 * recoveries / failures
-        avg_disp = cumulative_displacement / failures
-    else:
-        rate, avg_disp = 100.0, 0.0
-    threshold = 0.9 * config.initial_energy
-    high = len([s for s in world.sensors.values() if not s.failed and s.energy > threshold])
-    return MetricsRow(
-        scheme=scheme,
-        n=config.n,
-        trials=1,
-        failure_fraction=point,
-        recovery_rate=rate,
-        avg_total_displacement=avg_disp,
-        high_energy_pct=100.0 * high / config.n,
-    )
-
-
 def run_trial(scheme: str, config: ExperimentConfig, seed: int,
               world: Optional[World] = None) -> TrialResult:
     """One seeded trial: deploy, fail sensors one by one, restore, report.
@@ -253,6 +231,13 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     of it. Numpy bounds each element of that call on its own, so the order
     equals one scalar draw per episode. Only this loop fails sensors during
     a trial.
+
+    A report point p covers the first f = floor(p·N) episodes. Its row's
+    recovery rate is the percentage of them that succeeded and its
+    displacement their summed displacement over f, or 100 and 0 when f is
+    0. Its high-energy share counts the live sensors above 90% of
+    ``config.initial_energy`` right after episode f (before the first
+    failure for f = 0), the one fact that the episode records lack.
     """
     if world is None:
         world = deploy_with_barrier(config, seed)
@@ -260,42 +245,48 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     restore = start_scheme(scheme, world, seeded_rng(seed, 2), k=config.k_hop_budget)
 
     total_failures = math.floor(config.failure_fraction_max * config.n)
-    due: dict[int, list[float]] = {}  # failure count -> report points due then
-    for point in config.report_points:
-        due.setdefault(math.floor(point * config.n), []).append(point)
-
-    failures = 0
-    recoveries = 0
-    cum_disp = 0.0
-    rows: list[MetricsRow] = []
+    marks = {math.floor(point * config.n) for point in config.report_points}
+    threshold = 0.9 * config.initial_energy
+    # Failures at a report point -> live sensors above the threshold then.
+    high = {0: _count_high(world, threshold)} if 0 in marks else {}
     episodes: list[EpisodeRecord] = []
-
-    def snapshot() -> None:
-        for point in due.get(failures, ()):
-            rows.append(
-                compute_metrics(
-                    scheme, config, world, failures, recoveries, cum_disp, point
-                )
-            )
-
-    snapshot()  # report points that round down to zero failures
     live = [s.id for s in world.active_sensors()]
     draws = fail_rng.integers(0, list(range(len(live), len(live) - total_failures, -1)))
-    for failed_id in [live.pop(i) for i in draws.tolist()]:
+    for episode, failed_id in enumerate([live.pop(i) for i in draws.tolist()], 1):
         on_chain = failed_id in world.slots
         world.fail(failed_id)
         outcome = restore(failed_id)
-        holds = verify_barrier(world)
-        failures += 1
-        recoveries += int(holds)
-        displacement = outcome.total_displacement
-        cum_disp += displacement
-        episodes.append(
-            EpisodeRecord(failures, failed_id, on_chain, outcome.mechanism,
-                          holds, displacement)
-        )
-        snapshot()
+        episodes.append(EpisodeRecord(episode, failed_id, on_chain, outcome.mechanism,
+                                      verify_barrier(world), outcome.total_displacement))
+        if episode in marks:
+            high[episode] = _count_high(world, threshold)
+
+    rows: list[MetricsRow] = []
+    for point in config.report_points:
+        failures = math.floor(point * config.n)
+        done = episodes[:failures]
+        if failures:
+            rate = 100.0 * len([ep for ep in done if ep.success]) / failures
+            # A left fold from 0.0, as the detail log lists them: builtin
+            # sum compensates float rounding from Python 3.12 on.
+            disp = reduce(add, [ep.displacement for ep in done], 0.0) / failures
+        else:
+            rate, disp = 100.0, 0.0
+        rows.append(MetricsRow(
+            scheme=scheme,
+            n=config.n,
+            trials=1,
+            failure_fraction=point,
+            recovery_rate=rate,
+            avg_total_displacement=disp,
+            high_energy_pct=100.0 * high[failures] / config.n,
+        ))
     return TrialResult(rows, episodes)
+
+
+def _count_high(world: World, threshold: float) -> int:
+    """Live sensors holding more energy than ``threshold``."""
+    return len([s for s in world.sensors.values() if not s.failed and s.energy > threshold])
 
 
 def start_scheme(scheme: str, world: World, rng: np.random.Generator,

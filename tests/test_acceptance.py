@@ -1,12 +1,15 @@
 """Acceptance suite: one test per shipping criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
-The trend-reproduction test runs the full experiment grid (three
-deployment sizes, 100 trials, default parameters) and is the slow one;
-everything else finishes in seconds.
+The trend-reproduction test and the test that refolds the grid from its
+detail log share one run of the full experiment grid (three deployment
+sizes, 100 trials, default parameters) and are the slow ones; everything
+else finishes in seconds.
 """
 from __future__ import annotations
 
+import io
+import json
 import math
 import os
 import time
@@ -25,6 +28,7 @@ from barrier_restore.core import seeded_rng
 from barrier_restore.distributed import MessageBus, init_recovery_nodes, mldfs
 from barrier_restore.graph import build_intersection_graph, verify_barrier
 from barrier_restore.harness import (
+    DEFAULT_REPORT_POINTS,
     ExperimentConfig,
     deploy_with_barrier,
     rows_to_csv,
@@ -161,20 +165,24 @@ PAPER_GRID = Path(__file__).resolve().parent.parent / "results" / "paper_grid.cs
 
 @pytest.fixture(scope="module")
 def paper_sweep():
+    """The paper grid's rows by (scheme, N, point), its CSV text, its wall
+    time and its detail log."""
     jobs = os.cpu_count() or 1
+    log = io.StringIO()
     t0 = time.time()
     ordered = [
         row
         for n in (140, 160, 180)
-        for row in run_experiment(ExperimentConfig(n=n, trials=100, seed=0), jobs=jobs)
+        for row in run_experiment(ExperimentConfig(n=n, trials=100, seed=0), jobs=jobs,
+                                  detail_sink=log)
     ]
     rows = {(row.scheme, row.n, round(row.failure_fraction, 2)): row for row in ordered}
-    return rows, rows_to_csv(ordered), time.time() - t0
+    return rows, rows_to_csv(ordered), time.time() - t0, log.getvalue()
 
 
 @pytest.mark.slow
 def test_criterion_5_paper_trends(paper_sweep):
-    rows, csv_text, elapsed = paper_sweep
+    rows, csv_text, elapsed, _ = paper_sweep
     sizes = (140, 160, 180)
     points = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
     mid = (0.15, 0.20, 0.25)
@@ -221,6 +229,37 @@ def test_criterion_5_paper_trends(paper_sweep):
         f"CSV {'equals' if ok_pinned else 'differs from'} {PAPER_GRID.name}; "
         f"sweep {elapsed:.0f}s",
     )
+
+
+@pytest.mark.slow
+def test_paper_grid_refolds_from_its_detail_log(paper_sweep):
+    # The CSV's recovery_rate and avg_total_displacement are folds of the
+    # episode records that the detail log lists: per trial, in log order,
+    # the successes and the left fold of displacement from 0.0 over the
+    # first floor(p*N) episodes, then the mean over trials in log order.
+    *_, log = paper_sweep
+    trials: dict[tuple[str, int], dict[int, list[dict]]] = {}
+    for line in log.splitlines():
+        doc = json.loads(line)
+        trials.setdefault((doc["scheme"], doc["n"]), {}).setdefault(
+            doc["trial_seed"], []).append(doc)
+    folded = []
+    for (scheme, n), by_seed in trials.items():
+        for point in DEFAULT_REPORT_POINTS:
+            x = math.floor(point * n)
+            rates, disps = [], []
+            for episodes in by_seed.values():
+                moved = 0.0
+                for doc in episodes[:x]:
+                    moved += doc["displacement"]
+                rates.append(100.0 * len([d for d in episodes[:x] if d["success"]]) / x)
+                disps.append(moved / x)
+            folded.append(f"{scheme},{n},{len(by_seed)},{point * 100:g},"
+                          f"{float(np.mean(rates)):.6f},{float(np.mean(disps)):.6f}")
+    pinned = [line.rsplit(",", 1)[0] for line in PAPER_GRID.read_text().splitlines()[1:]]
+    matched = len([a for a, b in zip(folded, pinned) if a == b])
+    report(5, "paper grid refolds from its detail log",
+           folded == pinned, f"{matched} of {len(pinned)} rows match")
 
 
 def test_criterion_6_mldfs_soundness():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import io
 import json
 import math
@@ -27,7 +28,6 @@ from barrier_restore.harness import (
     EpisodeRecord,
     ExperimentConfig,
     InitialBarrierImpossible,
-    compute_metrics,
     deploy_with_barrier,
     generate_deployment,
     rows_to_csv,
@@ -35,6 +35,7 @@ from barrier_restore.harness import (
     run_trial,
     trial_seed,
 )
+from conftest import drain
 from oracles import (
     barrier_oracle,
     deployment_oracle,
@@ -139,15 +140,23 @@ class TestRunTrial:
         assert all(r.avg_total_displacement == 0.0 for r in res.rows)
         assert all(ep.displacement == 0.0 for ep in res.episodes)
 
-    def test_recovery_rate_formula(self):
-        cfg = ExperimentConfig(n=40, **FAST)
-        res = run_trial("cmove", cfg, trial_seed(cfg, 2))
-        episodes = res.episodes
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_recovery_rate_formula(self, scheme):
+        # Each report point's recovery rate is 100·y/x over its first x
+        # episodes, and its displacement their left fold from 0.0 over x,
+        # to the last bit. On this trial every scheme moves sensors, and
+        # cmove and dmove lose some episodes.
+        cfg = ExperimentConfig(n=40, **SPARSE)
+        res = run_trial(scheme, cfg, trial_seed(cfg, 3))
         for row in res.rows:
             x = math.floor(row.failure_fraction * cfg.n)
-            y = sum(1 for ep in episodes[:x] if ep.success)
-            want = 100.0 * y / x if x else 100.0
-            assert row.recovery_rate == pytest.approx(want)
+            done = res.episodes[:x]
+            moved = 0.0
+            for ep in done:
+                moved += ep.displacement
+            y = len([ep for ep in done if ep.success])
+            want = (100.0 * y / x, moved / x) if x else (100.0, 0.0)
+            assert (row.recovery_rate, row.avg_total_displacement) == want
 
     def test_conservation_energy_equals_displacement(self):
         for scheme in ("rmove", "cmove", "dmove"):
@@ -175,6 +184,17 @@ class TestRunTrial:
         for ep in res.episodes:
             if not ep.on_barrier and ep.mechanism == "none" and ep.success:
                 assert ep.displacement == 0.0
+
+    # sha256 of repr of every scheme's per-trial rows on three trials at
+    # N=140. The CSV prints 6 decimals; this pins each row's floats to the
+    # last bit.
+    TRIAL_ROWS_SHA256 = "66e7254e64a6377d6acd39ce45a611b424f93c1df01b9068a2a853c9f6c1f394"
+
+    def test_per_trial_rows_are_pinned(self):
+        cfg = ExperimentConfig(n=140, trials=3, seed=0)
+        rows = [run_trial(s, cfg, trial_seed(cfg, t)).rows
+                for s in harness.SCHEMES for t in range(3)]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.TRIAL_ROWS_SHA256
 
     def test_same_seed_same_trial(self):
         cfg = ExperimentConfig(n=40, **FAST)
@@ -408,29 +428,35 @@ def test_copy_of_a_changed_world_equals_it(scheme):
     assert graph.verify_barrier(copy) == graph.verify_barrier(world)
 
 
-class TestComputeMetrics:
-    def _world(self):
-        cfg = ExperimentConfig(n=10, length=100.0, rho=30.0, sigma=0.0, trials=1)
-        return cfg, deploy_with_barrier(cfg, 0)
+class TestReportRows:
+    CFG = ExperimentConfig(n=10, length=100.0, rho=30.0, sigma=0.0, trials=1,
+                           report_points=(0.0, 0.1))
 
-    def test_no_failures(self):
-        cfg, world = self._world()
-        row = compute_metrics("nmove", cfg, world, 0, 0, 0.0, 0.05)
-        assert (row.recovery_rate, row.avg_total_displacement) == (100.0, 0.0)
-        assert row.high_energy_pct == 100.0
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_no_failures(self, scheme):
+        row = run_trial(scheme, self.CFG, trial_seed(self.CFG, 0)).rows[0]
+        assert row.failure_fraction == 0.0
+        assert (row.recovery_rate, row.avg_total_displacement,
+                row.high_energy_pct) == (100.0, 0.0, 100.0)
 
     def test_zero_recoveries(self):
-        cfg, world = self._world()
-        row = compute_metrics("nmove", cfg, world, 7, 0, 0.0, 0.10)
-        assert row.recovery_rate == 0.0
+        # nmove loses its chain at the first failure of this trial and
+        # never finds another.
+        cfg = ExperimentConfig(n=40, **SPARSE)
+        res = run_trial("nmove", cfg, trial_seed(cfg, 13))
+        assert [row.recovery_rate for row in res.rows] == [0.0] * len(cfg.report_points)
 
     def test_high_energy_threshold_is_strict(self):
-        cfg, world = self._world()
-        sid = world.barrier[0]
-        world.sensors[sid].energy = 85.0  # moved 15 of 100
-        row = compute_metrics("cmove", cfg, world, 1, 1, 15.0, 0.10)
-        assert row.high_energy_pct == pytest.approx(100.0 * 9 / 10)
-        assert row.avg_total_displacement == pytest.approx(15.0)
+        # Drained to exactly 90% of the initial energy a sensor no longer
+        # counts; one float above it still does.
+        cfg = self.CFG
+        seed = trial_seed(cfg, 0)
+        world = deploy_with_barrier(cfg, seed)
+        at, above = world.barrier[:2]
+        drain(world, at, 0.9 * cfg.initial_energy)
+        drain(world, above, math.nextafter(0.9 * cfg.initial_energy, math.inf))
+        row = run_trial("nmove", cfg, seed, world).rows[0]
+        assert row.high_energy_pct == 100.0 * 9 / 10
 
 
 def _stub_pool(monkeypatch):
