@@ -4,17 +4,17 @@ Every barrier node pre-elects a recovery node: the closest non-barrier
 neighbor that could take its place, or (when it has none) whichever chain
 side reaches such a filler with the least cumulative movement. The election
 runs as a request/reply protocol along the chain, whose messages are plain
-tuples. One ``Election`` object per trial holds the states and the message
-handlers. Each re-election reads only what changed since the last one, from
-the world's change record, ``World.changes``, and from its chain-edit
-record, ``World.chain_edits``, and runs the protocol again only on the chain
-nodes whose answer can have changed. One rule says where a request stops,
-for the protocol and for finding those nodes alike. On a failure, the
-failed node's recovery node first hunts for a detour with a hop-budgeted,
-geographically greedy token search; if that fails, the cascade shared with
-rmove (``graph.shift_cascade``) moves it into the hole and refills each
-vacated barrier position with that position's recovery node, until a
-non-barrier filler ends the cascade.
+tuples. One ``Election`` object per trial holds the states and delivers
+each round of messages. Each re-election reads only what changed since the
+last one, from the world's change record, ``World.changes``, and from its
+chain-edit record, ``World.chain_edits``, and runs the protocol again only
+on the chain nodes whose answer can have changed. One rule says where a
+request stops, for the protocol and for finding those nodes alike. On a
+failure, the failed node's recovery node first hunts for a detour with a
+hop-budgeted, geographically greedy token search; if that fails, the
+cascade shared with rmove (``graph.shift_cascade``) moves it into the hole
+and refills each vacated barrier position with that position's recovery
+node, until a non-barrier filler ends the cascade.
 
 The scheduler is synchronous-round and delivers in a fixed order, so runs
 are reproducible; a seeded shuffle mode exercises order independence.
@@ -153,8 +153,8 @@ def _links(chain: list[int], idx: int) -> tuple[int, int]:
 class Election:
     """One world's recovery-node election, kept for a whole trial: the
     per-node states, ``states``, which maps each live sensor's id to its
-    ``NodeState``, and the protocol's message handlers in one object.
-    ``init_recovery_nodes`` runs it over a ``MessageBus``.
+    ``NodeState``, and the protocol, which ``deliver`` runs one drained
+    round at a time. ``init_recovery_nodes`` runs it over a ``MessageBus``.
 
     A node with an eligible non-barrier neighbor picks the closest one
     outright. Anyone else asks both chain sides; requests forward along the
@@ -334,48 +334,43 @@ class Election:
                 bus.send(sid, st.pre, REQ, sid)
                 bus.send(sid, st.suc, REQ, sid)
 
-    def handle(self, msg: tuple, bus: MessageBus) -> None:
-        sender, receiver, _, kind, a, b = msg
-        if receiver < 0:
-            # The boundary is not a candidate: it answers every request
-            # with an infinite path length.
-            if kind == REQ:
-                bus.send(receiver, sender, REP, a, INF)
-            return
-        st = self.states.get(receiver)
-        if st is None:
-            return  # dead nodes fail silently; the sender waits in vain
-        if kind == SET:
-            st.rec_set.add(sender)
-        elif kind == REQ:
-            self._on_request(st, a, sender, bus)
-        else:
-            self._on_reply(st, a, b, sender, bus)
-
-    def _on_request(self, st: NodeState, q: int, sender: int, bus: MessageBus) -> None:
-        # The asker is one chain side; a forwarded request goes to the other.
-        far = st.pre if sender == st.suc else st.suc
-        hop, answer = self._answer(st.id, sender)
-        if answer is None and far in st.values:
-            answer = st.values[far] + hop
-        if answer is None:
-            bus.send(st.id, far, REQ, q)
-        else:
-            bus.send(st.id, sender, REP, q, answer)
-
-    def _on_reply(self, st: NodeState, q: int, d: float, sender: int,
-                  bus: MessageBus) -> None:
-        st.values.setdefault(sender, d)  # a side's first answer wins
-        if q == st.id:
-            st.awaiting.discard(sender)
-            if not st.awaiting and st.rec_node is None:
-                self._decide(st, bus)
-        else:
-            # Relay toward the requester, adding our hop on that side.
-            target = st.suc if sender == st.pre else st.pre
-            sensors = self.world.sensors
-            hop = sensors[st.id].pos.distance_to(sensors[target].pos)
-            bus.send(st.id, target, REP, q, d + hop)
+    def deliver(self, batch: list[tuple], bus: MessageBus) -> None:
+        """Handle one drained round of messages, in order; what they send
+        goes out in the next round."""
+        states, sensors, send = self.states, self.world.sensors, bus.send
+        for sender, receiver, _, kind, a, b in batch:
+            if receiver < 0:
+                # The boundary is not a candidate: it answers every request
+                # with an infinite path length.
+                if kind == REQ:
+                    send(receiver, sender, REP, a, INF)
+                continue
+            st = states.get(receiver)
+            if st is None:
+                continue  # dead nodes fail silently; the sender waits in vain
+            if kind == SET:
+                st.rec_set.add(sender)
+            elif kind == REQ:
+                # The asker is one side; a forwarded request goes to the other.
+                far = st.pre if sender == st.suc else st.suc
+                hop, answer = self._answer(receiver, sender)
+                if answer is None and far in st.values:
+                    answer = st.values[far] + hop
+                if answer is None:
+                    send(receiver, far, REQ, a)
+                else:
+                    send(receiver, sender, REP, a, answer)
+            else:
+                st.values.setdefault(sender, b)  # a side's first answer wins
+                if a == receiver:
+                    st.awaiting.discard(sender)
+                    if not st.awaiting and st.rec_node is None:
+                        self._decide(st, bus)
+                else:
+                    # Relay toward the requester, adding our hop on that side.
+                    target = st.suc if sender == st.pre else st.pre
+                    hop = sensors[receiver].pos.distance_to(sensors[target].pos)
+                    send(receiver, target, REP, a, b + hop)
 
     def _decide(self, st: NodeState, bus: MessageBus) -> None:
         d_pre = st.values.get(st.pre, INF)
@@ -420,8 +415,7 @@ def init_recovery_nodes(
     limit = 2 * len(world.barrier) + 3
     rounds = 0
     while batch := bus.drain_round():
-        for msg in batch:
-            election.handle(msg, bus)
+        election.deliver(batch, bus)
         rounds += 1
         if rounds > limit:
             raise RuntimeError("recovery-node election failed to quiesce")
@@ -459,37 +453,37 @@ def mldfs(
     # dest, and each visited vertex's routable neighbors in greedy order
     # (by that distance, ties on id), are computed once per search.
     dist: dict[int, float] = {dest: 0.0}
-
-    def dist_to_dest(v: int) -> float:
-        d = dist.get(v)
-        if d is None:
-            d = dist[v] = graph.distance_to(v, dest)
-        return d
-
-    ranked: dict[int, list[int]] = {}
+    ranked: dict[int, list[tuple[float, int]]] = {}
     father: dict[int, int] = {start: start}
     used: dict[int, set[int]] = defaultdict(set)
 
     def pick(p: int) -> Optional[int]:
         order = ranked.get(p)
         if order is None:
-            # Sentinels are not routable hops unless one is the target.
-            order = ranked[p] = sorted(
-                (v for v in adjacency[p] if v >= 0 or v == dest),
-                key=lambda v: (dist_to_dest(v), v))
+            order = ranked[p] = []
+            for v in adjacency[p]:
+                if v < 0 and v != dest:
+                    continue  # sentinels are not hops unless one is the target
+                d = dist.get(v)
+                if d is None:
+                    d = dist[v] = graph.distance_to(v, dest)
+                order.append((d, v))
+            order.sort()
         back, spent = father[p], used[p]
-        for q in order:
+        for _, q in order:
             if q != back and q not in spent:
                 return q
         return None
 
+    # The route-discovery token is logged, not sent: route is "disc" or
+    # "found", k_left the remaining hop budget.
+    trace = bus.log if bus is not None and bus.keep_log else None
+
     def emit(sender: int, receiver: int, route: str, k_left: int) -> None:
-        # The route-discovery token is logged, not sent: route is "disc" or
-        # "found", k_left the remaining hop budget.
-        if bus is not None and bus.keep_log:
+        if trace is not None:
             bus.round_no += 1
-            bus.log.append((bus.round_no, sender, receiver, "Tok",
-                            f"route={route};dest={dest};k={k_left}"))
+            trace.append((bus.round_no, sender, receiver, "Tok",
+                          f"route={route};dest={dest};k={k_left}"))
 
     sender, at, carried = start, start, k
     while True:

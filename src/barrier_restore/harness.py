@@ -20,7 +20,7 @@ import concurrent.futures
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import reduce
 from numbers import Integral, Real
 from operator import add
@@ -370,12 +370,14 @@ def run_experiment(
         per_trial = [_trial_task(t) for t in tasks]
 
     out: list[MetricsRow] = []
+    # A detail-log line starts with the record's fields, in field order.
+    keys = [f.name for f in fields(EpisodeRecord)]
     for i, scheme in enumerate(config.schemes):
         results = [trial[i] for trial in per_trial]
         if detail_sink is not None:
             for seed, (_, episodes) in zip(seeds, results):
                 for episode in episodes:
-                    doc = asdict(episode)
+                    doc = {key: getattr(episode, key) for key in keys}
                     doc.update(scheme=scheme, n=config.n, trial_seed=seed)
                     detail_sink.write(json.dumps(doc) + "\n")
         for p_idx, point in enumerate(config.report_points):

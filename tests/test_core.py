@@ -14,6 +14,7 @@ from barrier_restore.core import (
     MoveExceedsCapacity,
     Point,
     Region,
+    RestoreOutcome,
     Sensor,
     World,
     seeded_rng,
@@ -214,6 +215,16 @@ def test_energy_conservation_over_random_walk():
             w.apply_move(sid, dest)
     assert total_energy_spent(w) == pytest.approx(total_displacement(w), abs=1e-9)
     assert all(s.energy >= 0 for s in w.sensors.values())
+
+
+def test_total_displacement_is_a_left_fold_from_zero():
+    # A left fold rounds each 2**-53 away against 1.0; compensated
+    # summation (builtin sum from Python 3.12 on) reads 1.0000000000000002.
+    # So this pins bits that only Python 3.12+ would move.
+    origin = Point(0.0, 0.0)
+    moves = [Move(0, origin, Point(length, 0.0)) for length in (1.0, 2**-53, 2**-53)]
+    assert [m.length for m in moves] == [1.0, 2**-53, 2**-53]
+    assert RestoreOutcome(moves=moves).total_displacement == 1.0
 
 
 class TestSeededRng:

@@ -389,16 +389,29 @@ class TestMldfs:
         assert mldfs(g, 0, 1, 1) == [0, 1]
 
     def test_greedy_tries_closer_neighbor_first(self):
-        # Node 0 sees 1 (closer to dest 3) and 2; the trace must show the
-        # token going to 1 first.
-        w = make_world([(2, 0), (3.5, 1), (3.5, -1), (5, 0)], length=7,
+        # Node 0 sees 1 and 2, which is closer to dest 3; the trace must
+        # show the token going to 2 first, although 1 has the lower id.
+        w = make_world([(2, 0), (3.3, 1), (3.5, -1), (5, 0)], length=7,
                        with_barrier=False)
         g = fresh_graph(w)
+        assert g.distance_to(2, 3) < g.distance_to(1, 3)
         bus = MessageBus(keep_log=True)
         path = mldfs(g, 0, 3, 4, bus=bus)
-        assert path == [0, 1, 3]
+        assert path == [0, 2, 3]
         first_hop = bus.log[0]
-        assert (first_hop[1], first_hop[2]) == (0, 1)
+        assert (first_hop[1], first_hop[2]) == (0, 2)
+
+    def test_equidistant_neighbors_go_by_lower_id(self):
+        # Start 2 sees 0 and 1, mirror images across the line to dest 3 and
+        # so exactly as far from it; the token goes to the lower id first.
+        w = make_world([(3.5, -1), (3.5, 1), (2, 0), (5, 0)], length=7,
+                       with_barrier=False)
+        g = fresh_graph(w)
+        assert g.distance_to(0, 3) == g.distance_to(1, 3)
+        assert {0, 1} <= set(g.adjacency[2])
+        bus = MessageBus(keep_log=True)
+        assert mldfs(g, 2, 3, 4, bus=bus) == [2, 0, 3]
+        assert bus.log[0][1:4] == (2, 0, "Tok")
 
     def test_backtracks_out_of_dead_end(self):
         # Greedy prefers 1 (closest to dest) but it is a dead end; the
