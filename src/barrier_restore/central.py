@@ -162,21 +162,20 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     (``World.affords``). So a sensor standing exactly on a barrier position
     always keeps a zero-cost cell there, and immobile occupants can still
     be "assigned" in place. A column's cells are computed when the solve
-    first reads it, from the world graph's x-window as wide as the comm
-    radius, ``Region.comm`` (slightly widened against rounding; the exact
-    test decides). So the problem is valid only until the world next
+    first reads it, from the world graph's x-window around the slot within
+    the comm radius, ``Region.comm`` (``IntersectionGraph.around``; the
+    exact test decides). So the problem is valid only until the world next
     changes: apply no move before the solve has returned.
     """
     chain, slots, sensors = world.barrier, world.slots, world.sensors
     graph = world_graph(world)
     affords, comm = world.affords, world.region.comm
-    span = comm * (1.0 + 1e-9)
 
     def cells_of(j: int) -> list[tuple[int, float]]:
         p = sensors[chain[j]].pos
         target = (p.x, p.y)
         cells = []
-        for sid in graph.window(p.x - span, p.x + span):
+        for sid in graph.around(p.x, comm):
             s = sensors[sid]
             # math.dist of two points is math.hypot of their differences,
             # bit for bit, so every cost equals Point.distance_to, which

@@ -17,7 +17,12 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 import numpy as np
 
 if TYPE_CHECKING:
-    from .graph import BarrierCheck, IntersectionGraph
+    from .graph import IntersectionGraph
+
+# Boundary sentinels, the two ends of every barrier path; sensor ids are
+# non-negative so these never collide.
+PL = -1
+PR = -2
 
 
 class MoveExceedsCapacity(Exception):
@@ -137,10 +142,14 @@ class World:
     (the failed chain ids) current, and appends a ``ChainEdit`` to
     ``chain_edits``, the one record of chain changes. Readers follow both
     records by index, from 0: they run from the world's construction.
-    :meth:`edited_slots` says which slots were written since a mark, so
-    ``graph.verify_barrier`` and a dmove re-election re-read only those and
-    their neighbours. ``checked`` holds ``verify_barrier``'s state for this
-    world once it has run.
+    :meth:`edited_slots` says which slots were written since a mark, so a
+    dmove re-election re-reads only those and their neighbours.
+
+    Once the graph is built, ``broken`` maps the left end of each link of
+    the path ``[PL, *chain, PR]`` that is not a graph edge to its right
+    end: ``edit_chain`` re-checks the links it wrote, and ``fail`` and
+    ``apply_move`` the two of a chain member, as each changes them
+    (:meth:`check_links`). ``graph.verify_barrier`` reads it.
     """
 
     def __init__(
@@ -164,7 +173,7 @@ class World:
         self.slots: dict[int, int] = {}
         self.holes: set[int] = set()
         self.chain_edits: list[ChainEdit] = []
-        self.checked: Optional[BarrierCheck] = None  # kept by graph.verify_barrier
+        self.broken: dict[int, int] = {}  # read once the graph is built
 
     @property
     def barrier(self) -> list[int]:
@@ -174,9 +183,9 @@ class World:
         """An exact copy that shares nothing a step can change: new
         ``Sensor`` objects (the frozen ``Point``, ``Region`` and
         ``EnergyModel`` are shared), a copied chain, slot map and graph if
-        it is built, ``holes`` and both records; only the verdict's state
-        starts afresh. Cheaper than a deploy or a pickle round trip, so each
-        scheme can run on its own copy."""
+        it is built, ``holes``, ``broken`` and both records. Cheaper than a
+        deploy or a pickle round trip, so each scheme can run on its own
+        copy."""
         twin = World(self.region, (), self.energy_model)
         twin.sensors = {
             sid: Sensor(s.id, s.pos, s.energy, s.initial_energy, s.failed)
@@ -185,6 +194,7 @@ class World:
         twin._barrier = list(self._barrier)
         twin.slots = dict(self.slots)
         twin.holes = set(self.holes)
+        twin.broken = dict(self.broken)
         twin.changes = list(self.changes)
         twin.chain_edits = list(self.chain_edits)
         if self.graph is not None:
@@ -217,6 +227,7 @@ class World:
         for sid in old:
             del slots[sid]
             self.holes.discard(sid)
+            self.broken.pop(sid, None)
         for idx, sid in enumerate(new, start):
             slots[sid] = idx
             if sensors[sid].failed:
@@ -224,6 +235,25 @@ class World:
         if len(new) != len(old):
             for idx in range(start + len(new), len(chain)):
                 slots[chain[idx]] = idx
+        self.check_links(range(start, start + len(new) + 1))
+
+    def check_links(self, links: Iterable[int]) -> None:
+        """Re-check ``links`` of the path ``[PL, *chain, PR]`` against the
+        graph and keep ``broken`` current. Link ``k`` joins slot ``k - 1``
+        (PL at 0) to slot ``k`` (PR at ``len(chain)``), and is keyed by its
+        left end. A no-op until the graph is built; ``graph.world_graph``
+        then checks every link."""
+        if self.graph is None:
+            return
+        adjacency, chain, broken = self.graph.adjacency, self._barrier, self.broken
+        end = len(chain)
+        for k in links:
+            u = chain[k - 1] if k else PL
+            v = chain[k] if k < end else PR
+            if v in adjacency.get(u, ()):
+                broken.pop(u, None)
+            else:
+                broken[u] = v
 
     def edited_slots(self, mark: int) -> Optional[range]:
         """The slots of the chain that the edits made since ``chain_edits``
@@ -249,15 +279,18 @@ class World:
 
     def fail(self, sensor_id: int) -> None:
         """Mark a sensor failed, drop its vertex from the graph and, on the
-        chain, add it to ``holes``; a failed sensor is left as it is."""
+        chain, add it to ``holes`` and re-check its two links; a failed
+        sensor is left as it is."""
         s = self.sensors[sensor_id]
         if not s.failed:
             self.changes.append(Move(sensor_id, s.pos, s.pos))
             s.failed = True
-            if sensor_id in self.slots:
-                self.holes.add(sensor_id)
             if self.graph is not None:
                 self.graph.remove(sensor_id)
+            k = self.slots.get(sensor_id)
+            if k is not None:
+                self.holes.add(sensor_id)
+                self.check_links((k, k + 1))
 
     def affords(self, sensor: Sensor, distance: float) -> bool:
         """Whether ``sensor`` may travel ``distance``: the one move rule.
@@ -280,7 +313,8 @@ class World:
 
         Raises :class:`MoveExceedsCapacity` unless the world ``affords``
         the move; callers must treat that as an infeasible plan and apply
-        nothing further. A zero-length move changes and records nothing."""
+        nothing further. A zero-length move changes and records nothing.
+        A chain member's two links are re-checked."""
         s = self.sensors[sensor_id]
         d = s.pos.distance_to(dest)
         if not self.affords(s, d):
@@ -292,6 +326,9 @@ class World:
         if self.graph is not None:
             self.graph.remove(sensor_id)
             self.graph.insert(sensor_id, dest)
+            k = self.slots.get(sensor_id)
+            if k is not None:
+                self.check_links((k, k + 1))
         s.energy -= d * self.energy_model.cost_per_unit_displacement
 
 

@@ -10,10 +10,12 @@ ways a world changes, ``World.apply_move`` and ``World.fail``, through
 ``IntersectionGraph.insert`` and ``remove``. ``build_intersection_graph``
 builds the whole graph in one sweep over the sensors in x order; it and
 ``IntersectionGraph.near``, which ``insert`` calls, share one disc test,
-``discs_meet``, so the graph has one adjacency test. A vertex's
-neighbours are its row, ``IntersectionGraph.adjacency[v]``, which every
-search reads directly. ``near`` reads the graph's x-window,
-``IntersectionGraph.window``, which the cmove assignment reads too. A
+``discs_meet``, and one boundary rule, ``_sentinels``, so the graph has one
+adjacency test. A vertex's neighbours are its row,
+``IntersectionGraph.adjacency[v]``, which every search reads directly.
+``near`` reads the graph's x-window around a point,
+``IntersectionGraph.around``, which the cmove assignment reads too; it and
+the sweep widen their x-windows by one rounding slack, ``_SLACK``. A
 barrier is a path of this graph from PL to PR: the searches find one, and
 ``verify_barrier`` checks the designated chain as one. No scheme calls it:
 a step reports what it did, and the episode loop (``harness.run_trial``)
@@ -24,15 +26,17 @@ replacement in place that the world records. ``write_slots`` (the cascade's
 and cmove's) writes only the slots it is given, and a splice
 (``splice_into``) only the span it cut; both take the world, as
 ``failed_span`` does, and find slots and membership in ``World.slots``
-rather than by scanning the chain. ``verify_barrier`` keeps its state per
-world (``BarrierCheck``) and re-checks only the links that the recorded
-chain edits and sensor changes since its last call can have changed.
+rather than by scanning the chain. The world keeps the chain's broken
+links, ``World.broken``, current as its chain and sensors change, once
+``world_graph`` has built the graph and checked every link; so
+``verify_barrier`` only reads them.
 
 ``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
 pairwise definitions they are checked against, in ``tests/test_graph.py``,
 ``tests/test_distributed.py::TestIncrementalElection``, on every verdict of
 full-size trials in ``tests/test_harness.py`` and after every episode of
-every scheme in ``tests/test_stateful.py``.
+every scheme in ``tests/test_stateful.py``; ``broken_links_oracle`` checks
+``World.broken`` there and in ``tests/test_core.py``.
 """
 from __future__ import annotations
 
@@ -43,16 +47,14 @@ from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 from .core import (
     MECH_NONE,
     MECH_SHIFTING,
+    PL,
+    PR,
     Point,
     Region,
     RestoreOutcome,
     Sensor,
     World,
 )
-
-# Boundary sentinels; sensor ids are non-negative so these never collide.
-PL = -1
-PR = -2
 
 Path = list[int]
 
@@ -68,6 +70,21 @@ def discs_meet(p: Point, q: Point, reach: float) -> bool:
     dx = p.x - q.x
     dy = p.y - q.y
     return dx * dx + dy * dy <= reach * reach
+
+
+# Widens an x-window against rounding; the exact test decides.
+_SLACK = 1.0 + 1e-9
+
+
+def _sentinels(x: float, region: Region) -> list[int]:
+    """The boundary sentinels that a disc centred at ``x`` reaches,
+    ascending (PR = -2 < PL = -1): the graph's one boundary rule."""
+    out = []
+    if x >= region.length - region.rho:
+        out.append(PR)
+    if x <= region.rho:
+        out.append(PL)
+    return out
 
 
 class IntersectionGraph:
@@ -117,6 +134,14 @@ class IntersectionGraph:
         xs = self._xs
         return self._ids[bisect_left(xs, lo):bisect_right(xs, hi)]
 
+    def around(self, x: float, reach: float) -> list[int]:
+        """Sensor vertices whose x lies within ``reach`` of ``x``, slightly
+        widened against rounding, in x order (ties by id): a superset of
+        those within ``reach`` of a point at ``x``, which the caller's exact
+        test picks out."""
+        span = reach * _SLACK
+        return self.window(x - span, x + span)
+
     def _slot(self, x: float, vertex: int) -> int:
         """Index of (x, vertex) in the x order, present or not."""
         lo = bisect_left(self._xs, x)
@@ -126,14 +151,8 @@ class IntersectionGraph:
         """Sensor vertices, ascending, whose discs meet a sensor's disc at
         ``pos`` (tangent discs meet), by ``discs_meet``."""
         reach = self.region.rho + self.region.rho
-        # Intersecting discs lie within reach in x; the slack only widens
-        # the window against rounding, the exact test decides.
-        span = reach * (1.0 + 1e-9)
         positions = self.positions
-        out = [
-            v for v in self.window(pos.x - span, pos.x + span)
-            if discs_meet(pos, positions[v], reach)
-        ]
+        out = [v for v in self.around(pos.x, reach) if discs_meet(pos, positions[v], reach)]
         out.sort()
         return out
 
@@ -145,13 +164,8 @@ class IntersectionGraph:
 
     def insert(self, vertex: int, pos: Point) -> None:
         """Add the vertex of a sensor standing at ``pos``."""
-        # Ascending with the sentinels first (PR = -2 < PL = -1).
-        row = []
-        rho = self.region.rho
-        if pos.x >= self.region.length - rho:
-            row.append(PR)
-        if pos.x <= rho:
-            row.append(PL)
+        # Ascending with the sentinels first.
+        row = _sentinels(pos.x, self.region)
         row += self.near(pos)
         k = self._slot(pos.x, vertex)
         self._xs.insert(k, pos.x)
@@ -179,21 +193,17 @@ def build_intersection_graph(
     order = sorted(live.values(), key=lambda s: (s.pos.x, s.id))
     graph._xs = xs = [s.pos.x for s in order]
     graph._ids = [s.id for s in order]
-    rho, reach = region.rho, region.rho + region.rho
+    reach = region.rho + region.rho
     # Vertices in the order the sensors came, as ``insert`` adds them;
     # every row is sorted at the end.
     adjacency = graph.adjacency
     for s in live.values():
         graph.positions[s.id] = s.pos
-        row = adjacency[s.id] = []
-        if s.pos.x >= region.length - rho:
-            row.append(PR)
-            adjacency[PR].append(s.id)
-        if s.pos.x <= rho:
-            row.append(PL)
-            adjacency[PL].append(s.id)
-    # Same slack as ``near``: it only widens the scan against rounding.
-    span = reach * (1.0 + 1e-9)
+        row = adjacency[s.id] = _sentinels(s.pos.x, region)
+        for end in row:
+            adjacency[end].append(s.id)
+    # The same slack as ``around``.
+    span = reach * _SLACK
     n = len(order)
     for i, a in enumerate(order):
         x, pos, row = xs[i], a.pos, adjacency[a.id]
@@ -211,10 +221,12 @@ def build_intersection_graph(
 
 def world_graph(world: World) -> IntersectionGraph:
     """The world's one intersection graph over its live sensors, built on
-    first use and kept in ``world.graph``. ``World.apply_move`` and
+    first use and kept in ``world.graph``, when every link of the chain is
+    checked against it (``World.check_links``). ``World.apply_move`` and
     ``World.fail`` keep it current from then on."""
     if world.graph is None:
         world.graph = build_intersection_graph(world.active_sensors(), world.region)
+        world.check_links(range(len(world.barrier) + 1))
     return world.graph
 
 
@@ -395,73 +407,14 @@ def shift_cascade(
     return RestoreOutcome(MECH_SHIFTING if shifted else MECH_NONE, world.changes[start:])
 
 
-class BarrierCheck:
-    """``verify_barrier``'s state for one world, kept in ``World.checked``:
-    the links of the path ``[PL, *chain, PR]`` that are not edges of the
-    world graph, ``broken``, which maps each such link's left end to its
-    right end, as of the first ``edit_mark`` records of
-    ``World.chain_edits`` and the first ``change_mark`` of
-    ``World.changes``. Both marks start at 0, so the first ``update`` reads
-    the records from the world's construction, which wrote every slot."""
-
-    __slots__ = ("broken", "edit_mark", "change_mark")
-
-    def __init__(self) -> None:
-        self.broken: dict[int, int] = {}
-        self.edit_mark = self.change_mark = 0
-
-    def update(self, world: World, adjacency: Mapping[int, list[int]]) -> None:
-        """Re-check the links that can have changed since the last call:
-        those at the slots the chain edits past ``edit_mark`` wrote and those
-        of the chain members named in the change records past
-        ``change_mark``. A member's one slot is read off ``World.slots``."""
-        chain, slots, broken = world.barrier, world.slots, self.broken
-        # Link k joins path[k] and path[k + 1]: slot k - 1 (PL at k = 0) to
-        # slot k (PR at k = len(chain)). Those of the written slots, and of
-        # the slots of chain members that moved or failed, can have changed.
-        edits = world.chain_edits
-        written = world.edited_slots(self.edit_mark)
-        if written is None:
-            links: set[int] = set()
-        else:
-            links = set(range(written.start, written.stop + 1))
-            # An id still on the chain is either outside the written slots,
-            # with the link it had, or inside them and re-checked below.
-            for _, old, _ in edits[self.edit_mark:]:
-                for sid in old:
-                    if sid not in slots:
-                        broken.pop(sid, None)
-            self.edit_mark = len(edits)
-        for sid, _, _ in world.changes[self.change_mark:]:
-            k = slots.get(sid)
-            if k is not None:
-                links.add(k)
-                links.add(k + 1)
-        self.change_mark = len(world.changes)
-        end = len(chain)
-        for k in links:
-            u = chain[k - 1] if k else PL
-            v = chain[k] if k < end else PR
-            if v in adjacency.get(u, ()):
-                broken.pop(u, None)
-            else:
-                broken[u] = v
-
-
 def verify_barrier(world: World) -> bool:
     """True iff the world's designated chain is a live left-to-right barrier
     at the sensors' current positions: PL, the chain and PR, in that order,
     form a path of ``world_graph(world)``, a simple one since the chain
-    names each sensor once (``World.edit_chain``). A failed sensor is not a
-    vertex of that graph, and PL never meets PR, so a chain holding one
-    fails, and so does the empty chain.
-
-    The verdict keeps its state in ``world.checked`` (``BarrierCheck``):
-    the broken links of the path, keyed by their left ends. Each call
-    re-checks only the links at slots written since the last, the first
-    call's since the world's construction (``World.edited_slots``), and at
-    the slots of chain members that moved or failed since
-    (``World.changes``), so it costs what changed, not the chain's length."""
-    check = world.checked = world.checked or BarrierCheck()
-    check.update(world, world_graph(world).adjacency)
-    return bool(world.barrier) and not check.broken
+    names each sensor once (``World.edit_chain``). Once the graph is built,
+    the world keeps the links of that path that are not graph edges in
+    ``World.broken``, so the verdict builds the graph if it must and reads
+    that. A failed sensor is not a vertex of that graph, and PL never meets
+    PR, so a chain holding one fails, and so does the empty chain."""
+    world_graph(world)
+    return not world.broken

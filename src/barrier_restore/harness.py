@@ -218,11 +218,11 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     (``World.copy``) that nothing has changed yet; the trial changes it.
 
     An episode succeeds when the designated chain verifies after the step:
-    ``verify_barrier`` runs once after every step and costs what the world's
-    records say changed since its last call. A failed restoration does not
-    end the trial; the centralized schemes keep retrying the accumulated gap
-    on later episodes, while the local schemes need the chain whole and
-    simply keep failing until the trial ends.
+    ``verify_barrier`` runs once after every step and reads the chain's
+    broken links, which the world keeps current. A failed restoration does
+    not end the trial; the centralized schemes keep retrying the
+    accumulated gap on later episodes, while the local schemes need the
+    chain whole and simply keep failing until the trial ends.
 
     The failure order is drawn once, before the first failure, from the
     trial's seed alone, so every scheme replays it. Each victim is uniform

@@ -83,6 +83,15 @@ def barrier_oracle(world: World) -> bool:
             and all(_discs_meet(s, t, rho) for s, t in zip(sensors, sensors[1:])))
 
 
+def broken_links_oracle(world: World) -> dict[int, int]:
+    """The links of the path ``[PL, *chain, PR]`` that are not edges of
+    ``adjacency_oracle`` over the live sensors, each keyed by its left end
+    and mapped to its right end, as ``World.broken`` keeps them."""
+    adjacency = adjacency_oracle(world.active_sensors(), world.region)
+    path = [PL, *world.barrier, PR]
+    return {u: v for u, v in zip(path, path[1:]) if v not in adjacency.get(u, ())}
+
+
 def replayed_chain(chain: list[int], edits) -> list[int]:
     """``chain`` after the chain edits (``core.ChainEdit`` records) in turn,
     each checked to replace what the chain held at its slots then."""

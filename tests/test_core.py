@@ -21,9 +21,15 @@ from barrier_restore.core import (
     world_from_json,
     world_to_json,
 )
-from barrier_restore.graph import PL, PR, verify_barrier
+from barrier_restore.graph import PL, PR, verify_barrier, world_graph
 from conftest import T1_COORDS, make_world
-from oracles import keeps_chain_simple, pays_for, total_displacement, total_energy_spent
+from oracles import (
+    broken_links_oracle,
+    keeps_chain_simple,
+    pays_for,
+    total_displacement,
+    total_energy_spent,
+)
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -391,20 +397,21 @@ _chain_ids = st.sampled_from([PL, PR, 0, 1, 2, 3, 4, 5, 6, 99])
 def test_a_rejected_chain_edit_changes_nothing(data):
     # The chain names each sensor at most once: an edit applies iff it
     # keeps that so, and one that does not raises and leaves the chain, its
-    # slot map, its holes, its edit record and the verdict's state as they
+    # slot map, its holes, its edit record and its broken links as they
     # were. Sensors fail on and off the chain in between, and an edit may
-    # put a failed one on it, so the holes must follow both.
+    # put a failed one on it, so the holes and the broken links must
+    # follow both.
     world = make_world(T1_COORDS)
     for _ in range(data.draw(st.integers(1, 5))):
         if data.draw(st.booleans()):
             world.fail(data.draw(st.sampled_from(sorted(world.sensors))))
         verify_barrier(world)
-        chain, check = list(world.barrier), world.checked
+        chain = list(world.barrier)
         lo = data.draw(st.integers(0, len(chain)))
         hi = data.draw(st.integers(lo, len(chain)))
         ids = data.draw(st.lists(_chain_ids, max_size=4))
         was = (dict(world.slots), set(world.holes), list(world.chain_edits),
-               dict(check.broken), check.edit_mark, check.change_mark)
+               dict(world.broken))
         if keeps_chain_simple(chain, lo, hi, ids, world.sensors):
             world.edit_chain(lo, hi, ids)
             assert world.barrier == [*chain[:lo], *ids, *chain[hi:]]
@@ -412,8 +419,46 @@ def test_a_rejected_chain_edit_changes_nothing(data):
         else:
             with pytest.raises(ValueError):
                 world.edit_chain(lo, hi, ids)
-            assert world.barrier == chain and world.checked is check
-            assert (world.slots, world.holes, world.chain_edits, check.broken,
-                    check.edit_mark, check.change_mark) == was
+            assert world.barrier == chain
+            assert (world.slots, world.holes, world.chain_edits, world.broken) == was
         assert world.slots == {sid: idx for idx, sid in enumerate(world.barrier)}
         assert world.holes == {sid for sid in world.barrier if world.sensors[sid].failed}
+        assert world.broken == broken_links_oracle(world)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_broken_links_follow_every_change(data):
+    # Chain edits, failures and moves in any order, with the graph built
+    # before the first, midway or after the last: from the build on,
+    # World.broken names exactly the links of [PL, *chain, PR] that the
+    # pairwise adjacency rejects, after every operation.
+    world = make_world(T1_COORDS, with_barrier=False)
+    world.edit_chain(0, 0, [0, 1, 2, 3, 4])
+    steps = data.draw(st.integers(1, 8))
+    build_at = data.draw(st.sampled_from([0, steps // 2, steps]))
+    for step in range(steps + 1):
+        if step == build_at:
+            world_graph(world)
+        if world.graph is not None:
+            assert world.broken == broken_links_oracle(world)
+        if step == steps:
+            break
+        op = data.draw(st.sampled_from(["edit", "fail", "move"]))
+        if op == "edit":
+            chain = world.barrier
+            lo = data.draw(st.integers(0, len(chain)))
+            hi = data.draw(st.integers(lo, len(chain)))
+            free = [sid for sid in world.sensors if sid not in world.slots]
+            ids = data.draw(st.lists(st.sampled_from(free), unique=True, max_size=4)
+                            if free else st.just([]))
+            world.edit_chain(lo, hi, ids)
+        elif op == "fail":
+            world.fail(data.draw(st.sampled_from(sorted(world.sensors))))
+        else:
+            live = world.active_sensors()
+            if live:
+                s = data.draw(st.sampled_from(live))
+                dest = Point(data.draw(st.floats(0, 15)), data.draw(st.floats(-1, 1)))
+                if world.affords(s, s.pos.distance_to(dest)):
+                    world.apply_move(s.id, dest)

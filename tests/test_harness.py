@@ -368,6 +368,7 @@ def _world_state(world):
         chain=world.barrier,
         slots=world.slots,
         holes=world.holes,
+        broken=world.broken,
         changes=world.changes,
         chain_edits=world.chain_edits,
         adjacency=g.adjacency,
@@ -417,14 +418,15 @@ class TestWorldCopy:
 @pytest.mark.parametrize("scheme", ["nmove", "rmove"])
 def test_copy_of_a_changed_world_equals_it(scheme):
     # After a trial that left failed members on the chain: the copy keeps
-    # the holes and both records, and its first verdict, read from those
-    # records, is its source's.
+    # the holes, the broken links and both records, and its verdict is its
+    # source's.
     cfg = ExperimentConfig(n=160, trials=1)
     world = trial_world(scheme, cfg, trial_seed(cfg, 0))
     assert world.holes and len(world.chain_edits) > 1
     copy = world.copy()
     assert _world_state(copy) == _world_state(world)
     assert copy.holes is not world.holes and copy.changes is not world.changes
+    assert copy.broken is not world.broken
     assert graph.verify_barrier(copy) == graph.verify_barrier(world)
 
 

@@ -22,11 +22,12 @@ are what keep ``World.graph`` current and record each change in
 ``World.changes``, the one record that a re-election and every step's
 outcome read. Whether a sensor may move is read off its energy
 (``World.affords``), so a write of a stored ``static`` flag, which would
-be a second copy of that fact, is rejected too. Nor does anything but ``World`` write its chain,
-``barrier``, or the slot map and edit record that ``World.edit_chain``
-keeps with it, which the verdict and a re-election read instead of the
-whole chain; so no chain escapes the check of ``edit_chain``, that it
-names each sensor at most once.
+be a second copy of that fact, is rejected too. Nor does anything but
+``World`` write its chain, ``barrier``, or the slot map, hole set, broken
+links and edit record that ``World.edit_chain`` keeps with it, which the
+verdict and a re-election read instead of the whole chain; so no chain
+escapes the check of ``edit_chain``, that it names each sensor at most
+once, and the verdict's broken links have one writer.
 """
 from __future__ import annotations
 
@@ -226,7 +227,7 @@ def test_scan_flags_a_foreign_import(tmp_path):
 
 
 WORLD_STATE = {"failed", "pos", "energy", "static", "changes",
-               "barrier", "_barrier", "slots", "holes", "chain_edits"}
+               "barrier", "_barrier", "slots", "holes", "chain_edits", "broken"}
 # Methods that edit a list, a set or a dict in place, such as the change
 # record, the chain or its slot map.
 LIST_EDITS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse",
@@ -292,6 +293,7 @@ def test_scan_flags_a_state_write(tmp_path):
         "def grow(w, s): w.barrier.append(s); w.barrier.insert(0, s); w.barrier += [s]\n"
         "def remap(w, s): w.slots[s] = 0; w.slots.pop(s); w.slots.update({s: 1})\n"
         "def unlog(w): w.chain_edits.clear(); w._barrier = []; return w.barrier[::-1]\n"
+        "def mend(w, u): w.broken[u] = 0; w.broken.pop(u); return w.broken.get(u)\n"
     )
     assert state_writes(module) == [
         "line 4: .failed", "line 5: .pos", "line 5: .pos", "line 7: .failed",
@@ -300,4 +302,5 @@ def test_scan_flags_a_state_write(tmp_path):
         "line 14: .barrier", "line 14: .barrier", "line 14: .barrier",
         "line 15: .barrier", "line 15: .barrier", "line 15: .barrier",
         "line 16: .slots", "line 16: .slots", "line 16: .slots",
-        "line 17: ._barrier", "line 17: .chain_edits"]
+        "line 17: ._barrier", "line 17: .chain_edits", "line 18: .broken",
+        "line 18: .broken"]

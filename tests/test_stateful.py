@@ -10,8 +10,9 @@ episode changed: past the mark taken before a failure it holds the
 victim's one zero-length record and then exactly the step's moves, and
 each sensor's spent energy is the cost of its records' summed length.
 Likewise its chain-edit record, replayed on the chain before the episode,
-must give the chain after it, and its hole set must name exactly the
-failed chain members.
+must give the chain after it, its hole set must name exactly the failed
+chain members, and its broken links exactly the links of the chain's path
+that the pairwise adjacency rejects.
 Between failures, a chain member may be nudged along x,
 so that a chain of live sensors can lose a link.
 """
@@ -30,7 +31,14 @@ from barrier_restore.distributed import MessageBus, init_recovery_nodes
 from barrier_restore.graph import verify_barrier
 from barrier_restore.harness import SCHEMES, start_scheme
 from conftest import random_line_world
-from oracles import adjacency_oracle, barrier_oracle, pays_for, replayed_chain, total_displacement
+from oracles import (
+    adjacency_oracle,
+    barrier_oracle,
+    broken_links_oracle,
+    pays_for,
+    replayed_chain,
+    total_displacement,
+)
 
 
 def _state(world):
@@ -76,6 +84,12 @@ def _check_holes(world):
     assert world.holes == {s for s in world.barrier if world.sensors[s].failed}
 
 
+def _check_broken(world):
+    """The world's broken links are those of ``[PL, *chain, PR]`` that the
+    pairwise adjacency rejects."""
+    assert world.broken == broken_links_oracle(world)
+
+
 class FailureSequence(RuleBasedStateMachine):
     @initialize(
         seed=st.integers(0, 10_000),
@@ -119,6 +133,7 @@ class FailureSequence(RuleBasedStateMachine):
         # the chain before the episode into the chain after it.
         assert replayed_chain(chain_before, world.chain_edits[edit_mark:]) == world.barrier
         _check_holes(world)
+        _check_broken(world)
         # Success is the world graph's verdict on the designated chain; it
         # must equal the pairwise definition's.
         assert verify_barrier(world) == barrier_oracle(world)
@@ -166,6 +181,7 @@ class FailureSequence(RuleBasedStateMachine):
                     world.chain_edits[edit_mark:])
             assert self.twin.barrier == world.barrier
             _check_holes(self.twin)
+            _check_broken(self.twin)
             assert _state(self.twin) == _state(world)
             assert _recorded(self.twin, twin_marked, before) == changed
             _check_records(self.twin, twin_marked, victim, other)
@@ -198,10 +214,12 @@ class FailureSequence(RuleBasedStateMachine):
             self.twin.apply_move(sid, dest)
         assert verify_barrier(world) == barrier_oracle(world)
         _check_holes(world)
+        _check_broken(world)
         live = world.active_sensors()
         assert world.graph.adjacency == adjacency_oracle(live, world.region)
         if self.twin is not None:
             _check_holes(self.twin)
+            _check_broken(self.twin)
 
 
 TestFailureSequence = FailureSequence.TestCase
