@@ -21,8 +21,10 @@ from .core import (
     Point,
     Region,
     RestoreOutcome,
+    IntersectionGraph,
     Sensor,
     World,
+    build_intersection_graph,
     seeded_rng,
     world_from_json,
     world_to_json,
@@ -38,13 +40,10 @@ from .distributed import (
 from .graph import (
     PL,
     PR,
-    IntersectionGraph,
     SpliceEndpointMismatch,
-    build_intersection_graph,
     find_alternate_path,
     find_barrier,
     verify_barrier,
-    world_graph,
 )
 from .harness import (
     ExperimentConfig,
@@ -94,7 +93,6 @@ __all__ = [
     "start_scheme",
     "verify_barrier",
     "world_from_json",
-    "world_graph",
     "world_to_json",
 ]
 

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Point, RestoreOutcome, World
-from .graph import closest_filler, shift_cascade, world_graph
+from .graph import closest_filler, shift_cascade
 
 
 def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> RestoreOutcome:
@@ -34,7 +34,7 @@ def restore_rmove(world: World, failed_id: int, rng: np.random.Generator) -> Res
 
     def next_mover(vacated: int, idx: int, hole: Point) -> Optional[int]:
         nonlocal step
-        candidates = world_graph(world).near(hole)
+        candidates = world.graph.near(hole)
         filler = closest_filler(world, candidates, hole, slots)
         if filler is not None:
             return filler[1]

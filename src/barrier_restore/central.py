@@ -39,7 +39,6 @@ from .graph import (
     failed_span,
     find_alternate_path,
     splice_into,
-    world_graph,
     write_slots,
 )
 
@@ -168,7 +167,7 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
     changes: apply no move before the solve has returned.
     """
     chain, slots, sensors = world.barrier, world.slots, world.sensors
-    graph = world_graph(world)
+    graph = world.graph
     affords, comm = world.affords, world.region.comm
 
     def cells_of(j: int) -> list[tuple[int, float]]:
@@ -197,7 +196,7 @@ def _try_alternate_path(world: World, failed: set[int]) -> Optional[RestoreOutco
     flanking the failed span into the chain; None, with the world
     untouched, when the graph offers no such path."""
     _, _, left, right = failed_span(world, failed)
-    path = find_alternate_path(world_graph(world), left, right)
+    path = find_alternate_path(world.graph, left, right)
     if path is None:
         return None
     splice_into(world, failed, path)

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from .core import EnergyModel, World, seeded_rng, world_from_json, world_to_json
 from .distributed import MessageBus
-from .graph import find_barrier, verify_barrier, world_graph
+from .graph import find_barrier, verify_barrier
 from .harness import (
     SCHEMES,
     ExperimentConfig,
@@ -160,7 +160,7 @@ def cmd_run(args: argparse.Namespace) -> None:
         if sid not in world.sensors:
             raise CliError(f"sensor {sid} not in deployment")
 
-    barrier = find_barrier(world_graph(world))
+    barrier = find_barrier(world.graph)
     if barrier is None:
         raise CliError("deployment forms no initial barrier", EXIT_NO_BARRIER)
     world.edit_chain(0, len(world.barrier), barrier)

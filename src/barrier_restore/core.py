@@ -1,6 +1,19 @@
 """Domain types shared by every recovery scheme: sensors, the deployment
-region with its one sensing and one comm radius, energy bookkeeping, and
-the seeded random-number contract.
+region with its one sensing and one comm radius, the world with its
+intersection graph, energy bookkeeping, and the seeded random-number
+contract.
+
+Adjacency uses the closed convention: tangent discs count as intersecting.
+Each world holds one graph, ``World.graph``, built when the world is
+constructed and kept current by the only two ways a world changes,
+``World.apply_move`` and ``World.fail``, through ``IntersectionGraph.insert``
+and ``remove``. ``build_intersection_graph`` builds the whole graph in one
+sweep over the sensors in x order; it and ``IntersectionGraph.near``, which
+``insert`` calls, share one disc test, ``discs_meet``, and one boundary
+rule, ``_sentinels``, so the graph has one adjacency test. ``near`` reads
+the graph's x-window around a point, ``IntersectionGraph.around``, which
+the cmove assignment reads too; it and the sweep widen their x-windows by
+one rounding slack, ``_SLACK``.
 
 All distances are Euclidean in the plane and all comparisons are exact
 (64-bit floats, no epsilon): inputs are generated, not measured.
@@ -9,15 +22,13 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .graph import IntersectionGraph
 
 # Boundary sentinels, the two ends of every barrier path; sensor ids are
 # non-negative so these never collide.
@@ -116,6 +127,162 @@ class RestoreOutcome:
         return reduce(add, [m.length for m in self.moves], 0.0)
 
 
+def discs_meet(p: Point, q: Point, reach: float) -> bool:
+    """True iff the closed discs of radius ``rho`` at ``p`` and ``q``
+    intersect, where ``reach`` is ``rho + rho`` (tangent discs meet): the
+    graph's one adjacency test."""
+    dx = p.x - q.x
+    dy = p.y - q.y
+    return dx * dx + dy * dy <= reach * reach
+
+
+# Widens an x-window against rounding; the exact test decides.
+_SLACK = 1.0 + 1e-9
+
+
+def _sentinels(x: float, region: Region) -> list[int]:
+    """The boundary sentinels that a disc centred at ``x`` reaches,
+    ascending (PR = -2 < PL = -1): the graph's one boundary rule."""
+    out = []
+    if x >= region.length - region.rho:
+        out.append(PR)
+    if x <= region.rho:
+        out.append(PL)
+    return out
+
+
+class IntersectionGraph:
+    """Symmetric adjacency over live sensors plus the PL/PR sentinels.
+
+    Neighbor lists are sorted ascending (sentinels first) so every search
+    is deterministic run to run. A new graph is empty; ``insert`` adds a
+    sensor's vertex and ``remove`` takes one out. Every disc has the
+    region's radius, ``region.rho``.
+    """
+
+    def __init__(self, region: Region):
+        self.adjacency: dict[int, list[int]] = {PL: [], PR: []}
+        self.positions: dict[int, Point] = {}  # sensor vertices only, not PL/PR
+        self.region = region
+        # The x of every sensor vertex in ascending order and the ids in the
+        # same order (ties by id).
+        self._xs: list[float] = []
+        self._ids: list[int] = []
+
+    def copy(self) -> IntersectionGraph:
+        """The same graph with its own rows and x order; the frozen
+        positions and region are shared."""
+        twin = IntersectionGraph(self.region)
+        twin.adjacency = {v: row[:] for v, row in self.adjacency.items()}
+        twin.positions = dict(self.positions)
+        twin._xs = self._xs[:]
+        twin._ids = self._ids[:]
+        return twin
+
+    def distance_to(self, vertex: int, target: int) -> float:
+        """Euclidean distance from a sensor vertex to a target vertex.
+
+        A sentinel target means the matching boundary line, so the distance
+        is horizontal; geographic-greedy searches aim at that line.
+        """
+        p = self.positions[vertex]
+        if target == PL:
+            return p.x
+        if target == PR:
+            return self.region.length - p.x
+        return p.distance_to(self.positions[target])
+
+    def window(self, lo: float, hi: float) -> list[int]:
+        """Sensor vertices whose x lies in ``[lo, hi]``, in x order (ties by
+        id)."""
+        xs = self._xs
+        return self._ids[bisect_left(xs, lo):bisect_right(xs, hi)]
+
+    def around(self, x: float, reach: float) -> list[int]:
+        """Sensor vertices whose x lies within ``reach`` of ``x``, slightly
+        widened against rounding, in x order (ties by id): a superset of
+        those within ``reach`` of a point at ``x``, which the caller's exact
+        test picks out."""
+        span = reach * _SLACK
+        return self.window(x - span, x + span)
+
+    def _slot(self, x: float, vertex: int) -> int:
+        """Index of (x, vertex) in the x order, present or not."""
+        lo = bisect_left(self._xs, x)
+        return bisect_left(self._ids, vertex, lo, bisect_right(self._xs, x, lo))
+
+    def near(self, pos: Point) -> list[int]:
+        """Sensor vertices, ascending, whose discs meet a sensor's disc at
+        ``pos`` (tangent discs meet), by ``discs_meet``."""
+        reach = self.region.rho + self.region.rho
+        positions = self.positions
+        out = [v for v in self.around(pos.x, reach) if discs_meet(pos, positions[v], reach)]
+        out.sort()
+        return out
+
+    def remove(self, vertex: int) -> None:
+        for u in self.adjacency.pop(vertex):
+            self.adjacency[u].remove(vertex)
+        k = self._slot(self.positions.pop(vertex).x, vertex)
+        del self._xs[k], self._ids[k]
+
+    def insert(self, vertex: int, pos: Point) -> None:
+        """Add the vertex of a sensor standing at ``pos``."""
+        # Ascending with the sentinels first.
+        row = _sentinels(pos.x, self.region)
+        row += self.near(pos)
+        k = self._slot(pos.x, vertex)
+        self._xs.insert(k, pos.x)
+        self._ids.insert(k, vertex)
+        self.positions[vertex] = pos
+        for u in row:
+            insort(self.adjacency[u], vertex)
+        self.adjacency[vertex] = row
+
+
+def build_intersection_graph(
+    sensors: Sequence[Sensor], region: Region
+) -> IntersectionGraph:
+    """Edges join live sensors whose sensing discs intersect; a sensor whose
+    disc reaches the left (right) boundary is joined to PL (PR).
+
+    One sweep (fixed-radius near neighbours: Bentley, Stanat & Williams,
+    IPL 1977): the live sensors are sorted once by (x, id), and each is
+    tested against those after it in that order until their x is out of
+    reach of two discs. The graph equals the one ``insert`` builds a
+    sensor at a time, rows sorted with the sentinels first.
+    """
+    graph = IntersectionGraph(region)
+    live = {s.id: s for s in sensors if not s.failed}
+    order = sorted(live.values(), key=lambda s: (s.pos.x, s.id))
+    graph._xs = xs = [s.pos.x for s in order]
+    graph._ids = [s.id for s in order]
+    reach = region.rho + region.rho
+    # Vertices in the order the sensors came, as ``insert`` adds them;
+    # every row is sorted at the end.
+    adjacency = graph.adjacency
+    for s in live.values():
+        graph.positions[s.id] = s.pos
+        row = adjacency[s.id] = _sentinels(s.pos.x, region)
+        for end in row:
+            adjacency[end].append(s.id)
+    # The same slack as ``around``.
+    span = reach * _SLACK
+    n = len(order)
+    for i, a in enumerate(order):
+        x, pos, row = xs[i], a.pos, adjacency[a.id]
+        j = i + 1
+        while j < n and xs[j] - x <= span:
+            b = order[j]
+            if discs_meet(pos, b.pos, reach):
+                row.append(b.id)
+                adjacency[b.id].append(a.id)
+            j += 1
+    for row in adjacency.values():
+        row.sort()
+    return graph
+
+
 # One write of the designated chain, ``(start, old, new)``: from slot
 # ``start`` on, the ids ``old`` were replaced by ``new``. Plain tuples all
 # through: cheaper to make than a named one, and the garbage collector stops
@@ -129,11 +296,11 @@ class World:
     :meth:`edit_chain` designates one.
 
     Its sensors change only through :meth:`apply_move` and :meth:`fail`.
-    Both keep ``graph``, once built, the intersection graph of the live
-    sensors, and append a ``Move(sensor_id, src, dest)`` to ``changes``, the
-    one record of what happened to each sensor, which readers follow by
-    index. A failure, recorded where the sensor stands, is its only
-    zero-length kind.
+    Both keep ``graph``, the intersection graph of the live sensors that
+    the world builds when it is constructed, current and append a
+    ``Move(sensor_id, src, dest)`` to ``changes``, the one record of what
+    happened to each sensor, which readers follow by index. A failure,
+    recorded where the sensor stands, is its only zero-length kind.
 
     Its chain, ``barrier``, names each sensor at most once and holds no
     other id (so no sentinel). It changes only through :meth:`edit_chain`,
@@ -145,11 +312,12 @@ class World:
     :meth:`edited_slots` says which slots were written since a mark, so a
     dmove re-election re-reads only those and their neighbours.
 
-    Once the graph is built, ``broken`` maps the left end of each link of
-    the path ``[PL, *chain, PR]`` that is not a graph edge to its right
-    end: ``edit_chain`` re-checks the links it wrote, and ``fail`` and
-    ``apply_move`` the two of a chain member, as each changes them
-    (:meth:`check_links`). ``graph.verify_barrier`` reads it.
+    ``broken`` maps the left end of each link of the path
+    ``[PL, *chain, PR]`` that is not a graph edge to its right end: the
+    construction checks the empty chain's one link, PL to PR, ``edit_chain``
+    re-checks the links it wrote, and ``fail`` and ``apply_move`` the two of
+    a chain member, as each changes them (:meth:`check_links`).
+    ``graph.verify_barrier`` reads it.
     """
 
     def __init__(
@@ -168,12 +336,13 @@ class World:
             self.sensors[s.id] = s
         self.energy_model = energy_model or EnergyModel()
         self.changes: list[Move] = []
-        self.graph: Optional[IntersectionGraph] = None  # built by graph.world_graph
+        self.graph: IntersectionGraph = build_intersection_graph(self.active_sensors(), region)
         self._barrier: list[int] = []
         self.slots: dict[int, int] = {}
         self.holes: set[int] = set()
         self.chain_edits: list[ChainEdit] = []
-        self.broken: dict[int, int] = {}  # read once the graph is built
+        self.broken: dict[int, int] = {}
+        self.check_links((0,))
 
     @property
     def barrier(self) -> list[int]:
@@ -182,23 +351,24 @@ class World:
     def copy(self) -> World:
         """An exact copy that shares nothing a step can change: new
         ``Sensor`` objects (the frozen ``Point``, ``Region`` and
-        ``EnergyModel`` are shared), a copied chain, slot map and graph if
-        it is built, ``holes``, ``broken`` and both records. Cheaper than a
-        deploy or a pickle round trip, so each scheme can run on its own
-        copy."""
-        twin = World(self.region, (), self.energy_model)
+        ``EnergyModel`` are shared), a copied graph, chain, slot map,
+        ``holes``, ``broken`` and both records. It builds no graph, so it
+        skips ``__init__``. Cheaper than a deploy or a pickle round trip, so
+        each scheme can run on its own copy."""
+        twin = World.__new__(World)
+        twin.region = self.region
         twin.sensors = {
             sid: Sensor(s.id, s.pos, s.energy, s.initial_energy, s.failed)
             for sid, s in self.sensors.items()
         }
+        twin.energy_model = self.energy_model
+        twin.changes = list(self.changes)
+        twin.graph = self.graph.copy()
         twin._barrier = list(self._barrier)
         twin.slots = dict(self.slots)
         twin.holes = set(self.holes)
-        twin.broken = dict(self.broken)
-        twin.changes = list(self.changes)
         twin.chain_edits = list(self.chain_edits)
-        if self.graph is not None:
-            twin.graph = self.graph.copy()
+        twin.broken = dict(self.broken)
         return twin
 
     def edit_chain(self, start: int, stop: int, ids: Iterable[int]) -> None:
@@ -241,10 +411,7 @@ class World:
         """Re-check ``links`` of the path ``[PL, *chain, PR]`` against the
         graph and keep ``broken`` current. Link ``k`` joins slot ``k - 1``
         (PL at 0) to slot ``k`` (PR at ``len(chain)``), and is keyed by its
-        left end. A no-op until the graph is built; ``graph.world_graph``
-        then checks every link."""
-        if self.graph is None:
-            return
+        left end."""
         adjacency, chain, broken = self.graph.adjacency, self._barrier, self.broken
         end = len(chain)
         for k in links:
@@ -285,8 +452,7 @@ class World:
         if not s.failed:
             self.changes.append(Move(sensor_id, s.pos, s.pos))
             s.failed = True
-            if self.graph is not None:
-                self.graph.remove(sensor_id)
+            self.graph.remove(sensor_id)
             k = self.slots.get(sensor_id)
             if k is not None:
                 self.holes.add(sensor_id)
@@ -323,12 +489,11 @@ class World:
             return
         self.changes.append(Move(sensor_id, s.pos, dest))
         s.pos = dest
-        if self.graph is not None:
-            self.graph.remove(sensor_id)
-            self.graph.insert(sensor_id, dest)
-            k = self.slots.get(sensor_id)
-            if k is not None:
-                self.check_links((k, k + 1))
+        self.graph.remove(sensor_id)
+        self.graph.insert(sensor_id, dest)
+        k = self.slots.get(sensor_id)
+        if k is not None:
+            self.check_links((k, k + 1))
         s.energy -= d * self.energy_model.cost_per_unit_displacement
 
 

@@ -25,6 +25,7 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -40,7 +41,6 @@ from .graph import (
     closest_filler,
     shift_cascade,
     splice_into,
-    world_graph,
 )
 
 log = logging.getLogger(__name__)
@@ -53,8 +53,8 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 
 
-# A message is a tuple (sender, receiver, seq, kind, a, b); seq numbers
-# the sends. The kinds and their payloads:
+# A message is a tuple (sender, receiver, kind, a, b). The kinds and their
+# payloads:
 #   ReqNbRec (a = q): ask a chain neighbor for its side's distance to the
 #     nearest eligible non-barrier filler; q identifies the originator.
 #   RepNbRec (a = q, b = d): the distance d, answering q's request.
@@ -65,35 +65,34 @@ REQ, REP, SET = "ReqNbRec", "RepNbRec", "SetRec"
 class MessageBus:
     """Reliable in-order delivery per sender-receiver pair, no loss or
     duplication. ``drain_round`` hands back everything queued so far in
-    ascending (sender, receiver, seq) order; sends made while handling a
-    round are delivered in the next one."""
+    ascending (sender, receiver) order, each pair's messages in the order
+    they were sent; sends made while handling a round are delivered in the
+    next one."""
 
     def __init__(self, keep_log: bool = False, shuffle_rng=None):
         self._pending: list[tuple] = []
-        self._seq = 0
         self.round_no = 0
         self.keep_log = keep_log
         self.log: list[tuple[int, int, int, str, str]] = []
         self._shuffle_rng = shuffle_rng
 
     def send(self, sender: int, receiver: int, kind: str, a, b=None) -> None:
-        self._seq += 1
-        self._pending.append((sender, receiver, self._seq, kind, a, b))
+        self._pending.append((sender, receiver, kind, a, b))
 
     def drain_round(self) -> list[tuple]:
         self.round_no += 1
         batch, self._pending = self._pending, []
         if self._shuffle_rng is not None:
-            # Random interleaving across sender-receiver pairs; sorting on
-            # seq within a pair keeps per-pair delivery FIFO.
+            # Random interleaving across sender-receiver pairs; the sort is
+            # stable, so each pair's delivery stays first-in first-out.
             pairs = sorted({m[:2] for m in batch})
             perm = self._shuffle_rng.permutation(len(pairs))
             rank = {pair: int(perm[i]) for i, pair in enumerate(pairs)}
-            batch.sort(key=lambda m: (rank[m[:2]], m[2]))
+            batch.sort(key=lambda m: rank[m[:2]])
         else:
-            batch.sort()  # seq is unique: no two messages tie before it
+            batch.sort(key=itemgetter(0, 1))  # stable: per-pair FIFO
         if self.keep_log:
-            for sender, receiver, _, kind, a, b in batch:
+            for sender, receiver, kind, a, b in batch:
                 self.log.append((self.round_no, sender, receiver, kind,
                                  _payload(kind, a, b)))
         return batch
@@ -227,7 +226,7 @@ class Election:
         touched nodes (``World.slots``) and the nodes it returns."""
         world, states = self.world, self.states
         sensors = world.sensors
-        graph = world_graph(world)
+        graph = world.graph
         adjacency = graph.adjacency
         chain, slots = world.barrier, world.slots
 
@@ -338,7 +337,7 @@ class Election:
         """Handle one drained round of messages, in order; what they send
         goes out in the next round."""
         states, sensors, send = self.states, self.world.sensors, bus.send
-        for sender, receiver, _, kind, a, b in batch:
+        for sender, receiver, kind, a, b in batch:
             if receiver < 0:
                 # The boundary is not a candidate: it answers every request
                 # with an infinite path length.
@@ -558,7 +557,7 @@ def handle_failure_dmove(
     # flank is not in the graph, so that side cannot be reconnected; a
     # flank that is the recovery node reaches itself at once and sends no
     # token.
-    graph = world_graph(world)
+    graph = world.graph
     to_pre = mldfs(graph, rec, failed_state.pre, k, bus)
     to_suc = None if to_pre is None else mldfs(graph, rec, failed_state.suc, k, bus)
     if to_suc is not None:

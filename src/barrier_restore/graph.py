@@ -1,25 +1,15 @@
-"""Intersection (unit-disk) graph over sensing regions, with two boundary
-sentinels, and the barrier search/splice/verify operations built on it.
-It also holds the one cascaded shift (``shift_cascade``) and the one
-filler rule (``closest_filler``) that rmove and dmove share.
+"""The barrier search/splice/verify operations on a world's intersection
+graph (``core.IntersectionGraph``, with its two boundary sentinels). It
+also holds the one cascaded shift (``shift_cascade``) and the one filler
+rule (``closest_filler``) that rmove and dmove share.
 
-Adjacency uses the closed convention: tangent discs count as intersecting.
-Each world has one graph, ``world_graph(world)``: built on first use (on
-the deploy path), kept in ``World.graph`` and kept current by the only two
-ways a world changes, ``World.apply_move`` and ``World.fail``, through
-``IntersectionGraph.insert`` and ``remove``. ``build_intersection_graph``
-builds the whole graph in one sweep over the sensors in x order; it and
-``IntersectionGraph.near``, which ``insert`` calls, share one disc test,
-``discs_meet``, and one boundary rule, ``_sentinels``, so the graph has one
-adjacency test. A vertex's neighbours are its row,
-``IntersectionGraph.adjacency[v]``, which every search reads directly.
-``near`` reads the graph's x-window around a point,
-``IntersectionGraph.around``, which the cmove assignment reads too; it and
-the sweep widen their x-windows by one rounding slack, ``_SLACK``. A
-barrier is a path of this graph from PL to PR: the searches find one, and
-``verify_barrier`` checks the designated chain as one. No scheme calls it:
-a step reports what it did, and the episode loop (``harness.run_trial``)
-reads the verdict off the world.
+Each world holds one graph, ``World.graph``, built when the world is
+constructed and kept current by ``World.apply_move`` and ``World.fail``. A
+vertex's neighbours are its row, ``IntersectionGraph.adjacency[v]``, which
+every search reads directly. A barrier is a path of this graph from PL to
+PR: the searches find one, and ``verify_barrier`` checks the designated
+chain as one. No scheme calls it: a step reports what it did, and the
+episode loop (``harness.run_trial``) reads the verdict off the world.
 
 The designated chain changes only through ``World.edit_chain``, a slice
 replacement in place that the world records. ``write_slots`` (the cascade's
@@ -27,20 +17,19 @@ and cmove's) writes only the slots it is given, and a splice
 (``splice_into``) only the span it cut; both take the world, as
 ``failed_span`` does, and find slots and membership in ``World.slots``
 rather than by scanning the chain. The world keeps the chain's broken
-links, ``World.broken``, current as its chain and sensors change, once
-``world_graph`` has built the graph and checked every link; so
-``verify_barrier`` only reads them.
+links, ``World.broken``, current from its construction on, as its chain
+and sensors change; so ``verify_barrier`` only reads them.
 
 ``tests/oracles.py::adjacency_oracle`` and ``barrier_oracle`` are the
-pairwise definitions they are checked against, in ``tests/test_graph.py``,
-``tests/test_distributed.py::TestIncrementalElection``, on every verdict of
-full-size trials in ``tests/test_harness.py`` and after every episode of
-every scheme in ``tests/test_stateful.py``; ``broken_links_oracle`` checks
-``World.broken`` there and in ``tests/test_core.py``.
+pairwise definitions the graph and the verdict are checked against, in
+``tests/test_graph.py``, ``tests/test_distributed.py::TestIncrementalElection``,
+on every verdict of full-size trials in ``tests/test_harness.py`` and after
+every episode of every scheme in ``tests/test_stateful.py``;
+``broken_links_oracle`` checks ``World.broken`` there and in
+``tests/test_core.py``.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
@@ -49,185 +38,20 @@ from .core import (
     MECH_SHIFTING,
     PL,
     PR,
+    IntersectionGraph,
     Point,
-    Region,
     RestoreOutcome,
-    Sensor,
     World,
 )
+# Re-exported: perfbench/spans.py times the graph build by the builder's
+# name on this module.
+from .core import build_intersection_graph  # noqa: F401
 
 Path = list[int]
 
 
 class SpliceEndpointMismatch(Exception):
     """Replacement path does not start/end at the survivors flanking the gap."""
-
-
-def discs_meet(p: Point, q: Point, reach: float) -> bool:
-    """True iff the closed discs of radius ``rho`` at ``p`` and ``q``
-    intersect, where ``reach`` is ``rho + rho`` (tangent discs meet): the
-    graph's one adjacency test."""
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy <= reach * reach
-
-
-# Widens an x-window against rounding; the exact test decides.
-_SLACK = 1.0 + 1e-9
-
-
-def _sentinels(x: float, region: Region) -> list[int]:
-    """The boundary sentinels that a disc centred at ``x`` reaches,
-    ascending (PR = -2 < PL = -1): the graph's one boundary rule."""
-    out = []
-    if x >= region.length - region.rho:
-        out.append(PR)
-    if x <= region.rho:
-        out.append(PL)
-    return out
-
-
-class IntersectionGraph:
-    """Symmetric adjacency over live sensors plus the PL/PR sentinels.
-
-    Neighbor lists are sorted ascending (sentinels first) so every search
-    is deterministic run to run. A new graph is empty; ``insert`` adds a
-    sensor's vertex and ``remove`` takes one out. Every disc has the
-    region's radius, ``region.rho``.
-    """
-
-    def __init__(self, region: Region):
-        self.adjacency: dict[int, list[int]] = {PL: [], PR: []}
-        self.positions: dict[int, Point] = {}  # sensor vertices only, not PL/PR
-        self.region = region
-        # The x of every sensor vertex in ascending order and the ids in the
-        # same order (ties by id).
-        self._xs: list[float] = []
-        self._ids: list[int] = []
-
-    def copy(self) -> IntersectionGraph:
-        """The same graph with its own rows and x order; the frozen
-        positions and region are shared."""
-        twin = IntersectionGraph(self.region)
-        twin.adjacency = {v: row[:] for v, row in self.adjacency.items()}
-        twin.positions = dict(self.positions)
-        twin._xs = self._xs[:]
-        twin._ids = self._ids[:]
-        return twin
-
-    def distance_to(self, vertex: int, target: int) -> float:
-        """Euclidean distance from a sensor vertex to a target vertex.
-
-        A sentinel target means the matching boundary line, so the distance
-        is horizontal; geographic-greedy searches aim at that line.
-        """
-        p = self.positions[vertex]
-        if target == PL:
-            return p.x
-        if target == PR:
-            return self.region.length - p.x
-        return p.distance_to(self.positions[target])
-
-    def window(self, lo: float, hi: float) -> list[int]:
-        """Sensor vertices whose x lies in ``[lo, hi]``, in x order (ties by
-        id)."""
-        xs = self._xs
-        return self._ids[bisect_left(xs, lo):bisect_right(xs, hi)]
-
-    def around(self, x: float, reach: float) -> list[int]:
-        """Sensor vertices whose x lies within ``reach`` of ``x``, slightly
-        widened against rounding, in x order (ties by id): a superset of
-        those within ``reach`` of a point at ``x``, which the caller's exact
-        test picks out."""
-        span = reach * _SLACK
-        return self.window(x - span, x + span)
-
-    def _slot(self, x: float, vertex: int) -> int:
-        """Index of (x, vertex) in the x order, present or not."""
-        lo = bisect_left(self._xs, x)
-        return bisect_left(self._ids, vertex, lo, bisect_right(self._xs, x, lo))
-
-    def near(self, pos: Point) -> list[int]:
-        """Sensor vertices, ascending, whose discs meet a sensor's disc at
-        ``pos`` (tangent discs meet), by ``discs_meet``."""
-        reach = self.region.rho + self.region.rho
-        positions = self.positions
-        out = [v for v in self.around(pos.x, reach) if discs_meet(pos, positions[v], reach)]
-        out.sort()
-        return out
-
-    def remove(self, vertex: int) -> None:
-        for u in self.adjacency.pop(vertex):
-            self.adjacency[u].remove(vertex)
-        k = self._slot(self.positions.pop(vertex).x, vertex)
-        del self._xs[k], self._ids[k]
-
-    def insert(self, vertex: int, pos: Point) -> None:
-        """Add the vertex of a sensor standing at ``pos``."""
-        # Ascending with the sentinels first.
-        row = _sentinels(pos.x, self.region)
-        row += self.near(pos)
-        k = self._slot(pos.x, vertex)
-        self._xs.insert(k, pos.x)
-        self._ids.insert(k, vertex)
-        self.positions[vertex] = pos
-        for u in row:
-            insort(self.adjacency[u], vertex)
-        self.adjacency[vertex] = row
-
-
-def build_intersection_graph(
-    sensors: Sequence[Sensor], region: Region
-) -> IntersectionGraph:
-    """Edges join live sensors whose sensing discs intersect; a sensor whose
-    disc reaches the left (right) boundary is joined to PL (PR).
-
-    One sweep (fixed-radius near neighbours: Bentley, Stanat & Williams,
-    IPL 1977): the live sensors are sorted once by (x, id), and each is
-    tested against those after it in that order until their x is out of
-    reach of two discs. The graph equals the one ``insert`` builds a
-    sensor at a time, rows sorted with the sentinels first.
-    """
-    graph = IntersectionGraph(region)
-    live = {s.id: s for s in sensors if not s.failed}
-    order = sorted(live.values(), key=lambda s: (s.pos.x, s.id))
-    graph._xs = xs = [s.pos.x for s in order]
-    graph._ids = [s.id for s in order]
-    reach = region.rho + region.rho
-    # Vertices in the order the sensors came, as ``insert`` adds them;
-    # every row is sorted at the end.
-    adjacency = graph.adjacency
-    for s in live.values():
-        graph.positions[s.id] = s.pos
-        row = adjacency[s.id] = _sentinels(s.pos.x, region)
-        for end in row:
-            adjacency[end].append(s.id)
-    # The same slack as ``around``.
-    span = reach * _SLACK
-    n = len(order)
-    for i, a in enumerate(order):
-        x, pos, row = xs[i], a.pos, adjacency[a.id]
-        j = i + 1
-        while j < n and xs[j] - x <= span:
-            b = order[j]
-            if discs_meet(pos, b.pos, reach):
-                row.append(b.id)
-                adjacency[b.id].append(a.id)
-            j += 1
-    for row in adjacency.values():
-        row.sort()
-    return graph
-
-
-def world_graph(world: World) -> IntersectionGraph:
-    """The world's one intersection graph over its live sensors, built on
-    first use and kept in ``world.graph``, when every link of the chain is
-    checked against it (``World.check_links``). ``World.apply_move`` and
-    ``World.fail`` keep it current from then on."""
-    if world.graph is None:
-        world.graph = build_intersection_graph(world.active_sensors(), world.region)
-        world.check_links(range(len(world.barrier) + 1))
-    return world.graph
 
 
 def _bfs_path(graph: IntersectionGraph, source: int, target: int) -> Optional[Path]:
@@ -410,11 +234,9 @@ def shift_cascade(
 def verify_barrier(world: World) -> bool:
     """True iff the world's designated chain is a live left-to-right barrier
     at the sensors' current positions: PL, the chain and PR, in that order,
-    form a path of ``world_graph(world)``, a simple one since the chain
-    names each sensor once (``World.edit_chain``). Once the graph is built,
-    the world keeps the links of that path that are not graph edges in
-    ``World.broken``, so the verdict builds the graph if it must and reads
+    form a path of ``world.graph``, a simple one since the chain names each
+    sensor once (``World.edit_chain``). The world keeps the links of that
+    path that are not graph edges in ``World.broken``, so the verdict reads
     that. A failed sensor is not a vertex of that graph, and PL never meets
     PR, so a chain holding one fails, and so does the empty chain."""
-    world_graph(world)
     return not world.broken

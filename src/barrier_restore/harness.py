@@ -39,10 +39,10 @@ from .core import (
     seeded_rng,
 )
 from .distributed import MessageBus, handle_failure_dmove, init_recovery_nodes
-from .graph import find_barrier, verify_barrier, world_graph
+from .graph import find_barrier, verify_barrier
 # build_intersection_graph is not called here; perfbench/selftest.py reads it
 # on this module to check that tracing put the original back.
-from .graph import build_intersection_graph  # noqa: F401
+from .core import build_intersection_graph  # noqa: F401
 
 SCHEMES = ("nmove", "rmove", "cmove", "dmove")
 
@@ -200,7 +200,7 @@ def deploy_with_barrier(config: ExperimentConfig, seed: int) -> World:
     for attempt in range(config.max_redraws):
         rng = seeded_rng(seed, 0, attempt)
         world = World(region, generate_deployment(config, rng), config.energy_model())
-        barrier = find_barrier(world_graph(world))
+        barrier = find_barrier(world.graph)
         if barrier:
             world.edit_chain(0, len(world.barrier), barrier)
             return world

@@ -21,7 +21,7 @@ from barrier_restore.core import (
     world_from_json,
     world_to_json,
 )
-from barrier_restore.graph import PL, PR, verify_barrier, world_graph
+from barrier_restore.graph import PL, PR, verify_barrier
 from conftest import T1_COORDS, make_world
 from oracles import (
     broken_links_oracle,
@@ -429,19 +429,16 @@ def test_a_rejected_chain_edit_changes_nothing(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_broken_links_follow_every_change(data):
-    # Chain edits, failures and moves in any order, with the graph built
-    # before the first, midway or after the last: from the build on,
-    # World.broken names exactly the links of [PL, *chain, PR] that the
-    # pairwise adjacency rejects, after every operation.
+    # Chain edits, failures and moves in any order: from the world's
+    # construction on, World.broken names exactly the links of
+    # [PL, *chain, PR] that the pairwise adjacency rejects, after every
+    # operation.
     world = make_world(T1_COORDS, with_barrier=False)
+    assert world.broken == broken_links_oracle(world) == {PL: PR}
     world.edit_chain(0, 0, [0, 1, 2, 3, 4])
     steps = data.draw(st.integers(1, 8))
-    build_at = data.draw(st.sampled_from([0, steps // 2, steps]))
     for step in range(steps + 1):
-        if step == build_at:
-            world_graph(world)
-        if world.graph is not None:
-            assert world.broken == broken_links_oracle(world)
+        assert world.broken == broken_links_oracle(world)
         if step == steps:
             break
         op = data.draw(st.sampled_from(["edit", "fail", "move"]))

@@ -20,7 +20,6 @@ from barrier_restore.graph import (
     shift_cascade,
     splice_into,
     verify_barrier,
-    world_graph,
 )
 from conftest import T1_COORDS, make_world, random_line_world
 from oracles import adjacency_oracle, barrier_oracle, has_edge, hop_distance, splice_oracle
@@ -147,7 +146,6 @@ def edited_worlds(seed):
             for sid, (x, y) in zip(ids, rng.uniform(0, 12, size=(n, 2)))
         ]
         w = World(Region(12.0, 12.0, rho, 2 * rho), sensors, EnergyModel(1.0, 0.0))
-        world_graph(w)
         for _ in range(6):
             live = w.active_sensors()
             for i in rng.choice(len(live), size=min(3, len(live)), replace=False):
@@ -455,5 +453,5 @@ class TestVerifyBarrier:
         w = make_world([(0, 0), (56.402957285967176, 20.4623168140209)],
                        rho=30.0, length=80.0, width=60.0, with_barrier=False)
         w.edit_chain(0, len(w.barrier), [0, 1])
-        assert find_barrier(world_graph(w)) is None
+        assert find_barrier(w.graph) is None
         self.check(w, False)

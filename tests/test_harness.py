@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from barrier_restore import graph, harness
+from barrier_restore import core, graph, harness
 from barrier_restore.cli import main
 from barrier_restore.core import (
     MECH_NONE,
@@ -23,7 +23,7 @@ from barrier_restore.core import (
     RestoreOutcome,
     seeded_rng,
 )
-from barrier_restore.graph import build_intersection_graph, find_barrier, world_graph
+from barrier_restore.graph import build_intersection_graph, find_barrier
 from barrier_restore.harness import (
     EpisodeRecord,
     ExperimentConfig,
@@ -309,7 +309,7 @@ def test_verdict_is_retaken_after_a_new_chain_or_a_move(monkeypatch):
         turns["off"] += 1
         turns[turn] += 1
         if turn in (0, 2):
-            chain = find_barrier(world_graph(world)) or world.barrier
+            chain = find_barrier(world.graph) or world.barrier
             world.edit_chain(0, len(world.barrier), chain)
         elif turn == 3:
             world.edit_chain(0, len(world.barrier), world.barrier[::-1])
@@ -690,22 +690,28 @@ def test_trial_looks_up_entry_points_at_call_time(monkeypatch):
 
 
 def test_one_graph_per_world(monkeypatch):
-    # Every scheme reads the world's one graph, so a trial builds it only on
-    # the deploy path (no redraw happens on this belt).
+    # Every scheme reads the world's one graph, which the world builds when
+    # it is constructed on the deploy path (no redraw happens on this belt),
+    # so a trial builds one graph. So does a trial task running all four
+    # schemes: three run on copies of the deployed world, which copy its
+    # graph and build none.
     builds = Counter()
-    original = graph.build_intersection_graph
+    original = core.build_intersection_graph
 
     def counting(*args, **kwargs):
         builds["graph"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(graph, "build_intersection_graph", counting)
+    monkeypatch.setattr(core, "build_intersection_graph", counting)
     cfg = ExperimentConfig(n=40, **FAST)
+    seed = trial_seed(cfg, 3)
     for scheme in harness.SCHEMES:
         builds.clear()
-        world = trial_world(scheme, cfg, trial_seed(cfg, 3))
+        trial_world(scheme, cfg, seed)
         assert builds["graph"] == 1, scheme
-        assert world_graph(world) is world.graph
+    builds.clear()
+    assert len(harness._trial_task((cfg, seed, False))) == len(harness.SCHEMES)
+    assert builds["graph"] == 1
 
 
 # Which of the process pool's modules a fresh interpreter holds after each

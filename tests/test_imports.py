@@ -17,8 +17,9 @@ dependency in ``pyproject.toml``) and itself, at any depth of the module;
 scipy, networkx and hypothesis are for the tests.
 
 Last, only ``core.World`` writes a sensor's ``failed``, ``pos`` or
-``energy``, or adds to ``World.changes``: its ``fail`` and ``apply_move``
-are what keep ``World.graph`` current and record each change in
+``energy``, adds to ``World.changes`` or sets ``World.graph``: the world
+builds its graph when it is constructed, and its ``fail`` and
+``apply_move`` are what keep that graph current and record each change in
 ``World.changes``, the one record that a re-election and every step's
 outcome read. Whether a sensor may move is read off its energy
 (``World.affords``), so a write of a stored ``static`` flag, which would
@@ -226,7 +227,7 @@ def test_scan_flags_a_foreign_import(tmp_path):
     assert foreign_imports(module) == ["line 6: networkx", "line 8: scipy.optimize"]
 
 
-WORLD_STATE = {"failed", "pos", "energy", "static", "changes",
+WORLD_STATE = {"failed", "pos", "energy", "static", "changes", "graph",
                "barrier", "_barrier", "slots", "holes", "chain_edits", "broken"}
 # Methods that edit a list, a set or a dict in place, such as the change
 # record, the chain or its slot map.
@@ -294,6 +295,7 @@ def test_scan_flags_a_state_write(tmp_path):
         "def remap(w, s): w.slots[s] = 0; w.slots.pop(s); w.slots.update({s: 1})\n"
         "def unlog(w): w.chain_edits.clear(); w._barrier = []; return w.barrier[::-1]\n"
         "def mend(w, u): w.broken[u] = 0; w.broken.pop(u); return w.broken.get(u)\n"
+        "def rebuild(w, g): w.graph = g; return w.graph.near(g)\n"
     )
     assert state_writes(module) == [
         "line 4: .failed", "line 5: .pos", "line 5: .pos", "line 7: .failed",
@@ -303,4 +305,4 @@ def test_scan_flags_a_state_write(tmp_path):
         "line 15: .barrier", "line 15: .barrier", "line 15: .barrier",
         "line 16: .slots", "line 16: .slots", "line 16: .slots",
         "line 17: ._barrier", "line 17: .chain_edits", "line 18: .broken",
-        "line 18: .broken"]
+        "line 18: .broken", "line 19: .graph"]
