@@ -34,7 +34,7 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
-from .core import EnergyModel, World, seeded_rng, world_from_json, world_to_json
+from .core import EnergyModel, seeded_rng, world_from_json, world_to_json
 from .distributed import MessageBus
 from .graph import find_barrier, verify_barrier
 from .harness import (
@@ -119,7 +119,7 @@ def cmd_generate(args: argparse.Namespace) -> None:
                                   comm=args.comm, sigma=args.sigma, initial_energy=args.energy,
                                   seed=args.seed)
         sensors = generate_deployment(config, seeded_rng(config.seed))
-        text = world_to_json(World(config.region(), sensors))
+        text = world_to_json(config.region(), sensors)
         if args.out is not None:
             args.out.write_text(text + "\n")
     except (OSError, ValueError) as err:

@@ -509,14 +509,14 @@ def seeded_rng(*key: int) -> np.random.Generator:
 # Deployment interchange format (JSON)
 # ---------------------------------------------------------------------------
 
-def world_to_json(world: World) -> str:
-    """Serialize a deployment: region, its radii, and per-sensor state. A
-    sensor's ``initial_energy`` is written only where it differs from its
+def world_to_json(region: Region, sensors: Iterable[Sensor]) -> str:
+    """Serialize a deployment: region, its radii, and per-sensor state, the
+    sensors in the order given (id order, as ``World.sensors`` holds them).
+    A sensor's ``initial_energy`` is written only where it differs from its
     ``energy``, and ``failed`` only where it is true. Raises ValueError, as
     ``world_from_json`` does, on a non-finite number."""
-    region = world.region
     records = []
-    for s in world.sensors.values():
+    for s in sensors:
         rec = {"id": s.id, "x": s.pos.x, "y": s.pos.y, "energy": s.energy}
         if s.initial_energy != s.energy:
             rec["initial_energy"] = s.initial_energy

@@ -4,11 +4,13 @@ Every barrier node pre-elects a recovery node: the closest non-barrier
 neighbor that could take its place, or (when it has none) whichever chain
 side reaches such a filler with the least cumulative movement. The election
 runs as a request/reply protocol along the chain, whose messages are plain
-tuples. One ``Election`` object per trial holds the states and delivers
-each round of messages. Each re-election reads only what changed since the
-last one, from the world's change record, ``World.changes``, and from its
-chain-edit record, ``World.chain_edits``, and runs the protocol again only
-on the chain nodes whose answer can have changed. One rule says where a
+tuples. One ``Election`` object per trial holds its world, its message
+bus and the states, and delivers each round of messages; every election
+of the trial and its token searches run over that one bus. Each
+re-election reads only what changed since the last one, from the world's
+change record, ``World.changes``, and from its chain-edit record,
+``World.chain_edits``, and runs the protocol again only on the chain nodes
+whose answer can have changed. One rule says where a
 request stops, for the protocol and for finding those nodes alike. On a
 failure, the failed node's recovery node first hunts for a detour with a
 hop-budgeted, geographically greedy token search; if that fails, the
@@ -150,10 +152,13 @@ def _links(chain: list[int], idx: int) -> tuple[int, int]:
 
 
 class Election:
-    """One world's recovery-node election, kept for a whole trial: the
-    per-node states, ``states``, which maps each live sensor's id to its
-    ``NodeState``, and the protocol, which ``deliver`` runs one drained
-    round at a time. ``init_recovery_nodes`` runs it over a ``MessageBus``.
+    """One world's recovery-node election, kept for a whole trial: its
+    ``world``, its message bus, ``bus`` (a fresh in-order ``MessageBus``
+    unless one is given), the per-node states, ``states``, which maps each
+    live sensor's id to its ``NodeState``, and the protocol, which
+    ``deliver`` runs one drained round at a time. ``init_recovery_nodes``
+    runs it. A world with no chain has no barrier to protect and raises
+    ``ValueError``.
 
     A node with an eligible non-barrier neighbor picks the closest one
     outright. Anyone else asks both chain sides; requests forward along the
@@ -166,11 +171,10 @@ class Election:
     Every election reads only what changed since the last one: the world's
     change record (``World.changes``) and its chain-edit record
     (``World.chain_edits``, from 0 for the first, whose edits wrote every
-    slot) past two cursors, so the first election and a re-election
-    (``init_recovery_nodes`` with ``election=``) take one path. It finds
-    chain slots and membership in the world's slot map (``World.slots``), so
-    its cost follows those changes and edits and the nodes it re-elects, not
-    the length of the chain. It re-runs the protocol only on the chain
+    slot) past two cursors, so the first election and a re-election take
+    one path. It finds chain slots and membership in the world's slot map
+    (``World.slots``), so its cost follows those changes and edits and the
+    nodes it re-elects, not the length of the chain. It re-runs the protocol only on the chain
     nodes whose answer can have changed: those whose position, capacity,
     chain links or fillers (read from ``world.graph``) changed, and those
     whose requests would reach one of them. One rule, ``_answer``, says
@@ -179,9 +183,12 @@ class Election:
     until such a change touches that node.
     """
 
-    def __init__(self, world: World):
+    def __init__(self, world: World, bus: Optional[MessageBus] = None):
+        if not world.barrier:
+            raise ValueError("world has no barrier to protect")
         live = world.active_sensors()
         self.world = world
+        self.bus = MessageBus() if bus is None else bus
         self.states = {s.id: NodeState(s.id) for s in live}
         # As of the last election: the lengths of the change record and of
         # the chain-edit record.
@@ -321,7 +328,8 @@ class Election:
 
     # -- protocol ---------------------------------------------------------
 
-    def start(self, nodes: list[int], bus: MessageBus) -> None:
+    def start(self, nodes: list[int]) -> None:
+        bus = self.bus
         for sid in nodes:
             st = self.states[sid]
             filler = self.best_filler(sid)
@@ -333,10 +341,10 @@ class Election:
                 bus.send(sid, st.pre, REQ, sid)
                 bus.send(sid, st.suc, REQ, sid)
 
-    def deliver(self, batch: list[tuple], bus: MessageBus) -> None:
+    def deliver(self, batch: list[tuple]) -> None:
         """Handle one drained round of messages, in order; what they send
         goes out in the next round."""
-        states, sensors, send = self.states, self.world.sensors, bus.send
+        states, sensors, send = self.states, self.world.sensors, self.bus.send
         for sender, receiver, kind, a, b in batch:
             if receiver < 0:
                 # The boundary is not a candidate: it answers every request
@@ -364,14 +372,14 @@ class Election:
                 if a == receiver:
                     st.awaiting.discard(sender)
                     if not st.awaiting and st.rec_node is None:
-                        self._decide(st, bus)
+                        self._decide(st)
                 else:
                     # Relay toward the requester, adding our hop on that side.
                     target = st.suc if sender == st.pre else st.pre
                     hop = sensors[receiver].pos.distance_to(sensors[target].pos)
                     send(receiver, target, REP, a, b + hop)
 
-    def _decide(self, st: NodeState, bus: MessageBus) -> None:
+    def _decide(self, st: NodeState) -> None:
         d_pre = st.values.get(st.pre, INF)
         d_suc = st.values.get(st.suc, INF)
         if d_pre <= d_suc and d_pre < INF:
@@ -381,40 +389,31 @@ class Election:
         else:
             log.debug("barrier node %d: no reachable recovery candidate", st.id)
             return
-        bus.send(st.id, st.rec_node, SET, None)
+        self.bus.send(st.id, st.rec_node, SET, None)
 
 
-def init_recovery_nodes(
-    world: World,
-    bus: Optional[MessageBus] = None,
-    election: Optional[Election] = None,
-) -> Election:
-    """Elect a recovery node for every barrier node and return the election
-    at quiescence. Given the ``election`` this function returned earlier for
-    the same world, re-elect in place: only the chain nodes whose answer can
-    have changed since then send messages, and the states end up as a fresh
-    election would leave them. Messages go over ``bus`` (a fresh in-order
-    one by default), which delivers each round's queue in one batch.
+def init_recovery_nodes(election: Election) -> Election:
+    """Elect a recovery node for every barrier node of ``election.world``
+    and return the election at quiescence. The first call elects every
+    chain node; a later one re-elects in place: only the chain nodes whose
+    answer can have changed since the last call send messages, and the
+    states end up as a fresh election would leave them. Messages go over
+    ``election.bus``, which delivers each round's queue in one batch.
 
     Barrier nodes whose requests die at both boundaries end up with no
     recovery node (logged); their failures are unrecoverable until the
     topology changes. So do nodes whose requests reach a dead chain member:
     it never answers.
     """
-    if not world.barrier:
-        raise ValueError("world has no barrier to protect")
-    if election is None:
-        election = Election(world)
-    if bus is None:
-        bus = MessageBus()
-    election.start(election.prepare(), bus)
+    bus = election.bus
+    election.start(election.prepare())
     # A request moves one chain link away from its asker per round and is
     # answered by the boundary at the latest; its reply retraces that path,
     # and SetRec takes one more round: 2 * len(chain) + 1 rounds at most.
-    limit = 2 * len(world.barrier) + 3
+    limit = 2 * len(election.world.barrier) + 3
     rounds = 0
     while batch := bus.drain_round():
-        election.deliver(batch, bus)
+        election.deliver(batch)
         rounds += 1
         if rounds > limit:
             raise RuntimeError("recovery-node election failed to quiesce")
@@ -426,13 +425,8 @@ def init_recovery_nodes(
 # ---------------------------------------------------------------------------
 
 
-def mldfs(
-    graph: IntersectionGraph,
-    start: int,
-    dest: int,
-    k: int,
-    bus: Optional[MessageBus] = None,
-) -> Optional[list[int]]:
+def mldfs(graph: IntersectionGraph, start: int, dest: int, k: int,
+          bus: MessageBus) -> Optional[list[int]]:
     """Depth-limited DFS whose neighbor order is greedy by distance to the
     destination; backtracking restores budget, so the budget bounds the
     current path depth (k edges), not total exploration.
@@ -441,6 +435,8 @@ def mldfs(
     boundary line and arrives when a boundary-adjacent node hands it over.
     Returns the discovered path (including a sentinel endpoint) or None;
     a search from ``dest`` itself returns ``[dest]`` and sends no token.
+    Each token hop is logged on ``bus`` when it keeps a log, one round per
+    hop, and is not delivered.
     """
     if k < 1:
         return None
@@ -476,7 +472,7 @@ def mldfs(
 
     # The route-discovery token is logged, not sent: route is "disc" or
     # "found", k_left the remaining hop budget.
-    trace = bus.log if bus is not None and bus.keep_log else None
+    trace = bus.log if bus.keep_log else None
 
     def emit(sender: int, receiver: int, route: str, k_left: int) -> None:
         if trace is not None:
@@ -515,21 +511,18 @@ def mldfs(
 # ---------------------------------------------------------------------------
 
 
-def handle_failure_dmove(
-    election: Election,
-    failed_id: int,
-    k: Optional[int] = None,
-    bus: Optional[MessageBus] = None,
-) -> RestoreOutcome:
+def handle_failure_dmove(election: Election, failed_id: int,
+                         k: Optional[int] = None) -> RestoreOutcome:
     """React to one sensor that the caller has just failed (``World.fail``)
     in ``election.world``. ``election`` is what ``init_recovery_nodes``
-    returned for that world; it is re-elected in place, and the world is
-    read from it alone. The step reacts to the new victim alone: when an
-    earlier hole is still open, the detour splice and the cascade treat only
-    this victim as failed. The earlier dead member stays in the chain, so
-    the verdict read off the world (``graph.verify_barrier``) stays false,
-    unless the detour runs through a chain node beyond that hole and the
-    splice's loop cut drops the hole with it.
+    returned for that world; it is re-elected in place, the token search
+    runs over its bus, and the world is read from it alone. The step reacts
+    to the new victim alone: when an earlier hole is still open, the detour
+    splice and the cascade treat only this victim as failed. The earlier
+    dead member stays in the chain, so the verdict read off the world
+    (``graph.verify_barrier``) stays false, unless the detour runs through a
+    chain node beyond that hole and the splice's loop cut drops the hole
+    with it.
 
     ``k`` is the detour search's hop budget, by default ``max(2, n // 20)``
     for the world's n sensors, failed ones included. Non-barrier,
@@ -546,7 +539,7 @@ def handle_failure_dmove(
 
     if failed_id not in world.slots:
         if failed_state is not None and failed_state.rec_set:
-            init_recovery_nodes(world, bus=bus, election=election)
+            init_recovery_nodes(election)
         return RestoreOutcome()
 
     rec = failed_state.rec_node if failed_state is not None else None
@@ -557,16 +550,16 @@ def handle_failure_dmove(
     # flank is not in the graph, so that side cannot be reconnected; a
     # flank that is the recovery node reaches itself at once and sends no
     # token.
-    graph = world.graph
+    graph, bus = world.graph, election.bus
     to_pre = mldfs(graph, rec, failed_state.pre, k, bus)
     to_suc = None if to_pre is None else mldfs(graph, rec, failed_state.suc, k, bus)
     if to_suc is not None:
         splice_into(world, {failed_id}, [*reversed(to_pre), *to_suc[1:]])
-        init_recovery_nodes(world, bus=bus, election=election)
+        init_recovery_nodes(election)
         return RestoreOutcome(MECH_ALTERNATE)
     outcome = shift_cascade(
         world, failed_id, lambda vacated, idx, hole: election.states[vacated].rec_node
     )
     if outcome.mechanism == MECH_SHIFTING:
-        init_recovery_nodes(world, bus=bus, election=election)
+        init_recovery_nodes(election)
     return outcome

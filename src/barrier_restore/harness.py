@@ -38,7 +38,7 @@ from .core import (
     World,
     seeded_rng,
 )
-from .distributed import MessageBus, handle_failure_dmove, init_recovery_nodes
+from .distributed import Election, MessageBus, handle_failure_dmove, init_recovery_nodes
 from .graph import find_barrier, verify_barrier
 # build_intersection_graph is not called here; perfbench/selftest.py reads it
 # on this module to check that tracing put the original back.
@@ -295,7 +295,8 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
     """Prepare ``scheme`` on a world with a designated barrier and return its
     restore step, called with each sensor id that the caller has just failed
     (``World.fail``). dmove elects its recovery nodes here (``k`` is its hop
-    budget, ``bus`` its message bus); rmove draws its coin from ``rng``.
+    budget, ``bus`` its election's message bus, a fresh one by default);
+    rmove draws its coin from ``rng``.
 
     The centralized schemes see the whole world, so each step retries
     every failed chain member, ``World.holes``; the local schemes react to
@@ -314,8 +315,8 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
     if scheme == "rmove":
         return lambda failed_id: restore_rmove(world, failed_id, rng)
     if scheme == "dmove":
-        election = init_recovery_nodes(world, bus=bus)
-        return lambda failed_id: handle_failure_dmove(election, failed_id, k=k, bus=bus)
+        election = init_recovery_nodes(Election(world, bus))
+        return lambda failed_id: handle_failure_dmove(election, failed_id, k=k)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

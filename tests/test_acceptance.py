@@ -25,7 +25,7 @@ from barrier_restore.central import (
 )
 from barrier_restore.cli import main
 from barrier_restore.core import seeded_rng
-from barrier_restore.distributed import MessageBus, init_recovery_nodes, mldfs
+from barrier_restore.distributed import Election, MessageBus, init_recovery_nodes, mldfs
 from barrier_restore.graph import build_intersection_graph, verify_barrier
 from barrier_restore.harness import (
     DEFAULT_REPORT_POINTS,
@@ -271,7 +271,7 @@ def test_criterion_6_mldfs_soundness():
         ids = sorted(world.sensors)
         a, b = (int(v) for v in rng.choice(ids, size=2, replace=False))
         k = int(rng.integers(1, 8))
-        path = mldfs(graph, a, b, k)
+        path = mldfs(graph, a, b, k, MessageBus())
         min_hops = hop_distance(graph, a, b)
         if path is not None:
             found += 1
@@ -304,7 +304,7 @@ def test_criterion_7_election_fixpoint_matches_oracle():
         if not world.barrier:
             continue
         bus = MessageBus()
-        states = init_recovery_nodes(world, bus=bus).states
+        states = init_recovery_nodes(Election(world, bus)).states
         assert bus.drain_round() == [], "election did not quiesce"
         graph = build_intersection_graph(world.active_sensors(), world.region)
         expected = recovery_chain_oracle(world, graph)

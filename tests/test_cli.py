@@ -20,18 +20,22 @@ from barrier_restore.core import world_from_json, world_to_json
 from conftest import T1_COORDS, make_world
 
 
+def deployment_json(coords) -> str:
+    world = make_world(coords, with_barrier=False)
+    return world_to_json(world.region, world.sensors.values())
+
+
 @pytest.fixture
 def t1_file(tmp_path):
     path = tmp_path / "t1.json"
-    path.write_text(world_to_json(make_world(T1_COORDS, with_barrier=False)))
+    path.write_text(deployment_json(T1_COORDS))
     return path
 
 
 @pytest.fixture
 def disconnected_file(tmp_path):
     path = tmp_path / "gap.json"
-    world = make_world([(1, 0), (9, 0)], with_barrier=False)
-    path.write_text(world_to_json(world))
+    path.write_text(deployment_json([(1, 0), (9, 0)]))
     return path
 
 
@@ -80,7 +84,7 @@ class TestGenerate:
 
 
 def _t1_text(mutate):
-    doc = json.loads(world_to_json(make_world(T1_COORDS, with_barrier=False)))
+    doc = json.loads(deployment_json(T1_COORDS))
     mutate(doc)
     return json.dumps(doc)
 
@@ -204,7 +208,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config
     if config is not None:
         path.write_text(config)
     t1 = tmp_path / "t1.json"
-    t1.write_text(world_to_json(make_world(T1_COORDS, with_barrier=False)))
+    t1.write_text(deployment_json(T1_COORDS))
     argv = [a.format(absent=tmp_path / "absent.json", config=path, t1=t1) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -589,7 +593,7 @@ def _command_lines(draw):
     if command == "run":
         which = draw(st.sampled_from(["t1", "gap", "fuzzed", "absent"]))
         coords = [(1, 0), (9, 0)] if which == "gap" else T1_COORDS
-        doc = json.loads(world_to_json(make_world(coords, with_barrier=False)))
+        doc = json.loads(deployment_json(coords))
         if which == "fuzzed":
             *path, key = draw(st.sampled_from(_DEPLOYMENT_KEYS))
             holder = doc
@@ -612,7 +616,7 @@ def _command_lines(draw):
 
 
 def _t1_deployment(**first_sensor) -> str:
-    doc = json.loads(world_to_json(make_world(T1_COORDS, with_barrier=False)))
+    doc = json.loads(deployment_json(T1_COORDS))
     doc["sensors"][0].update(first_sensor)
     return json.dumps(doc)
 

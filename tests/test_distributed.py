@@ -18,6 +18,7 @@ from barrier_restore.core import (
     seeded_rng,
 )
 from barrier_restore.distributed import (
+    Election,
     MessageBus,
     handle_failure_dmove,
     init_recovery_nodes,
@@ -60,7 +61,7 @@ def fresh_graph(world):
 class TestElection:
     def test_t1_fixpoint_values(self, t1_world):
         bus = MessageBus()
-        states = init_recovery_nodes(t1_world, bus=bus).states
+        states = init_recovery_nodes(Election(t1_world, bus)).states
         expected = {
             0: (1, 6.0),
             1: (2, 4.0),
@@ -74,8 +75,12 @@ class TestElection:
         assert bus.round_no <= 2 * len(t1_world.sensors)
         assert bus.drain_round() == []
 
+    def test_world_without_chain_is_rejected(self):
+        with pytest.raises(ValueError, match="no barrier to protect"):
+            Election(make_world(T1_COORDS, with_barrier=False))
+
     def test_spare_with_filler_is_chosen_directly(self, t1_world):
-        states = init_recovery_nodes(t1_world).states
+        states = init_recovery_nodes(Election(t1_world)).states
         st = states[2]
         assert st.rec_node == 5
         assert st.path_length == pytest.approx(
@@ -83,7 +88,7 @@ class TestElection:
         )
 
     def test_rec_set_registration(self, t1_world):
-        states = init_recovery_nodes(t1_world).states
+        states = init_recovery_nodes(Election(t1_world)).states
         assert states[5].rec_set == {2}
         # every client appears in exactly one recovery node's set
         owners = {}
@@ -98,20 +103,20 @@ class TestElection:
         # No fillers anywhere near the middle; the only spare hangs by the
         # right end, so the successor side is the shorter chain.
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (8.4, 1.2)])
-        states = init_recovery_nodes(w).states
+        states = init_recovery_nodes(Election(w)).states
         assert states[2].rec_node == 3
         assert states[1].rec_node == 2
 
     def test_tie_prefers_predecessor_side(self):
         # Perfect mirror symmetry: both chain sides cost the same.
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (1, 2), (9, 2)])
-        states = init_recovery_nodes(w).states
+        states = init_recovery_nodes(Election(w)).states
         assert states[2].rec_node == 1
 
     def test_single_node_barrier_with_filler(self):
         w = make_world([(1, 1), (1.5, 2)], rho=1.0, length=2.0)
         assert w.barrier == [0]
-        states = init_recovery_nodes(w).states
+        states = init_recovery_nodes(Election(w)).states
         assert states[0].rec_node == 1
         assert states[0].path_length == pytest.approx(
             w.sensors[0].pos.distance_to(w.sensors[1].pos)
@@ -119,7 +124,7 @@ class TestElection:
 
     def test_unresolvable_when_no_candidates(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
-        states = init_recovery_nodes(w).states
+        states = init_recovery_nodes(Election(w)).states
         unresolved = [sid for sid in w.barrier if states[sid].rec_node is None]
         assert unresolved == [0, 1, 2, 3, 4]
 
@@ -129,7 +134,7 @@ class TestElection:
             w = random_line_world(seed)
             if not w.barrier:
                 continue
-            states = init_recovery_nodes(w).states
+            states = init_recovery_nodes(Election(w)).states
             graph = fresh_graph(w)
             expected = recovery_chain_oracle(w, graph)
             for sid, (rec, plen) in expected.items():
@@ -147,7 +152,7 @@ class TestElection:
         for _ in range(2):
             w = make_world(T1_COORDS)
             bus = MessageBus(keep_log=True)
-            init_recovery_nodes(w, bus=bus)
+            init_recovery_nodes(Election(w, bus))
             logs.append(bus.log_csv())
         assert logs[0] == logs[1]
         assert logs[0].startswith("round,sender,receiver,type,payload\n")
@@ -157,9 +162,9 @@ class TestElection:
             w = random_line_world(seed)
             if not w.barrier:
                 continue
-            base = init_recovery_nodes(w).states
+            base = init_recovery_nodes(Election(w)).states
             shuffled = init_recovery_nodes(
-                w, bus=MessageBus(shuffle_rng=seeded_rng(seed + 500))
+                Election(w, MessageBus(shuffle_rng=seeded_rng(seed + 500)))
             ).states
             for sid in w.barrier:
                 assert base[sid].rec_node == shuffled[sid].rec_node
@@ -331,7 +336,7 @@ def test_reelection_sees_nothing_of_a_rejected_edit():
     # before anything changes, so a re-election finds no edit to read and,
     # with no sensor changed either, nothing to elect.
     w = make_world(T1_COORDS)
-    election = init_recovery_nodes(w)
+    election = init_recovery_nodes(Election(w))
     chain, edits = list(w.barrier), len(w.chain_edits)
     with pytest.raises(ValueError):
         w.edit_chain(0, len(w.barrier), [1, 0, 2, 3, 4, 1])
@@ -379,13 +384,13 @@ class TestMldfs:
     def test_hop_budget_bounds_path_edges(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
         g = fresh_graph(w)
-        assert mldfs(g, 0, 4, 3) is None
-        assert mldfs(g, 0, 4, 4) == [0, 1, 2, 3, 4]
+        assert mldfs(g, 0, 4, 3, MessageBus()) is None
+        assert mldfs(g, 0, 4, 4, MessageBus()) == [0, 1, 2, 3, 4]
 
     def test_adjacent_destination_single_hop(self):
         w = make_world([(1, 0), (3, 0)])
         g = fresh_graph(w)
-        assert mldfs(g, 0, 1, 1) == [0, 1]
+        assert mldfs(g, 0, 1, 1, MessageBus()) == [0, 1]
 
     def test_greedy_tries_closer_neighbor_first(self):
         # Node 0 sees 1 and 2, which is closer to dest 3; the trace must
@@ -395,7 +400,7 @@ class TestMldfs:
         g = fresh_graph(w)
         assert g.distance_to(2, 3) < g.distance_to(1, 3)
         bus = MessageBus(keep_log=True)
-        path = mldfs(g, 0, 3, 4, bus=bus)
+        path = mldfs(g, 0, 3, 4, bus)
         assert path == [0, 2, 3]
         first_hop = bus.log[0]
         assert (first_hop[1], first_hop[2]) == (0, 2)
@@ -409,7 +414,7 @@ class TestMldfs:
         assert g.distance_to(0, 3) == g.distance_to(1, 3)
         assert {0, 1} <= set(g.adjacency[2])
         bus = MessageBus(keep_log=True)
-        assert mldfs(g, 2, 3, 4, bus=bus) == [2, 0, 3]
+        assert mldfs(g, 2, 3, 4, bus) == [2, 0, 3]
         assert bus.log[0][1:4] == (2, 0, "Tok")
 
     def test_backtracks_out_of_dead_end(self):
@@ -423,12 +428,12 @@ class TestMldfs:
         dest = 4
         assert g.adjacency[1] == [0]  # dead end
         assert g.distance_to(1, dest) < g.distance_to(2, dest)
-        path = mldfs(g, 0, dest, 5)
+        path = mldfs(g, 0, dest, 5, MessageBus())
         assert path == [0, 2, 3, 4]
 
     def test_sentinel_destination(self, t1_world):
         g = fresh_graph(t1_world)
-        path = mldfs(g, 2, PL, 5)
+        path = mldfs(g, 2, PL, 5, MessageBus())
         assert path is not None
         assert path[-1] == PL and path[0] == 2
         assert has_edge(g, path[-2], PL)
@@ -437,7 +442,7 @@ class TestMldfs:
         g = fresh_graph(make_world([(1, 0), (3, 0)]))
         for k in (1, 2, 5):
             bus = MessageBus(keep_log=True)
-            assert mldfs(g, 0, 0, k, bus=bus) == [0]
+            assert mldfs(g, 0, 0, k, bus) == [0]
             assert bus.log == []
 
     def test_zero_budget_finds_nothing(self):
@@ -445,7 +450,7 @@ class TestMldfs:
         g = fresh_graph(make_world([(1, 0), (3, 0)]))
         for dest in (0, 1):
             bus = MessageBus(keep_log=True)
-            assert mldfs(g, 0, dest, 0, bus=bus) is None
+            assert mldfs(g, 0, dest, 0, bus) is None
             assert bus.log == []
 
     def test_failed_endpoint_is_not_a_vertex(self):
@@ -454,10 +459,10 @@ class TestMldfs:
         g = fresh_graph(w)
         assert 1 not in g.adjacency
         bus = MessageBus(keep_log=True)
-        assert mldfs(g, 1, 0, 3, bus=bus) is None
-        assert mldfs(g, 0, 1, 3, bus=bus) is None
+        assert mldfs(g, 1, 0, 3, bus) is None
+        assert mldfs(g, 0, 1, 3, bus) is None
         # Sensor 2 is now isolated: the token has nowhere to go.
-        assert mldfs(g, 2, 0, 3, bus=bus) is None
+        assert mldfs(g, 2, 0, 3, bus) is None
         assert bus.log == []
 
     def test_soundness_and_budget_on_random_graphs(self):
@@ -468,7 +473,7 @@ class TestMldfs:
             rng = np.random.default_rng(seed)
             a, b = rng.choice(ids, size=2, replace=False)
             k = int(rng.integers(1, 6))
-            path = mldfs(g, int(a), int(b), k)
+            path = mldfs(g, int(a), int(b), k, MessageBus())
             oracle = hop_distance(g, int(a), int(b))
             if path is not None:
                 assert path[0] == a and path[-1] == b
@@ -482,7 +487,7 @@ class TestMldfs:
 
 class TestHandleFailure:
     def test_spare_fills_hole(self, t1_world):
-        election = init_recovery_nodes(t1_world)
+        election = init_recovery_nodes(Election(t1_world))
         t1_world.fail(2)
         out = handle_failure_dmove(election, 2)
         assert verify_barrier(t1_world) and out.mechanism == MECH_SHIFTING
@@ -491,7 +496,7 @@ class TestHandleFailure:
         assert verify_barrier(t1_world)
 
     def test_barrier_recovery_node_cascades(self, t1_world):
-        election = init_recovery_nodes(t1_world)
+        election = init_recovery_nodes(Election(t1_world))
         t1_world.fail(1)
         out = handle_failure_dmove(election, 1)
         assert verify_barrier(t1_world) and out.mechanism == MECH_SHIFTING
@@ -501,7 +506,7 @@ class TestHandleFailure:
 
     def test_detour_found_by_nonbarrier_recovery_node(self, detour_world):
         w = detour_world
-        election = init_recovery_nodes(w)
+        election = init_recovery_nodes(Election(w))
         assert election.states[1].rec_node == 4
         w.fail(1)
         out = handle_failure_dmove(election, 1)
@@ -514,7 +519,7 @@ class TestHandleFailure:
         # Spare reachable only from the left end: failing the fourth node
         # drags the whole prefix one slot right, filler last.
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (1.5, 1.5)])
-        election = init_recovery_nodes(w)
+        election = init_recovery_nodes(Election(w))
         expected_cost = election.states[3].path_length
         w.fail(3)
         out = handle_failure_dmove(election, 3)
@@ -524,7 +529,7 @@ class TestHandleFailure:
         assert verify_barrier(w)
 
     def test_states_reelected_after_recovery(self, t1_world):
-        election = init_recovery_nodes(t1_world)
+        election = init_recovery_nodes(Election(t1_world))
         t1_world.fail(2)
         handle_failure_dmove(election, 2)
         assert set(t1_world.barrier) == {0, 1, 5, 3, 4}
@@ -532,7 +537,7 @@ class TestHandleFailure:
             assert election.states[sid].pre is not None
 
     def test_recovery_node_death_triggers_reelection(self, t1_world):
-        election = init_recovery_nodes(t1_world)
+        election = init_recovery_nodes(Election(t1_world))
         assert election.states[2].rec_node == 5
         t1_world.fail(5)
         out = handle_failure_dmove(election, 5)
@@ -547,7 +552,7 @@ class TestHandleFailure:
         # Spares 4 and 5 both guard someone; when 5 dies, node 2 falls back
         # to the chain side that leads to the surviving spare.
         w = detour_world
-        election = init_recovery_nodes(w)
+        election = init_recovery_nodes(Election(w))
         assert election.states[2].rec_node == 5
         w.fail(5)
         out = handle_failure_dmove(election, 5)
@@ -558,7 +563,7 @@ class TestHandleFailure:
         # An extra spare adjacent only to the other spare: nobody's
         # recovery node, off the barrier.
         w = make_world(T1_COORDS + [(5, 3.5)], width=5)
-        election = init_recovery_nodes(w)
+        election = init_recovery_nodes(Election(w))
         assert all(st.rec_node != 6 for st in election.states.values())
         before = {sid: st.rec_node for sid, st in election.states.items()}
         w.fail(6)
@@ -569,7 +574,7 @@ class TestHandleFailure:
 
     def test_unwatched_failure_is_unrecoverable(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0)])
-        election = init_recovery_nodes(w)
+        election = init_recovery_nodes(Election(w))
         w.fail(2)
         out = handle_failure_dmove(election, 2)
         assert not verify_barrier(w)
@@ -577,7 +582,7 @@ class TestHandleFailure:
 
     def test_cascade_stops_when_mover_lacks_energy(self):
         w = make_world([(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (1.5, 1.5)])
-        election = init_recovery_nodes(w)
+        election = init_recovery_nodes(Election(w))
         drain(w, 1, 1.0)  # mid-chain mover can no longer shift
         w.fail(3)
         out = handle_failure_dmove(election, 3)
@@ -590,7 +595,7 @@ class TestHandleFailure:
             w = random_line_world(seed)
             if not w.barrier:
                 continue
-            election = init_recovery_nodes(w)
+            election = init_recovery_nodes(Election(w))
             rng = np.random.default_rng(seed + 999)
             victim = int(rng.choice(sorted(w.sensors)))
             w.fail(victim)
@@ -612,7 +617,7 @@ def test_best_filler_sees_the_fillers_near_finds():
     for t in range(config.trials):
         seed = trial_seed(config, t)
         world = deploy_with_barrier(config, seed)
-        election = init_recovery_nodes(world)
+        election = init_recovery_nodes(Election(world))
         count = math.floor(config.failure_fraction_max * config.n)
         for victim in failure_order_replay(world.copy(), seed, count):
             world.fail(victim)
@@ -645,7 +650,7 @@ class TestIncrementalElection:
         for sid, filler in election._fillers.items():
             assert filler == closest_filler(world, world.graph.adjacency[sid],
                                             world.sensors[sid].pos, chain), sid
-        fresh = init_recovery_nodes(world).states
+        fresh = init_recovery_nodes(Election(world)).states
         assert election.states.keys() == fresh.keys()
         for sid, want in fresh.items():
             got = election.states[sid]
@@ -655,7 +660,7 @@ class TestIncrementalElection:
         counts["checked"] += 1
         counts["dead chain member"] += any(world.sensors[s].failed for s in world.barrier)
 
-    def _run(self, world, election, victims, counts, bus=None, drain_rng=None):
+    def _run(self, world, election, victims, counts, drain_rng=None):
         """Fail each victim in turn. After an episode that re-elected, check
         the election itself; otherwise re-elect a copy, so changes that
         pile up over several episodes are checked too. With ``drain_rng``,
@@ -675,7 +680,7 @@ class TestIncrementalElection:
             before = counts["elections"]
             edits = len(world.chain_edits)
             world.fail(victim)
-            out = handle_failure_dmove(election, victim, bus=bus)
+            out = handle_failure_dmove(election, victim)
             counts["recovery-node death"] += watched and victim not in world.barrier
             counts["given-up cascade"] += (
                 out.mechanism == MECH_SHIFTING and len(world.chain_edits) == edits
@@ -684,7 +689,7 @@ class TestIncrementalElection:
                 self._check(world, election, counts)
             else:
                 copy = deepcopy(election)
-                init_recovery_nodes(copy.world, election=copy)
+                init_recovery_nodes(copy)
                 self._check(copy.world, copy, counts)
 
     @pytest.fixture
@@ -705,7 +710,7 @@ class TestIncrementalElection:
             for t in range(trials):
                 seed = trial_seed(config, t)
                 world = deploy_with_barrier(config, seed)
-                election = init_recovery_nodes(world)
+                election = init_recovery_nodes(Election(world))
                 victims = failure_order_replay(
                     world.copy(), seed, math.floor(config.failure_fraction_max * n))
                 self._run(world, election, victims, counts,
@@ -720,11 +725,11 @@ class TestIncrementalElection:
             if not world.barrier:
                 continue
             bus = MessageBus(shuffle_rng=seeded_rng(seed + 700))
-            election = init_recovery_nodes(world, bus=bus)
+            election = init_recovery_nodes(Election(world, bus))
             rng = np.random.default_rng(seed)
             victims = [int(v) for v in rng.permutation(sorted(world.sensors))]
             self._run(world, election, victims[: len(victims) * 2 // 3], counts,
-                      bus=bus, drain_rng=rng if seed % 2 else None)
+                      drain_rng=rng if seed % 2 else None)
         assert counts["checked"] >= 150
         for case in ("dead chain member", "recovery-node death"):
             assert counts[case] >= 1, case
@@ -738,7 +743,7 @@ class TestIncrementalElection:
             world = random_line_world(seed, n_min=8, n_max=20)
             if not world.barrier:
                 continue
-            election = init_recovery_nodes(world)
+            election = init_recovery_nodes(Election(world))
             for _ in range(16):
                 live = world.active_sensors()
                 s = live[int(rng.integers(len(live)))]
@@ -766,7 +771,7 @@ class TestIncrementalElection:
                     world.edit_chain(at, at, [s.id])
                 else:
                     world.edit_chain(0, len(chain), find_barrier(fresh_graph(world)) or chain)
-                init_recovery_nodes(world, election=election)
+                init_recovery_nodes(election)
                 self._check(world, election, counts)
         assert counts["checked"] >= 300
 
@@ -774,25 +779,25 @@ class TestIncrementalElection:
         # The spare starts out of everyone's reach; after its move only its
         # new neighbors can tell.
         w = make_world(T1_COORDS[:5] + [(5, 3.5)], width=5)
-        election = init_recovery_nodes(w)
+        election = init_recovery_nodes(Election(w))
         assert election.states[2].rec_node is None
         w.apply_move(5, Point(5, 1.5))
-        init_recovery_nodes(w, election=election)
+        init_recovery_nodes(election)
         assert election.states[2].rec_node == 5
         self._check(w, election, Counter())
 
     def test_reelection_sends_fewer_messages(self):
         world = deploy_with_barrier(ExperimentConfig(n=160), 5)
-        first = MessageBus(keep_log=True)
-        election = init_recovery_nodes(world, bus=first)
+        bus = MessageBus(keep_log=True)
+        election = init_recovery_nodes(Election(world, bus))
+        first = len(bus.log)
         chain = list(world.barrier)
         victim = chain[len(chain) // 2]
-        again = MessageBus(keep_log=True)
         world.fail(victim)
-        out = handle_failure_dmove(election, victim, bus=again)
+        handle_failure_dmove(election, victim)
         assert verify_barrier(world)
-        elect_msgs = [row for row in again.log if row[3] != "Tok"]
-        assert 0 < len(elect_msgs) < len(first.log) // 5
+        elect_msgs = [row for row in bus.log[first:] if row[3] != "Tok"]
+        assert 0 < len(elect_msgs) < first // 5
 
 
 class TestElectionRounds:
@@ -805,10 +810,10 @@ class TestElectionRounds:
         seen = []  # (drain rounds, chain length) of each election
         original = distributed.init_recovery_nodes
 
-        def counting(world, bus=None, election=None):
-            bus = MessageBus() if bus is None else bus
-            first, chain = bus.round_no, len(world.barrier)
-            out = original(world, bus=bus, election=election)
+        def counting(election):
+            bus = election.bus
+            first, chain = bus.round_no, len(election.world.barrier)
+            out = original(election)
             seen.append((bus.round_no - first - 1, chain))  # the last drain is empty
             return out
 
@@ -822,7 +827,7 @@ class TestElectionRounds:
         # way back: 4 + 4 rounds. Nobody finds a recovery node, so no
         # SetRec follows.
         seen, counting = rounds
-        counting(make_world(T1_COORDS[:5]))
+        counting(Election(make_world(T1_COORDS[:5])))
         assert seen == [(8, 5)]
 
     def test_seeded_trials_and_shuffled_bus_stay_within_the_limit(self, rounds):
@@ -838,10 +843,10 @@ class TestElectionRounds:
             if not world.barrier:
                 continue
             bus = MessageBus(shuffle_rng=seeded_rng(seed + 700))
-            election = counting(world, bus=bus)
+            election = counting(Election(world, bus))
             victims = [int(v) for v in np.random.default_rng(seed).permutation(sorted(world.sensors))]
             for victim in victims[: len(victims) * 2 // 3]:
                 world.fail(victim)
-                handle_failure_dmove(election, victim, bus=bus)
+                handle_failure_dmove(election, victim)
         assert len(seen) >= 700
         assert all(r <= 2 * chain + 1 for r, chain in seen)

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from barrier_restore.core import EnergyModel, Move, Point, seeded_rng
-from barrier_restore.distributed import MessageBus, init_recovery_nodes
+from barrier_restore.distributed import Election, MessageBus, init_recovery_nodes
 from barrier_restore.graph import verify_barrier
 from barrier_restore.harness import SCHEMES, start_scheme
 from conftest import random_line_world
@@ -188,9 +188,10 @@ class FailureSequence(RuleBasedStateMachine):
             # A fresh election on this world reaches the same fixpoint
             # whatever the delivery order.
             if any(not world.sensors[sid].failed for sid in world.barrier):
-                shuffled = init_recovery_nodes(deepcopy(world),
-                                               bus=MessageBus(shuffle_rng=self.shuffle_rng))
-                assert _fixpoint(shuffled) == _fixpoint(init_recovery_nodes(deepcopy(world)))
+                shuffled = init_recovery_nodes(Election(
+                    deepcopy(world), MessageBus(shuffle_rng=self.shuffle_rng)))
+                assert _fixpoint(shuffled) == _fixpoint(
+                    init_recovery_nodes(Election(deepcopy(world))))
 
     @rule(data=st.data())
     def nudge(self, data):
