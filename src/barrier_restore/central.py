@@ -187,7 +187,7 @@ def build_assignment(world: World, failed: Iterable[int]) -> AssignmentProblem:
         return cells
 
     vacancies = sorted(slots[sid] for sid in failed)
-    shape = (len(graph.positions), len(chain))
+    shape = (len(graph.adjacency) - 2, len(chain))
     return AssignmentProblem(chain, slots, vacancies, FeasibleCells(shape, cells_of))
 
 

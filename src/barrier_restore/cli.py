@@ -36,11 +36,12 @@ from pathlib import Path
 
 from .core import EnergyModel, seeded_rng, world_from_json, world_to_json
 from .distributed import MessageBus
-from .graph import find_barrier, verify_barrier
+from .graph import verify_barrier
 from .harness import (
     SCHEMES,
     ExperimentConfig,
     InitialBarrierImpossible,
+    designate_first_chain,
     generate_deployment,
     rows_to_csv,
     run_experiment,
@@ -160,10 +161,8 @@ def cmd_run(args: argparse.Namespace) -> None:
         if sid not in world.sensors:
             raise CliError(f"sensor {sid} not in deployment")
 
-    barrier = find_barrier(world.graph)
-    if barrier is None:
+    if not designate_first_chain(world):
         raise CliError("deployment forms no initial barrier", EXIT_NO_BARRIER)
-    world.edit_chain(0, len(world.barrier), barrier)
 
     bus = MessageBus(keep_log=args.trace)
     try:

@@ -7,13 +7,14 @@ Adjacency uses the closed convention: tangent discs count as intersecting.
 Each world holds one graph, ``World.graph``, built when the world is
 constructed and kept current by the only two ways a world changes,
 ``World.apply_move`` and ``World.fail``, through ``IntersectionGraph.insert``
-and ``remove``. ``build_intersection_graph`` builds the whole graph in one
-sweep over the sensors in x order; it and ``IntersectionGraph.near``, which
-``insert`` calls, share one disc test, ``discs_meet``, and one boundary
-rule, ``_sentinels``, so the graph has one adjacency test. ``near`` reads
-the graph's x-window around a point, ``IntersectionGraph.around``, which
-the cmove assignment reads too; it and the sweep widen their x-windows by
-one rounding slack, ``_SLACK``.
+and ``remove``. It reads positions from the world's sensors, and a sensor's
+``pos`` changes only in ``apply_move``, between ``remove`` and ``insert``.
+``build_intersection_graph`` builds the whole graph in one sweep over the
+sensors in x order; it and ``IntersectionGraph.near``, which ``insert`` calls,
+share one disc test, ``discs_meet``, and one boundary rule, ``_sentinels``, so
+the graph has one adjacency test. ``near`` reads the graph's x-window around a
+point, ``IntersectionGraph.around``, which the cmove assignment reads too; it
+and the sweep widen their x-windows by one rounding slack, ``_SLACK``.
 
 All distances are Euclidean in the plane and all comparisons are exact
 (64-bit floats, no epsilon): inputs are generated, not measured.
@@ -26,7 +27,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -155,26 +156,25 @@ class IntersectionGraph:
     """Symmetric adjacency over live sensors plus the PL/PR sentinels.
 
     Neighbor lists are sorted ascending (sentinels first) so every search
-    is deterministic run to run. A new graph is empty; ``insert`` adds a
-    sensor's vertex and ``remove`` takes one out. Every disc has the
-    region's radius, ``region.rho``.
+    is deterministic run to run. It reads positions from ``sensors``, the
+    world's own, so a sensor moves only between the ``remove`` and the
+    ``insert`` of its vertex. Every disc's radius is ``region.rho``.
     """
 
-    def __init__(self, region: Region):
+    def __init__(self, region: Region, sensors: Mapping[int, Sensor]):
         self.adjacency: dict[int, list[int]] = {PL: [], PR: []}
-        self.positions: dict[int, Point] = {}  # sensor vertices only, not PL/PR
         self.region = region
-        # The x of every sensor vertex in ascending order and the ids in the
-        # same order (ties by id).
+        self.sensors = sensors
+        # A key index for bisect, not a copy of the positions: every sensor
+        # vertex's x, ascending, and the ids in the same order (ties by id).
         self._xs: list[float] = []
         self._ids: list[int] = []
 
-    def copy(self) -> IntersectionGraph:
-        """The same graph with its own rows and x order; the frozen
-        positions and region are shared."""
-        twin = IntersectionGraph(self.region)
+    def copy(self, sensors: Mapping[int, Sensor]) -> IntersectionGraph:
+        """The same graph over ``sensors``, which stand where this graph's
+        do, with its own rows and x order; the region is shared."""
+        twin = IntersectionGraph(self.region, sensors)
         twin.adjacency = {v: row[:] for v, row in self.adjacency.items()}
-        twin.positions = dict(self.positions)
         twin._xs = self._xs[:]
         twin._ids = self._ids[:]
         return twin
@@ -185,12 +185,12 @@ class IntersectionGraph:
         A sentinel target means the matching boundary line, so the distance
         is horizontal; geographic-greedy searches aim at that line.
         """
-        p = self.positions[vertex]
+        p = self.sensors[vertex].pos
         if target == PL:
             return p.x
         if target == PR:
             return self.region.length - p.x
-        return p.distance_to(self.positions[target])
+        return p.distance_to(self.sensors[target].pos)
 
     def window(self, lo: float, hi: float) -> list[int]:
         """Sensor vertices whose x lies in ``[lo, hi]``, in x order (ties by
@@ -215,36 +215,37 @@ class IntersectionGraph:
         """Sensor vertices, ascending, whose discs meet a sensor's disc at
         ``pos`` (tangent discs meet), by ``discs_meet``."""
         reach = self.region.rho + self.region.rho
-        positions = self.positions
-        out = [v for v in self.around(pos.x, reach) if discs_meet(pos, positions[v], reach)]
+        sensors = self.sensors
+        out = [v for v in self.around(pos.x, reach) if discs_meet(pos, sensors[v].pos, reach)]
         out.sort()
         return out
 
     def remove(self, vertex: int) -> None:
         for u in self.adjacency.pop(vertex):
             self.adjacency[u].remove(vertex)
-        k = self._slot(self.positions.pop(vertex).x, vertex)
+        k = self._slot(self.sensors[vertex].pos.x, vertex)
         del self._xs[k], self._ids[k]
 
-    def insert(self, vertex: int, pos: Point) -> None:
-        """Add the vertex of a sensor standing at ``pos``."""
+    def insert(self, vertex: int) -> None:
+        """Add the vertex of a sensor where it stands."""
+        pos = self.sensors[vertex].pos
         # Ascending with the sentinels first.
         row = _sentinels(pos.x, self.region)
         row += self.near(pos)
         k = self._slot(pos.x, vertex)
         self._xs.insert(k, pos.x)
         self._ids.insert(k, vertex)
-        self.positions[vertex] = pos
         for u in row:
             insort(self.adjacency[u], vertex)
         self.adjacency[vertex] = row
 
 
 def build_intersection_graph(
-    sensors: Sequence[Sensor], region: Region
+    sensors: Mapping[int, Sensor], region: Region
 ) -> IntersectionGraph:
-    """Edges join live sensors whose sensing discs intersect; a sensor whose
-    disc reaches the left (right) boundary is joined to PL (PR).
+    """The graph over an id-to-sensor mapping, which it keeps and reads
+    positions from: edges join live sensors whose sensing discs intersect;
+    a sensor whose disc reaches the left (right) boundary joins PL (PR).
 
     One sweep (fixed-radius near neighbours: Bentley, Stanat & Williams,
     IPL 1977): the live sensors are sorted once by (x, id), and each is
@@ -252,17 +253,16 @@ def build_intersection_graph(
     reach of two discs. The graph equals the one ``insert`` builds a
     sensor at a time, rows sorted with the sentinels first.
     """
-    graph = IntersectionGraph(region)
-    live = {s.id: s for s in sensors if not s.failed}
-    order = sorted(live.values(), key=lambda s: (s.pos.x, s.id))
+    graph = IntersectionGraph(region, sensors)
+    live = [s for s in sensors.values() if not s.failed]
+    order = sorted(live, key=lambda s: (s.pos.x, s.id))
     graph._xs = xs = [s.pos.x for s in order]
     graph._ids = [s.id for s in order]
     reach = region.rho + region.rho
-    # Vertices in the order the sensors came, as ``insert`` adds them;
-    # every row is sorted at the end.
+    # Vertices in the mapping's order, as ``insert`` adds them; every row
+    # is sorted at the end.
     adjacency = graph.adjacency
-    for s in live.values():
-        graph.positions[s.id] = s.pos
+    for s in live:
         row = adjacency[s.id] = _sentinels(s.pos.x, region)
         for end in row:
             adjacency[end].append(s.id)
@@ -297,10 +297,10 @@ class World:
 
     Its sensors change only through :meth:`apply_move` and :meth:`fail`.
     Both keep ``graph``, the intersection graph of the live sensors that
-    the world builds when it is constructed, current and append a
-    ``Move(sensor_id, src, dest)`` to ``changes``, the one record of what
-    happened to each sensor, which readers follow by index. A failure,
-    recorded where the sensor stands, is its only zero-length kind.
+    the world builds over ``sensors`` when it is constructed, current and
+    append a ``Move(sensor_id, src, dest)`` to ``changes``, the one record
+    of what happened to each sensor, which readers follow by index. A
+    failure, recorded where the sensor stands, is its only zero-length kind.
 
     Its chain, ``barrier``, names each sensor at most once and holds no
     other id (so no sentinel). It changes only through :meth:`edit_chain`,
@@ -336,7 +336,7 @@ class World:
             self.sensors[s.id] = s
         self.energy_model = energy_model or EnergyModel()
         self.changes: list[Move] = []
-        self.graph: IntersectionGraph = build_intersection_graph(self.active_sensors(), region)
+        self.graph: IntersectionGraph = build_intersection_graph(self.sensors, region)
         self._barrier: list[int] = []
         self.slots: dict[int, int] = {}
         self.holes: set[int] = set()
@@ -351,10 +351,10 @@ class World:
     def copy(self) -> World:
         """An exact copy that shares nothing a step can change: new
         ``Sensor`` objects (the frozen ``Point``, ``Region`` and
-        ``EnergyModel`` are shared), a copied graph, chain, slot map,
-        ``holes``, ``broken`` and both records. It builds no graph, so it
-        skips ``__init__``. Cheaper than a deploy or a pickle round trip, so
-        each scheme can run on its own copy."""
+        ``EnergyModel`` are shared), a copied graph that reads them, and a
+        copied chain, slot map, ``holes``, ``broken`` and both records. It
+        builds no graph, so it skips ``__init__``. Cheaper than a deploy or
+        a pickle round trip, so each scheme can run on its own copy."""
         twin = World.__new__(World)
         twin.region = self.region
         twin.sensors = {
@@ -363,7 +363,7 @@ class World:
         }
         twin.energy_model = self.energy_model
         twin.changes = list(self.changes)
-        twin.graph = self.graph.copy()
+        twin.graph = self.graph.copy(twin.sensors)
         twin._barrier = list(self._barrier)
         twin.slots = dict(self.slots)
         twin.holes = set(self.holes)
@@ -488,9 +488,9 @@ class World:
         if d == 0.0:
             return
         self.changes.append(Move(sensor_id, s.pos, dest))
-        s.pos = dest
         self.graph.remove(sensor_id)
-        self.graph.insert(sensor_id, dest)
+        s.pos = dest
+        self.graph.insert(sensor_id)
         k = self.slots.get(sensor_id)
         if k is not None:
             self.check_links((k, k + 1))

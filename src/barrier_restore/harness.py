@@ -193,6 +193,14 @@ def generate_deployment(config: ExperimentConfig, rng: np.random.Generator) -> l
             for i, (dx, dy) in enumerate(offsets)]
 
 
+def designate_first_chain(world: World) -> bool:
+    """Whether the world has a barrier; if so, ``find_barrier``'s becomes its chain."""
+    barrier = find_barrier(world.graph)
+    if barrier is not None:
+        world.edit_chain(0, len(world.barrier), barrier)
+    return barrier is not None
+
+
 def deploy_with_barrier(config: ExperimentConfig, seed: int) -> World:
     """Draw deployments (fresh sub-seed each attempt) until one forms an
     initial barrier."""
@@ -200,9 +208,7 @@ def deploy_with_barrier(config: ExperimentConfig, seed: int) -> World:
     for attempt in range(config.max_redraws):
         rng = seeded_rng(seed, 0, attempt)
         world = World(region, generate_deployment(config, rng), config.energy_model())
-        barrier = find_barrier(world.graph)
-        if barrier:
-            world.edit_chain(0, len(world.barrier), barrier)
+        if designate_first_chain(world):
             return world
     raise InitialBarrierImpossible(
         f"no initial barrier after {config.max_redraws} draws (seed {seed})"

@@ -64,6 +64,21 @@ def adjacency_oracle(sensors: list[Sensor], region: Region) -> dict[int, list[in
     return want
 
 
+def vertex_index_oracle(sensors: dict[int, Sensor]) -> tuple[set[int], list[int], list[float]]:
+    """What a graph over ``sensors`` must index, by sorting afresh: its
+    sensor vertices (the live ids), and those ids in ascending (x, id) order
+    with their sensors' current x, which ``IntersectionGraph._ids`` and
+    ``_xs`` must equal."""
+    order = sorted((s.pos.x, s.id) for s in sensors.values() if not s.failed)
+    return {sid for _, sid in order}, [sid for _, sid in order], [x for x, _ in order]
+
+
+def graph_index(graph: IntersectionGraph) -> tuple[set[int], list[int], list[float]]:
+    """A graph's sensor vertices (its adjacency keys but PL and PR) and its
+    x-order index, in the shape of ``vertex_index_oracle``."""
+    return set(graph.adjacency) - {PL, PR}, graph._ids, graph._xs
+
+
 def barrier_oracle(world: World) -> bool:
     """True iff the world's designated chain is a live left-to-right
     barrier, by the pairwise definition: distinct live sensors, the first

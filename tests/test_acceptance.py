@@ -267,7 +267,7 @@ def test_criterion_6_mldfs_soundness():
     rng = np.random.default_rng(55)
     for seed in range(500):
         world = random_line_world(seed, n_min=10, n_max=40)
-        graph = build_intersection_graph(world.active_sensors(), world.region)
+        graph = build_intersection_graph(world.sensors, world.region)
         ids = sorted(world.sensors)
         a, b = (int(v) for v in rng.choice(ids, size=2, replace=False))
         k = int(rng.integers(1, 8))
@@ -306,7 +306,7 @@ def test_criterion_7_election_fixpoint_matches_oracle():
         bus = MessageBus()
         states = init_recovery_nodes(Election(world, bus)).states
         assert bus.drain_round() == [], "election did not quiesce"
-        graph = build_intersection_graph(world.active_sensors(), world.region)
+        graph = build_intersection_graph(world.sensors, world.region)
         expected = recovery_chain_oracle(world, graph)
         for sid, (rec, plen) in expected.items():
             st = states[sid]

@@ -25,10 +25,12 @@ from barrier_restore.graph import PL, PR, verify_barrier
 from conftest import T1_COORDS, make_world
 from oracles import (
     broken_links_oracle,
+    graph_index,
     keeps_chain_simple,
     pays_for,
     total_displacement,
     total_energy_spent,
+    vertex_index_oracle,
 )
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -277,6 +279,11 @@ class TestWorldJson:
     # the world does not afford, then a failure.
     @example(region=Region(100.0, 60.0, 30.0, 60.0), sensors=[(0, 0.0, 0.0, 99.9)],
              cost=0.3, threshold=0.0, moves=[(0, 1.0)], failures=[0])
+    # Overlapping discs, both boundaries reached, a move and a failure.
+    @example(region=Region(100.0, 60.0, 30.0, 60.0),
+             sensors=[(0, 10.0, 30.0, 100.0), (1, 40.0, 30.0, 100.0), (2, 70.0, 20.0, 100.0),
+                      (3, 95.0, 30.0, 100.0)],
+             cost=1.0, threshold=10.0, moves=[(1, 0.2)], failures=[2])
     @given(region=st.builds(Region, *[st.floats(0.0, exclude_min=True, allow_infinity=False)] * 4),
            sensors=st.lists(st.tuples(st.integers(0, 2**63), _FINITE, _FINITE,
                                       st.floats(0.0, allow_infinity=False)),
@@ -291,7 +298,9 @@ class TestWorldJson:
         # mean equal bits, the sign of zero included, and a Sensor's repr
         # holds every field. Each move goes along x by a share of the
         # sensor's budget, if the world affords it; no move leaves negative
-        # energy, which a load rejects. Then some sensors fail.
+        # energy, which a load rejects. Then some sensors fail. The reloaded
+        # world builds its graph over a mapping that holds them, and that
+        # graph must be the one the moves and failures left.
         model = EnergyModel(cost, threshold)
         w = World(region, [Sensor(i, Point(x, y), e, e) for i, x, y, e in sensors], model)
         ids = list(w.sensors)
@@ -307,6 +316,9 @@ class TestWorldJson:
         w2 = world_from_json(world_to_json(w.region, w.sensors.values()), model)
         assert repr(w2.region) == repr(region)
         assert repr(list(w2.sensors.values())) == repr(list(w.sensors.values()))
+        assert w2.graph.adjacency == w.graph.adjacency
+        assert w2.graph.window(-math.inf, math.inf) == w.graph.window(-math.inf, math.inf)
+        assert graph_index(w2.graph) == vertex_index_oracle(w2.sensors)
         # A sensor that a move left immobile is immobile when reloaded.
         for s in w.sensors.values():
             assert [w2.affords(w2.sensors[s.id], d) for d in reach(w, s)] == [

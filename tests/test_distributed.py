@@ -44,18 +44,20 @@ from oracles import (
     barrier_oracle,
     edited_span_oracle,
     failure_order_replay,
+    graph_index,
     has_edge,
     hop_distance,
     keeps_chain_simple,
     pays_for,
     recovery_chain_oracle,
+    vertex_index_oracle,
 )
 
 INF = math.inf
 
 
 def fresh_graph(world):
-    return build_intersection_graph(world.active_sensors(), world.region)
+    return build_intersection_graph(world.sensors, world.region)
 
 
 class TestElection:
@@ -643,7 +645,8 @@ class TestIncrementalElection:
     def _check(world, election, counts):
         live = world.active_sensors()
         assert world.graph.adjacency == adjacency_oracle(live, world.region)
-        assert world.graph.positions == {s.id: s.pos for s in live}
+        assert world.graph.sensors is world.sensors
+        assert graph_index(world.graph) == vertex_index_oracle(world.sensors)
         # Every filler kept from earlier elections is the one a fresh
         # search would find.
         chain = set(world.barrier)

@@ -22,41 +22,49 @@ from barrier_restore.graph import (
     verify_barrier,
 )
 from conftest import T1_COORDS, make_world, random_line_world
-from oracles import adjacency_oracle, barrier_oracle, has_edge, hop_distance, splice_oracle
+from oracles import (
+    adjacency_oracle,
+    barrier_oracle,
+    graph_index,
+    has_edge,
+    hop_distance,
+    splice_oracle,
+    vertex_index_oracle,
+)
 
 
 class TestBuildGraph:
     def test_two_sensor_example(self):
         w = make_world([(1, 0), (3, 0)], length=10)
-        g = build_intersection_graph(w.active_sensors(), w.region)
+        g = build_intersection_graph(w.sensors, w.region)
         assert g.adjacency[0] == [PL, 1]
         assert g.adjacency[1] == [0]  # 3 < 10 - 1, so no PR edge
         assert g.adjacency[PR] == []
 
     def test_boundary_touch_counts(self):
         w = make_world([(1.0, 2)], length=10)  # x exactly rho
-        g = build_intersection_graph(w.active_sensors(), w.region)
+        g = build_intersection_graph(w.sensors, w.region)
         assert has_edge(g, PL, 0)
 
     def test_tangent_discs_connected(self):
         w = make_world([(3, 0), (5, 0)])  # distance exactly 2*rho
-        g = build_intersection_graph(w.active_sensors(), w.region)
+        g = build_intersection_graph(w.sensors, w.region)
         assert has_edge(g, 0, 1)
 
     def test_just_outside_not_connected(self):
         w = make_world([(3, 0), (5 + 1e-9, 0)])
-        g = build_intersection_graph(w.active_sensors(), w.region)
+        g = build_intersection_graph(w.sensors, w.region)
         assert not has_edge(g, 0, 1)
 
     def test_sentinels_never_adjacent(self):
         w = make_world([], with_barrier=False)
-        g = build_intersection_graph(w.active_sensors(), w.region)
+        g = build_intersection_graph(w.sensors, w.region)
         assert g.adjacency == {PL: [], PR: []}
 
     def test_symmetry_random_worlds(self):
         for seed in range(25):
             w = random_line_world(seed)
-            g = build_intersection_graph(w.active_sensors(), w.region)
+            g = build_intersection_graph(w.sensors, w.region)
             for u, nbrs in g.adjacency.items():
                 for v in nbrs:
                     assert has_edge(g, v, u)
@@ -80,7 +88,7 @@ class TestBuildGraph:
                 b.pos = Point(a.pos.x + rho + rho, a.pos.y)
                 c.pos = a.pos
             region = Region(12.0, 12.0, rho, 2 * rho)
-            g = build_intersection_graph(sensors, region)
+            g = build_intersection_graph({s.id: s for s in sensors}, region)
             assert g.adjacency == adjacency_oracle(sensors, region)
             if trial % 2 == 0:
                 assert has_edge(g, sensors[0].id, sensors[1].id)
@@ -88,11 +96,12 @@ class TestBuildGraph:
 
 
 def incremental_graph(sensors, region):
-    """The graph built one ``IntersectionGraph.insert`` at a time."""
-    graph = IntersectionGraph(region)
-    for s in sensors:
+    """The graph over the mapping ``sensors`` built one
+    ``IntersectionGraph.insert`` at a time."""
+    graph = IntersectionGraph(region, sensors)
+    for s in sensors.values():
         if not s.failed:
-            graph.insert(s.id, s.pos)
+            graph.insert(s.id)
     return graph
 
 
@@ -121,10 +130,11 @@ class TestSweptBuild:
                 a.pos = Point(round(a.pos.x * 8) / 8, round(a.pos.y * 8) / 8)
                 b.pos = Point(a.pos.x + rho + rho, a.pos.y)
                 c.pos = a.pos
-            swept = build_intersection_graph(sensors, region)
-            built = incremental_graph(sensors, region)
+            by_id = {s.id: s for s in sensors}
+            swept = build_intersection_graph(by_id, region)
+            built = incremental_graph(by_id, region)
             assert swept.adjacency == built.adjacency
-            assert swept.positions == built.positions
+            assert graph_index(swept) == graph_index(built) == vertex_index_oracle(by_id)
             assert swept.window(-math.inf, math.inf) == built.window(-math.inf, math.inf)
             for x, y in zip(*rng.uniform(-3, 15, size=(2, 10))):
                 probe = Point(float(x), float(y))
@@ -170,7 +180,8 @@ class TestInPlaceUpdate:
         for w, _ in edited_worlds(17):
             live = w.active_sensors()
             assert w.graph.adjacency == adjacency_oracle(live, w.region)
-            assert w.graph.positions == {s.id: s.pos for s in live}
+            assert w.graph.sensors is w.sensors
+            assert graph_index(w.graph) == vertex_index_oracle(w.sensors)
 
     def test_window_is_the_live_x_range(self):
         # After each batch of edits, the x-window returns exactly the live
@@ -193,7 +204,7 @@ class TestInPlaceUpdate:
 
     def test_near_is_the_build_test(self):
         w = make_world([(1, 0), (3, 0), (5, 0)])
-        g = build_intersection_graph(w.active_sensors(), w.region)
+        g = build_intersection_graph(w.sensors, w.region)
         assert g.near(Point(4, 0)) == [1, 2]
         assert g.near(Point(7, 0)) == [2]  # tangent
         assert g.near(Point(7 + 1e-9, 0)) == []  # just outside
@@ -205,19 +216,19 @@ class TestFindBarrier:
 
     def test_no_left_contact_means_none(self):
         w = make_world([(5, 0), (9, 0)], with_barrier=False)
-        g = build_intersection_graph(w.active_sensors(), w.region)
+        g = build_intersection_graph(w.sensors, w.region)
         assert find_barrier(g) is None
 
     def test_single_spanning_sensor(self):
         w = make_world([(1, 1)], rho=1.0, length=2.0, with_barrier=False)
-        g = build_intersection_graph(w.active_sensors(), w.region)
+        g = build_intersection_graph(w.sensors, w.region)
         assert find_barrier(g) == [0]
 
     def test_minimum_hops_vs_oracle(self):
         checked = 0
         for seed in range(60):
             w = random_line_world(seed, n_min=6, n_max=14)
-            g = build_intersection_graph(w.active_sensors(), w.region)
+            g = build_intersection_graph(w.sensors, w.region)
             found = find_barrier(g)
             oracle = hop_distance(g, PL, PR)
             if found is None:
@@ -234,18 +245,18 @@ class TestAlternatePath:
     def test_detour_found(self, detour_world):
         w = detour_world
         w.fail(1)
-        g = build_intersection_graph(w.active_sensors(), w.region)
+        g = build_intersection_graph(w.sensors, w.region)
         path = find_alternate_path(g, 0, 2)
         assert path == [0, 4, 5, 2]
 
     def test_no_detour_in_t1(self, t1_world):
         w = t1_world
         w.fail(2)
-        g = build_intersection_graph(w.active_sensors(), w.region)
+        g = build_intersection_graph(w.sensors, w.region)
         assert find_alternate_path(g, 1, 3) is None
 
     def test_same_endpoints(self, t1_world):
-        g = build_intersection_graph(t1_world.active_sensors(), t1_world.region)
+        g = build_intersection_graph(t1_world.sensors, t1_world.region)
         assert find_alternate_path(g, 2, 2) == [2]
 
 

@@ -19,6 +19,8 @@ from barrier_restore import core, graph, harness
 from barrier_restore.cli import main
 from barrier_restore.core import (
     MECH_NONE,
+    PL,
+    PR,
     Point,
     RestoreOutcome,
     seeded_rng,
@@ -40,9 +42,11 @@ from oracles import (
     barrier_oracle,
     deployment_oracle,
     failure_order_replay,
+    graph_index,
     replayed_chain,
     total_displacement,
     total_energy_spent,
+    vertex_index_oracle,
 )
 
 FAST = dict(length=400.0, rho=30.0, sigma=6.0, trials=2)
@@ -86,7 +90,7 @@ class TestGenerateDeployment:
             from barrier_restore.core import World
 
             w = World(cfg.region(), sensors)
-            g = build_intersection_graph(w.active_sensors(), w.region)
+            g = build_intersection_graph(w.sensors, w.region)
             if find_barrier(g) is not None:
                 formed += 1
         assert formed >= 95
@@ -361,8 +365,12 @@ def test_every_verdict_matches_the_oracle_at_full_size(monkeypatch, n):
 
 
 def _world_state(world):
-    """Everything a step can change or read, as comparable values."""
+    """Everything a step can change or read, as comparable values, after
+    checking that the graph reads the world's own sensors and indexes the
+    live ones as a fresh sort does."""
     g = world.graph
+    assert g.sensors is world.sensors
+    assert graph_index(g) == vertex_index_oracle(world.sensors)
     return dict(
         sensors=list(world.sensors.values()),
         chain=world.barrier,
@@ -372,9 +380,10 @@ def _world_state(world):
         changes=world.changes,
         chain_edits=world.chain_edits,
         adjacency=g.adjacency,
-        positions=g.positions,
         xs=g._xs,
         ids=g._ids,
+        # The positions the graph reads, in its x order.
+        read=[g.sensors[v].pos for v in g._ids],
     )
 
 
@@ -405,10 +414,11 @@ class TestWorldCopy:
         seed = trial_seed(cfg, 0)
         for world in (deploy_with_barrier(cfg, seed),
                       trial_world("cmove", cfg, seed)):
-            copy = world.graph.copy()
-            built = build_intersection_graph(world.active_sensors(), world.region)
+            copy = world.graph.copy(world.sensors)
+            built = build_intersection_graph(world.sensors, world.region)
             assert copy.adjacency == built.adjacency
-            assert copy.positions == built.positions
+            assert copy.sensors is built.sensors is world.sensors
+            assert graph_index(copy) == graph_index(built) == vertex_index_oracle(world.sensors)
             assert copy.window(-math.inf, math.inf) == built.window(-math.inf, math.inf)
             assert copy.adjacency is not world.graph.adjacency
             assert all(copy.adjacency[v] is not row
@@ -428,6 +438,50 @@ def test_copy_of_a_changed_world_equals_it(scheme):
     assert copy.holes is not world.holes and copy.changes is not world.changes
     assert copy.broken is not world.broken
     assert graph.verify_barrier(copy) == graph.verify_barrier(world)
+
+
+def _graph_answers(g, probes):
+    """What the reads of graph ``g`` answer: its rows, its vertex set and
+    x-order index, ``near`` at each probe, and ``distance_to`` from every
+    sensor vertex to each of its neighbours and to both sentinels."""
+    return dict(
+        rows=g.adjacency,
+        index=graph_index(g),
+        near=[g.near(p) for p in probes],
+        dist=[(v, t, g.distance_to(v, t)) for v in sorted(set(g.adjacency) - {PL, PR})
+              for t in (*g.adjacency[v], PL, PR)],
+    )
+
+
+def test_a_copy_shares_no_position():
+    # A world's graph reads positions from the world's sensors, so a
+    # twin's graph must read the twin's: moves and failures on either world
+    # leave the other's graph answering as a fresh build over its own
+    # sensors does, and the changed world's too.
+    cfg = ExperimentConfig(n=40, **FAST)
+    source = deploy_with_barrier(cfg, trial_seed(cfg, 0))
+    twin = source.copy()
+    assert twin.graph.sensors is twin.sensors
+    assert source.graph.sensors is source.sensors
+    rng = np.random.default_rng(5)
+    for changed in (twin, source, twin):
+        live = changed.active_sensors()
+        for i in rng.choice(len(live), size=12, replace=False).tolist():
+            s = live[i]
+            if i % 4 == 0:
+                changed.fail(s.id)
+            else:
+                dx, dy = rng.uniform(-40.0, 40.0, size=2).tolist()
+                dest = Point(s.pos.x + dx, min(max(s.pos.y + dy, 0.0), cfg.width))
+                if changed.affords(s, s.pos.distance_to(dest)):
+                    changed.apply_move(s.id, dest)
+        assert _world_state(twin) != _world_state(source)
+        probes = [s.pos for w in (source, twin) for s in w.sensors.values()]
+        corners = ((0.0, 0.0), (cfg.length, cfg.width))
+        probes += [Point(*xy) for xy in rng.uniform(*corners, size=(20, 2)).tolist()]
+        for world in (source, twin):
+            fresh = build_intersection_graph(world.sensors, world.region)
+            assert _graph_answers(world.graph, probes) == _graph_answers(fresh, probes)
 
 
 class TestReportRows:

@@ -35,9 +35,11 @@ from oracles import (
     adjacency_oracle,
     barrier_oracle,
     broken_links_oracle,
+    graph_index,
     pays_for,
     replayed_chain,
     total_displacement,
+    vertex_index_oracle,
 )
 
 
@@ -170,7 +172,8 @@ class FailureSequence(RuleBasedStateMachine):
         # intersection graph of the live sensors.
         live = world.active_sensors()
         assert world.graph.adjacency == adjacency_oracle(live, world.region)
-        assert world.graph.positions == {s.id: s.pos for s in live}
+        assert world.graph.sensors is world.sensors
+        assert graph_index(world.graph) == vertex_index_oracle(world.sensors)
 
         if self.twin is not None:
             self.twin.fail(victim)
@@ -218,6 +221,7 @@ class FailureSequence(RuleBasedStateMachine):
         _check_broken(world)
         live = world.active_sensors()
         assert world.graph.adjacency == adjacency_oracle(live, world.region)
+        assert graph_index(world.graph) == vertex_index_oracle(world.sensors)
         if self.twin is not None:
             _check_holes(self.twin)
             _check_broken(self.twin)
