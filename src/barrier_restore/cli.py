@@ -77,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="belt width (default %(default)s)")
     gen.add_argument("--rho", type=float, default=ExperimentConfig.rho,
                      help="sensing radius (default %(default)s)")
-    gen.add_argument("--comm", type=float, default=None, help="communication radius (default 2*rho)")
+    gen.add_argument("--comm", type=float, default=None,
+                     help="communication radius, at least 2*rho (default 2*rho)")
     gen.add_argument("--sigma", type=float, default=ExperimentConfig.sigma,
                      help="placement error stddev (default %(default)s)")
     gen.add_argument("--energy", type=float, default=ExperimentConfig.initial_energy,

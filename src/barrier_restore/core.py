@@ -70,7 +70,17 @@ class Sensor:
 class Region:
     """Rectangular belt, left boundary at x=0 and right boundary at
     x=length, and the deployment's radii: every sensor senses within
-    ``rho`` and talks within ``comm``."""
+    ``rho`` and talks within ``comm``.
+
+    ``comm`` must be at least ``2 * rho``, the standard assumption under
+    which a set of sensors that covers is also connected (Wang, Xing et
+    al., "Integrated Coverage and Connectivity Configuration in Wireless
+    Sensor Networks", SenSys 2003). Then every intersection-graph link
+    (discs that meet, at most 2ρ apart) is within ``comm``, so the local
+    schemes, which move and send along graph links, need no check of their
+    own, and all four schemes run on one model. Above 2ρ, cmove may draw
+    movers from beyond the sensing neighbours: the centralized scheme's
+    global view."""
 
     length: float
     width: float
@@ -83,6 +93,8 @@ class Region:
             # Written so that NaN fails the comparison.
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.comm < 2 * self.rho:
+            raise ValueError(f"comm must be at least 2*rho = {2 * self.rho}, got {self.comm}")
 
 
 @dataclass(frozen=True)

@@ -233,9 +233,10 @@ def boundary_worlds():
     the energy of sensor k with k % 4 == 0 is the exact distance to it and
     with k % 4 == 1 one ulp below. A world has one comm radius: 200 when
     k is 0, else sensor k's distance (k % 4 == 2) or one ulp below it
-    (k % 4 == 3), once for each such k. np.hypot and math.hypot differ in
-    the last bit on a few inputs; the probe collects 40 such positions (on
-    this numpy)."""
+    (k % 4 == 3), once for each such k. Its ρ is 1, or half of a comm
+    radius below 2, which Region requires. np.hypot and math.hypot differ
+    in the last bit on a few inputs; the probe collects 40 such positions
+    (on this numpy)."""
     rng = np.random.default_rng(8)
     target = Point(50.0, 30.0)
     positions = []
@@ -257,7 +258,9 @@ def boundary_worlds():
     for k, comm in comms.items():
         sensors = [Sensor(0, target, 0.0, 0.0, failed=True)]
         sensors += [Sensor(i, positions[i - 1], e, e) for i, e in energies.items()]
-        world = World(Region(100.0, 100.0, 1.0, comm), sensors, EnergyModel(1.0, 0.0))
+        # Halving is exact, so comm is exactly 2ρ where ρ is below 1.
+        region = Region(100.0, 100.0, min(1.0, comm / 2), comm)
+        world = World(region, sensors, EnergyModel(1.0, 0.0))
         world.edit_chain(0, 0, [0])
         yield world, k
 

@@ -110,8 +110,11 @@ class TestRunBadDeployment:
         _t1_text(lambda d: d["region"].update(L="10")),
         _t1_text(lambda d: d["sensors"][0].update(x=True)),
         _DEEP_DEPLOYMENT,
+        # One connectivity model: comm must reach 2ρ, here 2.
+        _t1_text(lambda d: d.update(comm=1.5)),
     ], ids=["nan-x", "negative-energy", "malformed-json", "missing-rho", "fractional-id",
-            "bool-rho", "string-rho", "string-length", "bool-x", "deeply-nested-region"])
+            "bool-rho", "string-rho", "string-length", "bool-x", "deeply-nested-region",
+            "comm-below-two-rho"])
     def test_exit_usage_with_one_error_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -183,6 +186,12 @@ class TestRunBadDeployment:
     (["sweep", "--n-list", "40", "--schemes", ""], None),
     (["sweep", "--n-list", "40", "--config", "{config}"], '{"report_points": [0.1, 0.1000001]}'),
     (["sweep", "--n-list", "40", "--config", "{config}"], _DEEP),
+    (["generate", "--n", "60", "--length", "1500", "--rho", "25", "--comm", "40",
+      "--out", "{out}"], None),
+    (["sweep", "--n-list", "40", "--config", "{config}", "--out", "{out}"],
+     '{"rho": 25, "comm": 40}'),
+    (["sweep", "--n-list", "40", "--rho", "30", "--config", "{config}", "--out", "{out}"],
+     '{"comm": 50}'),
 ], ids=["generate-n-1", "generate-negative-rho", "generate-bad-out",
         "sweep-missing-config", "sweep-config-list", "sweep-config-string-trials",
         "sweep-config-negative-k",
@@ -196,7 +205,9 @@ class TestRunBadDeployment:
         "sweep-config-bool-trials", "sweep-config-bool-rho",
         "sweep-config-bool-report-point", "sweep-repeated-scheme", "sweep-repeated-size",
         "sweep-config-repeated-report-point", "sweep-empty-schemes",
-        "sweep-config-report-points-print-alike", "sweep-config-deeply-nested"])
+        "sweep-config-report-points-print-alike", "sweep-config-deeply-nested",
+        "generate-comm-below-two-rho", "sweep-config-comm-below-two-rho",
+        "sweep-config-comm-below-two-rho-override"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
     # Each of these used to end in a traceback and exit 1, or to run anyway.
     # A bad sweep must stop before its first deployment draw.
@@ -209,10 +220,12 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config
         path.write_text(config)
     t1 = tmp_path / "t1.json"
     t1.write_text(deployment_json(T1_COORDS))
-    argv = [a.format(absent=tmp_path / "absent.json", config=path, t1=t1) for a in argv]
+    out = tmp_path / "out.txt"
+    argv = [a.format(absent=tmp_path / "absent.json", config=path, t1=t1, out=out)
+            for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == "" and not out.exists()
     assert captured.err.startswith("error: ")
     assert len(captured.err.splitlines()) == 1
     if "--seed" in argv:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ from oracles import (
 )
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _regions(draw):
+    """Any region that ``Region`` accepts: positive, finite sides and radii,
+    with comm drawn from [2ρ, the largest float]. So ρ is at most half the
+    largest float, where 2ρ is still finite."""
+    rho = draw(st.floats(0.0, sys.float_info.max / 2, exclude_min=True))
+    comm = draw(st.floats(2 * rho, allow_infinity=False))
+    return Region(draw(_POSITIVE), draw(_POSITIVE), rho, comm)
 
 
 def one_sensor_world(energy=100.0, threshold=10.0, cost=1.0):
@@ -284,7 +296,7 @@ class TestWorldJson:
              sensors=[(0, 10.0, 30.0, 100.0), (1, 40.0, 30.0, 100.0), (2, 70.0, 20.0, 100.0),
                       (3, 95.0, 30.0, 100.0)],
              cost=1.0, threshold=10.0, moves=[(1, 0.2)], failures=[2])
-    @given(region=st.builds(Region, *[st.floats(0.0, exclude_min=True, allow_infinity=False)] * 4),
+    @given(region=_regions(),
            sensors=st.lists(st.tuples(st.integers(0, 2**63), _FINITE, _FINITE,
                                       st.floats(0.0, allow_infinity=False)),
                             max_size=8, unique_by=lambda rec: rec[0]),
@@ -387,6 +399,11 @@ def test_region_validation():
                 (math.inf, 10, 1, 2), (10, 10, math.inf, 2)]:
         with pytest.raises(ValueError):
             Region(*bad)
+    # comm must reach 2ρ, the graph's link reach: one ulp below is rejected.
+    for rho in (1.0, 25.0, 30.0, 5e-324, 0.1):
+        with pytest.raises(ValueError, match="comm must be at least 2"):
+            Region(10, 10, rho, math.nextafter(2 * rho, 0))
+        assert Region(10, 10, rho, 2 * rho).comm == 2 * rho
     with pytest.raises(ValueError):
         EnergyModel(cost_per_unit_displacement=0)
 

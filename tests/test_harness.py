@@ -105,17 +105,20 @@ class TestGenerateDeployment:
                 assert type(s.pos.x) is float and type(s.pos.y) is float
 
     @settings(max_examples=200, deadline=None)
-    @example(seed=0, n=2, sigma=0.0, width=60.0, rho=30.0, comm=None, energy=100.0)
-    @example(seed=1, n=50, sigma=1e4, width=7.5, rho=12.5, comm=3.25, energy=0.0)
+    @example(seed=0, n=2, sigma=0.0, width=60.0, radii=(30.0, None), energy=100.0)
+    @example(seed=1, n=50, sigma=1e4, width=7.5, radii=(12.5, 25.0), energy=0.0)
     @given(seed=st.integers(0, 2**64 - 1), n=st.integers(2, 200),
            sigma=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
-           width=st.floats(1e-3, 1e4), rho=st.floats(1e-3, 1e4),
-           comm=st.one_of(st.none(), st.floats(1e-3, 1e4)),
+           width=st.floats(1e-3, 1e4),
+           radii=st.floats(1e-3, 1e4).flatmap(lambda rho: st.tuples(
+               st.just(rho), st.one_of(st.none(), st.floats(2 * rho, 2e4)))),
            energy=st.floats(0.0, 1e6))
     def test_deployment_is_the_per_sensor_loop_bit_for_bit(
-            self, seed, n, sigma, width, rho, comm, energy):
+            self, seed, n, sigma, width, radii, energy):
         # repr writes each float's shortest round-trip form, so equal reprs
-        # mean equal bits (the sign of zero included) and equal types.
+        # mean equal bits (the sign of zero included) and equal types. comm
+        # is the default 2ρ or any radius from 2ρ up, as Region requires.
+        rho, comm = radii
         cfg = ExperimentConfig(n=n, length=1500.0, width=width, rho=rho, comm=comm,
                                sigma=sigma, initial_energy=energy, trials=1)
         sensors = generate_deployment(cfg, seeded_rng(seed))
