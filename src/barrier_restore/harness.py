@@ -13,9 +13,14 @@ same deployment and failure order (common random numbers). An experiment
 therefore deploys each trial once, in one task that runs every configured
 scheme on its own exact copy of that world (``World.copy``); the last
 scheme takes the deployed world itself.
+
+A process forks its worker pool once, on its first run with more than one
+worker, and keeps it for every later run with that worker count (see
+``run_experiment``); the workers run the package as it stood at the fork.
 """
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import json
 import math
@@ -354,6 +359,41 @@ def _trial_task(
     return out
 
 
+# This process's worker pool and its worker count, kept from one parallel
+# run_experiment to the next; None until the first and after a drop.
+_pool: Optional[tuple[int, concurrent.futures.Executor]] = None
+
+
+def _drop_pool() -> None:
+    """Shut down this process's worker pool, if it has one: cancel its tasks
+    not yet started and wait until its workers and threads have ended."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown(wait=True, cancel_futures=True)
+        _pool = None
+
+
+# concurrent.futures' own exit hook has ended the workers by the time this
+# runs; dropping the pool then frees it while the modules it calls at its
+# release are still loaded, not during interpreter teardown, where that
+# call fails on a module already cleared.
+atexit.register(_drop_pool)
+
+
+def _workers(count: int) -> concurrent.futures.Executor:
+    """This process's pool of ``count`` worker processes, forked on first use.
+
+    A pool of another size is dropped first: joining its threads before the
+    fork keeps every fork in a single-threaded process, which Python 3.12
+    warns about otherwise, since a fork beside a live thread can deadlock."""
+    global _pool
+    if _pool is not None and _pool[0] != count:
+        _drop_pool()
+    if _pool is None:
+        _pool = (count, concurrent.futures.ProcessPoolExecutor(max_workers=count))
+    return _pool[1]
+
+
 def run_experiment(
     config: ExperimentConfig, jobs: int = 1, detail_sink=None
 ) -> list[MetricsRow]:
@@ -364,15 +404,26 @@ def run_experiment(
     processes, at most one per trial and one per CPU, since the pool starts
     every worker at once. The pool's modules (``concurrent.futures.process``
     and ``multiprocessing``) load on a process's first run with more than
-    one worker, never on a serial one. Results are merged in (scheme, trial)
-    order, so output never depends on the worker count. ``detail_sink``,
-    when given, receives one JSON line per failure episode."""
+    one worker, never on a serial one.
+
+    The process keeps its pool between runs: the first run with more than
+    one worker forks it, later runs with the same worker count reuse its
+    workers, and a run with another count replaces it. Workers run the
+    package as it stood when they were forked. A run that raises while its
+    tasks run (a size with no barrier, a dead worker, an interrupt) cancels
+    the tasks not yet started and drops the pool; otherwise the workers end
+    with the interpreter. Results are merged in (scheme, trial) order, so
+    output never depends on the worker count. ``detail_sink``, when given,
+    receives one JSON line per failure episode."""
     seeds = [trial_seed(config, t) for t in range(config.trials)]
     tasks = [(config, seed, detail_sink is not None) for seed in seeds]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(_trial_task, tasks, chunksize=1))
+        try:
+            per_trial = list(_workers(workers).map(_trial_task, tasks, chunksize=1))
+        except BaseException:
+            _drop_pool()
+            raise
     else:
         per_trial = [_trial_task(t) for t in tasks]
 

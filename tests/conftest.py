@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from barrier_restore import harness
 from barrier_restore.core import EnergyModel, Move, Point, Region, Sensor, World
 from barrier_restore.graph import find_barrier
 
@@ -28,6 +29,14 @@ def drain(world, sensor_id, energy):
     sensor = world.sensors[sensor_id]
     world.changes.append(Move(sensor_id, sensor.pos, sensor.pos))
     sensor.energy = energy
+
+
+@pytest.fixture(autouse=True)
+def no_pool_carried_over():
+    """Shut down the worker pool that a test leaves, so that no later test
+    runs on workers forked under this one's monkeypatches."""
+    yield
+    harness._drop_pool()
 
 
 T1_COORDS = [(1, 0), (3, 0), (5, 0), (7, 0), (9, 0), (5, 2)]

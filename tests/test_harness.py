@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -527,16 +528,13 @@ def _stub_pool(monkeypatch):
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, tasks, chunksize=1):
             results = [fn(task) for task in tasks]
             returned.extend(results)
             return results
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return started, returned
@@ -809,3 +807,53 @@ def test_only_a_parallel_run_loads_the_process_pool(tmp_path):
         assert loaded[step] == [], step
     assert "concurrent.futures.process" in loaded["parallel experiment"]
     assert "multiprocessing" in loaded["parallel experiment"]
+
+
+# The worker pids alive after each step in a fresh interpreter on three
+# CPUs (whatever the machine has), where a DeprecationWarning is an error
+# as in the suite, so a fork beside a live pool thread fails from Python
+# 3.12 on: two runs on two workers, one on three, one whose size forms no
+# barrier, then a serial and a parallel run of the same config. The pool
+# still alive at exit must end without a word on stderr.
+REUSE_PROBE = r"""
+import json, multiprocessing, os, sys
+sys.path.insert(0, sys.argv[1])
+from barrier_restore import harness
+
+def alive():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+os.cpu_count = lambda: 3
+config = harness.ExperimentConfig(n=40, length=400.0, trials=3, schemes=("nmove",))
+steps = {}
+for step, jobs in (("two", 2), ("two again", 2), ("three", 3)):
+    harness.run_experiment(config, jobs=jobs)
+    steps[step] = alive()
+no_barrier = harness.ExperimentConfig(n=3, length=100000.0, trials=2, max_redraws=1)
+try:
+    harness.run_experiment(no_barrier, jobs=2)
+except harness.InitialBarrierImpossible:
+    steps["failed"] = alive()
+serial = harness.rows_to_csv(harness.run_experiment(config))
+steps["same bytes"] = harness.rows_to_csv(harness.run_experiment(config, jobs=2)) == serial
+steps["after"] = alive()
+print(json.dumps(steps))
+"""
+
+
+def test_parallel_runs_reuse_one_pool():
+    src = Path(harness.__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", REUSE_PROBE, str(src)],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    steps = json.loads(run.stdout)
+    assert len(steps["two"]) == 2 and steps["two again"] == steps["two"]
+    assert len(steps["three"]) == 3 and not set(steps["three"]) & set(steps["two"])
+    assert steps["failed"] == []
+    assert steps["same bytes"] is True
+    assert len(steps["after"]) == 2
+    for pid in {*steps["two"], *steps["three"], *steps["after"]}:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
