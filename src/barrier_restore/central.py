@@ -9,8 +9,9 @@ Two schemes share the alternate-path step:
   positions, which realizes cascaded shifting whenever the cheapest filler
   chain passes through barrier nodes.
 
-A step repairs the failed chain members, ``World.holes``, and reports what
-it did; whether the chain holds afterwards is ``graph.verify_barrier(world)``.
+A step repairs the failed chain members, ``World.holes``, which it reads
+once, off the chain's broken links, and reports what it did; whether the
+chain holds afterwards is ``graph.verify_barrier(world)``.
 
 The assignment costs what its search reaches. Rows are sensor ids and
 columns chain slots; the warm start is the chain, each live member on its

@@ -36,7 +36,6 @@ from pathlib import Path
 
 from .core import EnergyModel, seeded_rng, world_from_json, world_to_json
 from .distributed import MessageBus
-from .graph import verify_barrier
 from .harness import (
     SCHEMES,
     ExperimentConfig,
@@ -44,6 +43,7 @@ from .harness import (
     designate_first_chain,
     generate_deployment,
     rows_to_csv,
+    run_episode,
     run_experiment,
     start_scheme,
 )
@@ -171,21 +171,19 @@ def cmd_run(args: argparse.Namespace) -> None:
                                k=args.k, bus=bus)
     except ValueError as err:
         raise CliError(err) from None
-    for sid in failed_ids:
-        world.fail(sid)
     # One centralized step covers every failed chain member; the local
-    # schemes were limited to a single id above.
+    # schemes were limited to a single id above. Failing edits no chain.
     edits = len(world.chain_edits)
-    outcome = restore(failed_ids[0])
+    record, outcome = run_episode(world, restore, 1, failed_ids)
 
     doc = {
-        "success": verify_barrier(world),
-        "mechanism": outcome.mechanism,
+        "success": record.success,
+        "mechanism": record.mechanism,
         "moves": [
             {"id": sid, "from": [a.x, a.y], "to": [b.x, b.y]}
             for sid, a, b in outcome.moves
         ],
-        "total_displacement": outcome.total_displacement,
+        "total_displacement": record.displacement,
         "new_barrier": world.barrier if len(world.chain_edits) > edits else None,
         "scheme": args.scheme,
         "failed": failed_ids,

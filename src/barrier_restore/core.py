@@ -317,9 +317,8 @@ class World:
     Its chain, ``barrier``, names each sensor at most once and holds no
     other id (so no sentinel). It changes only through :meth:`edit_chain`,
     a slice replacement in place that rejects an edit breaking that rule,
-    keeps ``slots`` (each chain id's slot) and, with :meth:`fail`, ``holes``
-    (the failed chain ids) current, and appends a ``ChainEdit`` to
-    ``chain_edits``, the one record of chain changes. Readers follow both
+    keeps ``slots`` (each chain id's slot) current, and appends a
+    ``ChainEdit`` to ``chain_edits``, the one record of chain changes. Readers follow both
     records by index, from 0: they run from the world's construction.
     :meth:`edited_slots` says which slots were written since a mark, so a
     dmove re-election re-reads only those and their neighbours.
@@ -329,7 +328,9 @@ class World:
     construction checks the empty chain's one link, PL to PR, ``edit_chain``
     re-checks the links it wrote, and ``fail`` and ``apply_move`` the two of
     a chain member, as each changes them (:meth:`check_links`).
-    ``graph.verify_barrier`` reads it.
+    ``graph.verify_barrier`` reads it, and ``holes``, the failed chain ids,
+    is read off it: a failed sensor has no graph vertex, so each failed
+    chain member is the left end of a broken link.
     """
 
     def __init__(
@@ -351,7 +352,6 @@ class World:
         self.graph: IntersectionGraph = build_intersection_graph(self.sensors, region)
         self._barrier: list[int] = []
         self.slots: dict[int, int] = {}
-        self.holes: set[int] = set()
         self.chain_edits: list[ChainEdit] = []
         self.broken: dict[int, int] = {}
         self.check_links((0,))
@@ -360,11 +360,18 @@ class World:
     def barrier(self) -> list[int]:
         return self._barrier
 
+    @property
+    def holes(self) -> set[int]:
+        """The failed chain members: the left ends of broken links that are
+        no graph vertex (PL always is one, and so is every live sensor)."""
+        adjacency = self.graph.adjacency
+        return {u for u in self.broken if u not in adjacency}
+
     def copy(self) -> World:
         """An exact copy that shares nothing a step can change: new
         ``Sensor`` objects (the frozen ``Point``, ``Region`` and
         ``EnergyModel`` are shared), a copied graph that reads them, and a
-        copied chain, slot map, ``holes``, ``broken`` and both records. It
+        copied chain, slot map, ``broken`` and both records. It
         builds no graph, so it skips ``__init__``. Cheaper than a deploy or
         a pickle round trip, so each scheme can run on its own copy."""
         twin = World.__new__(World)
@@ -378,7 +385,6 @@ class World:
         twin.graph = self.graph.copy(twin.sensors)
         twin._barrier = list(self._barrier)
         twin.slots = dict(self.slots)
-        twin.holes = set(self.holes)
         twin.chain_edits = list(self.chain_edits)
         twin.broken = dict(self.broken)
         return twin
@@ -408,12 +414,9 @@ class World:
         self.chain_edits.append((start, old, new))
         for sid in old:
             del slots[sid]
-            self.holes.discard(sid)
             self.broken.pop(sid, None)
         for idx, sid in enumerate(new, start):
             slots[sid] = idx
-            if sensors[sid].failed:
-                self.holes.add(sid)
         if len(new) != len(old):
             for idx in range(start + len(new), len(chain)):
                 slots[chain[idx]] = idx
@@ -458,8 +461,8 @@ class World:
 
     def fail(self, sensor_id: int) -> None:
         """Mark a sensor failed, drop its vertex from the graph and, on the
-        chain, add it to ``holes`` and re-check its two links; a failed
-        sensor is left as it is."""
+        chain, re-check its two links, which puts it among ``holes``; a
+        failed sensor is left as it is."""
         s = self.sensors[sensor_id]
         if not s.failed:
             self.changes.append(Move(sensor_id, s.pos, s.pos))
@@ -467,7 +470,6 @@ class World:
             self.graph.remove(sensor_id)
             k = self.slots.get(sensor_id)
             if k is not None:
-                self.holes.add(sensor_id)
                 self.check_links((k, k + 1))
 
     def affords(self, sensor: Sensor, distance: float) -> bool:

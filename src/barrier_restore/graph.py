@@ -9,7 +9,7 @@ vertex's neighbours are its row, ``IntersectionGraph.adjacency[v]``, which
 every search reads directly. A barrier is a path of this graph from PL to
 PR: the searches find one, and ``verify_barrier`` checks the designated
 chain as one. No scheme calls it: a step reports what it did, and the
-episode loop (``harness.run_trial``) reads the verdict off the world.
+episode (``harness.run_episode``) reads the verdict off the world.
 
 The designated chain changes only through ``World.edit_chain``, a slice
 replacement in place that the world records. ``write_slots`` (the cascade's

@@ -16,7 +16,8 @@ scheme takes the deployed world itself.
 
 A process forks its worker pool once, on its first run with more than one
 worker, and keeps it for every later run with that worker count (see
-``run_experiment``); the workers run the package as it stood at the fork.
+``run_experiment``); the workers run the package as it stood at the fork,
+and end when it does, killed or not.
 """
 from __future__ import annotations
 
@@ -25,6 +26,8 @@ import concurrent.futures
 import json
 import math
 import os
+import threading
+import time
 from dataclasses import dataclass, fields
 from functools import reduce
 from numbers import Integral, Real
@@ -228,20 +231,18 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     is given ``world``, which must be that deployment or an exact copy of it
     (``World.copy``) that nothing has changed yet; the trial changes it.
 
-    An episode succeeds when the designated chain verifies after the step:
-    ``verify_barrier`` runs once after every step and reads the chain's
-    broken links, which the world keeps current. A failed restoration does
-    not end the trial; the centralized schemes keep retrying the
-    accumulated gap on later episodes, while the local schemes need the
-    chain whole and simply keep failing until the trial ends.
+    Each episode is one ``run_episode`` with one victim. A failed
+    restoration does not end the trial; the centralized schemes keep
+    retrying the accumulated gap on later episodes, while the local schemes
+    need the chain whole and simply keep failing until the trial ends.
 
     The failure order is drawn once, before the first failure, from the
     trial's seed alone, so every scheme replays it. Each victim is uniform
     among the survivors: ``live`` is the live ids in id order after deploy,
     and one ``integers`` call draws every episode's index into what is left
     of it. Numpy bounds each element of that call on its own, so the order
-    equals one scalar draw per episode. Only this loop fails sensors during
-    a trial.
+    equals one scalar draw per episode. Only ``run_episode`` fails sensors
+    during a trial.
 
     A report point p covers the first f = floor(p·N) episodes. Its row's
     recovery rate is the percentage of them that succeeded and its
@@ -264,11 +265,7 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     live = [s.id for s in world.active_sensors()]
     draws = fail_rng.integers(0, list(range(len(live), len(live) - total_failures, -1)))
     for episode, failed_id in enumerate([live.pop(i) for i in draws.tolist()], 1):
-        on_chain = failed_id in world.slots
-        world.fail(failed_id)
-        outcome = restore(failed_id)
-        episodes.append(EpisodeRecord(episode, failed_id, on_chain, outcome.mechanism,
-                                      verify_barrier(world), outcome.total_displacement))
+        episodes.append(run_episode(world, restore, episode, [failed_id])[0])
         if episode in marks:
             high[episode] = _count_high(world, threshold)
 
@@ -295,6 +292,23 @@ def run_trial(scheme: str, config: ExperimentConfig, seed: int,
     return TrialResult(rows, episodes)
 
 
+def run_episode(world: World, restore: Callable[[int], RestoreOutcome], episode: int,
+                victims: Sequence[int]) -> tuple[EpisodeRecord, RestoreOutcome]:
+    """One failure episode: fail every id of ``victims`` (``World.fail``),
+    call the scheme's step (see ``start_scheme``) once with the first, and
+    read the verdict. The episode succeeds when the designated chain
+    verifies after the step: ``verify_barrier`` reads the chain's broken
+    links, which the world keeps current. The record names the first victim
+    and whether it held a chain slot before it failed."""
+    first = victims[0]
+    on_chain = first in world.slots
+    for sid in victims:
+        world.fail(sid)
+    outcome = restore(first)
+    return (EpisodeRecord(episode, first, on_chain, outcome.mechanism,
+                          verify_barrier(world), outcome.total_displacement), outcome)
+
+
 def _count_high(world: World, threshold: float) -> int:
     """Live sensors holding more energy than ``threshold``."""
     return len([s for s in world.sensors.values() if not s.failed and s.energy > threshold])
@@ -305,9 +319,9 @@ def start_scheme(scheme: str, world: World, rng: np.random.Generator,
                  ) -> Callable[[int], RestoreOutcome]:
     """Prepare ``scheme`` on a world with a designated barrier and return its
     restore step, called with each sensor id that the caller has just failed
-    (``World.fail``). dmove elects its recovery nodes here (``k`` is its hop
-    budget, ``bus`` its election's message bus, a fresh one by default);
-    rmove draws its coin from ``rng``.
+    (``World.fail``), as ``run_episode`` does. dmove elects its recovery
+    nodes here (``k`` is its hop budget, ``bus`` its election's message bus,
+    a fresh one by default); rmove draws its coin from ``rng``.
 
     The centralized schemes see the whole world, so each step retries
     every failed chain member, ``World.holes``; the local schemes react to
@@ -373,6 +387,23 @@ def _drop_pool() -> None:
         _pool = None
 
 
+def _end_with_parent() -> None:
+    """Pool worker initializer: end this worker once its parent has died.
+    An idle worker waits on its task queue, whose write end its siblings
+    hold too, so it would never see the death and would live on under
+    another parent. A daemon thread polls the parent id, which changes when
+    the worker is re-parented; the pool always forks (``_workers``), so the
+    parent is the process that made the pool."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="end-with-parent", daemon=True).start()
+
+
 # concurrent.futures' own exit hook has ended the workers by the time this
 # runs; dropping the pool then frees it while the modules it calls at its
 # release are still loaded, not during interpreter teardown, where that
@@ -383,14 +414,20 @@ atexit.register(_drop_pool)
 def _workers(count: int) -> concurrent.futures.Executor:
     """This process's pool of ``count`` worker processes, forked on first use.
 
-    A pool of another size is dropped first: joining its threads before the
-    fork keeps every fork in a single-threaded process, which Python 3.12
-    warns about otherwise, since a fork beside a live thread can deadlock."""
+    The pool forks whatever the process's start method, so its workers run
+    the package as it stands in this process and are its children. A pool
+    of another size is dropped first: joining its threads before the fork
+    keeps every fork in a single-threaded process, which Python 3.12 warns
+    about otherwise, since a fork beside a live thread can deadlock."""
+    import multiprocessing
+
     global _pool
     if _pool is not None and _pool[0] != count:
         _drop_pool()
     if _pool is None:
-        _pool = (count, concurrent.futures.ProcessPoolExecutor(max_workers=count))
+        _pool = (count, concurrent.futures.ProcessPoolExecutor(
+            max_workers=count, mp_context=multiprocessing.get_context("fork"),
+            initializer=_end_with_parent))
     return _pool[1]
 
 
@@ -412,7 +449,8 @@ def run_experiment(
     package as it stood when they were forked. A run that raises while its
     tasks run (a size with no barrier, a dead worker, an interrupt) cancels
     the tasks not yet started and drops the pool; otherwise the workers end
-    with the interpreter. Results are merged in (scheme, trial) order, so
+    with the interpreter, or soon after it if it is killed
+    (``_end_with_parent``). Results are merged in (scheme, trial) order, so
     output never depends on the worker count. ``detail_sink``, when given,
     receives one JSON line per failure episode."""
     seeds = [trial_seed(config, t) for t in range(config.trials)]

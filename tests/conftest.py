@@ -5,7 +5,6 @@ import pytest
 
 from barrier_restore import harness
 from barrier_restore.core import EnergyModel, Move, Point, Region, Sensor, World
-from barrier_restore.graph import find_barrier
 
 
 def make_world(coords, rho=1.0, length=10.0, width=4.0, energy=100.0,
@@ -18,7 +17,7 @@ def make_world(coords, rho=1.0, length=10.0, width=4.0, energy=100.0,
     ]
     world = World(Region(length, width, rho, comm), sensors)
     if with_barrier:
-        world.edit_chain(0, 0, find_barrier(world.graph) or [])
+        harness.designate_first_chain(world)
     return world
 
 
@@ -79,5 +78,5 @@ def random_line_world(seed, n_min=6, n_max=12, rho=1.0):
     # Threshold zero: the mixed low energies here should constrain moves,
     # not freeze sensors outright.
     world = World(Region(length, width, rho, 2 * rho), sensors, EnergyModel(1.0, 0.0))
-    world.edit_chain(0, 0, find_barrier(world.graph) or [])
+    harness.designate_first_chain(world)
     return world

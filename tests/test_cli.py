@@ -192,6 +192,8 @@ class TestRunBadDeployment:
      '{"rho": 25, "comm": 40}'),
     (["sweep", "--n-list", "40", "--rho", "30", "--config", "{config}", "--out", "{out}"],
      '{"comm": 50}'),
+    (["run", "--deployment", "{t1}", "--scheme", "cmove", "--fail", "3,x"], None),
+    (["sweep", "--n-list", "140,abc"], None),
 ], ids=["generate-n-1", "generate-negative-rho", "generate-bad-out",
         "sweep-missing-config", "sweep-config-list", "sweep-config-string-trials",
         "sweep-config-negative-k",
@@ -207,7 +209,8 @@ class TestRunBadDeployment:
         "sweep-config-repeated-report-point", "sweep-empty-schemes",
         "sweep-config-report-points-print-alike", "sweep-config-deeply-nested",
         "generate-comm-below-two-rho", "sweep-config-comm-below-two-rho",
-        "sweep-config-comm-below-two-rho-override"])
+        "sweep-config-comm-below-two-rho-override", "run-non-integer-id",
+        "sweep-non-integer-size"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, argv, config):
     # Each of these used to end in a traceback and exit 1, or to run anyway.
     # A bad sweep must stop before its first deployment draw.

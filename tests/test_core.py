@@ -455,6 +455,18 @@ def test_a_rejected_chain_edit_changes_nothing(data):
         assert world.broken == broken_links_oracle(world)
 
 
+@pytest.mark.parametrize("start, stop", [(-1, 0), (0, 6), (3, 2), (6, 6)])
+def test_an_out_of_range_chain_slice_changes_nothing(start, stop):
+    # The chain of T1 holds five slots, one of them failed.
+    world = make_world(T1_COORDS)
+    world.fail(2)
+    was = (list(world.barrier), dict(world.slots), list(world.chain_edits),
+           dict(world.broken))
+    with pytest.raises(IndexError):
+        world.edit_chain(start, stop, [5])
+    assert (world.barrier, world.slots, world.chain_edits, world.broken) == was
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_broken_links_follow_every_change(data):

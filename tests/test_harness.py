@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -433,15 +435,20 @@ class TestWorldCopy:
 def test_copy_of_a_changed_world_equals_it(scheme):
     # After a trial that left failed members on the chain: the copy keeps
     # the holes, the broken links and both records, and its verdict is its
-    # source's.
+    # source's. A chain member failed on the copy is a hole of the copy
+    # alone.
     cfg = ExperimentConfig(n=160, trials=1)
     world = trial_world(scheme, cfg, trial_seed(cfg, 0))
     assert world.holes and len(world.chain_edits) > 1
     copy = world.copy()
     assert _world_state(copy) == _world_state(world)
-    assert copy.holes is not world.holes and copy.changes is not world.changes
-    assert copy.broken is not world.broken
+    assert copy.changes is not world.changes
     assert graph.verify_barrier(copy) == graph.verify_barrier(world)
+    holes, broken = set(world.holes), dict(world.broken)
+    member = next(sid for sid in copy.barrier if sid not in copy.holes)
+    copy.fail(member)
+    assert copy.holes == holes | {member} and member in copy.broken
+    assert world.holes == holes and world.broken == broken
 
 
 def _graph_answers(g, probes):
@@ -525,7 +532,7 @@ def _stub_pool(monkeypatch):
     started, returned = [], []
 
     class Pool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None, initializer=None):
             started.append(max_workers)
 
         def map(self, fn, tasks, chunksize=1):
@@ -769,6 +776,12 @@ def test_one_graph_per_world(monkeypatch):
     assert builds["graph"] == 1
 
 
+def test_an_unknown_scheme_is_rejected():
+    world = deploy_with_barrier(ExperimentConfig(n=40, **FAST), 0)
+    with pytest.raises(ValueError, match="unknown scheme 'xmove'"):
+        harness.start_scheme("xmove", world, seeded_rng(0))
+
+
 # Which of the process pool's modules a fresh interpreter holds after each
 # step: importing the package, a generate, a serial trial, then a parallel
 # experiment (on two CPUs, whatever the machine has).
@@ -857,3 +870,67 @@ def test_parallel_runs_reuse_one_pool():
     for pid in {*steps["two"], *steps["three"], *steps["after"]}:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+# A fresh interpreter that sets the given start method (keeps its default
+# when empty), starts two workers, writes each worker's pid and start time
+# to a file (not to stdout, which the workers share and would hold open)
+# and kills itself. The pool forks under every start method; a worker
+# started by a fork server would be that server's child, and the server
+# lives as long as any of its clients, the workers included.
+ORPHAN_PROBE = r"""
+import multiprocessing, os, signal, sys
+sys.path.insert(0, sys.argv[1])
+from barrier_restore import harness
+
+if sys.argv[3]:
+    multiprocessing.set_start_method(sys.argv[3])
+os.cpu_count = lambda: 2
+config = harness.ExperimentConfig(n=40, length=400.0, trials=2, schemes=("nmove",))
+harness.run_experiment(config, jobs=2)
+with open(sys.argv[2], "w") as out:
+    for worker in multiprocessing.active_children():
+        stat = open(f"/proc/{worker.pid}/stat").read()
+        out.write(f"{worker.pid} {stat[stat.rindex(')') + 2:].split()[19]}\n")
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _stat(pid):
+    """The state and the start time of ``pid`` from ``/proc/<pid>/stat``,
+    or None when there is no such process."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    fields = text[text.rindex(")") + 2:].split()
+    return fields[0], fields[19]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+@pytest.mark.parametrize("method", ["", "forkserver"], ids=["default", "forkserver"])
+def test_workers_end_when_their_parent_is_killed(tmp_path, method):
+    src = Path(harness.__file__).resolve().parent.parent
+    pids, err = tmp_path / "pids", tmp_path / "stderr"
+    with err.open("w") as stderr:
+        run = subprocess.run([sys.executable, "-c", ORPHAN_PROBE, str(src), str(pids), method],
+                             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                             stderr=stderr, timeout=60)
+    assert run.returncode == -signal.SIGKILL, err.read_text()
+    # A worker is identified by its pid and the start time the probe read
+    # while it lived, so a pid reused since is never taken for it.
+    started = dict(line.split() for line in pids.read_text().splitlines())
+    assert len(started) == 2
+
+    def running():
+        # The same process, not yet dead: a zombie waits only to be reaped.
+        return [int(pid) for pid, first in started.items()
+                if (now := _stat(pid)) and now[1] == first and now[0] != "Z"]
+
+    deadline = time.monotonic() + 10
+    while running() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = running()
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
