@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional
+from typing import Collection, Optional
 
 from .core import (
     MECH_ALTERNATE,
@@ -63,6 +62,8 @@ INF = math.inf
 #   SetRec (no payload): register the sender at its chosen recovery node.
 REQ, REP, SET = "ReqNbRec", "RepNbRec", "SetRec"
 
+_PAIR = itemgetter(0, 1)  # a message's (sender, receiver)
+
 
 class MessageBus:
     """Reliable in-order delivery per sender-receiver pair, no loss or
@@ -92,7 +93,7 @@ class MessageBus:
             rank = {pair: int(perm[i]) for i, pair in enumerate(pairs)}
             batch.sort(key=lambda m: rank[m[:2]])
         else:
-            batch.sort(key=itemgetter(0, 1))  # stable: per-pair FIFO
+            batch.sort(key=_PAIR)  # stable: per-pair FIFO
         if self.keep_log:
             for sender, receiver, kind, a, b in batch:
                 self.log.append((self.round_no, sender, receiver, kind,
@@ -134,12 +135,15 @@ class NodeState:
     values: dict[int, float] = field(default_factory=dict)
     awaiting: set[int] = field(default_factory=set)
 
-    def reset(self, pre: Optional[int], suc: Optional[int]) -> None:
-        """Forget the last election's outcome in place, keeping the
-        registrations at this node: the state a new ``NodeState`` with these
-        links and ``rec_set`` would have."""
+    def reset(self, states: dict[int, NodeState]) -> None:
+        """Forget the last election's outcome in place and drop this node's
+        registration at its recovery node among ``states``, keeping its
+        links and the registrations at this node: the state a new
+        ``NodeState`` with these links and ``rec_set`` would have."""
+        owner = states.get(self.rec_node)
+        if owner is not None:
+            owner.rec_set.discard(self.id)
         self.path_length = INF
-        self.pre, self.suc = pre, suc
         self.rec_node = None
         self.values.clear()
         self.awaiting.clear()
@@ -248,7 +252,7 @@ class Election:
         for sid, pos in since.items():
             touched.update(graph.near(pos))
             if sensors[sid].failed:
-                self._unregister(states.pop(sid))
+                states.pop(sid).reset(states)
             else:
                 touched.update(adjacency[sid])
 
@@ -257,94 +261,86 @@ class Election:
         written = world.edited_slots(self._edits)
         span = range(0) if written is None else range(
             max(written.start - 1, 0), min(written.stop + 1, len(chain)))
-        edited = [sid for _, old, new in world.chain_edits[self._edits:]
-                  for sid in (*old, *new)]
+        edited = {sid for _, old, new in world.chain_edits[self._edits:]
+                  for sid in (*old, *new)}
         self._edits = len(world.chain_edits)
 
         # Joining or leaving the chain changes a sensor's neighbors'
         # fillers; a sensor that left keeps no chain state. A live state
         # has chain links iff its node was on the chain at the last election.
-        for sid in set(edited):
+        for sid in edited:
             st = states.get(sid)
             if st is None or (st.pre is not None) == (sid in slots):
                 continue  # dead, or neither joined nor left
             touched.update(adjacency[sid])
             if st.pre is not None:
-                self._unregister(st)
-                st.reset(None, None)
+                st.pre = st.suc = None
+                st.reset(states)
 
         # A node's filler reads its position and row and its neighbors'
         # positions, capacities and chain membership: it can have changed
-        # only if the node is touched.
-        fillers = self._fillers
+        # only if the node is touched. Seeds: touched chain members and
+        # those whose links changed, which only the written slots and their
+        # neighbours can hold; elsewhere a state's links are the chain's.
+        fillers, seeds = self._fillers, set()
         for sid in touched:
             fillers.pop(sid, None)
-
-        # Seeds: touched chain members and those whose links changed, which
-        # only the written slots and their neighbours can hold.
-        seeds = {slots[sid] for sid in touched if sid in slots}
+            if sid in slots:
+                seeds.add(slots[sid])
         for idx in span:
             st = states.get(chain[idx])
-            if st is not None and (st.pre, st.suc) != _links(chain, idx):
-                seeds.add(idx)
-        dirty = set(seeds)
+            if st is not None:
+                links = _links(chain, idx)
+                if (st.pre, st.suc) != links:
+                    st.pre, st.suc = links
+                    seeds.add(idx)
+
+        # Elect each live seed and, on either side of it, the chain nodes
+        # whose requests toward it would reach it. A dead node ends the walk
+        # (requests die there), and so does another seed (its own walk goes
+        # on from there), the boundary or a node that answers.
+        answer, last = self._answer, len(chain) - 1
+        dirty: dict[int, NodeState] = {}
         for idx in seeds:
+            st = states.get(chain[idx])
+            if st is not None:
+                dirty[idx] = st
             for step in (-1, 1):
-                self._walk(chain, idx, step, seeds, dirty)
+                j = idx + step
+                while 0 <= j <= last and j not in seeds:
+                    st = states.get(chain[j])
+                    if st is None:
+                        break
+                    dirty[j] = st
+                    nxt = j + step
+                    if not 0 <= nxt <= last or answer(st.id, chain[nxt])[1] is not None:
+                        break
+                    j = nxt
 
-        order = []
-        for idx in sorted(dirty):
-            sid = chain[idx]
-            st = states.get(sid)
-            if st is None:
-                continue  # dead
-            self._unregister(st)
-            st.reset(*_links(chain, idx))
-            order.append(sid)
-        return order
-
-    def _walk(self, chain: list[int], idx: int, step: int, seeds: set[int],
-              dirty: set[int]) -> None:
-        """Add to ``dirty`` the chain indices beyond ``idx`` (in direction
-        ``step``) whose requests toward it would reach it. Another seed ends
-        the walk: its own walk goes on from there."""
-        j = idx + step
-        while 0 <= j < len(chain) and j not in seeds:
-            if chain[j] not in self.states:
-                return  # dead: requests die here
-            dirty.add(j)
-            nxt = j + step
-            if not 0 <= nxt < len(chain):
-                return  # the boundary answers next
-            if self._answer(chain[j], chain[nxt])[1] is not None:
-                return
-            j = nxt
-
-    def _unregister(self, st: NodeState) -> None:
-        """Drop st's registration at its recovery node."""
-        owner = self.states.get(st.rec_node)
-        if owner is not None:
-            owner.rec_set.discard(st.id)
+        for st in dirty.values():
+            st.reset(states)
+        return [dirty[idx].id for idx in sorted(dirty)]
 
     # -- protocol ---------------------------------------------------------
 
     def start(self, nodes: list[int]) -> None:
-        bus = self.bus
+        states, best_filler, send = self.states, self.best_filler, self.bus.send
         for sid in nodes:
-            st = self.states[sid]
-            filler = self.best_filler(sid)
+            st = states[sid]
+            filler = best_filler(sid)
             if filler is not None:
                 st.path_length, st.rec_node = filler
-                bus.send(sid, st.rec_node, SET, None)
+                send(sid, st.rec_node, SET, None)
             else:
                 st.awaiting = {st.pre, st.suc}
-                bus.send(sid, st.pre, REQ, sid)
-                bus.send(sid, st.suc, REQ, sid)
+                send(sid, st.pre, REQ, sid)
+                send(sid, st.suc, REQ, sid)
 
     def deliver(self, batch: list[tuple]) -> None:
         """Handle one drained round of messages, in order; what they send
         goes out in the next round."""
         states, sensors, send = self.states, self.world.sensors, self.bus.send
+        answer = self._answer
         for sender, receiver, kind, a, b in batch:
             if receiver < 0:
                 # The boundary is not a candidate: it answers every request
@@ -360,13 +356,13 @@ class Election:
             elif kind == REQ:
                 # The asker is one side; a forwarded request goes to the other.
                 far = st.pre if sender == st.suc else st.suc
-                hop, answer = self._answer(receiver, sender)
-                if answer is None and far in st.values:
-                    answer = st.values[far] + hop
-                if answer is None:
+                hop, d = answer(receiver, sender)
+                if d is None and far in st.values:
+                    d = st.values[far] + hop
+                if d is None:
                     send(receiver, far, REQ, a)
                 else:
-                    send(receiver, sender, REP, a, answer)
+                    send(receiver, sender, REP, a, d)
             else:
                 st.values.setdefault(sender, b)  # a side's first answer wins
                 if a == receiver:
@@ -450,9 +446,9 @@ def mldfs(graph: IntersectionGraph, start: int, dest: int, k: int,
     dist: dict[int, float] = {dest: 0.0}
     ranked: dict[int, list[tuple[float, int]]] = {}
     father: dict[int, int] = {start: start}
-    used: dict[int, set[int]] = defaultdict(set)
+    used: dict[int, set[int]] = {}  # where each vertex has sent the token
 
-    def pick(p: int) -> Optional[int]:
+    def pick(p: int, back: int, spent: Collection[int]) -> Optional[int]:
         order = ranked.get(p)
         if order is None:
             order = ranked[p] = []
@@ -464,7 +460,6 @@ def mldfs(graph: IntersectionGraph, start: int, dest: int, k: int,
                     d = dist[v] = graph.distance_to(v, dest)
                 order.append((d, v))
             order.sort()
-        back, spent = father[p], used[p]
         for _, q in order:
             if q != back and q not in spent:
                 return q
@@ -475,35 +470,37 @@ def mldfs(graph: IntersectionGraph, start: int, dest: int, k: int,
     trace = bus.log if bus.keep_log else None
 
     def emit(sender: int, receiver: int, route: str, k_left: int) -> None:
-        if trace is not None:
-            bus.round_no += 1
-            trace.append((bus.round_no, sender, receiver, "Tok",
-                          f"route={route};dest={dest};k={k_left}"))
+        bus.round_no += 1
+        trace.append((bus.round_no, sender, receiver, "Tok",
+                      f"route={route};dest={dest};k={k_left}"))
 
     sender, at, carried = start, start, k
     while True:
-        if at not in father:
-            father[at] = sender
+        back = father.setdefault(at, sender)
         if at == dest:
             path = [at]
             while path[-1] != start:
                 nxt = father[path[-1]]
-                emit(path[-1], nxt, "found", carried)
+                if trace is not None:
+                    emit(path[-1], nxt, "found", carried)
                 path.append(nxt)
             path.reverse()
             return path
-        candidate = pick(at)
-        bounce = sender != father[at] and sender not in used[at]
-        if carried > 0 and (candidate is not None or bounce):
+        spent = used.get(at, ())
+        bounce = sender != back and sender not in spent
+        if carried > 0 and (bounce or (candidate := pick(at, back, spent)) is not None):
             nxt = sender if bounce else candidate
-            used[at].add(nxt)
+            if spent:
+                spent.add(nxt)
+            else:
+                used[at] = {nxt}
             sender, at, carried = at, nxt, carried - 1
-            emit(sender, at, "disc", carried)
-            continue
-        if at == start:
+        elif at == start:
             return None  # initiator has nowhere left to send the token
-        sender, at, carried = at, father[at], carried + 1
-        emit(sender, at, "disc", carried)
+        else:
+            sender, at, carried = at, back, carried + 1
+        if trace is not None:
+            emit(sender, at, "disc", carried)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from barrier_restore.graph import (
 from barrier_restore.harness import (
     ExperimentConfig,
     deploy_with_barrier,
+    run_episode,
     run_trial,
     start_scheme,
     trial_seed,
@@ -380,6 +381,33 @@ def test_election_traffic_over_eight_trials_is_pinned(monkeypatch):
     for t in range(8):
         run_trial("dmove", config, trial_seed(config, t))
     assert dict(counts) == ELECTION_TRAFFIC
+
+
+# Token hops by route of the same eight dmove trials. ELECTION_TRAFFIC
+# counts only what goes through MessageBus.send; each hop of the token
+# search is only logged, so these move with any change to its route.
+TOKEN_HOPS = {"disc": 2392, "found": 300}
+
+
+def test_token_hops_over_eight_trials_are_pinned():
+    config = ExperimentConfig(n=160, seed=0)
+    count = math.floor(config.failure_fraction_max * config.n)
+    hops = Counter()
+    for t in range(8):
+        seed = trial_seed(config, t)
+        world = deploy_with_barrier(config, seed)
+        victims = failure_order_replay(world.copy(), seed, count)
+        bus = MessageBus(keep_log=True)
+        restore = start_scheme("dmove", world, seeded_rng(seed, 2),
+                               k=config.k_hop_budget, bus=bus)
+        records = [run_episode(world, restore, episode, [victim])[0]
+                   for episode, victim in enumerate(victims, 1)]
+        # The replay is the trial run_trial runs.
+        assert records == run_trial("dmove", config, seed).episodes
+        for _, _, _, kind, payload in bus.log:
+            if kind == "Tok":
+                hops[payload.split(";")[0].removeprefix("route=")] += 1
+    assert dict(hops) == TOKEN_HOPS
 
 
 class TestMldfs:
@@ -801,6 +829,70 @@ class TestIncrementalElection:
         assert verify_barrier(world)
         elect_msgs = [row for row in bus.log[first:] if row[3] != "Tok"]
         assert 0 < len(elect_msgs) < first // 5
+
+    def test_reelection_work_does_not_grow_with_the_chain(self, monkeypatch):
+        # Two line worlds that differ only in length, with a spare above
+        # every fourth chain node, lose the same chain member. The
+        # re-election after its repair reads as many chain elements, asks
+        # _answer as often and re-elects as many nodes in both.
+        class CountingChain(list):
+            counts = None
+
+            def _read(self, n):
+                if self.counts is not None:
+                    self.counts["chain reads"] += n
+
+            def __getitem__(self, key):
+                out = super().__getitem__(key)
+                self._read(len(out) if isinstance(key, slice) else 1)
+                return out
+
+            def __iter__(self):
+                self._read(len(self))
+                return super().__iter__()
+
+            def __contains__(self, sid):
+                self._read(len(self))
+                return super().__contains__(sid)
+
+        elect, answer, prepare = (distributed.init_recovery_nodes, Election._answer,
+                                  Election.prepare)
+        seen = []
+        for n in (40, 400):
+            coords = [(1 + 2 * i, 2) for i in range(n)]
+            coords += [(1 + 2 * i, 3.5) for i in range(2, n, 4)]
+            world = make_world(coords, length=2.0 * n)
+            assert world.barrier == list(range(n))
+            election = init_recovery_nodes(Election(world))
+            chain = world._barrier = CountingChain(world.barrier)
+            counts = Counter()
+
+            def counting_elect(election):
+                chain.counts = counts
+                try:
+                    return elect(election)
+                finally:
+                    chain.counts = None
+
+            def counting_answer(election, sid, asker):
+                counts["answers"] += 1
+                return answer(election, sid, asker)
+
+            def counting_prepare(election):
+                order = prepare(election)
+                counts["nodes"] += len(order)
+                return order
+
+            monkeypatch.setattr(distributed, "init_recovery_nodes", counting_elect)
+            monkeypatch.setattr(Election, "_answer", counting_answer)
+            monkeypatch.setattr(Election, "prepare", counting_prepare)
+            world.fail(10)
+            out = handle_failure_dmove(election, 10, k=3)
+            monkeypatch.undo()
+            assert out.mechanism == MECH_SHIFTING and verify_barrier(world)
+            assert counts["nodes"] > 0
+            seen.append(counts)
+        assert seen[0] == seen[1]
 
 
 class TestElectionRounds:
