@@ -218,6 +218,23 @@ class IntersectionGraph:
         span = reach * _SLACK
         return self.window(x - span, x + span)
 
+    def apart(self, u: int, v: int) -> bool:
+        """True if no vertex's x lies in a stretch wider than two discs
+        (widened against rounding) between those of ``u`` and ``v``, each
+        clipped into ``[rho, length - rho]`` (PL at ``rho``, PR at ``length -
+        rho``). No edge spans such a stretch, so no path joins ``u`` and
+        ``v``: discs that meet are 2ρ apart in x at most, and a sentinel
+        meets only sensors whose clipped x is its own."""
+        rho, length, sensors = self.region.rho, self.region.length, self.sensors
+        lo, hi = sorted(rho if w == PL else length - rho if w == PR
+                        else min(max(sensors[w].pos.x, rho), length - rho) for w in (u, v))
+        span, xs = (rho + rho) * _SLACK, self._xs
+        for k in range(bisect_right(xs, lo), bisect_left(xs, hi)):
+            if xs[k] - lo > span:
+                return True
+            lo = xs[k]
+        return hi - lo > span
+
     def _slot(self, x: float, vertex: int) -> int:
         """Index of (x, vertex) in the x order, present or not."""
         lo = bisect_left(self._xs, x)

@@ -11,6 +11,12 @@ PR: the searches find one, and ``verify_barrier`` checks the designated
 chain as one. No scheme calls it: a step reports what it did, and the
 episode (``harness.run_episode``) reads the verdict off the world.
 
+A sentinel is a path end, never a hop. The detour search of nmove and cmove
+(``find_alternate_path``) first asks ``IntersectionGraph.apart``: where the x
+index is empty over more than two discs' width between two vertices, no
+edge spans the stretch, so no path joins them. That proof is exact (it says
+no only where the BFS would), so every path found is still the BFS's.
+
 The designated chain changes only through ``World.edit_chain``, a slice
 replacement in place that the world records. ``write_slots`` (the cascade's
 and cmove's) writes only the slots it is given, and a splice
@@ -55,13 +61,16 @@ class SpliceEndpointMismatch(Exception):
 
 
 def _bfs_path(graph: IntersectionGraph, source: int, target: int) -> Optional[Path]:
-    """Minimum-hop path, exploring neighbors in ascending id order."""
+    """Minimum-hop path, exploring neighbors in ascending id order. A
+    sentinel is a path end, never a hop: the search never enters one that
+    is not its target."""
     adjacency = graph.adjacency
     if source not in adjacency or target not in adjacency:
         return None
     if source == target:
         return [source]
-    parent: dict[int, int] = {source: source}
+    # Seen from the start: the source, and every sentinel but the target.
+    parent: dict[int, int] = {v: v for v in (PL, PR, source) if v != target}
     queue = deque([source])
     while queue:
         u = queue.popleft()
@@ -88,11 +97,16 @@ def find_barrier(graph: IntersectionGraph) -> Optional[Path]:
 
 
 def find_alternate_path(graph: IntersectionGraph, start: int, goal: int) -> Optional[Path]:
-    """Minimum-hop path between two vertices.
+    """Minimum-hop path between two vertices, or None.
 
     Endpoints may be the boundary sentinels (the flanking survivor of an
-    end-of-chain failure is the boundary itself).
+    end-of-chain failure is the boundary itself). Most detour searches find
+    nothing, so an empty x-stretch that proves the two apart
+    (``IntersectionGraph.apart``) answers first, without a search; any
+    other pair gets the BFS, so every path found is the BFS's own.
     """
+    if graph.apart(start, goal):
+        return None
     return _bfs_path(graph, start, goal)
 
 

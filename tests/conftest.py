@@ -58,6 +58,15 @@ def detour_world():
     return make_world(DETOUR_COORDS, length=8.0)
 
 
+def sentinel_detour_world():
+    """Chain [0, 1, 2, 3] on a belt of length 120, rho 30, with a spare, 4,
+    whose disc meets the left boundary, 1 and 2 but not 0."""
+    w = make_world([(0, 0), (30, 30), (60, 60), (90, 30), (30, 60)],
+                   rho=30.0, length=120.0, width=60.0, with_barrier=False)
+    w.edit_chain(0, 0, [0, 1, 2, 3])
+    return w
+
+
 def random_line_world(seed, n_min=6, n_max=12, rho=1.0):
     """Small random deployment along the midline, mixed energies; used by
     optimality and fuzz tests. Returns a world that may or may not form a

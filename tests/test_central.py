@@ -19,7 +19,9 @@ from barrier_restore.central import (
     restore_nmove,
 )
 from barrier_restore.core import (
+    MECH_NONE,
     EnergyModel,
+    IntersectionGraph,
     Point,
     Region,
     Sensor,
@@ -27,7 +29,7 @@ from barrier_restore.core import (
 )
 from barrier_restore.graph import verify_barrier
 from barrier_restore.harness import ExperimentConfig, run_trial, trial_seed
-from conftest import make_world, random_line_world
+from conftest import make_world, random_line_world, sentinel_detour_world
 from oracles import (
     barrier_oracle,
     brute_force_assignment,
@@ -505,6 +507,14 @@ class TestRestoreCmove:
         assert out.moves == []
         assert {s.id: s.pos for s in w.active_sensors()} == positions
 
+    def test_no_detour_through_a_boundary_so_the_hole_is_filled(self):
+        w = sentinel_detour_world()
+        w.fail(1)
+        out = restore_cmove(w)
+        assert out.mechanism == MECH_SHIFTING
+        assert out.moves == [(4, Point(30, 60), Point(30, 30))]
+        assert w.barrier == [0, 4, 2, 3] and verify_barrier(w) and barrier_oracle(w)
+
     def test_empty_failed_set_is_noop(self, t1_world):
         out = restore_cmove(t1_world)
         assert verify_barrier(t1_world)
@@ -546,6 +556,49 @@ class TestRestoreNmove:
     def test_empty_failed_set(self, t1_world):
         out = restore_nmove(t1_world)
         assert verify_barrier(t1_world)
+
+    def test_no_detour_through_a_boundary(self):
+        # The one way round 1 runs through PL. Taken, it would lose its
+        # sentinel in the splice and leave the chain [0, 4, 2, 3] broken at
+        # 0-4, with no hole for a later step to see.
+        w = sentinel_detour_world()
+        w.fail(1)
+        out = restore_nmove(w)
+        assert out.mechanism == MECH_NONE and out.moves == []
+        assert w.barrier == [0, 1, 2, 3] and w.holes == {1}
+        assert not verify_barrier(w)
+
+
+# Over the first eight N=140 trials of seed 0: calls to the detour search,
+# how many of them ``IntersectionGraph.apart`` answers, and how many find a
+# path.
+DETOUR_SEARCHES = {"nmove": (334, 334, 0), "cmove": (266, 219, 35)}
+
+
+@pytest.mark.parametrize("scheme", sorted(DETOUR_SEARCHES))
+def test_detour_searches_over_eight_trials_are_pinned(monkeypatch, scheme):
+    # The work of the search, not its time: a change that loses the proof's
+    # coverage moves the middle count on any machine.
+    counts = Counter()
+    search, apart = central.find_alternate_path, IntersectionGraph.apart
+
+    def counted_search(graph, start, goal):
+        path = search(graph, start, goal)
+        counts["calls"] += 1
+        counts["found"] += path is not None
+        return path
+
+    def counted_apart(graph, u, v):
+        proved = apart(graph, u, v)
+        counts["proved"] += proved
+        return proved
+
+    monkeypatch.setattr(central, "find_alternate_path", counted_search)
+    monkeypatch.setattr(IntersectionGraph, "apart", counted_apart)
+    config = ExperimentConfig(n=140, seed=0)
+    for t in range(8):
+        run_trial(scheme, config, trial_seed(config, t))
+    assert (counts["calls"], counts["proved"], counts["found"]) == DETOUR_SEARCHES[scheme]
 
 
 def shifting_oracle(world, failed):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,13 +22,14 @@ from barrier_restore.graph import (
     splice_into,
     verify_barrier,
 )
-from conftest import T1_COORDS, make_world, random_line_world
+from conftest import T1_COORDS, make_world, random_line_world, sentinel_detour_world
 from oracles import (
     adjacency_oracle,
     barrier_oracle,
     graph_index,
     has_edge,
     hop_distance,
+    nx_graph,
     splice_oracle,
     vertex_index_oracle,
 )
@@ -258,6 +260,59 @@ class TestAlternatePath:
     def test_same_endpoints(self, t1_world):
         g = build_intersection_graph(t1_world.sensors, t1_world.region)
         assert find_alternate_path(g, 2, 2) == [2]
+
+    def test_a_boundary_is_a_path_end_never_a_hop(self):
+        # 0 and 4 both reach the left boundary and 4 meets 2, so the only
+        # way from 0 to 2 once 1 fails runs through PL. A splice would strip
+        # the sentinel and leave the chain [0, 4, 2, 3] broken at 0-4.
+        w = sentinel_detour_world()
+        w.fail(1)
+        assert find_alternate_path(w.graph, 0, 2) is None
+        assert find_alternate_path(w.graph, PL, 2) == [PL, 4, 2]
+        assert find_alternate_path(w.graph, 2, PL) == [2, 4, PL]
+
+    def test_an_empty_stretch_wider_than_two_discs_proves_apart(self, t1_world):
+        # With 2 failed, the x index of T1 reads 1, 3, 5 (the spare) and 7:
+        # two discs apart at most, which proves nothing. Moved a hair to the
+        # right, 3 leaves a stretch wider than two discs after the spare.
+        w = t1_world
+        assert not w.graph.apart(PL, PR)
+        w.fail(2)
+        assert not w.graph.apart(1, 3) and find_alternate_path(w.graph, 1, 3) is None
+        w.apply_move(3, Point(7 + 1e-6, 0))
+        assert w.graph.apart(1, 3) and w.graph.apart(3, 1) and w.graph.apart(PL, PR)
+        assert not w.graph.apart(3, PR) and not w.graph.apart(PL, 1)
+
+
+def coordinate(rho, lo, hi):
+    """A float in ``[lo, hi]``, often a whole multiple of ``rho / 2`` so
+    that tangent discs and discs exactly at a boundary come up."""
+    return st.one_of(st.floats(lo, hi),
+                     st.integers(math.ceil(2 * lo / rho), math.floor(2 * hi / rho))
+                     .map(lambda k: k * rho / 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_apart_holds_only_where_no_path_joins(data):
+    # Random small worlds, sensors up to three radii beyond either end and
+    # some of them failed: for every ordered pair of vertices, sentinels
+    # included, a proof of apart means networkx finds no path, even one
+    # through a sentinel.
+    rho = data.draw(st.floats(0.5, 4.0))
+    length = data.draw(st.floats(0.5, 40.0))
+    width = data.draw(st.floats(0.5, 10.0))
+    coords = data.draw(st.lists(st.tuples(coordinate(rho, -3 * rho, length + 3 * rho),
+                                          coordinate(rho, 0.0, width)), max_size=12))
+    w = make_world(coords, rho=rho, length=length, width=width, with_barrier=False)
+    for sid in sorted(data.draw(st.sets(st.integers(0, len(coords)))) & w.sensors.keys()):
+        w.fail(sid)
+    g = w.graph
+    reach = nx_graph(g)
+    for u in g.adjacency:
+        for v in g.adjacency:
+            if g.apart(u, v):
+                assert not nx.has_path(reach, u, v), (u, v)
 
 
 class TestShiftCascade:

@@ -13,12 +13,13 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from barrier_restore import core, graph, harness
+from barrier_restore import central, core, graph, harness
 from barrier_restore.cli import main
 from barrier_restore.core import (
     MECH_NONE,
@@ -46,6 +47,8 @@ from oracles import (
     deployment_oracle,
     failure_order_replay,
     graph_index,
+    hop_distance,
+    nx_graph,
     replayed_chain,
     total_displacement,
     total_energy_spent,
@@ -368,6 +371,38 @@ def test_every_verdict_matches_the_oracle_at_full_size(monkeypatch, n):
     monkeypatch.setattr(harness, "verify_barrier", checked)
     run_experiment(ExperimentConfig(n, seed=0, trials=3))
     assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_every_detour_search_matches_the_oracle_at_full_size(monkeypatch):
+    # Every detour search that a few N=140 trials run is asked of networkx
+    # too: a proof of apart means no path at all, even through a sentinel,
+    # and the search finds a minimum-hop path exactly when one exists that
+    # enters no sentinel but its ends.
+    searches = Counter()
+    search = central.find_alternate_path
+
+    def checked(g, start, goal):
+        path = search(g, start, goal)
+        reach = nx_graph(g)
+        proved = g.apart(start, goal)
+        if proved:
+            assert not nx.has_path(reach, start, goal)
+        hops = hop_distance(g, start, goal, excluded={PL, PR} - {start, goal})
+        if path is None:
+            assert math.isinf(hops)
+        else:
+            assert (path[0], path[-1], len(path) - 1) == (start, goal, hops)
+            assert not {PL, PR} & set(path[1:-1])
+            assert all(reach.has_edge(u, v) for u, v in zip(path, path[1:]))
+        searches[proved, path is not None] += 1
+        return path
+
+    monkeypatch.setattr(central, "find_alternate_path", checked)
+    config = ExperimentConfig(140, seed=0, trials=4)
+    for scheme in ("nmove", "cmove"):
+        for t in range(config.trials):
+            run_trial(scheme, config, trial_seed(config, t))
+    assert searches[True, False] > 0 and searches[False, True] > 0, searches
 
 
 def _world_state(world):
