@@ -19,7 +19,7 @@ and refills each vacated barrier position with that position's recovery
 node, until a non-barrier filler ends the cascade.
 
 The scheduler is synchronous-round and delivers in a fixed order, so runs
-are reproducible; a seeded shuffle mode exercises order independence.
+are reproducible.
 """
 from __future__ import annotations
 
@@ -70,14 +70,14 @@ class MessageBus:
     duplication. ``drain_round`` hands back everything queued so far in
     ascending (sender, receiver) order, each pair's messages in the order
     they were sent; sends made while handling a round are delivered in the
-    next one."""
+    next one. That is its one order: an election must reach the same
+    outcome over any per-pair FIFO order (``tests/conftest.py::InterleavedBus``)."""
 
-    def __init__(self, keep_log: bool = False, shuffle_rng=None):
+    def __init__(self, keep_log: bool = False):
         self._pending: list[tuple] = []
         self.round_no = 0
         self.keep_log = keep_log
         self.log: list[tuple[int, int, int, str, str]] = []
-        self._shuffle_rng = shuffle_rng
 
     def send(self, sender: int, receiver: int, kind: str, a, b=None) -> None:
         self._pending.append((sender, receiver, kind, a, b))
@@ -85,15 +85,7 @@ class MessageBus:
     def drain_round(self) -> list[tuple]:
         self.round_no += 1
         batch, self._pending = self._pending, []
-        if self._shuffle_rng is not None:
-            # Random interleaving across sender-receiver pairs; the sort is
-            # stable, so each pair's delivery stays first-in first-out.
-            pairs = sorted({m[:2] for m in batch})
-            perm = self._shuffle_rng.permutation(len(pairs))
-            rank = {pair: int(perm[i]) for i, pair in enumerate(pairs)}
-            batch.sort(key=lambda m: rank[m[:2]])
-        else:
-            batch.sort(key=_PAIR)  # stable: per-pair FIFO
+        batch.sort(key=_PAIR)  # stable: per-pair FIFO
         if self.keep_log:
             for sender, receiver, kind, a, b in batch:
                 self.log.append((self.round_no, sender, receiver, kind,

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from collections import defaultdict, deque
+
 import numpy as np
 import pytest
 
 from barrier_restore import harness
 from barrier_restore.core import EnergyModel, Move, Point, Region, Sensor, World
+from barrier_restore.distributed import MessageBus
 
 
 def make_world(coords, rho=1.0, length=10.0, width=4.0, energy=100.0,
@@ -28,6 +31,40 @@ def drain(world, sensor_id, energy):
     sensor = world.sensors[sensor_id]
     world.changes.append(Move(sensor_id, sensor.pos, sensor.pos))
     sensor.energy = energy
+
+
+class InterleavedBus(MessageBus):
+    """A bus that delivers each round in a random order drawn from ``rng``
+    among all the orders that keep each (sender, receiver) pair's messages
+    in the order they were sent: the orders of an asynchronous network with
+    first-in first-out channels. Its log holds each round's rows in the
+    order it delivered them."""
+
+    def __init__(self, rng: np.random.Generator, keep_log: bool = False):
+        super().__init__(keep_log)
+        self.rng = rng
+
+    def drain_round(self) -> list[tuple]:
+        batch = super().drain_round()
+        # The pairs of a random permutation of the batch, in that order: the
+        # k-th time a pair comes up it takes that pair's k-th message.
+        queues = defaultdict(deque)
+        for i, (sender, receiver, *_) in enumerate(batch):
+            queues[sender, receiver].append(i)
+        order = [queues[batch[i][:2]].popleft()
+                 for i in self.rng.permutation(len(batch)).tolist()]
+        if self.keep_log:
+            start = len(self.log) - len(batch)
+            rows = self.log[start:]
+            self.log[start:] = [rows[i] for i in order]
+        return [batch[i] for i in order]
+
+
+def chain_outcome(states):
+    """(recovery node, path length) of each chain member among an
+    election's ``states``, in the shape of ``oracles.recovery_chain_oracle``."""
+    return {sid: (st.rec_node, st.path_length)
+            for sid, st in states.items() if st.pre is not None}
 
 
 @pytest.fixture(autouse=True)

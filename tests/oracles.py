@@ -374,13 +374,15 @@ def hop_distance(graph: IntersectionGraph, source: int, target: int,
 
 
 def recovery_chain_oracle(world: World, graph: IntersectionGraph):
-    """Expected recovery node and cumulative chain length per barrier node.
+    """Expected recovery node and cumulative chain length per live barrier
+    node; dead members get no entry.
 
     A node with an eligible non-barrier filler takes the closest one.
     Otherwise the chain is walked outward: each intermediate node must
     afford one hop toward the failure, and the chain ends at the first
     node owning an eligible filler; ties between the two sides go to the
-    predecessor side.
+    predecessor side. A side whose walk reaches a dead member never
+    answers (None), and a node with such a side takes no recovery node.
     """
     chain = list(world.barrier)
     on_barrier = set(chain)
@@ -405,29 +407,36 @@ def recovery_chain_oracle(world: World, graph: IntersectionGraph):
         return (best_key[0], best) if best is not None else (INF, None)
 
     m = len(chain)
-    nbv = [nb(sid) for sid in chain]
-    left = [INF] * m
-    for i in range(1, m):
-        prev, cur = chain[i - 1], chain[i]
-        hop = pos(prev).distance_to(pos(cur))
-        if not pays_for(world.sensors[prev], model, hop):
-            continue
-        base = nbv[i - 1][0] if nbv[i - 1][0] < INF else left[i - 1]
-        left[i] = hop + base
-    right = [INF] * m
-    for i in range(m - 2, -1, -1):
-        nxt, cur = chain[i + 1], chain[i]
-        hop = pos(nxt).distance_to(pos(cur))
-        if not pays_for(world.sensors[nxt], model, hop):
-            continue
-        base = nbv[i + 1][0] if nbv[i + 1][0] < INF else right[i + 1]
-        right[i] = hop + base
+    dead = [world.sensors[sid].failed for sid in chain]
+    nbv = [(INF, None) if dead[i] else nb(sid) for i, sid in enumerate(chain)]
+
+    def side(order):
+        """Each node's value from the side its walk along ``order`` came
+        from: infinity at the boundary, None past a dead member."""
+        value = [INF] * m
+        for prev, cur in zip(order, order[1:]):
+            if dead[prev]:
+                value[cur] = None
+                continue
+            hop = pos(chain[prev]).distance_to(pos(chain[cur]))
+            if not pays_for(world.sensors[chain[prev]], model, hop):
+                continue
+            base = nbv[prev][0] if nbv[prev][0] < INF else value[prev]
+            value[cur] = None if base is None else hop + base
+        return value
+
+    left = side(range(m))
+    right = side(range(m - 1, -1, -1))
 
     expected = {}
     for i, sid in enumerate(chain):
+        if dead[i]:
+            continue
         d_nb, filler = nbv[i]
         if d_nb < INF:
             expected[sid] = (filler, d_nb)
+        elif left[i] is None or right[i] is None:
+            expected[sid] = (None, INF)
         elif left[i] <= right[i] and left[i] < INF:
             expected[sid] = (chain[i - 1] if i > 0 else PL, left[i])
         elif right[i] < INF:

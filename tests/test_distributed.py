@@ -39,7 +39,14 @@ from barrier_restore.harness import (
     start_scheme,
     trial_seed,
 )
-from conftest import T1_COORDS, drain, make_world, random_line_world
+from conftest import (
+    T1_COORDS,
+    InterleavedBus,
+    chain_outcome,
+    drain,
+    make_world,
+    random_line_world,
+)
 from oracles import (
     adjacency_oracle,
     barrier_oracle,
@@ -166,29 +173,30 @@ class TestElection:
             if not w.barrier:
                 continue
             base = init_recovery_nodes(Election(w)).states
-            shuffled = init_recovery_nodes(
-                Election(w, MessageBus(shuffle_rng=seeded_rng(seed + 500)))
+            interleaved = init_recovery_nodes(
+                Election(w, InterleavedBus(seeded_rng(seed + 500)))
             ).states
             for sid in w.barrier:
-                assert base[sid].rec_node == shuffled[sid].rec_node
+                assert base[sid].rec_node == interleaved[sid].rec_node
                 assert base[sid].path_length == pytest.approx(
-                    shuffled[sid].path_length
+                    interleaved[sid].path_length
                 )
 
 
 def test_bus_delivery_order_and_log():
     # Interleaved sends from five sender-receiver pairs, two rounds of them.
     # In order, a round comes sorted by (sender, receiver), each pair's
-    # messages first-in first-out; shuffled, the pairs come in any order but
-    # each pair's messages together and first-in first-out. Both log the
-    # same rows.
+    # messages first-in first-out. Interleaved, the messages of different
+    # pairs come in any order, each pair's still first-in first-out, and
+    # the log holds them as delivered. Both log the same rows.
     sends = [(3, 1, "ReqNbRec", 3, None), (1, 2, "RepNbRec", 1, 2.5),
              (3, 1, "RepNbRec", 4, INF), (PL, 0, "RepNbRec", 0, INF),
              (1, 2, "SetRec", 0, 2), (2, 1, "ReqNbRec", 2, None),
              (3, 1, "SetRec", 1, PL), (0, PL, "ReqNbRec", 0, None)]
     in_order = MessageBus(keep_log=True)
-    shuffled = [MessageBus(keep_log=True, shuffle_rng=seeded_rng(seed)) for seed in range(20)]
-    for bus in [in_order, *shuffled]:
+    interleaved = [InterleavedBus(seeded_rng(seed), keep_log=True) for seed in range(20)]
+    split = 0  # rounds that deliver some pair's messages apart
+    for bus in [in_order, *interleaved]:
         for _ in range(2):
             for message in sends:
                 bus.send(*message)
@@ -200,14 +208,15 @@ def test_bus_delivery_order_and_log():
             for pair in set(pairs):
                 assert ([m for m in batch if m[:2] == pair]
                         == [m for m in sends if m[:2] == pair])
+            assert [row[1:4] for row in bus.log[-len(batch):]] == [m[:3] for m in batch]
             if bus is in_order:
                 assert pairs == sorted(pairs)
-                continue
             runs = [pair for i, pair in enumerate(pairs) if i == 0 or pairs[i - 1] != pair]
-            assert len(runs) == len(set(pairs)) == 5
+            split += len(runs) > len(set(pairs))
         assert bus.drain_round() == []
         assert sorted(bus.log) == sorted(in_order.log)
-    assert any(bus.log != in_order.log for bus in shuffled)
+    assert any(bus.log != in_order.log for bus in interleaved)
+    assert split > 0
     assert in_order.log_csv().splitlines()[:9] == [
         "round,sender,receiver,type,payload",
         "1,-1,0,RepNbRec,q=0;d=inf",
@@ -395,15 +404,19 @@ def test_token_hops_over_eight_trials_are_pinned():
     hops = Counter()
     for t in range(8):
         seed = trial_seed(config, t)
-        world = deploy_with_barrier(config, seed)
-        victims = failure_order_replay(world.copy(), seed, count)
+        episodes = run_trial("dmove", config, seed).episodes
+        # The replay is the trial run_trial runs, in order and again over a
+        # bus that interleaves each round at random. Message counts and
+        # rounds may differ with the order; the episodes may not.
         bus = MessageBus(keep_log=True)
-        restore = start_scheme("dmove", world, seeded_rng(seed, 2),
-                               k=config.k_hop_budget, bus=bus)
-        records = [run_episode(world, restore, episode, [victim])[0]
-                   for episode, victim in enumerate(victims, 1)]
-        # The replay is the trial run_trial runs.
-        assert records == run_trial("dmove", config, seed).episodes
+        for replay_bus in (bus, InterleavedBus(seeded_rng(seed, 4))):
+            world = deploy_with_barrier(config, seed)
+            victims = failure_order_replay(world.copy(), seed, count)
+            restore = start_scheme("dmove", world, seeded_rng(seed, 2),
+                                   k=config.k_hop_budget, bus=replay_bus)
+            records = [run_episode(world, restore, episode, [victim])[0]
+                       for episode, victim in enumerate(victims, 1)]
+            assert records == episodes
         for _, _, _, kind, payload in bus.log:
             if kind == "Tok":
                 hops[payload.split(";")[0].removeprefix("route=")] += 1
@@ -688,6 +701,9 @@ class TestIncrementalElection:
             assert (got.rec_node, got.path_length, got.pre, got.suc) \
                 == (want.rec_node, want.path_length, want.pre, want.suc), sid
             assert got.rec_set == want.rec_set, sid
+        # The fresh outcome is the closed form's, bit for bit: one entry per
+        # live chain member.
+        assert chain_outcome(fresh) == recovery_chain_oracle(world, world.graph)
         counts["checked"] += 1
         counts["dead chain member"] += any(world.sensors[s].failed for s in world.barrier)
 
@@ -755,7 +771,7 @@ class TestIncrementalElection:
             world = random_line_world(seed, n_min=8, n_max=20)
             if not world.barrier:
                 continue
-            bus = MessageBus(shuffle_rng=seeded_rng(seed + 700))
+            bus = InterleavedBus(seeded_rng(seed + 700))
             election = init_recovery_nodes(Election(world, bus))
             rng = np.random.default_rng(seed)
             victims = [int(v) for v in rng.permutation(sorted(world.sensors))]
@@ -932,12 +948,12 @@ class TestElectionRounds:
             config = ExperimentConfig(n=n, length=length, trials=4)
             for t in range(config.trials):
                 run_trial("dmove", config, trial_seed(config, t))
-        # TestIncrementalElection's shuffled-bus worlds.
+        # TestIncrementalElection's interleaved-bus worlds.
         for seed in range(60):
             world = random_line_world(seed, n_min=8, n_max=20)
             if not world.barrier:
                 continue
-            bus = MessageBus(shuffle_rng=seeded_rng(seed + 700))
+            bus = InterleavedBus(seeded_rng(seed + 700))
             election = counting(Election(world, bus))
             victims = [int(v) for v in np.random.default_rng(seed).permutation(sorted(world.sensors))]
             for victim in victims[: len(victims) * 2 // 3]:

@@ -12,6 +12,11 @@ method that only restates a field: one, not a property, whose whole body
 returns a field of ``self`` or a subscript of one, a second way to read
 what the field itself gives.
 
+Nor does ``src/`` keep a defaulted parameter that no call in ``src/`` or
+``perfbench/`` passes, by keyword, by position or through ``*`` or ``**``:
+an option only tests would set. ``UNPASSED_EXEMPT`` names the exceptions
+and says why.
+
 And ``src/`` imports only the standard library, numpy (its one runtime
 dependency in ``pyproject.toml``) and itself, at any depth of the module;
 scipy, networkx and hypothesis are for the tests.
@@ -185,6 +190,106 @@ def test_scan_flags_a_field_accessor(tmp_path):
         "def free(self): return self.rows\n"
     )
     assert field_accessors([module]) == ["probe.py:2 Graph.row", "probe.py:3 Graph.get"]
+
+
+CALLERS = sorted([*SOURCES, *ROOT.glob("perfbench/*.py")])
+# Defaulted parameters that no caller passes on purpose, each with why.
+UNPASSED_EXEMPT = frozenset({
+    # A console script calls main() with no arguments and argparse reads
+    # sys.argv; tests pass argv instead, the usual seam of an argparse CLI.
+    "cli.py main(argv)",
+})
+
+
+def _signatures(tree: ast.Module):
+    """(callee name, function, bound) of each function, method and class
+    constructor in ``tree``: a class's ``__init__`` is called by the class's
+    name, and a method is bound, its first parameter not passed by a call,
+    unless it is a static method."""
+    methods = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in fn.decorator_list)
+                    methods[id(fn)] = (cls.name if fn.name == "__init__" else fn.name,
+                                       not static)
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, bound = methods.get(id(fn), (fn.name, False))
+            yield name, fn, bound
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool):
+    """(name, position) of each defaulted parameter of ``fn``: the index a
+    call passes it at by position, None if it is keyword-only."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    for i in range(len(positional) - len(fn.args.defaults), len(positional)):
+        yield positional[i].arg, i - bound
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether ``call`` passes parameter ``name``, at ``position`` if it
+    has one: by keyword, through ``**``, by position or through a ``*``
+    that starts at or before it."""
+    if any(kw.arg in (None, name) for kw in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def unpassed_defaults(defining: list[Path], calling: list[Path],
+                      exempt: frozenset[str] = frozenset()) -> list[str]:
+    """``file:line name(param)`` of each defaulted parameter of a function,
+    method or class constructor defined in ``defining`` that no call in
+    ``calling`` passes, unless ``exempt`` holds ``file name(param)``. Calls
+    match callees by name alone (a name, or an attribute for a method), so
+    a pass to any callee of that name counts."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in calling:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = []
+    for path in defining:
+        for name, fn, bound in _signatures(ast.parse(path.read_text())):
+            for param, position in _defaulted(fn, bound):
+                if f"{path.name} {name}({param})" in exempt or any(
+                        _passes(call, param, position) for call in calls.get(name, ())):
+                    continue
+                out.append(f"{path.name}:{fn.lineno} {name}({param})")
+    return out
+
+
+def test_src_has_no_default_that_no_caller_passes():
+    assert unpassed_defaults(SOURCES, CALLERS, UNPASSED_EXEMPT) == []
+
+
+def test_scan_flags_a_default_no_caller_passes(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "class Bus:\n"
+        "    def __init__(self, log=False, rng=None): pass\n"
+        "    def send(self, to, kind='a', *, late=0): pass\n"
+        "    @staticmethod\n"
+        "    def pack(a, b=0, c=1): pass\n"
+        "def run(argv=None, jobs=1, trace=False, seed=0): pass\n"
+        "def hidden(x=1): pass\n"
+        "Bus(True).send(1, *['b'])\n"
+        "Bus.pack(1, 2)\n"
+        "run(**{}, jobs=2)\n"
+    )
+    # Bus(True) passes log by position past self; *['b'] passes kind but
+    # not the keyword-only late; pack is static, so 2 is b; **{} passes
+    # every parameter of run. hidden is exempt.
+    assert unpassed_defaults([module], [module], frozenset({"probe.py hidden(x)"})) == [
+        "probe.py:2 Bus(rng)", "probe.py:3 send(late)", "probe.py:5 pack(c)"]
 
 
 RUNTIME_PACKAGES = {"numpy"}

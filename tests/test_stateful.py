@@ -3,8 +3,12 @@ with the acceptance invariants checked after every episode.
 
 Each run deploys one small world, picks a scheme and an energy model, and
 kills live sensors one at a time through the scheme's restore step from
-``harness.start_scheme``. dmove also runs on a twin world whose bus delivers
-each round in a shuffled order; it must make exactly the same repairs.
+``harness.start_scheme``. dmove also runs on a twin world whose bus,
+``conftest.InterleavedBus``, delivers each round in a random order that
+keeps each sender-receiver pair's messages first-in first-out; it must make
+exactly the same repairs. After each dmove episode a fresh election on the
+world must reach the same fixpoint over such a bus as in order, and that
+fixpoint must be ``oracles.recovery_chain_oracle``'s.
 Each world's change record must name exactly the sensors whose state an
 episode changed: past the mark taken before a failure it holds the
 victim's one zero-length record and then exactly the step's moves, and
@@ -27,16 +31,17 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
 from barrier_restore.core import EnergyModel, Move, Point, seeded_rng
-from barrier_restore.distributed import Election, MessageBus, init_recovery_nodes
+from barrier_restore.distributed import Election, init_recovery_nodes
 from barrier_restore.graph import verify_barrier
 from barrier_restore.harness import SCHEMES, start_scheme
-from conftest import random_line_world
+from conftest import InterleavedBus, chain_outcome, random_line_world
 from oracles import (
     adjacency_oracle,
     barrier_oracle,
     broken_links_oracle,
     graph_index,
     pays_for,
+    recovery_chain_oracle,
     replayed_chain,
     total_displacement,
     vertex_index_oracle,
@@ -98,9 +103,9 @@ class FailureSequence(RuleBasedStateMachine):
         scheme=st.sampled_from(SCHEMES),
         cost=st.sampled_from([0.3, 0.5, 1.0, 2.0]),
         threshold=st.sampled_from([0.0, 1.0]),
-        shuffle_seed=st.integers(0, 2**32 - 1),
+        order_seed=st.integers(0, 2**32 - 1),
     )
-    def deploy(self, seed, scheme, cost, threshold, shuffle_seed):
+    def deploy(self, seed, scheme, cost, threshold, order_seed):
         world = random_line_world(seed, n_min=6, n_max=14)
         assume(world.barrier)
         world.energy_model = EnergyModel(cost, threshold)
@@ -108,8 +113,8 @@ class FailureSequence(RuleBasedStateMachine):
         self.twin = None
         if scheme == "dmove":
             self.twin = deepcopy(world)
-            self.shuffle_rng = seeded_rng(shuffle_seed + 1)
-            bus = MessageBus(shuffle_rng=seeded_rng(shuffle_seed))
+            self.order_rng = seeded_rng(order_seed + 1)
+            bus = InterleavedBus(seeded_rng(order_seed))
             self.twin_restore = start_scheme(scheme, self.twin, seeded_rng(seed), k=4, bus=bus)
         self.restore = start_scheme(scheme, world, seeded_rng(seed), k=4)
         self.failed_at = {}  # failed sensor id -> where it stood when it failed
@@ -189,12 +194,14 @@ class FailureSequence(RuleBasedStateMachine):
             assert _recorded(self.twin, twin_marked, before) == changed
             _check_records(self.twin, twin_marked, victim, other)
             # A fresh election on this world reaches the same fixpoint
-            # whatever the delivery order.
+            # whatever the delivery order, and that fixpoint is the closed
+            # form's: one entry per live chain member.
             if any(not world.sensors[sid].failed for sid in world.barrier):
-                shuffled = init_recovery_nodes(Election(
-                    deepcopy(world), MessageBus(shuffle_rng=self.shuffle_rng)))
-                assert _fixpoint(shuffled) == _fixpoint(
-                    init_recovery_nodes(Election(deepcopy(world))))
+                interleaved = init_recovery_nodes(Election(
+                    deepcopy(world), InterleavedBus(self.order_rng)))
+                fresh = init_recovery_nodes(Election(deepcopy(world)))
+                assert _fixpoint(interleaved) == _fixpoint(fresh)
+                assert chain_outcome(fresh.states) == recovery_chain_oracle(world, world.graph)
 
     @rule(data=st.data())
     def nudge(self, data):
