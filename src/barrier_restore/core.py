@@ -9,12 +9,13 @@ constructed and kept current by the only two ways a world changes,
 ``World.apply_move`` and ``World.fail``, through ``IntersectionGraph.insert``
 and ``remove``. It reads positions from the world's sensors, and a sensor's
 ``pos`` changes only in ``apply_move``, between ``remove`` and ``insert``.
-``build_intersection_graph`` builds the whole graph in one sweep over the
-sensors in x order; it and ``IntersectionGraph.near``, which ``insert`` calls,
-share one disc test, ``discs_meet``, and one boundary rule, ``_sentinels``, so
-the graph has one adjacency test. ``near`` reads the graph's x-window around a
-point, ``IntersectionGraph.around``, which the cmove assignment reads too; it
-and the sweep widen their x-windows by one rounding slack, ``_SLACK``.
+``build_intersection_graph`` builds the whole graph in one sweep over lists of
+the live sensors' x, id, position and row in x order. It and ``insert`` (via
+``IntersectionGraph.near``) share one disc test, ``discs_meet``, and one
+boundary rule, the two thresholds of ``_boundary_xs``, so the graph has one
+adjacency test. ``near`` reads the graph's x-window around a point,
+``IntersectionGraph.around``, which the cmove assignment reads too; it and the
+sweep widen their x-windows by one rounding slack, ``_SLACK``.
 
 All distances are Euclidean in the plane and all comparisons are exact
 (64-bit floats, no epsilon): inputs are generated, not measured.
@@ -26,7 +27,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -153,15 +154,9 @@ def discs_meet(p: Point, q: Point, reach: float) -> bool:
 _SLACK = 1.0 + 1e-9
 
 
-def _sentinels(x: float, region: Region) -> list[int]:
-    """The boundary sentinels that a disc centred at ``x`` reaches,
-    ascending (PR = -2 < PL = -1): the graph's one boundary rule."""
-    out = []
-    if x >= region.length - region.rho:
-        out.append(PR)
-    if x <= region.rho:
-        out.append(PL)
-    return out
+def _boundary_xs(region: Region) -> tuple[float, float]:
+    """The graph's one boundary rule: a disc at x meets PL iff x <= first, PR iff x >= second."""
+    return region.rho, region.length - region.rho
 
 
 class IntersectionGraph:
@@ -225,10 +220,10 @@ class IntersectionGraph:
         rho``). No edge spans such a stretch, so no path joins ``u`` and
         ``v``: discs that meet are 2ρ apart in x at most, and a sentinel
         meets only sensors whose clipped x is its own."""
-        rho, length, sensors = self.region.rho, self.region.length, self.sensors
-        lo, hi = sorted(rho if w == PL else length - rho if w == PR
-                        else min(max(sensors[w].pos.x, rho), length - rho) for w in (u, v))
-        span, xs = (rho + rho) * _SLACK, self._xs
+        (left, right), sensors = _boundary_xs(self.region), self.sensors
+        lo, hi = sorted(left if w == PL else right if w == PR
+                        else min(max(sensors[w].pos.x, left), right) for w in (u, v))
+        span, xs = (self.region.rho + self.region.rho) * _SLACK, self._xs
         for k in range(bisect_right(xs, lo), bisect_left(xs, hi)):
             if xs[k] - lo > span:
                 return True
@@ -258,8 +253,11 @@ class IntersectionGraph:
     def insert(self, vertex: int) -> None:
         """Add the vertex of a sensor where it stands."""
         pos = self.sensors[vertex].pos
-        # Ascending with the sentinels first.
-        row = _sentinels(pos.x, self.region)
+        left, right = _boundary_xs(self.region)
+        # Ascending with the sentinels first (PR = -2 < PL = -1).
+        row = [PR] if pos.x >= right else []
+        if pos.x <= left:
+            row.append(PL)
         row += self.near(pos)
         k = self._slot(pos.x, vertex)
         self._xs.insert(k, pos.x)
@@ -277,35 +275,35 @@ def build_intersection_graph(
     a sensor whose disc reaches the left (right) boundary joins PL (PR).
 
     One sweep (fixed-radius near neighbours: Bentley, Stanat & Williams,
-    IPL 1977): the live sensors are sorted once by (x, id), and each is
-    tested against those after it in that order until their x is out of
-    reach of two discs. The graph equals the one ``insert`` builds a
-    sensor at a time, rows sorted with the sentinels first.
+    IPL 1977) over lists of the live sensors' x, id, position and row, made
+    once in (x, id) order. The thresholds of ``_boundary_xs`` pick out the
+    prefix of that order that meets PL and the suffix that meets PR (each x
+    is tested, so a NaN x meets neither). Each sensor is tested by
+    ``discs_meet`` against those after it until their x is out of reach of
+    two discs. The graph equals the one ``insert`` builds a sensor at a
+    time, rows sorted with the sentinels first.
     """
     graph = IntersectionGraph(region, sensors)
-    live = [s for s in sensors.values() if not s.failed]
-    order = sorted(live, key=lambda s: (s.pos.x, s.id))
+    order = sorted([s for s in sensors.values() if not s.failed], key=attrgetter("pos.x", "id"))
     graph._xs = xs = [s.pos.x for s in order]
-    graph._ids = [s.id for s in order]
-    reach = region.rho + region.rho
-    # Vertices in the mapping's order, as ``insert`` adds them; every row
-    # is sorted at the end.
+    graph._ids = ids = [s.id for s in order]
+    points = [s.pos for s in order]
+    rows = [[] for _ in ids]  # each sorted at the end
     adjacency = graph.adjacency
-    for s in live:
-        row = adjacency[s.id] = _sentinels(s.pos.x, region)
-        for end in row:
-            adjacency[end].append(s.id)
-    # The same slack as ``around``.
-    span = reach * _SLACK
-    n = len(order)
-    for i, a in enumerate(order):
-        x, pos, row = xs[i], a.pos, adjacency[a.id]
-        j = i + 1
+    adjacency.update(zip(ids, rows))
+    left, right = _boundary_xs(region)
+    for end, meets in ((PL, [v for x, v in zip(xs, ids) if x <= left]),
+                       (PR, [v for x, v in zip(xs, ids) if x >= right])):
+        adjacency[end] += meets
+        for v in meets:
+            adjacency[v].append(end)
+    reach = region.rho + region.rho
+    span, n = reach * _SLACK, len(ids)  # the same slack as ``around``
+    for j, (x, pos, row, a) in enumerate(zip(xs, points, rows, ids), 1):
         while j < n and xs[j] - x <= span:
-            b = order[j]
-            if discs_meet(pos, b.pos, reach):
-                row.append(b.id)
-                adjacency[b.id].append(a.id)
+            if discs_meet(pos, points[j], reach):
+                row.append(ids[j])
+                rows[j].append(a)
             j += 1
     for row in adjacency.values():
         row.sort()
@@ -357,13 +355,14 @@ class World:
         energy_model: EnergyModel | None = None,
     ):
         self.region = region
-        self.sensors: dict[int, Sensor] = {}  # in id order
-        for s in sorted(sensors, key=lambda s: s.id):
-            if s.id < 0:
-                raise ValueError(f"sensor ids must be non-negative, got {s.id}")
-            if s.id in self.sensors:
-                raise ValueError(f"duplicate sensor id {s.id}")
-            self.sensors[s.id] = s
+        by_id = attrgetter("id")
+        order = sorted(sensors, key=by_id)
+        if order and order[0].id < 0:
+            raise ValueError(f"sensor ids must be non-negative, got {order[0].id}")
+        self.sensors: dict[int, Sensor] = dict(zip(map(by_id, order), order))  # in id order
+        if len(self.sensors) < len(order):
+            twin = next(a for a, b in zip(order, order[1:]) if a.id == b.id)
+            raise ValueError(f"duplicate sensor id {twin.id}")
         self.energy_model = energy_model or EnergyModel()
         self.changes: list[Move] = []
         self.graph: IntersectionGraph = build_intersection_graph(self.sensors, region)

@@ -187,18 +187,19 @@ class TrialResult:
 
 def generate_deployment(config: ExperimentConfig, rng: np.random.Generator) -> list[Sensor]:
     """Uniformly spaced targets along the midline plus Gaussian offsets on
-    both axes; y is clamped to the belt. Coordinates are plain Python
-    floats: the offsets leave numpy as a list, so every later distance is
-    float arithmetic rather than slower numpy-scalar arithmetic on the
-    same values."""
+    both axes: sensor i at ``(i * spacing + dx, min(max(width / 2 + dy,
+    0.0), width))``, float64 operations that numpy does in that order in one
+    pass, silent on overflow as float arithmetic is (a non-finite coordinate
+    is the caller's to reject). They leave numpy as two lists of Python
+    floats, so later distances are float, not numpy-scalar, arithmetic."""
     n, width, energy = config.n, config.width, config.initial_energy
-    half = width / 2
-    spacing = config.length / (n - 1)
     # abs: numpy rejects a scale of -0.0, which the config accepts as zero.
-    offsets = rng.normal(0.0, abs(config.sigma), size=(n, 2)).tolist()
-    return [Sensor(i, Point(i * spacing + dx, min(max(half + dy, 0.0), width)),
-                   energy, energy)
-            for i, (dx, dy) in enumerate(offsets)]
+    offsets = rng.normal(0.0, abs(config.sigma), size=(n, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.arange(n, dtype=np.float64) * (config.length / (n - 1)) + offsets[:, 0]
+        ys = np.minimum(np.maximum(width / 2 + offsets[:, 1], 0.0), width)
+    return [Sensor(i, point, energy, energy)
+            for i, point in enumerate(map(Point, xs.tolist(), ys.tolist()))]
 
 
 def designate_first_chain(world: World) -> bool:

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -75,6 +77,21 @@ class TestGenerate:
         assert captured.out == "" and not out.exists()
         assert captured.err == "error: deployment holds a non-finite number\n"
 
+    def test_overflow_writes_the_one_error_line_alone(self, tmp_path):
+        # Here x overflows in the float arithmetic of the draw, not in
+        # numpy's normal sampler, and float arithmetic overflows silently:
+        # stderr holds the error line and no warning. A fresh interpreter,
+        # with the default warning filters, runs it as a user does.
+        src = Path(harness.__file__).resolve().parent.parent
+        run = subprocess.run(
+            [sys.executable, "-m", "barrier_restore", "generate", "--n", "3",
+             "--length", "1.7e308", "--sigma", "1e308", "--seed", "1"],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS=""))
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == "error: deployment holds a non-finite number\n"
+
     def test_same_flags_identical_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["generate", "--n", "20", "--seed", "5", "--out"]
@@ -112,9 +129,12 @@ class TestRunBadDeployment:
         _DEEP_DEPLOYMENT,
         # One connectivity model: comm must reach 2ρ, here 2.
         _t1_text(lambda d: d.update(comm=1.5)),
+        # World's two id rules.
+        _t1_text(lambda d: d["sensors"][2].update(id=-4)),
+        _t1_text(lambda d: d["sensors"][2].update(id=d["sensors"][4]["id"])),
     ], ids=["nan-x", "negative-energy", "malformed-json", "missing-rho", "fractional-id",
             "bool-rho", "string-rho", "string-length", "bool-x", "deeply-nested-region",
-            "comm-below-two-rho"])
+            "comm-below-two-rho", "negative-id", "duplicate-id"])
     def test_exit_usage_with_one_error_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)

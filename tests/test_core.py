@@ -394,6 +394,36 @@ class TestWorldJson:
             World(Region(10, 10, 1, 2), s)
 
 
+class TestWorldIds:
+    """What ``World(...)`` makes of its sensors' ids: it lists them in id
+    order, whatever order the iterable gives, and rejects a negative id
+    before a repeated one, naming the smallest offender of each kind."""
+
+    REGION = Region(10, 10, 1, 2)
+
+    @staticmethod
+    def _sensors(ids):
+        return [Sensor(sid, Point(float(k), 1.0), 5.0, 5.0) for k, sid in enumerate(ids)]
+
+    def test_sensors_listed_in_id_order(self):
+        ids = [7, 0, 12, 3, 5, 1, 30]
+        sensors = self._sensors(np.random.default_rng(5).permutation(ids).tolist())
+        w = World(self.REGION, iter(sensors))
+        assert list(w.sensors) == sorted(ids)
+        assert all(w.sensors[s.id] is s for s in sensors)
+
+    @pytest.mark.parametrize("ids, message", [
+        ([3, -4, 0], "sensor ids must be non-negative, got -4"),
+        ([5, 2, -4, 2, -1], "sensor ids must be non-negative, got -4"),
+        ([5, 2, 7, 2], "duplicate sensor id 2"),
+        ([9, 5, 2, 9, 7, 2, 5], "duplicate sensor id 2"),
+    ])
+    def test_bad_ids_rejected_by_name(self, ids, message):
+        with pytest.raises(ValueError) as err:
+            World(self.REGION, self._sensors(ids))
+        assert str(err.value) == message
+
+
 def test_region_validation():
     for bad in [(0, 10, 1, 2), (10, -1, 1, 2), (10, 10, 0.0, 2), (10, 10, 1, math.nan),
                 (math.inf, 10, 1, 2), (10, 10, math.inf, 2)]:

@@ -142,6 +142,43 @@ class TestSweptBuild:
                 probe = Point(float(x), float(y))
                 assert swept.near(probe) == built.near(probe)
 
+    @pytest.mark.parametrize("length", [12.0, 2.0])
+    def test_boundary_example(self, length):
+        # The boundary rule's edge cases on purpose: sensors at exactly
+        # x = rho and x = length - rho, ties there with other ids, one an
+        # ulp inside each, one beyond each end, and failed sensors at both
+        # values. On the belt of length 2 (< 2 rho), length - rho = 0.5 < rho
+        # = 1.5, so each sensor from 0.5 to 1.5 meets both PL and PR.
+        rho = 1.5
+        region = Region(length, 6.0, rho, 2 * rho)
+        left, right = rho, length - rho
+        placed = [
+            (7, left, 1.0), (3, left, 4.0), (9, left, 2.5, True),
+            (4, right, 2.0), (11, right, 5.0), (2, right, 3.0, True),
+            (13, math.nextafter(left, math.inf), 0.5),
+            (6, math.nextafter(right, -math.inf), 5.5),
+            (5, -1.0, 3.0), (8, length + 1.0, 3.0),
+            (1, left + 2 * rho, 1.0),  # tangent to sensor 7
+            (10, (left + right) / 2, 3.0),
+        ]
+        sensors = [Sensor(sid, Point(x, y), 10.0, 10.0, failed=bool(rest))
+                   for sid, x, y, *rest in placed]
+        by_id = {s.id: s for s in sensors}
+        swept = build_intersection_graph(by_id, region)
+        built = incremental_graph(by_id, region)
+        live = [s for s in sensors if not s.failed]
+        assert swept.adjacency == built.adjacency == adjacency_oracle(live, region)
+        assert graph_index(swept) == graph_index(built) == vertex_index_oracle(by_id)
+        assert {3, 7} <= set(swept.adjacency[PL]) and {4, 11} <= set(swept.adjacency[PR])
+        assert 13 not in swept.adjacency[PL] and 6 not in swept.adjacency[PR]
+        if length < 2 * rho:
+            assert swept.adjacency[10][:2] == [PR, PL]
+        for x in (left, right, math.nextafter(left, math.inf),
+                  math.nextafter(right, -math.inf), -1.0, length + 1.0):
+            for y in (1.0, 2.5, 4.0):
+                probe = Point(x, y)
+                assert swept.near(probe) == built.near(probe)
+
 
 def edited_worlds(seed):
     """Seeded random worlds, each yielded after every batch of failures and

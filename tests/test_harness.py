@@ -133,6 +133,25 @@ class TestGenerateDeployment:
             assert all(type(v) is float for v in (
                 s.pos.x, s.pos.y, s.energy, s.initial_energy))
 
+    @pytest.mark.parametrize("n", [2, 3, 49, 50])
+    @pytest.mark.parametrize("length", [sys.float_info.max, 1.7e308])
+    def test_overflowing_deployment_is_the_per_sensor_loop_silently(self, n, length):
+        # Offsets this wide overflow: x to ±inf (and, where i * spacing
+        # itself rounds to inf at the float maximum, inf - inf to NaN), and
+        # width / 2 + dy to ±inf before the clamp. Float arithmetic does so
+        # silently, so the deployment must too: the suite turns any warning
+        # into an error. repr writes NaN and the infinities as the same text
+        # on both sides.
+        cfg = ExperimentConfig(n=n, length=length, width=1e308, sigma=1e308, trials=1)
+        special = set()
+        for seed in range(40):
+            sensors = generate_deployment(cfg, seeded_rng(seed))
+            assert repr(sensors) == repr(deployment_oracle(cfg, seeded_rng(seed)))
+            special.update(repr(s.pos.x) for s in sensors if not math.isfinite(s.pos.x))
+        assert "inf" in special
+        if (n, length) == (49, sys.float_info.max):
+            assert "nan" in special
+
     def test_redraw_exhaustion_raises(self):
         cfg = ExperimentConfig(n=3, length=4000.0, rho=30.0, trials=1,
                                max_redraws=3)
